@@ -43,17 +43,14 @@ from .nash2 import (
     EquilibriumFamily,
     FamilyEntry,
     Nash2Result,
-    build_family,
     family_lookup,
     solve_2p_nash,
 )
 from .nash3 import (
     AssemblyContext,
-    NashCertificate,
     PlayerProcesses,
     assemble_profile,
     build_player_processes,
-    certify_nash,
     partition_ABC,
     select_delta,
     solve_three_player,
@@ -94,6 +91,8 @@ from .strategy import (
 )
 from .verify import (
     BestResponseResult,
+    NashCertificate,
+    certify_nash,
     enumerate_stopping_times,
     enumerate_strategies2,
     exact_best_response,

@@ -19,15 +19,9 @@ from typing import Sequence
 from .config import current_guards
 from .errors import GuardExceeded, OrderViolation
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, cond_exp, rat
+from .space import RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, rat
 
 Layers = list  # list[RV | None], one entry per grid index
-
-
-def _start_indices(space: FilteredSpace, from_) -> tuple[int, ...]:
-    if isinstance(from_, StoppingTime):
-        return from_.idx
-    return (int(from_),) * space.n_outcomes
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ included when explicitly requested.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .gamefile import (
     GameDoc,
+    _malformed,
     atoms_obj,
     dump_report,
     emit_game,
@@ -35,10 +37,10 @@ from .gamefile import (
 )
 from .generator import generate_instance
 from .nash2 import solve_2p_nash
-from .nash3 import certify_nash, solve_three_player
+from .nash3 import solve_three_player
 from .payoff import estimate_modulus, modulus_max, select_h
 from .space import constant_time, rat
-from .verify import nash_gap, on_path_value
+from .verify import certify_nash
 
 REPORT_SCHEMA = "stopgame-report-v1"
 
@@ -83,22 +85,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _gap_section(space, gaps, br_values, on_path, bound):
+def _gap_section(space, cert) -> list:
     per_player = []
-    worst = Fraction(0)
-    for g, br, path in zip(gaps, br_values, on_path):
+    for g, br, path in zip(cert.per_player_gaps, cert.best_response, cert.on_path):
         mg = max(g.values(), default=Fraction(0))
-        worst = max(worst, mg)
         per_player.append(
             {
                 "best_response": atoms_obj(space, br),
                 "on_path": atoms_obj(space, path),
                 "gap": atoms_obj(space, g),
                 "max_gap": _f2s(mg),
-                "passes": mg <= bound,
+                "passes": mg <= cert.bound,
             }
         )
-    return per_player, worst
+    return per_player
 
 
 def cmd_solve(args) -> int:
@@ -108,35 +108,25 @@ def cmd_solve(args) -> int:
         raise ValidationError(
             f"--players {players} but the game file has {len(doc.fields)} payoffs"
         )
-    eps = rat(args.epsilon) if args.epsilon else doc.epsilon
-    h = rat(args.h) if args.h else doc.h
+    eps = args.epsilon or doc.epsilon
+    h = args.h or doc.h
     t0 = time.perf_counter()
     space = doc.space
     if players == 2:
         res = solve_2p_nash(space, doc.fields[0], doc.fields[1], doc.theta, eps)
-        bound = eps
-        path = [
-            on_path_value(space, doc.fields[s], list(res.strategies), doc.theta)[0]
-            for s in (0, 1)
-        ]
-        br = [
-            {a: path[s][a] + g.get(a, Fraction(0)) for a in path[s]}
-            for s, g in enumerate(res.per_seat_gaps)
-        ]
-        per_player, worst = _gap_section(space, res.per_seat_gaps, br, path, bound)
+        cert = res.certificate
         report = {
             "schema": REPORT_SCHEMA,
             "kind": "solve",
             "players": 2,
             "epsilon": _f2s(eps),
-            "bound": _f2s(bound),
+            "bound": _f2s(cert.bound),
             "fallback_used": res.fallback_used,
             "profile": profile_to_obj(space, list(res.strategies)),
-            "per_player": per_player,
-            "max_gap": _f2s(worst),
-            "passes": worst <= bound,
+            "per_player": _gap_section(space, cert),
+            "max_gap": _f2s(cert.worst_gap),
+            "passes": cert.passes,
         }
-        ok = worst <= bound
     else:
         if h is None:
             mod = modulus_max([estimate_modulus(f) for f in doc.fields])
@@ -144,9 +134,6 @@ def cmd_solve(args) -> int:
         sol = solve_three_player(space, doc.fields, doc.theta, eps, h)
         cert = sol.certificate
         ctx = sol.context
-        per_player, worst = _gap_section(
-            space, cert.per_player_gaps, cert.best_response, cert.on_path, cert.bound
-        )
         node_gaps = []
         for s in range(3):
             comp = ctx.saddles[s][0]
@@ -179,7 +166,7 @@ def cmd_solve(args) -> int:
             "h": _f2s(h),
             "bound": _f2s(cert.bound),
             "profile": profile_to_obj(space, sol.profile),
-            "per_player": per_player,
+            "per_player": _gap_section(space, cert),
             "max_gap": _f2s(cert.worst_gap),
             "passes": cert.passes,
             "exit_times": [
@@ -206,17 +193,14 @@ def cmd_solve(args) -> int:
                 "convention_gap": convention,
             },
         }
-        ok = cert.passes
     if args.timings:
         report["timings"] = {"solve_seconds": round(time.perf_counter() - t0, 6)}
     _write(args.out, dump_report(report))
-    return 0 if ok else 1
+    return 0 if cert.passes else 1
 
 
 def cmd_verify(args) -> int:
     doc = parse_game(_read(args.game))
-    import json
-
     try:
         obj = json.loads(_read(args.profile))
     except json.JSONDecodeError as exc:
@@ -224,67 +208,58 @@ def cmd_verify(args) -> int:
     profile = profile_from_obj(doc.space, obj)
     if len(profile) != len(doc.fields):
         raise ValidationError("profile size does not match the game")
-    eps = doc.epsilon
-    if len(profile) == 3:
-        cert = certify_nash(doc.space, doc.fields, profile, doc.theta, eps)
-        per_player, worst = _gap_section(
-            doc.space, cert.per_player_gaps, cert.best_response, cert.on_path, cert.bound
-        )
-        bound = cert.bound
-        ok = cert.passes
-    else:
-        gaps = nash_gap(doc.space, doc.fields, profile, doc.theta)
-        bound = eps
-        paths = [
-            on_path_value(doc.space, doc.fields[s], profile, doc.theta)[0]
-            for s in range(2)
-        ]
-        brs = [
-            {a: paths[s][a] + gaps[s][a] for a in gaps[s]} for s in range(2)
-        ]
-        per_player, worst = _gap_section(doc.space, gaps, brs, paths, bound)
-        ok = worst <= bound
+    cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
+    per_player = _gap_section(doc.space, cert)
     report = {
         "schema": REPORT_SCHEMA,
         "kind": "verify",
         "players": len(profile),
-        "epsilon": _f2s(eps),
-        "bound": _f2s(bound),
+        "epsilon": _f2s(cert.eps),
+        "bound": _f2s(cert.bound),
         "per_player": per_player,
-        "max_gap": _f2s(worst),
-        "passes": ok,
+        "max_gap": _f2s(cert.worst_gap),
+        "passes": cert.passes,
     }
     _write(args.out, dump_report(report))
-    if not ok:
+    if not cert.passes:
         offenders = [
             (s, p["max_gap"]) for s, p in enumerate(per_player) if not p["passes"]
         ]
         print(f"certification failed: player gaps over bound: {offenders}", file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if cert.passes else 1
 
 
 def cmd_report(args) -> int:
-    import json
-
-    obj = json.loads(_read(args.input))
-    lines = [
-        f"kind: {obj.get('kind')}  players: {obj.get('players')}",
-        f"epsilon: {obj.get('epsilon')}  bound: {obj.get('bound')}"
-        f"  max gap: {obj.get('max_gap')}  passes: {obj.get('passes')}",
-    ]
-    for s, per in enumerate(obj.get("per_player", [])):
-        lines.append(f"player {s}: max gap {per['max_gap']} (passes: {per['passes']})")
-        for row in per.get("gap", []):
-            lines.append(
-                f"  atom t={row['time']} outcomes={row['outcomes']}: gap {row['value']}"
-            )
-    if "exit_times" in obj:
-        for s, et in enumerate(obj["exit_times"]):
-            lines.append(f"exit times player {s}: {et}")
-    if obj.get("flags", {}).get("node_gaps"):
-        lines.append(f"node gaps reported: {len(obj['flags']['node_gaps'])}")
+    with _malformed("report"):
+        obj = json.loads(_read(args.input))
+        lines = [
+            f"kind: {obj['kind']}  players: {obj['players']}",
+            f"epsilon: {obj['epsilon']}  bound: {obj['bound']}"
+            f"  max gap: {obj['max_gap']}  passes: {obj['passes']}",
+        ]
+        for s, per in enumerate(obj.get("per_player", [])):
+            lines.append(f"player {s}: max gap {per['max_gap']} (passes: {per['passes']})")
+            for row in per.get("gap", []):
+                lines.append(
+                    f"  atom t={row['time']} outcomes={row['outcomes']}: gap {row['value']}"
+                )
+        if "exit_times" in obj:
+            for s, et in enumerate(obj["exit_times"]):
+                lines.append(f"exit times player {s}: {et}")
+        if obj.get("flags", {}).get("node_gaps"):
+            lines.append(f"node gaps reported: {len(obj['flags']['node_gaps'])}")
     print("\n".join(lines))
     return 0
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = rat(text)
+        if value > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a game and write profile + report")
     s.add_argument("--game", required=True)
     s.add_argument("--players", type=int, choices=(2, 3))
-    s.add_argument("--epsilon")
-    s.add_argument("--h")
+    s.add_argument("--epsilon", type=_positive_rational)
+    s.add_argument("--h", type=_positive_rational)
     s.add_argument("--out", required=True)
     s.add_argument("--timings", action="store_true")
     s.set_defaults(fn=cmd_solve)

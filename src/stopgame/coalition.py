@@ -28,7 +28,8 @@ from .classic import (
 )
 from .errors import TheoremViolation
 from .nash2 import (
-    FamilyEntry,
+    _double_pin,
+    _pair_component,
     build_coop_family,
     build_pair_family,
     build_single_family,
@@ -36,15 +37,10 @@ from .nash2 import (
 )
 from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, constant_time, rat
-from .strategy import StrategyOrder2, StrategyOrder3
+from .strategy import StrategyOrder3
 from .verify import exact_best_response, on_path_value
 
 Atom = tuple[int, tuple[int, ...]]
-
-
-def _double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
-    others = sorted(s for s in range(3) if s != free_slot)
-    return field3.pin(others[1], c).pin(others[0], c)
 
 
 @dataclass(frozen=True)
@@ -66,15 +62,6 @@ class CoalitionComponents:
     designate: tuple  # True where the first coalition seat is the designated stopper
     families: dict
     node_reports: tuple
-
-
-def _pair_components(
-    entry_payload: tuple[StrategyOrder2, StrategyOrder2],
-    free_slots: tuple[int, int],
-    want: int,
-) -> StrategyOrder2:
-    lo, hi = sorted(free_slots)
-    return entry_payload[0] if want == lo else entry_payload[1]
 
 
 def build_components(
@@ -200,10 +187,6 @@ def _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L):
                 )
 
 
-def _toward(space, entry: FamilyEntry, seat_pair, want) -> StrategyOrder2:
-    return _pair_components(entry.payload, seat_pair, want)
-
-
 def assemble_saddle(
     comp: CoalitionComponents,
 ) -> tuple[StrategyOrder3, StrategyOrder3, StrategyOrder3]:
@@ -232,17 +215,17 @@ def assemble_saddle(
             return terminal
         entry = family_lookup(fam(("pair", member)), grid.points[t_idx])
         other = ck if member == cj else cj
-        return _toward(space, entry, (L, other), L).initial
+        return _pair_component(entry, (L, other), L).initial
 
     def leader_react_two(t_cj, t_ck) -> StoppingTime:
         if max(t_cj, t_ck) == K:
             return terminal
         if t_cj < t_ck:
             entry = family_lookup(fam(("pair", cj)), grid.points[t_cj])
-            return _toward(space, entry, (L, ck), L).react[t_ck]
+            return _pair_component(entry, (L, ck), L).react[t_ck]
         if t_cj > t_ck:
             entry = family_lookup(fam(("pair", ck)), grid.points[t_ck])
-            return _toward(space, entry, (L, cj), L).react[t_cj]
+            return _pair_component(entry, (L, cj), L).react[t_cj]
         entry = family_lookup(fam(("single", L)), grid.points[t_cj])
         return entry.payload[0]
 
@@ -273,7 +256,7 @@ def assemble_saddle(
             if t_idx == K:
                 return terminal
             entry = family_lookup(fam(("pair", partner)), grid.points[t_idx])
-            return _toward(space, entry, (L, me), me).initial
+            return _pair_component(entry, (L, me), me).initial
 
         def react_both(t_leader: int, t_partner: int) -> StoppingTime:
             if max(t_leader, t_partner) == K:
@@ -284,7 +267,7 @@ def assemble_saddle(
                 return lifted.react[t_partner]
             if t_leader > t_partner:
                 entry = family_lookup(fam(("pair", partner)), grid.points[t_partner])
-                return _toward(space, entry, (L, me), me).react[t_leader]
+                return _pair_component(entry, (L, me), me).react[t_leader]
             entry = family_lookup(fam(("single", me)), grid.points[t_leader])
             return entry.payload[0]
 

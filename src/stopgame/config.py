@@ -10,10 +10,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 ENV_OVERRIDE = "STOPGAME_GUARD_OVERRIDE"
 
 DEFAULT_ENUMERATION_CAP = 10**6
 DEFAULT_DP_STATE_CAP = 10**7
+_OVERRIDE_KEYS = {"enum": "enumeration_cap", "enumeration": "enumeration_cap",
+                  "dp": "dp_state_cap", "dp_states": "dp_state_cap"}
 
 
 @dataclass(frozen=True)
@@ -23,21 +27,18 @@ class Guards:
 
 
 def current_guards() -> Guards:
-    """Guards in effect, honoring the environment override."""
-    raw = os.environ.get(ENV_OVERRIDE)
+    """Guards in effect, honoring the environment override; a malformed
+    override raises ``ValidationError``."""
+    raw = os.environ.get(ENV_OVERRIDE, "").strip()
     if not raw:
         return Guards()
-    enum_cap = DEFAULT_ENUMERATION_CAP
-    dp_cap = DEFAULT_DP_STATE_CAP
-    raw = raw.strip()
     if raw.isdigit():
-        enum_cap = dp_cap = int(raw)
-    else:
-        for part in raw.split(","):
-            key, _, val = part.partition("=")
-            key = key.strip().lower()
-            if key in ("enum", "enumeration") and val.strip().isdigit():
-                enum_cap = int(val)
-            elif key in ("dp", "dp_states") and val.strip().isdigit():
-                dp_cap = int(val)
-    return Guards(enumeration_cap=enum_cap, dp_state_cap=dp_cap)
+        return Guards(enumeration_cap=int(raw), dp_state_cap=int(raw))
+    caps = {}
+    for part in raw.split(","):
+        key, _, val = part.partition("=")
+        field = _OVERRIDE_KEYS.get(key.strip().lower())
+        if field is None or not val.strip().isdigit():
+            raise ValidationError(f"{ENV_OVERRIDE}={raw!r}: expected N or enum=N,dp=M")
+        caps[field] = int(val)
+    return Guards(**caps)

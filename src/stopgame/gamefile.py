@@ -10,6 +10,7 @@ profile can be re-checked without access to solver internals.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,17 @@ def _s2f(x, where: str) -> Fraction:
         return rat(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: not a rational: {x!r}") from exc
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a missing key or a value of the wrong shape as a ParseError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -78,78 +90,76 @@ def parse_game(text: str) -> GameDoc:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    for key in ("grid", "outcomes", "partitions", "players", "payoffs", "epsilon"):
-        if key not in obj:
-            raise ParseError(f"missing field {key!r}")
-    grid = TimeGrid(tuple(_s2f(p, "grid") for p in obj["grid"]))
-    weights = tuple(_s2f(o["weight"], "outcomes.weight") for o in obj["outcomes"])
-    partitions = tuple(
-        tuple(tuple(int(w) for w in block) for block in part)
-        for part in obj["partitions"]
-    )
-    try:
+    with _malformed("game"):
+        for key in ("grid", "outcomes", "partitions", "players", "payoffs", "epsilon"):
+            if key not in obj:
+                raise ParseError(f"missing field {key!r}")
+        grid = TimeGrid(tuple(_s2f(p, "grid") for p in obj["grid"]))
+        weights = tuple(_s2f(o["weight"], "outcomes.weight") for o in obj["outcomes"])
+        partitions = tuple(
+            tuple(tuple(int(w) for w in block) for block in part)
+            for part in obj["partitions"]
+        )
         space = FilteredSpace(grid=grid, weights=weights, partitions=partitions)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    problems = validate_space(space)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    n_players = int(obj["players"])
-    if n_players not in (2, 3):
-        raise ValidationError(f"players must be 2 or 3, got {n_players}")
-    K = grid.terminal_index
-    n = space.n_outcomes
+        problems = validate_space(space)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        n_players = int(obj["players"])
+        if n_players not in (2, 3):
+            raise ValidationError(f"players must be 2 or 3, got {n_players}")
+        K = grid.terminal_index
+        n = space.n_outcomes
 
-    def read_tensor(node, player):
-        values = {}
+        def read_tensor(node, player):
+            values = {}
 
-        def rec(prefix, sub):
-            if len(prefix) == n_players:
-                if not isinstance(sub, list) or len(sub) != n:
-                    raise ParseError(
-                        f"payoff[{player}] at times {tuple(prefix)}: need one "
-                        f"value per outcome"
+            def rec(prefix, sub):
+                if len(prefix) == n_players:
+                    if not isinstance(sub, list) or len(sub) != n:
+                        raise ParseError(
+                            f"payoff[{player}] at times {tuple(prefix)}: need one "
+                            f"value per outcome"
+                        )
+                    values[tuple(prefix)] = tuple(
+                        _s2f(v, f"payoff[{player}]{tuple(prefix)}") for v in sub
                     )
-                values[tuple(prefix)] = tuple(
-                    _s2f(v, f"payoff[{player}]{tuple(prefix)}") for v in sub
-                )
-                return
-            if not isinstance(sub, list) or len(sub) != K + 1:
-                raise ParseError(
-                    f"payoff[{player}] missing entries under times {tuple(prefix)}"
-                )
-            for k, child in enumerate(sub):
-                rec(prefix + [k], child)
+                    return
+                if not isinstance(sub, list) or len(sub) != K + 1:
+                    raise ParseError(
+                        f"payoff[{player}] missing entries under times {tuple(prefix)}"
+                    )
+                for k, child in enumerate(sub):
+                    rec(prefix + [k], child)
 
-        rec([], node)
-        return PayoffField(space, n_players, values)
+            rec([], node)
+            return PayoffField(space, n_players, values)
 
-    fields = tuple(read_tensor(node, p) for p, node in enumerate(obj["payoffs"]))
-    if len(fields) != n_players:
-        raise ParseError("need one payoff tensor per player")
-    for p, f in enumerate(fields):
-        bad = check_adapted(f)
-        if bad:
-            raise ValidationError(
-                f"payoff[{p}] not settled at the latest stop for times {bad[0]}"
-            )
-    start = obj.get("start")
-    if start is None:
-        theta = StoppingTime((0,) * n)
-    else:
-        vals = [_s2f(v, "start") for v in start]
-        try:
-            idx = tuple(grid.index(v) for v in vals)
-        except ValueError as exc:
-            raise ValidationError(f"start: {exc}") from exc
-        if not is_stopping_time(space, idx):
-            raise ValidationError("start is not a stopping time")
-        theta = StoppingTime(idx)
-    epsilon = _s2f(obj["epsilon"], "epsilon")
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    h = _s2f(obj["h"], "h") if "h" in obj else None
-    return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
+        fields = tuple(read_tensor(node, p) for p, node in enumerate(obj["payoffs"]))
+        if len(fields) != n_players:
+            raise ParseError("need one payoff tensor per player")
+        for p, f in enumerate(fields):
+            bad = check_adapted(f)
+            if bad:
+                raise ValidationError(
+                    f"payoff[{p}] not settled at the latest stop for times {bad[0]}"
+                )
+        start = obj.get("start")
+        if start is None:
+            theta = StoppingTime((0,) * n)
+        else:
+            vals = [_s2f(v, "start") for v in start]
+            try:
+                idx = tuple(grid.index(v) for v in vals)
+            except ValueError as exc:
+                raise ValidationError(f"start: {exc}") from exc
+            if not is_stopping_time(space, idx):
+                raise ValidationError("start is not a stopping time")
+            theta = StoppingTime(idx)
+        epsilon = _s2f(obj["epsilon"], "epsilon")
+        if epsilon <= 0:
+            raise ValidationError("epsilon must be positive")
+        h = _s2f(obj["h"], "h") if "h" in obj else None
+        return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
 
 
 def strategy_to_obj(space: FilteredSpace, strat) -> dict:
@@ -232,12 +242,13 @@ def profile_to_obj(space: FilteredSpace, profile) -> dict:
 
 
 def profile_from_obj(space: FilteredSpace, obj: dict):
-    if "profile" in obj:  # accept a whole solve output
-        obj = obj["profile"]
-    strategies = obj.get("strategies")
-    if not isinstance(strategies, list):
-        raise ParseError("profile needs a 'strategies' list")
-    return [strategy_from_obj(space, s) for s in strategies]
+    with _malformed("profile"):
+        if "profile" in obj:  # accept a whole solve output
+            obj = obj["profile"]
+        strategies = obj.get("strategies")
+        if not isinstance(strategies, list):
+            raise ParseError("profile needs a 'strategies' list")
+        return [strategy_from_obj(space, s) for s in strategies]
 
 
 def atoms_obj(space: FilteredSpace, values: dict) -> list:

@@ -4,9 +4,9 @@
 two-player game with a constructive candidate: a leader-follower backward
 induction whose node cells price "stop now, the other reacts in her own best
 interest" against joint continuation.  Candidates are never trusted; the exact
-best-response oracle certifies the achieved gap, and tiny instances fall back
-to exhaustive search over the enumerable strategy class when the candidate
-misses the target.
+best-response oracle (``verify.certify_nash``) certifies the achieved gap,
+and tiny instances fall back to exhaustive search over the enumerable
+strategy class when the candidate misses the target.
 
 Families index such objects by multiples of a window width h chosen from the
 payoff modulus.  The entry at g is built at the first grid point at or after
@@ -14,7 +14,9 @@ g and certified, by direct evaluation, at every grid time in [g-h, g]; lookup
 at time t returns the entry at the next strictly-later multiple of h, which
 by construction contains t in its certified window.  Certified tolerances are
 11*eps for equilibrium pairs, 5*eps for cooperative minimizer pairs, and eps
-for single optimizers, with the achieved gap recorded alongside.
+for single optimizers, with the achieved gap recorded alongside.  The three
+builders share one skeleton: each supplies only how to solve at the anchor and
+how to measure the gap at a window time.
 """
 
 from __future__ import annotations
@@ -29,36 +31,25 @@ from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, cond_exp, constant_time, rat
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
 from .verify import (
+    NashCertificate,
+    _nash_certificate,
+    certify_nash,
     count_strategies2,
     enumerate_strategies2,
     exact_best_response,
     on_path_value,
 )
 
-Atom = tuple[int, tuple[int, ...]]
-
 
 @dataclass(frozen=True)
 class Nash2Result:
     strategies: tuple[StrategyOrder2, StrategyOrder2]
-    gap: Fraction
-    per_seat_gaps: tuple[dict[Atom, Fraction], dict[Atom, Fraction]]
+    certificate: NashCertificate
     fallback_used: bool
 
-
-def _certify_pair(space, fields, pair, start):
-    """Worst per-atom best-response gap over both seats."""
-    per_seat = []
-    worst = Fraction(0)
-    for seat in (0, 1):
-        br = exact_best_response(
-            space, fields[seat], pair, controlled=(seat,), objective="max", start=start
-        )
-        path, _ = on_path_value(space, fields[seat], pair, start)
-        gaps = {atom: br.values[atom] - path[atom] for atom in br.values}
-        per_seat.append(gaps)
-        worst = max(worst, max(gaps.values(), default=Fraction(0)))
-    return worst, tuple(per_seat)
+    @property
+    def gap(self) -> Fraction:
+        return self.certificate.worst_gap
 
 
 def _own_reactions(space, field, other_slot):
@@ -175,13 +166,13 @@ def solve_2p_nash(
         initial=read_initial(stops_b),
         react=tuple(r.rule for r in react_b) + (terminal,),
     )
-    gap, per_seat = _certify_pair(space, (field_a, field_b), [strat_a, strat_b], start_st)
-    if gap <= eps or not fallback:
-        return Nash2Result((strat_a, strat_b), gap, per_seat, fallback_used=False)
-    return _fallback_search(space, field_a, field_b, start_st, best=(strat_a, strat_b, gap, per_seat))
+    cert = certify_nash(space, (field_a, field_b), [strat_a, strat_b], start_st, eps)
+    if cert.passes or not fallback:
+        return Nash2Result((strat_a, strat_b), cert, fallback_used=False)
+    return _fallback_search(space, field_a, field_b, start_st, eps, (strat_a, strat_b), cert)
 
 
-def _fallback_search(space, field_a, field_b, start_st, best):
+def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
     guards = current_guards()
     count = count_strategies2(space, start_st)
     if count * count > guards.enumeration_cap:
@@ -198,20 +189,16 @@ def _fallback_search(space, field_a, field_b, start_st, best):
         br_b_vs.append(
             exact_best_response(space, field_b, [s, None], (1,), "max", start_st).values
         )
-    best_pair, best_gap, best_per = (best[0], best[1]), best[2], best[3]
     for i, sa in enumerate(strategies):
         for j, sb in enumerate(strategies):
-            path_a, _ = on_path_value(space, field_a, [sa, sb], start_st)
-            path_b, _ = on_path_value(space, field_b, [sa, sb], start_st)
-            ga = {atom: br_a_vs[j][atom] - path_a[atom] for atom in path_a}
-            gb = {atom: br_b_vs[i][atom] - path_b[atom] for atom in path_b}
-            gap = max(
-                max(ga.values(), default=Fraction(0)),
-                max(gb.values(), default=Fraction(0)),
-            )
-            if gap < best_gap:
-                best_pair, best_gap, best_per = (sa, sb), gap, (ga, gb)
-    return Nash2Result(best_pair, best_gap, best_per, fallback_used=True)
+            # a seat's best response depends only on the other seat's strategy
+            paths = [
+                on_path_value(space, f, [sa, sb], start_st)[0] for f in (field_a, field_b)
+            ]
+            cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
+            if cert.worst_gap < best.worst_gap:
+                best_pair, best = (sa, sb), cert
+    return Nash2Result(best_pair, best, fallback_used=True)
 
 
 @dataclass(frozen=True)
@@ -253,15 +240,48 @@ def family_multiples(space: FilteredSpace, h) -> list[Fraction]:
     return out
 
 
-def _window_indices(space: FilteredSpace, g: Fraction, h: Fraction) -> tuple[int, ...]:
-    return tuple(
-        k for k, p in enumerate(space.grid.points) if g - h <= p <= g
-    )
-
-
 def _double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
     others = sorted(s for s in range(3) if s != free_slot)
     return field3.pin(others[1], c).pin(others[0], c)
+
+
+def _pair_component(entry: FamilyEntry, free_slots, want: int) -> StrategyOrder2:
+    """Strategy of seat ``want`` in a pair entry; the lower free slot comes first."""
+    return entry.payload[0] if want == min(free_slots) else entry.payload[1]
+
+
+_ENTRY_LABEL = {"nonzero_sum_pair": "pair", "coop_pair": "coop", "single": "single"}
+
+
+def _window_family(space, kind, h, eps, tol_mult, solve_at, gap_at) -> EquilibriumFamily:
+    """One entry per h-multiple g: ``solve_at(anchor)`` gives the payload at
+    the first grid index at or after g, and ``gap_at(payload, k)`` must stay
+    within tol_mult*eps at every grid index k of the window [g-h, g]."""
+    h, eps = rat(h), rat(eps)
+    entries: dict[Fraction, FamilyEntry] = {}
+    for g in family_multiples(space, h):
+        anchor = space.grid.index_at_or_after(g)
+        payload = solve_at(anchor)
+        achieved = Fraction(0)
+        window = tuple(k for k, p in enumerate(space.grid.points) if g - h <= p <= g)
+        for k in window:
+            achieved = max(achieved, gap_at(payload, k))
+            if achieved > tol_mult * eps:
+                raise WindowCertificationFailed(
+                    f"{_ENTRY_LABEL[kind]} entry at {g} reached gap {achieved} > "
+                    f"{tol_mult}*eps at grid index {k}",
+                    g=g,
+                    at=k,
+                )
+        entries[g] = FamilyEntry(
+            g=g,
+            anchor=anchor,
+            payload=payload,
+            tolerance=tol_mult * eps,
+            achieved=achieved,
+            window=window,
+        )
+    return EquilibriumFamily(kind=kind, h=h, entries=entries)
 
 
 def build_pair_family(
@@ -279,37 +299,18 @@ def build_pair_family(
     anchor behavior, then certified at tol_mult*eps over the whole window by
     exact best response.
     """
-    h, eps = rat(h), rat(eps)
-    entries: dict[Fraction, FamilyEntry] = {}
-    for g in family_multiples(space, h):
-        anchor = space.grid.index_at_or_after(g)
-        view_a = fields3[0].pin(frozen_slot, anchor)
-        view_b = fields3[1].pin(frozen_slot, anchor)
-        res = solve_2p_nash(space, view_a, view_b, anchor, eps)
-        pair = patch_pair(space, res.strategies, anchor)
-        achieved = Fraction(0)
-        window = _window_indices(space, g, h)
-        for k in window:
-            wa = fields3[0].pin(frozen_slot, k)
-            wb = fields3[1].pin(frozen_slot, k)
-            gap, _ = _certify_pair(space, (wa, wb), list(pair), k)
-            achieved = max(achieved, gap)
-            if achieved > tol_mult * eps:
-                raise WindowCertificationFailed(
-                    f"pair entry at {g} reached gap {achieved} > {tol_mult}*eps "
-                    f"at grid index {k}",
-                    g=g,
-                    at=k,
-                )
-        entries[g] = FamilyEntry(
-            g=g,
-            anchor=anchor,
-            payload=pair,
-            tolerance=tol_mult * eps,
-            achieved=achieved,
-            window=window,
-        )
-    return EquilibriumFamily(kind="nonzero_sum_pair", h=h, entries=entries)
+
+    def views(k):
+        return tuple(f.pin(frozen_slot, k) for f in fields3)
+
+    def solve_at(anchor):
+        res = solve_2p_nash(space, *views(anchor), anchor, eps)
+        return patch_pair(space, res.strategies, anchor)
+
+    def gap_at(pair, k):
+        return certify_nash(space, views(k), list(pair), k, eps).worst_gap
+
+    return _window_family(space, "nonzero_sum_pair", h, eps, tol_mult, solve_at, gap_at)
 
 
 def build_coop_family(
@@ -324,45 +325,29 @@ def build_coop_family(
 
     The anchor optimum is exact; window certification compares the committed
     pair's value against the cooperative infimum recomputed at each window
-    time, within tol_mult*eps.
+    time, within tol_mult*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
     """
-    h, eps = rat(h), rat(eps)
-    entries: dict[Fraction, FamilyEntry] = {}
-    for g in family_multiples(space, h):
-        anchor = space.grid.index_at_or_after(g)
+
+    def solve_at(anchor):
         res = joint_inf_pair(space, field3.pin(frozen_slot, anchor), anchor)
-        lifted = (
+        return (
+            res.rho,
+            res.tau,
             lift_obstinate2(space, res.rho),
             lift_obstinate2(space, res.tau),
         )
-        achieved = Fraction(0)
-        window = _window_indices(space, g, h)
-        for k in window:
-            view = field3.pin(frozen_slot, k)
-            opt_layers, _ = joint_inf_value(space, view, k)
-            pay = tuple(
-                view.value_at((res.rho.idx[w], res.tau.idx[w]), w)
-                for w in range(space.n_outcomes)
-            )
-            attained = cond_exp(space, pay, k)
-            gap = max(a - o for a, o in zip(attained, opt_layers[k]))
-            achieved = max(achieved, gap)
-            if achieved > tol_mult * eps:
-                raise WindowCertificationFailed(
-                    f"coop entry at {g} reached gap {achieved} > {tol_mult}*eps "
-                    f"at grid index {k}",
-                    g=g,
-                    at=k,
-                )
-        entries[g] = FamilyEntry(
-            g=g,
-            anchor=anchor,
-            payload=(res.rho, res.tau, lifted[0], lifted[1]),
-            tolerance=tol_mult * eps,
-            achieved=achieved,
-            window=window,
+
+    def gap_at(payload, k):
+        rho, tau = payload[:2]
+        view = field3.pin(frozen_slot, k)
+        opt_layers, _ = joint_inf_value(space, view, k)
+        pay = tuple(
+            view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
         )
-    return EquilibriumFamily(kind="coop_pair", h=h, entries=entries)
+        attained = cond_exp(space, pay, k)
+        return max(a - o for a, o in zip(attained, opt_layers[k]))
+
+    return _window_family(space, "coop_pair", h, eps, tol_mult, solve_at, gap_at)
 
 
 def build_single_family(
@@ -379,61 +364,22 @@ def build_single_family(
     Window certification compares the anchored rule's value with the Snell
     optimum recomputed at each window time.
     """
-    h, eps = rat(h), rat(eps)
-    entries: dict[Fraction, FamilyEntry] = {}
-    for g in family_multiples(space, h):
-        anchor = space.grid.index_at_or_after(g)
-        res = snell(space, _double_pin(field3, free_slot, anchor).as_layers(), direction, anchor)
-        rule = res.rule
-        achieved = Fraction(0)
-        window = _window_indices(space, g, h)
-        for k in window:
-            slice_k = _double_pin(field3, free_slot, k)
-            layers = slice_k.as_layers()
-            attained = cond_exp(
-                space,
-                tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
-                k,
-            )
-            opt = snell(space, layers, direction, k).value[k]
-            if direction == "inf":
-                gap = max(a - o for a, o in zip(attained, opt))
-            else:
-                gap = max(o - a for a, o in zip(attained, opt))
-            achieved = max(achieved, gap)
-            if achieved > tol_mult * eps:
-                raise WindowCertificationFailed(
-                    f"single entry at {g} reached gap {achieved} > {tol_mult}*eps "
-                    f"at grid index {k}",
-                    g=g,
-                    at=k,
-                )
-        entries[g] = FamilyEntry(
-            g=g,
-            anchor=anchor,
-            payload=(rule,),
-            tolerance=tol_mult * eps,
-            achieved=achieved,
-            window=window,
-        )
-    return EquilibriumFamily(kind="single", h=h, entries=entries)
 
+    def solve_at(anchor):
+        layers = _double_pin(field3, free_slot, anchor).as_layers()
+        return (snell(space, layers, direction, anchor).rule,)
 
-def build_family(kind: str, space: FilteredSpace, h, eps, **kwargs) -> EquilibriumFamily:
-    """Dispatcher over the three family kinds (see the dedicated builders)."""
-    if kind == "nonzero_sum_pair":
-        return build_pair_family(
-            space, kwargs["fields3"], kwargs["frozen_slot"], h, eps,
-            tol_mult=kwargs.get("tol_mult", 11),
+    def gap_at(payload, k):
+        (rule,) = payload
+        layers = _double_pin(field3, free_slot, k).as_layers()
+        attained = cond_exp(
+            space,
+            tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
+            k,
         )
-    if kind == "coop_pair":
-        return build_coop_family(
-            space, kwargs["field3"], kwargs["frozen_slot"], h, eps,
-            tol_mult=kwargs.get("tol_mult", 5),
-        )
-    if kind == "single":
-        return build_single_family(
-            space, kwargs["field3"], kwargs["free_slot"], kwargs["direction"], h, eps,
-            tol_mult=kwargs.get("tol_mult", 1),
-        )
-    raise ValueError(f"unknown family kind {kind!r}")
+        opt = snell(space, layers, direction, k).value[k]
+        if direction == "inf":
+            return max(a - o for a, o in zip(attained, opt))
+        return max(o - a for a, o in zip(attained, opt))
+
+    return _window_family(space, "single", h, eps, tol_mult, solve_at, gap_at)

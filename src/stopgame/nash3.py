@@ -26,6 +26,7 @@ from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, TheoremViolation
 from .nash2 import (
     EquilibriumFamily,
+    _pair_component,
     build_pair_family,
     build_single_family,
     family_lookup,
@@ -40,8 +41,8 @@ from .space import (
     rat,
     stopped_atoms,
 )
-from .strategy import StrategyOrder2, StrategyOrder3, resolve2, validate_strategy
-from .verify import exact_best_response, on_path_value
+from .strategy import StrategyOrder3, resolve2, validate_strategy
+from .verify import NashCertificate, certify_nash
 
 Atom = tuple[int, tuple[int, ...]]
 
@@ -308,11 +309,6 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     )
 
 
-def _pair_component(entry, free_slots, want) -> StrategyOrder2:
-    lo, hi = sorted(free_slots)
-    return entry.payload[0] if want == lo else entry.payload[1]
-
-
 def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
     """Literal transcription of the dispatch tables into dense strategies."""
     space = ctx.space
@@ -401,45 +397,6 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
             )
         profile.append(strat)
     return profile
-
-
-@dataclass(frozen=True)
-class NashCertificate:
-    eps: Fraction
-    bound: Fraction  # 13 eps
-    per_player_gaps: tuple  # per seat: atom -> gap
-    on_path: tuple  # per seat: atom -> conforming value
-    best_response: tuple  # per seat: atom -> deviation value
-    worst_gap: Fraction
-    passes: bool
-
-
-def certify_nash(
-    space: FilteredSpace, fields, profile, theta: StoppingTime, eps
-) -> NashCertificate:
-    """Exact per-atom deviation gaps for every player against 13*eps."""
-    eps = rat(eps)
-    gaps, paths, brs = [], [], []
-    worst = Fraction(0)
-    for seat in range(3):
-        br = exact_best_response(
-            space, fields[seat], profile, controlled=(seat,), objective="max", start=theta
-        )
-        path, _ = on_path_value(space, fields[seat], profile, theta)
-        g = {atom: br.values[atom] - path[atom] for atom in br.values}
-        gaps.append(g)
-        paths.append(path)
-        brs.append(br.values)
-        worst = max(worst, max(g.values(), default=Fraction(0)))
-    return NashCertificate(
-        eps=eps,
-        bound=13 * eps,
-        per_player_gaps=tuple(gaps),
-        on_path=tuple(paths),
-        best_response=tuple(brs),
-        worst_gap=worst,
-        passes=worst <= 13 * eps,
-    )
 
 
 @dataclass(frozen=True)

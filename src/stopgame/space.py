@@ -215,6 +215,13 @@ def constant_time(space: FilteredSpace, k: int) -> StoppingTime:
     return StoppingTime((k,) * space.n_outcomes)
 
 
+def _start_indices(space: FilteredSpace, from_) -> tuple[int, ...]:
+    """Per-outcome start index of a stopping time or a constant grid index."""
+    if isinstance(from_, StoppingTime):
+        return from_.idx
+    return (int(from_),) * space.n_outcomes
+
+
 def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
     """True iff {tau <= t_k} is a union of time-k blocks for every k."""
     n = space.n_outcomes

@@ -20,16 +20,12 @@ from typing import Iterator, Sequence
 from .config import current_guards
 from .errors import GuardExceeded
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, cond_exp_at, constant_time
+from .space import (
+    RV, FilteredSpace, StoppingTime, _start_indices, cond_exp_at, constant_time, rat
+)
 from .strategy import StrategyOrder2, resolve2, resolve3
 
 Atom = tuple[int, tuple[int, ...]]  # (time index, outcome block)
-
-
-def _start_indices(space: FilteredSpace, from_) -> tuple[int, ...]:
-    if isinstance(from_, StoppingTime):
-        return from_.idx
-    return (int(from_),) * space.n_outcomes
 
 
 def count_stopping_times(space: FilteredSpace, from_=0) -> int:
@@ -262,6 +258,55 @@ def on_path_value(
     return values, rv_out
 
 
+@dataclass(frozen=True)
+class NashCertificate:
+    eps: Fraction
+    bound: Fraction  # 13 eps for three players, eps for two
+    per_player_gaps: tuple  # per seat: atom -> gap
+    on_path: tuple  # per seat: atom -> conforming value
+    best_response: tuple  # per seat: atom -> deviation value
+    worst_gap: Fraction
+    passes: bool
+
+
+def certify_nash(
+    space: FilteredSpace, fields: Sequence[PayoffField], profile: Sequence, theta, eps
+) -> NashCertificate:
+    """Exact per-atom deviation gaps for every player against the Nash bound.
+
+    Seat s maximizes ``fields[s]`` against the others' fixed strategies.  The
+    bound is 13*eps for three players and eps for two.
+    """
+    best = tuple(
+        exact_best_response(
+            space, field, profile, controlled=(seat,), objective="max", start=theta
+        ).values
+        for seat, field in enumerate(fields)
+    )
+    paths = tuple(on_path_value(space, field, profile, theta)[0] for field in fields)
+    return _nash_certificate(eps, best, paths)
+
+
+def _nash_certificate(eps, best_response, on_path) -> NashCertificate:
+    """Certificate from per-seat best-response and conforming values by atom."""
+    eps = rat(eps)
+    bound = (13 if len(best_response) == 3 else 1) * eps
+    gaps = tuple(
+        {atom: br[atom] - path[atom] for atom in br}
+        for br, path in zip(best_response, on_path)
+    )
+    worst = max([Fraction(0), *(g for per_seat in gaps for g in per_seat.values())])
+    return NashCertificate(
+        eps=eps,
+        bound=bound,
+        per_player_gaps=gaps,
+        on_path=tuple(on_path),
+        best_response=tuple(best_response),
+        worst_gap=worst,
+        passes=worst <= bound,
+    )
+
+
 def nash_gap(
     space: FilteredSpace,
     fields: Sequence[PayoffField],
@@ -273,19 +318,13 @@ def nash_gap(
     Gaps are nonnegative by construction (conforming is one feasible
     deviation), so a negative value indicates a bug and raises.
     """
-    gaps: list[dict[Atom, Fraction]] = []
-    for seat, field in enumerate(fields):
-        br = exact_best_response(
-            space, field, profile, controlled=(seat,), objective="max", start=theta
-        )
-        on_path, _ = on_path_value(space, field, profile, theta)
-        per_seat = {atom: br.values[atom] - on_path[atom] for atom in br.values}
+    gaps = certify_nash(space, fields, profile, theta, eps=1).per_player_gaps  # bound unused
+    for seat, per_seat in enumerate(gaps):
         if any(g < 0 for g in per_seat.values()):
             raise AssertionError(
                 f"negative best-response gap for seat {seat}: {per_seat}"
             )
-        gaps.append(per_seat)
-    return gaps
+    return list(gaps)
 
 
 def max_gap(gaps: list[dict[Atom, Fraction]]) -> Fraction:

@@ -179,3 +179,11 @@ def test_phi_h_indexes_strictly_later_windows():
         assert g > t
         assert (g / h).denominator == 1
         assert g - t <= h
+
+
+def test_cli_malformed_guard_override_exits_2(tmp_path, monkeypatch, capsys):
+    game = tmp_path / "g.json"
+    assert cli_main(["gen", "--seed", "2", "--players", "2", "--out", str(game)]) == 0
+    monkeypatch.setenv(ENV_OVERRIDE, "enum=abc")
+    assert cli_main(["solve", "--game", str(game), "--out", str(tmp_path / "r.json")]) == 2
+    assert ENV_OVERRIDE in capsys.readouterr().err

@@ -206,3 +206,58 @@ def test_cli_solve_overrides(tmp_path):
     obj = json.loads(rep.read_text())
     assert obj["epsilon"] == "1/10"
     assert obj["bound"] == "13/10"
+
+
+STRUCTURAL_ERRORS = [
+    pytest.param("solve", lambda g: g["outcomes"][0].pop("weight"), None, (), id="no-weight"),
+    pytest.param("solve", lambda g: g.update(players="three"), None, (), id="players-word"),
+    pytest.param("solve", lambda g: g.update(grid=5), None, (), id="scalar-grid"),
+    pytest.param(
+        "solve", lambda g: g["partitions"][0][0].__setitem__(0, "a"), None, (), id="partition-id"
+    ),
+    pytest.param(
+        "verify", None, lambda r: r["profile"]["strategies"][0].pop("initial"), (),
+        id="no-initial",
+    ),
+    *(
+        pytest.param("solve", None, None, (flag, value), id=f"{flag[2:]}={value}")
+        for flag in ("--h", "--epsilon")
+        for value in ("0", "-1", "abc")
+    ),
+]
+
+
+@pytest.mark.parametrize("command, edit_game, edit_report, flags", STRUCTURAL_ERRORS)
+def test_cli_structural_input_exits_2(tmp_path, capsys, command, edit_game, edit_report, flags):
+    """Malformed input is an input error (2), never a certification failure (1)."""
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--seed", "5", "--players", "2", "--outcomes", "2", "--times", "3",
+                 "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--out", str(rep)]) == 0
+    for path, edit in ((game, edit_game), (rep, edit_report)):
+        if edit is not None:
+            obj = json.loads(path.read_text())
+            edit(obj)
+            path.write_text(json.dumps(obj))
+    argv = [command, "--game", str(game), "--out", str(tmp_path / "o.json"), *flags]
+    if command == "verify":
+        argv += ["--profile", str(rep)]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_report_rejects_partial_report(tmp_path, capsys):
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    main(["gen", "--seed", "5", "--players", "2", "--outcomes", "2", "--times", "3",
+          "--out", str(game)])
+    main(["solve", "--game", str(game), "--out", str(rep)])
+    obj = json.loads(rep.read_text())
+    del obj["per_player"][0]["max_gap"]
+    rep.write_text(json.dumps(obj))
+    assert main(["report", "--in", str(rep)]) == 2
+    assert "input error: report: missing field 'max_gap'" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from conftest import random_rv
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
 from stopgame.nash2 import (
-    build_family,
     build_pair_family,
     build_coop_family,
     build_single_family,
@@ -84,6 +83,7 @@ def flat_3field(space, shift=0):
 def test_pair_family_constant(three_time_space):
     space = three_time_space
     fam = build_pair_family(space, (flat_3field(space), flat_3field(space, 1)), 0, 1, "1/10")
+    assert fam.kind == "nonzero_sum_pair"
     assert set(fam.entries) == {1, 2}
     for entry in fam.entries.values():
         assert entry.achieved == 0
@@ -130,6 +130,7 @@ def test_coop_family_windows(three_time_space):
     )
     eps = Fraction(1, 2)
     fam = build_coop_family(space, field, 0, 1, eps)
+    assert fam.kind == "coop_pair"
     for entry in fam.entries.values():
         assert entry.achieved <= entry.tolerance == 5 * eps
 
@@ -151,14 +152,6 @@ def test_single_family_tracks_snell(three_time_space):
     h = select_h(estimate_modulus(field), eps, space.grid)
     for direction in ("inf", "sup"):
         fam = build_single_family(space, field, 0, direction, h, eps)
+        assert fam.kind == "single"
         for entry in fam.entries.values():
             assert entry.achieved <= entry.tolerance == eps
-
-
-def test_build_family_dispatch(three_time_space):
-    space = three_time_space
-    f = flat_3field(space)
-    fam = build_family("single", space, 1, "1/10", field3=f, free_slot=1, direction="inf")
-    assert fam.kind == "single"
-    with pytest.raises(ValueError):
-        build_family("bogus", space, 1, "1/10")
