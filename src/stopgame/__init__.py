@@ -45,6 +45,7 @@ from .nash2 import (
     Nash2Result,
     family_lookup,
     solve_2p_nash,
+    stop_now_solutions,
 )
 from .nash3 import (
     AssemblyContext,

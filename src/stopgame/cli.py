@@ -38,8 +38,8 @@ from .gamefile import (
 from .generator import generate_instance
 from .nash2 import solve_2p_nash
 from .nash3 import solve_three_player
-from .payoff import estimate_modulus, modulus_max, select_h
 from .space import constant_time, rat
+from .strategy import StrategyOrder2, StrategyOrder3, validate_strategy
 from .verify import certify_nash
 
 REPORT_SCHEMA = "stopgame-report-v1"
@@ -128,9 +128,6 @@ def cmd_solve(args) -> int:
             "passes": cert.passes,
         }
     else:
-        if h is None:
-            mod = modulus_max([estimate_modulus(f) for f in doc.fields])
-            h = select_h(mod, eps, space.grid)
         sol = solve_three_player(space, doc.fields, doc.theta, eps, h)
         cert = sol.certificate
         ctx = sol.context
@@ -163,7 +160,7 @@ def cmd_solve(args) -> int:
             "kind": "solve",
             "players": 3,
             "epsilon": _f2s(eps),
-            "h": _f2s(h),
+            "h": _f2s(ctx.h),
             "bound": _f2s(cert.bound),
             "profile": profile_to_obj(space, sol.profile),
             "per_player": _gap_section(space, cert),
@@ -206,8 +203,17 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"profile: {exc}") from exc
     profile = profile_from_obj(doc.space, obj)
-    if len(profile) != len(doc.fields):
+    n = len(doc.fields)
+    if len(profile) != n:
         raise ValidationError("profile size does not match the game")
+    for p, strat in enumerate(profile):
+        if not isinstance(strat, StrategyOrder2 if n == 2 else StrategyOrder3):
+            raise ValidationError(f"strategy {p}: a {n}-player game needs order {n}")
+        if n == 3 and strat.seat != p:
+            raise ValidationError(f"strategy {p}: seat {strat.seat}, expected {p}")
+        problems = validate_strategy(doc.space, strat)
+        if problems:
+            raise ValidationError(f"strategy {p}: {'; '.join(problems)}")
     cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
     per_player = _gap_section(doc.space, cert)
     report = {

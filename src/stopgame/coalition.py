@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import (
-    dynkin_hitting_pair,
-    dynkin_value,
-    joint_inf_value,
-    snell,
-)
+from .classic import dynkin_hitting_pair, dynkin_value, snell
 from .errors import TheoremViolation
 from .nash2 import (
     _double_pin,
@@ -34,6 +29,7 @@ from .nash2 import (
     build_pair_family,
     build_single_family,
     family_lookup,
+    stop_now_solutions,
 )
 from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, constant_time, rat
@@ -54,7 +50,7 @@ class CoalitionComponents:
     mu: StoppingTime
     leader_stop_value: tuple  # value of the leader stopping now, coalition minimizing
     after_stop_value: dict  # seat -> value once that coalition member stopped
-    coalition_floor: tuple  # min över the two after-stop values
+    coalition_floor: tuple  # min over the two after-stop values
     pinned_solo: dict  # free slot -> optimum with both other slots pinned
     value: tuple  # duel value between leader_stop_value and coalition_floor
     leader_hit: StoppingTime
@@ -73,19 +69,22 @@ def build_components(
     h,
 ) -> CoalitionComponents:
     """All processes, hitting times and families of the coalition game."""
+    if payoff.arity != 3:
+        raise ValueError("coalition games need a three-slot payoff")
+    stop_now = stop_now_solutions(space, payoff, max_player)
+    return _build_components(space, payoff, max_player, mu, eps, h, stop_now)
+
+
+def _build_components(space, payoff, max_player, mu, eps, h, stop_now):
+    """``build_components`` given the leader's ``stop_now_solutions``."""
     from .zerosum import ReactionGameSpec, reaction_game_value
 
     eps, h = rat(eps), rat(h)
-    if payoff.arity != 3:
-        raise ValueError("coalition games need a three-slot payoff")
     L = max_player
     cj, ck = sorted(s for s in range(3) if s != L)
     K = space.grid.terminal_index
 
-    leader_stop = []
-    for k in range(K + 1):
-        layers, _ = joint_inf_value(space, payoff.pin(L, k), k)
-        leader_stop.append(layers[k])
+    leader_stop = [stop_now[k].value[k] for k in range(K + 1)]
 
     after_stop: dict[int, list] = {}
     node_reports = []
@@ -105,14 +104,14 @@ def build_components(
         for k in range(K + 1)
     ]
 
-    pinned: dict[int, list] = {}
+    solo = {}
     for free in (L, cj, ck):
         direction = "sup" if free == L else "inf"
-        vals = []
-        for k in range(K + 1):
-            res = snell(space, _double_pin(payoff, free, k).as_layers(), direction, k)
-            vals.append(res.value[k])
-        pinned[free] = vals
+        solo[free] = tuple(
+            snell(space, _double_pin(payoff, free, k).as_layers(), direction, k)
+            for k in range(K + 1)
+        )
+    pinned = {free: [sol[k].value[k] for k in range(K + 1)] for free, sol in solo.items()}
 
     _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L)
 
@@ -132,12 +131,12 @@ def build_components(
         return (own[lo], own[hi])
 
     families = {
-        "coop": build_coop_family(space, payoff, L, h, eps),
+        "coop": build_coop_family(space, payoff, L, stop_now, h, eps),
         ("pair", cj): build_pair_family(space, zero_sum_fields(ck), cj, h, eps),
         ("pair", ck): build_pair_family(space, zero_sum_fields(cj), ck, h, eps),
-        ("single", L): build_single_family(space, payoff, L, "sup", h, eps),
-        ("single", cj): build_single_family(space, payoff, cj, "inf", h, eps),
-        ("single", ck): build_single_family(space, payoff, ck, "inf", h, eps),
+        ("single", L): build_single_family(space, payoff, L, solo[L], h, eps),
+        ("single", cj): build_single_family(space, payoff, cj, solo[cj], h, eps),
+        ("single", ck): build_single_family(space, payoff, ck, solo[ck], h, eps),
     }
     return CoalitionComponents(
         space=space,

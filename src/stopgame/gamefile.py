@@ -159,6 +159,8 @@ def parse_game(text: str) -> GameDoc:
         if epsilon <= 0:
             raise ValidationError("epsilon must be positive")
         h = _s2f(obj["h"], "h") if "h" in obj else None
+        if h is not None and h <= 0:
+            raise ValidationError("h must be positive")
         return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import joint_inf_pair, joint_inf_value, snell
+from .classic import joint_inf_pair, snell
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
@@ -245,6 +245,13 @@ def _double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
     return field3.pin(others[1], c).pin(others[0], c)
 
 
+def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
+    """Per index k, the other two slots' cooperative minimum from k with the
+    seat's slot pinned to k; ``[k].value[k]`` is the seat's stop-now value."""
+    K = space.grid.terminal_index
+    return tuple(joint_inf_pair(space, field3.pin(seat, k), k) for k in range(K + 1))
+
+
 def _pair_component(entry: FamilyEntry, free_slots, want: int) -> StrategyOrder2:
     """Strategy of seat ``want`` in a pair entry; the lower free slot comes first."""
     return entry.payload[0] if want == min(free_slots) else entry.payload[1]
@@ -317,19 +324,21 @@ def build_coop_family(
     space: FilteredSpace,
     field3: PayoffField,
     frozen_slot: int,
+    stop_now: tuple,
     h,
     eps,
     tol_mult: int = 5,
 ) -> EquilibriumFamily:
     """Committed minimizer pairs for the cooperative two-stop problem.
 
-    The anchor optimum is exact; window certification compares the committed
-    pair's value against the cooperative infimum recomputed at each window
-    time, within tol_mult*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
+    ``stop_now`` is ``stop_now_solutions(space, field3, frozen_slot)``.  The
+    anchor optimum is exact; window certification compares the committed
+    pair's value against the cooperative infimum at each window time, within
+    tol_mult*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
     """
 
     def solve_at(anchor):
-        res = joint_inf_pair(space, field3.pin(frozen_slot, anchor), anchor)
+        res = stop_now[anchor]
         return (
             res.rho,
             res.tau,
@@ -340,12 +349,11 @@ def build_coop_family(
     def gap_at(payload, k):
         rho, tau = payload[:2]
         view = field3.pin(frozen_slot, k)
-        opt_layers, _ = joint_inf_value(space, view, k)
         pay = tuple(
             view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
         )
         attained = cond_exp(space, pay, k)
-        return max(a - o for a, o in zip(attained, opt_layers[k]))
+        return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
 
     return _window_family(space, "coop_pair", h, eps, tol_mult, solve_at, gap_at)
 
@@ -354,20 +362,21 @@ def build_single_family(
     space: FilteredSpace,
     field3: PayoffField,
     free_slot: int,
-    direction: str,
+    solo: tuple,
     h,
     eps,
     tol_mult: int = 1,
 ) -> EquilibriumFamily:
     """Single optimal stops for a payoff with both other slots pinned.
 
+    ``solo[k]`` is the Snell solution from k of the slice pinned at k.
     Window certification compares the anchored rule's value with the Snell
-    optimum recomputed at each window time.
+    optimum at each window time.
     """
+    direction = solo[-1].direction
 
     def solve_at(anchor):
-        layers = _double_pin(field3, free_slot, anchor).as_layers()
-        return (snell(space, layers, direction, anchor).rule,)
+        return (solo[anchor].rule,)
 
     def gap_at(payload, k):
         (rule,) = payload
@@ -377,7 +386,7 @@ def build_single_family(
             tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
             k,
         )
-        opt = snell(space, layers, direction, k).value[k]
+        opt = solo[k].value[k]
         if direction == "inf":
             return max(a - o for a, o in zip(attained, opt))
         return max(o - a for a, o in zip(attained, opt))

@@ -11,9 +11,13 @@ The profile then dispatches on which exit time fires first: that player
 stops, the others respond through the after-stop equilibrium family, and
 every off-path observation is answered by coalition-saddle reactions (for
 late deviations), punishment optimizers (for simultaneous deviations at the
-exit time), or the after-stop families (everywhere else).  The final claim,
-a 13*eps equilibrium, is never asserted: it is measured by the exact
+exit time: the single-optimizer families of the punished seat's coalition
+game), or the after-stop families (everywhere else).  The final claim, a
+13*eps equilibrium, is never asserted: it is measured by the exact
 best-response oracle per start atom.
+
+Each seat's stop-now solutions are computed once per solve and shared by
+its duel and its coalition game.
 """
 
 from __future__ import annotations
@@ -21,15 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import dynkin_value, joint_inf_value
-from .coalition import assemble_saddle, build_components
+from .classic import dynkin_value
+from .coalition import _build_components, assemble_saddle
 from .errors import NoValidDelta, TheoremViolation
 from .nash2 import (
     EquilibriumFamily,
     _pair_component,
     build_pair_family,
-    build_single_family,
     family_lookup,
+    stop_now_solutions,
 )
 from .payoff import estimate_modulus, modulus_max, select_h
 from .space import (
@@ -99,18 +103,16 @@ def build_player_processes(
     seat: int,
     theta: StoppingTime,
     eps,
-    h,
     overline: dict[int, EquilibriumFamily],
+    stop_now: tuple,
 ) -> PlayerProcesses:
+    """``stop_now`` is ``stop_now_solutions(space, fields[seat], seat)``."""
     eps = rat(eps)
     K = space.grid.terminal_index
     field = fields[seat]
     others = sorted(q for q in range(3) if q != seat)
 
-    stop_exact = []
-    for k in range(K + 1):
-        layers, _ = joint_inf_value(space, field.pin(seat, k), k)
-        stop_exact.append(layers[k])
+    stop_exact = [stop_now[k].value[k] for k in range(K + 1)]
 
     def family_layers(stopped_seat: int) -> list[RV]:
         free = sorted(q for q in range(3) if q != stopped_seat)
@@ -264,15 +266,15 @@ class AssemblyContext:
     events: tuple  # bool tuples per seat: who is the designated first stopper
     overline: dict
     saddles: dict  # designated seat -> (components, strategies keyed by seat)
-    singles: dict  # (reactor seat, punished seat) -> single family
     shifted_exit: dict  # seat -> exit time pushed by the settle delay
 
 
 def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     eps, h = rat(eps), rat(h)
     overline = build_overline_families(space, fields, h, eps)
+    stop_now = {s: stop_now_solutions(space, fields[s], s) for s in range(3)}
     players = {
-        seat: build_player_processes(space, fields, seat, theta, eps, h, overline)
+        seat: build_player_processes(space, fields, seat, theta, eps, overline, stop_now[seat])
         for seat in range(3)
     }
     delta = select_delta(space, players, theta, eps)
@@ -282,17 +284,10 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     }
     saddles = {}
     for s in range(3):
-        comp = build_components(space, fields[s], s, shifted[s], eps, h)
+        comp = _build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s])
         trio = assemble_saddle(comp)
         by_seat = {comp.leader: trio[0], comp.coalition[0]: trio[1], comp.coalition[1]: trio[2]}
         saddles[s] = (comp, by_seat)
-    singles = {}
-    for me in range(3):
-        for punished in range(3):
-            if punished != me:
-                singles[(me, punished)] = build_single_family(
-                    space, fields[punished], me, "inf", h, eps
-                )
     return AssemblyContext(
         space=space,
         fields=tuple(fields),
@@ -304,7 +299,6 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
         events=events,
         overline=overline,
         saddles=saddles,
-        singles=singles,
         shifted_exit=shifted,
     )
 
@@ -368,7 +362,8 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
                     and a == ctx.players[e].exit_time.idx[w]
                 ):
                     punished = hi if e == lo else lo
-                    entry = family_lookup(ctx.singles[(p, punished)], points[a])
+                    singles = ctx.saddles[punished][0].families
+                    entry = family_lookup(singles[("single", p)], points[a])
                     used = entry.payload[0].idx[w]
                 elif a <= b:
                     used = overline_component(lo, a, p).react[b].idx[w]

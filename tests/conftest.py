@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from stopgame.classic import snell
+from stopgame.nash2 import _double_pin
 from stopgame.space import FilteredSpace, TimeGrid, make_grid
 
 ACCEPTANCE_CRITERIA = {
@@ -102,3 +104,11 @@ def random_space(rng: random.Random, n_outcomes: int, n_times: int) -> FilteredS
 
 def random_rv(rng: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 4):
     return tuple(Fraction(rng.randint(lo * den, hi * den), den) for _ in range(n))
+
+
+def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str) -> tuple:
+    """The per-index Snell tuple ``build_single_family`` reads its rules from."""
+    return tuple(
+        snell(space, _double_pin(field3, free_slot, k).as_layers(), direction, k)
+        for k in range(len(space.grid))
+    )

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rv
+from conftest import random_rv, solo_solutions
 from stopgame.cli import main as cli_main
 from stopgame.config import ENV_OVERRIDE, current_guards
 from stopgame.errors import (
@@ -126,8 +126,9 @@ def test_window_certification_failure_surfaced(three_time_space):
     field = payoff_from_function(
         space, 3, lambda ks, w: base[max(ks)][w] + Fraction(ks[0], 11)
     )
+    solo = solo_solutions(space, field, 0, "sup")
     with pytest.raises(WindowCertificationFailed) as info:
-        build_single_family(space, field, 0, "sup", 1, Fraction(1, 2))
+        build_single_family(space, field, 0, solo, 1, Fraction(1, 2))
     assert info.value.g is not None
 
 

@@ -224,6 +224,10 @@ STRUCTURAL_ERRORS = [
         for flag in ("--h", "--epsilon")
         for value in ("0", "-1", "abc")
     ),
+    *(
+        pytest.param("solve", lambda g, v=value: g.update(h=v), None, (), id=f"file-h={value}")
+        for value in ("0", "-1")
+    ),
 ]
 
 
@@ -261,3 +265,45 @@ def test_cli_report_rejects_partial_report(tmp_path, capsys):
     rep.write_text(json.dumps(obj))
     assert main(["report", "--in", str(rep)]) == 2
     assert "input error: report: missing field 'max_gap'" in capsys.readouterr().err
+
+
+def _strategy(obj, seat=0):
+    return obj["profile"]["strategies"][seat]
+
+
+INVALID_PROFILES = [
+    pytest.param(
+        3, lambda r, _: _strategy(r).update(initial=["0", "1/200"]), id="initial-not-stopping"
+    ),
+    pytest.param(
+        3, lambda r, _: _strategy(r)["react_one"]["1"].__setitem__(1, ["1/200", "1/200"]),
+        id="react-not-strictly-later",
+    ),
+    pytest.param(3, lambda r, _: _strategy(r)["react_one"].pop("2"), id="missing-react-one"),
+    pytest.param(3, lambda r, _: _strategy(r).update(seat=7), id="seat-7"),
+    pytest.param(3, lambda r, _: _strategy(r, 1).update(seat=0), id="duplicate-seat"),
+    pytest.param(
+        2, lambda r, three: r["profile"]["strategies"].__setitem__(0, _strategy(three)),
+        id="order-3-in-2-player",
+    ),
+]
+
+
+@pytest.mark.parametrize("players, edit", INVALID_PROFILES)
+def test_cli_verify_rejects_invalid_strategies(tmp_path, capsys, players, edit):
+    """A profile breaking the strategy rules is an input error, never certified."""
+    reports = {}
+    for n in (players, 3):
+        game, rep = tmp_path / f"g{n}.json", tmp_path / f"r{n}.json"
+        assert main(["gen", "--seed", "3", "--players", str(n), "--outcomes", "2",
+                     "--times", "3", "--out", str(game)]) == 0
+        assert main(["solve", "--game", str(game), "--out", str(rep)]) == 0
+        reports[n] = json.loads(rep.read_text())
+    edit(reports[players], reports[3])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(reports[players]))
+    capsys.readouterr()
+    code = main(["verify", "--game", str(tmp_path / f"g{players}.json"), "--profile", str(bad),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err

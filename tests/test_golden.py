@@ -42,6 +42,17 @@ GOLDEN = {
         "8afdd2a67ddcf3c6f0e265791af66ba01b4beeb909dae341e70caadea6552533",
         "b8375c3724b22b9a445445357d252db9f17b97edadc2e947d4e14184f90b89d6",
     ),
+    # recorded before the stop-now and single-optimizer solutions got one
+    # owner per seat: auto h spans the whole grid, so every window holds
+    # all five grid points
+    (2, 3, 3, 5, False): (
+        "7b0945e8f64169db95c741d0e3f919f6234dfef32dfd87403f662008508b3f05",
+        "1d85020b2fefd5ada4335a341635678956d78cd9668a021ddc5569fb5d73bb7f",
+    ),
+    (3, 3, 4, 5, True): (
+        "b19169c3f08ebc2ae6851ffaa2d319c4d9dd6174659e16d403f8c7fb6c80e8d1",
+        "12892ab7c1d527a57b756a9ce3bc98853145dd166f6cd2f536e9ed836876d659",
+    ),
 }
 
 

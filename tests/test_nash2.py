@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rv
+from conftest import random_rv, solo_solutions
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
 from stopgame.nash2 import (
@@ -15,6 +15,7 @@ from stopgame.nash2 import (
     family_lookup,
     family_multiples,
     solve_2p_nash,
+    stop_now_solutions,
 )
 from stopgame.payoff import payoff_from_function
 from stopgame.space import cond_exp
@@ -129,7 +130,7 @@ def test_coop_family_windows(three_time_space):
         space, 3, lambda ks, w: base[max(ks)][w] + Fraction(ks[1] + ks[2], 9)
     )
     eps = Fraction(1, 2)
-    fam = build_coop_family(space, field, 0, 1, eps)
+    fam = build_coop_family(space, field, 0, stop_now_solutions(space, field, 0), 1, eps)
     assert fam.kind == "coop_pair"
     for entry in fam.entries.values():
         assert entry.achieved <= entry.tolerance == 5 * eps
@@ -151,7 +152,8 @@ def test_single_family_tracks_snell(three_time_space):
     eps = Fraction(1, 2)
     h = select_h(estimate_modulus(field), eps, space.grid)
     for direction in ("inf", "sup"):
-        fam = build_single_family(space, field, 0, direction, h, eps)
+        solo = solo_solutions(space, field, 0, direction)
+        fam = build_single_family(space, field, 0, solo, h, eps)
         assert fam.kind == "single"
         for entry in fam.entries.values():
             assert entry.achieved <= entry.tolerance == eps

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import solo_solutions
+from stopgame.classic import joint_inf_value
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
 from stopgame.nash3 import (
@@ -17,6 +19,7 @@ from stopgame.nash3 import (
     shift_time,
     solve_three_player,
 )
+from stopgame.nash2 import stop_now_solutions
 from stopgame.payoff import payoff_from_function
 from stopgame.space import (
     FilteredSpace,
@@ -80,7 +83,8 @@ def test_own_time_only_payoff():
     h = space.grid.min_step
     overline = build_overline_families(space, fields, h, "1/20")
     pp = build_player_processes(
-        space, fields, 0, constant_time(space, 0), "1/20", h, overline
+        space, fields, 0, constant_time(space, 0), "1/20", overline,
+        stop_now_solutions(space, fields[0], 0),
     )
     K = space.grid.terminal_index
     for k in range(K + 1):
@@ -99,7 +103,8 @@ def test_ordering_on_random_instances():
         theta = constant_time(inst.space, 0)
         for seat in range(3):
             pp = build_player_processes(
-                inst.space, inst.fields, seat, theta, inst.epsilon, h, overline
+                inst.space, inst.fields, seat, theta, inst.epsilon, overline,
+                stop_now_solutions(inst.space, inst.fields[seat], seat),
             )
             K = inst.space.grid.terminal_index
             for k in range(K + 1):
@@ -116,7 +121,8 @@ def test_value_submartingale_before_stop_hit():
     theta = constant_time(space, 0)
     for seat in range(3):
         pp = build_player_processes(
-            space, inst.fields, seat, theta, inst.epsilon, h, overline
+            space, inst.fields, seat, theta, inst.epsilon, overline,
+            stop_now_solutions(space, inst.fields[seat], seat),
         )
         K = space.grid.terminal_index
         eps = inst.epsilon
@@ -342,7 +348,7 @@ def test_dispatch_tables_on_designated_rival():
     for w in range(space.n_outcomes):
         a = exit1.idx[w]
         if a < K and pts[a] < pts[shift1.idx[w]]:
-            entry = family_lookup(ctx.singles[(0, 2)], pts[a])
+            entry = family_lookup(ctx.saddles[2][0].families[("single", 0)], pts[a])
             assert strat0.react_two[(a, a)].idx[w] == entry.payload[0].idx[w]
 
 
@@ -364,3 +370,25 @@ def test_standalone_coalition_value_tracks_duel_value():
             )
             for w in range(space.n_outcomes):
                 assert comp.value[k][w] <= pp.value[k][w] + eps
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+@pytest.mark.parametrize("seed", range(60, 64))
+def test_shared_solutions_equal_direct_sweeps(seed, min_step_h):
+    """The stop-now values and pinned single optima that one solve shares
+    between its player processes and coalition games equal a fresh sweep."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 2, n_times=3 + seed % 2)
+    space = inst.space
+    h = space.grid.min_step if min_step_h else None
+    ctx = solve_three_player(space, inst.fields, eps=inst.epsilon, h=h).context
+    K = space.grid.terminal_index
+    for s in range(3):
+        field = inst.fields[s]
+        stop_now = tuple(joint_inf_value(space, field.pin(s, k), k)[0][k] for k in range(K + 1))
+        comp = ctx.saddles[s][0]
+        assert ctx.players[s].stop_exact == stop_now
+        assert comp.leader_stop_value == stop_now
+        for free in range(3):
+            direction = "sup" if free == s else "inf"
+            solo = solo_solutions(space, field, free, direction)
+            assert comp.pinned_solo[free] == tuple(sol.value[k] for k, sol in enumerate(solo))
