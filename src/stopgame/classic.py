@@ -4,7 +4,9 @@ Everything here is exact backward induction on the finite grid:
 
 * Snell envelopes with earliest-optimizer rules, for one controlled stop.
 * The cooperative two-stop problem (both stops minimize one payoff), whose
-  value coincides with the infimum over committed stopping-time pairs.
+  value coincides with the infimum over committed stopping-time pairs.  It
+  runs on ``node_sweep``, the backward induction over 2x2 stop/continue
+  nodes that the zero-sum reaction game in ``zerosum`` shares.
 * The stopping duel where a maximizer collects the lower process at her stop
   and a minimizer the upper process at his, ties paying the maximizer's side,
   plus the epsilon-hitting times that form an exact epsilon-saddle.
@@ -79,12 +81,40 @@ class JointStopResult:
     tau: StoppingTime
 
 
+def node_sweep(space: FilteredSpace, field2: PayoffField, directions, kmin: int, combine):
+    """Backward induction over the 2x2 stop/continue nodes of a two-slot field.
+
+    Returns (layers, nodes) with ``nodes[k] = (cells, reactions)`` for k from
+    K-1 down to kmin: ``reactions[i]`` is the survivor's Snell solution from
+    k+1, in ``directions[i]``, once slot i stopped at k; the cells (both stop,
+    slot 0 alone, slot 1 alone, both continue) are priced at k, and
+    ``layers[k]`` is ``combine`` of the four cells per outcome.
+    """
+    K = space.grid.terminal_index
+    layers: Layers = [None] * (K + 1)
+    nodes: list = [None] * (K + 1)
+    layers[K] = field2.at((K, K))
+    for k in range(K - 1, kmin - 1, -1):
+        reactions = tuple(
+            snell(space, field2.pin(i, k).as_layers(), directions[i], k + 1) for i in (0, 1)
+        )
+        cells = (
+            field2.at((k, k)),
+            cond_exp(space, reactions[0].value[k + 1], k),
+            cond_exp(space, reactions[1].value[k + 1], k),
+            cond_exp(space, layers[k + 1], k),
+        )
+        nodes[k] = (cells, reactions)
+        layers[k] = tuple(map(combine, *cells))
+    return layers, nodes
+
+
 def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     """Backward sweep for the cooperative two-stop infimum.
 
-    Returns (open layers, inner results) where ``open[k]`` is the infimum over
-    pairs of stops >= k and ``inner[k] = (after_a, after_b)`` are the Snell
-    solutions for the survivor once the other side stopped at k.
+    Returns (open layers, nodes) where ``open[k]`` is the infimum over pairs
+    of stops >= k and ``nodes[k]`` is the :func:`node_sweep` node at k, whose
+    reactions are the survivor's infimum once the other side stopped at k.
     """
     if field2.arity != 2:
         raise ValueError("cooperative solver needs a two-slot field")
@@ -92,21 +122,7 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     n_states = (K + 1) * (K + 1) * space.n_outcomes
     if n_states > current_guards().dp_state_cap:
         raise GuardExceeded(f"joint stop DP needs {n_states} states")
-    open_layers: Layers = [None] * (K + 1)
-    inner: list = [None] * (K + 1)
-    open_layers[K] = field2.at((K, K))
-    for k in range(K - 1, kmin - 1, -1):
-        after_a = snell(space, field2.pin(0, k).as_layers(), "inf", k + 1)
-        after_b = snell(space, field2.pin(1, k).as_layers(), "inf", k + 1)
-        inner[k] = (after_a, after_b)
-        both = field2.at((k, k))
-        a_only = cond_exp(space, after_a.value[k + 1], k)
-        b_only = cond_exp(space, after_b.value[k + 1], k)
-        cont = cond_exp(space, open_layers[k + 1], k)
-        open_layers[k] = tuple(
-            min(s, x, y, c) for s, x, y, c in zip(both, a_only, b_only, cont)
-        )
-    return open_layers, inner
+    return node_sweep(space, field2, ("inf", "inf"), kmin, min)
 
 
 def joint_inf_pair(
@@ -119,22 +135,22 @@ def joint_inf_pair(
     """
     start = _start_indices(space, from_)
     kmin = min(start)
-    open_layers, inner = joint_inf_value(space, field2, kmin)
+    open_layers, nodes = joint_inf_value(space, field2, kmin)
     K = space.grid.terminal_index
     rho, tau = [0] * space.n_outcomes, [0] * space.n_outcomes
     for w in range(space.n_outcomes):
         k = start[w]
         while k < K:
-            after_a, after_b = inner[k]
+            (both, a_only, b_only, _), (after_a, after_b) = nodes[k]
             v = open_layers[k][w]
-            if field2.value_at((k, k), w) == v:
+            if both[w] == v:
                 rho[w] = tau[w] = k
                 break
-            if cond_exp(space, after_a.value[k + 1], k)[w] == v:
+            if a_only[w] == v:
                 rho[w] = k
                 tau[w] = after_a.rule.idx[w]
                 break
-            if cond_exp(space, after_b.value[k + 1], k)[w] == v:
+            if b_only[w] == v:
                 tau[w] = k
                 rho[w] = after_b.rule.idx[w]
                 break

@@ -103,16 +103,11 @@ def _gap_section(space, cert) -> list:
 
 def cmd_solve(args) -> int:
     doc = parse_game(_read(args.game))
-    players = args.players or len(doc.fields)
-    if players != len(doc.fields):
-        raise ValidationError(
-            f"--players {players} but the game file has {len(doc.fields)} payoffs"
-        )
     eps = args.epsilon or doc.epsilon
     h = args.h or doc.h
     t0 = time.perf_counter()
     space = doc.space
-    if players == 2:
+    if len(doc.fields) == 2:
         res = solve_2p_nash(space, doc.fields[0], doc.fields[1], doc.theta, eps)
         cert = res.certificate
         report = {
@@ -268,6 +263,16 @@ def _positive_rational(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stopgame",
@@ -277,17 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a random game file")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--outcomes", type=int, default=2)
-    g.add_argument("--times", type=int, default=4)
-    g.add_argument("--modulus", default="1", help="target time-Lipschitz slope")
-    g.add_argument("--epsilon", default="1/20")
+    g.add_argument("--outcomes", type=_int_at_least(1), default=2)
+    g.add_argument("--times", type=_int_at_least(2), default=4)
+    g.add_argument("--modulus", type=_positive_rational, default="1",
+                   help="target time-Lipschitz slope")
+    g.add_argument("--epsilon", type=_positive_rational, default="1/20")
     g.add_argument("--players", type=int, choices=(2, 3), default=3)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 
     s = sub.add_parser("solve", help="solve a game and write profile + report")
     s.add_argument("--game", required=True)
-    s.add_argument("--players", type=int, choices=(2, 3))
     s.add_argument("--epsilon", type=_positive_rational)
     s.add_argument("--h", type=_positive_rational)
     s.add_argument("--out", required=True)

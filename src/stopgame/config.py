@@ -16,8 +16,7 @@ ENV_OVERRIDE = "STOPGAME_GUARD_OVERRIDE"
 
 DEFAULT_ENUMERATION_CAP = 10**6
 DEFAULT_DP_STATE_CAP = 10**7
-_OVERRIDE_KEYS = {"enum": "enumeration_cap", "enumeration": "enumeration_cap",
-                  "dp": "dp_state_cap", "dp_states": "dp_state_cap"}
+_OVERRIDE_KEYS = {"enum": "enumeration_cap", "dp": "dp_state_cap"}
 
 
 @dataclass(frozen=True)

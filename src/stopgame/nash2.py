@@ -14,9 +14,9 @@ g and certified, by direct evaluation, at every grid time in [g-h, g]; lookup
 at time t returns the entry at the next strictly-later multiple of h, which
 by construction contains t in its certified window.  Certified tolerances are
 11*eps for equilibrium pairs, 5*eps for cooperative minimizer pairs, and eps
-for single optimizers, with the achieved gap recorded alongside.  The three
-builders share one skeleton: each supplies only how to solve at the anchor and
-how to measure the gap at a window time.
+for single optimizers, fixed per family kind, with the achieved gap recorded
+alongside.  The three builders share one skeleton: each supplies only how to
+solve at the anchor and how to measure the gap at a window time.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def solve_2p_nash(
     field_b: PayoffField,
     start,
     eps,
-    fallback: bool = True,
 ) -> Nash2Result:
     """Certified two-player equilibrium candidate for two-slot payoffs.
 
@@ -167,7 +166,7 @@ def solve_2p_nash(
         react=tuple(r.rule for r in react_b) + (terminal,),
     )
     cert = certify_nash(space, (field_a, field_b), [strat_a, strat_b], start_st, eps)
-    if cert.passes or not fallback:
+    if cert.passes:
         return Nash2Result((strat_a, strat_b), cert, fallback_used=False)
     return _fallback_search(space, field_a, field_b, start_st, eps, (strat_a, strat_b), cert)
 
@@ -228,16 +227,17 @@ def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
 
 
 def family_multiples(space: FilteredSpace, h) -> list[Fraction]:
-    """Multiples of h needed to serve phi_h at every interior grid time."""
+    """Multiples of h that phi_h maps an interior grid time to, plus each
+    interior grid time that is itself a positive multiple of h.
+
+    These are exactly the multiples up to the last lookup target whose window
+    [g-h, g] holds a grid time; the others would certify nothing, and there
+    are about span/h of them when h is below a grid gap.
+    """
     h = rat(h)
-    last_interior = space.grid.points[-2]
-    top = phi_h(last_interior, h)
-    out = []
-    m = 1
-    while m * h <= top:
-        out.append(m * h)
-        m += 1
-    return out
+    interior = space.grid.points[:-1]
+    on_grid = {t for t in interior if t > 0 and (t / h).denominator == 1}
+    return sorted({phi_h(t, h) for t in interior} | on_grid)
 
 
 def _double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
@@ -258,13 +258,16 @@ def _pair_component(entry: FamilyEntry, free_slots, want: int) -> StrategyOrder2
 
 
 _ENTRY_LABEL = {"nonzero_sum_pair": "pair", "coop_pair": "coop", "single": "single"}
+_TOL_MULT = {"nonzero_sum_pair": 11, "coop_pair": 5, "single": 1}
 
 
-def _window_family(space, kind, h, eps, tol_mult, solve_at, gap_at) -> EquilibriumFamily:
-    """One entry per h-multiple g: ``solve_at(anchor)`` gives the payload at
-    the first grid index at or after g, and ``gap_at(payload, k)`` must stay
-    within tol_mult*eps at every grid index k of the window [g-h, g]."""
+def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
+    """One entry per g in ``family_multiples``: ``solve_at(anchor)`` gives the
+    payload at the first grid index at or after g, and ``gap_at(payload, k)``
+    must stay within the kind's multiple of eps at every grid index k of the
+    window [g-h, g]."""
     h, eps = rat(h), rat(eps)
+    tolerance = _TOL_MULT[kind] * eps
     entries: dict[Fraction, FamilyEntry] = {}
     for g in family_multiples(space, h):
         anchor = space.grid.index_at_or_after(g)
@@ -273,10 +276,10 @@ def _window_family(space, kind, h, eps, tol_mult, solve_at, gap_at) -> Equilibri
         window = tuple(k for k, p in enumerate(space.grid.points) if g - h <= p <= g)
         for k in window:
             achieved = max(achieved, gap_at(payload, k))
-            if achieved > tol_mult * eps:
+            if achieved > tolerance:
                 raise WindowCertificationFailed(
                     f"{_ENTRY_LABEL[kind]} entry at {g} reached gap {achieved} > "
-                    f"{tol_mult}*eps at grid index {k}",
+                    f"{_TOL_MULT[kind]}*eps at grid index {k}",
                     g=g,
                     at=k,
                 )
@@ -284,7 +287,7 @@ def _window_family(space, kind, h, eps, tol_mult, solve_at, gap_at) -> Equilibri
             g=g,
             anchor=anchor,
             payload=payload,
-            tolerance=tol_mult * eps,
+            tolerance=tolerance,
             achieved=achieved,
             window=window,
         )
@@ -297,13 +300,12 @@ def build_pair_family(
     frozen_slot: int,
     h,
     eps,
-    tol_mult: int = 11,
 ) -> EquilibriumFamily:
     """Equilibrium pairs for the two free slots, one entry per h-multiple.
 
     ``fields3[0]`` is the payoff of the owner of the lower free slot.  Entries
     are solved at their anchor, patched so that early observations redirect to
-    anchor behavior, then certified at tol_mult*eps over the whole window by
+    anchor behavior, then certified at 11*eps over the whole window by
     exact best response.
     """
 
@@ -317,7 +319,7 @@ def build_pair_family(
     def gap_at(pair, k):
         return certify_nash(space, views(k), list(pair), k, eps).worst_gap
 
-    return _window_family(space, "nonzero_sum_pair", h, eps, tol_mult, solve_at, gap_at)
+    return _window_family(space, "nonzero_sum_pair", h, eps, solve_at, gap_at)
 
 
 def build_coop_family(
@@ -327,14 +329,13 @@ def build_coop_family(
     stop_now: tuple,
     h,
     eps,
-    tol_mult: int = 5,
 ) -> EquilibriumFamily:
     """Committed minimizer pairs for the cooperative two-stop problem.
 
     ``stop_now`` is ``stop_now_solutions(space, field3, frozen_slot)``.  The
     anchor optimum is exact; window certification compares the committed
     pair's value against the cooperative infimum at each window time, within
-    tol_mult*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
+    5*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
     """
 
     def solve_at(anchor):
@@ -355,7 +356,7 @@ def build_coop_family(
         attained = cond_exp(space, pay, k)
         return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
 
-    return _window_family(space, "coop_pair", h, eps, tol_mult, solve_at, gap_at)
+    return _window_family(space, "coop_pair", h, eps, solve_at, gap_at)
 
 
 def build_single_family(
@@ -365,13 +366,12 @@ def build_single_family(
     solo: tuple,
     h,
     eps,
-    tol_mult: int = 1,
 ) -> EquilibriumFamily:
     """Single optimal stops for a payoff with both other slots pinned.
 
     ``solo[k]`` is the Snell solution from k of the slice pinned at k.
     Window certification compares the anchored rule's value with the Snell
-    optimum at each window time.
+    optimum at each window time, within eps.
     """
     direction = solo[-1].direction
 
@@ -391,4 +391,4 @@ def build_single_family(
             return max(a - o for a, o in zip(attained, opt))
         return max(o - a for a, o in zip(attained, opt))
 
-    return _window_family(space, "single", h, eps, tol_mult, solve_at, gap_at)
+    return _window_family(space, "single", h, eps, solve_at, gap_at)

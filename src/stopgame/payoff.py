@@ -106,7 +106,6 @@ class Modulus:
     """
 
     table: tuple[tuple[Fraction, Fraction], ...]
-    cap: Fraction
 
     def eval(self, delta) -> Fraction:
         delta = rat(delta)
@@ -121,48 +120,8 @@ class Modulus:
         return eta
 
 
-def estimate_modulus(field: PayoffField) -> Modulus:
-    """Empirical modulus: max payoff change at each total time displacement.
-
-    The strict-inequality slack is one representable unit added to every
-    positive-displacement entry, so the bound certifies the field with strict
-    inequalities at displacement > 0 (equal tuples are trivially unchanged).
-    """
-    grid = field.space.grid
-    worst: dict[Fraction, Fraction] = {}
-    tuples = sorted(field.values)
-    for i, ks in enumerate(tuples):
-        for ks2 in tuples[i + 1 :]:
-            delta = sum(
-                (abs(grid.points[a] - grid.points[b]) for a, b in zip(ks, ks2)),
-                Fraction(0),
-            )
-            diff = max(
-                abs(x - y) for x, y in zip(field.values[ks], field.values[ks2])
-            )
-            if diff > worst.get(delta, Fraction(-1)):
-                worst[delta] = diff
-    table: list[tuple[Fraction, Fraction]] = []
-    running = Fraction(0)
-    for delta in sorted(worst):
-        if delta == 0:
-            continue
-        running = max(running, worst[delta] + MODULUS_SLACK)
-        table.append((delta, running))
-    cap = table[-1][1] if table else Fraction(0)
-    return Modulus(tuple(table), cap)
-
-
-def modulus_max(mods: Sequence[Modulus]) -> Modulus:
-    """Pointwise maximum of several moduli (one uniform bound for all players)."""
-    deltas = sorted({d for m in mods for d, _ in m.table})
-    table = tuple((d, max(m.eval(d) for m in mods)) for d in deltas)
-    cap = max((m.cap for m in mods), default=Fraction(0))
-    return Modulus(table, cap)
-
-
-def certifies_field(mod: Modulus, field: PayoffField) -> bool:
-    """Strict modulus bound over all distinct tuple pairs of the field."""
+def _pair_changes(field: PayoffField):
+    """(total time displacement, max payoff change) for each distinct tuple pair."""
     grid = field.space.grid
     tuples = sorted(field.values)
     for i, ks in enumerate(tuples):
@@ -172,9 +131,40 @@ def certifies_field(mod: Modulus, field: PayoffField) -> bool:
                 Fraction(0),
             )
             diff = max(abs(x - y) for x, y in zip(field.values[ks], field.values[ks2]))
-            if not diff < mod.eval(delta):
-                return False
-    return True
+            yield delta, diff
+
+
+def estimate_modulus(field: PayoffField) -> Modulus:
+    """Empirical modulus: max payoff change at each total time displacement.
+
+    The strict-inequality slack is one representable unit added to every
+    positive-displacement entry, so the bound certifies the field with strict
+    inequalities at displacement > 0 (equal tuples are trivially unchanged).
+    """
+    worst: dict[Fraction, Fraction] = {}
+    for delta, diff in _pair_changes(field):
+        if diff > worst.get(delta, Fraction(-1)):
+            worst[delta] = diff
+    table: list[tuple[Fraction, Fraction]] = []
+    running = Fraction(0)
+    for delta in sorted(worst):
+        if delta == 0:
+            continue
+        running = max(running, worst[delta] + MODULUS_SLACK)
+        table.append((delta, running))
+    return Modulus(tuple(table))
+
+
+def modulus_max(mods: Sequence[Modulus]) -> Modulus:
+    """Pointwise maximum of several moduli (one uniform bound for all players)."""
+    deltas = sorted({d for m in mods for d, _ in m.table})
+    table = tuple((d, max(m.eval(d) for m in mods)) for d in deltas)
+    return Modulus(table)
+
+
+def certifies_field(mod: Modulus, field: PayoffField) -> bool:
+    """Strict modulus bound over all distinct tuple pairs of the field."""
+    return all(diff < mod.eval(delta) for delta, diff in _pair_changes(field))
 
 
 def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:

@@ -68,10 +68,6 @@ class TimeGrid:
         return min(b - a for a, b in zip(self.points, self.points[1:]))
 
     @property
-    def max_step(self) -> Fraction:
-        return max(b - a for a, b in zip(self.points, self.points[1:]))
-
-    @property
     def span(self) -> Fraction:
         return self.points[-1] - self.points[0]
 
@@ -149,9 +145,6 @@ class FilteredSpace:
             for part in self.partitions
         )
 
-    def blocks_at(self, k: int) -> tuple[tuple[int, ...], ...]:
-        return self.partitions[k]
-
     def block_members(self, k: int, omega: int) -> tuple[int, ...]:
         return self.partitions[k][self.block_id[k][omega]]
 
@@ -207,9 +200,6 @@ class StoppingTime:
     def values(self, grid: TimeGrid) -> RV:
         return tuple(grid.points[i] for i in self.idx)
 
-    def min_index(self) -> int:
-        return min(self.idx)
-
 
 def constant_time(space: FilteredSpace, k: int) -> StoppingTime:
     return StoppingTime((k,) * space.n_outcomes)
@@ -236,13 +226,6 @@ def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
             if len(hits) > 1:
                 return False
     return True
-
-
-def stopping_time(space: FilteredSpace, idx: Sequence[int]) -> StoppingTime:
-    st = StoppingTime(tuple(idx))
-    if not is_stopping_time(space, st.idx):
-        raise ValueError(f"not a stopping time: {idx}")
-    return st
 
 
 def stopped_atoms(space: FilteredSpace, theta: StoppingTime) -> list[tuple[int, tuple[int, ...]]]:

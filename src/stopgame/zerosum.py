@@ -4,8 +4,9 @@ The maximizer and minimizer each control one slot of a three-slot payoff; the
 remaining slot is pinned to the conditioning time.  Each backward-induction
 node offers both sides {stop, continue}: a lone stopper hands the survivor an
 exact Snell reaction, simultaneous stops settle immediately, and double
-continuation rolls the layer forward.  The canonical value takes the pure
-maximin of every 2x2 node; nodes where pure maximin and minimax differ are
+continuation rolls the layer forward; the sweep is ``classic.node_sweep``,
+shared with the cooperative two-stop infimum.  The canonical value takes the
+pure maximin of every 2x2 node; nodes where pure maximin and minimax differ are
 collected in a gap report rather than hidden, and the read-off strategies are
 certified by exact best response against that tolerance.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import snell
+from .classic import node_sweep, snell
 from .errors import CertificationFailed
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, cond_exp, rat
+from .space import RV, FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder2
 from .verify import exact_best_response, on_path_value
 
@@ -66,33 +67,24 @@ class ReactionValueResult:
     report: tuple[NodeGap, ...]
 
 
+def _maximin(ss, sc, cs, cc):
+    """Pure maximin of a 2x2 node: the maximizer picks a row, then the minimizer."""
+    return max(min(ss, sc), min(cs, cc))
+
+
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
-    """Backward sweep; returns (layers, report, stop entries per node)."""
-    K = space.grid.terminal_index
-    layers: list = [None] * (K + 1)
-    layers[K] = view.at((K, K))
+    """Backward sweep; returns (layers, report, nodes) with
+    ``nodes[k] = ((ss, sc, cs, cc), (min_react, max_react))``."""
+    layers, nodes = node_sweep(space, view, ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
-    entries: dict[int, tuple] = {}
-    for k in range(K - 1, c - 1, -1):
-        min_react = snell(space, view.pin(0, k).as_layers(), "inf", k + 1)
-        max_react = snell(space, view.pin(1, k).as_layers(), "sup", k + 1)
-        ss = view.at((k, k))
-        sc = cond_exp(space, min_react.value[k + 1], k)
-        cs = cond_exp(space, max_react.value[k + 1], k)
-        cc = cond_exp(space, layers[k + 1], k)
-        entries[k] = (ss, sc, cs, cc, min_react, max_react)
-        value = []
-        for w in range(space.n_outcomes):
-            maximin = max(min(ss[w], sc[w]), min(cs[w], cc[w]))
-            value.append(maximin)
-        layers[k] = tuple(value)
-        for b, block in enumerate(space.partitions[k]):
+    for k in range(space.grid.terminal_index - 1, c - 1, -1):
+        ss, sc, cs, cc = nodes[k][0]
+        for block in space.partitions[k]:
             w = block[0]
-            maximin = max(min(ss[w], sc[w]), min(cs[w], cc[w]))
             minimax = min(max(ss[w], cs[w]), max(sc[w], cc[w]))
-            if minimax != maximin:
-                report.append(NodeGap(k=k, block=block, gap=minimax - maximin))
-    return layers, tuple(report), entries
+            if minimax != layers[k][w]:
+                report.append(NodeGap(k=k, block=block, gap=minimax - layers[k][w]))
+    return layers, tuple(report), nodes
 
 
 def reaction_game_value(spec: ReactionGameSpec, c: int) -> ReactionValueResult:
@@ -112,21 +104,21 @@ class ReactionSaddleResult:
     tolerance: Fraction
 
 
-def _strategies_from_nodes(space, view, c, layers, entries):
+def _strategies_from_nodes(space, view, c, nodes):
     """Initial stops where the node solution stops; Snell reaction tables."""
     K = space.grid.terminal_index
     max_init, min_init = [], []
     for w in range(space.n_outcomes):
         k = c
         while k < K:
-            ss, sc, cs, cc, _, _ = entries[k]
+            ss, sc, cs, cc = nodes[k][0]
             if min(ss[w], sc[w]) >= min(cs[w], cc[w]):
                 break
             k += 1
         max_init.append(k)
         k = c
         while k < K:
-            ss, sc, cs, cc, _, _ = entries[k]
+            ss, sc, cs, cc = nodes[k][0]
             if max(ss[w], cs[w]) <= max(sc[w], cc[w]):
                 break
             k += 1
@@ -155,8 +147,8 @@ def reaction_game_saddle(
     eps = rat(eps)
     space = spec.payoff.space
     view = spec.view(c)
-    layers, report, entries = _node_tables(space, view, c)
-    smax, smin = _strategies_from_nodes(space, view, c, layers, entries)
+    layers, report, nodes = _node_tables(space, view, c)
+    smax, smin = _strategies_from_nodes(space, view, c, nodes)
     on_path, _ = on_path_value(space, view, [smax, smin], c)
     br_max = exact_best_response(space, view, [None, smin], (0,), "max", c)
     br_min = exact_best_response(space, view, [smax, None], (1,), "min", c)

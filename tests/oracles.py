@@ -10,10 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from stopgame.classic import snell
 from stopgame.payoff import PayoffField
-from stopgame.space import FilteredSpace, StoppingTime, cond_exp_at, constant_time
-from stopgame.strategy import StrategyOrder2, StrategyOrder3
+from stopgame.space import (
+    FilteredSpace,
+    StoppingTime,
+    _start_indices,
+    cond_exp,
+    cond_exp_at,
+    constant_time,
+)
+from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import enumerate_stopping_times
+from stopgame.zerosum import NodeGap
 
 
 def closed_form_resolve2(
@@ -117,3 +126,87 @@ def brute_dynkin_maximin(space, lower, upper, from_):
         for w in range(n)
     )
     return maximin, minimax
+
+
+# The two hand-written 2x2 node sweeps that ``classic.node_sweep`` replaced,
+# kept as they were so the shared sweep is checked against them with ==.
+
+
+def reference_joint_inf_pair(space: FilteredSpace, field2: PayoffField, from_=0):
+    """Cooperative two-stop infimum: (open layers, rho, tau) from a start."""
+    start = _start_indices(space, from_)
+    kmin = min(start)
+    K = space.grid.terminal_index
+    open_layers = [None] * (K + 1)
+    inner: list = [None] * (K + 1)
+    open_layers[K] = field2.at((K, K))
+    for k in range(K - 1, kmin - 1, -1):
+        after_a = snell(space, field2.pin(0, k).as_layers(), "inf", k + 1)
+        after_b = snell(space, field2.pin(1, k).as_layers(), "inf", k + 1)
+        inner[k] = (after_a, after_b)
+        both = field2.at((k, k))
+        a_only = cond_exp(space, after_a.value[k + 1], k)
+        b_only = cond_exp(space, after_b.value[k + 1], k)
+        cont = cond_exp(space, open_layers[k + 1], k)
+        open_layers[k] = tuple(
+            min(s, x, y, c) for s, x, y, c in zip(both, a_only, b_only, cont)
+        )
+    rho, tau = [0] * space.n_outcomes, [0] * space.n_outcomes
+    for w in range(space.n_outcomes):
+        k = start[w]
+        while k < K:
+            after_a, after_b = inner[k]
+            v = open_layers[k][w]
+            if field2.value_at((k, k), w) == v:
+                rho[w] = tau[w] = k
+                break
+            if cond_exp(space, after_a.value[k + 1], k)[w] == v:
+                rho[w] = k
+                tau[w] = after_a.rule.idx[w]
+                break
+            if cond_exp(space, after_b.value[k + 1], k)[w] == v:
+                tau[w] = k
+                rho[w] = after_b.rule.idx[w]
+                break
+            k += 1
+        else:
+            rho[w] = tau[w] = K
+    return tuple(open_layers), StoppingTime(tuple(rho)), StoppingTime(tuple(tau))
+
+
+def reference_node_tables(space: FilteredSpace, view: PayoffField, c: int):
+    """Zero-sum reaction game from c: (maximin layers, node-gap report)."""
+    K = space.grid.terminal_index
+    layers: list = [None] * (K + 1)
+    layers[K] = view.at((K, K))
+    report: list[NodeGap] = []
+    for k in range(K - 1, c - 1, -1):
+        min_react = snell(space, view.pin(0, k).as_layers(), "inf", k + 1)
+        max_react = snell(space, view.pin(1, k).as_layers(), "sup", k + 1)
+        ss = view.at((k, k))
+        sc = cond_exp(space, min_react.value[k + 1], k)
+        cs = cond_exp(space, max_react.value[k + 1], k)
+        cc = cond_exp(space, layers[k + 1], k)
+        value = []
+        for w in range(space.n_outcomes):
+            maximin = max(min(ss[w], sc[w]), min(cs[w], cc[w]))
+            value.append(maximin)
+        layers[k] = tuple(value)
+        for b, block in enumerate(space.partitions[k]):
+            w = block[0]
+            maximin = max(min(ss[w], sc[w]), min(cs[w], cc[w]))
+            minimax = min(max(ss[w], cs[w]), max(sc[w], cc[w]))
+            if minimax != maximin:
+                report.append(NodeGap(k=k, block=block, gap=minimax - maximin))
+    return layers, tuple(report)
+
+
+def every_multiple(space: FilteredSpace, h) -> list[Fraction]:
+    """Every positive multiple of h up to phi_h of the last interior grid time."""
+    top = phi_h(space.grid.points[-2], h)
+    out = []
+    m = 1
+    while m * h <= top:
+        out.append(m * h)
+        m += 1
+    return out

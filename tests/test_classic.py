@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, random_space
-from oracles import brute_dynkin_maximin, brute_joint_inf, duel_payoff_rv, pair_payoff
+from oracles import (
+    brute_dynkin_maximin,
+    brute_joint_inf,
+    duel_payoff_rv,
+    pair_payoff,
+    reference_joint_inf_pair,
+)
 from stopgame.classic import (
     dynkin_convention_gap,
     dynkin_hitting_pair,
@@ -15,6 +21,7 @@ from stopgame.classic import (
     snell,
 )
 from stopgame.errors import OrderViolation
+from stopgame.generator import generate_instance
 from stopgame.payoff import payoff_from_function
 from stopgame.space import (
     cond_exp,
@@ -242,3 +249,19 @@ def test_solve_duel_bundles_saddle(two_outcome_space):
     assert res.stop_max.idx == (1, 1)
     assert res.stop_min.idx == (0, 0)
     assert res.epsilon == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_joint_inf_matches_reference_sweep(seed):
+    """The shared node sweep gives the old sweep's layers and traced pair."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    space = inst.space
+    K = space.grid.terminal_index
+    pinned_at = seed % K
+    field2 = inst.fields[seed % 3].pin(seed % 3, pinned_at)
+    starts = list(range(pinned_at, K + 1))
+    _, rho, tau = reference_joint_inf_pair(space, field2, pinned_at)
+    starts += [rho, tau]  # stopping-time starts
+    for from_ in starts:
+        res = joint_inf_pair(space, field2, from_)
+        assert (res.value, res.rho, res.tau) == reference_joint_inf_pair(space, field2, from_)

@@ -9,6 +9,7 @@ from stopgame.cli import main
 from stopgame.errors import ParseError, ValidationError
 from stopgame.gamefile import (
     GameDoc,
+    dump_report,
     emit_game,
     parse_game,
     profile_from_obj,
@@ -206,6 +207,34 @@ def test_cli_solve_overrides(tmp_path):
     obj = json.loads(rep.read_text())
     assert obj["epsilon"] == "1/10"
     assert obj["bound"] == "13/10"
+
+
+@pytest.mark.parametrize("players", (2, 3))
+def test_cli_solve_timings_adds_only_timings(tmp_path, players):
+    """--timings adds one key; everything else is the default report's bytes."""
+    game, plain, timed = tmp_path / "g.json", tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["gen", "--seed", "9", "--players", str(players), "--outcomes", "2",
+                 "--times", "3", "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--out", str(plain)]) == 0
+    assert main(["solve", "--game", str(game), "--timings", "--out", str(timed)]) == 0
+    obj = json.loads(timed.read_text())
+    timings = obj.pop("timings")
+    assert set(timings) == {"solve_seconds"} and timings["solve_seconds"] >= 0
+    assert dump_report(obj) == plain.read_text()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--times", "0"), ("--times", "1"), ("--outcomes", "0"), ("--outcomes", "-1"),
+    ("--modulus", "0"), ("--modulus", "abc"), ("--epsilon", "abc"), ("--epsilon", "0"),
+])
+def test_cli_gen_bad_flag_exits_2(tmp_path, capsys, flag, value):
+    """Out-of-range gen flags are input errors (2), reported by argparse."""
+    game = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "1", flag, value, "--out", str(game)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not game.exists()
 
 
 STRUCTURAL_ERRORS = [

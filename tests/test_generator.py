@@ -43,7 +43,6 @@ def test_target_modulus_holds():
                         - {Fraction(0)}
                     )
                 ),
-                cap=Fraction(10),
             )
             for f in inst.fields:
                 assert certifies_field(line, f)

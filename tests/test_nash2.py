@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_rv, solo_solutions
+from oracles import every_multiple
+from stopgame import nash2
+from stopgame.cli import main
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
 from stopgame.nash2 import (
@@ -18,7 +22,7 @@ from stopgame.nash2 import (
     stop_now_solutions,
 )
 from stopgame.payoff import payoff_from_function
-from stopgame.space import cond_exp
+from stopgame.space import FilteredSpace, cond_exp, make_grid
 from stopgame.strategy import validate_strategy
 from stopgame.verify import on_path_value
 
@@ -75,6 +79,61 @@ def test_random_games_certify(three_time_space):
 def test_family_multiples(three_time_space):
     assert family_multiples(three_time_space, 1) == [1, 2]
     assert family_multiples(three_time_space, 2) == [2]
+
+
+def uneven_space() -> FilteredSpace:
+    """Grid {0, 1/10, 1, 5/2, 3}: its widest gaps are several quarter steps."""
+    return FilteredSpace(
+        grid=make_grid([0, "1/10", 1, "5/2", 3]),
+        weights=(Fraction(1, 2), Fraction(1, 2)),
+        partitions=(((0, 1),), ((0, 1),), ((0,), (1,)), ((0,), (1,)), ((0,), (1,))),
+    )
+
+
+def test_families_skip_windows_without_grid_times(monkeypatch):
+    """With h below the grid gaps every entry's window holds a grid time and
+    every interior grid time finds its entry; the families equal the ones
+    built at every multiple of h, less the entries whose windows are empty."""
+    space = uneven_space()
+    h, eps = Fraction(1, 4), Fraction(1, 2)
+    # phi_h of 0, 1/10, 1, 5/2, plus the grid times 1 and 5/2 themselves
+    assert family_multiples(space, h) == [h, 1, 5 * h, 10 * h, 11 * h]
+    rng = random.Random(149)
+    base = {k: cond_exp(space, random_rv(rng, 2, lo=0, hi=2), k) for k in range(5)}
+
+    def mk(sign):
+        return payoff_from_function(
+            space, 3, lambda ks, w: base[max(ks)][w] + sign * Fraction(ks[1] - ks[2], 8)
+        )
+
+    field = mk(1)
+    stop_now = stop_now_solutions(space, field, 0)
+    solo = solo_solutions(space, field, 1, "sup")
+
+    def families():
+        return (
+            build_pair_family(space, (mk(1), mk(-1)), 0, h, eps),
+            build_coop_family(space, field, 0, stop_now, h, eps),
+            build_single_family(space, field, 1, solo, h, eps),
+        )
+
+    built = families()
+    monkeypatch.setattr(nash2, "family_multiples", every_multiple)
+    for fam, full in zip(built, families()):
+        assert all(entry.window for entry in fam.entries.values())
+        for k, t in enumerate(space.grid.points[:-1]):
+            assert k in family_lookup(fam, t).window
+        assert len(full.entries) > len(fam.entries)
+        assert fam.entries == {g: e for g, e in full.entries.items() if e.window}
+
+
+def test_cli_solve_at_tiny_h_finishes(tmp_path):
+    """h far below the grid step builds only the entries a lookup can reach."""
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--seed", "1", "--outcomes", "2", "--times", "3", "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--h", "1/1000000000", "--out", str(rep)]) == 0
+    for entries in json.loads(rep.read_text())["flags"]["window_achieved"].values():
+        assert len(entries) <= 4  # two interior grid times, at most two entries each
 
 
 def flat_3field(space, shift=0):

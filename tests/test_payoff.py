@@ -117,7 +117,7 @@ def test_select_h_linear():
     )
     from stopgame.payoff import Modulus
 
-    mod = Modulus(tuple((d, d) for d in deltas if d > 0), cap=Fraction(4))
+    mod = Modulus(tuple((d, d) for d in deltas if d > 0))
     h = select_h(mod, "3/10", grid)
     assert h == Fraction(1, 4)
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from conftest import random_rv
-from oracles import pair_payoff
+import pytest
+
+from conftest import random_rv, random_space
+from oracles import pair_payoff, reference_node_tables
+from stopgame.generator import generate_instance
 from stopgame.payoff import payoff_from_function
 from stopgame.space import cond_exp, constant_time
 from stopgame.verify import enumerate_strategies2, resolve_profile
@@ -129,3 +133,36 @@ def test_reaction_irrelevant_payoff(three_time_space):
     assert res.report == ()
     # every leaf payoff is the martingale's value; at c it is E_c[g]
     assert res.value_at == cond_exp(space, g, 1)
+
+
+def random_adapted_field(seed):
+    """Three-slot field whose slice at each time tuple is a random RV
+    measurable at the tuple's maximum; its nodes often have maximin < minimax."""
+    rng = random.Random(seed)
+    space = random_space(rng, 3, 4)
+    slices = {}
+
+    def fn(ks, w):
+        if ks not in slices:
+            slices[ks] = cond_exp(space, random_rv(rng, 3), max(ks))
+        return slices[ks][w]
+
+    return payoff_from_function(space, 3, fn)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_node_tables_match_reference_sweep(seed):
+    """The shared node sweep gives the old maximin layers and node-gap report,
+    on a generated game and on a random field that has node gaps."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    frozen, mx, mn = list(itertools.permutations(range(3)))[seed % 6]
+    reported = 0
+    for field in (inst.fields[seed % 3], random_adapted_field(seed)):
+        space = field.space
+        spec = ReactionGameSpec(field, frozen, mx, mn)
+        for c in range(len(space.grid)):
+            res = reaction_game_value(spec, c)
+            layers, report = reference_node_tables(space, spec.view(c), c)
+            assert (res.layers, res.report) == (tuple(layers), report)
+            reported += len(report)
+    assert reported > 0
