@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -273,8 +274,19 @@ def _int_at_least(low: int):
     return integer
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with a minus and a digit, such as ``-1/2``,
+    as a value, so a negative rational reaches the flag's own check; plain
+    argparse knows only ``-1`` and ``-0.5`` as numbers and takes ``-1/2`` for
+    an option.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stopgame",
         description="Certified epsilon-equilibria for max-revealed stopping games.",
     )

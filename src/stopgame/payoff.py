@@ -6,14 +6,18 @@ tuple must be measurable at the maximum of its entries.  The continuity
 modulus table bounds payoff changes by the total numeric time displacement,
 with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
-between the last interior time and the terminal time.
+between the last interior time and the terminal time.  The modulus walks every
+pair of time tuples on integer ticks and integer payoff numerators, and
+converts to ``Fraction`` once per distinct displacement.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, sub
 from typing import Callable, Sequence
 
 from .errors import NoValidH
@@ -120,18 +124,39 @@ class Modulus:
         return eta
 
 
-def _pair_changes(field: PayoffField):
-    """(total time displacement, max payoff change) for each distinct tuple pair."""
-    grid = field.space.grid
-    tuples = sorted(field.values)
-    for i, ks in enumerate(tuples):
-        for ks2 in tuples[i + 1 :]:
-            delta = sum(
-                (abs(grid.points[a] - grid.points[b]) for a, b in zip(ks, ks2)),
-                Fraction(0),
-            )
-            diff = max(abs(x - y) for x, y in zip(field.values[ks], field.values[ks2]))
-            yield delta, diff
+def _numerators(values, den: int) -> tuple[int, ...]:
+    """Integer numerators of rational ``values`` on the common denominator ``den``."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def _pair_changes(field: PayoffField) -> dict[Fraction, Fraction]:
+    """Worst payoff change at each total time displacement over distinct tuple pairs.
+
+    The pair walk is pure ``int``: grid points become integer ticks on their
+    common denominator, so a pair's displacement is a sum of per-slot tick
+    distances, and payoff values become integer numerators on the field's
+    common denominator, so its change is a max of numerator differences.  Only
+    the worst change per displacement is converted back to ``Fraction``.
+    """
+    points = field.space.grid.points
+    tick_den = math.lcm(*(t.denominator for t in points))
+    ticks = _numerators(points, tick_den)
+    dist = [[abs(a - b) for b in ticks] for a in ticks]
+    layers = field.values
+    num_den = math.lcm(*(v.denominator for layer in layers.values() for v in layer))
+    rows = [(ks, _numerators(layers[ks], num_den)) for ks in sorted(layers)]
+    worst: dict[int, int] = {}
+    for i, (ks, x) in enumerate(rows):
+        dist_from = [dist[a] for a in ks]
+        for ks2, y in rows[i + 1 :]:
+            delta = sum(map(getitem, dist_from, ks2))
+            change = max(map(abs, map(sub, x, y)))
+            if change > worst.get(delta, -1):
+                worst[delta] = change
+    return {
+        Fraction(delta, tick_den): Fraction(change, num_den)
+        for delta, change in worst.items()
+    }
 
 
 def estimate_modulus(field: PayoffField) -> Modulus:
@@ -141,10 +166,7 @@ def estimate_modulus(field: PayoffField) -> Modulus:
     positive-displacement entry, so the bound certifies the field with strict
     inequalities at displacement > 0 (equal tuples are trivially unchanged).
     """
-    worst: dict[Fraction, Fraction] = {}
-    for delta, diff in _pair_changes(field):
-        if diff > worst.get(delta, Fraction(-1)):
-            worst[delta] = diff
+    worst = _pair_changes(field)
     table: list[tuple[Fraction, Fraction]] = []
     running = Fraction(0)
     for delta in sorted(worst):
@@ -163,8 +185,14 @@ def modulus_max(mods: Sequence[Modulus]) -> Modulus:
 
 
 def certifies_field(mod: Modulus, field: PayoffField) -> bool:
-    """Strict modulus bound over all distinct tuple pairs of the field."""
-    return all(diff < mod.eval(delta) for delta, diff in _pair_changes(field))
+    """Strict modulus bound over all distinct tuple pairs of the field.
+
+    Checking the worst change at each displacement is the same as checking
+    every pair, since the bound at a displacement is one strict inequality.
+    """
+    return all(
+        worst < mod.eval(delta) for delta, worst in _pair_changes(field).items()
+    )
 
 
 def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from stopgame.classic import snell
-from stopgame.payoff import PayoffField
+from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -210,3 +210,43 @@ def every_multiple(space: FilteredSpace, h) -> list[Fraction]:
         out.append(m * h)
         m += 1
     return out
+
+
+# The pairwise ``Fraction`` modulus loop that the integer kernel in
+# ``payoff._pair_changes`` replaced, kept as it was so the kernel's moduli and
+# certificates are checked against it with ==.
+
+
+def reference_pair_changes(field: PayoffField):
+    """(total time displacement, max payoff change) for each distinct tuple pair."""
+    grid = field.space.grid
+    tuples = sorted(field.values)
+    for i, ks in enumerate(tuples):
+        for ks2 in tuples[i + 1 :]:
+            delta = sum(
+                (abs(grid.points[a] - grid.points[b]) for a, b in zip(ks, ks2)),
+                Fraction(0),
+            )
+            diff = max(abs(x - y) for x, y in zip(field.values[ks], field.values[ks2]))
+            yield delta, diff
+
+
+def reference_estimate_modulus(field: PayoffField) -> Modulus:
+    """Empirical modulus: max payoff change at each total time displacement."""
+    worst: dict[Fraction, Fraction] = {}
+    for delta, diff in reference_pair_changes(field):
+        if diff > worst.get(delta, Fraction(-1)):
+            worst[delta] = diff
+    table: list[tuple[Fraction, Fraction]] = []
+    running = Fraction(0)
+    for delta in sorted(worst):
+        if delta == 0:
+            continue
+        running = max(running, worst[delta] + MODULUS_SLACK)
+        table.append((delta, running))
+    return Modulus(tuple(table))
+
+
+def reference_certifies_field(mod: Modulus, field: PayoffField) -> bool:
+    """Strict modulus bound over all distinct tuple pairs of the field."""
+    return all(diff < mod.eval(delta) for delta, diff in reference_pair_changes(field))

@@ -237,6 +237,25 @@ def test_cli_gen_bad_flag_exits_2(tmp_path, capsys, flag, value):
     assert not game.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("gen", "--epsilon"), ("gen", "--modulus"), ("solve", "--h"), ("solve", "--epsilon"),
+])
+@pytest.mark.parametrize("value", ["-1/2", "-3/7"])
+def test_cli_negative_rational_flag_reaches_rational_check(tmp_path, capsys, command, flag, value):
+    """A negative rational given as a separate token is read as the flag's value
+    and rejected by the positive-rational check, not taken for an option."""
+    game, out = tmp_path / "g.json", tmp_path / "o.json"
+    assert main(["gen", "--seed", "5", "--players", "2", "--outcomes", "2", "--times", "3",
+                 "--out", str(game)]) == 0
+    argv = {"gen": ["gen", "--seed", "1"], "solve": ["solve", "--game", str(game)]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive rational, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 STRUCTURAL_ERRORS = [
     pytest.param("solve", lambda g: g["outcomes"][0].pop("weight"), None, (), id="no-weight"),
     pytest.param("solve", lambda g: g.update(players="three"), None, (), id="players-word"),

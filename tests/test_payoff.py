@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_rv, random_space
+from oracles import (
+    reference_certifies_field,
+    reference_estimate_modulus,
+    reference_pair_changes,
+)
 from stopgame.errors import NoValidH
+from stopgame.generator import generate_instance
 from stopgame.payoff import (
     MODULUS_SLACK,
+    Modulus,
     certifies_field,
     check_adapted,
     estimate_modulus,
@@ -16,7 +24,7 @@ from stopgame.payoff import (
     payoff_from_function,
     select_h,
 )
-from stopgame.space import cond_exp, make_grid
+from stopgame.space import FilteredSpace, cond_exp, make_grid
 
 
 def test_time_only_payoff_is_adapted(three_time_space):
@@ -136,3 +144,95 @@ def test_pin_reduces_arity(three_time_space):
     pinned = field.pin(1, 2)
     assert pinned.arity == 2
     assert pinned.value_at((1, 0), 0) == 1 * 9 + 2 * 3 + 0
+
+
+def _hand_built_fields():
+    """Fields on a non-uniform grid with mixed denominators: random, negative,
+    large pairwise-coprime value denominators, constant, arity 1 and arity 0."""
+    space = FilteredSpace(
+        grid=make_grid([0, "1/3", "1/2", "7/5", 3]),
+        weights=(Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)),
+        partitions=(
+            ((0, 1, 2),),
+            ((0, 1), (2,)),
+            ((0,), (1,), (2,)),
+            ((0,), (1,), (2,)),
+            ((0,), (1,), (2,)),
+        ),
+    )
+    rng = random.Random(31)
+    coprime = (10**9 + 7, 998244353, 2**61 - 1, 1000003, 65537)
+    fields = []
+    for arity in (1, 2, 3):
+        mixed = {
+            ks: cond_exp(space, random_rv(rng, 3, den=rng.choice((3, 4, 5, 7))), max(ks))
+            for ks in itertools.product(range(5), repeat=arity)
+        }
+        fields.append(payoff_from_function(space, arity, lambda ks, w: mixed[ks][w]))
+    # arity 3 on this grid has 118 distinct displacements, which makes the
+    # reference certificate walk slow, so the remaining fields stop at arity 2
+    for arity in (1, 2):
+        fields.append(
+            payoff_from_function(
+                space,
+                arity,
+                lambda ks, w: Fraction(
+                    rng.randint(-(10**12), 10**12), coprime[(sum(ks) + w) % len(coprime)]
+                ),
+            )
+        )
+    fields.append(payoff_from_function(space, 2, lambda ks, w: Fraction(-5, 3)))
+    fields.append(fields[0].pin(0, 2))  # arity 0: a single tuple, no pairs
+    return fields
+
+
+def _acceptance_fields(seeds):
+    for seed in seeds:
+        yield from generate_instance(
+            seed, n_outcomes=2 + seed % 2, n_times=3 + (seed // 2) % 2, epsilon="1/20"
+        ).fields
+
+
+def _ladder_fields():
+    for players in (2, 3):
+        for outcomes, times in ((2, 4), (3, 5), (4, 6)):
+            for seed in (1, 2):
+                yield from generate_instance(
+                    seed, n_outcomes=outcomes, n_times=times, n_players=players
+                ).fields
+
+
+def _assert_certificate_matches_reference(mod, field):
+    """certifies_field equals the reference on both sides of the bound: the
+    field's own modulus passes, and the same modulus with its first or last
+    entry lowered to exactly the worst change at that displacement fails."""
+    assert certifies_field(mod, field) is reference_certifies_field(mod, field) is True
+    worst: dict[Fraction, Fraction] = {}
+    for delta, diff in reference_pair_changes(field):
+        worst[delta] = max(diff, worst.get(delta, diff))
+    for i in {0, len(mod.table) - 1} if mod.table else ():
+        delta = mod.table[i][0]
+        lowered = Modulus(mod.table[:i] + ((delta, worst[delta]),) + mod.table[i + 1 :])
+        assert certifies_field(lowered, field) is reference_certifies_field(lowered, field) is False
+
+
+def test_modulus_kernel_matches_reference_on_hand_built_fields():
+    for field in _hand_built_fields():
+        mod = estimate_modulus(field)
+        assert mod == reference_estimate_modulus(field)
+        _assert_certificate_matches_reference(mod, field)
+
+
+def test_modulus_kernel_matches_reference_on_acceptance_seeds():
+    for field in _acceptance_fields(range(1, 51)):
+        assert estimate_modulus(field) == reference_estimate_modulus(field)
+    # the reference certificate walk costs several reference passes per field
+    for field in _acceptance_fields(range(1, 6)):
+        _assert_certificate_matches_reference(estimate_modulus(field), field)
+
+
+def test_modulus_kernel_matches_reference_on_bench_ladder():
+    # 3-player 4x6 fields are the reference loop's slowest, so the ladder checks
+    # the modulus only; the certificate runs on the fields above
+    for field in _ladder_fields():
+        assert estimate_modulus(field) == reference_estimate_modulus(field)
