@@ -34,6 +34,7 @@ from .errors import (
     NoValidH,
     OrderViolation,
     ParseError,
+    PremiseViolation,
     StopGameError,
     TheoremViolation,
     ValidationError,

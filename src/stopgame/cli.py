@@ -23,6 +23,7 @@ from .errors import (
     NoValidDelta,
     NoValidH,
     ParseError,
+    PremiseViolation,
     ValidationError,
 )
 from .gamefile import (
@@ -327,7 +328,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, NoValidH, NoValidDelta, FileNotFoundError) as exc:
+    except (
+        ParseError,
+        ValidationError,
+        NoValidH,
+        NoValidDelta,
+        PremiseViolation,
+        FileNotFoundError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GuardExceeded, DeskScaleExceeded) as exc:

@@ -23,6 +23,11 @@ class TheoremViolation(StopGameError):
     """An ordering that must hold by construction failed: implementation bug."""
 
 
+class PremiseViolation(StopGameError):
+    """A user-supplied h or epsilon breaks eta(h) < epsilon, and the
+    construction failed on it: an input error, not a bug."""
+
+
 class NoValidDelta(StopGameError):
     """No settle delay of at least one grid step meets the stability bounds."""
 

@@ -194,12 +194,23 @@ def strategy_to_obj(space: FilteredSpace, strat) -> dict:
 def strategy_from_obj(space: FilteredSpace, obj: dict):
     grid = space.grid
     K = grid.terminal_index
+    # time string -> grid index; only strings, so a bool never matches a
+    # key, and only lookups that succeeded, so every error is raised afresh
+    indices: dict[str, int] = {}
+
+    def time_index(v, where) -> int:
+        if isinstance(v, str) and v in indices:
+            return indices[v]
+        k = grid.index(_s2f(v, where))
+        if isinstance(v, str):
+            indices[v] = k
+        return k
 
     def read_st(vals, where):
         if len(vals) != space.n_outcomes:
             raise ParseError(f"{where}: need one time per outcome")
         try:
-            return StoppingTime(tuple(grid.index(_s2f(v, where)) for v in vals))
+            return StoppingTime(tuple(time_index(v, where) for v in vals))
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .classic import dynkin_value
 from .coalition import _build_components, assemble_saddle
-from .errors import NoValidDelta, TheoremViolation
+from .errors import NoValidDelta, PremiseViolation, TheoremViolation
 from .nash2 import (
     EquilibriumFamily,
     _pair_component,
@@ -404,14 +404,33 @@ class ThreePlayerSolution:
 def solve_three_player(
     space: FilteredSpace, fields, theta=None, eps="1/20", h=None
 ) -> ThreePlayerSolution:
-    """Full pipeline: window width, families, processes, profile, certificate."""
+    """Full pipeline: window width, families, processes, profile, certificate.
+
+    The ordering facts the construction relies on hold while eta(h) < eps.
+    When one fails, eta(h) is evaluated: if the given h and eps break that
+    premise, the failure is an input error (``PremiseViolation``); if they
+    keep it, the ``TheoremViolation`` is a bug and propagates.  A passing
+    solve at a given h computes no modulus.
+    """
     eps = rat(eps)
     if theta is None:
         theta = constant_time(space, 0)
+    mod = None
     if h is None:
         mod = modulus_max([estimate_modulus(f) for f in fields])
         h = select_h(mod, eps, space.grid)
-    ctx = build_context(space, fields, theta, eps, h)
-    profile = assemble_profile(ctx)
+    try:
+        ctx = build_context(space, fields, theta, eps, h)
+        profile = assemble_profile(ctx)
+    except TheoremViolation as exc:
+        if mod is None:
+            mod = modulus_max([estimate_modulus(f) for f in fields])
+        eta = mod.eval(h)
+        if eta >= eps:
+            raise PremiseViolation(
+                f"eta(h) = {eta} >= epsilon = {eps} at h = {h}; "
+                f"the construction needs eta(h) < epsilon"
+            ) from exc
+        raise
     cert = certify_nash(space, fields, profile, theta, eps)
     return ThreePlayerSolution(context=ctx, profile=profile, certificate=cert)

@@ -17,11 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import getitem, sub
 from typing import Callable, Sequence
 
 from .errors import NoValidH
-from .space import RV, FilteredSpace, TimeGrid, rat
+from .space import RV, FilteredSpace, TimeGrid, _numerators, rat
 
 # added to the empirical maximum so the modulus bound is strict, as required
 MODULUS_SLACK = Fraction(1, 10**9)
@@ -41,6 +42,18 @@ class PayoffField:
     def value_at(self, ks: tuple[int, ...], omega: int) -> Fraction:
         return self.values[ks][omega]
 
+    @cached_property
+    def den(self) -> int:
+        """Common denominator of the values: the lcm of their denominators.
+
+        Integer kernels (the modulus pair walk, the best-response DP) read
+        values as numerators on this denominator.  A ``pin`` result carries
+        its parent's ``den``, a multiple of its own lcm, so pinned fields
+        never rescan their values.  Not a dataclass field: it takes no part
+        in equality.
+        """
+        return math.lcm(*(v.denominator for layer in self.values.values() for v in layer))
+
     def pin(self, slot: int, k: int) -> "PayoffField":
         """Freeze one time slot at index k, producing an arity-1 lower field.
 
@@ -53,7 +66,9 @@ class PayoffField:
         for ks, layer in self.values.items():
             if ks[slot] == k:
                 vals[ks[:slot] + ks[slot + 1 :]] = layer
-        return PayoffField(self.space, self.arity - 1, vals)
+        pinned = PayoffField(self.space, self.arity - 1, vals)
+        object.__setattr__(pinned, "den", self.den)
+        return pinned
 
     def as_layers(self) -> list[RV]:
         """Arity-1 field as a per-time list (a raw process, maybe partial)."""
@@ -124,27 +139,22 @@ class Modulus:
         return eta
 
 
-def _numerators(values, den: int) -> tuple[int, ...]:
-    """Integer numerators of rational ``values`` on the common denominator ``den``."""
-    return tuple(v.numerator * (den // v.denominator) for v in values)
-
-
 def _pair_changes(field: PayoffField) -> dict[Fraction, Fraction]:
     """Worst payoff change at each total time displacement over distinct tuple pairs.
 
     The pair walk is pure ``int``: grid points become integer ticks on their
     common denominator, so a pair's displacement is a sum of per-slot tick
     distances, and payoff values become integer numerators on the field's
-    common denominator, so its change is a max of numerator differences.  Only
-    the worst change per displacement is converted back to ``Fraction``.
+    common denominator ``field.den``, so its change is a max of numerator
+    differences.  Only the worst change per displacement is converted back to
+    ``Fraction``.
     """
     points = field.space.grid.points
     tick_den = math.lcm(*(t.denominator for t in points))
     ticks = _numerators(points, tick_den)
     dist = [[abs(a - b) for b in ticks] for a in ticks]
     layers = field.values
-    num_den = math.lcm(*(v.denominator for layer in layers.values() for v in layer))
-    rows = [(ks, _numerators(layers[ks], num_den)) for ks in sorted(layers)]
+    rows = [(ks, _numerators(layers[ks], field.den)) for ks in sorted(layers)]
     worst: dict[int, int] = {}
     for i, (ks, x) in enumerate(rows):
         dist_from = [dist[a] for a in ks]
@@ -154,7 +164,7 @@ def _pair_changes(field: PayoffField) -> dict[Fraction, Fraction]:
             if change > worst.get(delta, -1):
                 worst[delta] = change
     return {
-        Fraction(delta, tick_den): Fraction(change, num_den)
+        Fraction(delta, tick_den): Fraction(change, field.den)
         for delta, change in worst.items()
     }
 

@@ -13,6 +13,7 @@ point, an *index* is its position in the grid.  Stopping times store indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +35,11 @@ def rat(x) -> Fraction:
 
 def rv(values: Iterable) -> RV:
     return tuple(rat(v) for v in values)
+
+
+def _numerators(values, den: int) -> tuple[int, ...]:
+    """Integer numerators of rational ``values`` on the common denominator ``den``."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,11 @@ class FilteredSpace:
                     ids[w] = b
             out.append(tuple(ids))
         return tuple(out)
+
+    @cached_property
+    def wnum(self) -> tuple[int, ...]:
+        """Outcome weights as integer numerators on their common denominator."""
+        return _numerators(self.weights, math.lcm(*(w.denominator for w in self.weights)))
 
     @cached_property
     def block_weight(self) -> tuple[tuple[Fraction, ...], ...]:

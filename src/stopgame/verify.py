@@ -8,6 +8,12 @@ program computes the exact supremum (or infimum) over the controlled seats'
 reactive strategies.  It is the certification oracle for every solver in the
 package: a claimed equilibrium is only ever reported together with the gap
 this module measures.
+
+The program runs on integers: each node's value is scaled by the payoff
+field's common denominator times the integer weight of the node's block, so a
+continuation is a plain sum of its children and no node divides.  Each start
+atom's value is converted back to ``Fraction`` once, so the results are the
+same exact rationals a ``Fraction`` program would give.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from .config import current_guards
 from .errors import GuardExceeded
 from .payoff import PayoffField
 from .space import (
-    RV, FilteredSpace, StoppingTime, _start_indices, cond_exp_at, constant_time, rat
+    RV,
+    FilteredSpace,
+    StoppingTime,
+    _numerators,
+    _start_indices,
+    cond_exp_at,
+    constant_time,
+    rat,
 )
 from .strategy import StrategyOrder2, resolve2, resolve3
 
@@ -154,6 +167,16 @@ def exact_best_response(
     stopping time.  ``objective`` applies to the field as the controlled
     seats' common payoff ('max' for a deviating player, 'min' for a punishing
     coalition).
+
+    The DP runs on integers.  A node (k, B) holds its value scaled by
+    ``field.den * W_B``, where ``W_B`` sums the integer weight numerators
+    ``space.wnum`` over the block B.  A stop value is then the sum of
+    ``wnum[w] * N_w`` over B, with ``N_w`` the payoff numerator on
+    ``field.den``; a continuation is the plain sum of the children's scaled
+    values; and ``max``/``min`` pick the same option as on the unscaled
+    values, since all options at a node share the positive factor.  Payoff
+    rows become numerators only when the DP first reads them, and each start
+    atom's value is converted to ``Fraction`` once.
     """
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
@@ -161,16 +184,18 @@ def exact_best_response(
     n_seats = field.arity
     K = space.grid.terminal_index
     cap = current_guards().dp_state_cap
-    memo: dict[tuple, Fraction] = {}
+    wnum = space.wnum
+    den = field.den
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    memo: dict[tuple, int] = {}
 
-    def block_avg_payoff(block: tuple[int, ...], times: tuple[int, ...]) -> Fraction:
-        total = sum(space.weights[w] for w in block)
-        acc = Fraction(0)
-        for w in block:
-            acc += space.weights[w] * field.value_at(times, w)
-        return acc / total
+    def stop_value(block: tuple[int, ...], times: tuple[int, ...]) -> int:
+        row = rows.get(times)
+        if row is None:
+            row = rows[times] = _numerators(field.values[times], den)
+        return sum(wnum[w] * row[w] for w in block)
 
-    def solve(k: int, block: tuple[int, ...], status: tuple) -> Fraction:
+    def solve(k: int, block: tuple[int, ...], status: tuple) -> int:
         key = (k, block, status)
         if key in memo:
             return memo[key]
@@ -178,8 +203,7 @@ def exact_best_response(
             raise GuardExceeded(f"best-response DP exceeded {cap} states")
         w0 = block[0]
         if k == K:
-            times = tuple(K if s < 0 else s for s in status)
-            val = block_avg_payoff(block, times)
+            val = stop_value(block, tuple(K if s < 0 else s for s in status))
             memo[key] = val
             return val
         fixed_now = [
@@ -190,7 +214,8 @@ def exact_best_response(
             and _committed_index(strategies[q], q, status, w0) == k
         ]
         free = [q for q in controlled if status[q] < 0]
-        best: Fraction | None = None
+        children = [child for child in space.partitions[k + 1] if child[0] in block]
+        best: int | None = None
         for r in range(len(free) + 1):
             for stop_set in itertools.combinations(free, r):
                 nxt = list(status)
@@ -199,16 +224,12 @@ def exact_best_response(
                 for q in stop_set:
                     nxt[q] = k
                 nxt_t = tuple(nxt)
-                if all(s >= 0 for s in nxt_t):
-                    val = block_avg_payoff(block, nxt_t)
+                if -1 not in nxt_t:  # every seat has stopped
+                    val = stop_value(block, nxt_t)
                 else:
-                    total = sum(space.weights[w] for w in block)
-                    val = Fraction(0)
-                    for child in space.partitions[k + 1]:
-                        if child[0] in block:
-                            p = sum(space.weights[w] for w in child)
-                            val += p * solve(k + 1, child, nxt_t)
-                    val /= total
+                    val = 0
+                    for child in children:
+                        val += solve(k + 1, child, nxt_t)
                 best = val if best is None else opt(best, val)
         memo[key] = best
         return best
@@ -224,10 +245,12 @@ def exact_best_response(
                 continue
             if members != block:
                 raise ValueError("start must be a valid stopping time")
-            v = solve(k, block, all_alive)
+            scale = den * sum(wnum[w] for w in block)
+            v = Fraction(solve(k, block, all_alive), scale)
             values[(k, block)] = v
             for w in block:
                 out[w] = v
+    del solve  # frees the memo now: solve holds itself through its closure
     return BestResponseResult(values=values, value_rv=tuple(out), objective=objective)
 
 

@@ -8,9 +8,13 @@ other way around.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from stopgame.classic import snell
+from stopgame.config import current_guards
+from stopgame.errors import GuardExceeded
 from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField
 from stopgame.space import (
     FilteredSpace,
@@ -21,7 +25,11 @@ from stopgame.space import (
     constant_time,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
-from stopgame.verify import enumerate_stopping_times
+from stopgame.verify import (
+    BestResponseResult,
+    _committed_index,
+    enumerate_stopping_times,
+)
 from stopgame.zerosum import NodeGap
 
 
@@ -250,3 +258,100 @@ def reference_estimate_modulus(field: PayoffField) -> Modulus:
 def reference_certifies_field(mod: Modulus, field: PayoffField) -> bool:
     """Strict modulus bound over all distinct tuple pairs of the field."""
     return all(diff < mod.eval(delta) for delta, diff in reference_pair_changes(field))
+
+
+# The ``Fraction`` best-response DP that the integer program in
+# ``verify.exact_best_response`` replaced, kept as it was so the new oracle's
+# values and its DP state count are checked against it.
+
+
+def reference_exact_best_response(
+    space: FilteredSpace,
+    field: PayoffField,
+    strategies: Sequence,
+    controlled: tuple[int, ...],
+    objective: str,
+    start,
+) -> BestResponseResult:
+    """Optimal value for the controlled seats against fixed opponents.
+
+    ``strategies[q]`` must be supplied for every fixed seat q; controlled
+    entries are ignored.  The value is conditioned on the atoms of the start
+    stopping time.  ``objective`` applies to the field as the controlled
+    seats' common payoff ('max' for a deviating player, 'min' for a punishing
+    coalition).
+    """
+    if objective not in ("max", "min"):
+        raise ValueError("objective must be 'max' or 'min'")
+    opt = max if objective == "max" else min
+    n_seats = field.arity
+    K = space.grid.terminal_index
+    cap = current_guards().dp_state_cap
+    memo: dict[tuple, Fraction] = {}
+
+    def block_avg_payoff(block: tuple[int, ...], times: tuple[int, ...]) -> Fraction:
+        total = sum(space.weights[w] for w in block)
+        acc = Fraction(0)
+        for w in block:
+            acc += space.weights[w] * field.value_at(times, w)
+        return acc / total
+
+    def solve(k: int, block: tuple[int, ...], status: tuple) -> Fraction:
+        key = (k, block, status)
+        if key in memo:
+            return memo[key]
+        if len(memo) > cap:
+            raise GuardExceeded(f"best-response DP exceeded {cap} states")
+        w0 = block[0]
+        if k == K:
+            times = tuple(K if s < 0 else s for s in status)
+            val = block_avg_payoff(block, times)
+            memo[key] = val
+            return val
+        fixed_now = [
+            q
+            for q in range(n_seats)
+            if q not in controlled
+            and status[q] < 0
+            and _committed_index(strategies[q], q, status, w0) == k
+        ]
+        free = [q for q in controlled if status[q] < 0]
+        best: Fraction | None = None
+        for r in range(len(free) + 1):
+            for stop_set in itertools.combinations(free, r):
+                nxt = list(status)
+                for q in fixed_now:
+                    nxt[q] = k
+                for q in stop_set:
+                    nxt[q] = k
+                nxt_t = tuple(nxt)
+                if all(s >= 0 for s in nxt_t):
+                    val = block_avg_payoff(block, nxt_t)
+                else:
+                    total = sum(space.weights[w] for w in block)
+                    val = Fraction(0)
+                    for child in space.partitions[k + 1]:
+                        if child[0] in block:
+                            p = sum(space.weights[w] for w in child)
+                            val += p * solve(k + 1, child, nxt_t)
+                    val /= total
+                best = val if best is None else opt(best, val)
+        memo[key] = best
+        return best
+
+    start_idx = _start_indices(space, start)
+    values: dict[Atom, Fraction] = {}
+    out = [Fraction(0)] * space.n_outcomes
+    all_alive = (-1,) * n_seats
+    for k in range(K + 1):
+        for block in space.partitions[k]:
+            members = tuple(w for w in block if start_idx[w] == k)
+            if not members:
+                continue
+            if members != block:
+                raise ValueError("start must be a valid stopping time")
+            v = solve(k, block, all_alive)
+            values[(k, block)] = v
+            for w in block:
+                out[w] = v
+    return BestResponseResult(values=values, value_rv=tuple(out), objective=objective)

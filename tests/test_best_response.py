@@ -1,0 +1,236 @@
+"""The integer best-response DP against the ``Fraction`` DP it replaced.
+
+``reference_exact_best_response`` in ``oracles.py`` is the former oracle, kept
+verbatim.  Values are compared with ``==`` on exact rationals, and the DP
+state count is compared through the guard: both programs must trip
+``GuardExceeded`` below the same cap and pass at it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_space
+from oracles import reference_exact_best_response
+from stopgame import coalition, nash2, verify, zerosum
+from stopgame.config import ENV_OVERRIDE
+from stopgame.errors import GuardExceeded
+from stopgame.generator import generate_instance
+from stopgame.nash3 import solve_three_player
+from stopgame.payoff import PayoffField, payoff_from_function
+from stopgame.space import (
+    FilteredSpace,
+    StoppingTime,
+    _numerators,
+    constant_time,
+    make_grid,
+)
+from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
+from stopgame.verify import exact_best_response
+
+# (outcomes, times, generator seed); each game is solved at the h the modulus
+# selects and at the minimal grid step
+LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
+
+# mixed small denominators and large pairwise-coprime ones
+DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 998244353, 2**61 - 1)
+
+
+def same_result(got, want) -> bool:
+    return (
+        got.values == want.values
+        and got.value_rv == want.value_rv
+        and got.objective == want.objective
+    )
+
+
+@pytest.fixture(scope="module")
+def ladder_calls():
+    """Every oracle call, with its result, made while solving the ladder."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = exact_best_response(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (verify, nash2, zerosum, coalition):
+            mp.setattr(module, "exact_best_response", recording)
+        for outcomes, times, seed in LADDER:
+            inst = generate_instance(
+                seed=seed, n_outcomes=outcomes, n_times=times, n_players=3
+            )
+            theta = constant_time(inst.space, 0)
+            for h in (None, inst.space.grid.min_step):
+                sol = solve_three_player(inst.space, inst.fields, theta, inst.epsilon, h)
+                assert sol.certificate.passes
+    return calls
+
+
+def test_oracle_matches_reference_on_ladder(ladder_calls):
+    assert len(ladder_calls) > 1000
+    for args, kwargs, result in ladder_calls:
+        assert same_result(result, reference_exact_best_response(*args, **kwargs))
+
+
+def random_stopping_time(rng, space: FilteredSpace, first: int) -> StoppingTime:
+    """A random stopping time that stops nowhere before index ``first``."""
+    K = space.grid.terminal_index
+    idx = [None] * space.n_outcomes
+    for k in range(K + 1):
+        for block in space.partitions[k]:
+            if idx[block[0]] is None and k >= first and (k == K or rng.random() < 0.4):
+                for w in block:
+                    idx[w] = k
+    return StoppingTime(tuple(idx))
+
+
+def random_strategy(rng, space: FilteredSpace, n_seats: int, seat: int):
+    K = space.grid.terminal_index
+
+    def react(s: int) -> StoppingTime:
+        return random_stopping_time(rng, space, min(s + 1, K))
+
+    initial = random_stopping_time(rng, space, 0)
+    if n_seats == 2:
+        strat = StrategyOrder2(initial=initial, react=tuple(react(s) for s in range(K + 1)))
+    else:
+        lo, hi = sorted(q for q in range(3) if q != seat)
+        strat = StrategyOrder3(
+            seat=seat,
+            initial=initial,
+            react_one={q: tuple(react(s) for s in range(K + 1)) for q in (lo, hi)},
+            react_two={
+                (a, b): react(max(a, b)) for a in range(K + 1) for b in range(K + 1)
+            },
+        )
+    assert validate_strategy(space, strat) == []
+    return strat
+
+
+def coprime_weight_space() -> FilteredSpace:
+    """Four outcomes with weights 1/2, 1/3, 1/7, 1/42 revealed in two stages."""
+    return FilteredSpace(
+        grid=make_grid([0, "1/3", "1/2", 2]),
+        weights=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 42)),
+        partitions=(
+            ((0, 1, 2, 3),),
+            ((0, 3), (1, 2)),
+            ((0,), (3,), (1, 2)),
+            ((0,), (1,), (2,), (3,)),
+        ),
+    )
+
+
+def mixed_field(rng, space: FilteredSpace, arity: int) -> PayoffField:
+    """Negative and positive values over mixed and large coprime denominators."""
+    return payoff_from_function(
+        space,
+        arity,
+        lambda ks, w: Fraction(rng.randint(-10**6, 10**6), rng.choice(DENOMINATORS)),
+    )
+
+
+def hand_built_cases():
+    """(space, field, strategies, controlled, objective, start) tuples."""
+    rng = random.Random(6)
+    spaces = [coprime_weight_space()] + [
+        random_space(rng, n, t) for n, t in ((3, 4), (4, 4), (2, 5))
+    ]
+    for space in spaces:
+        K = space.grid.terminal_index
+        for arity in (2, 3):
+            field = mixed_field(rng, space, arity)
+            strategies = [random_strategy(rng, space, arity, q) for q in range(arity)]
+            starts = [0, 1, random_stopping_time(rng, space, 0), K]
+            seatings = [(0,), (arity - 1,), ()]
+            if arity == 3:
+                seatings.append((1, 2))
+            for controlled in seatings:
+                for objective in ("max", "min"):
+                    for start in starts:
+                        fixed = [
+                            None if q in controlled else s for q, s in enumerate(strategies)
+                        ]
+                        yield space, field, fixed, controlled, objective, start
+
+
+def test_oracle_matches_reference_on_hand_built_fields():
+    cases = list(hand_built_cases())
+    assert any(isinstance(c[5], StoppingTime) and len(set(c[5].idx)) > 1 for c in cases)
+    for case in cases:
+        assert same_result(
+            exact_best_response(*case), reference_exact_best_response(*case)
+        )
+
+
+def test_oracle_matches_reference_on_pinned_fields():
+    """Window checks hand the oracle pinned fields, which carry their parent's den."""
+    rng = random.Random(61)
+    space = coprime_weight_space()
+    field3 = mixed_field(rng, space, 3)
+    for slot in range(3):
+        for k in range(len(space.grid)):
+            pinned = field3.pin(slot, k)
+            assert pinned.den == field3.den
+            for ks, layer in pinned.values.items():
+                row = _numerators(layer, pinned.den)
+                assert tuple(Fraction(n, pinned.den) for n in row) == layer
+            strategies = [random_strategy(rng, space, 2, q) for q in range(2)]
+            for controlled, objective in (((0,), "max"), ((1,), "min")):
+                fixed = [None if q in controlled else s for q, s in enumerate(strategies)]
+                case = (space, pinned, fixed, controlled, objective, k)
+                assert same_result(
+                    exact_best_response(*case), reference_exact_best_response(*case)
+                )
+    # den is no dataclass field: a rebuilt field with the same values is equal
+    # and computes its own, smaller or equal, denominator
+    pinned = field3.pin(0, 1)
+    rebuilt = PayoffField(space, 2, dict(pinned.values))
+    assert rebuilt == pinned
+    assert pinned.den % rebuilt.den == 0
+
+
+def smallest_passing_cap(monkeypatch, oracle, args, kwargs) -> int:
+    """Least ``dp`` guard under which the call finishes without GuardExceeded."""
+    lo, hi = 0, 1
+    while True:
+        monkeypatch.setenv(ENV_OVERRIDE, f"dp={hi}")
+        try:
+            oracle(*args, **kwargs)
+            break
+        except GuardExceeded:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setenv(ENV_OVERRIDE, f"dp={mid}")
+        try:
+            oracle(*args, **kwargs)
+            hi = mid
+        except GuardExceeded:
+            lo = mid + 1
+    return lo
+
+
+def test_guard_trips_at_the_same_cap_as_reference(ladder_calls, monkeypatch):
+    """Equal smallest passing caps mean equal DP state counts."""
+    picked = {}
+    for args, kwargs, result in ladder_calls:
+        field = args[1]
+        controlled = kwargs.get("controlled", args[3] if len(args) > 3 else None)
+        objective = kwargs.get("objective", args[4] if len(args) > 4 else None)
+        picked.setdefault((field.arity, controlled, objective), (args, kwargs))
+    assert len(picked) >= 3
+    for args, kwargs in picked.values():
+        cap = smallest_passing_cap(monkeypatch, exact_best_response, args, kwargs)
+        assert cap > 0
+        for oracle in (exact_best_response, reference_exact_best_response):
+            monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap}")
+            oracle(*args, **kwargs)
+            monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap - 1}")
+            with pytest.raises(GuardExceeded):
+                oracle(*args, **kwargs)

@@ -13,6 +13,7 @@ from stopgame.config import ENV_OVERRIDE, current_guards
 from stopgame.errors import (
     CertificationFailed,
     DeskScaleExceeded,
+    TheoremViolation,
     WindowCertificationFailed,
 )
 from stopgame.generator import generate_instance
@@ -188,3 +189,35 @@ def test_cli_malformed_guard_override_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_OVERRIDE, "enum=abc")
     assert cli_main(["solve", "--game", str(game), "--out", str(tmp_path / "r.json")]) == 2
     assert ENV_OVERRIDE in capsys.readouterr().err
+
+
+def test_cli_broken_premise_exits_2_with_eta_line(tmp_path, capsys):
+    """A user h and epsilon with eta(h) >= epsilon are an input error, not a bug."""
+    game = tmp_path / "t.json"
+    out = tmp_path / "r.json"
+    gen = ["gen", "--seed", "1", "--outcomes", "3", "--times", "4", "--modulus", "20"]
+    assert cli_main([*gen, "--out", str(game)]) == 0
+    capsys.readouterr()
+    solve = ["solve", "--game", str(game), "--h", "1/4800", "--epsilon", "1/1000"]
+    assert cli_main([*solve, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "input error: eta(h) = 3618751/1000000000 >= epsilon = 1/1000 at h = 1/4800; "
+        "the construction needs eta(h) < epsilon\n"
+    )
+    assert not out.exists()
+
+
+def test_theorem_violation_with_premise_kept_stays_a_bug(monkeypatch):
+    """With eta(h) < epsilon an ordering failure is re-raised as it was."""
+    import stopgame.nash3 as n3
+
+    inst = generate_instance(seed=1, n_outcomes=3, n_times=4, n_players=3)
+
+    def broken(*args):
+        raise TheoremViolation("planted")
+
+    monkeypatch.setattr(n3, "build_context", broken)
+    for h in (None, inst.space.grid.min_step):
+        with pytest.raises(TheoremViolation, match="planted"):
+            solve_three_player(inst.space, inst.fields, None, inst.epsilon, h)

@@ -87,6 +87,19 @@ def test_profile_roundtrip_order3():
     assert back == profile
 
 
+def test_profile_time_lookups_keep_their_errors():
+    """Repeated time strings resolve once; a bool or an off-grid time still fails."""
+    doc = make_doc()
+    obj = profile_to_obj(doc.space, [lift_constant3(doc.space, s, 1) for s in range(3)])
+    first = obj["strategies"][0]["initial"][0]
+    assert profile_from_obj(doc.space, json.loads(json.dumps(obj)))
+    for bad, message in ((True, "initial: not a rational: True"), ("7/3", "7/3 is not a grid point")):
+        broken = json.loads(json.dumps(obj))
+        broken["strategies"][1]["initial"] = [first, bad] + broken["strategies"][1]["initial"][2:]
+        with pytest.raises(ParseError, match=message):
+            profile_from_obj(doc.space, broken)
+
+
 def test_cli_gen_solve_verify_roundtrip(tmp_path):
     game = tmp_path / "game.json"
     rep = tmp_path / "report.json"
