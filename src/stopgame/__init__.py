@@ -9,14 +9,12 @@ oracle over rational arithmetic.
 """
 
 from .classic import (
-    DynkinResult,
     SnellResult,
     dynkin_convention_gap,
     dynkin_hitting_pair,
     dynkin_value,
     joint_inf_pair,
     snell,
-    solve_duel,
 )
 from .coalition import (
     CoalitionCertificate,
@@ -67,15 +65,12 @@ from .payoff import (
     select_h,
 )
 from .space import (
-    AdaptedProcess,
     FilteredSpace,
     StoppingTime,
     TimeGrid,
     cond_exp,
     cond_exp_at,
-    in_T_after,
     is_stopping_time,
-    make_adapted,
     make_grid,
     rat,
     validate_space,
@@ -103,7 +98,6 @@ from .verify import (
 )
 from .zerosum import (
     ReactionGameSpec,
-    reaction_game_saddle,
     reaction_game_value,
 )
 

@@ -162,23 +162,6 @@ def joint_inf_pair(
     )
 
 
-@dataclass(frozen=True)
-class DynkinResult:
-    value: tuple
-    stop_max: StoppingTime
-    stop_min: StoppingTime
-    epsilon: Fraction
-
-
-def solve_duel(
-    space: FilteredSpace, lower: Sequence, upper: Sequence, eps, mu: StoppingTime
-) -> DynkinResult:
-    """Duel value plus its eps-hitting saddle, bundled."""
-    value = dynkin_value(space, lower, upper, mu)
-    stop_max, stop_min = dynkin_hitting_pair(space, value, lower, upper, eps, mu)
-    return DynkinResult(value=value, stop_max=stop_max, stop_min=stop_min, epsilon=rat(eps))
-
-
 def dynkin_value(
     space: FilteredSpace,
     lower: Sequence,

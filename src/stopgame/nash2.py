@@ -6,7 +6,9 @@ induction whose node cells price "stop now, the other reacts in her own best
 interest" against joint continuation.  Candidates are never trusted; the exact
 best-response oracle (``verify.certify_nash``) certifies the achieved gap,
 and tiny instances fall back to exhaustive search over the enumerable
-strategy class when the candidate misses the target.
+strategy class when the candidate misses the target.  Reactions are solved
+only for observations from the start on; a reaction to an earlier
+observation is ``patch_pair``'s redirect to the behavior at the start.
 
 Families index such objects by multiples of a window width h chosen from the
 payoff modulus.  The entry at g is built at the first grid point at or after
@@ -52,11 +54,12 @@ class Nash2Result:
         return self.certificate.worst_gap
 
 
-def _own_reactions(space, field, other_slot):
-    """Snell-optimal reaction table maximizing the owner's own payoff."""
+def _own_reactions(space, field, other_slot, kmin):
+    """Snell-optimal reactions, maximizing the owner's own payoff, to each
+    observation s in [kmin, K); earlier entries are None."""
     K = space.grid.terminal_index
-    react = []
-    for s in range(K):
+    react = [None] * kmin
+    for s in range(kmin, K):
         react.append(snell(space, field.pin(other_slot, s).as_layers(), "sup", s + 1))
     return react
 
@@ -72,15 +75,18 @@ def solve_2p_nash(
 
     Seat 0 controls slot 0 of both fields and maximizes field_a; seat 1
     controls slot 1 and maximizes field_b.  The returned gap is the exact
-    worst-case best-response improvement over the start atoms.
+    worst-case best-response improvement over the start atoms.  No play from
+    the start observes a stop before its earliest index kmin, so reactions
+    are solved only from kmin on; the returned pair is ``patch_pair`` at
+    kmin, which redirects earlier observations to the kmin behavior.
     """
     eps = rat(eps)
     K = space.grid.terminal_index
     start_st = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
     kmin = min(start_st.idx)
 
-    react_b = _own_reactions(space, field_b, other_slot=0)  # b reacting to a's stop
-    react_a = _own_reactions(space, field_a, other_slot=1)  # a reacting to b's stop
+    react_b = _own_reactions(space, field_b, 0, kmin)  # b reacting to a's stop
+    react_a = _own_reactions(space, field_a, 1, kmin)  # a reacting to b's stop
 
     value_a = [None] * (K + 1)
     value_b = [None] * (K + 1)
@@ -157,18 +163,17 @@ def solve_2p_nash(
         return StoppingTime(tuple(out))
 
     terminal = constant_time(space, K)
-    strat_a = StrategyOrder2(
-        initial=read_initial(stops_a),
-        react=tuple(r.rule for r in react_a) + (terminal,),
-    )
-    strat_b = StrategyOrder2(
-        initial=read_initial(stops_b),
-        react=tuple(r.rule for r in react_b) + (terminal,),
-    )
-    cert = certify_nash(space, (field_a, field_b), [strat_a, strat_b], start_st, eps)
+
+    def strategy(stops, react):
+        # entries before kmin are placeholders that patch_pair overwrites
+        rules = tuple(terminal if r is None else r.rule for r in react)
+        return StrategyOrder2(initial=read_initial(stops), react=rules + (terminal,))
+
+    pair = patch_pair(space, (strategy(stops_a, react_a), strategy(stops_b, react_b)), kmin)
+    cert = certify_nash(space, (field_a, field_b), list(pair), start_st, eps)
     if cert.passes:
-        return Nash2Result((strat_a, strat_b), cert, fallback_used=False)
-    return _fallback_search(space, field_a, field_b, start_st, eps, (strat_a, strat_b), cert)
+        return Nash2Result(pair, cert, fallback_used=False)
+    return _fallback_search(space, field_a, field_b, start_st, eps, pair, cert)
 
 
 def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
@@ -197,7 +202,7 @@ def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
             cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
-    return Nash2Result(best_pair, best, fallback_used=True)
+    return Nash2Result(patch_pair(space, best_pair, min(start_st.idx)), best, fallback_used=True)
 
 
 @dataclass(frozen=True)
@@ -304,17 +309,16 @@ def build_pair_family(
     """Equilibrium pairs for the two free slots, one entry per h-multiple.
 
     ``fields3[0]`` is the payoff of the owner of the lower free slot.  Entries
-    are solved at their anchor, patched so that early observations redirect to
-    anchor behavior, then certified at 11*eps over the whole window by
-    exact best response.
+    are solved at their anchor (``solve_2p_nash`` patches them so that early
+    observations redirect to anchor behavior), then certified at 11*eps over
+    the whole window by exact best response.
     """
 
     def views(k):
         return tuple(f.pin(frozen_slot, k) for f in fields3)
 
     def solve_at(anchor):
-        res = solve_2p_nash(space, *views(anchor), anchor, eps)
-        return patch_pair(space, res.strategies, anchor)
+        return solve_2p_nash(space, *views(anchor), anchor, eps).strategies
 
     def gap_at(pair, k):
         return certify_nash(space, views(k), list(pair), k, eps).worst_gap

@@ -68,14 +68,9 @@ def build_overline_families(
     return out
 
 
-def _entry_pair_times(space, entry) -> tuple[StoppingTime, StoppingTime]:
-    sa, sb = entry.payload
-    return resolve2(space, sa, sb)
-
-
 def _family_value(space, field, seat, k, entry, free_slots) -> RV:
     """E_k of the field with the seat slot at k and the entry pair resolved."""
-    ra, rb = _entry_pair_times(space, entry)
+    ra, rb = resolve2(space, *entry.payload)
     vals = []
     for w in range(space.n_outcomes):
         ks = [0, 0, 0]
@@ -406,11 +401,12 @@ def solve_three_player(
 ) -> ThreePlayerSolution:
     """Full pipeline: window width, families, processes, profile, certificate.
 
-    The ordering facts the construction relies on hold while eta(h) < eps.
-    When one fails, eta(h) is evaluated: if the given h and eps break that
-    premise, the failure is an input error (``PremiseViolation``); if they
-    keep it, the ``TheoremViolation`` is a bug and propagates.  A passing
-    solve at a given h computes no modulus.
+    The ordering facts and the settle delay the construction relies on hold
+    while eta(h) < eps.  When one fails, eta(h) is evaluated: if the given h
+    and eps break that premise, the failure is an input error
+    (``PremiseViolation``); if they keep it, the ``TheoremViolation`` or
+    ``NoValidDelta`` propagates unchanged.  A passing solve at a given h
+    computes no modulus.
     """
     eps = rat(eps)
     if theta is None:
@@ -422,7 +418,7 @@ def solve_three_player(
     try:
         ctx = build_context(space, fields, theta, eps, h)
         profile = assemble_profile(ctx)
-    except TheoremViolation as exc:
+    except (TheoremViolation, NoValidDelta) as exc:
         if mod is None:
             mod = modulus_max([estimate_modulus(f) for f in fields])
         eta = mod.eval(h)

@@ -156,9 +156,6 @@ class FilteredSpace:
             for part in self.partitions
         )
 
-    def block_members(self, k: int, omega: int) -> tuple[int, ...]:
-        return self.partitions[k][self.block_id[k][omega]]
-
     def block_average(self, x: Sequence[Fraction], k: int, b: int) -> Fraction:
         block = self.partitions[k][b]
         total = self.block_weight[k][b]
@@ -265,52 +262,3 @@ def cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: StoppingTime
         for w in members:
             out[w] = avg
     return tuple(out)
-
-
-def in_T_after(space: FilteredSpace, tau: StoppingTime, rho: StoppingTime, strict: bool = False) -> bool:
-    """Membership of tau in the stopping times (strictly) after rho.
-
-    The comparison is only required on outcomes where rho is interior; at the
-    terminal point (the stand-in for infinity) there is nothing left to order.
-    """
-    K = space.grid.terminal_index
-    for w in range(space.n_outcomes):
-        if rho.idx[w] >= K:
-            continue
-        if strict:
-            if tau.idx[w] <= rho.idx[w]:
-                return False
-        elif tau.idx[w] < rho.idx[w]:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """Process values[k][omega], constant on the time-k blocks for each k."""
-
-    values: tuple[RV, ...]
-
-    def at(self, k: int) -> RV:
-        return self.values[k]
-
-    def at_stop(self, st: StoppingTime) -> RV:
-        """Pathwise evaluation values[st(omega)][omega]."""
-        return tuple(self.values[st.idx[w]][w] for w in range(len(st.idx)))
-
-
-def make_adapted(space: FilteredSpace, values: Sequence[Sequence]) -> AdaptedProcess:
-    vals = tuple(rv(layer) for layer in values)
-    if len(vals) != len(space.grid):
-        raise ValueError("need one layer per grid time")
-    for k, layer in enumerate(vals):
-        if len(layer) != space.n_outcomes:
-            raise ValueError("layer length must match the outcome count")
-        for block in space.partitions[k]:
-            if len({layer[w] for w in block}) > 1:
-                raise ValueError(f"layer {k} is not constant on block {block}")
-    return AdaptedProcess(vals)
-
-
-def is_adapted_layer(space: FilteredSpace, x: Sequence[Fraction], k: int) -> bool:
-    return all(len({x[w] for w in block}) == 1 for block in space.partitions[k])

@@ -110,10 +110,11 @@ def resolve2(
 
 
 def _react3(strat: StrategyOrder3, stopped: dict[int, int], w: int) -> int:
-    lo, hi = strat.others()
+    """Committed index after the observed stops ``stopped`` (other seat -> index)."""
     if len(stopped) == 1:
         (q, s), = stopped.items()
         return strat.react_one[q][s].idx[w]
+    lo, hi = strat.others()
     return strat.react_two[(stopped[lo], stopped[hi])].idx[w]
 
 

@@ -35,8 +35,9 @@ from .space import (
     cond_exp_at,
     constant_time,
     rat,
+    stopped_atoms,
 )
-from .strategy import StrategyOrder2, resolve2, resolve3
+from .strategy import StrategyOrder2, _react3, resolve2, resolve3
 
 Atom = tuple[int, tuple[int, ...]]  # (time index, outcome block)
 
@@ -129,18 +130,12 @@ def _committed_index(strat, seat: int, status: tuple, w: int) -> int:
     observed = {
         q: s for q, s in enumerate(status) if q != seat and s >= 0
     }
-    if isinstance(strat, StrategyOrder2):
-        if not observed:
-            return strat.initial.idx[w]
-        (s,) = observed.values()
-        return strat.react[s].idx[w]
     if not observed:
         return strat.initial.idx[w]
-    if len(observed) == 1:
-        ((q, s),) = observed.items()
-        return strat.react_one[q][s].idx[w]
-    lo, hi = strat.others()
-    return strat.react_two[(observed[lo], observed[hi])].idx[w]
+    if isinstance(strat, StrategyOrder2):
+        (s,) = observed.values()
+        return strat.react[s].idx[w]
+    return _react3(strat, observed, w)
 
 
 @dataclass(frozen=True)
@@ -271,13 +266,7 @@ def on_path_value(
     )
     theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
     rv_out = cond_exp_at(space, pay, theta)
-    values: dict[Atom, Fraction] = {}
-    start_idx = theta.idx
-    for k in range(len(space.grid)):
-        for block in space.partitions[k]:
-            members = tuple(w for w in block if start_idx[w] == k)
-            if members:
-                values[(k, members)] = rv_out[members[0]]
+    values = {(k, members): rv_out[members[0]] for k, members in stopped_atoms(space, theta)}
     return values, rv_out
 
 

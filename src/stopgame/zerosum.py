@@ -7,8 +7,8 @@ exact Snell reaction, simultaneous stops settle immediately, and double
 continuation rolls the layer forward; the sweep is ``classic.node_sweep``,
 shared with the cooperative two-stop infimum.  The canonical value takes the
 pure maximin of every 2x2 node; nodes where pure maximin and minimax differ are
-collected in a gap report rather than hidden, and the read-off strategies are
-certified by exact best response against that tolerance.
+collected in a gap report rather than hidden.  The construction's certified
+saddle strategies are the coalition's ``("pair", member)`` families.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import node_sweep, snell
-from .errors import CertificationFailed
+from .classic import node_sweep
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, rat
-from .strategy import StrategyOrder2
-from .verify import exact_best_response, on_path_value
+from .space import RV, FilteredSpace
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ def _maximin(ss, sc, cs, cc):
 
 
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
-    """Backward sweep; returns (layers, report, nodes) with
-    ``nodes[k] = ((ss, sc, cs, cc), (min_react, max_react))``."""
+    """Backward sweep; returns (layers, report)."""
     layers, nodes = node_sweep(space, view, ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
     for k in range(space.grid.terminal_index - 1, c - 1, -1):
@@ -84,93 +80,11 @@ def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
             minimax = min(max(ss[w], cs[w]), max(sc[w], cc[w]))
             if minimax != layers[k][w]:
                 report.append(NodeGap(k=k, block=block, gap=minimax - layers[k][w]))
-    return layers, tuple(report), nodes
+    return layers, tuple(report)
 
 
 def reaction_game_value(spec: ReactionGameSpec, c: int) -> ReactionValueResult:
     """Pure-maximin value at conditioning index c, plus the node-gap report."""
     space = spec.payoff.space
-    layers, report, _ = _node_tables(space, spec.view(c), c)
+    layers, report = _node_tables(space, spec.view(c), c)
     return ReactionValueResult(value_at=tuple(layers[c]), layers=tuple(layers), report=report)
-
-
-@dataclass(frozen=True)
-class ReactionSaddleResult:
-    max_strategy: StrategyOrder2
-    min_strategy: StrategyOrder2
-    certified_gap: Fraction
-    value_at: RV
-    report: tuple[NodeGap, ...]
-    tolerance: Fraction
-
-
-def _strategies_from_nodes(space, view, c, nodes):
-    """Initial stops where the node solution stops; Snell reaction tables."""
-    K = space.grid.terminal_index
-    max_init, min_init = [], []
-    for w in range(space.n_outcomes):
-        k = c
-        while k < K:
-            ss, sc, cs, cc = nodes[k][0]
-            if min(ss[w], sc[w]) >= min(cs[w], cc[w]):
-                break
-            k += 1
-        max_init.append(k)
-        k = c
-        while k < K:
-            ss, sc, cs, cc = nodes[k][0]
-            if max(ss[w], cs[w]) <= max(sc[w], cc[w]):
-                break
-            k += 1
-        min_init.append(k)
-    max_react, min_react = [], []
-    for s in range(K):
-        max_react.append(snell(space, view.pin(1, s).as_layers(), "sup", s + 1).rule)
-        min_react.append(snell(space, view.pin(0, s).as_layers(), "inf", s + 1).rule)
-    terminal = StoppingTime((K,) * space.n_outcomes)
-    max_react.append(terminal)
-    min_react.append(terminal)
-    return (
-        StrategyOrder2(initial=StoppingTime(tuple(max_init)), react=tuple(max_react)),
-        StrategyOrder2(initial=StoppingTime(tuple(min_init)), react=tuple(min_react)),
-    )
-
-
-def reaction_game_saddle(
-    spec: ReactionGameSpec, c: int, eps
-) -> ReactionSaddleResult:
-    """Node strategies certified by exact best response on both sides.
-
-    The certificate must stay within eps plus the probability-weighted total
-    node gap; a larger gap is surfaced as CertificationFailed, never accepted.
-    """
-    eps = rat(eps)
-    space = spec.payoff.space
-    view = spec.view(c)
-    layers, report, nodes = _node_tables(space, view, c)
-    smax, smin = _strategies_from_nodes(space, view, c, nodes)
-    on_path, _ = on_path_value(space, view, [smax, smin], c)
-    br_max = exact_best_response(space, view, [None, smin], (0,), "max", c)
-    br_min = exact_best_response(space, view, [smax, None], (1,), "min", c)
-    gap = Fraction(0)
-    for atom, v in br_max.values.items():
-        gap = max(gap, v - on_path[atom])
-    for atom, v in br_min.values.items():
-        gap = max(gap, on_path[atom] - v)
-    total_node_gap = Fraction(0)
-    for node in report:
-        p = sum(space.weights[w] for w in node.block)
-        total_node_gap += p * node.gap
-    tolerance = eps + total_node_gap
-    if gap > tolerance:
-        raise CertificationFailed(
-            f"reaction saddle gap {gap} exceeds eps+node-gap {tolerance}"
-        )
-    return ReactionSaddleResult(
-        max_strategy=smax,
-        min_strategy=smin,
-        certified_gap=gap,
-        value_at=tuple(layers[c]),
-        report=report,
-        tolerance=tolerance,
-    )

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from stopgame import coalition, nash2, verify
 from stopgame.classic import snell
+from stopgame.generator import generate_instance
 from stopgame.nash2 import _double_pin
-from stopgame.space import FilteredSpace, TimeGrid, make_grid
+from stopgame.nash3 import solve_three_player
+from stopgame.space import FilteredSpace, TimeGrid, constant_time, make_grid
 
 ACCEPTANCE_CRITERIA = {
     1: "equilibrium bound 13*eps on 50 generated instances",
@@ -112,3 +115,41 @@ def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str)
         snell(space, _double_pin(field3, free_slot, k).as_layers(), direction, k)
         for k in range(len(space.grid))
     )
+
+
+# (outcomes, times, generator seed); each game is solved at the h the modulus
+# selects and at the minimal grid step
+LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
+
+
+@pytest.fixture(scope="session")
+def ladder_run() -> dict:
+    """Calls made while solving the ladder, with their results:
+    ``"oracle"`` holds (args, kwargs, result) per ``exact_best_response`` call
+    and ``"pair"`` holds (args, result) per ``solve_2p_nash`` call."""
+    calls = {"oracle": [], "pair": []}
+    real_oracle, real_pair = verify.exact_best_response, nash2.solve_2p_nash
+
+    def recording(*args, **kwargs):
+        result = real_oracle(*args, **kwargs)
+        calls["oracle"].append((args, kwargs, result))
+        return result
+
+    def recording_pair(*args):
+        result = real_pair(*args)
+        calls["pair"].append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (verify, nash2, coalition):
+            mp.setattr(module, "exact_best_response", recording)
+        mp.setattr(nash2, "solve_2p_nash", recording_pair)
+        for outcomes, times, seed in LADDER:
+            inst = generate_instance(
+                seed=seed, n_outcomes=outcomes, n_times=times, n_players=3
+            )
+            theta = constant_time(inst.space, 0)
+            for h in (None, inst.space.grid.min_step):
+                sol = solve_three_player(inst.space, inst.fields, theta, inst.epsilon, h)
+                assert sol.certificate.passes
+    return calls

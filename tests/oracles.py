@@ -14,7 +14,8 @@ from typing import Sequence
 
 from stopgame.classic import snell
 from stopgame.config import current_guards
-from stopgame.errors import GuardExceeded
+from stopgame.errors import DeskScaleExceeded, GuardExceeded
+from stopgame.nash2 import Nash2Result
 from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField
 from stopgame.space import (
     FilteredSpace,
@@ -23,12 +24,19 @@ from stopgame.space import (
     cond_exp,
     cond_exp_at,
     constant_time,
+    rat,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import (
     BestResponseResult,
     _committed_index,
+    _nash_certificate,
+    certify_nash,
+    count_strategies2,
     enumerate_stopping_times,
+    enumerate_strategies2,
+    exact_best_response,
+    on_path_value,
 )
 from stopgame.zerosum import NodeGap
 
@@ -355,3 +363,159 @@ def reference_exact_best_response(
             for w in block:
                 out[w] = v
     return BestResponseResult(values=values, value_rv=tuple(out), objective=objective)
+
+
+# The two-player solver as it was when it solved a Snell reaction for every
+# observation, including those before its start, and left the patching to
+# its caller.  The library's solver is checked to return this pair patched at
+# the earliest start index, with the same certificate.
+
+
+def reference_own_reactions(space, field, other_slot):
+    """Snell-optimal reaction table maximizing the owner's own payoff."""
+    K = space.grid.terminal_index
+    react = []
+    for s in range(K):
+        react.append(snell(space, field.pin(other_slot, s).as_layers(), "sup", s + 1))
+    return react
+
+
+def reference_solve_2p_nash(
+    space: FilteredSpace,
+    field_a: PayoffField,
+    field_b: PayoffField,
+    start,
+    eps,
+) -> Nash2Result:
+    """Certified two-player equilibrium candidate for two-slot payoffs.
+
+    Seat 0 controls slot 0 of both fields and maximizes field_a; seat 1
+    controls slot 1 and maximizes field_b.  The returned gap is the exact
+    worst-case best-response improvement over the start atoms.
+    """
+    eps = rat(eps)
+    K = space.grid.terminal_index
+    start_st = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
+    kmin = min(start_st.idx)
+
+    react_b = reference_own_reactions(space, field_b, other_slot=0)  # b reacting to a's stop
+    react_a = reference_own_reactions(space, field_a, other_slot=1)  # a reacting to b's stop
+
+    value_a = [None] * (K + 1)
+    value_b = [None] * (K + 1)
+    value_a[K] = field_a.at((K, K))
+    value_b[K] = field_b.at((K, K))
+    stops_a = [None] * (K + 1)
+    stops_b = [None] * (K + 1)
+    stops_a[K] = (True,) * space.n_outcomes
+    stops_b[K] = (True,) * space.n_outcomes
+    for k in range(K - 1, kmin - 1, -1):
+        ss_a, ss_b = field_a.at((k, k)), field_b.at((k, k))
+        # seat a stops alone: b plays her reaction rule from k+1
+        rb = react_b[k]
+        sc_a = cond_exp(
+            space,
+            tuple(
+                field_a.value_at((k, rb.rule.idx[w]), w)
+                for w in range(space.n_outcomes)
+            ),
+            k,
+        )
+        sc_b = cond_exp(space, rb.value[k + 1], k)
+        ra = react_a[k]
+        cs_a = cond_exp(space, ra.value[k + 1], k)
+        cs_b = cond_exp(
+            space,
+            tuple(
+                field_b.value_at((ra.rule.idx[w], k), w)
+                for w in range(space.n_outcomes)
+            ),
+            k,
+        )
+        cc_a = cond_exp(space, value_a[k + 1], k)
+        cc_b = cond_exp(space, value_b[k + 1], k)
+        act_a, act_b, va, vb = [], [], [], []
+        for w in range(space.n_outcomes):
+            cells = {
+                (True, True): (ss_a[w], ss_b[w]),
+                (True, False): (sc_a[w], sc_b[w]),
+                (False, True): (cs_a[w], cs_b[w]),
+                (False, False): (cc_a[w], cc_b[w]),
+            }
+
+            def is_nash(cell):
+                xa, xb = cell
+                alt_a = cells[(not xa, xb)][0]
+                alt_b = cells[(xa, not xb)][1]
+                return cells[cell][0] >= alt_a and cells[cell][1] >= alt_b
+
+            chosen = None
+            for cell in ((True, True), (True, False), (False, True), (False, False)):
+                if is_nash(cell):
+                    chosen = cell
+                    break
+            if chosen is None:
+                # no pure node equilibrium: stop iff stopping beats waiting
+                # under the follower's reaction; certification arbitrates
+                chosen = (sc_a[w] >= cc_a[w], cs_b[w] >= cc_b[w])
+            act_a.append(chosen[0])
+            act_b.append(chosen[1])
+            pay = cells[chosen]
+            va.append(pay[0])
+            vb.append(pay[1])
+        value_a[k], value_b[k] = tuple(va), tuple(vb)
+        stops_a[k], stops_b[k] = tuple(act_a), tuple(act_b)
+
+    def read_initial(stops):
+        out = []
+        for w in range(space.n_outcomes):
+            k = start_st.idx[w]
+            while k < K and not stops[k][w]:
+                k += 1
+            out.append(k)
+        return StoppingTime(tuple(out))
+
+    terminal = constant_time(space, K)
+    strat_a = StrategyOrder2(
+        initial=read_initial(stops_a),
+        react=tuple(r.rule for r in react_a) + (terminal,),
+    )
+    strat_b = StrategyOrder2(
+        initial=read_initial(stops_b),
+        react=tuple(r.rule for r in react_b) + (terminal,),
+    )
+    cert = certify_nash(space, (field_a, field_b), [strat_a, strat_b], start_st, eps)
+    if cert.passes:
+        return Nash2Result((strat_a, strat_b), cert, fallback_used=False)
+    return reference_fallback_search(
+        space, field_a, field_b, start_st, eps, (strat_a, strat_b), cert
+    )
+
+
+def reference_fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
+    guards = current_guards()
+    count = count_strategies2(space, start_st)
+    if count * count > guards.enumeration_cap:
+        raise DeskScaleExceeded(
+            f"{count * count} strategy pairs exceed the enumeration cap"
+        )
+    strategies = list(enumerate_strategies2(space, start_st))
+    br_a_vs = []
+    br_b_vs = []
+    for s in strategies:
+        br_a_vs.append(
+            exact_best_response(space, field_a, [None, s], (0,), "max", start_st).values
+        )
+        br_b_vs.append(
+            exact_best_response(space, field_b, [s, None], (1,), "max", start_st).values
+        )
+    for i, sa in enumerate(strategies):
+        for j, sb in enumerate(strategies):
+            # a seat's best response depends only on the other seat's strategy
+            paths = [
+                on_path_value(space, f, [sa, sb], start_st)[0] for f in (field_a, field_b)
+            ]
+            cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
+            if cert.worst_gap < best.worst_gap:
+                best_pair, best = (sa, sb), cert
+    return Nash2Result(best_pair, best, fallback_used=True)

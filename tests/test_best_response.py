@@ -15,25 +15,17 @@ import pytest
 
 from conftest import random_space
 from oracles import reference_exact_best_response
-from stopgame import coalition, nash2, verify, zerosum
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import GuardExceeded
-from stopgame.generator import generate_instance
-from stopgame.nash3 import solve_three_player
 from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
     _numerators,
-    constant_time,
     make_grid,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
 from stopgame.verify import exact_best_response
-
-# (outcomes, times, generator seed); each game is solved at the h the modulus
-# selects and at the minimal grid step
-LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
 
 # mixed small denominators and large pairwise-coprime ones
 DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 998244353, 2**61 - 1)
@@ -48,27 +40,9 @@ def same_result(got, want) -> bool:
 
 
 @pytest.fixture(scope="module")
-def ladder_calls():
+def ladder_calls(ladder_run):
     """Every oracle call, with its result, made while solving the ladder."""
-    calls = []
-
-    def recording(*args, **kwargs):
-        result = exact_best_response(*args, **kwargs)
-        calls.append((args, kwargs, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (verify, nash2, zerosum, coalition):
-            mp.setattr(module, "exact_best_response", recording)
-        for outcomes, times, seed in LADDER:
-            inst = generate_instance(
-                seed=seed, n_outcomes=outcomes, n_times=times, n_players=3
-            )
-            theta = constant_time(inst.space, 0)
-            for h in (None, inst.space.grid.min_step):
-                sol = solve_three_player(inst.space, inst.fields, theta, inst.epsilon, h)
-                assert sol.certificate.passes
-    return calls
+    return ladder_run["oracle"]
 
 
 def test_oracle_matches_reference_on_ladder(ladder_calls):

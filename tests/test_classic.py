@@ -241,14 +241,14 @@ def test_convention_gap_zero_when_ordered():
 
 
 def test_solve_duel_bundles_saddle(two_outcome_space):
-    from stopgame.classic import solve_duel
-
     mu = constant_time(two_outcome_space, 0)
-    res = solve_duel(two_outcome_space, D1_LOWER, D1_UPPER, "1/10", mu)
-    assert res.value[0] == (Fraction(1), Fraction(1))
-    assert res.stop_max.idx == (1, 1)
-    assert res.stop_min.idx == (0, 0)
-    assert res.epsilon == Fraction(1, 10)
+    value = dynkin_value(two_outcome_space, D1_LOWER, D1_UPPER, mu)
+    stop_max, stop_min = dynkin_hitting_pair(
+        two_outcome_space, value, D1_LOWER, D1_UPPER, "1/10", mu
+    )
+    assert value[0] == (Fraction(1), Fraction(1))
+    assert stop_max.idx == (1, 1)
+    assert stop_min.idx == (0, 0)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -153,7 +153,7 @@ def test_certify_from_stopping_time_start():
     idx = []
     for w in range(space.n_outcomes):
         k = 0
-        while k < space.grid.terminal_index and len(space.block_members(k, w)) > 1:
+        while k < space.grid.terminal_index and len(space.partitions[k][space.block_id[k][w]]) > 1:
             k += 1
         idx.append(k)
     mu = StoppingTime(tuple(idx))

@@ -11,8 +11,8 @@ from conftest import random_rv, solo_solutions
 from stopgame.cli import main as cli_main
 from stopgame.config import ENV_OVERRIDE, current_guards
 from stopgame.errors import (
-    CertificationFailed,
     DeskScaleExceeded,
+    NoValidDelta,
     TheoremViolation,
     WindowCertificationFailed,
 )
@@ -22,7 +22,7 @@ from stopgame.nash3 import solve_three_player
 from stopgame.payoff import payoff_from_function
 from stopgame.space import FilteredSpace, cond_exp, constant_time, make_grid
 from stopgame.strategy import phi_h
-from stopgame.zerosum import ReactionGameSpec, reaction_game_saddle, reaction_game_value
+from stopgame.zerosum import ReactionGameSpec, reaction_game_value
 
 
 def test_guard_env_override(monkeypatch):
@@ -66,28 +66,6 @@ def test_node_gap_reported_not_hidden():
     space, spec = node_gap_spec()
     res = reaction_game_value(spec, 0)
     assert any(ng.k == 1 and ng.gap == 1 for ng in res.report)
-    saddle = reaction_game_saddle(spec, 0, Fraction(1, 1000))
-    assert saddle.certified_gap <= saddle.tolerance
-    assert saddle.tolerance == Fraction(1, 1000) + 1  # eps plus the weighted gap
-
-
-def test_reaction_certification_failure_surfaced(monkeypatch):
-    """An over-tolerance gap raises instead of being silently accepted."""
-    space, spec = node_gap_spec()
-    import stopgame.zerosum as zs
-
-    real = zs.exact_best_response
-
-    def inflated(space_, field, strategies, controlled, objective, start):
-        res = real(space_, field, strategies, controlled, objective, start)
-        if objective == "max":
-            bumped = {a: v + 10 for a, v in res.values.items()}
-            return type(res)(values=bumped, value_rv=res.value_rv, objective=objective)
-        return res
-
-    monkeypatch.setattr(zs, "exact_best_response", inflated)
-    with pytest.raises(CertificationFailed):
-        reaction_game_saddle(spec, 0, Fraction(1, 1000))
 
 
 def matching_pennies_fields(space):
@@ -192,32 +170,37 @@ def test_cli_malformed_guard_override_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_broken_premise_exits_2_with_eta_line(tmp_path, capsys):
-    """A user h and epsilon with eta(h) >= epsilon are an input error, not a bug."""
+    """A user h and epsilon with eta(h) >= epsilon are an input error, not a bug:
+    at seed 1 an ordering fact fails, at seed 2 the settle delay."""
     game = tmp_path / "t.json"
     out = tmp_path / "r.json"
-    gen = ["gen", "--seed", "1", "--outcomes", "3", "--times", "4", "--modulus", "20"]
-    assert cli_main([*gen, "--out", str(game)]) == 0
-    capsys.readouterr()
-    solve = ["solve", "--game", str(game), "--h", "1/4800", "--epsilon", "1/1000"]
-    assert cli_main([*solve, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "input error: eta(h) = 3618751/1000000000 >= epsilon = 1/1000 at h = 1/4800; "
-        "the construction needs eta(h) < epsilon\n"
-    )
-    assert not out.exists()
+    for seed in ("1", "2"):
+        gen = ["gen", "--seed", seed, "--outcomes", "3", "--times", "4", "--modulus", "20"]
+        assert cli_main([*gen, "--out", str(game)]) == 0
+        capsys.readouterr()
+        solve = ["solve", "--game", str(game), "--h", "1/4800", "--epsilon", "1/1000"]
+        assert cli_main([*solve, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "input error: eta(h) = 3618751/1000000000 >= epsilon = 1/1000 at h = 1/4800; "
+            "the construction needs eta(h) < epsilon\n"
+        )
+        assert not out.exists()
 
 
 def test_theorem_violation_with_premise_kept_stays_a_bug(monkeypatch):
-    """With eta(h) < epsilon an ordering failure is re-raised as it was."""
+    """With eta(h) < epsilon an ordering or settle-delay failure is re-raised
+    as it was."""
     import stopgame.nash3 as n3
 
     inst = generate_instance(seed=1, n_outcomes=3, n_times=4, n_players=3)
+    for stage, error in (("build_context", TheoremViolation), ("select_delta", NoValidDelta)):
 
-    def broken(*args):
-        raise TheoremViolation("planted")
+        def broken(*args, error=error):
+            raise error("planted")
 
-    monkeypatch.setattr(n3, "build_context", broken)
-    for h in (None, inst.space.grid.min_step):
-        with pytest.raises(TheoremViolation, match="planted"):
-            solve_three_player(inst.space, inst.fields, None, inst.epsilon, h)
+        monkeypatch.setattr(n3, stage, broken)
+        for h in (None, inst.space.grid.min_step):
+            with pytest.raises(error, match="planted"):
+                solve_three_player(inst.space, inst.fields, None, inst.epsilon, h)
+        monkeypatch.undo()

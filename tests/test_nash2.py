@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, solo_solutions
-from oracles import every_multiple
+from oracles import every_multiple, reference_solve_2p_nash
 from stopgame import nash2
 from stopgame.cli import main
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
+from stopgame.generator import generate_instance
 from stopgame.nash2 import (
     build_pair_family,
     build_coop_family,
@@ -22,8 +23,8 @@ from stopgame.nash2 import (
     stop_now_solutions,
 )
 from stopgame.payoff import payoff_from_function
-from stopgame.space import FilteredSpace, cond_exp, make_grid
-from stopgame.strategy import validate_strategy
+from stopgame.space import FilteredSpace, StoppingTime, cond_exp, make_grid
+from stopgame.strategy import patch_pair, validate_strategy
 from stopgame.verify import on_path_value
 
 
@@ -216,3 +217,73 @@ def test_single_family_tracks_snell(three_time_space):
         assert fam.kind == "single"
         for entry in fam.entries.values():
             assert entry.achieved <= entry.tolerance == eps
+
+
+def test_pair_family_solves_match_reference_patched_on_ladder(ladder_run):
+    """Every pair-family solve of the ladder's three-player games returns the
+    old solver's pair patched at its anchor, with the same certificate."""
+    pair_calls = ladder_run["pair"]
+    assert len(pair_calls) > 100
+    for args, result in pair_calls:
+        space, _, _, anchor, _ = args
+        ref = reference_solve_2p_nash(*args)
+        assert result.strategies == patch_pair(space, ref.strategies, anchor)
+        assert result.certificate == ref.certificate  # worst_gap included
+        assert result.fallback_used == ref.fallback_used
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_player_games_at_start_0_match_reference(seed):
+    """From index 0 the solver returns the old solver's pair, unpatched."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 2, n_times=4 + seed % 3, n_players=2)
+    args = (inst.space, *inst.fields, 0, inst.epsilon)
+    res = solve_2p_nash(*args)
+    ref = reference_solve_2p_nash(*args)
+    assert res.strategies == ref.strategies
+    assert res.certificate == ref.certificate
+    assert res.fallback_used == ref.fallback_used
+
+
+def test_later_start_matches_reference_patched(three_time_space):
+    """From index 1, candidate and exhaustive-fallback pairs alike are the
+    old solver's pair patched at the start."""
+    space = three_time_space
+    start = StoppingTime((1, 1))
+    changed_fallbacks = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        tables = [
+            {(a, b, w): rng.randint(0, 3) for a in range(3) for b in range(3) for w in range(2)}
+            for _ in range(2)
+        ]
+        fa, fb = (
+            payoff_from_function(space, 2, lambda ks, w, t=t: t[(ks[0], ks[1], w)])
+            for t in tables
+        )
+        args = (space, fa, fb, start, Fraction(1, 10**9))
+        res = solve_2p_nash(*args)
+        ref = reference_solve_2p_nash(*args)
+        assert res.strategies == patch_pair(space, ref.strategies, 1)
+        assert res.certificate == ref.certificate
+        assert res.fallback_used == ref.fallback_used
+        changed_fallbacks += res.fallback_used and res.strategies != ref.strategies
+    assert changed_fallbacks > 0
+
+
+def test_reactions_solved_only_from_the_start(monkeypatch):
+    """Anchored at K no reaction is solved; from k, one per seat and per
+    observation in [k, K)."""
+    inst = generate_instance(3, n_outcomes=3, n_times=5, n_players=2)
+    K = inst.space.grid.terminal_index
+    calls = []
+    real = nash2.snell
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nash2, "snell", counting)
+    for k in range(K + 1):
+        calls.clear()
+        solve_2p_nash(inst.space, *inst.fields, k, inst.epsilon)
+        assert len(calls) == 2 * (K - k)

@@ -304,7 +304,8 @@ def test_constant_payoff_profile_initials():
 
 
 def test_built_processes_are_adapted():
-    from stopgame.space import is_adapted_layer
+    def is_adapted_layer(space, x, k):
+        return all(len({x[w] for w in block}) == 1 for block in space.partitions[k])
 
     inst = generate_instance(42, n_outcomes=3)
     sol = solve_three_player(inst.space, inst.fields, eps=inst.epsilon)

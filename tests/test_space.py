@@ -13,9 +13,7 @@ from stopgame.space import (
     cond_exp_at,
     constant_time,
     expectation,
-    in_T_after,
     is_stopping_time,
-    make_adapted,
     make_grid,
     rat,
     stopped_atoms,
@@ -132,18 +130,15 @@ def test_is_stopping_time(two_outcome_space):
 def test_first_hit_of_adapted_indicator(branching_space):
     space = branching_space
     rng = random.Random(5)
-    proc = make_adapted(
-        space,
-        [
-            cond_exp(space, random_rv(rng, 3, lo=0, hi=1, den=1), k)
-            for k in range(len(space.grid))
-        ],
-    )
+    layers = [
+        cond_exp(space, random_rv(rng, 3, lo=0, hi=1, den=1), k)
+        for k in range(len(space.grid))
+    ]
     K = space.grid.terminal_index
     hit = []
     for w in range(space.n_outcomes):
         k = 0
-        while k < K and proc.values[k][w] != 1:
+        while k < K and layers[k][w] != 1:
             k += 1
         hit.append(k)
     assert is_stopping_time(space, tuple(hit))
@@ -170,25 +165,6 @@ def test_cond_exp_at_atom_oracle(branching_space):
         avg = sum((space.weights[w] * x[w] for w in members), Fraction(0)) / total
         for w in members:
             assert got[w] == avg
-
-
-def test_in_T_after(three_time_space):
-    space = three_time_space
-    rho = constant_time(space, 1)
-    assert in_T_after(space, rho, rho, strict=False)
-    assert not in_T_after(space, rho, rho, strict=True)
-    term = constant_time(space, 2)
-    assert in_T_after(space, term, rho, strict=True)
-    assert in_T_after(space, rho, term, strict=True)  # vacuous on {rho == terminal}
-    nxt = StoppingTime(tuple(min(i + 1, 2) for i in rho.idx))
-    assert in_T_after(space, nxt, rho, strict=True)
-
-
-def test_make_adapted_rejects_unmeasurable(two_outcome_space):
-    with pytest.raises(ValueError):
-        make_adapted(two_outcome_space, [(0, 1), (0, 1)])
-    proc = make_adapted(two_outcome_space, [(2, 2), (3, 1)])
-    assert proc.at_stop(StoppingTime((1, 1))) == (Fraction(3), Fraction(1))
 
 
 def test_expectation(two_outcome_space):

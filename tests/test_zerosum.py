@@ -12,7 +12,7 @@ from stopgame.generator import generate_instance
 from stopgame.payoff import payoff_from_function
 from stopgame.space import cond_exp, constant_time
 from stopgame.verify import enumerate_strategies2, resolve_profile
-from stopgame.zerosum import ReactionGameSpec, reaction_game_saddle, reaction_game_value
+from stopgame.zerosum import ReactionGameSpec, reaction_game_value
 
 
 def make_spec(space, fn, frozen=2, mx=0, mn=1):
@@ -25,8 +25,6 @@ def test_constant_game(three_time_space):
     res = reaction_game_value(spec, 0)
     assert res.value_at == (Fraction(5), Fraction(5))
     assert res.report == ()
-    saddle = reaction_game_saddle(spec, 0, "1/10")
-    assert saddle.certified_gap == 0
 
 
 def brute_strategy_value(space, view, c):
@@ -59,8 +57,6 @@ def test_difference_game_vs_enumeration(three_time_space):
     supinf, infsup = brute_strategy_value(space, spec.view(0), 0)
     if not res.report:
         assert res.value_at == supinf == infsup
-    saddle = reaction_game_saddle(spec, 0, "1/10")
-    assert saddle.certified_gap <= saddle.tolerance
 
 
 def test_random_games_match_enumeration_when_no_gap(three_time_space):
