@@ -3,9 +3,9 @@
 The model is a finite outcome set with positive rational weights and, for each
 point of a finite time grid, a partition of the outcomes (the information
 available at that time).  Partitions refine as time advances and the last grid
-point, which stands in for "never stop", separates every outcome.  All
-arithmetic is exact over :class:`fractions.Fraction`; floats are rejected at
-the boundary so that oracle-equality tests can assert with ``==``.
+point, which stands in for "never stop", separates every outcome.  Values are
+exact :class:`fractions.Fraction` (conditional expectations sum integer
+numerators per block); floats are rejected so tests can assert with ``==``.
 
 Times are handled in two forms: a *value* is the rational coordinate of a grid
 point, an *index* is its position in the grid.  Stopping times store indices.
@@ -150,16 +150,12 @@ class FilteredSpace:
         return _numerators(self.weights, math.lcm(*(w.denominator for w in self.weights)))
 
     @cached_property
-    def block_weight(self) -> tuple[tuple[Fraction, ...], ...]:
+    def block_wnum(self) -> tuple[tuple[int, ...], ...]:
+        """block_wnum[k][b] -> sum of ``wnum`` over block b of partitions[k]."""
         return tuple(
-            tuple(sum(self.weights[w] for w in block) for block in part)
+            tuple(sum(self.wnum[w] for w in block) for block in part)
             for part in self.partitions
         )
-
-    def block_average(self, x: Sequence[Fraction], k: int, b: int) -> Fraction:
-        block = self.partitions[k][b]
-        total = self.block_weight[k][b]
-        return sum((self.weights[w] * x[w] for w in block), Fraction(0)) / total
 
 
 def validate_space(space: FilteredSpace) -> list[str]:
@@ -189,11 +185,27 @@ def expectation(space: FilteredSpace, x: Sequence[Fraction]) -> Fraction:
     return sum((w * v for w, v in zip(space.weights, x)), Fraction(0))
 
 
+def _block_means(space: FilteredSpace, x: Sequence[Fraction], blocks, block_wnums) -> RV:
+    """Per outcome, the weighted average of ``x`` over its block in ``blocks``:
+    ``Fraction(S, d * W_B)`` for a block B, with d the lcm of the denominators
+    of x on B, S the integer sum of ``wnum[w] * x[w] * d`` over B and W_B (the
+    entry of ``block_wnums``) the sum of ``wnum`` over B."""
+    wnum = space.wnum
+    out: list = [None] * space.n_outcomes
+    for block, w_b in zip(blocks, block_wnums):
+        d = math.lcm(*[x[w].denominator for w in block])
+        s = 0
+        for w in block:
+            s += wnum[w] * x[w].numerator * (d // x[w].denominator)
+        avg = Fraction(s, d * w_b)
+        for w in block:
+            out[w] = avg
+    return tuple(out)
+
+
 def cond_exp(space: FilteredSpace, x: Sequence[Fraction], k: int) -> RV:
     """Conditional expectation given the time-k partition, as a new RV."""
-    averages = [space.block_average(x, k, b) for b in range(len(space.partitions[k]))]
-    ids = space.block_id[k]
-    return tuple(averages[ids[w]] for w in range(space.n_outcomes))
+    return _block_means(space, x, space.partitions[k], space.block_wnum[k])
 
 
 @dataclass(frozen=True)
@@ -255,10 +267,5 @@ def cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: StoppingTime
     """Conditional expectation given the information at a stopping time."""
     if not is_stopping_time(space, theta.idx):
         raise ValueError("conditioning requires a valid stopping time")
-    out = [Fraction(0)] * space.n_outcomes
-    for _, members in stopped_atoms(space, theta):
-        total = sum(space.weights[w] for w in members)
-        avg = sum((space.weights[w] * x[w] for w in members), Fraction(0)) / total
-        for w in members:
-            out[w] = avg
-    return tuple(out)
+    atoms = [members for _, members in stopped_atoms(space, theta)]
+    return _block_means(space, x, atoms, [sum(space.wnum[w] for w in m) for m in atoms])

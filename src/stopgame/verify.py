@@ -164,8 +164,8 @@ def exact_best_response(
     coalition).
 
     The DP runs on integers.  A node (k, B) holds its value scaled by
-    ``field.den * W_B``, where ``W_B`` sums the integer weight numerators
-    ``space.wnum`` over the block B.  A stop value is then the sum of
+    ``field.den * W_B``, where ``W_B`` (``space.block_wnum``) sums the integer
+    weight numerators ``space.wnum`` over B.  A stop value is then the sum of
     ``wnum[w] * N_w`` over B, with ``N_w`` the payoff numerator on
     ``field.den``; a continuation is the plain sum of the children's scaled
     values; and ``max``/``min`` pick the same option as on the unscaled
@@ -234,14 +234,13 @@ def exact_best_response(
     out = [Fraction(0)] * space.n_outcomes
     all_alive = (-1,) * n_seats
     for k in range(K + 1):
-        for block in space.partitions[k]:
+        for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
             members = tuple(w for w in block if start_idx[w] == k)
             if not members:
                 continue
             if members != block:
                 raise ValueError("start must be a valid stopping time")
-            scale = den * sum(wnum[w] for w in block)
-            v = Fraction(solve(k, block, all_alive), scale)
+            v = Fraction(solve(k, block, all_alive), den * w_b)
             values[(k, block)] = v
             for w in block:
                 out[w] = v

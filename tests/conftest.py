@@ -1,16 +1,31 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck
 
 from stopgame import coalition, nash2, verify
+from stopgame import space as space_module
 from stopgame.classic import snell
 from stopgame.generator import generate_instance
 from stopgame.nash2 import _double_pin
 from stopgame.nash3 import solve_three_player
 from stopgame.space import FilteredSpace, TimeGrid, constant_time, make_grid
+
+# hypothesis settings of the property tests: derandomized, so every run of
+# the suite draws the same examples (for a given hypothesis version)
+SETTINGS = dict(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# mixed small denominators and large pairwise-coprime ones
+DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 998244353, 2**61 - 1)
 
 ACCEPTANCE_CRITERIA = {
     1: "equilibrium bound 13*eps on 50 generated instances",
@@ -125,9 +140,11 @@ LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
 @pytest.fixture(scope="session")
 def ladder_run() -> dict:
     """Calls made while solving the ladder, with their results:
-    ``"oracle"`` holds (args, kwargs, result) per ``exact_best_response`` call
-    and ``"pair"`` holds (args, result) per ``solve_2p_nash`` call."""
-    calls = {"oracle": [], "pair": []}
+    ``"oracle"`` holds (args, kwargs, result) per ``exact_best_response`` call,
+    ``"pair"`` holds (args, result) per ``solve_2p_nash`` call, and
+    ``"cond_exp"`` and ``"cond_exp_at"`` hold (args, result) per call, with
+    the input RV copied to a tuple."""
+    calls = {"oracle": [], "pair": [], "cond_exp": [], "cond_exp_at": []}
     real_oracle, real_pair = verify.exact_best_response, nash2.solve_2p_nash
 
     def recording(*args, **kwargs):
@@ -140,10 +157,27 @@ def ladder_run() -> dict:
         calls["pair"].append((args, result))
         return result
 
+    def recording_average(name):
+        real = getattr(space_module, name)
+
+        def record(space, x, at):
+            result = real(space, x, at)
+            calls[name].append(((space, tuple(x), at), result))
+            return result
+
+        return real, record
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (verify, nash2, coalition):
             mp.setattr(module, "exact_best_response", recording)
         mp.setattr(nash2, "solve_2p_nash", recording_pair)
+        for name in ("cond_exp", "cond_exp_at"):
+            real, record = recording_average(name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "stopgame" and (
+                    getattr(module, name, None) is real
+                ):
+                    mp.setattr(module, name, record)
         for outcomes, times, seed in LADDER:
             inst = generate_instance(
                 seed=seed, n_outcomes=outcomes, n_times=times, n_players=3

@@ -24,12 +24,13 @@ from stopgame.space import (
     cond_exp,
     cond_exp_at,
     constant_time,
+    is_stopping_time,
     rat,
+    stopped_atoms,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import (
     BestResponseResult,
-    _committed_index,
     _nash_certificate,
     certify_nash,
     count_strategies2,
@@ -268,9 +269,63 @@ def reference_certifies_field(mod: Modulus, field: PayoffField) -> bool:
     return all(diff < mod.eval(delta) for delta, diff in reference_pair_changes(field))
 
 
+# The ``Fraction`` conditional expectations that the integer block kernel in
+# ``space`` replaced, kept as they were so the kernel is checked against them
+# with ==.  The block weight, once the cached ``FilteredSpace.block_weight``,
+# is summed in place.
+
+
+def reference_block_average(
+    space: FilteredSpace, x: Sequence[Fraction], k: int, b: int
+) -> Fraction:
+    block = space.partitions[k][b]
+    total = sum(space.weights[w] for w in block)
+    return sum((space.weights[w] * x[w] for w in block), Fraction(0)) / total
+
+
+def reference_cond_exp(space: FilteredSpace, x: Sequence[Fraction], k: int):
+    """Conditional expectation given the time-k partition, as a new RV."""
+    averages = [
+        reference_block_average(space, x, k, b) for b in range(len(space.partitions[k]))
+    ]
+    ids = space.block_id[k]
+    return tuple(averages[ids[w]] for w in range(space.n_outcomes))
+
+
+def reference_cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: StoppingTime):
+    """Conditional expectation given the information at a stopping time."""
+    if not is_stopping_time(space, theta.idx):
+        raise ValueError("conditioning requires a valid stopping time")
+    out = [Fraction(0)] * space.n_outcomes
+    for _, members in stopped_atoms(space, theta):
+        total = sum(space.weights[w] for w in members)
+        avg = sum((space.weights[w] * x[w] for w in members), Fraction(0)) / total
+        for w in members:
+            out[w] = avg
+    return tuple(out)
+
+
 # The ``Fraction`` best-response DP that the integer program in
 # ``verify.exact_best_response`` replaced, kept as it was so the new oracle's
-# values and its DP state count are checked against it.
+# values and its DP state count are checked against it.  It reads the fixed
+# seats' commitments from the strategy fields itself, so a fault in the
+# library's lookup (``verify._committed_index``) shows as a mismatch.
+
+
+def reference_committed_index(strat, seat: int, status: tuple, w: int) -> int:
+    """Stop index a fixed seat is committed to at outcome w, given ``status``
+    (per seat, its stop index or -1 while it has not stopped)."""
+    seen = [(q, s) for q, s in enumerate(status) if q != seat and s >= 0]
+    if not seen:
+        return strat.initial.idx[w]
+    if isinstance(strat, StrategyOrder2):
+        ((_, s),) = seen
+        return strat.react[s].idx[w]
+    if len(seen) == 1:
+        ((q, s),) = seen
+        return strat.react_one[q][s].idx[w]
+    (_, s_lo), (_, s_hi) = seen  # in seat order: the lower other seat first
+    return strat.react_two[(s_lo, s_hi)].idx[w]
 
 
 def reference_exact_best_response(
@@ -321,7 +376,7 @@ def reference_exact_best_response(
             for q in range(n_seats)
             if q not in controlled
             and status[q] < 0
-            and _committed_index(strategies[q], q, status, w0) == k
+            and reference_committed_index(strategies[q], q, status, w0) == k
         ]
         free = [q for q in controlled if status[q] < 0]
         best: Fraction | None = None

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_space
+from conftest import DENOMINATORS, random_space
 from oracles import reference_exact_best_response
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import GuardExceeded
@@ -26,9 +26,6 @@ from stopgame.space import (
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
 from stopgame.verify import exact_best_response
-
-# mixed small denominators and large pairwise-coprime ones
-DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 998244353, 2**61 - 1)
 
 
 def same_result(got, want) -> bool:

@@ -1,6 +1,7 @@
-"""Property tests over generated games: exact round trips and malformed input.
+"""Property tests over generated games: exact round trips, malformed input,
+and the existence theorem at user-chosen h and epsilon.
 
-Both properties run derandomized with a bounded number of examples, so the
+Every property runs derandomized with a bounded number of examples, so the
 suite stays deterministic and each test takes a few seconds.
 """
 
@@ -12,23 +13,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import SETTINGS
 from stopgame.cli import main
 from stopgame.gamefile import parse_game
-
-SETTINGS = dict(
-    derandomize=True,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+from stopgame.payoff import estimate_modulus
 
 
-def _gen(out: Path, seed: int, players: int, outcomes: int, times: int) -> None:
+def _gen(out: Path, seed: int, players: int, outcomes: int, times: int, *extra) -> None:
     assert main(["gen", "--seed", str(seed), "--players", str(players),
-                 "--outcomes", str(outcomes), "--times", str(times), "--out", str(out)]) == 0
+                 "--outcomes", str(outcomes), "--times", str(times), *extra,
+                 "--out", str(out)]) == 0
 
 
 def _atoms(rows) -> list:
@@ -64,6 +61,35 @@ def test_verify_reproduces_every_solve_gap(seed, players, outcomes, times, min_s
         assert Fraction(mine["max_gap"]) == Fraction(theirs["max_gap"])
     assert Fraction(solved["max_gap"]) == Fraction(verified["max_gap"])
     assert Fraction(solved["bound"]) == Fraction(verified["bound"])
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(
+    seed=st.integers(0, 10**6),
+    players=st.sampled_from((2, 3)),
+    outcomes=st.integers(2, 3),
+    times=st.integers(3, 4),
+    modulus=st.sampled_from(("1", "5", "20")),
+    eps=st.sampled_from((Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000))),
+    steps=st.integers(1, 3),
+)
+def test_solve_at_any_h_and_epsilon(seed, players, outcomes, times, modulus, eps, steps):
+    """The theorem's premise in the code is eta(h) < epsilon.  A solve at any
+    user h and epsilon ends with a documented exit code; a 3-player solve
+    that keeps the premise passes its 13*epsilon bound."""
+    with tempfile.TemporaryDirectory() as tmp:
+        game, rep = Path(tmp) / "g.json", Path(tmp) / "r.json"
+        _gen(game, seed, players, outcomes, times, "--modulus", modulus)
+        doc = parse_game(game.read_text())
+        h = min(steps, times - 1) * doc.space.grid.min_step
+        code = main(["solve", "--game", str(game), "--epsilon", str(eps),
+                     "--h", str(h), "--out", str(rep)])
+        assert code in (0, 1, 2, 3)
+        eta = max(estimate_modulus(f).eval(h) for f in doc.fields)
+        if players == 3 and eta < eps:
+            assert code == 0
+            report = json.loads(rep.read_text())
+            assert Fraction(report["max_gap"]) <= Fraction(report["bound"])
 
 
 @pytest.fixture(scope="module")

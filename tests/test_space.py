@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_rv, random_space
+from conftest import DENOMINATORS, SETTINGS, random_rv, random_space
+from oracles import reference_cond_exp, reference_cond_exp_at
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -169,3 +172,78 @@ def test_cond_exp_at_atom_oracle(branching_space):
 
 def test_expectation(two_outcome_space):
     assert expectation(two_outcome_space, (Fraction(2), Fraction(0))) == 1
+
+
+# The integer block kernel behind cond_exp and cond_exp_at against the
+# ``Fraction`` code it replaced (``oracles.py``), compared with ==.
+
+entries = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(DENOMINATORS)),
+)
+
+
+@st.composite
+def spaces(draw) -> FilteredSpace:
+    """A valid space: weights on mixed denominators, and refining partitions
+    of shuffled outcomes with singleton and multi-outcome blocks."""
+    n = draw(st.integers(1, 6))
+    n_times = draw(st.integers(2, 5))
+    raw = [
+        Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(DENOMINATORS)))
+        for _ in range(n)
+    ]
+    weights = tuple(r / sum(raw) for r in raw)
+    parts = [[tuple(draw(st.permutations(range(n))))]]
+    for _ in range(n_times - 2):
+        finer = []
+        for block in parts[-1]:
+            cuts = draw(st.sets(st.integers(1, len(block) - 1))) if len(block) > 1 else ()
+            edges = [0, *sorted(cuts), len(block)]
+            finer += [block[a:b] for a, b in zip(edges, edges[1:])]
+        parts.append(finer)
+    parts.append([(w,) for w in range(n)])
+    space = FilteredSpace(
+        grid=make_grid(range(n_times)), weights=weights, partitions=tuple(parts)
+    )
+    assert validate_space(space) == []
+    return space
+
+
+def drawn_stopping_time(draw, space: FilteredSpace) -> StoppingTime:
+    K = space.grid.terminal_index
+    idx = [None] * space.n_outcomes
+    for k in range(K + 1):
+        for block in space.partitions[k]:
+            if idx[block[0]] is None and (k == K or draw(st.booleans())):
+                for w in block:
+                    idx[w] = k
+    return StoppingTime(tuple(idx))
+
+
+def exact_rv(got) -> bool:
+    return all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(data=st.data(), space=spaces())
+def test_cond_exp_matches_reference(data, space):
+    x = tuple(data.draw(entries) for _ in range(space.n_outcomes))
+    for k in range(len(space.grid)):
+        got = cond_exp(space, x, k)
+        assert got == reference_cond_exp(space, x, k) and exact_rv(got)
+    theta = drawn_stopping_time(data.draw, space)
+    got = cond_exp_at(space, x, theta)
+    assert got == reference_cond_exp_at(space, x, theta) and exact_rv(got)
+
+
+def test_cond_exp_matches_reference_on_ladder(ladder_run):
+    """Every conditional expectation taken while solving the ladder."""
+    for name, reference in (
+        ("cond_exp", reference_cond_exp),
+        ("cond_exp_at", reference_cond_exp_at),
+    ):
+        calls = ladder_run[name]
+        assert len(calls) > 1000
+        for args, result in calls:
+            assert result == reference(*args) and exact_rv(result)
