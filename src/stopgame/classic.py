@@ -5,8 +5,9 @@ Everything here is exact backward induction on the finite grid:
 * Snell envelopes with earliest-optimizer rules, for one controlled stop.
 * The cooperative two-stop problem (both stops minimize one payoff), whose
   value coincides with the infimum over committed stopping-time pairs.  It
-  runs on ``node_sweep``, the backward induction over 2x2 stop/continue
-  nodes that the zero-sum reaction game in ``zerosum`` shares.
+  runs on ``node_sweep``, the one backward induction over 2x2 stop/continue
+  nodes, which the zero-sum reaction game in ``zerosum`` and the nonzero-sum
+  game in ``nash2`` share; each game only chooses the cell played per node.
 * The stopping duel where a maximizer collects the lower process at her stop
   and a minimizer the upper process at his, ties paying the maximizer's side,
   plus the epsilon-hitting times that form an exact epsilon-saddle.
@@ -81,32 +82,48 @@ class JointStopResult:
     tau: StoppingTime
 
 
-def node_sweep(space: FilteredSpace, field2: PayoffField, directions, kmin: int, combine):
-    """Backward induction over the 2x2 stop/continue nodes of a two-slot field.
+def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
+    """Backward induction over the 2x2 stop/continue nodes of a two-stop game.
 
-    Returns (layers, nodes) with ``nodes[k] = (cells, reactions)`` for k from
-    K-1 down to kmin: ``reactions[i]`` is the survivor's Snell solution from
-    k+1, in ``directions[i]``, once slot i stopped at k; the cells (both stop,
-    slot 0 alone, slot 1 alone, both continue) are priced at k, and
-    ``layers[k]`` is ``combine`` of the four cells per outcome.
+    ``fields`` is one two-slot field that both slots share (the cooperative
+    and zero-sum games) or one two-slot field per slot, each slot's own
+    payoff (the nonzero-sum game).  Returns (values, nodes) with
+    ``nodes[k] = (cells, reactions, choice)`` for k from K-1 down to kmin:
+    ``reactions[i]`` is the survivor's Snell solution from k+1 on its own
+    field ``(fields[-1], fields[0])[i]``, in ``directions[i]``, once slot i
+    stopped at k.  ``cells`` holds four cells per field (both stop, slot 0
+    alone, slot 1 alone, both continue), each E_k of the field at the stop
+    pair; on the survivor's own field this equals the E_k of its Snell value
+    (tower property).  ``choice[w]`` is ``choose(*cells)`` at outcome w, the
+    index of the played cell, and ``values[j][k]`` is field j at that cell.
     """
     K = space.grid.terminal_index
-    layers: Layers = [None] * (K + 1)
+    values = [[None] * K + [f.at((K, K))] for f in fields]
     nodes: list = [None] * (K + 1)
-    layers[K] = field2.at((K, K))
     for k in range(K - 1, kmin - 1, -1):
         reactions = tuple(
-            snell(space, field2.pin(i, k).as_layers(), directions[i], k + 1) for i in (0, 1)
+            snell(space, f.pin(i, k).as_layers(), directions[i], k + 1)
+            for i, f in enumerate((fields[-1], fields[0]))
         )
-        cells = (
-            field2.at((k, k)),
-            cond_exp(space, reactions[0].value[k + 1], k),
-            cond_exp(space, reactions[1].value[k + 1], k),
-            cond_exp(space, layers[k + 1], k),
+        lone_stops = (  # per outcome, the stop pair once slot 0 or slot 1 stopped alone
+            [(k, r) for r in reactions[0].rule.idx],
+            [(r, k) for r in reactions[1].rule.idx],
         )
-        nodes[k] = (cells, reactions)
-        layers[k] = tuple(map(combine, *cells))
-    return layers, nodes
+        cells: list = []
+        for f, layers in zip(fields, values):
+            cells.append(f.at((k, k)))
+            for pairs in lone_stops:
+                cells.append(cond_exp(space, [f.values[p][w] for w, p in enumerate(pairs)], k))
+            cells.append(cond_exp(space, layers[k + 1], k))
+        choice = tuple(map(choose, *cells))
+        for j, layers in enumerate(values):
+            layers[k] = tuple(cells[4 * j + c][w] for w, c in enumerate(choice))
+        nodes[k] = (tuple(cells), reactions, choice)
+    return values, nodes
+
+
+def _first_min(*cells):
+    return cells.index(min(cells))
 
 
 def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
@@ -114,7 +131,8 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
 
     Returns (open layers, nodes) where ``open[k]`` is the infimum over pairs
     of stops >= k and ``nodes[k]`` is the :func:`node_sweep` node at k, whose
-    reactions are the survivor's infimum once the other side stopped at k.
+    reactions are the survivor's infimum once the other side stopped at k and
+    whose choice is the first minimal cell.
     """
     if field2.arity != 2:
         raise ValueError("cooperative solver needs a two-slot field")
@@ -122,7 +140,8 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     n_states = (K + 1) * (K + 1) * space.n_outcomes
     if n_states > current_guards().dp_state_cap:
         raise GuardExceeded(f"joint stop DP needs {n_states} states")
-    return node_sweep(space, field2, ("inf", "inf"), kmin, min)
+    (layers,), nodes = node_sweep(space, (field2,), ("inf", "inf"), kmin, _first_min)
+    return layers, nodes
 
 
 def joint_inf_pair(
@@ -130,33 +149,22 @@ def joint_inf_pair(
 ) -> JointStopResult:
     """Exact infimum over committed stopping-time pairs, with one optimizer.
 
-    The forward trace prefers stopping both sides, then the first slot, then
-    the second, so constants return the earliest pair.
+    The forward trace follows each node's choice, which prefers stopping
+    both sides, then the first slot, then the second, so constants return
+    the earliest pair.
     """
     start = _start_indices(space, from_)
     kmin = min(start)
     open_layers, nodes = joint_inf_value(space, field2, kmin)
     K = space.grid.terminal_index
-    rho, tau = [0] * space.n_outcomes, [0] * space.n_outcomes
+    rho, tau = [K] * space.n_outcomes, [K] * space.n_outcomes
     for w in range(space.n_outcomes):
-        k = start[w]
-        while k < K:
-            (both, a_only, b_only, _), (after_a, after_b) = nodes[k]
-            v = open_layers[k][w]
-            if both[w] == v:
-                rho[w] = tau[w] = k
+        for k in range(start[w], K):
+            _, (after_a, after_b), choice = nodes[k]
+            if choice[w] < 3:
+                stops = ((k, k), (k, after_a.rule.idx[w]), (after_b.rule.idx[w], k))
+                rho[w], tau[w] = stops[choice[w]]
                 break
-            if a_only[w] == v:
-                rho[w] = k
-                tau[w] = after_a.rule.idx[w]
-                break
-            if b_only[w] == v:
-                tau[w] = k
-                rho[w] = after_b.rule.idx[w]
-                break
-            k += 1
-        else:
-            rho[w] = tau[w] = K
     return JointStopResult(
         value=tuple(open_layers), rho=StoppingTime(tuple(rho)), tau=StoppingTime(tuple(tau))
     )

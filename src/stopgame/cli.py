@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     PremiseViolation,
     ValidationError,
+    WindowCertificationFailed,
 )
 from .gamefile import (
     GameDoc,
@@ -103,6 +104,13 @@ def _gap_section(space, cert) -> list:
     return per_player
 
 
+def _report(kind: str, players: int, eps, bound, worst, **rest) -> dict:
+    """A report: its head, the measured worst gap against its bound, and the
+    kind's own sections."""
+    head = {"schema": REPORT_SCHEMA, "kind": kind, "players": players, "epsilon": _f2s(eps)}
+    return {**head, "bound": _f2s(bound), "max_gap": _f2s(worst), "passes": worst <= bound, **rest}
+
+
 def cmd_solve(args) -> int:
     doc = parse_game(_read(args.game))
     eps = args.epsilon or doc.epsilon
@@ -112,20 +120,26 @@ def cmd_solve(args) -> int:
     if len(doc.fields) == 2:
         res = solve_2p_nash(space, doc.fields[0], doc.fields[1], doc.theta, eps)
         cert = res.certificate
-        report = {
-            "schema": REPORT_SCHEMA,
-            "kind": "solve",
-            "players": 2,
-            "epsilon": _f2s(eps),
-            "bound": _f2s(cert.bound),
-            "fallback_used": res.fallback_used,
-            "profile": profile_to_obj(space, list(res.strategies)),
-            "per_player": _gap_section(space, cert),
-            "max_gap": _f2s(cert.worst_gap),
-            "passes": cert.passes,
-        }
+        report = _report(
+            "solve",
+            2,
+            eps,
+            cert.bound,
+            cert.worst_gap,
+            fallback_used=res.fallback_used,
+            profile=profile_to_obj(space, list(res.strategies)),
+            per_player=_gap_section(space, cert),
+        )
     else:
-        sol = solve_three_player(space, doc.fields, doc.theta, eps, h)
+        try:
+            sol = solve_three_player(space, doc.fields, doc.theta, eps, h)
+        except WindowCertificationFailed as exc:
+            # the entry's gap at one window time, against its family's bound
+            time_at = _f2s(space.grid.points[exc.at])
+            failure = {"family": exc.kind, "g": _f2s(exc.g), "time": time_at}
+            report = _report("solve", 3, eps, exc.bound, exc.achieved, window_failure=failure)
+            _write(args.out, dump_report(report))
+            raise
         cert = sol.certificate
         ctx = sol.context
         node_gaps = []
@@ -152,27 +166,22 @@ def cmd_solve(args) -> int:
             )
             for s in range(3)
         ]
-        report = {
-            "schema": REPORT_SCHEMA,
-            "kind": "solve",
-            "players": 3,
-            "epsilon": _f2s(eps),
-            "h": _f2s(ctx.h),
-            "bound": _f2s(cert.bound),
-            "profile": profile_to_obj(space, sol.profile),
-            "per_player": _gap_section(space, cert),
-            "max_gap": _f2s(cert.worst_gap),
-            "passes": cert.passes,
-            "exit_times": [
+        report = _report(
+            "solve",
+            3,
+            eps,
+            cert.bound,
+            cert.worst_gap,
+            h=_f2s(ctx.h),
+            profile=profile_to_obj(space, sol.profile),
+            per_player=_gap_section(space, cert),
+            exit_times=[
                 [_f2s(space.grid.points[i]) for i in ctx.players[s].exit_time.idx]
                 for s in range(3)
             ],
-            "delta": atoms_obj(space, ctx.delta.per_atom),
-            "events": {
-                name: list(ctx.events[s])
-                for s, name in enumerate(("A", "B", "C"))
-            },
-            "processes": [
+            delta=atoms_obj(space, ctx.delta.per_atom),
+            events={name: list(ctx.events[s]) for s, name in enumerate(("A", "B", "C"))},
+            processes=[
                 {
                     "stop_exact": _layer_obj(ctx.players[s].stop_exact),
                     "stop_family": _layer_obj(ctx.players[s].stop_family),
@@ -181,12 +190,12 @@ def cmd_solve(args) -> int:
                 }
                 for s in range(3)
             ],
-            "flags": {
+            flags={
                 "node_gaps": node_gaps,
                 "window_achieved": window,
                 "convention_gap": convention,
             },
-        }
+        )
     if args.timings:
         report["timings"] = {"solve_seconds": round(time.perf_counter() - t0, 6)}
     _write(args.out, dump_report(report))
@@ -213,16 +222,7 @@ def cmd_verify(args) -> int:
             raise ValidationError(f"strategy {p}: {'; '.join(problems)}")
     cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
     per_player = _gap_section(doc.space, cert)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "kind": "verify",
-        "players": len(profile),
-        "epsilon": _f2s(cert.eps),
-        "bound": _f2s(cert.bound),
-        "per_player": per_player,
-        "max_gap": _f2s(cert.worst_gap),
-        "passes": cert.passes,
-    }
+    report = _report("verify", n, cert.eps, cert.bound, cert.worst_gap, per_player=per_player)
     _write(args.out, dump_report(report))
     if not cert.passes:
         offenders = [
@@ -249,6 +249,9 @@ def cmd_report(args) -> int:
         if "exit_times" in obj:
             for s, et in enumerate(obj["exit_times"]):
                 lines.append(f"exit times player {s}: {et}")
+        if "window_failure" in obj:
+            line = "window failure: {family} entry at {g}, window time {time}"
+            lines.append(line.format(**obj["window_failure"]))
         if obj.get("flags", {}).get("node_gaps"):
             lines.append(f"node gaps reported: {len(obj['flags']['node_gaps'])}")
     print("\n".join(lines))

@@ -47,13 +47,14 @@ class CertificationFailed(StopGameError):
 class WindowCertificationFailed(CertificationFailed):
     """A family entry failed its tolerance at some window time.
 
-    Carries the offending family index ``g`` and conditioning time.
+    Carries the offending family index ``g``, the grid index ``at`` of the
+    window time, the family ``kind``, and the ``achieved`` gap at that time
+    against its ``bound``.
     """
 
-    def __init__(self, message: str, g=None, at=None):
+    def __init__(self, message: str, g=None, at=None, kind=None, achieved=None, bound=None):
         super().__init__(message)
-        self.g = g
-        self.at = at
+        self.g, self.at, self.kind, self.achieved, self.bound = g, at, kind, achieved, bound
 
 
 class ParseError(StopGameError):

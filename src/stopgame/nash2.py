@@ -1,9 +1,10 @@
 """Two-player nonzero-sum solver and window-robust equilibrium families.
 
 ``solve_2p_nash`` replaces the cited black-box existence theorem for the
-two-player game with a constructive candidate: a leader-follower backward
-induction whose node cells price "stop now, the other reacts in her own best
-interest" against joint continuation.  Candidates are never trusted; the exact
+two-player game with a constructive candidate: ``classic.node_sweep`` over
+both seats' fields, whose node cells price "stop now, the other reacts in her
+own best interest" against joint continuation, playing each node's first pure
+equilibrium (``_nash_cell``).  Candidates are never trusted; the exact
 best-response oracle (``verify.certify_nash``) certifies the achieved gap,
 and tiny instances fall back to exhaustive search over the enumerable
 strategy class when the candidate misses the target.  Reactions are solved
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import joint_inf_pair, snell
+from .classic import joint_inf_pair, node_sweep
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
@@ -54,14 +55,21 @@ class Nash2Result:
         return self.certificate.worst_gap
 
 
-def _own_reactions(space, field, other_slot, kmin):
-    """Snell-optimal reactions, maximizing the owner's own payoff, to each
-    observation s in [kmin, K); earlier entries are None."""
-    K = space.grid.terminal_index
-    react = [None] * kmin
-    for s in range(kmin, K):
-        react.append(snell(space, field.pin(other_slot, s).as_layers(), "sup", s + 1))
-    return react
+def _nash_cell(ss_a, sc_a, cs_a, cc_a, ss_b, sc_b, cs_b, cc_b):
+    """First pure equilibrium of a 2x2 node, in the order both stop, a alone,
+    b alone, both continue; each seat's cells are in that order too."""
+    if ss_a >= cs_a and ss_b >= sc_b:
+        return 0
+    if sc_a >= cc_a and sc_b >= ss_b:
+        return 1
+    if cs_a >= ss_a and cs_b >= cc_b:
+        return 2
+    if cc_a >= sc_a and cc_b >= cs_b:
+        return 3
+    # no pure node equilibrium: stop iff stopping beats waiting under the
+    # other's reaction; certification arbitrates.  No tie sc_a == cc_a or
+    # cs_b == cc_b gets here, as each makes one of the cells an equilibrium.
+    return (0 if sc_a >= cc_a else 2) + (0 if cs_b >= cc_b else 1)
 
 
 def solve_2p_nash(
@@ -84,92 +92,23 @@ def solve_2p_nash(
     K = space.grid.terminal_index
     start_st = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
     kmin = min(start_st.idx)
-
-    react_b = _own_reactions(space, field_b, 0, kmin)  # b reacting to a's stop
-    react_a = _own_reactions(space, field_a, 1, kmin)  # a reacting to b's stop
-
-    value_a = [None] * (K + 1)
-    value_b = [None] * (K + 1)
-    value_a[K] = field_a.at((K, K))
-    value_b[K] = field_b.at((K, K))
-    stops_a = [None] * (K + 1)
-    stops_b = [None] * (K + 1)
-    stops_a[K] = (True,) * space.n_outcomes
-    stops_b[K] = (True,) * space.n_outcomes
-    for k in range(K - 1, kmin - 1, -1):
-        ss_a, ss_b = field_a.at((k, k)), field_b.at((k, k))
-        # seat a stops alone: b plays her reaction rule from k+1
-        rb = react_b[k]
-        sc_a = cond_exp(
-            space,
-            tuple(
-                field_a.value_at((k, rb.rule.idx[w]), w)
-                for w in range(space.n_outcomes)
-            ),
-            k,
-        )
-        sc_b = cond_exp(space, rb.value[k + 1], k)
-        ra = react_a[k]
-        cs_a = cond_exp(space, ra.value[k + 1], k)
-        cs_b = cond_exp(
-            space,
-            tuple(
-                field_b.value_at((ra.rule.idx[w], k), w)
-                for w in range(space.n_outcomes)
-            ),
-            k,
-        )
-        cc_a = cond_exp(space, value_a[k + 1], k)
-        cc_b = cond_exp(space, value_b[k + 1], k)
-        act_a, act_b, va, vb = [], [], [], []
-        for w in range(space.n_outcomes):
-            cells = {
-                (True, True): (ss_a[w], ss_b[w]),
-                (True, False): (sc_a[w], sc_b[w]),
-                (False, True): (cs_a[w], cs_b[w]),
-                (False, False): (cc_a[w], cc_b[w]),
-            }
-
-            def is_nash(cell):
-                xa, xb = cell
-                alt_a = cells[(not xa, xb)][0]
-                alt_b = cells[(xa, not xb)][1]
-                return cells[cell][0] >= alt_a and cells[cell][1] >= alt_b
-
-            chosen = None
-            for cell in ((True, True), (True, False), (False, True), (False, False)):
-                if is_nash(cell):
-                    chosen = cell
-                    break
-            if chosen is None:
-                # no pure node equilibrium: stop iff stopping beats waiting
-                # under the follower's reaction; certification arbitrates
-                chosen = (sc_a[w] >= cc_a[w], cs_b[w] >= cc_b[w])
-            act_a.append(chosen[0])
-            act_b.append(chosen[1])
-            pay = cells[chosen]
-            va.append(pay[0])
-            vb.append(pay[1])
-        value_a[k], value_b[k] = tuple(va), tuple(vb)
-        stops_a[k], stops_b[k] = tuple(act_a), tuple(act_b)
-
-    def read_initial(stops):
-        out = []
-        for w in range(space.n_outcomes):
-            k = start_st.idx[w]
-            while k < K and not stops[k][w]:
-                k += 1
-            out.append(k)
-        return StoppingTime(tuple(out))
-
+    _, nodes = node_sweep(space, (field_a, field_b), ("sup", "sup"), kmin, _nash_cell)
     terminal = constant_time(space, K)
 
-    def strategy(stops, react):
+    def strategy(seat):
+        # the seat stops in the both-stop cell and in its own lone-stop cell
+        own = (0, 1 + seat)
+        initial = []
+        for w, k in enumerate(start_st.idx):
+            while k < K and nodes[k][2][w] not in own:
+                k += 1
+            initial.append(k)
+        # its reaction to the other seat's stop at k is the survivor's rule;
         # entries before kmin are placeholders that patch_pair overwrites
-        rules = tuple(terminal if r is None else r.rule for r in react)
-        return StrategyOrder2(initial=read_initial(stops), react=rules + (terminal,))
+        react = [terminal] * kmin + [nodes[k][1][1 - seat].rule for k in range(kmin, K)]
+        return StrategyOrder2(initial=StoppingTime(tuple(initial)), react=(*react, terminal))
 
-    pair = patch_pair(space, (strategy(stops_a, react_a), strategy(stops_b, react_b)), kmin)
+    pair = patch_pair(space, (strategy(0), strategy(1)), kmin)
     cert = certify_nash(space, (field_a, field_b), list(pair), start_st, eps)
     if cert.passes:
         return Nash2Result(pair, cert, fallback_used=False)
@@ -287,6 +226,9 @@ def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
                     f"{_TOL_MULT[kind]}*eps at grid index {k}",
                     g=g,
                     at=k,
+                    kind=kind,
+                    achieved=achieved,
+                    bound=tolerance,
                 )
         entries[g] = FamilyEntry(
             g=g,

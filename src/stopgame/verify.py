@@ -337,10 +337,3 @@ def nash_gap(
             )
     return list(gaps)
 
-
-def max_gap(gaps: list[dict[Atom, Fraction]]) -> Fraction:
-    worst = Fraction(0)
-    for per_player in gaps:
-        for v in per_player.values():
-            worst = max(worst, v)
-    return worst

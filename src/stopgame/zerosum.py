@@ -65,13 +65,16 @@ class ReactionValueResult:
 
 
 def _maximin(ss, sc, cs, cc):
-    """Pure maximin of a 2x2 node: the maximizer picks a row, then the minimizer."""
-    return max(min(ss, sc), min(cs, cc))
+    """Pure maximin cell of a 2x2 node: the maximizer picks a row, stop or
+    continue, then the minimizer the worse cell of that row."""
+    if min(ss, sc) >= min(cs, cc):  # the maximizer stops
+        return 0 if ss <= sc else 1
+    return 2 if cs <= cc else 3
 
 
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
     """Backward sweep; returns (layers, report)."""
-    layers, nodes = node_sweep(space, view, ("inf", "sup"), c, _maximin)
+    (layers,), nodes = node_sweep(space, (view,), ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
     for k in range(space.grid.terminal_index - 1, c - 1, -1):
         ss, sc, cs, cc = nodes[k][0]

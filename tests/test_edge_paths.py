@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -186,6 +187,30 @@ def test_cli_broken_premise_exits_2_with_eta_line(tmp_path, capsys):
             "the construction needs eta(h) < epsilon\n"
         )
         assert not out.exists()
+
+
+def test_cli_window_failure_writes_failing_report(tmp_path, capsys):
+    """A family entry over its bound exits 1 with a report that names the
+    family, the entry, the window time and the measured gap against its bound."""
+    game, out = tmp_path / "t.json", tmp_path / "r.json"
+    gen = ["gen", "--seed", "1", "--outcomes", "3", "--times", "4", "--modulus", "20"]
+    assert cli_main([*gen, "--out", str(game)]) == 0
+    capsys.readouterr()
+    solve = ["solve", "--game", str(game), "--h", "1/4800", "--epsilon", "1/10000"]
+    assert cli_main([*solve, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "certification failed: pair entry at 1/4800 reached gap 279/160000 > "
+        "11*eps at grid index 0\n"
+    )
+    report = json.loads(out.read_text())
+    assert report["passes"] is False
+    assert (report["max_gap"], report["bound"]) == ("279/160000", "11/10000")
+    assert report["window_failure"] == {"family": "nonzero_sum_pair", "g": "1/4800", "time": "0"}
+    assert cli_main(["report", "--in", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "epsilon: 1/10000  bound: 11/10000  max gap: 279/160000  passes: False",
+        "window failure: nonzero_sum_pair entry at 1/4800, window time 0",
+    ]
 
 
 def test_theorem_violation_with_premise_kept_stays_a_bug(monkeypatch):

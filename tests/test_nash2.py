@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_rv, solo_solutions
 from oracles import every_multiple, reference_solve_2p_nash
-from stopgame import nash2
+from stopgame import classic, nash2
 from stopgame.cli import main
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
@@ -276,14 +276,55 @@ def test_reactions_solved_only_from_the_start(monkeypatch):
     inst = generate_instance(3, n_outcomes=3, n_times=5, n_players=2)
     K = inst.space.grid.terminal_index
     calls = []
-    real = nash2.snell
+    real = classic.snell
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(nash2, "snell", counting)
+    monkeypatch.setattr(classic, "snell", counting)
     for k in range(K + 1):
         calls.clear()
         solve_2p_nash(inst.space, *inst.fields, k, inst.epsilon)
         assert len(calls) == 2 * (K - k)
+
+
+def one_node_game(cells_a, cells_b):
+    """Two-slot fields on one outcome over grid {0, 1} whose node at 0 has the
+    given cells for seat a and seat b, each in the order both stop, a alone,
+    b alone, both continue (the survivor's only reaction is to stop at 1)."""
+    space = FilteredSpace(
+        grid=make_grid([0, 1]), weights=(Fraction(1),), partitions=(((0,),), ((0,),))
+    )
+    cell = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+    fields = tuple(
+        payoff_from_function(space, 2, lambda ks, w, c=cells: c[cell[ks]])
+        for cells in (cells_a, cells_b)
+    )
+    return space, fields
+
+
+@pytest.mark.parametrize(
+    "cells_a, cells_b, eps, initial",
+    [
+        # chicken: a alone and b alone are both equilibria, a alone comes first
+        ((0, 1, 2, 0), (0, 2, 1, 0), 1, (0, 1)),
+        # a's tie sc_a == cc_a makes a alone a weak equilibrium; both continue
+        # and b alone are none, and the fallback would pick both stop
+        ((0, 1, 1, 1), (0, 1, 0, 0), 1, (0, 1)),
+        # matching pennies, no pure equilibrium: a waits (sc_a < cc_a) and b
+        # stops (cs_b > cc_b); a gains 1 by stopping, within eps = 1
+        ((1, 0, 0, 1), (0, 1, 1, 0), 1, (1, 0)),
+    ],
+)
+def test_node_choice_sets_initial_stops(cells_a, cells_b, eps, initial):
+    """The first pure node equilibrium in the order both stop, a alone, b
+    alone, both continue, else each seat stops iff stopping alone is at least
+    as good as waiting, is what the seats' initial stops play."""
+    space, fields = one_node_game(cells_a, cells_b)
+    res = solve_2p_nash(space, *fields, 0, eps)
+    assert not res.fallback_used
+    assert tuple(s.initial.idx[0] for s in res.strategies) == initial
+    ref = reference_solve_2p_nash(space, *fields, 0, eps)
+    assert res.strategies == ref.strategies
+    assert res.certificate == ref.certificate

@@ -22,8 +22,8 @@ from stopgame.verify import (
     count_strategies2,
     enumerate_stopping_times,
     enumerate_strategies2,
+    certify_nash,
     exact_best_response,
-    max_gap,
     nash_gap,
     on_path_value,
     resolve_profile,
@@ -131,7 +131,9 @@ def test_nash_gap_constant_three_player(three_time_space):
     fields = [payoff_from_function(space, 3, lambda ks, w: i) for i in range(3)]
     profile = [lift_constant3(space, seat, 1) for seat in range(3)]
     gaps = nash_gap(space, fields, profile, 0)
-    assert max_gap(gaps) == 0
+    cert = certify_nash(space, fields, profile, 0, eps=1)
+    assert list(cert.per_player_gaps) == gaps
+    assert cert.worst_gap == 0
 
 
 def test_gap_affine_equivariance(three_time_space):
