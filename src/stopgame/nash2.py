@@ -207,7 +207,8 @@ _TOL_MULT = {"nonzero_sum_pair": 11, "coop_pair": 5, "single": 1}
 
 def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
     """One entry per g in ``family_multiples``: ``solve_at(anchor)`` gives the
-    payload at the first grid index at or after g, and ``gap_at(payload, k)``
+    payload at the first grid index at or after g, with its gap at the anchor
+    when the solve already measured it (else None), and ``gap_at(payload, k)``
     must stay within the kind's multiple of eps at every grid index k of the
     window [g-h, g]."""
     h, eps = rat(h), rat(eps)
@@ -215,11 +216,12 @@ def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
     entries: dict[Fraction, FamilyEntry] = {}
     for g in family_multiples(space, h):
         anchor = space.grid.index_at_or_after(g)
-        payload = solve_at(anchor)
+        payload, anchor_gap = solve_at(anchor)
         achieved = Fraction(0)
         window = tuple(k for k, p in enumerate(space.grid.points) if g - h <= p <= g)
         for k in window:
-            achieved = max(achieved, gap_at(payload, k))
+            gap = anchor_gap if k == anchor and anchor_gap is not None else gap_at(payload, k)
+            achieved = max(achieved, gap)
             if achieved > tolerance:
                 raise WindowCertificationFailed(
                     f"{_ENTRY_LABEL[kind]} entry at {g} reached gap {achieved} > "
@@ -253,14 +255,16 @@ def build_pair_family(
     ``fields3[0]`` is the payoff of the owner of the lower free slot.  Entries
     are solved at their anchor (``solve_2p_nash`` patches them so that early
     observations redirect to anchor behavior), then certified at 11*eps over
-    the whole window by exact best response.
+    the whole window by exact best response.  The solve's own certificate is
+    the gap at the anchor; every other window time is certified afresh.
     """
 
     def views(k):
         return tuple(f.pin(frozen_slot, k) for f in fields3)
 
     def solve_at(anchor):
-        return solve_2p_nash(space, *views(anchor), anchor, eps).strategies
+        res = solve_2p_nash(space, *views(anchor), anchor, eps)
+        return res.strategies, res.gap
 
     def gap_at(pair, k):
         return certify_nash(space, views(k), list(pair), k, eps).worst_gap
@@ -286,12 +290,13 @@ def build_coop_family(
 
     def solve_at(anchor):
         res = stop_now[anchor]
-        return (
+        payload = (
             res.rho,
             res.tau,
             lift_obstinate2(space, res.rho),
             lift_obstinate2(space, res.tau),
         )
+        return payload, None
 
     def gap_at(payload, k):
         rho, tau = payload[:2]
@@ -322,7 +327,7 @@ def build_single_family(
     direction = solo[-1].direction
 
     def solve_at(anchor):
-        return (solo[anchor].rule,)
+        return (solo[anchor].rule,), None
 
     def gap_at(payload, k):
         (rule,) = payload

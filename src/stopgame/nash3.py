@@ -35,7 +35,7 @@ from .nash2 import (
     family_lookup,
     stop_now_solutions,
 )
-from .payoff import estimate_modulus, modulus_max, select_h
+from .payoff import estimate_modulus, select_h
 from .space import (
     RV,
     FilteredSpace,
@@ -405,22 +405,23 @@ def solve_three_player(
     while eta(h) < eps.  When one fails, eta(h) is evaluated: if the given h
     and eps break that premise, the failure is an input error
     (``PremiseViolation``); if they keep it, the ``TheoremViolation`` or
-    ``NoValidDelta`` propagates unchanged.  A passing solve at a given h
-    computes no modulus.
+    ``NoValidDelta`` propagates unchanged.  The modulus is one joint pair
+    walk over all three seats' fields; a passing solve at a given h computes
+    no modulus.
     """
     eps = rat(eps)
     if theta is None:
         theta = constant_time(space, 0)
     mod = None
     if h is None:
-        mod = modulus_max([estimate_modulus(f) for f in fields])
+        mod = estimate_modulus(*fields)
         h = select_h(mod, eps, space.grid)
     try:
         ctx = build_context(space, fields, theta, eps, h)
         profile = assemble_profile(ctx)
     except (TheoremViolation, NoValidDelta) as exc:
         if mod is None:
-            mod = modulus_max([estimate_modulus(f) for f in fields])
+            mod = estimate_modulus(*fields)
         eta = mod.eval(h)
         if eta >= eps:
             raise PremiseViolation(

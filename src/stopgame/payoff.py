@@ -6,9 +6,10 @@ tuple must be measurable at the maximum of its entries.  The continuity
 modulus table bounds payoff changes by the total numeric time displacement,
 with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
-between the last interior time and the terminal time.  The modulus walks every
-pair of time tuples on integer ticks and integer payoff numerators, and
-converts to ``Fraction`` once per distinct displacement.
+between the last interior time and the terminal time.  One modulus serves
+every seat: a single walk over the pairs of time tuples, on integer ticks,
+compares each tuple's joint row of all seats' payoff numerators on one common
+denominator, and converts to ``Fraction`` once per distinct displacement.
 """
 
 from __future__ import annotations
@@ -139,22 +140,33 @@ class Modulus:
         return eta
 
 
-def _pair_changes(field: PayoffField) -> dict[Fraction, Fraction]:
-    """Worst payoff change at each total time displacement over distinct tuple pairs.
+def _pair_changes(*fields: PayoffField) -> dict[Fraction, Fraction]:
+    """Worst payoff change, over all fields, at each total time displacement
+    over distinct tuple pairs.
 
-    The pair walk is pure ``int``: grid points become integer ticks on their
-    common denominator, so a pair's displacement is a sum of per-slot tick
-    distances, and payoff values become integer numerators on the field's
-    common denominator ``field.den``, so its change is a max of numerator
-    differences.  Only the worst change per displacement is converted back to
-    ``Fraction``.
+    The fields must share one space and one tuple set.  The pair walk is pure
+    ``int``: grid points become integer ticks on their common denominator, so
+    a pair's displacement is a sum of per-slot tick distances, computed once
+    per pair for all fields.  Each tuple's row joins every field's payoff
+    numerators on one common denominator, the lcm of the fields' ``den``, so
+    a pair's change is a max of numerator differences over the joint row.
+    Only the worst change per displacement is converted back to ``Fraction``.
     """
-    points = field.space.grid.points
+    if not fields:
+        raise ValueError("the modulus needs at least one field")
+    space, layers = fields[0].space, fields[0].values
+    for f in fields[1:]:
+        if f.space != space or f.values.keys() != layers.keys():
+            raise ValueError("fields of one modulus must share a space and a tuple set")
+    points = space.grid.points
     tick_den = math.lcm(*(t.denominator for t in points))
     ticks = _numerators(points, tick_den)
     dist = [[abs(a - b) for b in ticks] for a in ticks]
-    layers = field.values
-    rows = [(ks, _numerators(layers[ks], field.den)) for ks in sorted(layers)]
+    den = math.lcm(*(f.den for f in fields))
+    rows = [
+        (ks, [n for f in fields for n in _numerators(f.values[ks], den)])
+        for ks in sorted(layers)
+    ]
     worst: dict[int, int] = {}
     for i, (ks, x) in enumerate(rows):
         dist_from = [dist[a] for a in ks]
@@ -164,19 +176,24 @@ def _pair_changes(field: PayoffField) -> dict[Fraction, Fraction]:
             if change > worst.get(delta, -1):
                 worst[delta] = change
     return {
-        Fraction(delta, tick_den): Fraction(change, field.den)
+        Fraction(delta, tick_den): Fraction(change, den)
         for delta, change in worst.items()
     }
 
 
-def estimate_modulus(field: PayoffField) -> Modulus:
-    """Empirical modulus: max payoff change at each total time displacement.
+def estimate_modulus(*fields: PayoffField) -> Modulus:
+    """Empirical modulus: max payoff change at each total time displacement,
+    over one or more fields on the same space and tuple set.
 
-    The strict-inequality slack is one representable unit added to every
-    positive-displacement entry, so the bound certifies the field with strict
-    inequalities at displacement > 0 (equal tuples are trivially unchanged).
+    The result equals ``modulus_max`` of the single-field moduli: the joint
+    worst change at a displacement is the max of the per-field ones, and a
+    running max of maxima is the max of the running maxima.  The
+    strict-inequality slack is one representable unit added to every
+    positive-displacement entry, so the bound certifies the fields with
+    strict inequalities at displacement > 0 (equal tuples are trivially
+    unchanged).
     """
-    worst = _pair_changes(field)
+    worst = _pair_changes(*fields)
     table: list[tuple[Fraction, Fraction]] = []
     running = Fraction(0)
     for delta in sorted(worst):
@@ -206,20 +223,22 @@ def certifies_field(mod: Modulus, field: PayoffField) -> bool:
 
 
 def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:
-    """Largest positive multiple of the minimal grid step with eta(h) < eps."""
+    """Largest positive multiple of the minimal grid step with eta(h) < eps.
+
+    eta is a nondecreasing staircase, so eta(h) < eps exactly for h below
+    the first tabulated delta d* whose value reaches eps: the answer is the
+    largest multiple m * step with m * step < d* and m * step <= span.
+    """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     step = grid.min_step
-    best = None
-    m = 1
-    while m * step <= grid.span:
-        h = m * step
-        if mod.eval(h) < eps:
-            best = h
-        m += 1
-    if best is None:
+    m = grid.span // step
+    first_reach = next((d for d, v in mod.table if v >= eps), None)
+    if first_reach is not None:
+        m = min(m, math.ceil(first_reach / step) - 1)
+    if m < 1:
         raise NoValidH(
             f"even the minimal step {step} has eta={mod.eval(step)} >= {eps}"
         )
-    return best
+    return m * step

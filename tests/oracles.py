@@ -14,12 +14,13 @@ from typing import Sequence
 
 from stopgame.classic import snell
 from stopgame.config import current_guards
-from stopgame.errors import DeskScaleExceeded, GuardExceeded
+from stopgame.errors import DeskScaleExceeded, GuardExceeded, NoValidH
 from stopgame.nash2 import Nash2Result
 from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
+    TimeGrid,
     _start_indices,
     cond_exp,
     cond_exp_at,
@@ -267,6 +268,32 @@ def reference_estimate_modulus(field: PayoffField) -> Modulus:
 def reference_certifies_field(mod: Modulus, field: PayoffField) -> bool:
     """Strict modulus bound over all distinct tuple pairs of the field."""
     return all(diff < mod.eval(delta) for delta, diff in reference_pair_changes(field))
+
+
+# The step-by-step window-width search that the closed form in
+# ``payoff.select_h`` replaced, kept as it was so the two are checked against
+# each other with ==.  It evaluates eta at every multiple of the step, so it
+# runs only on grids with a few thousand steps.
+
+
+def reference_select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:
+    """Largest positive multiple of the minimal grid step with eta(h) < eps."""
+    eps = rat(eps)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    step = grid.min_step
+    best = None
+    m = 1
+    while m * step <= grid.span:
+        h = m * step
+        if mod.eval(h) < eps:
+            best = h
+        m += 1
+    if best is None:
+        raise NoValidH(
+            f"even the minimal step {step} has eta={mod.eval(step)} >= {eps}"
+        )
+    return best
 
 
 # The ``Fraction`` conditional expectations that the integer block kernel in

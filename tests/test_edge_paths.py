@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, solo_solutions
+from stopgame import payoff
 from stopgame.cli import main as cli_main
 from stopgame.config import ENV_OVERRIDE, current_guards
 from stopgame.errors import (
@@ -229,3 +230,64 @@ def test_theorem_violation_with_premise_kept_stays_a_bug(monkeypatch):
             with pytest.raises(error, match="planted"):
                 solve_three_player(inst.space, inst.fields, None, inst.epsilon, h)
         monkeypatch.undo()
+
+
+@pytest.fixture
+def pair_walks(monkeypatch):
+    """Field counts of the modulus pair walks made while the test runs."""
+    walks = []
+    real = payoff._pair_changes
+
+    def counting(*fields):
+        walks.append(len(fields))
+        return real(*fields)
+
+    monkeypatch.setattr(payoff, "_pair_changes", counting)
+    return walks
+
+
+def test_auto_h_solve_walks_the_tuple_pairs_once(pair_walks, monkeypatch):
+    """One joint walk over all three seats' fields chooses h, and the eta(h)
+    recheck after a failure reuses that modulus."""
+    import stopgame.nash3 as n3
+
+    inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
+    sol = solve_three_player(inst.space, inst.fields, None, inst.epsilon)
+    assert sol.certificate.passes
+    assert pair_walks == [3]
+    pair_walks.clear()
+
+    def broken(*args):
+        raise TheoremViolation("planted")
+
+    monkeypatch.setattr(n3, "build_context", broken)
+    with pytest.raises(TheoremViolation, match="planted"):
+        solve_three_player(inst.space, inst.fields, None, inst.epsilon)
+    assert pair_walks == [3]
+
+
+def test_passing_solve_at_given_h_walks_no_tuple_pairs(pair_walks):
+    inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
+    sol = solve_three_player(inst.space, inst.fields, None, inst.epsilon, inst.space.grid.min_step)
+    assert sol.certificate.passes
+    assert pair_walks == []
+
+
+def test_broken_premise_walks_the_tuple_pairs_once(tmp_path, capsys, pair_walks):
+    """The reproduction of test_cli_broken_premise_exits_2_with_eta_line: one
+    joint walk per solve, and the same eta line byte for byte."""
+    game = tmp_path / "t.json"
+    out = tmp_path / "r.json"
+    for seed in ("1", "2"):
+        gen = ["gen", "--seed", seed, "--outcomes", "3", "--times", "4", "--modulus", "20"]
+        assert cli_main([*gen, "--out", str(game)]) == 0
+        capsys.readouterr()
+        pair_walks.clear()
+        solve = ["solve", "--game", str(game), "--h", "1/4800", "--epsilon", "1/1000"]
+        assert cli_main([*solve, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: eta(h) = 3618751/1000000000 >= epsilon = 1/1000 at h = 1/4800; "
+            "the construction needs eta(h) < epsilon\n"
+        )
+        assert pair_walks == [3]
+

@@ -25,7 +25,7 @@ from stopgame.nash2 import (
 from stopgame.payoff import payoff_from_function
 from stopgame.space import FilteredSpace, StoppingTime, cond_exp, make_grid
 from stopgame.strategy import patch_pair, validate_strategy
-from stopgame.verify import on_path_value
+from stopgame.verify import certify_nash, on_path_value
 
 
 def test_constant_payoffs_gap_zero(three_time_space):
@@ -230,6 +230,62 @@ def test_pair_family_solves_match_reference_patched_on_ladder(ladder_run):
         assert result.strategies == patch_pair(space, ref.strategies, anchor)
         assert result.certificate == ref.certificate  # worst_gap included
         assert result.fallback_used == ref.fallback_used
+
+
+def test_pair_anchor_gap_is_a_fresh_certificate_on_ladder(ladder_run):
+    """``build_pair_family`` takes each anchor's gap from the solve's own
+    certificate; it equals a fresh ``certify_nash`` of the returned pair."""
+    for (space, fa, fb, anchor, eps), result in ladder_run["pair"]:
+        fresh = certify_nash(space, (fa, fb), list(result.strategies), anchor, eps)
+        assert result.gap == fresh.worst_gap
+        assert result.certificate == fresh
+
+
+def test_pair_anchor_gap_is_a_fresh_certificate_after_fallback(three_time_space):
+    """At start index 1 the exhaustive fallback certifies the unpatched pair;
+    the patched pair it returns has the same certificate."""
+    space = three_time_space
+    changed_fallbacks = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        tables = [
+            {(a, b, w): rng.randint(0, 3) for a in range(3) for b in range(3) for w in range(2)}
+            for _ in range(2)
+        ]
+        fa, fb = (
+            payoff_from_function(space, 2, lambda ks, w, t=t: t[(ks[0], ks[1], w)])
+            for t in tables
+        )
+        args = (space, fa, fb, 1, Fraction(1, 10**9))
+        res = solve_2p_nash(*args)
+        fresh = certify_nash(space, (fa, fb), list(res.strategies), 1, args[-1])
+        assert res.gap == fresh.worst_gap
+        assert res.certificate == fresh
+        raw = reference_solve_2p_nash(*args).strategies
+        changed_fallbacks += res.fallback_used and res.strategies != raw
+    assert changed_fallbacks > 0
+
+
+def test_pair_family_entries_match_fresh_window_certificates():
+    """Every entry's achieved gap is the max of fresh ``certify_nash`` gaps
+    over its window, the anchor included, at the minimal step."""
+    inst = generate_instance(seed=8, n_outcomes=4, n_times=6, n_players=3)
+    space, eps, h = inst.space, inst.epsilon, inst.space.grid.min_step
+    anchors_in_window = 0
+    for frozen in range(3):
+        free = [q for q in range(3) if q != frozen]
+        fields3 = (inst.fields[free[0]], inst.fields[free[1]])
+        fam = build_pair_family(space, fields3, frozen, h, eps)
+        for entry in fam.entries.values():
+            gaps = [
+                certify_nash(
+                    space, [f.pin(frozen, k) for f in fields3], list(entry.payload), k, eps
+                ).worst_gap
+                for k in entry.window
+            ]
+            assert entry.achieved == max([Fraction(0), *gaps])
+            anchors_in_window += entry.anchor in entry.window
+    assert anchors_in_window > 0
 
 
 @pytest.mark.parametrize("seed", range(6))

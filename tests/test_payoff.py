@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,14 @@ from oracles import (
     reference_certifies_field,
     reference_estimate_modulus,
     reference_pair_changes,
+    reference_select_h,
 )
 from stopgame.errors import NoValidH
 from stopgame.generator import generate_instance
 from stopgame.payoff import (
     MODULUS_SLACK,
     Modulus,
+    PayoffField,
     certifies_field,
     check_adapted,
     estimate_modulus,
@@ -24,7 +28,7 @@ from stopgame.payoff import (
     payoff_from_function,
     select_h,
 )
-from stopgame.space import FilteredSpace, cond_exp, make_grid
+from stopgame.space import FilteredSpace, TimeGrid, cond_exp, make_grid
 
 
 def test_time_only_payoff_is_adapted(three_time_space):
@@ -146,10 +150,8 @@ def test_pin_reduces_arity(three_time_space):
     assert pinned.value_at((1, 0), 0) == 1 * 9 + 2 * 3 + 0
 
 
-def _hand_built_fields():
-    """Fields on a non-uniform grid with mixed denominators: random, negative,
-    large pairwise-coprime value denominators, constant, arity 1 and arity 0."""
-    space = FilteredSpace(
+def _hand_built_space():
+    return FilteredSpace(
         grid=make_grid([0, "1/3", "1/2", "7/5", 3]),
         weights=(Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)),
         partitions=(
@@ -160,6 +162,12 @@ def _hand_built_fields():
             ((0,), (1,), (2,)),
         ),
     )
+
+
+def _hand_built_fields():
+    """Fields on a non-uniform grid with mixed denominators: random, negative,
+    large pairwise-coprime value denominators, constant, arity 1 and arity 0."""
+    space = _hand_built_space()
     rng = random.Random(31)
     coprime = (10**9 + 7, 998244353, 2**61 - 1, 1000003, 65537)
     fields = []
@@ -236,3 +244,136 @@ def test_modulus_kernel_matches_reference_on_bench_ladder():
     # the modulus only; the certificate runs on the fields above
     for field in _ladder_fields():
         assert estimate_modulus(field) == reference_estimate_modulus(field)
+
+
+def _assert_joint_modulus_is_modulus_max(fields):
+    joint = estimate_modulus(*fields)
+    assert joint == modulus_max([estimate_modulus(f) for f in fields])
+
+
+def test_joint_modulus_is_modulus_max_on_acceptance_seeds():
+    for seed in range(1, 51):
+        inst = generate_instance(
+            seed, n_outcomes=2 + seed % 2, n_times=3 + (seed // 2) % 2, epsilon="1/20"
+        )
+        _assert_joint_modulus_is_modulus_max(inst.fields)
+
+
+def test_joint_modulus_is_modulus_max_on_bench_ladder():
+    for players in (2, 3):
+        for outcomes, times in ((2, 4), (3, 5), (4, 6)):
+            for seed in (1, 2):
+                inst = generate_instance(
+                    seed, n_outcomes=outcomes, n_times=times, n_players=players
+                )
+                _assert_joint_modulus_is_modulus_max(inst.fields)
+
+
+def test_joint_modulus_is_modulus_max_on_coprime_seats():
+    """Each seat has its own large prime value denominator and signed values,
+    so the joint row's common denominator is their product; one seat set
+    also mixes in the small-denominator fields."""
+    space = _hand_built_space()
+    rng = random.Random(37)
+    primes = (10**9 + 7, 998244353, 2**61 - 1)
+    for arity in (1, 2, 3):
+        seats = [
+            payoff_from_function(
+                space, arity, lambda ks, w, p=p: Fraction(rng.randint(-(10**12), 10**12), p)
+            )
+            for p in primes
+        ]
+        assert math.lcm(*(f.den for f in seats)) == math.prod(primes)
+        _assert_joint_modulus_is_modulus_max(seats)
+        _assert_joint_modulus_is_modulus_max(seats[:2])
+        _assert_joint_modulus_is_modulus_max([seats[2], seats[2].negated()])
+    small = [f for f in _hand_built_fields() if f.arity == 2]
+    _assert_joint_modulus_is_modulus_max([*small, seats[0].pin(0, 1), seats[1].pin(2, 3)])
+
+
+def test_joint_modulus_rejects_mismatched_fields():
+    space = _hand_built_space()
+    f2 = payoff_from_function(space, 2, lambda ks, w: ks[0] - ks[1])
+    f1 = payoff_from_function(space, 1, lambda ks, w: ks[0])
+    partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks != (4, 4)})
+    other_space = FilteredSpace(
+        grid=make_grid([0, "1/3", "1/2", "7/5", 4]),
+        weights=space.weights,
+        partitions=space.partitions,
+    )
+    moved = PayoffField(other_space, 2, f2.values)
+    for pair in ((f2, f1), (f2, partial), (partial, f2), (f2, moved)):
+        with pytest.raises(ValueError):
+            estimate_modulus(*pair)
+    with pytest.raises(ValueError):
+        estimate_modulus()
+
+
+def _random_staircase(rng, grid, eps):
+    """Nondecreasing staircase over random deltas in (0, 2*span], with some
+    values at exactly eps."""
+    step = grid.min_step
+    deltas = sorted({step * Fraction(rng.randint(1, 40 * len(grid)), 20) for _ in range(rng.randint(0, 8))})
+    values, v = [], Fraction(0)
+    for _ in deltas:
+        v += rng.choice((Fraction(0), eps / 4, eps / 3, eps - v if v < eps else Fraction(0)))
+        values.append(v)
+    return Modulus(tuple(zip(deltas, values)))
+
+
+def _assert_select_h_matches_reference(mod, eps, grid):
+    try:
+        want = reference_select_h(mod, eps, grid)
+    except NoValidH as exc:
+        with pytest.raises(NoValidH) as got:
+            select_h(mod, eps, grid)
+        assert str(got.value) == str(exc)
+        return
+    assert select_h(mod, eps, grid) == want
+
+
+def test_select_h_matches_reference_on_random_staircases():
+    rng = random.Random(41)
+    grids = [make_grid([0, "1/4", "1/2", "3/4", 1]), make_grid([0, "1/3", "1/2", "7/5", 3])]
+    grids.append(TimeGrid((Fraction(1, 2), Fraction(3, 2), Fraction(17, 7))))
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        points = sorted({Fraction(rng.randint(0, 20), rng.choice((1, 3, 7))) for _ in range(n)})
+        if len(points) >= 2:
+            grids.append(TimeGrid(tuple(points)))
+    for grid in grids:
+        for eps in (Fraction(1, 20), Fraction(1, 3), Fraction(7, 2)):
+            for _ in range(8):
+                _assert_select_h_matches_reference(_random_staircase(rng, grid, eps), eps, grid)
+            _assert_select_h_matches_reference(Modulus(()), eps, grid)
+
+
+def test_select_h_matches_reference_on_long_grids():
+    """Grids of up to 10**4 minimal steps, with the staircase reaching eps
+    before, at, between and after multiples of the step."""
+    rng = random.Random(43)
+    eps = Fraction(1, 20)
+    for steps in (2, 10, 999, 10**4):
+        step = Fraction(1, steps)
+        grid = make_grid([0, step, 1])
+        for first in (step / 3, step, 2 * step, Fraction(1, 2), Fraction(1, 2) + step / 2, 1, 2):
+            mod = Modulus(((step / 7, eps / 2), (first, eps), (first + 1, eps * 2)))
+            _assert_select_h_matches_reference(mod, eps, grid)
+        _assert_select_h_matches_reference(_random_staircase(rng, grid, eps), eps, grid)
+
+
+def test_select_h_on_a_tiny_step_is_closed_form():
+    """On [0, 1e-9, 1] the old step-by-step search would take hours."""
+    step = Fraction(1, 10**9)
+    grid = make_grid([0, step, 1])
+    eps = Fraction(1, 20)
+    start = time.perf_counter()
+    assert select_h(Modulus(()), eps, grid) == 1
+    assert select_h(Modulus(((Fraction(1, 3), eps),)), eps, grid) == 333333333 * step
+    assert select_h(Modulus(((step, eps / 2), (Fraction(1, 2), eps))), eps, grid) == (
+        Fraction(1, 2) - step
+    )
+    with pytest.raises(NoValidH):
+        select_h(Modulus(((step, eps),)), eps, grid)
+    assert time.perf_counter() - start < 0.5
+
