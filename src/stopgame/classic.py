@@ -202,30 +202,21 @@ def dynkin_value(
     return tuple(value)
 
 
-def dynkin_value_alt(
-    space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
-) -> tuple:
-    """Same duel under the tie-pays-the-minimizer convention."""
-    start = _start_indices(space, from_)
-    kmin = min(start)
-    K = space.grid.terminal_index
-    value: Layers = [None] * (K + 1)
-    value[K] = tuple(upper[K])
-    for k in range(K - 1, kmin - 1, -1):
-        cont = cond_exp(space, value[k + 1], k)
-        value[k] = tuple(
-            min(y, max(x, c)) for x, y, c in zip(lower[k], upper[k], cont)
-        )
-    return tuple(value)
+def _negated(layers: Sequence) -> tuple:
+    return tuple(None if x is None else tuple(-v for v in x) for x in layers)
 
 
 def dynkin_convention_gap(
     space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
 ) -> Fraction:
-    """Largest reachable difference between the two tie conventions."""
+    """Largest reachable difference between the two tie conventions.
+
+    The tie-pays-the-minimizer duel is the mirror of the main one: the
+    minimizer of ``upper`` is the maximizer of ``-upper`` against ``-lower``.
+    """
     start = _start_indices(space, from_)
     main = dynkin_value(space, lower, upper, from_)
-    alt = dynkin_value_alt(space, lower, upper, from_)
+    alt = _negated(dynkin_value(space, _negated(upper), _negated(lower), from_))
     K = space.grid.terminal_index
     gap = Fraction(0)
     for k in range(min(start), K + 1):

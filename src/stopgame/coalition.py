@@ -32,8 +32,8 @@ from .nash2 import (
     stop_now_solutions,
 )
 from .payoff import PayoffField
-from .space import FilteredSpace, StoppingTime, constant_time, rat
-from .strategy import StrategyOrder3
+from .space import FilteredSpace, StoppingTime, rat
+from .strategy import StrategyOrder3, dense_strategy3
 from .verify import exact_best_response, on_path_value
 
 Atom = tuple[int, tuple[int, ...]]
@@ -67,18 +67,19 @@ def build_components(
     mu: StoppingTime,
     eps,
     h,
+    stop_now=None,
 ) -> CoalitionComponents:
-    """All processes, hitting times and families of the coalition game."""
-    if payoff.arity != 3:
-        raise ValueError("coalition games need a three-slot payoff")
-    stop_now = stop_now_solutions(space, payoff, max_player)
-    return _build_components(space, payoff, max_player, mu, eps, h, stop_now)
+    """All processes, hitting times and families of the coalition game.
 
-
-def _build_components(space, payoff, max_player, mu, eps, h, stop_now):
-    """``build_components`` given the leader's ``stop_now_solutions``."""
+    ``stop_now`` is the leader's ``stop_now_solutions``; it is computed here
+    when the caller has none.
+    """
     from .zerosum import ReactionGameSpec, reaction_game_value
 
+    if payoff.arity != 3:
+        raise ValueError("coalition games need a three-slot payoff")
+    if stop_now is None:
+        stop_now = stop_now_solutions(space, payoff, max_player)
     eps, h = rat(eps), rat(h)
     L = max_player
     cj, ck = sorted(s for s in range(3) if s != L)
@@ -204,21 +205,16 @@ def assemble_saddle(
     cj, ck = comp.coalition
     grid = space.grid
     n = space.n_outcomes
-    terminal = constant_time(space, K)
 
     def fam(key):
         return comp.families[key]
 
     def leader_react_one(member, t_idx) -> StoppingTime:
-        if t_idx == K:
-            return terminal
         entry = family_lookup(fam(("pair", member)), grid.points[t_idx])
         other = ck if member == cj else cj
         return _pair_component(entry, (L, other), L).initial
 
     def leader_react_two(t_cj, t_ck) -> StoppingTime:
-        if max(t_cj, t_ck) == K:
-            return terminal
         if t_cj < t_ck:
             entry = family_lookup(fam(("pair", cj)), grid.points[t_cj])
             return _pair_component(entry, (L, ck), L).react[t_ck]
@@ -228,38 +224,23 @@ def assemble_saddle(
         entry = family_lookup(fam(("single", L)), grid.points[t_cj])
         return entry.payload[0]
 
-    leader = StrategyOrder3(
-        seat=L,
-        initial=comp.leader_hit,
-        react_one={
-            cj: tuple(leader_react_one(cj, s) for s in range(K + 1)),
-            ck: tuple(leader_react_one(ck, s) for s in range(K + 1)),
-        },
-        react_two={
-            (a, b): leader_react_two(a, b) for a in range(K + 1) for b in range(K + 1)
-        },
-    )
+    leader = dense_strategy3(space, L, comp.leader_hit, leader_react_one, leader_react_two)
 
     def member_strategy(me: int, partner: int, designated_on: bool) -> StrategyOrder3:
         # coop payload: (rho, tau, lifted rho, lifted tau); rho belongs to the
         # lower coalition seat
         my_coop_slot = 0 if me == cj else 1
 
-        def react_leader(t_idx) -> StoppingTime:
-            if t_idx == K:
-                return terminal
-            entry = family_lookup(fam("coop"), grid.points[t_idx])
-            return entry.payload[my_coop_slot]
-
-        def react_partner(t_idx) -> StoppingTime:
-            if t_idx == K:
-                return terminal
+        def react_one(q, t_idx) -> StoppingTime:
+            if q == L:
+                entry = family_lookup(fam("coop"), grid.points[t_idx])
+                return entry.payload[my_coop_slot]
             entry = family_lookup(fam(("pair", partner)), grid.points[t_idx])
             return _pair_component(entry, (L, me), me).initial
 
-        def react_both(t_leader: int, t_partner: int) -> StoppingTime:
-            if max(t_leader, t_partner) == K:
-                return terminal
+        def react_two(a: int, b: int) -> StoppingTime:
+            # a is the lower other seat's time
+            t_leader, t_partner = (a, b) if L < partner else (b, a)
             if t_leader < t_partner:
                 entry = family_lookup(fam("coop"), grid.points[t_leader])
                 lifted = entry.payload[2 + my_coop_slot]
@@ -278,20 +259,7 @@ def assemble_saddle(
                 for w in range(n)
             )
         )
-        lo = min(L, partner)
-        react_two = {}
-        for a in range(K + 1):
-            for b in range(K + 1):
-                # key (a, b): a is seat lo's time, b is seat hi's time
-                t_leader, t_partner = (a, b) if lo == L else (b, a)
-                react_two[(a, b)] = react_both(t_leader, t_partner)
-        return StrategyOrder3(
-            seat=me,
-            initial=initial,
-            react_one={L: tuple(react_leader(s) for s in range(K + 1)),
-                       partner: tuple(react_partner(s) for s in range(K + 1))},
-            react_two=react_two,
-        )
+        return dense_strategy3(space, me, initial, react_one, react_two)
 
     member_lo = member_strategy(cj, ck, designated_on=True)
     member_hi = member_strategy(ck, cj, designated_on=False)

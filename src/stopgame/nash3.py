@@ -22,11 +22,12 @@ its duel and its coalition game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classic import dynkin_value
-from .coalition import _build_components, assemble_saddle
+from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
 from .nash2 import (
     EquilibriumFamily,
@@ -45,7 +46,7 @@ from .space import (
     rat,
     stopped_atoms,
 )
-from .strategy import StrategyOrder3, resolve2, validate_strategy
+from .strategy import StrategyOrder3, dense_strategy3, resolve2, validate_strategy
 from .verify import NashCertificate, certify_nash
 
 Atom = tuple[int, tuple[int, ...]]
@@ -185,9 +186,7 @@ def select_delta(
     committed-stop processes and duel values stable across the delay window."""
     eps = rat(eps)
     step = space.grid.min_step
-    max_m = 1
-    while max_m * step < space.grid.span:
-        max_m += 1
+    max_m = max(1, math.ceil(space.grid.span / step))
     atoms = stopped_atoms(space, theta)
     per_atom: dict[Atom, Fraction] = {}
 
@@ -279,7 +278,7 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     }
     saddles = {}
     for s in range(3):
-        comp = _build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s])
+        comp = build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s])
         trio = assemble_saddle(comp)
         by_seat = {comp.leader: trio[0], comp.coalition[0]: trio[1], comp.coalition[1]: trio[2]}
         saddles[s] = (comp, by_seat)
@@ -301,7 +300,6 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
 def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
     """Literal transcription of the dispatch tables into dense strategies."""
     space = ctx.space
-    K = space.grid.terminal_index
     n = space.n_outcomes
     points = space.grid.points
 
@@ -316,70 +314,41 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
         free = sorted(q for q in range(3) if q != stopped)
         return _pair_component(entry, free, want)
 
+    event = [event_seat(w) for w in range(n)]
     profile: list[StrategyOrder3] = []
     for p in range(3):
-        others = sorted(q for q in range(3) if q != p)
+        lo, hi = sorted(q for q in range(3) if q != p)
+        initial = StoppingTime(tuple(
+            ctx.players[p].exit_time.idx[w] if e == p else ctx.saddles[e][1][p].initial.idx[w]
+            for w, e in enumerate(event)
+        ))
 
-        initial_idx = []
-        for w in range(n):
-            e = event_seat(w)
-            if e == p:
-                initial_idx.append(ctx.players[p].exit_time.idx[w])
-            else:
-                initial_idx.append(ctx.saddles[e][1][p].initial.idx[w])
-
-        def react_one_entry(q: int, s: int) -> StoppingTime:
-            if s == K:
-                return constant_time(space, K)
+        def react_one(q: int, s: int) -> StoppingTime:
             vals = []
-            for w in range(n):
-                e = event_seat(w)
+            for w, e in enumerate(event):
                 if e != p and points[s] >= points[ctx.shifted_exit[e].idx[w]]:
                     vals.append(ctx.saddles[e][1][p].react_one[q][s].idx[w])
                 else:
                     vals.append(overline_component(q, s, p).initial.idx[w])
             return StoppingTime(tuple(vals))
 
-        def react_two_entry(a: int, b: int) -> StoppingTime:
-            lo, hi = others
-            if max(a, b) == K:
-                return constant_time(space, K)
+        def react_two(a: int, b: int) -> StoppingTime:
             vals = []
-            for w in range(n):
-                e = event_seat(w)
-                first = min(a, b)
-                used = None
-                if e != p and points[first] >= points[ctx.shifted_exit[e].idx[w]]:
-                    used = ctx.saddles[e][1][p].react_two[(a, b)].idx[w]
-                elif (
-                    e != p
-                    and a == b
-                    and a == ctx.players[e].exit_time.idx[w]
-                ):
+            for w, e in enumerate(event):
+                if e != p and points[min(a, b)] >= points[ctx.shifted_exit[e].idx[w]]:
+                    vals.append(ctx.saddles[e][1][p].react_two[(a, b)].idx[w])
+                elif e != p and a == b == ctx.players[e].exit_time.idx[w]:
                     punished = hi if e == lo else lo
                     singles = ctx.saddles[punished][0].families
                     entry = family_lookup(singles[("single", p)], points[a])
-                    used = entry.payload[0].idx[w]
+                    vals.append(entry.payload[0].idx[w])
                 elif a <= b:
-                    used = overline_component(lo, a, p).react[b].idx[w]
+                    vals.append(overline_component(lo, a, p).react[b].idx[w])
                 else:
-                    used = overline_component(hi, b, p).react[a].idx[w]
-                vals.append(used)
+                    vals.append(overline_component(hi, b, p).react[a].idx[w])
             return StoppingTime(tuple(vals))
 
-        strat = StrategyOrder3(
-            seat=p,
-            initial=StoppingTime(tuple(initial_idx)),
-            react_one={
-                others[0]: tuple(react_one_entry(others[0], s) for s in range(K + 1)),
-                others[1]: tuple(react_one_entry(others[1], s) for s in range(K + 1)),
-            },
-            react_two={
-                (a, b): react_two_entry(a, b)
-                for a in range(K + 1)
-                for b in range(K + 1)
-            },
-        )
+        strat = dense_strategy3(space, p, initial, react_one, react_two)
         problems = validate_strategy(space, strat)
         if problems:
             raise TheoremViolation(

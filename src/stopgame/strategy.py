@@ -2,13 +2,18 @@
 
 A strategy is an initial stopping time plus reaction maps: after observing
 another player stop, the owner switches to a new stopping time that must be
-strictly later than the observed stop.  Resolution runs the profile forward
-in time: at each round the earliest committed players stop, survivors switch
-to the matching reaction, and the loop repeats (at most N-1 rounds).
+strictly later than the observed stop.  This module owns that reaction rule.
+``committed_index`` reads the stop a strategy is committed to after the
+stops it has observed.  The one resolver built on it runs the profile forward
+in time: at each round the earliest committed players stop, survivors
+recommit, and the loop repeats (at most N-1 rounds).  ``resolve2`` and
+``resolve3`` are that resolver, and the best-response oracle in ``verify``
+reads the fixed seats' commitments through ``committed_index`` too.
 
 Reaction tables are stored densely per observation grid index.  Observations
 at the terminal point never require a real reaction (nothing is later), so
-those entries are fixed at the terminal index.
+``dense_strategy3``, the one builder of three-player tables, fixes those
+entries at the terminal index and asks the reaction rules for the rest.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .space import (
     FilteredSpace,
@@ -90,32 +96,50 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
     return problems
 
 
+def committed_index(strat, stops: dict[int, int], w: int) -> int:
+    """Stop index ``strat`` is committed to at outcome w once the other seats
+    have stopped at ``stops`` (seat -> index): its initial stop while nobody
+    has, otherwise the reaction entry for what it observed."""
+    if not stops:
+        return strat.initial.idx[w]
+    if isinstance(strat, StrategyOrder2):
+        (s,) = stops.values()
+        return strat.react[s].idx[w]
+    if len(stops) == 1:
+        ((q, s),) = stops.items()
+        return strat.react_one[q][s].idx[w]
+    lo, hi = strat.others()
+    return strat.react_two[(stops[lo], stops[hi])].idx[w]
+
+
+def _resolve(space: FilteredSpace, strats) -> tuple[StoppingTime, ...]:
+    """Actual stop times via chronological rounds, outcome by outcome: the
+    earliest committed seats stop and every later seat recommits to
+    ``committed_index`` of the stops seen so far; a seat left alone stops
+    at its commitment."""
+    result = [list(s.initial.idx) for s in strats]  # commitments, then stops
+    for w in range(space.n_outcomes):
+        stops: dict[int, int] = {}
+        alive = range(len(strats))
+        while len(alive) > 1:
+            m = min([result[p][w] for p in alive])
+            later = []
+            for p in alive:
+                if result[p][w] == m:
+                    stops[p] = m
+                else:
+                    later.append(p)
+            for p in later:
+                result[p][w] = committed_index(strats[p], stops, w)
+            alive = later
+    return tuple(StoppingTime(tuple(r)) for r in result)
+
+
 def resolve2(
     space: FilteredSpace, a: StrategyOrder2, b: StrategyOrder2
 ) -> tuple[StoppingTime, StoppingTime]:
     """Actual stop times of a two-player profile, outcome by outcome."""
-    n = space.n_outcomes
-    out_a, out_b = [0] * n, [0] * n
-    for w in range(n):
-        ia, ib = a.initial.idx[w], b.initial.idx[w]
-        if ia == ib:
-            out_a[w], out_b[w] = ia, ib
-        elif ia < ib:
-            out_a[w] = ia
-            out_b[w] = b.react[ia].idx[w]
-        else:
-            out_b[w] = ib
-            out_a[w] = a.react[ib].idx[w]
-    return StoppingTime(tuple(out_a)), StoppingTime(tuple(out_b))
-
-
-def _react3(strat: StrategyOrder3, stopped: dict[int, int], w: int) -> int:
-    """Committed index after the observed stops ``stopped`` (other seat -> index)."""
-    if len(stopped) == 1:
-        (q, s), = stopped.items()
-        return strat.react_one[q][s].idx[w]
-    lo, hi = strat.others()
-    return strat.react_two[(stopped[lo], stopped[hi])].idx[w]
+    return _resolve(space, (a, b))  # type: ignore[return-value]
 
 
 def resolve3(
@@ -125,25 +149,9 @@ def resolve3(
     s2: StrategyOrder3,
 ) -> tuple[StoppingTime, StoppingTime, StoppingTime]:
     """Actual stop times of a three-player profile via chronological rounds."""
-    strats = (s0, s1, s2)
-    if tuple(s.seat for s in strats) != (0, 1, 2):
+    if (s0.seat, s1.seat, s2.seat) != (0, 1, 2):
         raise ValueError("strategies must carry seats 0, 1, 2 in order")
-    n = space.n_outcomes
-    result = [[0] * n for _ in range(3)]
-    for w in range(n):
-        committed = {p: strats[p].initial.idx[w] for p in range(3)}
-        stopped: dict[int, int] = {}
-        while committed:
-            m = min(committed.values())
-            now = [p for p, c in committed.items() if c == m]
-            for p in now:
-                stopped[p] = m
-                result[p][w] = m
-                del committed[p]
-            for p in committed:
-                observed = {q: s for q, s in stopped.items() if q != p}
-                committed[p] = _react3(strats[p], observed, w)
-    return tuple(StoppingTime(tuple(r)) for r in result)  # type: ignore[return-value]
+    return _resolve(space, (s0, s1, s2))  # type: ignore[return-value]
 
 
 def lift_obstinate2(space: FilteredSpace, tau: StoppingTime) -> StrategyOrder2:
@@ -156,17 +164,40 @@ def lift_obstinate2(space: FilteredSpace, tau: StoppingTime) -> StrategyOrder2:
     return StrategyOrder2(initial=tau, react=react)
 
 
-def lift_constant3(space: FilteredSpace, seat: int, k: int) -> StrategyOrder3:
-    """Stop at grid index k unless anyone stops first; then never stop."""
+def dense_strategy3(
+    space: FilteredSpace,
+    seat: int,
+    initial: StoppingTime,
+    one: Callable[[int, int], StoppingTime],
+    two: Callable[[int, int], StoppingTime],
+) -> StrategyOrder3:
+    """Dense strategy for ``seat`` from its reaction rules.
+
+    ``one(q, s)`` answers seat q stopping alone at index s; ``two(a, b)``
+    answers both other seats stopping, a being the lower seat's index.  An
+    observation at the terminal index is answered with the terminal time,
+    since nothing is strictly later, and neither rule is called there.
+    """
     K = space.grid.terminal_index
-    never = constant_time(space, K)
-    table = (never,) * (K + 1)
-    lo, hi = sorted(q for q in (0, 1, 2) if q != seat)
+    terminal = constant_time(space, K)
+    others = sorted(q for q in (0, 1, 2) if q != seat)
     return StrategyOrder3(
         seat=seat,
-        initial=constant_time(space, k),
-        react_one={lo: table, hi: table},
-        react_two={(a, b): never for a in range(K + 1) for b in range(K + 1)},
+        initial=initial,
+        react_one={q: tuple(one(q, s) for s in range(K)) + (terminal,) for q in others},
+        react_two={
+            (a, b): terminal if max(a, b) == K else two(a, b)
+            for a in range(K + 1)
+            for b in range(K + 1)
+        },
+    )
+
+
+def lift_constant3(space: FilteredSpace, seat: int, k: int) -> StrategyOrder3:
+    """Stop at grid index k unless anyone stops first; then never stop."""
+    never = constant_time(space, space.grid.terminal_index)
+    return dense_strategy3(
+        space, seat, constant_time(space, k), lambda q, s: never, lambda a, b: never
     )
 
 

@@ -37,7 +37,7 @@ from .space import (
     rat,
     stopped_atoms,
 )
-from .strategy import StrategyOrder2, _react3, resolve2, resolve3
+from .strategy import StrategyOrder2, committed_index, resolve2, resolve3
 
 Atom = tuple[int, tuple[int, ...]]  # (time index, outcome block)
 
@@ -125,19 +125,6 @@ def enumerate_strategies2(
             yield StrategyOrder2(initial=initial, react=tuple(reacts) + (terminal_react,))
 
 
-def _committed_index(strat, seat: int, status: tuple, w: int) -> int:
-    """Current committed stop index of a fixed strategy given observed stops."""
-    observed = {
-        q: s for q, s in enumerate(status) if q != seat and s >= 0
-    }
-    if not observed:
-        return strat.initial.idx[w]
-    if isinstance(strat, StrategyOrder2):
-        (s,) = observed.values()
-        return strat.react[s].idx[w]
-    return _react3(strat, observed, w)
-
-
 @dataclass(frozen=True)
 class BestResponseResult:
     """Exact optimal value over the controlled seats' reactive strategies."""
@@ -201,12 +188,13 @@ def exact_best_response(
             val = stop_value(block, tuple(K if s < 0 else s for s in status))
             memo[key] = val
             return val
+        stops = {q: s for q, s in enumerate(status) if s >= 0}
         fixed_now = [
             q
             for q in range(n_seats)
             if q not in controlled
-            and status[q] < 0
-            and _committed_index(strategies[q], q, status, w0) == k
+            and q not in stops
+            and committed_index(strategies[q], stops, w0) == k
         ]
         free = [q for q in controlled if status[q] < 0]
         children = [child for child in space.partitions[k + 1] if child[0] in block]

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from stopgame.classic import snell
+from stopgame.classic import dynkin_value, snell
 from stopgame.config import current_guards
 from stopgame.errors import DeskScaleExceeded, GuardExceeded, NoValidH
 from stopgame.nash2 import Nash2Result
@@ -336,7 +336,7 @@ def reference_cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: St
 # ``verify.exact_best_response`` replaced, kept as it was so the new oracle's
 # values and its DP state count are checked against it.  It reads the fixed
 # seats' commitments from the strategy fields itself, so a fault in the
-# library's lookup (``verify._committed_index``) shows as a mismatch.
+# library's lookup (``strategy.committed_index``) shows as a mismatch.
 
 
 def reference_committed_index(strat, seat: int, status: tuple, w: int) -> int:
@@ -601,3 +601,117 @@ def reference_fallback_search(space, field_a, field_b, start_st, eps, best_pair,
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
     return Nash2Result(best_pair, best, fallback_used=True)
+
+
+# The reaction rule as it was written out before ``strategy.committed_index``
+# and the one resolver replaced it: the two-player closed form, the
+# three-player rounds with their own lookup, and the best-response oracle's
+# lookup.  Kept as they were so the shared rule is checked against them
+# with ==.
+
+
+def reference_resolve2(
+    space: FilteredSpace, a: StrategyOrder2, b: StrategyOrder2
+) -> tuple[StoppingTime, StoppingTime]:
+    """Actual stop times of a two-player profile, outcome by outcome."""
+    n = space.n_outcomes
+    out_a, out_b = [0] * n, [0] * n
+    for w in range(n):
+        ia, ib = a.initial.idx[w], b.initial.idx[w]
+        if ia == ib:
+            out_a[w], out_b[w] = ia, ib
+        elif ia < ib:
+            out_a[w] = ia
+            out_b[w] = b.react[ia].idx[w]
+        else:
+            out_b[w] = ib
+            out_a[w] = a.react[ib].idx[w]
+    return StoppingTime(tuple(out_a)), StoppingTime(tuple(out_b))
+
+
+def reference_react3(strat: StrategyOrder3, stopped: dict[int, int], w: int) -> int:
+    """Committed index after the observed stops ``stopped`` (other seat -> index)."""
+    if len(stopped) == 1:
+        (q, s), = stopped.items()
+        return strat.react_one[q][s].idx[w]
+    lo, hi = strat.others()
+    return strat.react_two[(stopped[lo], stopped[hi])].idx[w]
+
+
+def reference_resolve3(
+    space: FilteredSpace,
+    s0: StrategyOrder3,
+    s1: StrategyOrder3,
+    s2: StrategyOrder3,
+) -> tuple[StoppingTime, StoppingTime, StoppingTime]:
+    """Actual stop times of a three-player profile via chronological rounds."""
+    strats = (s0, s1, s2)
+    if tuple(s.seat for s in strats) != (0, 1, 2):
+        raise ValueError("strategies must carry seats 0, 1, 2 in order")
+    n = space.n_outcomes
+    result = [[0] * n for _ in range(3)]
+    for w in range(n):
+        committed = {p: strats[p].initial.idx[w] for p in range(3)}
+        stopped: dict[int, int] = {}
+        while committed:
+            m = min(committed.values())
+            now = [p for p, c in committed.items() if c == m]
+            for p in now:
+                stopped[p] = m
+                result[p][w] = m
+                del committed[p]
+            for p in committed:
+                observed = {q: s for q, s in stopped.items() if q != p}
+                committed[p] = reference_react3(strats[p], observed, w)
+    return tuple(StoppingTime(tuple(r)) for r in result)  # type: ignore[return-value]
+
+
+def reference_oracle_committed_index(strat, seat: int, status: tuple, w: int) -> int:
+    """Current committed stop index of a fixed strategy given observed stops."""
+    observed = {
+        q: s for q, s in enumerate(status) if q != seat and s >= 0
+    }
+    if not observed:
+        return strat.initial.idx[w]
+    if isinstance(strat, StrategyOrder2):
+        (s,) = observed.values()
+        return strat.react[s].idx[w]
+    return reference_react3(strat, observed, w)
+
+
+# The hand-written tie-pays-the-minimizer duel that the mirrored
+# ``dynkin_value`` call in ``classic.dynkin_convention_gap`` replaced, and the
+# gap as it was computed from it, kept so the two are checked with ==.
+
+
+def reference_dynkin_value_alt(
+    space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
+) -> tuple:
+    """Same duel under the tie-pays-the-minimizer convention."""
+    start = _start_indices(space, from_)
+    kmin = min(start)
+    K = space.grid.terminal_index
+    value: list = [None] * (K + 1)
+    value[K] = tuple(upper[K])
+    for k in range(K - 1, kmin - 1, -1):
+        cont = cond_exp(space, value[k + 1], k)
+        value[k] = tuple(
+            min(y, max(x, c)) for x, y, c in zip(lower[k], upper[k], cont)
+        )
+    return tuple(value)
+
+
+def reference_dynkin_convention_gap(
+    space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
+) -> Fraction:
+    """Largest reachable difference between the two tie conventions."""
+    start = _start_indices(space, from_)
+    main = dynkin_value(space, lower, upper, from_)
+    alt = reference_dynkin_value_alt(space, lower, upper, from_)
+    K = space.grid.terminal_index
+    gap = Fraction(0)
+    for k in range(min(start), K + 1):
+        for w in range(space.n_outcomes):
+            if k >= start[w]:
+                gap = max(gap, abs(main[k][w] - alt[k][w]))
+    return gap

@@ -11,6 +11,7 @@ from oracles import (
     brute_joint_inf,
     duel_payoff_rv,
     pair_payoff,
+    reference_dynkin_convention_gap,
     reference_joint_inf_pair,
 )
 from stopgame.classic import (
@@ -238,6 +239,26 @@ def test_convention_gap_zero_when_ordered():
     assert gap <= max(
         abs(a - b) for a, b in zip(lo[-1], hi[-1])
     )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_convention_gap_matches_reference(seed):
+    """The mirrored duel gives the hand-written tie-pays-the-minimizer duel's
+    gap, from constant starts and from stopping-time starts (layers before
+    the earliest start index are None)."""
+    rng = random.Random(300 + seed)
+    space = random_space(rng, 3, 5)
+    K = space.grid.terminal_index
+    lo = [cond_exp(space, random_rv(rng, 3), k) for k in range(K + 1)]
+    hi = spread_layers(space, rng, lo)
+    taus = list(enumerate_stopping_times(space, 0))
+    for start in [0, 2, K, *rng.sample(taus, 4)]:
+        kmin = start if isinstance(start, int) else min(start.idx)
+        cut_lo = [None] * kmin + lo[kmin:]
+        cut_hi = [None] * kmin + hi[kmin:]
+        got = dynkin_convention_gap(space, cut_lo, cut_hi, start)
+        assert got == reference_dynkin_convention_gap(space, cut_lo, cut_hi, start)
+        assert got == reference_dynkin_convention_gap(space, lo, hi, start)
 
 
 def test_solve_duel_bundles_saddle(two_outcome_space):

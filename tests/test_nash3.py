@@ -212,6 +212,26 @@ def test_select_delta_no_valid():
         select_delta(space, {0: pp, 1: pp, 2: pp}, constant_time(space, 0), eps)
 
 
+def test_select_delta_on_a_tiny_grid_step():
+    """The largest delay is the span in closed form, not found by counting
+    every multiple of a 1/10**9 step (which takes minutes)."""
+    space = FilteredSpace(
+        grid=make_grid([0, Fraction(1, 10**9), 1]),
+        weights=(Fraction(1, 2), Fraction(1, 2)),
+        partitions=(((0, 1),), ((0,), (1,)), ((0,), (1,))),
+    )
+    pts = space.grid.points
+    fields = [
+        payoff_from_function(
+            space, 3, lambda ks, w, s=s: Fraction(s + 1, 100) * sum(pts[k] for k in ks)
+        )
+        for s in range(3)
+    ]
+    sol = solve_three_player(space, fields)
+    assert sol.certificate.passes
+    assert set(sol.context.delta.per_atom.values()) == {space.grid.span}
+
+
 def test_select_delta_per_atom_measurable():
     """Exit processes that differ across the first split give per-atom delays."""
     space = FilteredSpace(

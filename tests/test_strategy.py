@@ -5,11 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import closed_form_resolve2, closed_form_resolve3
+from oracles import (
+    closed_form_resolve2,
+    closed_form_resolve3,
+    reference_oracle_committed_index,
+    reference_resolve2,
+    reference_resolve3,
+)
 from stopgame.space import StoppingTime, constant_time, is_stopping_time
 from stopgame.strategy import (
     StrategyOrder2,
     StrategyOrder3,
+    committed_index,
+    dense_strategy3,
     lift_constant3,
     lift_obstinate2,
     patch_pair,
@@ -265,3 +273,107 @@ def test_patch_pair_redirects_early_observations(three_time_space):
     # at the anchor itself
     assert hat.react[0].idx == (1, 1)
     assert hat.react[1] is star.react[1]
+
+
+def assert_committed_index_matches_reference(space, strategies):
+    """``committed_index`` against the oracle's old lookup, for every seat and
+    every status of the others (-1 while a seat has not stopped)."""
+    K = space.grid.terminal_index
+    for seat, strat in enumerate(strategies):
+        others = [q for q in range(len(strategies)) if q != seat]
+        for seen in itertools.product(range(-1, K + 1), repeat=len(others)):
+            status = [-1] * len(strategies)
+            for q, s in zip(others, seen):
+                status[q] = s
+            stops = {q: s for q, s in zip(others, seen) if s >= 0}
+            for w in range(space.n_outcomes):
+                assert committed_index(strat, stops, w) == (
+                    reference_oracle_committed_index(strat, seat, tuple(status), w)
+                )
+
+
+def test_resolve2_matches_reference_on_every_pair(three_time_space):
+    space = three_time_space
+    strategies = list(enumerate_strategies2(space, 0))
+    for a in strategies:
+        for b in strategies:
+            assert resolve2(space, a, b) == reference_resolve2(space, a, b)
+    for a, b in zip(strategies, strategies[::-1]):
+        assert_committed_index_matches_reference(space, (a, b))
+
+
+def test_resolve3_matches_reference_on_random_triples(branching_space):
+    """Random valid triples on a four-time space, where a two-stop table is
+    not symmetric in its key."""
+    space = branching_space
+    K = space.grid.terminal_index
+    inits = list(enumerate_stopping_times(space, 0))
+    later = [
+        list(enumerate_stopping_times(space, constant_time(space, min(s + 1, K))))
+        for s in range(K + 1)
+    ]
+    rng = random.Random(43)
+
+    def draw(seat):
+        return dense_strategy3(
+            space,
+            seat,
+            rng.choice(inits),
+            lambda q, s: rng.choice(later[s]),
+            lambda a, b: rng.choice(later[max(a, b)]),
+        )
+
+    for _ in range(200):
+        triple = tuple(draw(seat) for seat in range(3))
+        assert resolve3(space, *triple) == reference_resolve3(space, *triple)
+        assert_committed_index_matches_reference(space, triple)
+
+
+def test_resolve3_keeps_its_seat_check(three_time_space):
+    space = three_time_space
+    s0, s1, s2 = (lift_constant3(space, seat, 1) for seat in range(3))
+    with pytest.raises(ValueError):
+        resolve3(space, s1, s0, s2)
+
+
+def test_resolution_matches_reference_on_solved_profiles(ladder_run):
+    """Every profile the oracle measured while solving the ladder: the
+    three-player profiles and the two-player pairs of every family."""
+    seen = set()
+    for args, _, _ in ladder_run["oracle"]:
+        space, _, strategies = args[:3]
+        if id(strategies) in seen or None in strategies:
+            continue
+        seen.add(id(strategies))
+        if len(strategies) == 2:
+            assert resolve2(space, *strategies) == reference_resolve2(space, *strategies)
+        else:
+            assert resolve3(space, *strategies) == reference_resolve3(space, *strategies)
+        assert_committed_index_matches_reference(space, strategies)
+    assert len(seen) > 12
+
+
+def test_dense_strategy3_never_asks_at_the_terminal_index(three_time_space):
+    space = three_time_space
+    K = space.grid.terminal_index
+    asked = []
+
+    def one(q, s):
+        asked.append(("one", q, s))
+        return constant_time(space, s + 1)
+
+    def two(a, b):
+        asked.append(("two", a, b))
+        return constant_time(space, max(a, b) + 1)
+
+    strat = dense_strategy3(space, 1, constant_time(space, 0), one, two)
+    assert sorted(asked) == sorted(
+        [("one", q, s) for q in (0, 2) for s in range(K)]
+        + [("two", a, b) for a in range(K) for b in range(K)]
+    )
+    assert validate_strategy(space, strat) == []
+    terminal = constant_time(space, K)
+    for q in (0, 2):
+        assert strat.react_one[q] == tuple(one(q, s) for s in range(K)) + (terminal,)
+    for (a, b), st in strat.react_two.items():
+        assert st == (terminal if max(a, b) == K else two(a, b))
