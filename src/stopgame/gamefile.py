@@ -1,15 +1,19 @@
 """JSON round-trip for game specs, strategy profiles, and solver reports.
 
-Rationals are serialized as "p/q" strings (decimals are accepted and
-converted exactly on input), so parse(emit(x)) reproduces x and reports can
-be re-verified bit for bit.  Payoff tensors are dense nested lists indexed by
-time indices then outcome; profiles are explicit tables so that a report's
-profile can be re-checked without access to solver internals.
+Rationals are serialized as "p/q" strings, so parse(emit(x)) reproduces x and
+reports can be re-verified bit for bit.  On input the accepted grammar is
+exactly ``Fraction(str)``'s (decimals are converted exactly); plain ASCII
+integers and "p/q" strings are read directly as integers.  The adaptedness
+check looks only at partition blocks of two or more outcomes, and an error
+label is formatted only when a value fails.  Payoff tensors are dense nested
+lists indexed by time indices then outcome; profiles are explicit tables so
+that a report's profile can be re-checked without access to solver internals.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,11 +31,19 @@ def _f2s(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _s2f(x, where: str) -> Fraction:
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")  # ASCII, nonzero denominator
+
+
+def _s2f(x, where: str, *args) -> Fraction:
+    """x read as ``rat`` reads it, an ASCII "p/q" or integer straight as ints.
+    The error label ``where.format(*args)`` is formatted only on failure."""
     try:
+        if type(x) is str and (m := _RATIO.fullmatch(x)):
+            p, q = m.groups()
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         return rat(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: not a rational: {x!r}") from exc
+        raise ParseError(f"{where.format(*args)}: not a rational: {x!r}") from exc
 
 
 @contextmanager
@@ -113,25 +125,20 @@ def parse_game(text: str) -> GameDoc:
         def read_tensor(node, player):
             values = {}
 
-            def rec(prefix, sub):
+            def rec(prefix: tuple, sub):
                 if len(prefix) == n_players:
                     if not isinstance(sub, list) or len(sub) != n:
                         raise ParseError(
-                            f"payoff[{player}] at times {tuple(prefix)}: need one "
-                            f"value per outcome"
+                            f"payoff[{player}] at times {prefix}: need one value per outcome"
                         )
-                    values[tuple(prefix)] = tuple(
-                        _s2f(v, f"payoff[{player}]{tuple(prefix)}") for v in sub
-                    )
+                    values[prefix] = tuple([_s2f(v, "payoff[{}]{}", player, prefix) for v in sub])
                     return
                 if not isinstance(sub, list) or len(sub) != K + 1:
-                    raise ParseError(
-                        f"payoff[{player}] missing entries under times {tuple(prefix)}"
-                    )
+                    raise ParseError(f"payoff[{player}] missing entries under times {prefix}")
                 for k, child in enumerate(sub):
-                    rec(prefix + [k], child)
+                    rec(prefix + (k,), child)
 
-            rec([], node)
+            rec((), node)
             return PayoffField(space, n_players, values)
 
         fields = tuple(read_tensor(node, p) for p, node in enumerate(obj["payoffs"]))
@@ -198,21 +205,21 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
     # key, and only lookups that succeeded, so every error is raised afresh
     indices: dict[str, int] = {}
 
-    def time_index(v, where) -> int:
+    def time_index(v, where, args) -> int:
         if isinstance(v, str) and v in indices:
             return indices[v]
-        k = grid.index(_s2f(v, where))
+        k = grid.index(_s2f(v, where, *args))
         if isinstance(v, str):
             indices[v] = k
         return k
 
-    def read_st(vals, where):
+    def read_st(vals, where, *args):
         if len(vals) != space.n_outcomes:
-            raise ParseError(f"{where}: need one time per outcome")
+            raise ParseError(f"{where.format(*args)}: need one time per outcome")
         try:
-            return StoppingTime(tuple(time_index(v, where) for v in vals))
+            return StoppingTime(tuple([time_index(v, where, args) for v in vals]))
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+            raise ParseError(f"{where.format(*args)}: {exc}") from exc
 
     order = int(obj.get("order", 0))
     if order == 2:
@@ -221,7 +228,7 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
             raise ParseError("react table must cover every observation time")
         return StrategyOrder2(
             initial=read_st(obj["initial"], "initial"),
-            react=tuple(read_st(r, f"react[{s}]") for s, r in enumerate(react)),
+            react=tuple(read_st(r, "react[{}]", s) for s, r in enumerate(react)),
         )
     if order == 3:
         react_one = {}
@@ -229,12 +236,12 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
             if len(table) != K + 1:
                 raise ParseError("react_one tables must cover every observation time")
             react_one[int(q)] = tuple(
-                read_st(r, f"react_one[{q}][{s}]") for s, r in enumerate(table)
+                read_st(r, "react_one[{}][{}]", q, s) for s, r in enumerate(table)
             )
         react_two = {}
         for key, vals in obj["react_two"].items():
             a, b = (int(x) for x in key.split(","))
-            react_two[(a, b)] = read_st(vals, f"react_two[{key}]")
+            react_two[(a, b)] = read_st(vals, "react_two[{}]", key)
         want = {(a, b) for a in range(K + 1) for b in range(K + 1)}
         if set(react_two) != want:
             raise ParseError("react_two must cover every observation pair")

@@ -69,15 +69,26 @@ def build_overline_families(
     return out
 
 
-def _family_value(space, field, seat, k, entry, free_slots) -> RV:
-    """E_k of the field with the seat slot at k and the entry pair resolved."""
-    ra, rb = resolve2(space, *entry.payload)
+def resolve_overline(space: FilteredSpace, overline: dict[int, EquilibriumFamily]) -> dict:
+    """Per stopped seat, the two survivors' stop times after a stop at each
+    interior index k: the entry at phi_h(t_k), resolved once per entry."""
+    out = {}
+    for s, family in overline.items():
+        entries = [family_lookup(family, t) for t in space.grid.points[:-1]]
+        one_each = {e.g: e for e in entries}  # several k can share one window's entry
+        pairs = {g: resolve2(space, *e.payload) for g, e in one_each.items()}
+        out[s] = [pairs[e.g] for e in entries]
+    return out
+
+
+def _family_value(space, field, seat, k, pair, free_slots) -> RV:
+    """E_k of the field with the seat slot at k and the survivors at ``pair``."""
     vals = []
     for w in range(space.n_outcomes):
         ks = [0, 0, 0]
         ks[seat] = k
-        ks[free_slots[0]] = ra.idx[w]
-        ks[free_slots[1]] = rb.idx[w]
+        ks[free_slots[0]] = pair[0].idx[w]
+        ks[free_slots[1]] = pair[1].idx[w]
         vals.append(field.value_at(tuple(ks), w))
     return cond_exp(space, tuple(vals), k)
 
@@ -99,10 +110,10 @@ def build_player_processes(
     seat: int,
     theta: StoppingTime,
     eps,
-    overline: dict[int, EquilibriumFamily],
+    after_stop: dict,
     stop_now: tuple,
 ) -> PlayerProcesses:
-    """``stop_now`` is ``stop_now_solutions(space, fields[seat], seat)``."""
+    """Takes ``resolve_overline``'s result and this seat's ``stop_now_solutions``."""
     eps = rat(eps)
     K = space.grid.terminal_index
     field = fields[seat]
@@ -112,14 +123,10 @@ def build_player_processes(
 
     def family_layers(stopped_seat: int) -> list[RV]:
         free = sorted(q for q in range(3) if q != stopped_seat)
-        vals = []
-        for k in range(K + 1):
-            if k == K:
-                vals.append(field.at((K, K, K)))
-                continue
-            entry = family_lookup(overline[stopped_seat], space.grid.points[k])
-            vals.append(_family_value(space, field, stopped_seat, k, entry, free))
-        return vals
+        return [
+            _family_value(space, field, stopped_seat, k, pair, free)
+            for k, pair in enumerate(after_stop[stopped_seat])
+        ] + [field.at((K, K, K))]
 
     stop_family = family_layers(seat)
     rival = {q: tuple(family_layers(q)) for q in others}
@@ -266,9 +273,10 @@ class AssemblyContext:
 def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     eps, h = rat(eps), rat(h)
     overline = build_overline_families(space, fields, h, eps)
+    after_stop = resolve_overline(space, overline)
     stop_now = {s: stop_now_solutions(space, fields[s], s) for s in range(3)}
     players = {
-        seat: build_player_processes(space, fields, seat, theta, eps, overline, stop_now[seat])
+        seat: build_player_processes(space, fields, seat, theta, eps, after_stop, stop_now[seat])
         for seat in range(3)
     }
     delta = select_delta(space, players, theta, eps)

@@ -84,14 +84,6 @@ class PayoffField:
             {ks: tuple(-v for v in layer) for ks, layer in self.values.items()},
         )
 
-    def affine(self, a, b) -> "PayoffField":
-        a, b = rat(a), rat(b)
-        return PayoffField(
-            self.space,
-            self.arity,
-            {ks: tuple(a * v + b for v in layer) for ks, layer in self.values.items()},
-        )
-
 
 def payoff_from_function(
     space: FilteredSpace, arity: int, fn: Callable[[tuple[int, ...], int], object]
@@ -105,16 +97,13 @@ def payoff_from_function(
 
 
 def check_adapted(field: PayoffField) -> list[tuple[int, ...]]:
-    """Time tuples whose outcome slice is not constant on max-time blocks."""
-    space = field.space
-    bad: list[tuple[int, ...]] = []
-    for ks, layer in sorted(field.values.items()):
-        k_max = max(ks)
-        for block in space.partitions[k_max]:
-            if len({layer[w] for w in block}) > 1:
-                bad.append(ks)
-                break
-    return bad
+    """Sorted time tuples whose slice is not constant on max-time blocks; only
+    blocks of two or more outcomes are compared, by ``==`` with their first value."""
+    multi = [[b for b in part if len(b) > 1] for part in field.space.partitions]
+    return sorted(
+        ks for ks, layer in field.values.items()
+        if any(layer[w] != layer[b[0]] for b in multi[max(ks)] for w in b[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -209,17 +198,6 @@ def modulus_max(mods: Sequence[Modulus]) -> Modulus:
     deltas = sorted({d for m in mods for d, _ in m.table})
     table = tuple((d, max(m.eval(d) for m in mods)) for d in deltas)
     return Modulus(table)
-
-
-def certifies_field(mod: Modulus, field: PayoffField) -> bool:
-    """Strict modulus bound over all distinct tuple pairs of the field.
-
-    Checking the worst change at each displacement is the same as checking
-    every pair, since the bound at a displacement is one strict inequality.
-    """
-    return all(
-        worst < mod.eval(delta) for delta, worst in _pair_changes(field).items()
-    )
 
 
 def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:

@@ -14,9 +14,9 @@ from typing import Sequence
 
 from stopgame.classic import dynkin_value, snell
 from stopgame.config import current_guards
-from stopgame.errors import DeskScaleExceeded, GuardExceeded, NoValidH
+from stopgame.errors import DeskScaleExceeded, GuardExceeded, NoValidH, ParseError
 from stopgame.nash2 import Nash2Result
-from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField
+from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _pair_changes
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -268,6 +268,57 @@ def reference_estimate_modulus(field: PayoffField) -> Modulus:
 def reference_certifies_field(mod: Modulus, field: PayoffField) -> bool:
     """Strict modulus bound over all distinct tuple pairs of the field."""
     return all(diff < mod.eval(delta) for delta, diff in reference_pair_changes(field))
+
+
+# Helpers only the tests use: an exact affine change of a field's payoffs
+# (gaps must scale by its slope) and the strict modulus certificate over the
+# library's pair kernel.
+
+
+def affine(field: PayoffField, a, b) -> PayoffField:
+    """The field with every payoff v replaced by a * v + b."""
+    a, b = rat(a), rat(b)
+    return PayoffField(
+        field.space,
+        field.arity,
+        {ks: tuple(a * v + b for v in layer) for ks, layer in field.values.items()},
+    )
+
+
+def certifies_field(mod: Modulus, field: PayoffField) -> bool:
+    """Strict modulus bound over all distinct tuple pairs of the field.
+
+    Checking the worst change at each displacement is the same as checking
+    every pair, since the bound at a displacement is one strict inequality.
+    """
+    return all(
+        worst < mod.eval(delta) for delta, worst in _pair_changes(field).items()
+    )
+
+
+# The game-file value reader and adaptedness check that the integer fast path
+# in ``gamefile._s2f`` and the singleton-skipping ``payoff.check_adapted``
+# replaced, kept as they were so the two are checked against each other.
+
+
+def reference_s2f(x, where: str) -> Fraction:
+    try:
+        return rat(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: not a rational: {x!r}") from exc
+
+
+def reference_check_adapted(field: PayoffField) -> list[tuple[int, ...]]:
+    """Time tuples whose outcome slice is not constant on max-time blocks."""
+    space = field.space
+    bad: list[tuple[int, ...]] = []
+    for ks, layer in sorted(field.values.items()):
+        k_max = max(ks)
+        for block in space.partitions[k_max]:
+            if len({layer[w] for w in block}) > 1:
+                bad.append(ks)
+                break
+    return bad
 
 
 # The step-by-step window-width search that the closed form in

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import random_rv
 from oracles import (
+    affine,
     brute_dynkin_maximin,
     brute_joint_inf,
     closed_form_resolve2,
@@ -263,7 +264,7 @@ def test_criterion_8_affine_equivariance(solved_family):
     a, b = Fraction(5, 2), Fraction(-7, 3)
     for seat in range(3):
         scaled_fields = list(inst.fields)
-        scaled_fields[seat] = inst.fields[seat].affine(a, b)
+        scaled_fields[seat] = affine(inst.fields[seat], a, b)
         scaled = nash_gap(inst.space, scaled_fields, sol.profile, theta)
         for atom, gap in base_gaps[seat].items():
             assert scaled[seat][atom] == a * gap

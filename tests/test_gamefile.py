@@ -4,11 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SETTINGS
+from oracles import reference_s2f
 from stopgame.cli import main
 from stopgame.errors import ParseError, ValidationError
 from stopgame.gamefile import (
     GameDoc,
+    _s2f,
     dump_report,
     emit_game,
     parse_game,
@@ -17,7 +22,7 @@ from stopgame.gamefile import (
 )
 from stopgame.generator import generate_instance
 from stopgame.space import constant_time
-from stopgame.strategy import lift_constant3
+from stopgame.strategy import lift_constant3, lift_obstinate2
 from stopgame.verify import resolve_profile
 
 
@@ -368,3 +373,120 @@ def test_cli_verify_rejects_invalid_strategies(tmp_path, capsys, players, edit):
                  "--out", str(tmp_path / "o.json")])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+def _read(fn, x):
+    """(accepted value) or (exception type, message) of one value reader."""
+    try:
+        return ("ok", fn(x, "where"))
+    except Exception as exc:  # the type and text are compared, whatever they are
+        return ("raise", type(exc), str(exc))
+
+
+def _same_reading(x):
+    mine, ref = _read(_s2f, x), _read(reference_s2f, x)
+    assert mine == ref
+    if mine[0] == "ok":
+        assert type(mine[1]) is Fraction
+
+
+PINNED_VALUES = (
+    "1 /2", "1/ 2", "1/-2", "+1/2", " 1/2 ", "1_0/3", "١/٢", "1/0", "-0/5", "01/02",
+    "1.5", "1e3", "1" * 5000, "1/" + "3" * 5000, "-7", "0", "-12/18", "0/00", "1/2\n",
+    "", "-", "/", "1/", "/2", "--1/2", "1//2", "²/3", "nan", "inf",
+)
+
+
+@pytest.mark.parametrize("x", PINNED_VALUES, ids=range(len(PINNED_VALUES)))
+def test_s2f_matches_reference_on_pinned_values(x):
+    _same_reading(x)
+
+
+_PIECES = st.sampled_from(
+    ["0", "1", "7", "09", "-", "+", "/", ".", "e", "E", "_", " ", "\t", "\n",
+     "١", "٢", "²", "x", "inf", "nan", "j", "1/0", "00"]
+)
+_JSON_VALUES = st.one_of(
+    st.lists(_PIECES, max_size=8).map("".join),
+    st.builds(
+        lambda sign, p, q, pad: f"{pad}{sign}{p}/{q}{pad}",
+        st.sampled_from(("", "-", "+", "--")),
+        st.integers(0, 10**25).map(str),
+        st.integers(0, 10**25).map(str),
+        st.sampled_from(("", " ", "0")),
+    ),
+    st.decimals(allow_nan=True).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+    st.integers(-10**30, 10**30),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=600, **SETTINGS)
+@given(x=_JSON_VALUES)
+def test_s2f_matches_reference(x):
+    """The integer fast path accepts, rejects, values and words every drawn
+    string or JSON value exactly as the plain ``rat`` reader does."""
+    _same_reading(x)
+
+
+def _edited(obj, path, value):
+    """A copy of a JSON object with the entry at ``path`` replaced."""
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return obj
+
+
+def test_parse_error_texts_unchanged():
+    """Lazily built labels read as the eager ones did (texts taken from the
+    reader they replaced); a non-adapted game names its first bad tuple."""
+    game = json.loads(emit_game(make_doc()))
+    for path, new, message in (
+        (("payoffs", 1, 0, 2, 3, 1), "x", "payoff[1](0, 2, 3): not a rational: 'x'"),
+        (("payoffs", 0, 0), game["payoffs"][0][0][:-1],
+         "payoff[0] missing entries under times (0,)"),
+        (("payoffs", 1, 2, 0, 1), ["1"],
+         "payoff[1] at times (2, 0, 1): need one value per outcome"),
+        (("payoffs", 2), "x", "payoff[2] missing entries under times ()"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_game(json.dumps(_edited(game, path, new)))
+        assert str(err.value) == message
+
+    # blocks (0, 1, 2) at index 1 and (1, 2) at indices 2 and 3
+    game = json.loads(emit_game(make_doc(7, n_outcomes=4, n_times=5)))
+    for ks in ((2, 1, 0), (0, 1, 2), (1, 1, 0)):
+        game = _edited(game, ("payoffs", 2, *ks, 1), "12345/7")
+    with pytest.raises(ValidationError) as err:
+        parse_game(json.dumps(game))
+    assert str(err.value) == "payoff[2] not settled at the latest stop for times (0, 1, 2)"
+
+
+def test_profile_error_texts_unchanged():
+    """Bad profile times keep their row labels, built only on failure."""
+    space3, space2 = make_doc().space, make_doc(n_players=2).space
+    profile3 = profile_to_obj(space3, [lift_constant3(space3, s, 1) for s in range(3)])
+    profile2 = profile_to_obj(
+        space2, [lift_obstinate2(space2, constant_time(space2, k)) for k in (1, 2)]
+    )
+    for space, profile, path, bad, message in (
+        (space3, profile3, (0, "initial", 0), "x", "initial: not a rational: 'x'"),
+        (space3, profile3, (1, "react_one", "2", 1, 0), "1/0",
+         "react_one[2][1]: not a rational: '1/0'"),
+        (space3, profile3, (2, "react_two", "1,2", 1), "7/3",
+         "react_two[1,2]: 7/3 is not a grid point"),
+        (space3, profile3, (0, "react_two", "3,0", 0), None,
+         "react_two[3,0]: not a rational: None"),
+        (space2, profile2, (1, "react", 2, 1), "2.5e", "react[2]: not a rational: '2.5e'"),
+        (space2, profile2, (0, "react", 3, 0), "1/7", "react[3]: 1/7 is not a grid point"),
+    ):
+        with pytest.raises(ParseError) as err:
+            profile_from_obj(space, _edited(profile, ("strategies", *path), bad))
+        assert str(err.value) == message

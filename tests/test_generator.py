@@ -3,7 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from stopgame.generator import generate_instance
-from stopgame.payoff import Modulus, certifies_field, check_adapted, estimate_modulus, select_h
+from oracles import certifies_field
+from stopgame.payoff import Modulus, check_adapted, estimate_modulus, select_h
 from stopgame.space import rat, validate_space
 
 

@@ -9,12 +9,15 @@ from conftest import solo_solutions
 from stopgame.classic import joint_inf_value
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
+from stopgame import nash3
+from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
     build_overline_families,
     build_player_processes,
     certify_nash,
     partition_ABC,
+    resolve_overline,
     select_delta,
     shift_time,
     solve_three_player,
@@ -29,7 +32,7 @@ from stopgame.space import (
     is_stopping_time,
     make_grid,
 )
-from stopgame.strategy import lift_constant3
+from stopgame.strategy import lift_constant3, resolve2
 from stopgame.verify import on_path_value, resolve_profile
 
 
@@ -83,7 +86,7 @@ def test_own_time_only_payoff():
     h = space.grid.min_step
     overline = build_overline_families(space, fields, h, "1/20")
     pp = build_player_processes(
-        space, fields, 0, constant_time(space, 0), "1/20", overline,
+        space, fields, 0, constant_time(space, 0), "1/20", resolve_overline(space, overline),
         stop_now_solutions(space, fields[0], 0),
     )
     K = space.grid.terminal_index
@@ -103,7 +106,8 @@ def test_ordering_on_random_instances():
         theta = constant_time(inst.space, 0)
         for seat in range(3):
             pp = build_player_processes(
-                inst.space, inst.fields, seat, theta, inst.epsilon, overline,
+                inst.space, inst.fields, seat, theta, inst.epsilon,
+                resolve_overline(inst.space, overline),
                 stop_now_solutions(inst.space, inst.fields[seat], seat),
             )
             K = inst.space.grid.terminal_index
@@ -121,7 +125,7 @@ def test_value_submartingale_before_stop_hit():
     theta = constant_time(space, 0)
     for seat in range(3):
         pp = build_player_processes(
-            space, inst.fields, seat, theta, inst.epsilon, overline,
+            space, inst.fields, seat, theta, inst.epsilon, resolve_overline(space, overline),
             stop_now_solutions(space, inst.fields[seat], seat),
         )
         K = space.grid.terminal_index
@@ -413,3 +417,28 @@ def test_shared_solutions_equal_direct_sweeps(seed, min_step_h):
             direction = "sup" if free == s else "inf"
             solo = solo_solutions(space, field, free, direction)
             assert comp.pinned_solo[free] == tuple(sol.value[k] for k, sol in enumerate(solo))
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+def test_after_stop_entries_resolved_once_per_solve(monkeypatch, min_step_h):
+    """One solve resolves each after-stop entry that some interior time looks
+    up exactly once, not once per seat and time (4x6 bench game, seed 1004)."""
+    inst = generate_instance(1004, n_outcomes=4, n_times=6)
+    space = inst.space
+    calls = []
+
+    def counting_resolve2(space, a, b):
+        calls.append((id(a), id(b)))
+        return resolve2(space, a, b)
+
+    monkeypatch.setattr(nash3, "resolve2", counting_resolve2)
+    h = space.grid.min_step if min_step_h else None
+    ctx = solve_three_player(space, inst.fields, eps=inst.epsilon, h=h).context
+    looked_up = {
+        (s, family_lookup(family, t).g)
+        for s, family in ctx.overline.items()
+        for t in space.grid.points[:-1]
+    }
+    assert len(calls) == len(set(calls)) == len(looked_up)
+    # h = span: one entry per family; minimal step: one per interior time
+    assert len(calls) == (3 * (len(space.grid) - 1) if min_step_h else 3)

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import random_rv, random_space
 from oracles import (
+    certifies_field,
     reference_certifies_field,
+    reference_check_adapted,
     reference_estimate_modulus,
     reference_pair_changes,
     reference_select_h,
@@ -21,7 +23,6 @@ from stopgame.payoff import (
     MODULUS_SLACK,
     Modulus,
     PayoffField,
-    certifies_field,
     check_adapted,
     estimate_modulus,
     modulus_max,
@@ -377,3 +378,54 @@ def test_select_h_on_a_tiny_step_is_closed_form():
         select_h(Modulus(((step, eps),)), eps, grid)
     assert time.perf_counter() - start < 0.5
 
+
+
+def _adapted_values(rng, space, arity):
+    """One random value per (time tuple, block at its latest index)."""
+    K = space.grid.terminal_index
+    values = {}
+    for ks in itertools.product(range(K + 1), repeat=arity):
+        layer = [None] * space.n_outcomes
+        for block in space.partitions[max(ks)]:
+            v = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            for w in block:
+                layer[w] = v
+        values[ks] = layer
+    return values
+
+
+def test_check_adapted_matches_reference_with_planted_violations():
+    """The singleton-skipping check returns the reference's sorted bad tuples
+    on random fields with planted changes, including all-singleton
+    partitions and a space whose terminal partition still pools outcomes."""
+    rng = random.Random(20261018)
+    found = found_terminal = 0
+    for trial in range(300):
+        n, n_times, arity = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 3)
+        space = random_space(rng, n, n_times)
+        parts = space.partitions
+        if trial % 5 == 1:  # fully separated at every index: nothing can be bad
+            parts = (tuple((w,) for w in range(n)),) * n_times
+        if trial % 5 == 2:  # the terminal index pools outcomes as the one before does
+            parts = parts[:-1] + parts[-2:-1]
+        space = FilteredSpace(space.grid, space.weights, parts)
+        values = _adapted_values(rng, space, arity)
+        tuples = sorted(values)
+        K = space.grid.terminal_index
+        terminal = [ks for ks in tuples if max(ks) == K]
+        planted = rng.sample(tuples, min(len(tuples), rng.randint(0, 4))) + rng.sample(terminal, 1)
+        for ks in planted:
+            w = rng.randrange(n)
+            values[ks][w] = values[ks][w] + rng.choice((0, 1, Fraction(1, 3)))
+        if trial % 3 == 0:  # an int equal to a Fraction is no change
+            for layer in values.values():
+                layer[0] = int(layer[0]) if layer[0].denominator == 1 else layer[0]
+        rng.shuffle(tuples)  # bad tuples come back sorted whatever the dict's order
+        field = PayoffField(space, arity, {ks: tuple(values[ks]) for ks in tuples})
+        bad = check_adapted(field)
+        assert bad == reference_check_adapted(field)
+        if trial % 5 == 1:
+            assert bad == []
+        found += len(bad)
+        found_terminal += sum(max(ks) == K for ks in bad)
+    assert found > 100 and found_terminal > 10

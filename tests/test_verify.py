@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, random_space
+from oracles import affine
 from stopgame.errors import GuardExceeded
 from stopgame.payoff import payoff_from_function
 from stopgame.space import (
@@ -146,7 +147,7 @@ def test_gap_affine_equivariance(three_time_space):
     profile = [lift_constant3(space, seat, min(seat, 2)) for seat in range(3)]
     gaps = nash_gap(space, [field] * 3, profile, 0)
     a, b = Fraction(7, 3), Fraction(-2, 9)
-    scaled = field.affine(a, b)
+    scaled = affine(field, a, b)
     gaps_scaled = nash_gap(space, [scaled] * 3, profile, 0)
     for g, gs in zip(gaps, gaps_scaled):
         for atom in g:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, random_space
-from oracles import pair_payoff, reference_node_tables
+from oracles import affine, pair_payoff, reference_node_tables
 from stopgame.generator import generate_instance
 from stopgame.payoff import payoff_from_function
 from stopgame.space import cond_exp, constant_time
@@ -104,7 +104,7 @@ def test_value_constant_shift_and_monotone(three_time_space):
 
     spec = make_spec(space, fn)
     shifted = ReactionGameSpec(
-        payoff=spec.payoff.affine(1, "3/2"),
+        payoff=affine(spec.payoff, 1, "3/2"),
         frozen_slot=2,
         max_slot=0,
         min_slot=1,
