@@ -8,7 +8,7 @@ push the leader down at most 5*eps below the duel value, and conforming play
 stays within 8*eps of it.
 """
 
-from stopgame import assemble_saddle, build_components, certify_saddle
+from stopgame import assemble_saddle, build_components, certify_saddle, stop_now_solutions
 from stopgame.generator import generate_instance
 from stopgame.payoff import estimate_modulus, select_h
 from stopgame.space import constant_time
@@ -20,7 +20,8 @@ eps = inst.epsilon
 h = select_h(estimate_modulus(inst.fields[leader]), eps, space.grid)
 print(f"leader seat {leader}; eps = {eps}, window width h = {h}")
 
-comp = build_components(space, inst.fields[leader], leader, constant_time(space, 0), eps, h)
+stop_now = stop_now_solutions(space, inst.fields[leader], leader)
+comp = build_components(space, inst.fields[leader], leader, constant_time(space, 0), eps, h, stop_now)
 print("\nvalue of stopping now at t=0:    ", comp.leader_stop_value[0])
 print("floor once a rival stops at t=0: ", comp.coalition_floor[0])
 print("duel value at t=0:               ", comp.value[0])

@@ -102,18 +102,15 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     nodes: list = [None] * (K + 1)
     for k in range(K - 1, kmin - 1, -1):
         reactions = tuple(
-            snell(space, f.pin(i, k).as_layers(), directions[i], k + 1)
+            snell(space, f.process(1 - i, k), directions[i], k + 1)
             for i, f in enumerate((fields[-1], fields[0]))
         )
-        lone_stops = (  # per outcome, the stop pair once slot 0 or slot 1 stopped alone
-            [(k, r) for r in reactions[0].rule.idx],
-            [(r, k) for r in reactions[1].rule.idx],
-        )
+        lone_stops = ((k, reactions[0].rule), (reactions[1].rule, k))
         cells: list = []
         for f, layers in zip(fields, values):
             cells.append(f.at((k, k)))
-            for pairs in lone_stops:
-                cells.append(cond_exp(space, [f.values[p][w] for w, p in enumerate(pairs)], k))
+            for stops in lone_stops:
+                cells.append(cond_exp(space, f.at_stops(stops), k))
             cells.append(cond_exp(space, layers[k + 1], k))
         choice = tuple(map(choose, *cells))
         for j, layers in enumerate(values):

@@ -23,13 +23,11 @@ from fractions import Fraction
 from .classic import dynkin_hitting_pair, dynkin_value, snell
 from .errors import TheoremViolation
 from .nash2 import (
-    _double_pin,
     _pair_component,
     build_coop_family,
     build_pair_family,
     build_single_family,
     family_lookup,
-    stop_now_solutions,
 )
 from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, rat
@@ -67,19 +65,16 @@ def build_components(
     mu: StoppingTime,
     eps,
     h,
-    stop_now=None,
+    stop_now: tuple,
 ) -> CoalitionComponents:
     """All processes, hitting times and families of the coalition game.
 
-    ``stop_now`` is the leader's ``stop_now_solutions``; it is computed here
-    when the caller has none.
+    ``stop_now`` is ``nash2.stop_now_solutions(space, payoff, max_player)``.
     """
     from .zerosum import ReactionGameSpec, reaction_game_value
 
     if payoff.arity != 3:
         raise ValueError("coalition games need a three-slot payoff")
-    if stop_now is None:
-        stop_now = stop_now_solutions(space, payoff, max_player)
     eps, h = rat(eps), rat(h)
     L = max_player
     cj, ck = sorted(s for s in range(3) if s != L)
@@ -109,7 +104,7 @@ def build_components(
     for free in (L, cj, ck):
         direction = "sup" if free == L else "inf"
         solo[free] = tuple(
-            snell(space, _double_pin(payoff, free, k).as_layers(), direction, k)
+            snell(space, payoff.process(free, k), direction, k)
             for k in range(K + 1)
         )
     pinned = {free: [sol[k].value[k] for k in range(K + 1)] for free, sol in solo.items()}
@@ -125,10 +120,12 @@ def build_components(
         for w in range(space.n_outcomes)
     )
 
+    negated = payoff.negated()
+
     def zero_sum_fields(opponent):
         # leader maximizes the payoff, the surviving member minimizes it
         lo, hi = sorted((L, opponent))
-        own = {L: payoff, opponent: payoff.negated()}
+        own = {L: payoff, opponent: negated}
         return (own[lo], own[hi])
 
     families = {
@@ -304,7 +301,7 @@ def certify_saddle(
     br_coalition = exact_best_response(
         space, comp.payoff, profile, controlled=comp.coalition, objective="min", start=comp.mu
     )
-    on_path, _ = on_path_value(space, comp.payoff, profile, comp.mu)
+    [(on_path, _)] = on_path_value(space, [comp.payoff], profile, comp.mu)
     value_at = {
         atom: comp.value[atom[0]][atom[1][0]] for atom in on_path
     }

@@ -135,9 +135,7 @@ def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
     for i, sa in enumerate(strategies):
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
-            paths = [
-                on_path_value(space, f, [sa, sb], start_st)[0] for f in (field_a, field_b)
-            ]
+            paths = [v for v, _ in on_path_value(space, (field_a, field_b), [sa, sb], start_st)]
             cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
@@ -182,11 +180,6 @@ def family_multiples(space: FilteredSpace, h) -> list[Fraction]:
     interior = space.grid.points[:-1]
     on_grid = {t for t in interior if t > 0 and (t / h).denominator == 1}
     return sorted({phi_h(t, h) for t in interior} | on_grid)
-
-
-def _double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
-    others = sorted(s for s in range(3) if s != free_slot)
-    return field3.pin(others[1], c).pin(others[0], c)
 
 
 def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
@@ -299,12 +292,9 @@ def build_coop_family(
         return payload, None
 
     def gap_at(payload, k):
-        rho, tau = payload[:2]
-        view = field3.pin(frozen_slot, k)
-        pay = tuple(
-            view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
-        )
-        attained = cond_exp(space, pay, k)
+        pair = payload[:2]
+        stops = (*pair[:frozen_slot], k, *pair[frozen_slot:])
+        attained = cond_exp(space, field3.at_stops(stops), k)
         return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
 
     return _window_family(space, "coop_pair", h, eps, solve_at, gap_at)
@@ -320,7 +310,7 @@ def build_single_family(
 ) -> EquilibriumFamily:
     """Single optimal stops for a payoff with both other slots pinned.
 
-    ``solo[k]`` is the Snell solution from k of the slice pinned at k.
+    ``solo[k]`` is the Snell solution from k of ``field3.process(free_slot, k)``.
     Window certification compares the anchored rule's value with the Snell
     optimum at each window time, within eps.
     """
@@ -330,13 +320,8 @@ def build_single_family(
         return (solo[anchor].rule,), None
 
     def gap_at(payload, k):
-        (rule,) = payload
-        layers = _double_pin(field3, free_slot, k).as_layers()
-        attained = cond_exp(
-            space,
-            tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
-            k,
-        )
+        stops = (k,) * free_slot + payload + (k,) * (2 - free_slot)
+        attained = cond_exp(space, field3.at_stops(stops), k)
         opt = solo[k].value[k]
         if direction == "inf":
             return max(a - o for a, o in zip(attained, opt))

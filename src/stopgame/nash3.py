@@ -81,18 +81,6 @@ def resolve_overline(space: FilteredSpace, overline: dict[int, EquilibriumFamily
     return out
 
 
-def _family_value(space, field, seat, k, pair, free_slots) -> RV:
-    """E_k of the field with the seat slot at k and the survivors at ``pair``."""
-    vals = []
-    for w in range(space.n_outcomes):
-        ks = [0, 0, 0]
-        ks[seat] = k
-        ks[free_slots[0]] = pair[0].idx[w]
-        ks[free_slots[1]] = pair[1].idx[w]
-        vals.append(field.value_at(tuple(ks), w))
-    return cond_exp(space, tuple(vals), k)
-
-
 @dataclass(frozen=True)
 class PlayerProcesses:
     seat: int
@@ -121,11 +109,11 @@ def build_player_processes(
 
     stop_exact = [stop_now[k].value[k] for k in range(K + 1)]
 
-    def family_layers(stopped_seat: int) -> list[RV]:
-        free = sorted(q for q in range(3) if q != stopped_seat)
+    def family_layers(s: int) -> list[RV]:
+        # E_k of the field with seat s stopped at k and the survivors at their pair
         return [
-            _family_value(space, field, stopped_seat, k, pair, free)
-            for k, pair in enumerate(after_stop[stopped_seat])
+            cond_exp(space, field.at_stops((*pair[:s], k, *pair[s:])), k)
+            for k, pair in enumerate(after_stop[s])
         ] + [field.at((K, K, K))]
 
     stop_family = family_layers(seat)
@@ -332,15 +320,20 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
         ))
 
         def react_one(q: int, s: int) -> StoppingTime:
+            after_stop = overline_component(q, s, p).initial
             vals = []
             for w, e in enumerate(event):
                 if e != p and points[s] >= points[ctx.shifted_exit[e].idx[w]]:
                     vals.append(ctx.saddles[e][1][p].react_one[q][s].idx[w])
                 else:
-                    vals.append(overline_component(q, s, p).initial.idx[w])
+                    vals.append(after_stop.idx[w])
             return StoppingTime(tuple(vals))
 
         def react_two(a: int, b: int) -> StoppingTime:
+            if a <= b:
+                after_stop = overline_component(lo, a, p).react[b]
+            else:
+                after_stop = overline_component(hi, b, p).react[a]
             vals = []
             for w, e in enumerate(event):
                 if e != p and points[min(a, b)] >= points[ctx.shifted_exit[e].idx[w]]:
@@ -350,10 +343,8 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
                     singles = ctx.saddles[punished][0].families
                     entry = family_lookup(singles[("single", p)], points[a])
                     vals.append(entry.payload[0].idx[w])
-                elif a <= b:
-                    vals.append(overline_component(lo, a, p).react[b].idx[w])
                 else:
-                    vals.append(overline_component(hi, b, p).react[a].idx[w])
+                    vals.append(after_stop.idx[w])
             return StoppingTime(tuple(vals))
 
         strat = dense_strategy3(space, p, initial, react_one, react_two)

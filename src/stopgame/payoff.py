@@ -6,7 +6,12 @@ tuple must be measurable at the maximum of its entries.  The continuity
 modulus table bounds payoff changes by the total numeric time displacement,
 with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
-between the last interior time and the terminal time.  One modulus serves
+between the last interior time and the terminal time.
+
+``PayoffField`` is the one reader of its tensor: ``at_stops`` reads the payoff
+at one stop per slot (a stopping time or a grid index), ``process`` reads the
+layers over one slot with the others held at a time, and ``pin`` builds a
+real sub-field only for solvers that work on one.  One modulus serves
 every seat: a single walk over the pairs of time tuples, on integer ticks,
 compares each tuple's joint row of all seats' payoff numerators on one common
 denominator, and converts to ``Fraction`` once per distinct displacement.
@@ -23,7 +28,7 @@ from operator import getitem, sub
 from typing import Callable, Sequence
 
 from .errors import NoValidH
-from .space import RV, FilteredSpace, TimeGrid, _numerators, rat
+from .space import RV, FilteredSpace, TimeGrid, _numerators, _start_indices, rat
 
 # added to the empirical maximum so the modulus bound is strict, as required
 MODULUS_SLACK = Fraction(1, 10**9)
@@ -42,6 +47,17 @@ class PayoffField:
 
     def value_at(self, ks: tuple[int, ...], omega: int) -> Fraction:
         return self.values[ks][omega]
+
+    def at_stops(self, stops: Sequence) -> RV:
+        """The payoff at one stop per slot, each a ``StoppingTime`` or a grid
+        index: outcome w reads the slice at the stops' indices at w."""
+        columns = [_start_indices(self.space, s) for s in stops]
+        return tuple(self.values[ks][w] for w, ks in enumerate(zip(*columns)))
+
+    def process(self, slot: int, k: int) -> list[RV]:
+        """The layers over one slot's grid index, every other slot at k."""
+        head, tail = (k,) * slot, (k,) * (self.arity - slot - 1)
+        return [self.values[head + (j,) + tail] for j in range(len(self.space.grid))]
 
     @cached_property
     def den(self) -> int:

@@ -243,18 +243,18 @@ def resolve_profile(space: FilteredSpace, strategies: Sequence):
 
 
 def on_path_value(
-    space: FilteredSpace, field: PayoffField, strategies: Sequence, start
-) -> tuple[dict[Atom, Fraction], RV]:
-    """Expected payoff of the conforming profile, conditioned at the start."""
+    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
+) -> list[tuple[dict[Atom, Fraction], RV]]:
+    """Per field, the expected payoff of the conforming profile conditioned at
+    the start, by start atom and as an RV.  The profile is resolved once."""
     times = resolve_profile(space, strategies)
-    pay = tuple(
-        field.value_at(tuple(t.idx[w] for t in times), w)
-        for w in range(space.n_outcomes)
-    )
     theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
-    rv_out = cond_exp_at(space, pay, theta)
-    values = {(k, members): rv_out[members[0]] for k, members in stopped_atoms(space, theta)}
-    return values, rv_out
+    atoms = stopped_atoms(space, theta)
+    out = []
+    for field in fields:
+        rv_out = cond_exp_at(space, field.at_stops(times), theta)
+        out.append(({(k, members): rv_out[members[0]] for k, members in atoms}, rv_out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def certify_nash(
         ).values
         for seat, field in enumerate(fields)
     )
-    paths = tuple(on_path_value(space, field, profile, theta)[0] for field in fields)
+    paths = tuple(values for values, _ in on_path_value(space, fields, profile, theta))
     return _nash_certificate(eps, best, paths)
 
 

@@ -11,7 +11,6 @@ from stopgame import coalition, nash2, verify
 from stopgame import space as space_module
 from stopgame.classic import snell
 from stopgame.generator import generate_instance
-from stopgame.nash2 import _double_pin
 from stopgame.nash3 import solve_three_player
 from stopgame.space import FilteredSpace, TimeGrid, constant_time, make_grid
 
@@ -127,7 +126,7 @@ def random_rv(rng: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 
 def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str) -> tuple:
     """The per-index Snell tuple ``build_single_family`` reads its rules from."""
     return tuple(
-        snell(space, _double_pin(field3, free_slot, k).as_layers(), direction, k)
+        snell(space, field3.process(free_slot, k), direction, k)
         for k in range(len(space.grid))
     )
 

@@ -38,7 +38,7 @@ from stopgame.verify import (
     enumerate_stopping_times,
     enumerate_strategies2,
     exact_best_response,
-    on_path_value,
+    resolve_profile,
 )
 from stopgame.zerosum import NodeGap
 
@@ -646,7 +646,8 @@ def reference_fallback_search(space, field_a, field_b, start_st, eps, best_pair,
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
             paths = [
-                on_path_value(space, f, [sa, sb], start_st)[0] for f in (field_a, field_b)
+                reference_on_path_value(space, f, [sa, sb], start_st)[0]
+                for f in (field_a, field_b)
             ]
             cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
@@ -766,3 +767,78 @@ def reference_dynkin_convention_gap(
             if k >= start[w]:
                 gap = max(gap, abs(main[k][w] - alt[k][w]))
     return gap
+
+
+# The per-outcome payoff reads and the slice copies made only to be read that
+# ``PayoffField.at_stops`` and ``PayoffField.process`` replaced: the lone-stop
+# cells of ``classic.node_sweep``, ``verify.on_path_value`` for one field,
+# ``nash3._family_value``, the coop and single window gaps of ``nash2`` and
+# its ``_double_pin``.  Kept as they were so the two readers are checked
+# against them with ==.
+
+
+def reference_double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
+    others = sorted(s for s in range(3) if s != free_slot)
+    return field3.pin(others[1], c).pin(others[0], c)
+
+
+def reference_lone_stop_cells(space: FilteredSpace, f: PayoffField, k: int, reactions):
+    """The two lone-stop cells of a node, slot 0 alone then slot 1 alone."""
+    lone_stops = (  # per outcome, the stop pair once slot 0 or slot 1 stopped alone
+        [(k, r) for r in reactions[0].rule.idx],
+        [(r, k) for r in reactions[1].rule.idx],
+    )
+    return [
+        cond_exp(space, [f.values[p][w] for w, p in enumerate(pairs)], k)
+        for pairs in lone_stops
+    ]
+
+
+def reference_on_path_value(space: FilteredSpace, field: PayoffField, strategies, start):
+    """Expected payoff of the conforming profile, conditioned at the start."""
+    times = resolve_profile(space, strategies)
+    pay = tuple(
+        field.value_at(tuple(t.idx[w] for t in times), w)
+        for w in range(space.n_outcomes)
+    )
+    theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
+    rv_out = cond_exp_at(space, pay, theta)
+    values = {(k, members): rv_out[members[0]] for k, members in stopped_atoms(space, theta)}
+    return values, rv_out
+
+
+def reference_family_value(space, field, seat, k, pair, free_slots):
+    """E_k of the field with the seat slot at k and the survivors at ``pair``."""
+    vals = []
+    for w in range(space.n_outcomes):
+        ks = [0, 0, 0]
+        ks[seat] = k
+        ks[free_slots[0]] = pair[0].idx[w]
+        ks[free_slots[1]] = pair[1].idx[w]
+        vals.append(field.value_at(tuple(ks), w))
+    return cond_exp(space, tuple(vals), k)
+
+
+def reference_coop_gap(space, field3, frozen_slot, stop_now, payload, k):
+    rho, tau = payload[:2]
+    view = field3.pin(frozen_slot, k)
+    pay = tuple(
+        view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
+    )
+    attained = cond_exp(space, pay, k)
+    return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
+
+
+def reference_single_gap(space, field3, free_slot, solo, payload, k):
+    direction = solo[-1].direction
+    (rule,) = payload
+    layers = reference_double_pin(field3, free_slot, k).as_layers()
+    attained = cond_exp(
+        space,
+        tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
+        k,
+    )
+    opt = solo[k].value[k]
+    if direction == "inf":
+        return max(a - o for a, o in zip(attained, opt))
+    return max(o - a for a, o in zip(attained, opt))

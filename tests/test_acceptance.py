@@ -32,6 +32,7 @@ from stopgame.classic import (
 from stopgame.cli import main as cli_main
 from stopgame.coalition import assemble_saddle, build_components, certify_saddle
 from stopgame.generator import generate_instance
+from stopgame.nash2 import stop_now_solutions
 from stopgame.nash3 import solve_three_player
 from stopgame.payoff import estimate_modulus, modulus_max, select_h
 from stopgame.space import (
@@ -96,6 +97,7 @@ def test_criterion_2_coalition_saddle(solved_family):
         comp = build_components(
             inst.space, inst.fields[leader], leader,
             constant_time(inst.space, 0), EPS, h,
+            stop_now_solutions(inst.space, inst.fields[leader], leader),
         )
         triple = assemble_saddle(comp)
         cert = certify_saddle(comp, triple)

@@ -13,16 +13,20 @@ from oracles import (
     pair_payoff,
     reference_dynkin_convention_gap,
     reference_joint_inf_pair,
+    reference_lone_stop_cells,
 )
 from stopgame.classic import (
+    _first_min,
     dynkin_convention_gap,
     dynkin_hitting_pair,
     dynkin_value,
     joint_inf_pair,
+    node_sweep,
     snell,
 )
 from stopgame.errors import OrderViolation
 from stopgame.generator import generate_instance
+from stopgame.nash2 import _nash_cell
 from stopgame.payoff import payoff_from_function
 from stopgame.space import (
     cond_exp,
@@ -286,3 +290,29 @@ def test_joint_inf_matches_reference_sweep(seed):
     for from_ in starts:
         res = joint_inf_pair(space, field2, from_)
         assert (res.value, res.rho, res.tau) == reference_joint_inf_pair(space, field2, from_)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_node_sweep_cells_match_per_outcome_reads(seed):
+    """Each node's lone-stop cells, read at the survivors' Snell rules, equal
+    the per-outcome reads they replaced, for one shared field and for one
+    field per slot; each reaction is the Snell solution of the pinned slice."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    space = inst.space
+    K = space.grid.terminal_index
+    pinned_at = seed % K
+    pairs = [f.pin(seed % 3, pinned_at) for f in inst.fields]
+    for fields, directions, choose in (
+        ((pairs[0],), ("inf", "inf"), _first_min),
+        (tuple(pairs[1:]), ("sup", "sup"), _nash_cell),
+    ):
+        _, nodes = node_sweep(space, fields, directions, pinned_at, choose)
+        for k in range(pinned_at, K):
+            cells, reactions, _ = nodes[k]
+            for i, f in enumerate((fields[-1], fields[0])):
+                layers = f.pin(i, k).as_layers()
+                assert reactions[i] == snell(space, layers, directions[i], k + 1)
+            for j, f in enumerate(fields):
+                assert list(cells[4 * j + 1 : 4 * j + 3]) == reference_lone_stop_cells(
+                    space, f, k, reactions
+                )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from conftest import random_space
 from stopgame.coalition import assemble_saddle, build_components, certify_saddle
+from stopgame.nash2 import stop_now_solutions
 from stopgame.payoff import payoff_from_function
 from stopgame.space import cond_exp, constant_time
 from stopgame.strategy import validate_strategy
@@ -55,7 +56,9 @@ def test_constant_payoff_components():
     space = small_space()
     field = payoff_from_function(space, 3, lambda ks, w: "2/3")
     mu = constant_time(space, 0)
-    comp = build_components(space, field, 0, mu, "1/20", space.grid.min_step)
+    comp = build_components(
+        space, field, 0, mu, "1/20", space.grid.min_step, stop_now_solutions(space, field, 0)
+    )
     K = space.grid.terminal_index
     for k in range(K + 1):
         assert comp.leader_stop_value[k] == tuple([Fraction(2, 3)] * 3)
@@ -72,7 +75,9 @@ def test_leader_own_time_payoff():
     pts = space.grid.points
     field = payoff_from_function(space, 3, lambda ks, w: pts[ks[0]])
     mu = constant_time(space, 0)
-    comp = build_components(space, field, 0, mu, "1/400", space.grid.min_step)
+    comp = build_components(
+        space, field, 0, mu, "1/400", space.grid.min_step, stop_now_solutions(space, field, 0)
+    )
     K = space.grid.terminal_index
     for k in range(K + 1):
         assert comp.leader_stop_value[k] == tuple([pts[k]] * 3)
@@ -91,7 +96,8 @@ def test_sandwiches_on_random_instances():
         mu = constant_time(scaled, 0)
         leader = trial % 3
         comp = build_components(
-            scaled, field, leader, mu, "1/20", scaled.grid.min_step
+            scaled, field, leader, mu, "1/20", scaled.grid.min_step,
+            stop_now_solutions(scaled, field, leader),
         )
         # ordering checks run inside build_components; also assert the
         # designate-event dichotomy explicitly
@@ -128,7 +134,10 @@ def test_assemble_and_certify_random():
         field = coupled_field(space, rng)
         mu = constant_time(space, 0)
         leader = trial % 3
-        comp = build_components(space, field, leader, mu, "1/20", space.grid.min_step)
+        comp = build_components(
+            space, field, leader, mu, "1/20", space.grid.min_step,
+            stop_now_solutions(space, field, leader),
+        )
         triple = assemble_saddle(comp)
         for s in triple:
             assert validate_strategy(space, s) == []
@@ -158,7 +167,9 @@ def test_certify_from_stopping_time_start():
         idx.append(k)
     mu = StoppingTime(tuple(idx))
     assert is_stopping_time(space, mu.idx)
-    comp = build_components(space, field, 0, mu, "1/20", space.grid.min_step)
+    comp = build_components(
+        space, field, 0, mu, "1/20", space.grid.min_step, stop_now_solutions(space, field, 0)
+    )
     triple = assemble_saddle(comp)
     cert = certify_saddle(comp, triple)
     assert cert.passes
@@ -183,7 +194,9 @@ def test_heterogeneous_urgency_saddle():
         )
 
     field = payoff_from_function(space, 3, fn)
-    comp = build_components(space, field, 0, constant_time(space, 0), "1/8", "1/10")
+    comp = build_components(
+        space, field, 0, constant_time(space, 0), "1/8", "1/10", stop_now_solutions(space, field, 0)
+    )
     triple = assemble_saddle(comp)
     cert = certify_saddle(comp, triple)
     assert cert.passes
@@ -198,7 +211,9 @@ def test_constant_payoff_assembly_designation():
     space = small_space()
     field = payoff_from_function(space, 3, lambda ks, w: "1/2")
     mu = constant_time(space, 0)
-    comp = build_components(space, field, 0, mu, "1/20", space.grid.min_step)
+    comp = build_components(
+        space, field, 0, mu, "1/20", space.grid.min_step, stop_now_solutions(space, field, 0)
+    )
     assert all(comp.designate)
     leader, member_lo, member_hi = assemble_saddle(comp)
     assert leader.initial == comp.leader_hit
@@ -214,7 +229,10 @@ def test_leader_react_dispatch_matches_families():
     rng = random.Random(239)
     space = FractionGrid(random_space(rng, 3, 4))
     field = coupled_field(space, rng)
-    comp = build_components(space, field, 0, constant_time(space, 0), "1/20", space.grid.min_step)
+    comp = build_components(
+        space, field, 0, constant_time(space, 0), "1/20", space.grid.min_step,
+        stop_now_solutions(space, field, 0),
+    )
     leader, _, _ = assemble_saddle(comp)
     K = space.grid.terminal_index
     cj, ck = comp.coalition
@@ -246,7 +264,8 @@ def test_on_path_routes_through_the_case_split():
         field = coupled_field(space, rng)
         leader = trial % 3
         comp = build_components(
-            space, field, leader, constant_time(space, 0), "1/20", space.grid.min_step
+            space, field, leader, constant_time(space, 0), "1/20", space.grid.min_step,
+            stop_now_solutions(space, field, leader),
         )
         triple = assemble_saddle(comp)
         profile = [None] * 3

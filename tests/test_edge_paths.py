@@ -19,7 +19,7 @@ from stopgame.errors import (
     WindowCertificationFailed,
 )
 from stopgame.generator import generate_instance
-from stopgame.nash2 import build_single_family, solve_2p_nash
+from stopgame.nash2 import build_single_family, solve_2p_nash, stop_now_solutions
 from stopgame.nash3 import solve_three_player
 from stopgame.payoff import payoff_from_function
 from stopgame.space import FilteredSpace, cond_exp, constant_time, make_grid
@@ -141,7 +141,8 @@ def test_golden_pipeline_gaps():
     inst = generate_instance(14, n_outcomes=3, n_times=4)
     h = inst.space.grid.min_step
     comp = build_components(
-        inst.space, inst.fields[1], 1, constant_time(inst.space, 0), inst.epsilon, h
+        inst.space, inst.fields[1], 1, constant_time(inst.space, 0), inst.epsilon, h,
+        stop_now_solutions(inst.space, inst.fields[1], 1),
     )
     cert = certify_saddle(comp, assemble_saddle(comp))
     atom = next(iter(cert.on_path))

@@ -53,7 +53,7 @@ def test_coordination_reaches_joint_optimum(three_time_space):
     assert res.gap <= Fraction(1, 10)
     joint_sup = joint_inf_pair(space, field.negated(), 0)
     best = tuple(-v for v in joint_sup.value[0])
-    path, _ = on_path_value(space, field, list(res.strategies), 0)
+    [(path, _)] = on_path_value(space, [field], list(res.strategies), 0)
     ((_, atom_val),) = path.items()
     assert best[0] - atom_val <= Fraction(1, 10)
 

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import solo_solutions
+from oracles import (
+    reference_coop_gap,
+    reference_family_value,
+    reference_on_path_value,
+    reference_single_gap,
+)
 from stopgame.classic import joint_inf_value
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
-from stopgame import nash3
+from stopgame import coalition, nash2, nash3, verify
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
@@ -23,7 +30,7 @@ from stopgame.nash3 import (
     solve_three_player,
 )
 from stopgame.nash2 import stop_now_solutions
-from stopgame.payoff import payoff_from_function
+from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -266,7 +273,7 @@ def test_on_path_identity():
         ctx = sol.context
         times = resolve_profile(space, sol.profile)
         for p in range(3):
-            path, _ = on_path_value(space, inst.fields[p], sol.profile, theta)
+            [(path, _)] = on_path_value(space, [inst.fields[p]], sol.profile, theta)
             for atom, got in path.items():
                 want = Fraction(0)
                 members = atom[1]
@@ -391,7 +398,8 @@ def test_standalone_coalition_value_tracks_duel_value():
         pp = sol.context.players[seat]
         for k in range(len(space.grid)):
             comp = build_components(
-                space, inst.fields[seat], seat, constant_time(space, k), eps, h
+                space, inst.fields[seat], seat, constant_time(space, k), eps, h,
+                stop_now_solutions(space, inst.fields[seat], seat),
             )
             for w in range(space.n_outcomes):
                 assert comp.value[k][w] <= pp.value[k][w] + eps
@@ -442,3 +450,93 @@ def test_after_stop_entries_resolved_once_per_solve(monkeypatch, min_step_h):
     assert len(calls) == len(set(calls)) == len(looked_up)
     # h = span: one entry per family; minimal step: one per interior time
     assert len(calls) == (3 * (len(space.grid) - 1) if min_step_h else 3)
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+@pytest.mark.parametrize("seed", (1, 1000))
+def test_solve_reads_match_per_outcome_references(seed, min_step_h):
+    """A solve's after-stop family layers, coop and single window gaps and
+    on-path values equal the per-outcome reads ``at_stops`` and ``process``
+    replaced."""
+    inst = generate_instance(seed, n_outcomes=3, n_times=5)
+    space, fields = inst.space, inst.fields
+    h = space.grid.min_step if min_step_h else None
+    sol = solve_three_player(space, fields, eps=inst.epsilon, h=h)
+    ctx = sol.context
+    K = space.grid.terminal_index
+    after_stop = resolve_overline(space, ctx.overline)
+    for seat, pp in ctx.players.items():
+
+        def family_layers(s):
+            free = sorted(q for q in range(3) if q != s)
+            return tuple(
+                reference_family_value(space, fields[seat], s, k, pair, free)
+                for k, pair in enumerate(after_stop[s])
+            ) + (fields[seat].at((K, K, K)),)
+
+        assert pp.stop_family == family_layers(seat)
+        assert pp.rival == {q: family_layers(q) for q in pp.rival}
+    for s, (comp, _) in ctx.saddles.items():
+        stop_now = stop_now_solutions(space, fields[s], s)
+        for entry in comp.families["coop"].entries.values():
+            gaps = [
+                reference_coop_gap(space, fields[s], s, stop_now, entry.payload, k)
+                for k in entry.window
+            ]
+            assert entry.achieved == max(0, *gaps)
+        for free in range(3):
+            solo = solo_solutions(space, fields[s], free, "sup" if free == s else "inf")
+            for entry in comp.families[("single", free)].entries.values():
+                gaps = [
+                    reference_single_gap(space, fields[s], free, solo, entry.payload, k)
+                    for k in entry.window
+                ]
+                assert entry.achieved == max(0, *gaps)
+    assert sol.certificate.on_path == tuple(
+        reference_on_path_value(space, f, sol.profile, ctx.theta)[0] for f in fields
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, outcomes, times, min_step_h, pins, lookups",
+    [(1004, 4, 6, True, 234, 443), (1000, 3, 5, False, 135, 306)],
+    ids=("4x6-minh", "3x5-autoh"),
+)
+def test_calls_per_solve_on_bench_games(
+    monkeypatch, seed, outcomes, times, min_step_h, pins, lookups
+):
+    """On two bench games: every ``certify_nash`` resolves its profile once
+    for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
+    stop-now sweeps, zero-sum views); each coalition game negates its payoff
+    once; and profile assembly looks up an after-stop entry once per reaction
+    entry, not once per outcome."""
+    counts = Counter()
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    real_certify = verify.certify_nash
+    resolutions = []
+
+    def certify(*args, **kwargs):
+        before = counts["resolve"]
+        cert = real_certify(*args, **kwargs)
+        resolutions.append(counts["resolve"] - before)
+        return cert
+
+    monkeypatch.setattr(verify, "resolve_profile", counting("resolve", verify.resolve_profile))
+    for module in (nash2, nash3):
+        monkeypatch.setattr(module, "certify_nash", certify)
+    for module in (coalition, nash3):
+        monkeypatch.setattr(module, "family_lookup", counting("lookup", module.family_lookup))
+    for name in ("pin", "negated"):
+        monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
+    inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
+    h = inst.space.grid.min_step if min_step_h else None
+    assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
+    assert resolutions and set(resolutions) == {1}
+    assert (counts["pin"], counts["negated"], counts["lookup"]) == (pins, 3, lookups)

@@ -13,7 +13,9 @@ from oracles import (
     certifies_field,
     reference_certifies_field,
     reference_check_adapted,
+    reference_double_pin,
     reference_estimate_modulus,
+    reference_family_value,
     reference_pair_changes,
     reference_select_h,
 )
@@ -29,7 +31,7 @@ from stopgame.payoff import (
     payoff_from_function,
     select_h,
 )
-from stopgame.space import FilteredSpace, TimeGrid, cond_exp, make_grid
+from stopgame.space import FilteredSpace, StoppingTime, TimeGrid, cond_exp, make_grid
 
 
 def test_time_only_payoff_is_adapted(three_time_space):
@@ -429,3 +431,47 @@ def test_check_adapted_matches_reference_with_planted_violations():
         found += len(bad)
         found_terminal += sum(max(ks) == K for ks in bad)
     assert found > 100 and found_terminal > 10
+
+
+@pytest.mark.parametrize("arity", (1, 2, 3))
+def test_readers_match_the_reads_they_replaced(arity):
+    """``at_stops`` equals the per-outcome read at stops that mix stopping
+    times and grid indices, and ``process`` equals the slice that pinning
+    every other slot at k leaves (``_double_pin`` for three slots)."""
+    rng = random.Random(700 + arity)
+    for _ in range(25):
+        space = random_space(rng, rng.randint(1, 4), rng.randint(2, 4))
+        K, n = space.grid.terminal_index, space.n_outcomes
+        field = PayoffField(
+            space,
+            arity,
+            {ks: random_rv(rng, n) for ks in itertools.product(range(K + 1), repeat=arity)},
+        )
+
+        def random_stop():
+            if rng.random() < 0.5:
+                return rng.randint(0, K)
+            return StoppingTime(tuple(rng.randint(0, K) for _ in range(n)))
+
+        stops = [random_stop() for _ in range(arity)]
+        columns = [s.idx if isinstance(s, StoppingTime) else (s,) * n for s in stops]
+        assert field.at_stops(stops) == tuple(
+            field.value_at(tuple(c[w] for c in columns), w) for w in range(n)
+        )
+        for slot in range(arity):
+            for k in range(K + 1):
+                sliced = field
+                for other in sorted((s for s in range(arity) if s != slot), reverse=True):
+                    sliced = sliced.pin(other, k)
+                assert field.process(slot, k) == sliced.as_layers()
+                if arity == 3:
+                    assert field.process(slot, k) == reference_double_pin(field, slot, k).as_layers()
+        if arity == 3:
+            for seat in range(3):
+                free = [q for q in range(3) if q != seat]
+                k = rng.randint(0, K)
+                pair = tuple(
+                    StoppingTime(tuple(rng.randint(0, K) for _ in range(n))) for _ in free
+                )
+                got = cond_exp(space, field.at_stops((*pair[:seat], k, *pair[seat:])), k)
+                assert got == reference_family_value(space, field, seat, k, pair, free)

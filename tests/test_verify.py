@@ -123,7 +123,7 @@ def test_conformity_gap_zero(three_time_space):
     a = lift_obstinate2(space, constant_time(space, 1))
     b = lift_obstinate2(space, constant_time(space, 2))
     conforming = exact_best_response(space, field, [a, b], (), "max", 0)
-    on_path, _ = on_path_value(space, field, [a, b], 0)
+    [(on_path, _)] = on_path_value(space, [field], [a, b], 0)
     assert conforming.values == on_path
 
 
