@@ -51,6 +51,7 @@ from .nash3 import (
     PlayerProcesses,
     assemble_profile,
     build_player_processes,
+    first_exit_seats,
     partition_ABC,
     select_delta,
     solve_three_player,
@@ -70,6 +71,7 @@ from .space import (
     TimeGrid,
     cond_exp,
     cond_exp_at,
+    first_hit,
     is_stopping_time,
     make_grid,
     rat,

@@ -22,7 +22,7 @@ from typing import Sequence
 from .config import current_guards
 from .errors import GuardExceeded, OrderViolation
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, rat
+from .space import RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, first_hit, rat
 
 Layers = list  # list[RV | None], one entry per grid index
 
@@ -52,8 +52,7 @@ def snell(
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
     opt = max if direction == "sup" else min
-    start = _start_indices(space, from_)
-    kmin = min(start)
+    kmin = min(_start_indices(space, from_))
     K = space.grid.terminal_index
     value: Layers = [None] * (K + 1)
     if layers[K] is None:
@@ -64,13 +63,8 @@ def snell(
             raise ValueError(f"payoff layer {k} required for start {kmin}")
         cont = cond_exp(space, value[k + 1], k)
         value[k] = tuple(opt(p, c) for p, c in zip(layers[k], cont))
-    rule = []
-    for w in range(space.n_outcomes):
-        k = start[w]
-        while k < K and value[k][w] != layers[k][w]:
-            k += 1
-        rule.append(k)
-    return SnellResult(value=tuple(value), rule=StoppingTime(tuple(rule)), direction=direction)
+    rule = first_hit(space, from_, lambda k, w: value[k][w] == layers[k][w])
+    return SnellResult(value=tuple(value), rule=rule, direction=direction)
 
 
 @dataclass(frozen=True)
@@ -150,21 +144,18 @@ def joint_inf_pair(
     both sides, then the first slot, then the second, so constants return
     the earliest pair.
     """
-    start = _start_indices(space, from_)
-    kmin = min(start)
-    open_layers, nodes = joint_inf_value(space, field2, kmin)
+    open_layers, nodes = joint_inf_value(space, field2, min(_start_indices(space, from_)))
     K = space.grid.terminal_index
-    rho, tau = [K] * space.n_outcomes, [K] * space.n_outcomes
-    for w in range(space.n_outcomes):
-        for k in range(start[w], K):
-            _, (after_a, after_b), choice = nodes[k]
-            if choice[w] < 3:
-                stops = ((k, k), (k, after_a.rule.idx[w]), (after_b.rule.idx[w], k))
-                rho[w], tau[w] = stops[choice[w]]
-                break
-    return JointStopResult(
-        value=tuple(open_layers), rho=StoppingTime(tuple(rho)), tau=StoppingTime(tuple(tau))
-    )
+
+    def stops(w: int, k: int) -> tuple[int, int]:
+        if k == K:
+            return K, K
+        _, (after_a, after_b), choice = nodes[k]
+        return ((k, k), (k, after_a.rule.idx[w]), (after_b.rule.idx[w], k))[choice[w]]
+
+    first = first_hit(space, from_, lambda k, w: nodes[k][2][w] < 3)
+    rho, tau = zip(*(stops(w, k) for w, k in enumerate(first.idx)))
+    return JointStopResult(value=tuple(open_layers), rho=StoppingTime(rho), tau=StoppingTime(tau))
 
 
 def dynkin_value(
@@ -204,22 +195,22 @@ def _negated(layers: Sequence) -> tuple:
 
 
 def dynkin_convention_gap(
-    space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
+    space: FilteredSpace, value: Sequence, lower: Sequence, upper: Sequence, from_=0
 ) -> Fraction:
     """Largest reachable difference between the two tie conventions.
 
-    The tie-pays-the-minimizer duel is the mirror of the main one: the
-    minimizer of ``upper`` is the maximizer of ``-upper`` against ``-lower``.
+    ``value`` is the main duel's ``dynkin_value(space, lower, upper, from_)``.
+    The tie-pays-the-minimizer duel is its mirror: the minimizer of ``upper``
+    is the maximizer of ``-upper`` against ``-lower``.
     """
     start = _start_indices(space, from_)
-    main = dynkin_value(space, lower, upper, from_)
     alt = _negated(dynkin_value(space, _negated(upper), _negated(lower), from_))
     K = space.grid.terminal_index
     gap = Fraction(0)
     for k in range(min(start), K + 1):
         for w in range(space.n_outcomes):
             if k >= start[w]:
-                gap = max(gap, abs(main[k][w] - alt[k][w]))
+                gap = max(gap, abs(value[k][w] - alt[k][w]))
     return gap
 
 
@@ -233,26 +224,16 @@ def dynkin_hitting_pair(
 ) -> tuple[StoppingTime, StoppingTime]:
     """First times the value pins to each side within eps, from mu onward.
 
-    The maximizer's time always hits (the horizon forces value = lower); the
-    minimizer's falls back to the terminal point when never within eps.
+    Either falls back to the terminal point when never within eps; the
+    maximizer's always hits there, as the horizon forces value = lower.
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    K = space.grid.terminal_index
-    hit_max, hit_min = [], []
-    for w in range(space.n_outcomes):
-        k = mu.idx[w]
-        while value[k][w] > lower[k][w] + eps:
-            k += 1
-        hit_max.append(k)
-        k = mu.idx[w]
-        while k < K and value[k][w] < upper[k][w] - eps:
-            k += 1
-        if value[k][w] < upper[k][w] - eps:
-            k = K
-        hit_min.append(k)
-    return StoppingTime(tuple(hit_max)), StoppingTime(tuple(hit_min))
+    return (
+        first_hit(space, mu, lambda k, w: value[k][w] <= lower[k][w] + eps),
+        first_hit(space, mu, lambda k, w: value[k][w] >= upper[k][w] - eps),
+    )
 
 
 def duel_payoff(

@@ -159,6 +159,7 @@ def cmd_solve(args) -> int:
             _f2s(
                 dynkin_convention_gap(
                     space,
+                    ctx.players[s].value,
                     ctx.players[s].stop_exact,
                     ctx.players[s].rival_floor,
                     doc.theta,
@@ -337,7 +338,8 @@ def main(argv=None) -> int:
         NoValidH,
         NoValidDelta,
         PremiseViolation,
-        FileNotFoundError,
+        OSError,  # a missing, unreadable or unwritable file
+        UnicodeDecodeError,  # a game, profile or report file that is not UTF-8
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

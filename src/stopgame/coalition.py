@@ -33,6 +33,7 @@ from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder3, dense_strategy3
 from .verify import exact_best_response, on_path_value
+from .zerosum import ReactionGameSpec, reaction_game_value
 
 Atom = tuple[int, tuple[int, ...]]
 
@@ -71,8 +72,6 @@ def build_components(
 
     ``stop_now`` is ``nash2.stop_now_solutions(space, payoff, max_player)``.
     """
-    from .zerosum import ReactionGameSpec, reaction_game_value
-
     if payoff.arity != 3:
         raise ValueError("coalition games need a three-slot payoff")
     eps, h = rat(eps), rat(h)
@@ -163,22 +162,13 @@ def _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L):
     for k in range(K + 1):
         for w in range(space.n_outcomes):
             x = leader_stop[k][w]
-            z_free_ck = pinned[ck][k][w]
-            z_free_cj = pinned[cj][k][w]
-            y_cj = after_stop[cj][k][w]
-            y_ck = after_stop[ck][k][w]
-            z_leader = pinned[L][k][w]
-            if not (x <= z_free_ck <= y_cj):
-                raise TheoremViolation(
-                    f"stop-now sandwich failed at k={k}, w={w}: "
-                    f"{x} <= {z_free_ck} <= {y_cj}"
-                )
-            if not (x <= z_free_cj <= y_ck):
-                raise TheoremViolation(
-                    f"stop-now sandwich failed at k={k}, w={w}: "
-                    f"{x} <= {z_free_cj} <= {y_ck}"
-                )
-            if not (z_leader >= max(y_cj, y_ck)):
+            for member, partner in ((cj, ck), (ck, cj)):
+                z, y = pinned[partner][k][w], after_stop[member][k][w]
+                if not (x <= z <= y):
+                    raise TheoremViolation(
+                        f"stop-now sandwich failed at k={k}, w={w}: {x} <= {z} <= {y}"
+                    )
+            if not (pinned[L][k][w] >= max(after_stop[cj][k][w], after_stop[ck][k][w])):
                 raise TheoremViolation(
                     f"leader double-pin optimum below reaction value at k={k}, w={w}"
                 )

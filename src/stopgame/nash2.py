@@ -31,7 +31,7 @@ from .classic import joint_inf_pair, node_sweep
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
-from .space import FilteredSpace, StoppingTime, cond_exp, constant_time, rat
+from .space import FilteredSpace, StoppingTime, cond_exp, constant_time, first_hit, rat
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
 from .verify import (
     NashCertificate,
@@ -98,15 +98,11 @@ def solve_2p_nash(
     def strategy(seat):
         # the seat stops in the both-stop cell and in its own lone-stop cell
         own = (0, 1 + seat)
-        initial = []
-        for w, k in enumerate(start_st.idx):
-            while k < K and nodes[k][2][w] not in own:
-                k += 1
-            initial.append(k)
+        initial = first_hit(space, start_st, lambda k, w: nodes[k][2][w] in own)
         # its reaction to the other seat's stop at k is the survivor's rule;
         # entries before kmin are placeholders that patch_pair overwrites
         react = [terminal] * kmin + [nodes[k][1][1 - seat].rule for k in range(kmin, K)]
-        return StrategyOrder2(initial=StoppingTime(tuple(initial)), react=(*react, terminal))
+        return StrategyOrder2(initial=initial, react=(*react, terminal))
 
     pair = patch_pair(space, (strategy(0), strategy(1)), kmin)
     cert = certify_nash(space, (field_a, field_b), list(pair), start_st, eps)

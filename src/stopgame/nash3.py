@@ -43,6 +43,7 @@ from .space import (
     StoppingTime,
     cond_exp,
     constant_time,
+    first_hit,
     rat,
     stopped_atoms,
 )
@@ -137,12 +138,8 @@ def build_player_processes(
                 )
 
     value = dynkin_value(space, stop_exact, rival_floor, theta)
-    exit_idx = []
-    for w in range(space.n_outcomes):
-        k = theta.idx[w]
-        while value[k][w] > stop_family[k][w] + eps:
-            k += 1
-        exit_idx.append(k)
+    # the last index always hits: value[K] = stop_exact[K] <= stop_family[K]
+    exit_time = first_hit(space, theta, lambda k, w: value[k][w] <= stop_family[k][w] + eps)
     return PlayerProcesses(
         seat=seat,
         stop_exact=tuple(stop_exact),
@@ -150,7 +147,7 @@ def build_player_processes(
         rival=rival,
         rival_floor=tuple(rival_floor),
         value=value,
-        exit_time=StoppingTime(tuple(exit_idx)),
+        exit_time=exit_time,
     )
 
 
@@ -223,24 +220,19 @@ def select_delta(
     return DeltaMap(per_atom=per_atom, duration=tuple(duration))
 
 
-def partition_ABC(space: FilteredSpace, mu_by_seat) -> tuple[tuple, tuple, tuple]:
-    """Who exits first, ties resolved toward the lowest seat.
+def first_exit_seats(space: FilteredSpace, mu_by_seat) -> tuple[int, ...]:
+    """Per outcome, the seat whose exit time fires first, ties resolved
+    toward the lowest seat."""
+    return tuple(
+        min(range(3), key=lambda s: (mu_by_seat[s].idx[w], s))
+        for w in range(space.n_outcomes)
+    )
 
-    A: seat 0 weakly first; B: seat 1 strictly before 0, weakly before 2;
-    C: seat 2 strictly before both.  Exhaustive and pairwise disjoint.
-    """
-    m0, m1, m2 = (mu_by_seat[s].idx for s in range(3))
-    a, b, c = [], [], []
-    for w in range(space.n_outcomes):
-        in_a = m0[w] <= m1[w] and m0[w] <= m2[w]
-        in_b = m1[w] < m0[w] and m1[w] <= m2[w]
-        in_c = m2[w] < m0[w] and m2[w] < m1[w]
-        if in_a + in_b + in_c != 1:
-            raise TheoremViolation("exit-time events failed to partition")
-        a.append(in_a)
-        b.append(in_b)
-        c.append(in_c)
-    return tuple(a), tuple(b), tuple(c)
+
+def partition_ABC(first_exit) -> tuple[tuple, tuple, tuple]:
+    """A, B, C: per outcome, whether seat 0, 1 or 2 is the first to exit.
+    Exhaustive and pairwise disjoint by construction."""
+    return tuple(tuple(e == s for e in first_exit) for s in range(3))
 
 
 @dataclass(frozen=True)
@@ -252,7 +244,8 @@ class AssemblyContext:
     h: Fraction
     players: dict
     delta: DeltaMap
-    events: tuple  # bool tuples per seat: who is the designated first stopper
+    first_exit: tuple  # per outcome, the designated first stopper
+    events: tuple  # partition_ABC(first_exit): one bool tuple per seat
     overline: dict
     saddles: dict  # designated seat -> (components, strategies keyed by seat)
     shifted_exit: dict  # seat -> exit time pushed by the settle delay
@@ -268,7 +261,7 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
         for seat in range(3)
     }
     delta = select_delta(space, players, theta, eps)
-    events = partition_ABC(space, {s: players[s].exit_time for s in range(3)})
+    first_exit = first_exit_seats(space, {s: players[s].exit_time for s in range(3)})
     shifted = {
         s: shift_time(space, players[s].exit_time, delta.duration) for s in range(3)
     }
@@ -286,7 +279,8 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
         h=h,
         players=players,
         delta=delta,
-        events=events,
+        first_exit=first_exit,
+        events=partition_ABC(first_exit),
         overline=overline,
         saddles=saddles,
         shifted_exit=shifted,
@@ -296,33 +290,25 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
 def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
     """Literal transcription of the dispatch tables into dense strategies."""
     space = ctx.space
-    n = space.n_outcomes
     points = space.grid.points
-
-    def event_seat(w: int) -> int:
-        for s in range(3):
-            if ctx.events[s][w]:
-                return s
-        raise AssertionError("events must partition")
 
     def overline_component(stopped, t_idx, want):
         entry = family_lookup(ctx.overline[stopped], points[t_idx])
         free = sorted(q for q in range(3) if q != stopped)
         return _pair_component(entry, free, want)
 
-    event = [event_seat(w) for w in range(n)]
     profile: list[StrategyOrder3] = []
     for p in range(3):
         lo, hi = sorted(q for q in range(3) if q != p)
         initial = StoppingTime(tuple(
             ctx.players[p].exit_time.idx[w] if e == p else ctx.saddles[e][1][p].initial.idx[w]
-            for w, e in enumerate(event)
+            for w, e in enumerate(ctx.first_exit)
         ))
 
         def react_one(q: int, s: int) -> StoppingTime:
             after_stop = overline_component(q, s, p).initial
             vals = []
-            for w, e in enumerate(event):
+            for w, e in enumerate(ctx.first_exit):
                 if e != p and points[s] >= points[ctx.shifted_exit[e].idx[w]]:
                     vals.append(ctx.saddles[e][1][p].react_one[q][s].idx[w])
                 else:
@@ -335,7 +321,7 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
             else:
                 after_stop = overline_component(hi, b, p).react[a]
             vals = []
-            for w, e in enumerate(event):
+            for w, e in enumerate(ctx.first_exit):
                 if e != p and points[min(a, b)] >= points[ctx.shifted_exit[e].idx[w]]:
                     vals.append(ctx.saddles[e][1][p].react_two[(a, b)].idx[w])
                 elif e != p and a == b == ctx.players[e].exit_time.idx[w]:

@@ -9,11 +9,14 @@ numerators per block); floats are rejected so tests can assert with ``==``.
 
 Times are handled in two forms: a *value* is the rational coordinate of a grid
 point, an *index* is its position in the grid.  Stopping times store indices.
+Every stopping rule of the construction is read by ``first_hit``: per outcome,
+the first index from a start at which a condition holds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,11 +89,7 @@ class TimeGrid:
 
     def index_at_or_after(self, t) -> int:
         """Smallest index whose point is >= t; terminal if t exceeds the grid."""
-        t = rat(t)
-        for k, p in enumerate(self.points):
-            if p >= t:
-                return k
-        return self.terminal_index
+        return min(bisect_left(self.points, rat(t)), self.terminal_index)
 
 
 def make_grid(points: Iterable) -> TimeGrid:
@@ -230,6 +229,19 @@ def _start_indices(space: FilteredSpace, from_) -> tuple[int, ...]:
     if isinstance(from_, StoppingTime):
         return from_.idx
     return (int(from_),) * space.n_outcomes
+
+
+def first_hit(space: FilteredSpace, start, hit) -> StoppingTime:
+    """Per outcome w, the first index k from the start (a stopping time or a
+    constant grid index) with ``hit(k, w)``, or the terminal index when no
+    earlier k has it."""
+    K = space.grid.terminal_index
+    out = []
+    for w, k in enumerate(_start_indices(space, start)):
+        while k < K and not hit(k, w):
+            k += 1
+        out.append(k)
+    return StoppingTime(tuple(out))
 
 
 def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:

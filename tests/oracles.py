@@ -14,7 +14,13 @@ from typing import Sequence
 
 from stopgame.classic import dynkin_value, snell
 from stopgame.config import current_guards
-from stopgame.errors import DeskScaleExceeded, GuardExceeded, NoValidH, ParseError
+from stopgame.errors import (
+    DeskScaleExceeded,
+    GuardExceeded,
+    NoValidH,
+    ParseError,
+    TheoremViolation,
+)
 from stopgame.nash2 import Nash2Result
 from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _pair_changes
 from stopgame.space import (
@@ -842,3 +848,75 @@ def reference_single_gap(space, field3, free_slot, solo, payload, k):
     if direction == "inf":
         return max(a - o for a, o in zip(attained, opt))
     return max(o - a for a, o in zip(attained, opt))
+
+
+# The hand-written forward scans that ``space.first_hit`` replaced (the
+# ``classic.snell`` rule, both ``classic.dynkin_hitting_pair`` times, the
+# ``nash3.build_player_processes`` exit time), the first-exit partition that
+# ``nash3.first_exit_seats`` replaced and the linear ``index_at_or_after``,
+# kept as they were so the new code is checked against them with ==.
+
+
+def reference_snell_rule(space: FilteredSpace, value, layers, from_=0) -> StoppingTime:
+    start = _start_indices(space, from_)
+    K = space.grid.terminal_index
+    rule = []
+    for w in range(space.n_outcomes):
+        k = start[w]
+        while k < K and value[k][w] != layers[k][w]:
+            k += 1
+        rule.append(k)
+    return StoppingTime(tuple(rule))
+
+
+def reference_dynkin_hitting_pair(space, value, lower, upper, eps, mu):
+    eps = rat(eps)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    K = space.grid.terminal_index
+    hit_max, hit_min = [], []
+    for w in range(space.n_outcomes):
+        k = mu.idx[w]
+        while value[k][w] > lower[k][w] + eps:
+            k += 1
+        hit_max.append(k)
+        k = mu.idx[w]
+        while k < K and value[k][w] < upper[k][w] - eps:
+            k += 1
+        if value[k][w] < upper[k][w] - eps:
+            k = K
+        hit_min.append(k)
+    return StoppingTime(tuple(hit_max)), StoppingTime(tuple(hit_min))
+
+
+def reference_exit_time(space, value, stop_family, theta, eps) -> StoppingTime:
+    exit_idx = []
+    for w in range(space.n_outcomes):
+        k = theta.idx[w]
+        while value[k][w] > stop_family[k][w] + eps:
+            k += 1
+        exit_idx.append(k)
+    return StoppingTime(tuple(exit_idx))
+
+
+def reference_partition_ABC(space: FilteredSpace, mu_by_seat):
+    m0, m1, m2 = (mu_by_seat[s].idx for s in range(3))
+    a, b, c = [], [], []
+    for w in range(space.n_outcomes):
+        in_a = m0[w] <= m1[w] and m0[w] <= m2[w]
+        in_b = m1[w] < m0[w] and m1[w] <= m2[w]
+        in_c = m2[w] < m0[w] and m2[w] < m1[w]
+        if in_a + in_b + in_c != 1:
+            raise TheoremViolation("exit-time events failed to partition")
+        a.append(in_a)
+        b.append(in_b)
+        c.append(in_c)
+    return tuple(a), tuple(b), tuple(c)
+
+
+def reference_index_at_or_after(grid: TimeGrid, t) -> int:
+    t = rat(t)
+    for k, p in enumerate(grid.points):
+        if p >= t:
+            return k
+    return grid.terminal_index

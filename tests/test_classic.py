@@ -12,8 +12,10 @@ from oracles import (
     duel_payoff_rv,
     pair_payoff,
     reference_dynkin_convention_gap,
+    reference_dynkin_hitting_pair,
     reference_joint_inf_pair,
     reference_lone_stop_cells,
+    reference_snell_rule,
 )
 from stopgame.classic import (
     _first_min,
@@ -238,7 +240,7 @@ def test_convention_gap_zero_when_ordered():
     space = random_space(rng, 3, 4)
     lo = [cond_exp(space, random_rv(rng, 3), k) for k in range(4)]
     hi = [tuple(x + 1 for x in layer) for layer in lo]
-    gap = dynkin_convention_gap(space, lo, hi, 0)
+    gap = dynkin_convention_gap(space, dynkin_value(space, lo, hi, 0), lo, hi, 0)
     # the conventions differ at most by the terminal forced-stop payoff
     assert gap <= max(
         abs(a - b) for a, b in zip(lo[-1], hi[-1])
@@ -260,7 +262,8 @@ def test_convention_gap_matches_reference(seed):
         kmin = start if isinstance(start, int) else min(start.idx)
         cut_lo = [None] * kmin + lo[kmin:]
         cut_hi = [None] * kmin + hi[kmin:]
-        got = dynkin_convention_gap(space, cut_lo, cut_hi, start)
+        value = dynkin_value(space, cut_lo, cut_hi, start)
+        got = dynkin_convention_gap(space, value, cut_lo, cut_hi, start)
         assert got == reference_dynkin_convention_gap(space, cut_lo, cut_hi, start)
         assert got == reference_dynkin_convention_gap(space, lo, hi, start)
 
@@ -316,3 +319,55 @@ def test_node_sweep_cells_match_per_outcome_reads(seed):
                 assert list(cells[4 * j + 1 : 4 * j + 3]) == reference_lone_stop_cells(
                     space, f, k, reactions
                 )
+
+
+def scan_starts(space, rng):
+    """Constant starts at 0, mid-grid and K, plus random stopping-time starts."""
+    K = space.grid.terminal_index
+    taus = list(enumerate_stopping_times(space, 0))
+    return [0, K // 2, K, *rng.sample(taus, min(4, len(taus)))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snell_rule_matches_reference_scan(seed):
+    """The rule read by first_hit equals the old per-outcome scan, on random
+    layers and on layers whose optimum is always the start (decreasing) or
+    never before the horizon (increasing)."""
+    rng = random.Random(400 + seed)
+    space = random_space(rng, 3, 5)
+    K = space.grid.terminal_index
+    n = space.n_outcomes
+    layer_sets = [
+        [cond_exp(space, random_rv(rng, n), k) for k in range(K + 1)],
+        [rv_const(space, -k) for k in range(K + 1)],
+        [rv_const(space, k) for k in range(K + 1)],
+    ]
+    for layers in layer_sets:
+        for start in scan_starts(space, rng):
+            for direction in ("sup", "inf"):
+                res = snell(space, layers, direction, start)
+                assert res.rule == reference_snell_rule(space, res.value, layers, start)
+    res = snell(space, layer_sets[2], "sup", 0)
+    assert res.rule == constant_time(space, K)  # first holds at K
+    res = snell(space, layer_sets[1], "sup", 1)
+    assert res.rule == constant_time(space, 1)  # holds at the start
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dynkin_hitting_pair_matches_reference_scan(seed):
+    """Both hitting times equal the old loops (the unbounded maximizer loop
+    and the minimizer loop with its post-loop branch) for an eps so small
+    that most hits come only at K and one so large that they come at once."""
+    rng = random.Random(500 + seed)
+    space = random_space(rng, 3, 5)
+    K = space.grid.terminal_index
+    lo = [cond_exp(space, random_rv(rng, 3), k) for k in range(K + 1)]
+    hi = spread_layers(space, rng, lo)
+    for start in scan_starts(space, rng):
+        mu = start if not isinstance(start, int) else constant_time(space, start)
+        value = dynkin_value(space, lo, hi, mu)
+        for eps in ("1/1000", "1/10", "1", "100"):
+            got = dynkin_hitting_pair(space, value, lo, hi, eps, mu)
+            assert got == reference_dynkin_hitting_pair(space, value, lo, hi, eps, mu)
+        if start == K:
+            assert got == (mu, mu)

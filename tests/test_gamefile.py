@@ -180,6 +180,45 @@ def test_cli_input_error_exit_code(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
 
 
+NOT_UTF8 = b'{"weights": ["1/2", "1/2"], "note": "\xff\xfe"}'
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("solve", "game-dir"),
+    ("solve", "game-bytes"),
+    ("verify", "game-bytes"),
+    ("verify", "profile-bytes"),
+    ("verify", "profile-dir"),
+    ("report", "report-bytes"),
+    ("report", "report-dir"),
+])
+def test_cli_unreadable_file_exits_2(tmp_path, capsys, command, bad):
+    """A directory or a non-UTF-8 file given as a game, profile or report is
+    an input error (2) with one line and no traceback."""
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--seed", "5", "--players", "2", "--outcomes", "2", "--times", "3",
+                 "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--out", str(rep)]) == 0
+    role, kind = bad.split("-")
+    target = {"game": game, "profile": rep, "report": rep}[role]
+    target.unlink()
+    if kind == "dir":
+        target.mkdir()
+    else:
+        target.write_bytes(NOT_UTF8)
+    argv = {
+        "solve": ["solve", "--game", str(game), "--out", str(tmp_path / "o.json")],
+        "verify": ["verify", "--game", str(game), "--profile", str(rep),
+                   "--out", str(tmp_path / "o.json")],
+        "report": ["report", "--in", str(rep)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_report_renders(tmp_path, capsys):
     game = tmp_path / "game.json"
     rep = tmp_path / "report.json"

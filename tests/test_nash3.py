@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +10,10 @@ import pytest
 from conftest import solo_solutions
 from oracles import (
     reference_coop_gap,
+    reference_exit_time,
     reference_family_value,
     reference_on_path_value,
+    reference_partition_ABC,
     reference_single_gap,
 )
 from stopgame.classic import joint_inf_value
@@ -23,6 +26,7 @@ from stopgame.nash3 import (
     build_overline_families,
     build_player_processes,
     certify_nash,
+    first_exit_seats,
     partition_ABC,
     resolve_overline,
     select_delta,
@@ -40,7 +44,7 @@ from stopgame.space import (
     make_grid,
 )
 from stopgame.strategy import lift_constant3, resolve2
-from stopgame.verify import on_path_value, resolve_profile
+from stopgame.verify import enumerate_stopping_times, on_path_value, resolve_profile
 
 
 def urgency_space():
@@ -150,11 +154,11 @@ def test_partition_examples():
     space = inst.space
     t0 = constant_time(space, 0)
     t1 = constant_time(space, 1)
-    a, b, c = partition_ABC(space, {0: t0, 1: t0, 2: t0})
+    a, b, c = partition_ABC(first_exit_seats(space, {0: t0, 1: t0, 2: t0}))
     assert all(a) and not any(b) and not any(c)
-    a, b, c = partition_ABC(space, {0: t1, 1: t0, 2: t0})
+    a, b, c = partition_ABC(first_exit_seats(space, {0: t1, 1: t0, 2: t0}))
     assert all(b)
-    a, b, c = partition_ABC(space, {0: t1, 1: t1, 2: t0})
+    a, b, c = partition_ABC(first_exit_seats(space, {0: t1, 1: t1, 2: t0}))
     assert all(c)
 
 
@@ -167,9 +171,62 @@ def test_partition_random_triples():
         for _ in range(30)
     ]
     for i in range(0, 30, 3):
-        a, b, c = partition_ABC(space, {0: sts[i], 1: sts[i + 1], 2: sts[i + 2]})
+        a, b, c = partition_ABC(first_exit_seats(space, {0: sts[i], 1: sts[i + 1], 2: sts[i + 2]}))
         for w in range(space.n_outcomes):
             assert a[w] + b[w] + c[w] == 1
+
+
+def test_partition_matches_reference_on_every_exit_triple():
+    """Built from the one first-exit seat, A, B and C equal the three old
+    inequalities on every exit-index triple in range(4)**3, one per outcome."""
+    triples = list(itertools.product(range(4), repeat=3))
+    n = len(triples)
+    space = FilteredSpace(
+        grid=make_grid(range(4)),
+        weights=(Fraction(1, n),) * n,
+        partitions=(((*range(n),),),) * 3 + (tuple((w,) for w in range(n)),),
+    )
+    exits = {s: StoppingTime(tuple(t[s] for t in triples)) for s in range(3)}
+    first = first_exit_seats(space, exits)
+    assert partition_ABC(first) == reference_partition_ABC(space, exits)
+    assert first == tuple(min(range(3), key=t.__getitem__) for t in triples)
+
+
+@pytest.mark.parametrize("case", ("seed2", "seed9", "urgency"))
+def test_exit_time_matches_reference_scan(case):
+    """Each seat's exit time equals the old unbounded scan from constant
+    starts (0, mid-grid and K) and from stopping-time starts; on the
+    symmetric urgency game the value ties with stop_family + eps."""
+    if case == "urgency":
+        space = urgency_space()
+        fields, eps = urgency_fields(space, (Fraction(1, 2),) * 3), Fraction(1, 20)
+    else:
+        inst = generate_instance(int(case[4:]), n_outcomes=3, n_times=4)
+        space, fields, eps = inst.space, inst.fields, inst.epsilon
+    K = space.grid.terminal_index
+    after_stop = resolve_overline(
+        space, build_overline_families(space, fields, space.grid.min_step, eps)
+    )
+    stop_now = {s: stop_now_solutions(space, fields[s], s) for s in range(3)}
+    taus = list(enumerate_stopping_times(space, 0))
+    rng = random.Random(case)
+    thetas = [constant_time(space, k) for k in (0, K // 2, K)] + rng.sample(taus, 3)
+    hits_at_k = ties = 0
+    for theta in thetas:
+        for e in (eps, 2 * eps):
+            for seat in range(3):
+                pp = build_player_processes(
+                    space, fields, seat, theta, e, after_stop, stop_now[seat]
+                )
+                want = reference_exit_time(space, pp.value, pp.stop_family, theta, e)
+                assert pp.exit_time == want
+                hits_at_k += want.idx.count(K)
+                ties += sum(
+                    pp.value[k][w] == pp.stop_family[k][w] + e for w, k in enumerate(want.idx)
+                )
+    assert hits_at_k > 0
+    if case == "urgency":
+        assert ties > 0
 
 
 def fake_processes(space, layers, exit_idx):

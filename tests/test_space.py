@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DENOMINATORS, SETTINGS, random_rv, random_space
-from oracles import reference_cond_exp, reference_cond_exp_at
+from oracles import reference_cond_exp, reference_cond_exp_at, reference_index_at_or_after
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -16,6 +16,7 @@ from stopgame.space import (
     cond_exp_at,
     constant_time,
     expectation,
+    first_hit,
     is_stopping_time,
     make_grid,
     rat,
@@ -137,14 +138,51 @@ def test_first_hit_of_adapted_indicator(branching_space):
         cond_exp(space, random_rv(rng, 3, lo=0, hi=1, den=1), k)
         for k in range(len(space.grid))
     ]
+    hit = first_hit(space, 0, lambda k, w: layers[k][w] == 1)
+    assert is_stopping_time(space, hit.idx)
+
+
+def test_first_hit_reads_from_the_start_up_to_the_terminal_index(branching_space):
+    """The first k from each outcome's start with hit(k, w); the terminal
+    index when no earlier k has it, without asking hit at the terminal index
+    or before the start."""
+    space = branching_space
     K = space.grid.terminal_index
-    hit = []
-    for w in range(space.n_outcomes):
-        k = 0
-        while k < K and layers[k][w] != 1:
-            k += 1
-        hit.append(k)
-    assert is_stopping_time(space, tuple(hit))
+    asked = []
+
+    def hit_at(table):
+        def hit(k, w):
+            asked.append((k, w))
+            return table[k][w]
+
+        return hit
+
+    never = [(False,) * 3] * (K + 1)
+    assert first_hit(space, 0, hit_at(never)) == StoppingTime((K, K, K))
+    assert sorted(set(asked)) == [(k, w) for k in range(K) for w in range(3)]
+    asked.clear()
+    assert first_hit(space, K, hit_at(never)) == StoppingTime((K, K, K))
+    assert asked == []
+    at_k = [(False,) * 3, (False, True, False), (True, True, False), (True,) * 3]
+    assert first_hit(space, 0, hit_at(at_k)) == StoppingTime((2, 1, K))
+    assert first_hit(space, 2, hit_at(at_k)) == StoppingTime((2, 2, K))
+    asked.clear()
+    start = StoppingTime((1, 2, 0))
+    assert first_hit(space, start, hit_at(at_k)) == StoppingTime((2, 2, K))
+    assert all(k >= start.idx[w] for k, w in asked)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_at_or_after_matches_reference(seed):
+    """The bisected index equals the linear scan it replaced: below the first
+    point, on every point, between points and past the terminal point."""
+    rng = random.Random(700 + seed)
+    points = sorted(rng.sample(range(0, 60), rng.randint(2, 8)))
+    grid = make_grid([Fraction(p, 3) for p in points])
+    probes = [Fraction(t, 6) for t in range(-6, 2 * points[-1] + 12)]
+    probes += [*grid.points, "1/7", 0]
+    for t in probes:
+        assert grid.index_at_or_after(t) == reference_index_at_or_after(grid, t)
 
 
 def test_cond_exp_at_constant_times(three_time_space):
