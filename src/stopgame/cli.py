@@ -58,7 +58,10 @@ def _write(path: str, text: str):
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _layer_obj(layers):
@@ -339,7 +342,6 @@ def main(argv=None) -> int:
         NoValidDelta,
         PremiseViolation,
         OSError,  # a missing, unreadable or unwritable file
-        UnicodeDecodeError,  # a game, profile or report file that is not UTF-8
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from .classic import dynkin_hitting_pair, dynkin_value, snell
 from .errors import TheoremViolation
-from .nash2 import (
-    _pair_component,
-    build_coop_family,
-    build_pair_family,
-    build_single_family,
-    family_lookup,
-)
+from .nash2 import build_coop_family, build_pair_family, build_single_family
 from .payoff import PayoffField
 from .space import FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder3, dense_strategy3
@@ -122,10 +116,8 @@ def build_components(
     negated = payoff.negated()
 
     def zero_sum_fields(opponent):
-        # leader maximizes the payoff, the surviving member minimizes it
-        lo, hi = sorted((L, opponent))
-        own = {L: payoff, opponent: negated}
-        return (own[lo], own[hi])
+        # in seat order: the leader maximizes the payoff, the surviving member minimizes it
+        return tuple(payoff if q == L else negated for q in sorted((L, opponent)))
 
     families = {
         "coop": build_coop_family(space, payoff, L, stop_now, h, eps),
@@ -190,53 +182,38 @@ def assemble_saddle(
     K = space.grid.terminal_index
     L = comp.leader
     cj, ck = comp.coalition
-    grid = space.grid
     n = space.n_outcomes
 
-    def fam(key):
-        return comp.families[key]
+    def play(key, k, seat):
+        # what seat plays in the family's entry for an observation at index k
+        return comp.families[key].by_index[k].payload[seat]
 
     def leader_react_one(member, t_idx) -> StoppingTime:
-        entry = family_lookup(fam(("pair", member)), grid.points[t_idx])
-        other = ck if member == cj else cj
-        return _pair_component(entry, (L, other), L).initial
+        return play(("pair", member), t_idx, L).initial
 
     def leader_react_two(t_cj, t_ck) -> StoppingTime:
         if t_cj < t_ck:
-            entry = family_lookup(fam(("pair", cj)), grid.points[t_cj])
-            return _pair_component(entry, (L, ck), L).react[t_ck]
+            return play(("pair", cj), t_cj, L).react[t_ck]
         if t_cj > t_ck:
-            entry = family_lookup(fam(("pair", ck)), grid.points[t_ck])
-            return _pair_component(entry, (L, cj), L).react[t_cj]
-        entry = family_lookup(fam(("single", L)), grid.points[t_cj])
-        return entry.payload[0]
+            return play(("pair", ck), t_ck, L).react[t_cj]
+        return play(("single", L), t_cj, L)
 
     leader = dense_strategy3(space, L, comp.leader_hit, leader_react_one, leader_react_two)
 
     def member_strategy(me: int, partner: int, designated_on: bool) -> StrategyOrder3:
-        # coop payload: (rho, tau, lifted rho, lifted tau); rho belongs to the
-        # lower coalition seat
-        my_coop_slot = 0 if me == cj else 1
-
         def react_one(q, t_idx) -> StoppingTime:
             if q == L:
-                entry = family_lookup(fam("coop"), grid.points[t_idx])
-                return entry.payload[my_coop_slot]
-            entry = family_lookup(fam(("pair", partner)), grid.points[t_idx])
-            return _pair_component(entry, (L, me), me).initial
+                return play("coop", t_idx, me).initial
+            return play(("pair", partner), t_idx, me).initial
 
         def react_two(a: int, b: int) -> StoppingTime:
             # a is the lower other seat's time
             t_leader, t_partner = (a, b) if L < partner else (b, a)
             if t_leader < t_partner:
-                entry = family_lookup(fam("coop"), grid.points[t_leader])
-                lifted = entry.payload[2 + my_coop_slot]
-                return lifted.react[t_partner]
+                return play("coop", t_leader, me).react[t_partner]
             if t_leader > t_partner:
-                entry = family_lookup(fam(("pair", partner)), grid.points[t_partner])
-                return _pair_component(entry, (L, me), me).react[t_leader]
-            entry = family_lookup(fam(("single", me)), grid.points[t_leader])
-            return entry.payload[0]
+                return play(("pair", partner), t_partner, me).react[t_leader]
+            return play(("single", me), t_leader, me)
 
         initial = StoppingTime(
             tuple(

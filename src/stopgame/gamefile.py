@@ -46,6 +46,13 @@ def _s2f(x, where: str, *args) -> Fraction:
         raise ParseError(f"{where.format(*args)}: not a rational: {x!r}") from exc
 
 
+def _int(x, where: str) -> int:
+    """A JSON integer; a float, string or boolean is an input error."""
+    if type(x) is not int:
+        raise ParseError(f"{where}: need a JSON integer, got {x!r}")
+    return x
+
+
 @contextmanager
 def _malformed(what: str):
     """Report a missing key or a value of the wrong shape as a ParseError."""
@@ -109,14 +116,14 @@ def parse_game(text: str) -> GameDoc:
         grid = TimeGrid(tuple(_s2f(p, "grid") for p in obj["grid"]))
         weights = tuple(_s2f(o["weight"], "outcomes.weight") for o in obj["outcomes"])
         partitions = tuple(
-            tuple(tuple(int(w) for w in block) for block in part)
+            tuple(tuple(_int(w, "partitions") for w in block) for block in part)
             for part in obj["partitions"]
         )
         space = FilteredSpace(grid=grid, weights=weights, partitions=partitions)
         problems = validate_space(space)
         if problems:
             raise ValidationError("; ".join(problems))
-        n_players = int(obj["players"])
+        n_players = _int(obj["players"], "players")
         if n_players not in (2, 3):
             raise ValidationError(f"players must be 2 or 3, got {n_players}")
         K = grid.terminal_index
@@ -221,7 +228,7 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
         except ValueError as exc:
             raise ParseError(f"{where.format(*args)}: {exc}") from exc
 
-    order = int(obj.get("order", 0))
+    order = _int(obj.get("order", 0), "order")
     if order == 2:
         react = obj.get("react", [])
         if len(react) != K + 1:
@@ -246,7 +253,7 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
         if set(react_two) != want:
             raise ParseError("react_two must cover every observation pair")
         return StrategyOrder3(
-            seat=int(obj["seat"]),
+            seat=_int(obj["seat"], "seat"),
             initial=read_st(obj["initial"], "initial"),
             react_one=react_one,
             react_two=react_two,

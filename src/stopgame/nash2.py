@@ -15,11 +15,13 @@ Families index such objects by multiples of a window width h chosen from the
 payoff modulus.  The entry at g is built at the first grid point at or after
 g and certified, by direct evaluation, at every grid time in [g-h, g]; lookup
 at time t returns the entry at the next strictly-later multiple of h, which
-by construction contains t in its certified window.  Certified tolerances are
-11*eps for equilibrium pairs, 5*eps for cooperative minimizer pairs, and eps
-for single optimizers, fixed per family kind, with the achieved gap recorded
-alongside.  The three builders share one skeleton: each supplies only how to
-solve at the anchor and how to measure the gap at a window time.
+by construction contains t in its certified window.  Each family also holds
+that lookup for every interior grid index (``by_index``), and each entry
+answers per seat: ``payload[seat]`` is what that seat plays.  Certified
+tolerances are 11*eps for equilibrium pairs, 5*eps for cooperative minimizer
+pairs, and eps for single optimizers, fixed per family kind, with the achieved
+gap recorded alongside.  The three builders share one skeleton: each supplies
+only how to solve at the anchor and how to measure the gap at a window time.
 """
 
 from __future__ import annotations
@@ -140,9 +142,12 @@ def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
 
 @dataclass(frozen=True)
 class FamilyEntry:
+    """One window's certified solution: ``payload`` maps each free seat, in
+    increasing order, to its play (see the family builders)."""
+
     g: Fraction
     anchor: int
-    payload: tuple
+    payload: dict
     tolerance: Fraction
     achieved: Fraction
     window: tuple[int, ...]
@@ -150,9 +155,12 @@ class FamilyEntry:
 
 @dataclass(frozen=True)
 class EquilibriumFamily:
+    """Entries by multiple g of h; ``by_index[k]`` is the entry at phi_h(t_k)."""
+
     kind: str  # 'nonzero_sum_pair' | 'coop_pair' | 'single'
     h: Fraction
     entries: dict[Fraction, FamilyEntry]
+    by_index: tuple[FamilyEntry, ...]
 
 
 def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
@@ -185,21 +193,16 @@ def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> 
     return tuple(joint_inf_pair(space, field3.pin(seat, k), k) for k in range(K + 1))
 
 
-def _pair_component(entry: FamilyEntry, free_slots, want: int) -> StrategyOrder2:
-    """Strategy of seat ``want`` in a pair entry; the lower free slot comes first."""
-    return entry.payload[0] if want == min(free_slots) else entry.payload[1]
-
-
 _ENTRY_LABEL = {"nonzero_sum_pair": "pair", "coop_pair": "coop", "single": "single"}
 _TOL_MULT = {"nonzero_sum_pair": 11, "coop_pair": 5, "single": 1}
 
 
 def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
     """One entry per g in ``family_multiples``: ``solve_at(anchor)`` gives the
-    payload at the first grid index at or after g, with its gap at the anchor
-    when the solve already measured it (else None), and ``gap_at(payload, k)``
-    must stay within the kind's multiple of eps at every grid index k of the
-    window [g-h, g]."""
+    payload (seat -> play) at the first grid index at or after g, with its gap
+    at the anchor when the solve already measured it (else None), and
+    ``gap_at(payload, k)`` must stay within the kind's multiple of eps at
+    every grid index k of the window [g-h, g]."""
     h, eps = rat(h), rat(eps)
     tolerance = _TOL_MULT[kind] * eps
     entries: dict[Fraction, FamilyEntry] = {}
@@ -229,7 +232,8 @@ def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
             achieved=achieved,
             window=window,
         )
-    return EquilibriumFamily(kind=kind, h=h, entries=entries)
+    by_index = tuple(entries[phi_h(t, h)] for t in space.grid.points[:-1])
+    return EquilibriumFamily(kind=kind, h=h, entries=entries, by_index=by_index)
 
 
 def build_pair_family(
@@ -246,17 +250,19 @@ def build_pair_family(
     observations redirect to anchor behavior), then certified at 11*eps over
     the whole window by exact best response.  The solve's own certificate is
     the gap at the anchor; every other window time is certified afresh.
+    Payloads map each free seat to its strategy.
     """
+    free = tuple(q for q in range(3) if q != frozen_slot)
 
     def views(k):
         return tuple(f.pin(frozen_slot, k) for f in fields3)
 
     def solve_at(anchor):
         res = solve_2p_nash(space, *views(anchor), anchor, eps)
-        return res.strategies, res.gap
+        return dict(zip(free, res.strategies)), res.gap
 
-    def gap_at(pair, k):
-        return certify_nash(space, views(k), list(pair), k, eps).worst_gap
+    def gap_at(payload, k):
+        return certify_nash(space, views(k), list(payload.values()), k, eps).worst_gap
 
     return _window_family(space, "nonzero_sum_pair", h, eps, solve_at, gap_at)
 
@@ -274,22 +280,17 @@ def build_coop_family(
     ``stop_now`` is ``stop_now_solutions(space, field3, frozen_slot)``.  The
     anchor optimum is exact; window certification compares the committed
     pair's value against the cooperative infimum at each window time, within
-    5*eps.  Payloads are (rho, tau, lifted rho, lifted tau).
+    5*eps.  Payloads map the lower free seat to rho and the higher to tau,
+    each lifted by ``lift_obstinate2``.
     """
+    free = tuple(q for q in range(3) if q != frozen_slot)
 
     def solve_at(anchor):
         res = stop_now[anchor]
-        payload = (
-            res.rho,
-            res.tau,
-            lift_obstinate2(space, res.rho),
-            lift_obstinate2(space, res.tau),
-        )
-        return payload, None
+        return {q: lift_obstinate2(space, st) for q, st in zip(free, (res.rho, res.tau))}, None
 
     def gap_at(payload, k):
-        pair = payload[:2]
-        stops = (*pair[:frozen_slot], k, *pair[frozen_slot:])
+        stops = [payload[q].initial if q in payload else k for q in range(3)]
         attained = cond_exp(space, field3.at_stops(stops), k)
         return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
 
@@ -308,15 +309,15 @@ def build_single_family(
 
     ``solo[k]`` is the Snell solution from k of ``field3.process(free_slot, k)``.
     Window certification compares the anchored rule's value with the Snell
-    optimum at each window time, within eps.
+    optimum at each window time, within eps.  Payloads are {free_slot: rule}.
     """
     direction = solo[-1].direction
 
     def solve_at(anchor):
-        return (solo[anchor].rule,), None
+        return {free_slot: solo[anchor].rule}, None
 
     def gap_at(payload, k):
-        stops = (k,) * free_slot + payload + (k,) * (2 - free_slot)
+        stops = [payload.get(q, k) for q in range(3)]
         attained = cond_exp(space, field3.at_stops(stops), k)
         opt = solo[k].value[k]
         if direction == "inf":

@@ -29,13 +29,7 @@ from fractions import Fraction
 from .classic import dynkin_value
 from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
-from .nash2 import (
-    EquilibriumFamily,
-    _pair_component,
-    build_pair_family,
-    family_lookup,
-    stop_now_solutions,
-)
+from .nash2 import EquilibriumFamily, build_pair_family, stop_now_solutions
 from .payoff import estimate_modulus, select_h
 from .space import (
     RV,
@@ -61,13 +55,10 @@ def build_overline_families(
     Entry pairs carry the two surviving seats' own payoffs with the stopped
     seat's slot pinned to the conditioning time.
     """
-    out = {}
-    for s in range(3):
-        free = sorted(q for q in range(3) if q != s)
-        out[s] = build_pair_family(
-            space, (fields[free[0]], fields[free[1]]), s, h, eps
-        )
-    return out
+    return {
+        s: build_pair_family(space, tuple(fields[q] for q in range(3) if q != s), s, h, eps)
+        for s in range(3)
+    }
 
 
 def resolve_overline(space: FilteredSpace, overline: dict[int, EquilibriumFamily]) -> dict:
@@ -75,10 +66,9 @@ def resolve_overline(space: FilteredSpace, overline: dict[int, EquilibriumFamily
     interior index k: the entry at phi_h(t_k), resolved once per entry."""
     out = {}
     for s, family in overline.items():
-        entries = [family_lookup(family, t) for t in space.grid.points[:-1]]
-        one_each = {e.g: e for e in entries}  # several k can share one window's entry
-        pairs = {g: resolve2(space, *e.payload) for g, e in one_each.items()}
-        out[s] = [pairs[e.g] for e in entries]
+        one_each = {e.g: e for e in family.by_index}  # several k can share one window's entry
+        pairs = {g: resolve2(space, *e.payload.values()) for g, e in one_each.items()}
+        out[s] = [pairs[e.g] for e in family.by_index]
     return out
 
 
@@ -290,12 +280,6 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
 def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
     """Literal transcription of the dispatch tables into dense strategies."""
     space = ctx.space
-    points = space.grid.points
-
-    def overline_component(stopped, t_idx, want):
-        entry = family_lookup(ctx.overline[stopped], points[t_idx])
-        free = sorted(q for q in range(3) if q != stopped)
-        return _pair_component(entry, free, want)
 
     profile: list[StrategyOrder3] = []
     for p in range(3):
@@ -306,10 +290,10 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
         ))
 
         def react_one(q: int, s: int) -> StoppingTime:
-            after_stop = overline_component(q, s, p).initial
+            after_stop = ctx.overline[q].by_index[s].payload[p].initial
             vals = []
             for w, e in enumerate(ctx.first_exit):
-                if e != p and points[s] >= points[ctx.shifted_exit[e].idx[w]]:
+                if e != p and s >= ctx.shifted_exit[e].idx[w]:
                     vals.append(ctx.saddles[e][1][p].react_one[q][s].idx[w])
                 else:
                     vals.append(after_stop.idx[w])
@@ -317,18 +301,17 @@ def assemble_profile(ctx: AssemblyContext) -> list[StrategyOrder3]:
 
         def react_two(a: int, b: int) -> StoppingTime:
             if a <= b:
-                after_stop = overline_component(lo, a, p).react[b]
+                after_stop = ctx.overline[lo].by_index[a].payload[p].react[b]
             else:
-                after_stop = overline_component(hi, b, p).react[a]
+                after_stop = ctx.overline[hi].by_index[b].payload[p].react[a]
             vals = []
             for w, e in enumerate(ctx.first_exit):
-                if e != p and points[min(a, b)] >= points[ctx.shifted_exit[e].idx[w]]:
+                if e != p and min(a, b) >= ctx.shifted_exit[e].idx[w]:
                     vals.append(ctx.saddles[e][1][p].react_two[(a, b)].idx[w])
                 elif e != p and a == b == ctx.players[e].exit_time.idx[w]:
                     punished = hi if e == lo else lo
-                    singles = ctx.saddles[punished][0].families
-                    entry = family_lookup(singles[("single", p)], points[a])
-                    vals.append(entry.payload[0].idx[w])
+                    single = ctx.saddles[punished][0].families[("single", p)]
+                    vals.append(single.by_index[a].payload[p].idx[w])
                 else:
                     vals.append(after_stop.idx[w])
             return StoppingTime(tuple(vals))

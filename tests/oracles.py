@@ -825,6 +825,12 @@ def reference_family_value(space, field, seat, k, pair, free_slots):
     return cond_exp(space, tuple(vals), k)
 
 
+def reference_pair_component(entry, free_slots, want: int) -> StrategyOrder2:
+    """Strategy of seat ``want`` in a pair entry with a tuple payload; the
+    lower free slot comes first."""
+    return entry.payload[0] if want == min(free_slots) else entry.payload[1]
+
+
 def reference_coop_gap(space, field3, frozen_slot, stop_now, payload, k):
     rho, tau = payload[:2]
     view = field3.pin(frozen_slot, k)

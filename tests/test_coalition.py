@@ -242,7 +242,7 @@ def test_leader_react_dispatch_matches_families():
             got = leader.react_two[(a, b)]
             if a < b:
                 entry = family_lookup(comp.families[("pair", cj)], pts[a])
-                want = entry.payload[0].react[b]  # leader owns the lower free slot
+                want = entry.payload[0].react[b]  # seat 0 is the leader
             elif a > b:
                 entry = family_lookup(comp.families[("pair", ck)], pts[b])
                 want = entry.payload[0].react[a]

@@ -217,6 +217,59 @@ def test_cli_unreadable_file_exits_2(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert str(target) in err
+
+
+def _set_players(obj, v):
+    obj["players"] = v
+
+
+def _set_partition_block(obj, v):
+    obj["partitions"][0][0] = v
+
+
+def _set_order(obj, v):
+    obj["profile"]["strategies"][0]["order"] = v
+
+
+def _set_seat(obj, v):
+    obj["profile"]["strategies"][0]["seat"] = v
+
+
+@pytest.mark.parametrize("players, role, edit, value, message", [
+    (2, "game", _set_players, 2.5, "players: need a JSON integer, got 2.5"),
+    (2, "game", _set_players, 2.0, "players: need a JSON integer, got 2.0"),
+    (2, "game", _set_players, "2", "players: need a JSON integer, got '2'"),
+    (2, "game", _set_players, True, "players: need a JSON integer, got True"),
+    (2, "game", _set_partition_block, [0.0, 1.9], "partitions: need a JSON integer, got 0.0"),
+    (2, "game", _set_partition_block, [0, "1"], "partitions: need a JSON integer, got '1'"),
+    (2, "profile", _set_order, 2.0, "order: need a JSON integer, got 2.0"),
+    (2, "profile", _set_order, "2", "order: need a JSON integer, got '2'"),
+    (3, "profile", _set_seat, 0.0, "seat: need a JSON integer, got 0.0"),
+    (3, "profile", _set_seat, False, "seat: need a JSON integer, got False"),
+], ids=["players-float", "players-integral-float", "players-string", "players-bool",
+        "partition-floats", "partition-string", "order-float", "order-string",
+        "seat-float", "seat-bool"])
+def test_cli_non_integer_counts_and_indices_exit_2(
+    tmp_path, capsys, players, role, edit, value, message
+):
+    """Player counts, partition outcome indices, strategy orders and seats
+    must be JSON integers: a float, string or boolean is an input error (2)
+    naming the field, never truncated or coerced."""
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--seed", "5", "--players", str(players), "--outcomes", "2",
+                 "--times", "3", "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--out", str(rep)]) == 0
+    target = {"game": game, "profile": rep}[role]
+    obj = json.loads(target.read_text())
+    edit(obj, value)
+    target.write_text(json.dumps(obj))
+    argv = ["verify", "--game", str(game), "--profile", str(rep), "--out", str(tmp_path / "v.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_report_renders(tmp_path, capsys):

@@ -178,7 +178,8 @@ def test_pair_family_window_certificates(three_time_space):
     fam = build_pair_family(space, (mk(1), mk(-1)), 0, 1, eps)
     for entry in fam.entries.values():
         assert entry.achieved <= entry.tolerance == 11 * eps
-        for s in entry.payload:
+        assert list(entry.payload) == [1, 2]
+        for s in entry.payload.values():
             assert validate_strategy(space, s) == []
 
 
@@ -279,7 +280,8 @@ def test_pair_family_entries_match_fresh_window_certificates():
         for entry in fam.entries.values():
             gaps = [
                 certify_nash(
-                    space, [f.pin(frozen, k) for f in fields3], list(entry.payload), k, eps
+                    space, [f.pin(frozen, k) for f in fields3], [entry.payload[q] for q in free],
+                    k, eps,
                 ).worst_gap
                 for k in entry.window
             ]

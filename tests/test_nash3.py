@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -13,13 +14,14 @@ from oracles import (
     reference_exit_time,
     reference_family_value,
     reference_on_path_value,
+    reference_pair_component,
     reference_partition_ABC,
     reference_single_gap,
 )
 from stopgame.classic import joint_inf_value
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
-from stopgame import coalition, nash2, nash3, verify
+from stopgame import nash2, nash3, verify
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
@@ -424,8 +426,7 @@ def test_dispatch_tables_on_designated_rival():
     exit1 = ctx.players[1].exit_time
     for s in range(K):
         entry = family_lookup(ctx.overline[1], pts[s])
-        # seat 0 owns the lower free slot of the after-1 family
-        overline_initial = entry.payload[0].initial
+        overline_initial = entry.payload[0].initial  # seat 0's play after seat 1 stopped
         saddle_react = ctx.saddles[1][1][0].react_one[1][s]
         for w in range(space.n_outcomes):
             got = strat0.react_one[1][s].idx[w]
@@ -537,7 +538,10 @@ def test_solve_reads_match_per_outcome_references(seed, min_step_h):
         stop_now = stop_now_solutions(space, fields[s], s)
         for entry in comp.families["coop"].entries.values():
             gaps = [
-                reference_coop_gap(space, fields[s], s, stop_now, entry.payload, k)
+                reference_coop_gap(
+                    space, fields[s], s, stop_now,
+                    tuple(play.initial for play in entry.payload.values()), k,
+                )
                 for k in entry.window
             ]
             assert entry.achieved == max(0, *gaps)
@@ -545,7 +549,9 @@ def test_solve_reads_match_per_outcome_references(seed, min_step_h):
             solo = solo_solutions(space, fields[s], free, "sup" if free == s else "inf")
             for entry in comp.families[("single", free)].entries.values():
                 gaps = [
-                    reference_single_gap(space, fields[s], free, solo, entry.payload, k)
+                    reference_single_gap(
+                        space, fields[s], free, solo, tuple(entry.payload.values()), k
+                    )
                     for k in entry.window
                 ]
                 assert entry.achieved == max(0, *gaps)
@@ -555,18 +561,63 @@ def test_solve_reads_match_per_outcome_references(seed, min_step_h):
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, lookups",
-    [(1004, 4, 6, True, 234, 443), (1000, 3, 5, False, 135, 306)],
+    "seed, outcomes, times, min_step_h",
+    [(1004, 4, 6, True), (1000, 3, 5, False)],
+    ids=("4x6-minh", "3x5-autoh"),
+)
+def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step_h):
+    """On two bench games, every family of a solve holds ``family_lookup``'s
+    entry for each interior grid time at its index, and each entry maps the
+    free seats, in increasing order, to what they play: the pair strategy,
+    the lifted cooperative stop, or the pinned single optimum."""
+    inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
+    space, fields = inst.space, inst.fields
+    h = space.grid.min_step if min_step_h else None
+    ctx = solve_three_player(space, fields, eps=inst.epsilon, h=h).context
+    interior = space.grid.points[:-1]
+    families = [(("pair", s), s, family) for s, family in ctx.overline.items()]
+    for s, (comp, _) in ctx.saddles.items():
+        families += [(key, s, family) for key, family in comp.families.items()]
+    assert len(families) == 21
+    for key, leader, family in families:
+        assert len(family.by_index) == len(interior)
+        for k, t in enumerate(interior):
+            assert family.by_index[k] is family_lookup(family, t)
+        if key == "coop":
+            stop_now = stop_now_solutions(space, fields[leader], leader)
+            lo, hi = (q for q in range(3) if q != leader)
+            for e in family.entries.values():
+                assert list(e.payload) == [lo, hi]
+                assert e.payload[lo].initial == stop_now[e.anchor].rho
+                assert e.payload[hi].initial == stop_now[e.anchor].tau
+        elif key[0] == "single":
+            free = key[1]
+            solo = solo_solutions(space, fields[leader], free, "sup" if free == leader else "inf")
+            for e in family.entries.values():
+                assert e.payload == {free: solo[e.anchor].rule}
+        else:
+            free = tuple(q for q in range(3) if q != key[1])
+            for e in family.entries.values():
+                assert tuple(e.payload) == free
+                as_tuple = dataclasses.replace(e, payload=tuple(e.payload.values()))
+                for q in free:
+                    assert e.payload[q] is reference_pair_component(as_tuple, free, q)
+
+
+@pytest.mark.parametrize(
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls",
+    [(1004, 4, 6, True, 234, 210), (1000, 3, 5, False, 135, 168)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, lookups
+    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
     stop-now sweeps, zero-sum views); each coalition game negates its payoff
-    once; and profile assembly looks up an after-stop entry once per reaction
-    entry, not once per outcome."""
+    once; and each of the 21 families maps every interior grid time through
+    ``phi_h`` twice (its multiples and its ``by_index``), while profile
+    assembly reads entries by grid index without any ``phi_h``."""
     counts = Counter()
 
     def counting(key, real):
@@ -588,12 +639,11 @@ def test_calls_per_solve_on_bench_games(
     monkeypatch.setattr(verify, "resolve_profile", counting("resolve", verify.resolve_profile))
     for module in (nash2, nash3):
         monkeypatch.setattr(module, "certify_nash", certify)
-    for module in (coalition, nash3):
-        monkeypatch.setattr(module, "family_lookup", counting("lookup", module.family_lookup))
+    monkeypatch.setattr(nash2, "phi_h", counting("phi_h", nash2.phi_h))
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
     assert resolutions and set(resolutions) == {1}
-    assert (counts["pin"], counts["negated"], counts["lookup"]) == (pins, 3, lookups)
+    assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
