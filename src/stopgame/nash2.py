@@ -172,9 +172,10 @@ def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
     return entry
 
 
-def family_multiples(space: FilteredSpace, h) -> list[Fraction]:
-    """Multiples of h that phi_h maps an interior grid time to, plus each
-    interior grid time that is itself a positive multiple of h.
+def family_multiples(space: FilteredSpace, h, targets=None) -> list[Fraction]:
+    """Multiples of h that phi_h maps an interior grid time to (``targets``,
+    one per interior index, when the caller has them), plus each interior
+    grid time that is itself a positive multiple of h.
 
     These are exactly the multiples up to the last lookup target whose window
     [g-h, g] holds a grid time; the others would certify nothing, and there
@@ -182,8 +183,10 @@ def family_multiples(space: FilteredSpace, h) -> list[Fraction]:
     """
     h = rat(h)
     interior = space.grid.points[:-1]
+    if targets is None:
+        targets = [phi_h(t, h) for t in interior]
     on_grid = {t for t in interior if t > 0 and (t / h).denominator == 1}
-    return sorted({phi_h(t, h) for t in interior} | on_grid)
+    return sorted({*targets, *on_grid})
 
 
 def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
@@ -205,8 +208,9 @@ def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
     every grid index k of the window [g-h, g]."""
     h, eps = rat(h), rat(eps)
     tolerance = _TOL_MULT[kind] * eps
+    targets = [phi_h(t, h) for t in space.grid.points[:-1]]
     entries: dict[Fraction, FamilyEntry] = {}
-    for g in family_multiples(space, h):
+    for g in family_multiples(space, h, targets):
         anchor = space.grid.index_at_or_after(g)
         payload, anchor_gap = solve_at(anchor)
         achieved = Fraction(0)
@@ -232,7 +236,7 @@ def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
             achieved=achieved,
             window=window,
         )
-    by_index = tuple(entries[phi_h(t, h)] for t in space.grid.points[:-1])
+    by_index = tuple(entries[g] for g in targets)
     return EquilibriumFamily(kind=kind, h=h, entries=entries, by_index=by_index)
 
 

@@ -30,7 +30,7 @@ from .classic import dynkin_value
 from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
 from .nash2 import EquilibriumFamily, build_pair_family, stop_now_solutions
-from .payoff import estimate_modulus, select_h
+from .payoff import auto_h, eta_reaching
 from .space import (
     RV,
     FilteredSpace,
@@ -342,25 +342,23 @@ def solve_three_player(
     while eta(h) < eps.  When one fails, eta(h) is evaluated: if the given h
     and eps break that premise, the failure is an input error
     (``PremiseViolation``); if they keep it, the ``TheoremViolation`` or
-    ``NoValidDelta`` propagates unchanged.  The modulus is one joint pair
-    walk over all three seats' fields; a passing solve at a given h computes
-    no modulus.
+    ``NoValidDelta`` propagates unchanged.  h and eta(h) read only the
+    modulus entries they need (``auto_h``, ``eta_reaching``): none when no
+    payoff moves by eps over the whole range of time tuples, else those of
+    the tuple pairs within a small radius.  A passing solve at a given h
+    computes no modulus.
     """
     eps = rat(eps)
     if theta is None:
         theta = constant_time(space, 0)
-    mod = None
     if h is None:
-        mod = estimate_modulus(*fields)
-        h = select_h(mod, eps, space.grid)
+        h = auto_h(fields, eps, space.grid)
     try:
         ctx = build_context(space, fields, theta, eps, h)
         profile = assemble_profile(ctx)
     except (TheoremViolation, NoValidDelta) as exc:
-        if mod is None:
-            mod = estimate_modulus(*fields)
-        eta = mod.eval(h)
-        if eta >= eps:
+        eta = eta_reaching(fields, eps, h)
+        if eta is not None:
             raise PremiseViolation(
                 f"eta(h) = {eta} >= epsilon = {eps} at h = {h}; "
                 f"the construction needs eta(h) < epsilon"

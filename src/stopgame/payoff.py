@@ -12,15 +12,20 @@ between the last interior time and the terminal time.
 at one stop per slot (a stopping time or a grid index), ``process`` reads the
 layers over one slot with the others held at a time, and ``pin`` builds a
 real sub-field only for solvers that work on one.  One modulus serves
-every seat: a single walk over the pairs of time tuples, on integer ticks,
-compares each tuple's joint row of all seats' payoff numerators on one common
-denominator, and converts to ``Fraction`` once per distinct displacement.
+every seat: a walk over pairs of time tuples, on integer ticks, compares each
+tuple's joint row of all seats' payoff numerators on one common denominator,
+and converts to ``Fraction`` once per distinct displacement.
+``estimate_modulus`` walks every pair.  Choosing h and rechecking eta(h) read
+only a few entries, so ``auto_h`` and ``eta_reaching`` walk no pair when each
+row coordinate's whole range (max - min over the tuples) stays below eps, and
+otherwise only the pairs within a radius.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -145,9 +150,12 @@ class Modulus:
         return eta
 
 
-def _pair_changes(*fields: PayoffField) -> dict[Fraction, Fraction]:
+def _pair_changes(
+    *fields: PayoffField, radius=None, beyond=0
+) -> dict[Fraction, Fraction]:
     """Worst payoff change, over all fields, at each total time displacement
-    over distinct tuple pairs.
+    over distinct tuple pairs: all of them when ``radius`` is None, else only
+    those whose displacement is at most ``radius`` and above ``beyond``.
 
     The fields must share one space and one tuple set.  The pair walk is pure
     ``int``: grid points become integer ticks on their common denominator, so
@@ -155,35 +163,98 @@ def _pair_changes(*fields: PayoffField) -> dict[Fraction, Fraction]:
     per pair for all fields.  Each tuple's row joins every field's payoff
     numerators on one common denominator, the lcm of the fields' ``den``, so
     a pair's change is a max of numerator differences over the joint row.
+    Within a radius, each tuple visits only the later tuples in reach, found
+    slot by slot by bisecting the sorted ticks with the reach left over.
     Only the worst change per displacement is converted back to ``Fraction``.
     """
+    space, rows, den = _joint_rows(fields)
+    ticks, tick_den = _ticks(space.grid)
+    worst: dict[int, int] = {}
+    if radius is None:
+        dist = [[abs(a - b) for b in ticks] for a in ticks]
+        ordered = list(rows.items())
+        for i, (ks, x) in enumerate(ordered):
+            dist_from = [dist[a] for a in ks]
+            for ks2, y in ordered[i + 1 :]:
+                delta = sum(map(getitem, dist_from, ks2))
+                change = max(map(abs, map(sub, x, y)))
+                if change > worst.get(delta, -1):
+                    worst[delta] = change
+    else:
+        reach = math.floor(rat(radius) * tick_den)
+        skip = math.floor(rat(beyond) * tick_den)
+        size = len(ticks)
+        row_at: list = [None] * size ** fields[0].arity
+        for ks, x in rows.items():
+            row_at[_flat(ks, size)] = x
+        for ks, x in rows.items():
+            # the tuples in reach as flat indices, slot by slot within the
+            # reach left over; the first slot only moves up, to later tuples
+            near = [(0, 0)]
+            for slot, a in enumerate(ks):
+                t = ticks[a]
+                near = [
+                    (head * size + b, d + abs(ticks[b] - t))
+                    for head, d in near
+                    for b in range(
+                        a if slot == 0 else bisect_left(ticks, t - reach + d),
+                        bisect_right(ticks, t + reach - d),
+                    )
+                ]
+            i = _flat(ks, size)
+            for j, delta in near:
+                if j > i and delta > skip and row_at[j] is not None:
+                    change = max(map(abs, map(sub, x, row_at[j])))
+                    if change > worst.get(delta, -1):
+                        worst[delta] = change
+    return {
+        Fraction(delta, tick_den): Fraction(change, den)
+        for delta, change in worst.items()
+    }
+
+
+def _flat(ks: tuple[int, ...], size: int) -> int:
+    """Position of an index tuple in the lexicographic order of all tuples."""
+    i = 0
+    for k in ks:
+        i = i * size + k
+    return i
+
+
+def _ticks(grid: TimeGrid) -> tuple[tuple[int, ...], int]:
+    """Grid points as integer ticks on their common denominator, and it."""
+    tick_den = math.lcm(*(t.denominator for t in grid.points))
+    return _numerators(grid.points, tick_den), tick_den
+
+
+def _joint_rows(fields) -> tuple[FilteredSpace, dict[tuple[int, ...], list[int]], int]:
+    """The shared space, each tuple's joint row of all fields' numerators (in
+    sorted tuple order) and their common denominator."""
     if not fields:
         raise ValueError("the modulus needs at least one field")
     space, layers = fields[0].space, fields[0].values
     for f in fields[1:]:
         if f.space != space or f.values.keys() != layers.keys():
             raise ValueError("fields of one modulus must share a space and a tuple set")
-    points = space.grid.points
-    tick_den = math.lcm(*(t.denominator for t in points))
-    ticks = _numerators(points, tick_den)
-    dist = [[abs(a - b) for b in ticks] for a in ticks]
     den = math.lcm(*(f.den for f in fields))
-    rows = [
-        (ks, [n for f in fields for n in _numerators(f.values[ks], den)])
+    rows = {
+        ks: [n for f in fields for n in _numerators(f.values[ks], den)]
         for ks in sorted(layers)
-    ]
-    worst: dict[int, int] = {}
-    for i, (ks, x) in enumerate(rows):
-        dist_from = [dist[a] for a in ks]
-        for ks2, y in rows[i + 1 :]:
-            delta = sum(map(getitem, dist_from, ks2))
-            change = max(map(abs, map(sub, x, y)))
-            if change > worst.get(delta, -1):
-                worst[delta] = change
-    return {
-        Fraction(delta, tick_den): Fraction(change, den)
-        for delta, change in worst.items()
     }
+    return space, rows, den
+
+
+def _staircase(worst: dict[Fraction, Fraction]) -> Modulus:
+    """Running maximum of the worst changes plus ``MODULUS_SLACK``, in
+    increasing displacement order (zero displacement skipped)."""
+    table: list[tuple[Fraction, Fraction]] = []
+    running = Fraction(0)
+    for delta in sorted(worst):
+        if delta == 0:
+            continue
+        running = max(running, worst[delta] + MODULUS_SLACK)
+        table.append((delta, running))
+    return Modulus(tuple(table))
 
 
 def estimate_modulus(*fields: PayoffField) -> Modulus:
@@ -198,15 +269,7 @@ def estimate_modulus(*fields: PayoffField) -> Modulus:
     strict inequalities at displacement > 0 (equal tuples are trivially
     unchanged).
     """
-    worst = _pair_changes(*fields)
-    table: list[tuple[Fraction, Fraction]] = []
-    running = Fraction(0)
-    for delta in sorted(worst):
-        if delta == 0:
-            continue
-        running = max(running, worst[delta] + MODULUS_SLACK)
-        table.append((delta, running))
-    return Modulus(tuple(table))
+    return _staircase(_pair_changes(*fields))
 
 
 def modulus_max(mods: Sequence[Modulus]) -> Modulus:
@@ -236,3 +299,77 @@ def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:
             f"even the minimal step {step} has eta={mod.eval(step)} >= {eps}"
         )
     return m * step
+
+
+def modulus_within(fields: Sequence[PayoffField], radius) -> Modulus:
+    """The entries of ``estimate_modulus(*fields)`` at displacements up to
+    ``radius``, from the pairs within it: a running maximum at a displacement
+    reads only smaller ones, so ``eval`` agrees with the full modulus there."""
+    return _staircase(_pair_changes(*fields, radius=radius))
+
+
+def _below(fields: Sequence[PayoffField], eps: Fraction) -> bool:
+    """Whole-range shortcut, in O(tuples): True when no modulus entry can
+    reach eps.  The largest change over distinct tuple pairs is, per
+    joint-row coordinate (field, outcome), max - min over the tuples."""
+    _, rows, den = _joint_rows(fields)
+    widest = max(max(col) - min(col) for col in zip(*rows.values()))
+    return Fraction(widest, den) + MODULUS_SLACK < eps
+
+
+def _covers_most_pairs(grid: TimeGrid, arity: int, radius) -> bool:
+    """Whether more than half of the ordered pairs of index tuples lie within
+    ``radius``: the count convolves the per-slot tick distances over the
+    slots, dropping sums past the radius."""
+    ticks, tick_den = _ticks(grid)
+    reach = math.floor(radius * tick_den)
+    dists = sorted(abs(a - b) for a in ticks for b in ticks)
+    sums = {0: 1}
+    for _ in range(arity - 1):
+        nxt: dict[int, int] = {}
+        for s, n in sums.items():
+            for d in dists[: bisect_right(dists, reach - s)]:
+                nxt[s + d] = nxt.get(s + d, 0) + n
+        sums = nxt
+    within = sum(n * bisect_right(dists, reach - s) for s, n in sums.items())
+    return 2 * within > len(dists) ** arity
+
+
+def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
+    """``select_h(estimate_modulus(*fields), eps, grid)`` without walking
+    every tuple pair.
+
+    ``select_h`` reads only the first entry d* that reaches eps, and the
+    entry at the minimal step for its ``NoValidH`` message.  If the
+    whole-range shortcut holds, there is no d*.  Otherwise the pairs are
+    walked within a radius that starts at the minimal step and doubles, up
+    to the largest candidate h (past which d* changes nothing), until an
+    entry reaches eps; each walk adds only the displacements beyond the last
+    radius, and a radius covering most pairs walks them all instead.
+    """
+    eps = rat(eps)
+    if _below(fields, eps):
+        return select_h(Modulus(()), eps, grid)
+    step = grid.min_step
+    top = grid.span // step * step
+    worst: dict[Fraction, Fraction] = {}
+    inner, radius = Fraction(0), step
+    while True:
+        if _covers_most_pairs(grid, fields[0].arity, radius):
+            return select_h(estimate_modulus(*fields), eps, grid)
+        worst.update(_pair_changes(*fields, radius=radius, beyond=inner))
+        mod = _staircase(worst)
+        if radius == top or mod.eval(radius) >= eps:
+            return select_h(mod, eps, grid)
+        inner, radius = radius, min(2 * radius, top)
+
+
+def eta_reaching(fields: Sequence[PayoffField], eps, r) -> Fraction | None:
+    """eta(r) of ``estimate_modulus(*fields)`` when it reaches eps, else
+    None; walks only the pairs within r, and none when the whole-range
+    shortcut holds."""
+    eps = rat(eps)
+    if _below(fields, eps):
+        return None
+    eta = modulus_within(fields, r).eval(r)
+    return eta if eta >= eps else None

@@ -60,17 +60,27 @@ class StrategyOrder3:
 
 
 def validate_strategy(space: FilteredSpace, strat) -> list[str]:
-    """Diagnostics for the strictly-later and measurability requirements."""
+    """Diagnostics for the strictly-later and measurability requirements.
+
+    Each distinct index tuple is checked for measurability once per call;
+    the strictly-later check depends on the observation, so it runs per entry.
+    """
     K = space.grid.terminal_index
     problems: list[str] = []
+    measurable: dict[tuple[int, ...], bool] = {}
+
+    def stopping(idx: tuple[int, ...]) -> bool:
+        if idx not in measurable:
+            measurable[idx] = is_stopping_time(space, idx)
+        return measurable[idx]
 
     def check_reaction(tag: str, s_max: int, st: StoppingTime):
-        if not is_stopping_time(space, st.idx):
+        if not stopping(st.idx):
             problems.append(f"{tag}: reaction is not a stopping time")
         if s_max < K and any(i <= s_max for i in st.idx):
             problems.append(f"{tag}: reaction not strictly after the observation")
 
-    if not is_stopping_time(space, strat.initial.idx):
+    if not stopping(strat.initial.idx):
         problems.append("initial is not a stopping time")
     if isinstance(strat, StrategyOrder2):
         if len(strat.react) != K + 1:

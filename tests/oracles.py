@@ -225,8 +225,9 @@ def reference_node_tables(space: FilteredSpace, view: PayoffField, c: int):
     return layers, tuple(report)
 
 
-def every_multiple(space: FilteredSpace, h) -> list[Fraction]:
-    """Every positive multiple of h up to phi_h of the last interior grid time."""
+def every_multiple(space: FilteredSpace, h, targets=None) -> list[Fraction]:
+    """Every positive multiple of h up to phi_h of the last interior grid time
+    (a stand-in for ``nash2.family_multiples``, whose lookup targets it ignores)."""
     top = phi_h(space.grid.points[-2], h)
     out = []
     m = 1
@@ -926,3 +927,45 @@ def reference_index_at_or_after(grid: TimeGrid, t) -> int:
         if p >= t:
             return k
     return grid.terminal_index
+
+
+# The strategy validation as it was before ``strategy.validate_strategy``
+# checked each distinct index tuple once per call: one stopping-time check
+# per entry.  Kept as it was so the problem lists are checked with ==.
+
+
+def reference_validate_strategy(space: FilteredSpace, strat) -> list[str]:
+    """Diagnostics for the strictly-later and measurability requirements."""
+    K = space.grid.terminal_index
+    problems: list[str] = []
+
+    def check_reaction(tag: str, s_max: int, st: StoppingTime):
+        if not is_stopping_time(space, st.idx):
+            problems.append(f"{tag}: reaction is not a stopping time")
+        if s_max < K and any(i <= s_max for i in st.idx):
+            problems.append(f"{tag}: reaction not strictly after the observation")
+
+    if not is_stopping_time(space, strat.initial.idx):
+        problems.append("initial is not a stopping time")
+    if isinstance(strat, StrategyOrder2):
+        if len(strat.react) != K + 1:
+            problems.append("reaction table must cover every observation time")
+        for s, st in enumerate(strat.react):
+            check_reaction(f"react[{s}]", s, st)
+    elif isinstance(strat, StrategyOrder3):
+        lo, hi = strat.others()
+        if set(strat.react_one) != {lo, hi}:
+            problems.append("need one solo reaction table per other seat")
+        for q, table in strat.react_one.items():
+            if len(table) != K + 1:
+                problems.append(f"react_one[{q}] must cover every observation time")
+            for s, st in enumerate(table):
+                check_reaction(f"react_one[{q}][{s}]", s, st)
+        for (s1, s2), st in strat.react_two.items():
+            check_reaction(f"react_two[{(s1, s2)}]", max(s1, s2), st)
+        want = {(a, b) for a in range(K + 1) for b in range(K + 1)}
+        if set(strat.react_two) != want:
+            problems.append("react_two must cover every observation pair")
+    else:
+        problems.append(f"unknown strategy type {type(strat).__name__}")
+    return problems

@@ -235,36 +235,74 @@ def test_theorem_violation_with_premise_kept_stays_a_bug(monkeypatch):
 
 @pytest.fixture
 def pair_walks(monkeypatch):
-    """Field counts of the modulus pair walks made while the test runs."""
+    """(field count, radius, beyond) of each modulus pair walk made while the
+    test runs; a radius of None is a walk over every pair."""
     walks = []
     real = payoff._pair_changes
 
-    def counting(*fields):
-        walks.append(len(fields))
-        return real(*fields)
+    def counting(*fields, radius=None, beyond=0):
+        walks.append((len(fields), radius, beyond))
+        return real(*fields, radius=radius, beyond=beyond)
 
     monkeypatch.setattr(payoff, "_pair_changes", counting)
     return walks
 
 
-def test_auto_h_solve_walks_the_tuple_pairs_once(pair_walks, monkeypatch):
-    """One joint walk over all three seats' fields chooses h, and the eta(h)
-    recheck after a failure reuses that modulus."""
+def _plant_theorem_violation(monkeypatch):
     import stopgame.nash3 as n3
-
-    inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
-    sol = solve_three_player(inst.space, inst.fields, None, inst.epsilon)
-    assert sol.certificate.passes
-    assert pair_walks == [3]
-    pair_walks.clear()
 
     def broken(*args):
         raise TheoremViolation("planted")
 
     monkeypatch.setattr(n3, "build_context", broken)
+
+
+def test_auto_h_solve_of_a_generated_game_walks_no_tuple_pairs(pair_walks, monkeypatch):
+    """A generated game's payoffs move by less than eps over the whole range
+    of time tuples, so h is the whole span without a pair walk, and the
+    eta(h) recheck after a failure walks none either."""
+    inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
+    sol = solve_three_player(inst.space, inst.fields, None, inst.epsilon)
+    assert sol.certificate.passes
+    assert sol.context.h == inst.space.grid.span
+    assert pair_walks == []
+    _plant_theorem_violation(monkeypatch)
     with pytest.raises(TheoremViolation, match="planted"):
         solve_three_player(inst.space, inst.fields, None, inst.epsilon)
-    assert pair_walks == [3]
+    assert pair_walks == []
+
+
+def test_auto_h_below_the_whole_range_walks_growing_radii(pair_walks, monkeypatch):
+    """At eps = 1/150 the whole-range shortcut fails: the joint walks cover
+    the displacements up to 1, 2 and 4 minimal steps, each only beyond the
+    last, and stop at the first that reaches eps.  The eta(h) recheck after
+    a failure walks the pairs within h."""
+    inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
+    eps, step = Fraction(1, 150), inst.space.grid.min_step
+    sol = solve_three_player(inst.space, inst.fields, None, eps)
+    assert sol.certificate.passes
+    assert sol.context.h == 2 * step
+    assert pair_walks == [(3, step, 0), (3, 2 * step, step), (3, 4 * step, 2 * step)]
+    pair_walks.clear()
+    _plant_theorem_violation(monkeypatch)
+    with pytest.raises(TheoremViolation, match="planted"):
+        solve_three_player(inst.space, inst.fields, None, eps)
+    assert pair_walks[3:] == [(3, 2 * step, 0)]
+
+
+def test_auto_h_3x12_solve_makes_no_unbounded_walk(pair_walks):
+    """Counted, not timed: the 3x12 game that took seconds while auto h
+    walked all 1.5 million tuple pairs.  At its own eps no pair is walked;
+    at eps = 1/300 the walks stop at 4 minimal steps."""
+    inst = generate_instance(seed=3, n_outcomes=3, n_times=12, n_players=3)
+    step = inst.space.grid.min_step
+    sol = solve_three_player(inst.space, inst.fields, None, inst.epsilon)
+    assert sol.certificate.passes
+    assert pair_walks == []
+    sol = solve_three_player(inst.space, inst.fields, None, Fraction(1, 300))
+    assert sol.certificate.passes
+    assert sol.context.h == 3 * step
+    assert pair_walks == [(3, step, 0), (3, 2 * step, step), (3, 4 * step, 2 * step)]
 
 
 def test_passing_solve_at_given_h_walks_no_tuple_pairs(pair_walks):
@@ -274,9 +312,10 @@ def test_passing_solve_at_given_h_walks_no_tuple_pairs(pair_walks):
     assert pair_walks == []
 
 
-def test_broken_premise_walks_the_tuple_pairs_once(tmp_path, capsys, pair_walks):
+def test_broken_premise_walks_only_the_pairs_within_h(tmp_path, capsys, pair_walks):
     """The reproduction of test_cli_broken_premise_exits_2_with_eta_line: one
-    joint walk per solve, and the same eta line byte for byte."""
+    joint walk per solve, bounded by the given h, and the same eta line byte
+    for byte."""
     game = tmp_path / "t.json"
     out = tmp_path / "r.json"
     for seed in ("1", "2"):
@@ -290,5 +329,5 @@ def test_broken_premise_walks_the_tuple_pairs_once(tmp_path, capsys, pair_walks)
             "input error: eta(h) = 3618751/1000000000 >= epsilon = 1/1000 at h = 1/4800; "
             "the construction needs eta(h) < epsilon\n"
         )
-        assert pair_walks == [3]
+        assert pair_walks == [(3, Fraction(1, 4800), 0)]
 

@@ -606,7 +606,7 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 @pytest.mark.parametrize(
     "seed, outcomes, times, min_step_h, pins, phi_h_calls",
-    [(1004, 4, 6, True, 234, 210), (1000, 3, 5, False, 135, 168)],
+    [(1004, 4, 6, True, 234, 105), (1000, 3, 5, False, 135, 84)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
@@ -616,8 +616,9 @@ def test_calls_per_solve_on_bench_games(
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
     stop-now sweeps, zero-sum views); each coalition game negates its payoff
     once; and each of the 21 families maps every interior grid time through
-    ``phi_h`` twice (its multiples and its ``by_index``), while profile
-    assembly reads entries by grid index without any ``phi_h``."""
+    ``phi_h`` once (the targets feed both its multiples and its
+    ``by_index``), while profile assembly reads entries by grid index without
+    any ``phi_h``."""
     counts = Counter()
 
     def counting(key, real):

@@ -21,13 +21,18 @@ from oracles import (
 )
 from stopgame.errors import NoValidH
 from stopgame.generator import generate_instance
+from stopgame import payoff
 from stopgame.payoff import (
     MODULUS_SLACK,
     Modulus,
     PayoffField,
+    _pair_changes,
+    auto_h,
     check_adapted,
     estimate_modulus,
+    eta_reaching,
     modulus_max,
+    modulus_within,
     payoff_from_function,
     select_h,
 )
@@ -380,6 +385,145 @@ def test_select_h_on_a_tiny_step_is_closed_form():
         select_h(Modulus(((step, eps),)), eps, grid)
     assert time.perf_counter() - start < 0.5
 
+
+
+
+# auto_h and eta_reaching read the modulus only up to a radius; each check
+# below compares them under == with select_h and eval of the full
+# ``estimate_modulus``, NoValidH text included.
+
+
+def _assert_auto_h_matches_reference(fields, eps, ref=None):
+    """h, eta(h) and eta(step) from the bounded walks equal the reference's;
+    ``eta_reaching`` reports eta exactly when it reaches eps."""
+    grid = fields[0].space.grid
+    ref = estimate_modulus(*fields) if ref is None else ref
+    step = grid.min_step
+    try:
+        h = select_h(ref, eps, grid)
+    except NoValidH as exc:
+        with pytest.raises(NoValidH) as got:
+            auto_h(fields, eps, grid)
+        assert str(got.value) == str(exc)
+        h = step
+    else:
+        assert auto_h(fields, eps, grid) == h
+    for r in {h, step}:
+        eta = ref.eval(r)
+        assert modulus_within(fields, r).eval(r) == eta
+        assert eta_reaching(fields, eps, r) == (eta if eta >= eps else None)
+    return h
+
+
+def test_bounded_pair_walk_is_the_reference_cut_to_its_radius():
+    """On the hand-built fields (non-uniform grid, arity 0 to 3, a pinned
+    field), a walk within a radius and beyond another keeps exactly the full
+    walk's displacements in between, and ``modulus_within`` is the prefix
+    of the full modulus up to its radius."""
+    rng = random.Random(61)
+    for field in _hand_built_fields():
+        full = _pair_changes(field)
+        ref = estimate_modulus(field)
+        cuts = sorted({Fraction(0), *full, *(d + Fraction(1, 97) for d in full)})
+        for radius in {cuts[0], cuts[-1], *rng.sample(cuts, min(5, len(cuts)))}:
+            assert modulus_within([field], radius).table == tuple(
+                (d, v) for d, v in ref.table if d <= radius
+            )
+            beyond = rng.choice([c for c in cuts if c <= radius])
+            assert _pair_changes(field, radius=radius, beyond=beyond) == {
+                d: c for d, c in full.items() if beyond < d <= radius
+            }
+    space = _hand_built_space()
+    f2 = payoff_from_function(space, 2, lambda ks, w: Fraction(ks[0] - 2 * ks[1] + w, 3))
+    partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks[0] != 2})
+    full = _pair_changes(partial)
+    for radius in (Fraction(1, 3), 1, 3, 6):
+        assert _pair_changes(partial, radius=radius) == {
+            d: c for d, c in full.items() if d <= radius
+        }
+
+
+def test_every_generated_game_takes_the_whole_range_shortcut():
+    """Acceptance seeds 1-50 and the solve3-auto-h bench pool at seed 1
+    (games 1000+i, four 3x5 games to one 4x6): no payoff moves by eps over
+    the whole range of tuples, so h is the whole span with no pair walked."""
+    games = [
+        generate_instance(seed, n_outcomes=2 + seed % 2, n_times=3 + (seed // 2) % 2, epsilon="1/20")
+        for seed in range(1, 51)
+    ]
+    games += [
+        generate_instance(1000 + i, n_outcomes=n, n_times=t, n_players=3)
+        for i, (n, t) in enumerate([(3, 5), (3, 5), (3, 5), (3, 5), (4, 6)] * 3)
+    ]
+    for inst in games:
+        assert payoff._below(inst.fields, inst.epsilon)
+        h = _assert_auto_h_matches_reference(inst.fields, inst.epsilon)
+        assert h == inst.space.grid.span
+
+
+@pytest.mark.parametrize(
+    "outcomes,times,seed,epsilons,bounded",
+    [
+        (3, 5, 1, (40, 60, 100, 150, 300, 500, 1000, 3000), 6),
+        (3, 7, 2, (40, 60, 100, 150, 300, 500, 1000, 3000), 6),
+        (3, 10, 3, (60, 300, 3000), 3),
+    ],
+)
+def test_auto_h_matches_reference_on_an_epsilon_sweep(outcomes, times, seed, epsilons, bounded):
+    """Down to eps = 1/3000, where even the minimal step fails.  The
+    whole-range shortcut holds only at the largest eps (the widest changes
+    are 1/61, 1/73 and 1/47 of these games), so the rest walk bounded radii."""
+    inst = generate_instance(seed, n_outcomes=outcomes, n_times=times, n_players=3)
+    ref = estimate_modulus(*inst.fields)
+    eps_all = [Fraction(1, den) for den in epsilons]
+    assert sum(not payoff._below(inst.fields, eps) for eps in eps_all) == bounded
+    for eps in eps_all:
+        _assert_auto_h_matches_reference(inst.fields, eps, ref)
+
+
+def test_auto_h_matches_reference_on_staircase_grids(monkeypatch):
+    """The random grids of the select_h staircase tests, with smooth, noisy
+    and mixed fields of arity 1 to 3, at eps equal to table entries, between
+    them and past both ends; both the bounded walk and the fall back to all
+    pairs (a radius covering most of them) are taken."""
+    walks = []
+    real = payoff._pair_changes
+
+    def counting(*fields, radius=None, beyond=0):
+        walks.append(radius)
+        return real(*fields, radius=radius, beyond=beyond)
+
+    monkeypatch.setattr(payoff, "_pair_changes", counting)
+    rng = random.Random(59)
+    grids = [make_grid([0, "1/4", "1/2", "3/4", 1]), make_grid([0, "1/10", "1/5", "3/10", 10])]
+    for _ in range(12):
+        points = sorted({Fraction(rng.randint(0, 20), rng.choice((1, 3, 7))) for _ in range(8)})
+        grids.append(TimeGrid(tuple(points)))
+    for grid in grids:
+        n = len(grid.points)
+        space = FilteredSpace(
+            grid=grid, weights=(Fraction(1, 2), Fraction(1, 2)), partitions=(((0,), (1,)),) * n
+        )
+        for arity in (1, 2, 3) if n <= 6 else (1, 2):
+            slope = rng.choice((Fraction(1, 10), 1, 3))
+            noise = rng.choice((0, 1, 40))
+            fields = [
+                payoff_from_function(
+                    space,
+                    arity,
+                    lambda ks, w: slope * sum(grid.points[k] for k in ks)
+                    + Fraction(rng.randint(-noise, noise), 40),
+                )
+                for _ in range(2)
+            ]
+            ref = estimate_modulus(*fields)
+            values = sorted({v for _, v in ref.table})
+            picks = rng.sample(values, min(4, len(values)))
+            epsilons = {*picks, *(v + MODULUS_SLACK / 2 for v in picks)}
+            epsilons |= {values[0] / 2, values[-1] + 1} if values else {Fraction(1)}
+            for eps in sorted(epsilons):
+                _assert_auto_h_matches_reference(fields, eps, ref)
+    assert None in walks and any(r is not None for r in walks)
 
 
 def _adapted_values(rng, space, arity):

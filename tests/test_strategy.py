@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from oracles import (
     reference_oracle_committed_index,
     reference_resolve2,
     reference_resolve3,
+    reference_validate_strategy,
 )
 from stopgame.space import StoppingTime, constant_time, is_stopping_time
 from stopgame.strategy import (
@@ -97,6 +99,78 @@ def test_validate_react_two_before_max(three_time_space):
     )
     problems = validate_strategy(three_time_space, bad)
     assert any("strictly after" in p for p in problems)
+
+
+def _mutations(rng, space, strat):
+    """``strat`` and copies with random damage: an entry replaced by an
+    arbitrary index tuple (out of range, not a stopping time or not strictly
+    later), a table cut short, an observation pair or a solo table dropped."""
+    K, n = space.grid.terminal_index, space.n_outcomes
+
+    def any_time():
+        return StoppingTime(tuple(rng.randint(-1, K + 1) for _ in range(n)))
+
+    yield strat
+    yield dataclasses.replace(strat, initial=any_time())
+    if isinstance(strat, StrategyOrder2):
+        for _ in range(4):
+            react = list(strat.react)
+            for s in rng.sample(range(K + 1), rng.randint(1, K + 1)):
+                react[s] = any_time()
+            yield dataclasses.replace(strat, react=tuple(react))
+        yield dataclasses.replace(strat, react=strat.react[:-1])
+        return
+    for _ in range(4):
+        react_one = dict(strat.react_one)
+        q = rng.choice(sorted(react_one))
+        table = list(react_one[q])
+        table[rng.randint(0, K)] = any_time()
+        react_one[q] = tuple(table)
+        react_two = dict(strat.react_two)
+        for key in rng.sample(sorted(react_two), 3):
+            react_two[key] = any_time()
+        yield dataclasses.replace(strat, react_one=react_one, react_two=react_two)
+    q = min(strat.react_one)
+    yield dataclasses.replace(strat, react_one={**strat.react_one, q: strat.react_one[q][:-1]})
+    yield dataclasses.replace(strat, react_one={q: strat.react_one[q]})
+    react_two = dict(strat.react_two)
+    del react_two[(0, K)]
+    yield dataclasses.replace(strat, react_two=react_two)
+
+
+def test_validate_strategy_matches_reference_on_enumerated_and_mutated_profiles(
+    three_time_space, branching_space
+):
+    """The problem lists, in order and text, equal the per-entry reference on
+    every enumerated two-player strategy, on random three-player ones, and on
+    mutations of both."""
+    rng = random.Random(53)
+    checked = 0
+    for space in (three_time_space, branching_space):
+        K = space.grid.terminal_index
+        inits = list(enumerate_stopping_times(space, 0))
+        later = [
+            list(enumerate_stopping_times(space, constant_time(space, min(s + 1, K))))
+            for s in range(K + 1)
+        ]
+        pool = list(itertools.islice(enumerate_strategies2(space, 0), 400))
+        pool += [
+            dense_strategy3(
+                space,
+                seat,
+                rng.choice(inits),
+                lambda q, s: rng.choice(later[s]),
+                lambda a, b: rng.choice(later[max(a, b)]),
+            )
+            for seat in (0, 1, 2)
+            for _ in range(20)
+        ]
+        for strat in pool:
+            for mutated in _mutations(rng, space, strat):
+                problems = validate_strategy(space, mutated)
+                assert problems == reference_validate_strategy(space, mutated)
+                checked += bool(problems)
+    assert checked > 1000
 
 
 def test_resolve2_leader_follower(three_time_space):
