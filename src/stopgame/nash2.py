@@ -173,20 +173,16 @@ def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
 
 
 def family_multiples(space: FilteredSpace, h, targets=None) -> list[Fraction]:
-    """Multiples of h that phi_h maps an interior grid time to (``targets``,
-    one per interior index, when the caller has them), plus each interior
-    grid time that is itself a positive multiple of h.
+    """The distinct multiples of h that phi_h maps an interior grid time to
+    (``targets``, one per interior index, when the caller has them).
 
-    These are exactly the multiples up to the last lookup target whose window
-    [g-h, g] holds a grid time; the others would certify nothing, and there
-    are about span/h of them when h is below a grid gap.
+    These are exactly the entries a lookup lands on; every other multiple
+    would be built and certified for nothing, and there are about span/h of
+    them when h is below a grid gap.
     """
-    h = rat(h)
-    interior = space.grid.points[:-1]
     if targets is None:
-        targets = [phi_h(t, h) for t in interior]
-    on_grid = {t for t in interior if t > 0 and (t / h).denominator == 1}
-    return sorted({*targets, *on_grid})
+        targets = [phi_h(t, h) for t in space.grid.points[:-1]]
+    return sorted(set(targets))
 
 
 def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:

@@ -15,10 +15,12 @@ real sub-field only for solvers that work on one.  One modulus serves
 every seat: a walk over pairs of time tuples, on integer ticks, compares each
 tuple's joint row of all seats' payoff numerators on one common denominator,
 and converts to ``Fraction`` once per distinct displacement.
-``estimate_modulus`` walks every pair.  Choosing h and rechecking eta(h) read
-only a few entries, so ``auto_h`` and ``eta_reaching`` walk no pair when each
-row coordinate's whole range (max - min over the tuples) stays below eps, and
-otherwise only the pairs within a radius.
+Each tuple visits only the later tuples within a radius, which is the whole
+grid for ``estimate_modulus``.  Choosing h and rechecking eta(h) read only a
+few entries, so ``auto_h`` and ``eta_reaching`` walk no pair when each row
+coordinate's whole range (max - min over the tuples) stays below eps, and
+otherwise only the pairs within a radius no larger than the largest
+candidate h.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import getitem, sub
+from operator import sub
 from typing import Callable, Sequence
 
 from .errors import NoValidH
@@ -154,59 +156,50 @@ def _pair_changes(
     *fields: PayoffField, radius=None, beyond=0
 ) -> dict[Fraction, Fraction]:
     """Worst payoff change, over all fields, at each total time displacement
-    over distinct tuple pairs: all of them when ``radius`` is None, else only
-    those whose displacement is at most ``radius`` and above ``beyond``.
+    over distinct tuple pairs whose displacement is at most ``radius`` (the
+    whole grid when None) and above ``beyond``.
 
     The fields must share one space and one tuple set.  The pair walk is pure
     ``int``: grid points become integer ticks on their common denominator, so
-    a pair's displacement is a sum of per-slot tick distances, computed once
-    per pair for all fields.  Each tuple's row joins every field's payoff
-    numerators on one common denominator, the lcm of the fields' ``den``, so
-    a pair's change is a max of numerator differences over the joint row.
-    Within a radius, each tuple visits only the later tuples in reach, found
-    slot by slot by bisecting the sorted ticks with the reach left over.
-    Only the worst change per displacement is converted back to ``Fraction``.
+    a pair's displacement is a sum of per-slot tick distances.  Each tuple's
+    row joins every field's payoff numerators on one common denominator, the
+    lcm of the fields' ``den``, so a pair's change is a max of numerator
+    differences over the joint row.  Each tuple visits only the later tuples
+    in reach, found slot by slot by bisecting the sorted ticks with the reach
+    left over.  Only the worst change per displacement is converted back to
+    ``Fraction``.
     """
     space, rows, den = _joint_rows(fields)
+    arity = fields[0].arity
+    radius = arity * space.grid.span if radius is None else radius
     ticks, tick_den = _ticks(space.grid)
+    reach = math.floor(rat(radius) * tick_den)
+    skip = math.floor(rat(beyond) * tick_den)
+    size = len(ticks)
+    row_at: list = [None] * size ** arity
+    for ks, x in rows.items():
+        row_at[_flat(ks, size)] = x
     worst: dict[int, int] = {}
-    if radius is None:
-        dist = [[abs(a - b) for b in ticks] for a in ticks]
-        ordered = list(rows.items())
-        for i, (ks, x) in enumerate(ordered):
-            dist_from = [dist[a] for a in ks]
-            for ks2, y in ordered[i + 1 :]:
-                delta = sum(map(getitem, dist_from, ks2))
-                change = max(map(abs, map(sub, x, y)))
+    for ks, x in rows.items():
+        # the tuples in reach as flat indices, slot by slot within the
+        # reach left over; the first slot only moves up, to later tuples
+        near = [(0, 0)]
+        for slot, a in enumerate(ks):
+            t = ticks[a]
+            near = [
+                (head * size + b, d + abs(ticks[b] - t))
+                for head, d in near
+                for b in range(
+                    a if slot == 0 else bisect_left(ticks, t - reach + d),
+                    bisect_right(ticks, t + reach - d),
+                )
+            ]
+        i = _flat(ks, size)
+        for j, delta in near:
+            if j > i and delta > skip and row_at[j] is not None:
+                change = max(map(abs, map(sub, x, row_at[j])))
                 if change > worst.get(delta, -1):
                     worst[delta] = change
-    else:
-        reach = math.floor(rat(radius) * tick_den)
-        skip = math.floor(rat(beyond) * tick_den)
-        size = len(ticks)
-        row_at: list = [None] * size ** fields[0].arity
-        for ks, x in rows.items():
-            row_at[_flat(ks, size)] = x
-        for ks, x in rows.items():
-            # the tuples in reach as flat indices, slot by slot within the
-            # reach left over; the first slot only moves up, to later tuples
-            near = [(0, 0)]
-            for slot, a in enumerate(ks):
-                t = ticks[a]
-                near = [
-                    (head * size + b, d + abs(ticks[b] - t))
-                    for head, d in near
-                    for b in range(
-                        a if slot == 0 else bisect_left(ticks, t - reach + d),
-                        bisect_right(ticks, t + reach - d),
-                    )
-                ]
-            i = _flat(ks, size)
-            for j, delta in near:
-                if j > i and delta > skip and row_at[j] is not None:
-                    change = max(map(abs, map(sub, x, row_at[j])))
-                    if change > worst.get(delta, -1):
-                        worst[delta] = change
     return {
         Fraction(delta, tick_den): Fraction(change, den)
         for delta, change in worst.items()
@@ -301,13 +294,6 @@ def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:
     return m * step
 
 
-def modulus_within(fields: Sequence[PayoffField], radius) -> Modulus:
-    """The entries of ``estimate_modulus(*fields)`` at displacements up to
-    ``radius``, from the pairs within it: a running maximum at a displacement
-    reads only smaller ones, so ``eval`` agrees with the full modulus there."""
-    return _staircase(_pair_changes(*fields, radius=radius))
-
-
 def _below(fields: Sequence[PayoffField], eps: Fraction) -> bool:
     """Whole-range shortcut, in O(tuples): True when no modulus entry can
     reach eps.  The largest change over distinct tuple pairs is, per
@@ -336,16 +322,17 @@ def _covers_most_pairs(grid: TimeGrid, arity: int, radius) -> bool:
 
 
 def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
-    """``select_h(estimate_modulus(*fields), eps, grid)`` without walking
-    every tuple pair.
+    """The h that ``select_h`` picks from the fields' ``estimate_modulus``,
+    without walking every tuple pair.
 
     ``select_h`` reads only the first entry d* that reaches eps, and the
     entry at the minimal step for its ``NoValidH`` message.  If the
     whole-range shortcut holds, there is no d*.  Otherwise the pairs are
-    walked within a radius that starts at the minimal step and doubles, up
-    to the largest candidate h (past which d* changes nothing), until an
-    entry reaches eps; each walk adds only the displacements beyond the last
-    radius, and a radius covering most pairs walks them all instead.
+    walked within a radius that starts at the minimal step and doubles until
+    an entry reaches eps or the radius reaches ``top``, the largest candidate
+    h: a d* past ``top`` leaves h at ``top``, so no pair beyond it is walked.
+    Each walk adds only the displacements beyond the last radius, and a
+    radius that would cover most pairs is widened to ``top`` at once.
     """
     eps = rat(eps)
     if _below(fields, eps):
@@ -356,7 +343,7 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
     inner, radius = Fraction(0), step
     while True:
         if _covers_most_pairs(grid, fields[0].arity, radius):
-            return select_h(estimate_modulus(*fields), eps, grid)
+            radius = top
         worst.update(_pair_changes(*fields, radius=radius, beyond=inner))
         mod = _staircase(worst)
         if radius == top or mod.eval(radius) >= eps:
@@ -365,11 +352,11 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
 
 
 def eta_reaching(fields: Sequence[PayoffField], eps, r) -> Fraction | None:
-    """eta(r) of ``estimate_modulus(*fields)`` when it reaches eps, else
+    """eta(r) of the fields' ``estimate_modulus`` when it reaches eps, else
     None; walks only the pairs within r, and none when the whole-range
     shortcut holds."""
     eps = rat(eps)
     if _below(fields, eps):
         return None
-    eta = modulus_within(fields, r).eval(r)
+    eta = _staircase(_pair_changes(*fields, radius=r)).eval(r)
     return eta if eta >= eps else None

@@ -94,11 +94,13 @@ def uneven_space() -> FilteredSpace:
 def test_families_skip_windows_without_grid_times(monkeypatch):
     """With h below the grid gaps every entry's window holds a grid time and
     every interior grid time finds its entry; the families equal the ones
-    built at every multiple of h, less the entries whose windows are empty."""
+    built at every multiple of h, cut to the multiples a lookup lands on."""
     space = uneven_space()
     h, eps = Fraction(1, 4), Fraction(1, 2)
-    # phi_h of 0, 1/10, 1, 5/2, plus the grid times 1 and 5/2 themselves
-    assert family_multiples(space, h) == [h, 1, 5 * h, 10 * h, 11 * h]
+    # phi_h of 0, 1/10, 1, 5/2; the grid times 1 and 5/2 are multiples of h
+    # too, but no lookup lands on them
+    targets = [h, 5 * h, 11 * h]
+    assert family_multiples(space, h) == targets
     rng = random.Random(149)
     base = {k: cond_exp(space, random_rv(rng, 2, lo=0, hi=2), k) for k in range(5)}
 
@@ -125,7 +127,7 @@ def test_families_skip_windows_without_grid_times(monkeypatch):
         for k, t in enumerate(space.grid.points[:-1]):
             assert k in family_lookup(fam, t).window
         assert len(full.entries) > len(fam.entries)
-        assert fam.entries == {g: e for g, e in full.entries.items() if e.window}
+        assert fam.entries == {g: full.entries[g] for g in targets}
 
 
 def test_cli_solve_at_tiny_h_finishes(tmp_path):

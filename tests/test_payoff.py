@@ -32,7 +32,6 @@ from stopgame.payoff import (
     estimate_modulus,
     eta_reaching,
     modulus_max,
-    modulus_within,
     payoff_from_function,
     select_h,
 )
@@ -395,7 +394,8 @@ def test_select_h_on_a_tiny_step_is_closed_form():
 
 def _assert_auto_h_matches_reference(fields, eps, ref=None):
     """h, eta(h) and eta(step) from the bounded walks equal the reference's;
-    ``eta_reaching`` reports eta exactly when it reaches eps."""
+    ``eta_reaching`` reports eta exactly when it reaches eps.  Returns h, or
+    None when no h is valid."""
     grid = fields[0].space.grid
     ref = estimate_modulus(*fields) if ref is None else ref
     step = grid.min_step
@@ -405,28 +405,39 @@ def _assert_auto_h_matches_reference(fields, eps, ref=None):
         with pytest.raises(NoValidH) as got:
             auto_h(fields, eps, grid)
         assert str(got.value) == str(exc)
-        h = step
+        h = None
     else:
         assert auto_h(fields, eps, grid) == h
-    for r in {h, step}:
+    for r in {h or step, step}:
         eta = ref.eval(r)
-        assert modulus_within(fields, r).eval(r) == eta
+        assert payoff._staircase(_pair_changes(*fields, radius=r)).eval(r) == eta
         assert eta_reaching(fields, eps, r) == (eta if eta >= eps else None)
     return h
 
 
+def _reference_worst(field):
+    """Worst change per displacement over the ``Fraction`` pair loop."""
+    worst = {}
+    for delta, diff in reference_pair_changes(field):
+        worst[delta] = max(diff, worst.get(delta, diff))
+    return worst
+
+
 def test_bounded_pair_walk_is_the_reference_cut_to_its_radius():
     """On the hand-built fields (non-uniform grid, arity 0 to 3, a pinned
-    field), a walk within a radius and beyond another keeps exactly the full
-    walk's displacements in between, and ``modulus_within`` is the prefix
-    of the full modulus up to its radius."""
+    field, a partial field), the walk with no radius is the ``Fraction``
+    pair loop's worst change per displacement, a walk within a radius and
+    beyond another keeps exactly its displacements in between, and the
+    staircase of a walk within a radius is the prefix of the reference
+    modulus up to it."""
     rng = random.Random(61)
     for field in _hand_built_fields():
-        full = _pair_changes(field)
-        ref = estimate_modulus(field)
+        full = _reference_worst(field)
+        assert _pair_changes(field) == full
+        ref = reference_estimate_modulus(field)
         cuts = sorted({Fraction(0), *full, *(d + Fraction(1, 97) for d in full)})
         for radius in {cuts[0], cuts[-1], *rng.sample(cuts, min(5, len(cuts)))}:
-            assert modulus_within([field], radius).table == tuple(
+            assert payoff._staircase(_pair_changes(field, radius=radius)).table == tuple(
                 (d, v) for d, v in ref.table if d <= radius
             )
             beyond = rng.choice([c for c in cuts if c <= radius])
@@ -436,7 +447,8 @@ def test_bounded_pair_walk_is_the_reference_cut_to_its_radius():
     space = _hand_built_space()
     f2 = payoff_from_function(space, 2, lambda ks, w: Fraction(ks[0] - 2 * ks[1] + w, 3))
     partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks[0] != 2})
-    full = _pair_changes(partial)
+    full = _reference_worst(partial)
+    assert _pair_changes(partial) == full
     for radius in (Fraction(1, 3), 1, 3, 6):
         assert _pair_changes(partial, radius=radius) == {
             d: c for d, c in full.items() if d <= radius
@@ -478,22 +490,38 @@ def test_auto_h_matches_reference_on_an_epsilon_sweep(outcomes, times, seed, eps
     eps_all = [Fraction(1, den) for den in epsilons]
     assert sum(not payoff._below(inst.fields, eps) for eps in eps_all) == bounded
     for eps in eps_all:
-        _assert_auto_h_matches_reference(inst.fields, eps, ref)
+        h = _assert_auto_h_matches_reference(inst.fields, eps, ref)
+        # the eta(h) recheck after a failed construction at an auto h never
+        # finds a broken premise
+        assert h is None or eta_reaching(inst.fields, eps, h) is None
+
+
+def _top(grid):
+    """The largest candidate h: the largest multiple of the minimal step that
+    fits in the span."""
+    return grid.span // grid.min_step * grid.min_step
+
+
+def _record_walks(monkeypatch):
+    """(radius, beyond, top of the grid) of each pair walk from now on."""
+    walks = []
+    real = payoff._pair_changes
+
+    def counting(*fields, radius=None, beyond=0):
+        walks.append((radius, beyond, _top(fields[0].space.grid)))
+        return real(*fields, radius=radius, beyond=beyond)
+
+    monkeypatch.setattr(payoff, "_pair_changes", counting)
+    return walks
 
 
 def test_auto_h_matches_reference_on_staircase_grids(monkeypatch):
     """The random grids of the select_h staircase tests, with smooth, noisy
     and mixed fields of arity 1 to 3, at eps equal to table entries, between
-    them and past both ends; both the bounded walk and the fall back to all
-    pairs (a radius covering most of them) are taken."""
-    walks = []
-    real = payoff._pair_changes
-
-    def counting(*fields, radius=None, beyond=0):
-        walks.append(radius)
-        return real(*fields, radius=radius, beyond=beyond)
-
-    monkeypatch.setattr(payoff, "_pair_changes", counting)
+    them and past both ends.  auto_h never walks every pair: its walks reach
+    ``top`` (``eta_reaching`` walks only from zero), some widened there at
+    once from a radius below half of it."""
+    walks = _record_walks(monkeypatch)
     rng = random.Random(59)
     grids = [make_grid([0, "1/4", "1/2", "3/4", 1]), make_grid([0, "1/10", "1/5", "3/10", 10])]
     for _ in range(12):
@@ -517,13 +545,50 @@ def test_auto_h_matches_reference_on_staircase_grids(monkeypatch):
                 for _ in range(2)
             ]
             ref = estimate_modulus(*fields)
+            assert walks.pop()[0] is None  # the reference's own walk
             values = sorted({v for _, v in ref.table})
             picks = rng.sample(values, min(4, len(values)))
             epsilons = {*picks, *(v + MODULUS_SLACK / 2 for v in picks)}
             epsilons |= {values[0] / 2, values[-1] + 1} if values else {Fraction(1)}
             for eps in sorted(epsilons):
                 _assert_auto_h_matches_reference(fields, eps, ref)
-    assert None in walks and any(r is not None for r in walks)
+    assert all(radius is not None for radius, _, _ in walks)
+    assert any(radius == top and beyond > 0 for radius, beyond, top in walks)
+    assert any(radius == top and 0 < 2 * beyond < top for radius, beyond, top in walks)
+
+
+def test_auto_h_matches_reference_on_a_clustered_grid(monkeypatch):
+    """Six grid times within 1/200 and a terminal time 1000, three slots:
+    payoffs move little inside the cluster, so the walks double up to ``top``
+    (where the radius covers most pairs) and find the first entry reaching
+    eps just below it, never walking the pairs past ``top``."""
+    grid = make_grid([*(Fraction(i, 1000) for i in range(6)), 1000])
+    space = FilteredSpace(
+        grid=grid, weights=(Fraction(1, 2), Fraction(1, 2)), partitions=(((0,), (1,)),) * 7
+    )
+    rng = random.Random(67)
+    fields = [
+        payoff_from_function(
+            space,
+            3,
+            lambda ks, w: Fraction(sum(k == 6 for k in ks), 10)
+            + Fraction(rng.randint(0, 9) + w, 1000),
+        )
+        for _ in range(2)
+    ]
+    top = _top(grid)
+    assert payoff._covers_most_pairs(grid, 3, top)
+    ref = estimate_modulus(*fields)
+    walks = _record_walks(monkeypatch)
+    for eps in (Fraction(1, 50), Fraction(1, 20), Fraction(1, 1000)):
+        walks.clear()
+        h = _assert_auto_h_matches_reference(fields, eps, ref)
+        assert all(radius is not None and radius <= top for radius, _, _ in walks)
+        if eps > Fraction(1, 1000):
+            assert grid.min_step < h < top
+            assert any(radius == top and beyond > 0 for radius, beyond, _ in walks)
+        else:
+            assert h is None
 
 
 def _adapted_values(rng, space, arity):
