@@ -8,6 +8,8 @@ Everything here is exact backward induction on the finite grid:
   runs on ``node_sweep``, the one backward induction over 2x2 stop/continue
   nodes, which the zero-sum reaction game in ``zerosum`` and the nonzero-sum
   game in ``nash2`` share; each game only chooses the cell played per node.
+  The sweep runs on the fields' integer ``rows``, scaled per block as in the
+  best-response oracle; only the layers a caller reports become ``Fraction``.
 * The stopping duel where a maximizer collects the lower process at her stop
   and a minimizer the upper process at his, ties paying the maximizer's side,
   plus the epsilon-hitting times that form an exact epsilon-saddle.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Sequence
 
 from .config import current_guards
@@ -81,36 +84,101 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
 
     ``fields`` is one two-slot field that both slots share (the cooperative
     and zero-sum games) or one two-slot field per slot, each slot's own
-    payoff (the nonzero-sum game).  Returns (values, nodes) with
-    ``nodes[k] = (cells, reactions, choice)`` for k from K-1 down to kmin:
-    ``reactions[i]`` is the survivor's Snell solution from k+1 on its own
-    field ``(fields[-1], fields[0])[i]``, in ``directions[i]``, once slot i
-    stopped at k.  ``cells`` holds four cells per field (both stop, slot 0
-    alone, slot 1 alone, both continue), each E_k of the field at the stop
-    pair; on the survivor's own field this equals the E_k of its Snell value
-    (tower property).  ``choice[w]`` is ``choose(*cells)`` at outcome w, the
-    index of the played cell, and ``values[j][k]`` is field j at that cell.
+    payoff (the nonzero-sum game).  The sweep runs on each field's ``rows``:
+    as in the best-response oracle, a number at block B of partitions[k] is
+    a value scaled by ``den * W_B`` (``W_B = space.block_wnum[k][B]``).
+
+    Returns (values, nodes): ``values[j][k][B]`` is field j's value from k
+    on, and ``nodes[k] = (cells, rules, choice)`` for k from K-1 down to
+    kmin.  ``rules[i]`` is the survivor's earliest optimal stop from k+1 on
+    its own field ``(fields[-1], fields[0])[i]``, in ``directions[i]``, once
+    slot i stopped at k.  ``cells`` holds four lists per field, one number
+    per block: both stop (``W_B * N(k, k)``, N the numerator), slot 0 alone
+    and slot 1 alone (the sum over B of ``wnum[w] * N`` at the stop pair,
+    the survivor at its rule) and both continue (the sum of the children's
+    values).  ``choice[B]`` is ``choose(*cells)`` at B, the index of the
+    played cell.  All cells of one field at B share the factor
+    ``den * W_B > 0``, so ``choose`` picks as on the unscaled values as long
+    as it never compares cells of two different fields.
+
+    Precondition: the both-stop slices and the survivors' payoff slices are
+    read once per block, so each must be constant on the blocks at its latest
+    time; one that is not raises ValueError.  Input games are adapted, and a
+    pinned slice is adapted from its pin index on, where its sweeps start.
     """
     K = space.grid.terminal_index
-    values = [[None] * K + [f.at((K, K))] for f in fields]
+    wnum = space.wnum
+    rows = [f.rows for f in fields]
+    survivors = (rows[-1], rows[0])
+    opts = tuple({"sup": max, "inf": min}[d] for d in directions)
+    values = [[None] * K + [_block_stops(space, r, (K, K))] for r in rows]
     nodes: list = [None] * (K + 1)
     for k in range(K - 1, kmin - 1, -1):
-        reactions = tuple(
-            snell(space, f.process(1 - i, k), directions[i], k + 1)
-            for i, f in enumerate((fields[-1], fields[0]))
-        )
-        lone_stops = ((k, reactions[0].rule), (reactions[1].rule, k))
+        rules = tuple(_reaction(space, survivors[i], 1 - i, k, opts[i]) for i in (0, 1))
+        lone_stops = ([(k, r) for r in rules[0].idx], [(r, k) for r in rules[1].idx])
         cells: list = []
-        for f, layers in zip(fields, values):
-            cells.append(f.at((k, k)))
+        for r, layers in zip(rows, values):
+            cells.append(_block_stops(space, r, (k, k)))
             for stops in lone_stops:
-                cells.append(cond_exp(space, f.at_stops(stops), k))
-            cells.append(cond_exp(space, layers[k + 1], k))
+                cells.append(
+                    [sum(wnum[w] * r[stops[w]][w] for w in block) for block in space.partitions[k]]
+                )
+            cells.append(_children_sums(space, layers[k + 1], k))
         choice = tuple(map(choose, *cells))
         for j, layers in enumerate(values):
-            layers[k] = tuple(cells[4 * j + c][w] for w, c in enumerate(choice))
-        nodes[k] = (tuple(cells), reactions, choice)
+            layers[k] = [cells[4 * j + c][b] for b, c in enumerate(choice)]
+        nodes[k] = (tuple(cells), rules, choice)
     return values, nodes
+
+
+def _block_stops(space: FilteredSpace, rows, ks: tuple[int, int]) -> list[int]:
+    """``W_B * N`` per block B at index max(ks), N the numerator of the slice
+    at ks on B; raises ValueError when the slice is not constant on a block."""
+    k = max(ks)
+    row = rows[ks]
+    out = []
+    for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
+        n = row[block[0]]
+        for w in block:
+            if row[w] != n:
+                raise ValueError(f"payoff slice at times {ks} varies on block {block}")
+        out.append(w_b * n)
+    return out
+
+
+def _children_sums(space: FilteredSpace, upper: Sequence[int], k: int) -> list[int]:
+    """Per block of partitions[k], the sum of ``upper`` (one entry per block
+    of partitions[k+1]) over the block's children."""
+    parent = space.block_id[k]
+    out = [0] * len(space.partitions[k])
+    for child, v in zip(space.partitions[k + 1], upper):
+        out[parent[child[0]]] += v
+    return out
+
+
+def _reaction(space: FilteredSpace, rows, slot: int, k: int, opt) -> StoppingTime:
+    """The earliest optimal stop from k+1 of the survivor in ``slot`` of a
+    two-slot field, the other slot stopped at k: the rule of a Snell envelope
+    on block-scaled integers, stopping where the value equals the payoff."""
+    K = space.grid.terminal_index
+    stops: Layers = [None] * (K + 1)  # per block, whether the rule stops there
+    for j in range(K, k, -1):
+        stop = _block_stops(space, rows, (k, j) if slot else (j, k))
+        value = stop if j == K else list(map(opt, stop, _children_sums(space, value, j)))
+        stops[j] = list(map(eq, value, stop))
+    bid = space.block_id
+    return first_hit(space, k + 1, lambda j, w: stops[j][bid[j][w]])
+
+
+def block_rv(space: FilteredSpace, k: int, nums: Sequence[int], den: int) -> RV:
+    """The RV equal to ``nums[B] / (den * W_B)`` on each block B of
+    partitions[k]: a :func:`node_sweep` layer or cell back on ``Fraction``."""
+    out: list = [None] * space.n_outcomes
+    for block, w_b, n in zip(space.partitions[k], space.block_wnum[k], nums):
+        v = Fraction(n, den * w_b)
+        for w in block:
+            out[w] = v
+    return tuple(out)
 
 
 def _first_min(*cells):
@@ -121,9 +189,9 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     """Backward sweep for the cooperative two-stop infimum.
 
     Returns (open layers, nodes) where ``open[k]`` is the infimum over pairs
-    of stops >= k and ``nodes[k]`` is the :func:`node_sweep` node at k, whose
-    reactions are the survivor's infimum once the other side stopped at k and
-    whose choice is the first minimal cell.
+    of stops >= k, one ``Fraction`` per outcome, and ``nodes[k]`` is the
+    :func:`node_sweep` node at k, whose rules are the survivor's infimum once
+    the other side stopped at k and whose choice is the first minimal cell.
     """
     if field2.arity != 2:
         raise ValueError("cooperative solver needs a two-slot field")
@@ -132,7 +200,12 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     if n_states > current_guards().dp_state_cap:
         raise GuardExceeded(f"joint stop DP needs {n_states} states")
     (layers,), nodes = node_sweep(space, (field2,), ("inf", "inf"), kmin, _first_min)
-    return layers, nodes
+    return unscaled_layers(space, layers, field2.den), nodes
+
+
+def unscaled_layers(space: FilteredSpace, layers: Layers, den: int) -> Layers:
+    """A :func:`node_sweep` value list back on ``Fraction``, None where unset."""
+    return [None if x is None else block_rv(space, k, x, den) for k, x in enumerate(layers)]
 
 
 def joint_inf_pair(
@@ -147,13 +220,15 @@ def joint_inf_pair(
     open_layers, nodes = joint_inf_value(space, field2, min(_start_indices(space, from_)))
     K = space.grid.terminal_index
 
+    bid = space.block_id
+
     def stops(w: int, k: int) -> tuple[int, int]:
         if k == K:
             return K, K
         _, (after_a, after_b), choice = nodes[k]
-        return ((k, k), (k, after_a.rule.idx[w]), (after_b.rule.idx[w], k))[choice[w]]
+        return ((k, k), (k, after_a.idx[w]), (after_b.idx[w], k))[choice[bid[k][w]]]
 
-    first = first_hit(space, from_, lambda k, w: nodes[k][2][w] < 3)
+    first = first_hit(space, from_, lambda k, w: nodes[k][2][bid[k][w]] < 3)
     rho, tau = zip(*(stops(w, k) for w, k in enumerate(first.idx)))
     return JointStopResult(value=tuple(open_layers), rho=StoppingTime(rho), tau=StoppingTime(tau))
 

@@ -96,14 +96,15 @@ def solve_2p_nash(
     kmin = min(start_st.idx)
     _, nodes = node_sweep(space, (field_a, field_b), ("sup", "sup"), kmin, _nash_cell)
     terminal = constant_time(space, K)
+    bid = space.block_id
 
     def strategy(seat):
         # the seat stops in the both-stop cell and in its own lone-stop cell
         own = (0, 1 + seat)
-        initial = first_hit(space, start_st, lambda k, w: nodes[k][2][w] in own)
+        initial = first_hit(space, start_st, lambda k, w: nodes[k][2][bid[k][w]] in own)
         # its reaction to the other seat's stop at k is the survivor's rule;
         # entries before kmin are placeholders that patch_pair overwrites
-        react = [terminal] * kmin + [nodes[k][1][1 - seat].rule for k in range(kmin, K)]
+        react = [terminal] * kmin + [nodes[k][1][1 - seat] for k in range(kmin, K)]
         return StrategyOrder2(initial=initial, react=(*react, terminal))
 
     pair = patch_pair(space, (strategy(0), strategy(1)), kmin)

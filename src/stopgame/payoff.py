@@ -11,7 +11,11 @@ between the last interior time and the terminal time.
 ``PayoffField`` is the one reader of its tensor: ``at_stops`` reads the payoff
 at one stop per slot (a stopping time or a grid index), ``process`` reads the
 layers over one slot with the others held at a time, and ``pin`` builds a
-real sub-field only for solvers that work on one.  One modulus serves
+real sub-field only for solvers that work on one.  ``rows`` is the one
+integer form of the tensor: each tuple's values as numerators on ``den``,
+converted the first time the tuple is read and shared by every integer
+kernel (the modulus walk, the node sweep and the best-response oracle); a
+``pin`` slice reads its rows from its parent's table.  One modulus serves
 every seat: a walk over pairs of time tuples, on integer ticks, compares each
 tuple's joint row of all seats' payoff numerators on one common denominator,
 and converts to ``Fraction`` once per distinct displacement.
@@ -41,9 +45,24 @@ from .space import RV, FilteredSpace, TimeGrid, _numerators, _start_indices, rat
 MODULUS_SLACK = Fraction(1, 10**9)
 
 
+class _Rows(dict):
+    """Lazy ks -> numerators of ``values[ks]`` on ``den``; it holds no field."""
+
+    __slots__ = ("values", "den")
+
+    def __init__(self, values: dict, den: int):
+        super().__init__()
+        self.values, self.den = values, den
+
+    def __missing__(self, ks: tuple[int, ...]) -> tuple[int, ...]:
+        row = self[ks] = _numerators(self.values[ks], self.den)
+        return row
+
+
 @dataclass(frozen=True)
 class PayoffField:
-    """Dense payoff tensor values[(k_1,..,k_N)] -> RV over a filtered space."""
+    """Dense payoff tensor values[(k_1,..,k_N)] -> RV over a filtered space.
+    Its integer form, ``den`` and ``rows``, takes no part in equality."""
 
     space: FilteredSpace
     arity: int
@@ -70,29 +89,48 @@ class PayoffField:
     def den(self) -> int:
         """Common denominator of the values: the lcm of their denominators.
 
-        Integer kernels (the modulus pair walk, the best-response DP) read
-        values as numerators on this denominator.  A ``pin`` result carries
-        its parent's ``den``, a multiple of its own lcm, so pinned fields
-        never rescan their values.  Not a dataclass field: it takes no part
-        in equality.
+        Integer kernels read values as numerators on this denominator.  A
+        ``pin`` or ``negated`` result carries its parent's ``den``, a multiple
+        of its own lcm, so it never rescans its values.
         """
         return math.lcm(*(v.denominator for layer in self.values.values() for v in layer))
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """rows[ks]: the slice at ks as numerators on ``den``, converted when
+        first read (the oracle reads only a few)."""
+        return _Rows(self.values, self.den)
+
+    def _carrying(self, arity: int, values: dict, rows) -> "PayoffField":
+        """A field on this space that takes this field's ``den`` and the
+        given row table instead of computing its own."""
+        field = PayoffField(self.space, arity, values)
+        object.__setattr__(field, "den", self.den)
+        object.__setattr__(field, "rows", rows)
+        return field
 
     def pin(self, slot: int, k: int) -> "PayoffField":
         """Freeze one time slot at index k, producing an arity-1 lower field.
 
-        The result is adapted only on tuples whose maximum is >= k; callers
-        must stay in that region (solvers conditioned at or after k do).
+        The slice indexes the remaining tuples directly, in lexicographic
+        order, and reads its rows from this field's table, so each value is
+        converted once however often it is pinned.  The result is adapted
+        only on tuples whose maximum is >= k; callers must stay in that
+        region (solvers conditioned at or after k do).
         """
         if not 0 <= slot < self.arity:
             raise ValueError(f"slot {slot} out of range for arity {self.arity}")
-        vals: dict[tuple[int, ...], RV] = {}
-        for ks, layer in self.values.items():
-            if ks[slot] == k:
-                vals[ks[:slot] + ks[slot + 1 :]] = layer
-        pinned = PayoffField(self.space, self.arity - 1, vals)
-        object.__setattr__(pinned, "den", self.den)
-        return pinned
+        indices = range(len(self.space.grid))
+        ranges = [indices] * self.arity
+        ranges[slot] = (k,)
+        # fixing one slot keeps the lexicographic order of the others
+        subs = list(itertools.product(indices, repeat=self.arity - 1))
+        full = list(itertools.product(*ranges))
+        return self._carrying(
+            self.arity - 1,
+            dict(zip(subs, map(self.values.__getitem__, full))),
+            dict(zip(subs, map(self.rows.__getitem__, full))),
+        )
 
     def as_layers(self) -> list[RV]:
         """Arity-1 field as a per-time list (a raw process, maybe partial)."""
@@ -101,11 +139,8 @@ class PayoffField:
         return [self.values[(k,)] for k in range(len(self.space.grid))]
 
     def negated(self) -> "PayoffField":
-        return PayoffField(
-            self.space,
-            self.arity,
-            {ks: tuple(-v for v in layer) for ks, layer in self.values.items()},
-        )
+        vals = {ks: tuple(-v for v in layer) for ks, layer in self.values.items()}
+        return self._carrying(self.arity, vals, _Rows(vals, self.den))
 
 
 def payoff_from_function(
@@ -222,7 +257,8 @@ def _ticks(grid: TimeGrid) -> tuple[tuple[int, ...], int]:
 
 def _joint_rows(fields) -> tuple[FilteredSpace, dict[tuple[int, ...], list[int]], int]:
     """The shared space, each tuple's joint row of all fields' numerators (in
-    sorted tuple order) and their common denominator."""
+    sorted tuple order) and their common denominator: each field's ``rows``
+    entry scaled up to it."""
     if not fields:
         raise ValueError("the modulus needs at least one field")
     space, layers = fields[0].space, fields[0].values
@@ -230,10 +266,8 @@ def _joint_rows(fields) -> tuple[FilteredSpace, dict[tuple[int, ...], list[int]]
         if f.space != space or f.values.keys() != layers.keys():
             raise ValueError("fields of one modulus must share a space and a tuple set")
     den = math.lcm(*(f.den for f in fields))
-    rows = {
-        ks: [n for f in fields for n in _numerators(f.values[ks], den)]
-        for ks in sorted(layers)
-    }
+    scaled = [(f.rows, den // f.den) for f in fields]
+    rows = {ks: [n * s for t, s in scaled for n in t[ks]] for ks in sorted(layers)}
     return space, rows, den
 
 

@@ -11,9 +11,12 @@ this module measures.
 
 The program runs on integers: each node's value is scaled by the payoff
 field's common denominator times the integer weight of the node's block, so a
-continuation is a plain sum of its children and no node divides.  Each start
-atom's value is converted back to ``Fraction`` once, so the results are the
-same exact rationals a ``Fraction`` program would give.
+continuation is a plain sum of its children and no node divides.  The payoff
+numerators are the field's own ``PayoffField.rows`` table, which the modulus
+walk and the solvers' node sweep read too, so a solve converts each payoff
+once.  Each start atom's value is converted back to ``Fraction`` once, so the
+results are the same exact rationals a ``Fraction`` program would give.  The
+solvers' 2x2 node sweep (``classic.node_sweep``) uses the same scaling.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .space import (
     RV,
     FilteredSpace,
     StoppingTime,
-    _numerators,
     _start_indices,
     cond_exp_at,
     constant_time,
@@ -156,9 +158,10 @@ def exact_best_response(
     ``wnum[w] * N_w`` over B, with ``N_w`` the payoff numerator on
     ``field.den``; a continuation is the plain sum of the children's scaled
     values; and ``max``/``min`` pick the same option as on the unscaled
-    values, since all options at a node share the positive factor.  Payoff
-    rows become numerators only when the DP first reads them, and each start
-    atom's value is converted to ``Fraction`` once.
+    values, since all options at a node share the positive factor.  The
+    numerators come from ``field.rows``, which converts a tuple only when it
+    is first read and keeps it for every later reader of the field, and each
+    start atom's value is converted to ``Fraction`` once.
     """
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
@@ -168,13 +171,11 @@ def exact_best_response(
     cap = current_guards().dp_state_cap
     wnum = space.wnum
     den = field.den
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = field.rows
     memo: dict[tuple, int] = {}
 
     def stop_value(block: tuple[int, ...], times: tuple[int, ...]) -> int:
-        row = rows.get(times)
-        if row is None:
-            row = rows[times] = _numerators(field.values[times], den)
+        row = rows[times]
         return sum(wnum[w] * row[w] for w in block)
 
     def solve(k: int, block: tuple[int, ...], status: tuple) -> int:

@@ -5,10 +5,12 @@ remaining slot is pinned to the conditioning time.  Each backward-induction
 node offers both sides {stop, continue}: a lone stopper hands the survivor an
 exact Snell reaction, simultaneous stops settle immediately, and double
 continuation rolls the layer forward; the sweep is ``classic.node_sweep``,
-shared with the cooperative two-stop infimum.  The canonical value takes the
-pure maximin of every 2x2 node; nodes where pure maximin and minimax differ are
-collected in a gap report rather than hidden.  The construction's certified
-saddle strategies are the coalition's ``("pair", member)`` families.
+shared with the cooperative two-stop infimum.  It runs on block-scaled
+integers, which become ``Fraction`` once per layer block and per reported
+gap.  The canonical value takes the pure maximin of every 2x2 node; nodes
+where pure maximin and minimax differ are collected in a gap report rather
+than hidden.  The construction's certified saddle strategies are the
+coalition's ``("pair", member)`` families.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import node_sweep
+from .classic import node_sweep, unscaled_layers
 from .payoff import PayoffField
 from .space import RV, FilteredSpace
 
@@ -42,11 +44,11 @@ class ReactionGameSpec:
         # pin() removed the frozen slot; the rest keep their relative order
         if self.max_slot < self.min_slot:
             return pinned
-        space = self.payoff.space
-        return PayoffField(
-            space,
+        rows = pinned.rows
+        return pinned._carrying(
             2,
             {(a, b): pinned.at((b, a)) for (b, a) in pinned.values},
+            {(a, b): rows[(b, a)] for (b, a) in pinned.values},
         )
 
 
@@ -73,17 +75,18 @@ def _maximin(ss, sc, cs, cc):
 
 
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
-    """Backward sweep; returns (layers, report)."""
+    """Backward sweep; returns (layers, report).  The report compares the
+    sweep's block-scaled integers and converts only the gaps it reports."""
     (layers,), nodes = node_sweep(space, (view,), ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
     for k in range(space.grid.terminal_index - 1, c - 1, -1):
         ss, sc, cs, cc = nodes[k][0]
-        for block in space.partitions[k]:
-            w = block[0]
-            minimax = min(max(ss[w], cs[w]), max(sc[w], cc[w]))
-            if minimax != layers[k][w]:
-                report.append(NodeGap(k=k, block=block, gap=minimax - layers[k][w]))
-    return layers, tuple(report)
+        for b, (block, w_b) in enumerate(zip(space.partitions[k], space.block_wnum[k])):
+            minimax = min(max(ss[b], cs[b]), max(sc[b], cc[b]))
+            if minimax != layers[k][b]:
+                gap = Fraction(minimax - layers[k][b], view.den * w_b)
+                report.append(NodeGap(k=k, block=block, gap=gap))
+    return unscaled_layers(space, layers, view.den), tuple(report)
 
 
 def reaction_game_value(spec: ReactionGameSpec, c: int) -> ReactionValueResult:

@@ -12,7 +12,8 @@ from stopgame import space as space_module
 from stopgame.classic import snell
 from stopgame.generator import generate_instance
 from stopgame.nash3 import solve_three_player
-from stopgame.space import FilteredSpace, TimeGrid, constant_time, make_grid
+from stopgame.payoff import payoff_from_function
+from stopgame.space import FilteredSpace, TimeGrid, cond_exp, constant_time, make_grid
 
 # hypothesis settings of the property tests: derandomized, so every run of
 # the suite draws the same examples (for a given hypothesis version)
@@ -129,6 +130,21 @@ def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str)
         snell(space, field3.process(free_slot, k), direction, k)
         for k in range(len(space.grid))
     )
+
+
+def random_adapted_field(seed):
+    """Three-slot field whose slice at each time tuple is a random RV
+    measurable at the tuple's maximum; its nodes often have maximin < minimax."""
+    rng = random.Random(seed)
+    space = random_space(rng, 3, 4)
+    slices = {}
+
+    def fn(ks, w):
+        if ks not in slices:
+            slices[ks] = cond_exp(space, random_rv(rng, 3), max(ks))
+        return slices[ks][w]
+
+    return payoff_from_function(space, 3, fn)
 
 
 # (outcomes, times, generator seed); each game is solved at the h the modulus

@@ -225,6 +225,47 @@ def reference_node_tables(space: FilteredSpace, view: PayoffField, c: int):
     return layers, tuple(report)
 
 
+# The ``Fraction`` node sweep that the integer ``classic.node_sweep``
+# replaced, with its Snell reactions and its per-outcome cells, and the
+# scanning ``PayoffField.pin`` that the indexed slice replaced.  Kept as they
+# were so the new sweep and slice are checked against them with ==.
+
+
+def reference_node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
+    K = space.grid.terminal_index
+    values = [[None] * K + [f.at((K, K))] for f in fields]
+    nodes: list = [None] * (K + 1)
+    for k in range(K - 1, kmin - 1, -1):
+        reactions = tuple(
+            snell(space, f.process(1 - i, k), directions[i], k + 1)
+            for i, f in enumerate((fields[-1], fields[0]))
+        )
+        lone_stops = ((k, reactions[0].rule), (reactions[1].rule, k))
+        cells: list = []
+        for f, layers in zip(fields, values):
+            cells.append(f.at((k, k)))
+            for stops in lone_stops:
+                cells.append(cond_exp(space, f.at_stops(stops), k))
+            cells.append(cond_exp(space, layers[k + 1], k))
+        choice = tuple(map(choose, *cells))
+        for j, layers in enumerate(values):
+            layers[k] = tuple(cells[4 * j + c][w] for w, c in enumerate(choice))
+        nodes[k] = (tuple(cells), reactions, choice)
+    return values, nodes
+
+
+def reference_pin(field: PayoffField, slot: int, k: int) -> PayoffField:
+    if not 0 <= slot < field.arity:
+        raise ValueError(f"slot {slot} out of range for arity {field.arity}")
+    vals: dict = {}
+    for ks, layer in field.values.items():
+        if ks[slot] == k:
+            vals[ks[:slot] + ks[slot + 1 :]] = layer
+    pinned = PayoffField(field.space, field.arity - 1, vals)
+    object.__setattr__(pinned, "den", field.den)
+    return pinned
+
+
 def every_multiple(space: FilteredSpace, h, targets=None) -> list[Fraction]:
     """Every positive multiple of h up to phi_h of the last interior grid time
     (a stand-in for ``nash2.family_multiples``, whose lookup targets it ignores)."""

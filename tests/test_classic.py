@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_rv, random_space
+from conftest import random_adapted_field, random_rv, random_space
 from oracles import (
     brute_dynkin_maximin,
     brute_joint_inf,
@@ -15,10 +17,13 @@ from oracles import (
     reference_dynkin_hitting_pair,
     reference_joint_inf_pair,
     reference_lone_stop_cells,
+    reference_node_sweep,
     reference_snell_rule,
 )
+from stopgame import classic
 from stopgame.classic import (
     _first_min,
+    block_rv,
     dynkin_convention_gap,
     dynkin_hitting_pair,
     dynkin_value,
@@ -29,14 +34,17 @@ from stopgame.classic import (
 from stopgame.errors import OrderViolation
 from stopgame.generator import generate_instance
 from stopgame.nash2 import _nash_cell
-from stopgame.payoff import payoff_from_function
+from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
+    FilteredSpace,
     cond_exp,
     constant_time,
     expectation,
     is_stopping_time,
+    make_grid,
 )
 from stopgame.verify import enumerate_stopping_times
+from stopgame.zerosum import _maximin
 
 
 def rv_const(space, c):
@@ -297,9 +305,10 @@ def test_joint_inf_matches_reference_sweep(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_node_sweep_cells_match_per_outcome_reads(seed):
-    """Each node's lone-stop cells, read at the survivors' Snell rules, equal
-    the per-outcome reads they replaced, for one shared field and for one
-    field per slot; each reaction is the Snell solution of the pinned slice."""
+    """Each node's lone-stop cells, scaled back to ``Fraction``, equal the
+    per-outcome reads they replaced at the survivors' rules, for one shared
+    field and for one field per slot; each rule is the Snell rule of the
+    pinned slice."""
     inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
     space = inst.space
     K = space.grid.terminal_index
@@ -311,14 +320,90 @@ def test_node_sweep_cells_match_per_outcome_reads(seed):
     ):
         _, nodes = node_sweep(space, fields, directions, pinned_at, choose)
         for k in range(pinned_at, K):
-            cells, reactions, _ = nodes[k]
+            cells, rules, _ = nodes[k]
+            reactions = []
             for i, f in enumerate((fields[-1], fields[0])):
-                layers = f.pin(i, k).as_layers()
-                assert reactions[i] == snell(space, layers, directions[i], k + 1)
+                reactions.append(snell(space, f.pin(i, k).as_layers(), directions[i], k + 1))
+                assert rules[i] == reactions[i].rule
             for j, f in enumerate(fields):
-                assert list(cells[4 * j + 1 : 4 * j + 3]) == reference_lone_stop_cells(
-                    space, f, k, reactions
-                )
+                lone = [block_rv(space, k, cell, f.den) for cell in cells[4 * j + 1 : 4 * j + 3]]
+                assert lone == reference_lone_stop_cells(space, f, k, reactions)
+
+
+def sweep_cases(seed):
+    """Pairs of two-slot fields, each with the first index a sweep of them
+    may start at: a generated three-player game pinned at c, a generated
+    two-player game, and a random adapted field and its negation pinned at c."""
+    size = dict(n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    inst3 = generate_instance(seed, **size)
+    c = seed % inst3.space.grid.terminal_index
+    yield [f.pin(seed % 3, c) for f in inst3.fields[:2]], c
+    yield list(generate_instance(seed, n_players=2, **size).fields), 0
+    field = random_adapted_field(seed)
+    c = seed % 3
+    yield [field.pin(seed % 3, c), field.negated().pin((seed + 1) % 3, c)], c
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_node_sweep_matches_reference_sweep(seed, monkeypatch):
+    """The integer sweep gives the ``Fraction`` sweep's choices and reaction
+    rules, and its layers and cells scaled back to ``Fraction``, under == for
+    every choose function and every start index; it solves no Snell sweep
+    and takes no conditional expectation."""
+
+    def forbidden(*args):
+        raise AssertionError("node_sweep called a Fraction kernel")
+
+    for fields, c in sweep_cases(seed):
+        space = fields[0].space
+        K = space.grid.terminal_index
+        bid = space.block_id
+        games = (
+            ((fields[0],), ("inf", "inf"), _first_min),
+            ((fields[1],), ("inf", "sup"), _maximin),
+            (tuple(fields), ("sup", "sup"), _nash_cell),
+        )
+        for game in games:
+            for kmin in range(c, K + 1):
+                with monkeypatch.context() as mp:
+                    mp.setattr(classic, "snell", forbidden)
+                    mp.setattr(classic, "cond_exp", forbidden)
+                    values, nodes = node_sweep(space, *game[:2], kmin, game[2])
+                ref_values, ref_nodes = reference_node_sweep(space, *game[:2], kmin, game[2])
+                dens = [f.den for f in game[0]]
+                for j, den in enumerate(dens):
+                    layers = [block_rv(space, k, values[j][k], den) for k in range(kmin, K + 1)]
+                    assert layers == ref_values[j][kmin:]
+                assert nodes[:kmin] == ref_nodes[:kmin]
+                for k in range(kmin, K):
+                    cells, rules, choice = nodes[k]
+                    ref_cells, ref_reactions, ref_choice = ref_nodes[k]
+                    assert rules == tuple(r.rule for r in ref_reactions)
+                    assert tuple(choice[b] for b in bid[k]) == ref_choice
+                    scaled = [block_rv(space, k, x, dens[i // 4]) for i, x in enumerate(cells)]
+                    assert scaled == list(ref_cells)
+
+
+def test_node_sweep_rejects_a_slice_not_adapted():
+    """A both-stop slice or a survivor's payoff slice that varies on a block
+    of its latest stop raises ValueError, from the sweep and its callers."""
+    space = FilteredSpace(
+        grid=make_grid([0, 1, 2]),
+        weights=(Fraction(1, 2), Fraction(1, 2)),
+        partitions=(((0, 1),), ((0, 1),), ((0,), (1,))),
+    )
+    adapted = {ks: (Fraction(sum(ks)),) * 2 for ks in itertools.product(range(3), repeat=2)}
+    for ks in ((0, 0), (0, 1), (1, 0)):
+        values = dict(adapted)
+        values[ks] = (Fraction(0), Fraction(1))
+        field = PayoffField(space, 2, values)
+        with pytest.raises(ValueError, match=re.escape(f"times {ks}")):
+            node_sweep(space, (field,), ("inf", "inf"), 0, _first_min)
+        with pytest.raises(ValueError):
+            joint_inf_pair(space, field, 0)
+        # a sweep from index 1 reads no slice with a time 0
+        joint_inf_pair(space, field, 1)
+    joint_inf_pair(space, PayoffField(space, 2, adapted), 0)
 
 
 def scan_starts(space, rng):

@@ -332,17 +332,17 @@ def test_later_start_matches_reference_patched(three_time_space):
 
 def test_reactions_solved_only_from_the_start(monkeypatch):
     """Anchored at K no reaction is solved; from k, one per seat and per
-    observation in [k, K)."""
+    observation in [k, K), each by the sweep's rule kernel."""
     inst = generate_instance(3, n_outcomes=3, n_times=5, n_players=2)
     K = inst.space.grid.terminal_index
     calls = []
-    real = classic.snell
+    real = classic._reaction
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classic, "snell", counting)
+    monkeypatch.setattr(classic, "_reaction", counting)
     for k in range(K + 1):
         calls.clear()
         solve_2p_nash(inst.space, *inst.fields, k, inst.epsilon)

@@ -21,7 +21,7 @@ from oracles import (
 from stopgame.classic import joint_inf_value
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
-from stopgame import nash2, nash3, verify
+from stopgame import classic, coalition, nash2, nash3, verify
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
@@ -605,12 +605,12 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls",
-    [(1004, 4, 6, True, 234, 105), (1000, 3, 5, False, 135, 84)],
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls, snells",
+    [(1004, 4, 6, True, 234, 105, 54), (1000, 3, 5, False, 135, 84, 45)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls
+    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, snells
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
@@ -618,7 +618,9 @@ def test_calls_per_solve_on_bench_games(
     once; and each of the 21 families maps every interior grid time through
     ``phi_h`` once (the targets feed both its multiples and its
     ``by_index``), while profile assembly reads entries by grid index without
-    any ``phi_h``."""
+    any ``phi_h``; and ``classic.snell`` runs only for the coalition's solo
+    tables, 3 games x 3 free slots x (K+1) start indices, as the node sweep
+    solves its reactions on integers."""
     counts = Counter()
 
     def counting(key, real):
@@ -641,6 +643,9 @@ def test_calls_per_solve_on_bench_games(
     for module in (nash2, nash3):
         monkeypatch.setattr(module, "certify_nash", certify)
     monkeypatch.setattr(nash2, "phi_h", counting("phi_h", nash2.phi_h))
+    snell = counting("snell", classic.snell)
+    for module in (classic, coalition):
+        monkeypatch.setattr(module, "snell", snell)
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
@@ -648,3 +653,4 @@ def test_calls_per_solve_on_bench_games(
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
     assert resolutions and set(resolutions) == {1}
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
+    assert counts["snell"] == snells == 3 * 3 * times

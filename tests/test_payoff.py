@@ -17,6 +17,7 @@ from oracles import (
     reference_estimate_modulus,
     reference_family_value,
     reference_pair_changes,
+    reference_pin,
     reference_select_h,
 )
 from stopgame.errors import NoValidH
@@ -35,7 +36,14 @@ from stopgame.payoff import (
     payoff_from_function,
     select_h,
 )
-from stopgame.space import FilteredSpace, StoppingTime, TimeGrid, cond_exp, make_grid
+from stopgame.space import (
+    FilteredSpace,
+    StoppingTime,
+    TimeGrid,
+    _numerators,
+    cond_exp,
+    make_grid,
+)
 
 
 def test_time_only_payoff_is_adapted(three_time_space):
@@ -155,6 +163,44 @@ def test_pin_reduces_arity(three_time_space):
     pinned = field.pin(1, 2)
     assert pinned.arity == 2
     assert pinned.value_at((1, 0), 0) == 1 * 9 + 2 * 3 + 0
+
+
+def assert_same_slice(got: PayoffField, ref: PayoffField):
+    """Equal values in the same key order on the same den, and rows that are
+    the values' numerators on it; the readers of ``values`` agree too."""
+    assert got == ref
+    assert list(got.values) == list(ref.values)
+    assert got.den == ref.den
+    assert dict(got.rows) == {ks: _numerators(v, got.den) for ks, v in got.values.items()}
+    if got.arity:  # an arity-0 slice has no latest stop to check at
+        assert check_adapted(got) == check_adapted(ref)
+    assert payoff._joint_rows([got]) == payoff._joint_rows([ref])
+    neg, ref_neg = got.negated(), ref.negated()
+    assert (neg, list(neg.values), neg.den) == (ref_neg, list(ref_neg.values), ref_neg.den)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pin_matches_reference_scan(seed):
+    """The indexed slice equals the scanning one on generated fields, their
+    negations and nested pins; a field's den and rows, and so its slices',
+    are read through ``negated`` unchanged."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    K = inst.space.grid.terminal_index
+    for field in inst.fields:
+        negated = field.negated()
+        assert negated.den == field.den == math.lcm(
+            *(v.denominator for layer in negated.values.values() for v in layer)
+        )
+        for f in (field, negated):
+            for slot, k in itertools.product(range(3), range(K + 1)):
+                got, ref = f.pin(slot, k), reference_pin(f, slot, k)
+                assert_same_slice(got, ref)
+                for slot2, k2 in itertools.product(range(2), range(K + 1)):
+                    inner = got.pin(slot2, k2)
+                    assert_same_slice(inner, reference_pin(ref, slot2, k2))
+                    assert_same_slice(inner.pin(0, k), reference_pin(inner, 0, k))
+    with pytest.raises(ValueError):
+        inst.fields[0].pin(3, 0)
 
 
 def _hand_built_space():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rv, random_space
+from conftest import random_adapted_field, random_rv
 from oracles import affine, pair_payoff, reference_node_tables
 from stopgame.generator import generate_instance
 from stopgame.payoff import payoff_from_function
@@ -129,21 +129,6 @@ def test_reaction_irrelevant_payoff(three_time_space):
     assert res.report == ()
     # every leaf payoff is the martingale's value; at c it is E_c[g]
     assert res.value_at == cond_exp(space, g, 1)
-
-
-def random_adapted_field(seed):
-    """Three-slot field whose slice at each time tuple is a random RV
-    measurable at the tuple's maximum; its nodes often have maximin < minimax."""
-    rng = random.Random(seed)
-    space = random_space(rng, 3, 4)
-    slices = {}
-
-    def fn(ks, w):
-        if ks not in slices:
-            slices[ks] = cond_exp(space, random_rv(rng, 3), max(ks))
-        return slices[ks][w]
-
-    return payoff_from_function(space, 3, fn)
 
 
 @pytest.mark.parametrize("seed", range(10))
