@@ -37,12 +37,12 @@ from .space import FilteredSpace, StoppingTime, cond_exp, constant_time, first_h
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
 from .verify import (
     NashCertificate,
+    _conforming,
     _nash_certificate,
     certify_nash,
     count_strategies2,
     enumerate_strategies2,
     exact_best_response,
-    on_path_value,
 )
 
 
@@ -122,20 +122,17 @@ def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
             f"{count * count} strategy pairs exceed the enumeration cap"
         )
     strategies = list(enumerate_strategies2(space, start_st))
+    fields = (field_a, field_b)
     br_a_vs = []
     br_b_vs = []
     for s in strategies:
-        br_a_vs.append(
-            exact_best_response(space, field_a, [None, s], (0,), "max", start_st).values
-        )
-        br_b_vs.append(
-            exact_best_response(space, field_b, [s, None], (1,), "max", start_st).values
-        )
+        br_a_vs.append(exact_best_response(space, field_a, [None, s], (0,), "max", start_st))
+        br_b_vs.append(exact_best_response(space, field_b, [s, None], (1,), "max", start_st))
     for i, sa in enumerate(strategies):
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
-            paths = [v for v, _ in on_path_value(space, (field_a, field_b), [sa, sb], start_st)]
-            cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
+            atoms, paths = _conforming(space, fields, [sa, sb], start_st)
+            cert = _nash_certificate(eps, fields, atoms, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
     return Nash2Result(patch_pair(space, best_pair, min(start_st.idx)), best, fallback_used=True)
@@ -254,9 +251,13 @@ def build_pair_family(
     Payloads map each free seat to its strategy.
     """
     free = tuple(q for q in range(3) if q != frozen_slot)
+    pinned: dict[int, tuple[PayoffField, PayoffField]] = {}
 
     def views(k):
-        return tuple(f.pin(frozen_slot, k) for f in fields3)
+        # consecutive windows share grid indices: pin each index once
+        if k not in pinned:
+            pinned[k] = tuple(f.pin(frozen_slot, k) for f in fields3)
+        return pinned[k]
 
     def solve_at(anchor):
         res = solve_2p_nash(space, *views(anchor), anchor, eps)

@@ -14,9 +14,14 @@ field's common denominator times the integer weight of the node's block, so a
 continuation is a plain sum of its children and no node divides.  The payoff
 numerators are the field's own ``PayoffField.rows`` table, which the modulus
 walk and the solvers' node sweep read too, so a solve converts each payoff
-once.  Each start atom's value is converted back to ``Fraction`` once, so the
-results are the same exact rationals a ``Fraction`` program would give.  The
-solvers' 2x2 node sweep (``classic.node_sweep``) uses the same scaling.
+once.  The solvers' 2x2 node sweep (``classic.node_sweep``) uses the same
+scaling.
+
+A certificate stays on that scale throughout: the best response, the
+conforming profile's value (one integer sum per start atom over the same
+rows) and their difference, the gap, are all integers on ``den * W_B``, and
+each becomes a ``Fraction`` once, so the results are the same exact
+rationals a ``Fraction`` program would give.
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from .space import (
     FilteredSpace,
     StoppingTime,
     _start_indices,
-    cond_exp_at,
     constant_time,
+    is_stopping_time,
     rat,
-    stopped_atoms,
 )
 from .strategy import StrategyOrder2, committed_index, resolve2, resolve3
 
@@ -129,11 +133,14 @@ def enumerate_strategies2(
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """Exact optimal value over the controlled seats' reactive strategies."""
+    """Exact optimal value over the controlled seats' reactive strategies;
+    ``scaled[atom]`` is ``values[atom]`` times ``den * W_B``, the integer the
+    DP computed it from."""
 
     values: dict[Atom, Fraction]
     value_rv: RV
     objective: str
+    scaled: dict[Atom, int]
 
 
 def exact_best_response(
@@ -161,7 +168,8 @@ def exact_best_response(
     values, since all options at a node share the positive factor.  The
     numerators come from ``field.rows``, which converts a tuple only when it
     is first read and keeps it for every later reader of the field, and each
-    start atom's value is converted to ``Fraction`` once.
+    start atom's value is converted to ``Fraction`` once; ``scaled`` keeps the
+    integer.
     """
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
@@ -219,22 +227,26 @@ def exact_best_response(
         return best
 
     start_idx = _start_indices(space, start)
+    scaled: dict[Atom, int] = {}
     values: dict[Atom, Fraction] = {}
     out = [Fraction(0)] * space.n_outcomes
     all_alive = (-1,) * n_seats
-    for k in range(K + 1):
+    # only the start's own times hold start atoms (one time for a constant start)
+    for k in sorted({k for k in start_idx if 0 <= k <= K}):
         for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
             members = tuple(w for w in block if start_idx[w] == k)
             if not members:
                 continue
             if members != block:
                 raise ValueError("start must be a valid stopping time")
-            v = Fraction(solve(k, block, all_alive), den * w_b)
-            values[(k, block)] = v
+            n = scaled[(k, block)] = solve(k, block, all_alive)
+            v = values[(k, block)] = Fraction(n, den * w_b)
             for w in block:
                 out[w] = v
     del solve  # frees the memo now: solve holds itself through its closure
-    return BestResponseResult(values=values, value_rv=tuple(out), objective=objective)
+    return BestResponseResult(
+        values=values, value_rv=tuple(out), objective=objective, scaled=scaled
+    )
 
 
 def resolve_profile(space: FilteredSpace, strategies: Sequence):
@@ -243,18 +255,48 @@ def resolve_profile(space: FilteredSpace, strategies: Sequence):
     return resolve3(space, *strategies)
 
 
+def _conforming(
+    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
+) -> tuple[dict[Atom, int], list[dict[Atom, int]]]:
+    """The conforming profile's payoff at each start atom on the oracle's
+    scale: ``W_B`` by start atom (k, B), and per field, by atom, the sum over
+    B of ``wnum[w] * field.rows[stops(w)][w]``, which is ``field.den * W_B``
+    times the conditional expectation at the start.  The profile is resolved
+    once for every field."""
+    theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
+    if not is_stopping_time(space, theta.idx):
+        raise ValueError("conditioning requires a valid stopping time")
+    stops = tuple(zip(*(t.idx for t in resolve_profile(space, strategies))))
+    wnum = space.wnum
+    atoms = {
+        (k, block): w_b
+        for k, (part, w_bs) in enumerate(zip(space.partitions, space.block_wnum))
+        for block, w_b in zip(part, w_bs)
+        if theta.idx[block[0]] == k
+    }
+    sums = []
+    for field in fields:
+        rows = field.rows
+        sums.append(
+            {atom: sum(wnum[w] * rows[stops[w]][w] for w in atom[1]) for atom in atoms}
+        )
+    return atoms, sums
+
+
 def on_path_value(
     space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
 ) -> list[tuple[dict[Atom, Fraction], RV]]:
     """Per field, the expected payoff of the conforming profile conditioned at
     the start, by start atom and as an RV.  The profile is resolved once."""
-    times = resolve_profile(space, strategies)
-    theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
-    atoms = stopped_atoms(space, theta)
+    atoms, sums = _conforming(space, fields, strategies, start)
     out = []
-    for field in fields:
-        rv_out = cond_exp_at(space, field.at_stops(times), theta)
-        out.append(({(k, members): rv_out[members[0]] for k, members in atoms}, rv_out))
+    for field, path in zip(fields, sums):
+        values = {atom: Fraction(n, field.den * atoms[atom]) for atom, n in path.items()}
+        rv_out: list = [None] * space.n_outcomes
+        for (_, block), v in values.items():
+            for w in block:
+                rv_out[w] = v
+        out.append((values, tuple(rv_out)))
     return out
 
 
@@ -277,31 +319,36 @@ def certify_nash(
     Seat s maximizes ``fields[s]`` against the others' fixed strategies.  The
     bound is 13*eps for three players and eps for two.
     """
-    best = tuple(
+    best = [
         exact_best_response(
             space, field, profile, controlled=(seat,), objective="max", start=theta
-        ).values
+        )
         for seat, field in enumerate(fields)
-    )
-    paths = tuple(values for values, _ in on_path_value(space, fields, profile, theta))
-    return _nash_certificate(eps, best, paths)
+    ]
+    atoms, paths = _conforming(space, fields, profile, theta)
+    return _nash_certificate(eps, fields, atoms, best, paths)
 
 
-def _nash_certificate(eps, best_response, on_path) -> NashCertificate:
-    """Certificate from per-seat best-response and conforming values by atom."""
+def _nash_certificate(eps, fields, atoms, best, paths) -> NashCertificate:
+    """Certificate from per-seat best responses (``BestResponseResult``) and
+    conforming numerators by atom, both on ``fields[s].den * atoms[atom]``:
+    each gap is an integer difference, converted once."""
     eps = rat(eps)
-    bound = (13 if len(best_response) == 3 else 1) * eps
-    gaps = tuple(
-        {atom: br[atom] - path[atom] for atom in br}
-        for br, path in zip(best_response, on_path)
-    )
+    bound = (13 if len(best) == 3 else 1) * eps
+    on_path, gaps = [], []
+    for field, br, path in zip(fields, best, paths):
+        den = field.den
+        on_path.append({atom: Fraction(n, den * atoms[atom]) for atom, n in path.items()})
+        gaps.append(
+            {atom: Fraction(n - path[atom], den * atoms[atom]) for atom, n in br.scaled.items()}
+        )
     worst = max([Fraction(0), *(g for per_seat in gaps for g in per_seat.values())])
     return NashCertificate(
         eps=eps,
         bound=bound,
-        per_player_gaps=gaps,
+        per_player_gaps=tuple(gaps),
         on_path=tuple(on_path),
-        best_response=tuple(best_response),
+        best_response=tuple(br.values for br in best),
         worst_gap=worst,
         passes=worst <= bound,
     )

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck
 
-from stopgame import coalition, nash2, verify
+from stopgame import coalition, nash2, nash3, verify
 from stopgame import space as space_module
 from stopgame.classic import snell
 from stopgame.generator import generate_instance
@@ -155,44 +155,48 @@ LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
 @pytest.fixture(scope="session")
 def ladder_run() -> dict:
     """Calls made while solving the ladder, with their results:
-    ``"oracle"`` holds (args, kwargs, result) per ``exact_best_response`` call,
+    ``"oracle"`` and ``"certify"`` hold (args, kwargs, result) per
+    ``exact_best_response`` and ``certify_nash`` call,
     ``"pair"`` holds (args, result) per ``solve_2p_nash`` call, and
-    ``"cond_exp"`` and ``"cond_exp_at"`` hold (args, result) per call, with
-    the input RV copied to a tuple."""
-    calls = {"oracle": [], "pair": [], "cond_exp": [], "cond_exp_at": []}
-    real_oracle, real_pair = verify.exact_best_response, nash2.solve_2p_nash
+    ``"cond_exp"`` holds (args, result) per call, with the input RV copied to
+    a tuple."""
+    calls = {"oracle": [], "certify": [], "pair": [], "cond_exp": []}
+    real_pair = nash2.solve_2p_nash
 
-    def recording(*args, **kwargs):
-        result = real_oracle(*args, **kwargs)
-        calls["oracle"].append((args, kwargs, result))
-        return result
+    def recording(key, real):
+        def record(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls[key].append((args, kwargs, result))
+            return result
+
+        return record
 
     def recording_pair(*args):
         result = real_pair(*args)
         calls["pair"].append((args, result))
         return result
 
-    def recording_average(name):
-        real = getattr(space_module, name)
+    real_average = space_module.cond_exp
 
-        def record(space, x, at):
-            result = real(space, x, at)
-            calls[name].append(((space, tuple(x), at), result))
-            return result
-
-        return real, record
+    def recording_average(space, x, at):
+        result = real_average(space, x, at)
+        calls["cond_exp"].append(((space, tuple(x), at), result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (verify, nash2, coalition):
-            mp.setattr(module, "exact_best_response", recording)
+        for key, name, modules in (
+            ("oracle", "exact_best_response", (verify, nash2, coalition)),
+            ("certify", "certify_nash", (verify, nash2, nash3)),
+        ):
+            record = recording(key, getattr(verify, name))
+            for module in modules:
+                mp.setattr(module, name, record)
         mp.setattr(nash2, "solve_2p_nash", recording_pair)
-        for name in ("cond_exp", "cond_exp_at"):
-            real, record = recording_average(name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name.split(".")[0] == "stopgame" and (
-                    getattr(module, name, None) is real
-                ):
-                    mp.setattr(module, name, record)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "stopgame" and (
+                getattr(module, "cond_exp", None) is real_average
+            ):
+                mp.setattr(module, "cond_exp", recording_average)
         for outcomes, times, seed in LADDER:
             inst = generate_instance(
                 seed=seed, n_outcomes=outcomes, n_times=times, n_players=3

@@ -38,7 +38,7 @@ from stopgame.space import (
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import (
     BestResponseResult,
-    _nash_certificate,
+    NashCertificate,
     certify_nash,
     count_strategies2,
     enumerate_stopping_times,
@@ -543,7 +543,10 @@ def reference_exact_best_response(
             values[(k, block)] = v
             for w in block:
                 out[w] = v
-    return BestResponseResult(values=values, value_rv=tuple(out), objective=objective)
+    # the Fraction DP has no integer scale to hand back
+    return BestResponseResult(
+        values=values, value_rv=tuple(out), objective=objective, scaled=None
+    )
 
 
 # The two-player solver as it was when it solved a Snell reaction for every
@@ -694,10 +697,10 @@ def reference_fallback_search(space, field_a, field_b, start_st, eps, best_pair,
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
             paths = [
-                reference_on_path_value(space, f, [sa, sb], start_st)[0]
+                reference_one_field_on_path_value(space, f, [sa, sb], start_st)[0]
                 for f in (field_a, field_b)
             ]
-            cert = _nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
+            cert = reference_nash_certificate(eps, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
     return Nash2Result(best_pair, best, fallback_used=True)
@@ -842,7 +845,9 @@ def reference_lone_stop_cells(space: FilteredSpace, f: PayoffField, k: int, reac
     ]
 
 
-def reference_on_path_value(space: FilteredSpace, field: PayoffField, strategies, start):
+def reference_one_field_on_path_value(
+    space: FilteredSpace, field: PayoffField, strategies, start
+):
     """Expected payoff of the conforming profile, conditioned at the start."""
     times = resolve_profile(space, strategies)
     pay = tuple(
@@ -1010,3 +1015,64 @@ def reference_validate_strategy(space: FilteredSpace, strat) -> list[str]:
     else:
         problems.append(f"unknown strategy type {type(strat).__name__}")
     return problems
+
+
+# The certificate as it was computed in ``Fraction`` before ``verify`` put
+# the conforming value and the gap on the best-response oracle's integer
+# scale: the profile's payoff read per outcome with ``at_stops``, averaged
+# over the start atoms with ``cond_exp_at``, and each gap a ``Fraction``
+# difference.  Kept as they were so ``verify.certify_nash`` and
+# ``verify.on_path_value`` are checked against them with ==.
+
+
+def reference_on_path_value(
+    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
+) -> list[tuple[dict, tuple]]:
+    """Per field, the expected payoff of the conforming profile conditioned at
+    the start, by start atom and as an RV.  The profile is resolved once."""
+    times = resolve_profile(space, strategies)
+    theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
+    atoms = stopped_atoms(space, theta)
+    out = []
+    for field in fields:
+        rv_out = cond_exp_at(space, field.at_stops(times), theta)
+        out.append(({(k, members): rv_out[members[0]] for k, members in atoms}, rv_out))
+    return out
+
+
+def reference_certify_nash(
+    space: FilteredSpace, fields: Sequence[PayoffField], profile: Sequence, theta, eps
+) -> NashCertificate:
+    """Exact per-atom deviation gaps for every player against the Nash bound.
+
+    Seat s maximizes ``fields[s]`` against the others' fixed strategies.  The
+    bound is 13*eps for three players and eps for two.
+    """
+    best = tuple(
+        exact_best_response(
+            space, field, profile, controlled=(seat,), objective="max", start=theta
+        ).values
+        for seat, field in enumerate(fields)
+    )
+    paths = tuple(values for values, _ in reference_on_path_value(space, fields, profile, theta))
+    return reference_nash_certificate(eps, best, paths)
+
+
+def reference_nash_certificate(eps, best_response, on_path) -> NashCertificate:
+    """Certificate from per-seat best-response and conforming values by atom."""
+    eps = rat(eps)
+    bound = (13 if len(best_response) == 3 else 1) * eps
+    gaps = tuple(
+        {atom: br[atom] - path[atom] for atom in br}
+        for br, path in zip(best_response, on_path)
+    )
+    worst = max([Fraction(0), *(g for per_seat in gaps for g in per_seat.values())])
+    return NashCertificate(
+        eps=eps,
+        bound=bound,
+        per_player_gaps=gaps,
+        on_path=tuple(on_path),
+        best_response=tuple(best_response),
+        worst_gap=worst,
+        passes=worst <= bound,
+    )

@@ -1,9 +1,12 @@
-"""The integer best-response DP against the ``Fraction`` DP it replaced.
+"""The integer best-response DP and certificate against the ``Fraction``
+code they replaced.
 
-``reference_exact_best_response`` in ``oracles.py`` is the former oracle, kept
-verbatim.  Values are compared with ``==`` on exact rationals, and the DP
-state count is compared through the guard: both programs must trip
-``GuardExceeded`` below the same cap and pass at it.
+``reference_exact_best_response``, ``reference_certify_nash`` and
+``reference_on_path_value`` in ``oracles.py`` are the former oracle,
+certificate and conforming value, kept verbatim.  Values are compared with
+``==`` on exact rationals, and the DP state count is compared through the
+guard: both programs must trip ``GuardExceeded`` below the same cap and pass
+at it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import DENOMINATORS, random_space
-from oracles import reference_exact_best_response
+from oracles import (
+    reference_certify_nash,
+    reference_exact_best_response,
+    reference_on_path_value,
+)
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import GuardExceeded
 from stopgame.payoff import PayoffField, payoff_from_function
@@ -25,7 +32,7 @@ from stopgame.space import (
     make_grid,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
-from stopgame.verify import exact_best_response
+from stopgame.verify import certify_nash, exact_best_response, on_path_value
 
 
 def same_result(got, want) -> bool:
@@ -46,6 +53,28 @@ def test_oracle_matches_reference_on_ladder(ladder_calls):
     assert len(ladder_calls) > 1000
     for args, kwargs, result in ladder_calls:
         assert same_result(result, reference_exact_best_response(*args, **kwargs))
+
+
+CERTIFICATE_FIELDS = (
+    "eps", "bound", "per_player_gaps", "on_path", "best_response", "worst_gap", "passes"
+)
+
+
+def assert_same_certificate(got, want):
+    for name in CERTIFICATE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    for per_seat in (*got.per_player_gaps, *got.on_path, *got.best_response):
+        assert all(type(v) is Fraction for v in per_seat.values())
+
+
+def test_certificate_matches_reference_on_ladder(ladder_run):
+    """Every certificate computed while solving the ladder against the
+    ``Fraction`` certificate (``test_space`` checks ``on_path_value`` on the
+    same calls)."""
+    calls = ladder_run["certify"]
+    assert len(calls) > 100
+    for args, kwargs, result in calls:
+        assert_same_certificate(result, reference_certify_nash(*args, **kwargs))
 
 
 def random_stopping_time(rng, space: FilteredSpace, first: int) -> StoppingTime:
@@ -164,6 +193,59 @@ def test_oracle_matches_reference_on_pinned_fields():
     rebuilt = PayoffField(space, 2, dict(pinned.values))
     assert rebuilt == pinned
     assert pinned.den % rebuilt.den == 0
+
+
+def random_profiles():
+    """(space, fields, profile, start) with a random profile of 2 or 3 seats
+    and a start that is not constant."""
+    rng = random.Random(19)
+    spaces = [coprime_weight_space()] + [
+        random_space(rng, n, t) for n, t in ((3, 4), (4, 4), (4, 5), (5, 4))
+    ]
+    for space in spaces:
+        if len(space.partitions[-2]) == 1:  # every stopping time is constant
+            continue
+        for n_seats in (2, 3):
+            for _ in range(3):
+                fields = [mixed_field(rng, space, n_seats) for _ in range(n_seats)]
+                profile = [random_strategy(rng, space, n_seats, q) for q in range(n_seats)]
+                start = random_stopping_time(rng, space, 0)
+                while len(set(start.idx)) == 1:
+                    start = random_stopping_time(rng, space, 0)
+                yield space, fields, profile, start
+
+
+def test_certificate_matches_reference_on_random_profiles():
+    cases = list(random_profiles())
+    assert len(cases) >= 18 and {len(fields) for _, fields, _, _ in cases} == {2, 3}
+    for space, fields, profile, start in cases:
+        for eps in (0, Fraction(1, 3)):
+            assert_same_certificate(
+                certify_nash(space, fields, profile, start, eps),
+                reference_certify_nash(space, fields, profile, start, eps),
+            )
+        assert on_path_value(space, fields, profile, start) == reference_on_path_value(
+            space, fields, profile, start
+        )
+
+
+def test_certificate_rejects_an_invalid_start_like_reference():
+    """A start that splits a block, or lies past the grid, raises the same
+    ``ValueError`` from the certificate and the conforming value as from the
+    ``Fraction`` code."""
+    space, fields, profile, _ = next(random_profiles())
+    K = space.grid.terminal_index
+    for start in (StoppingTime((0, 1, 1, 1)), StoppingTime((0,) * 3 + (K,)), K + 1):
+        for got, want in (
+            (certify_nash, reference_certify_nash),
+            (on_path_value, reference_on_path_value),
+        ):
+            args = (space, fields, profile, start) + ((1,) if got is certify_nash else ())
+            with pytest.raises(ValueError) as expected:
+                want(*args)
+            with pytest.raises(ValueError) as raised:
+                got(*args)
+            assert str(raised.value) == str(expected.value)
 
 
 def smallest_passing_cap(monkeypatch, oracle, args, kwargs) -> int:

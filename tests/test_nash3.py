@@ -13,7 +13,7 @@ from oracles import (
     reference_coop_gap,
     reference_exit_time,
     reference_family_value,
-    reference_on_path_value,
+    reference_one_field_on_path_value,
     reference_pair_component,
     reference_partition_ABC,
     reference_single_gap,
@@ -556,7 +556,8 @@ def test_solve_reads_match_per_outcome_references(seed, min_step_h):
                 ]
                 assert entry.achieved == max(0, *gaps)
     assert sol.certificate.on_path == tuple(
-        reference_on_path_value(space, f, sol.profile, ctx.theta)[0] for f in fields
+        reference_one_field_on_path_value(space, f, sol.profile, ctx.theta)[0]
+        for f in fields
     )
 
 
@@ -606,7 +607,7 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 @pytest.mark.parametrize(
     "seed, outcomes, times, min_step_h, pins, phi_h_calls, snells",
-    [(1004, 4, 6, True, 234, 105, 54), (1000, 3, 5, False, 135, 84, 45)],
+    [(1004, 4, 6, True, 162, 105, 54), (1000, 3, 5, False, 135, 84, 45)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
@@ -614,13 +615,13 @@ def test_calls_per_solve_on_bench_games(
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
-    stop-now sweeps, zero-sum views); each coalition game negates its payoff
-    once; and each of the 21 families maps every interior grid time through
-    ``phi_h`` once (the targets feed both its multiples and its
-    ``by_index``), while profile assembly reads entries by grid index without
-    any ``phi_h``; and ``classic.snell`` runs only for the coalition's solo
-    tables, 3 games x 3 free slots x (K+1) start indices, as the node sweep
-    solves its reactions on integers."""
+    each index pinned once per family, stop-now sweeps, zero-sum views); each
+    coalition game negates its payoff once; and each of the 21 families maps
+    every interior grid time through ``phi_h`` once (the targets feed both its
+    multiples and its ``by_index``), while profile assembly reads entries by
+    grid index without any ``phi_h``; and ``classic.snell`` runs only for the
+    coalition's solo tables, 3 games x 3 free slots x (K+1) start indices, as
+    the node sweep solves its reactions on integers."""
     counts = Counter()
 
     def counting(key, real):

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DENOMINATORS, SETTINGS, random_rv, random_space
-from oracles import reference_cond_exp, reference_cond_exp_at, reference_index_at_or_after
+from oracles import (
+    reference_cond_exp,
+    reference_cond_exp_at,
+    reference_index_at_or_after,
+    reference_on_path_value,
+)
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -23,6 +28,7 @@ from stopgame.space import (
     stopped_atoms,
     validate_space,
 )
+from stopgame.verify import on_path_value
 
 
 def test_rat_rejects_floats():
@@ -276,12 +282,19 @@ def test_cond_exp_matches_reference(data, space):
 
 
 def test_cond_exp_matches_reference_on_ladder(ladder_run):
-    """Every conditional expectation taken while solving the ladder."""
-    for name, reference in (
-        ("cond_exp", reference_cond_exp),
-        ("cond_exp_at", reference_cond_exp_at),
-    ):
-        calls = ladder_run[name]
-        assert len(calls) > 1000
-        for args, result in calls:
-            assert result == reference(*args) and exact_rv(result)
+    """Every conditional expectation taken while solving the ladder, and the
+    conforming value of every certificate made there, one field at a time,
+    against the ``cond_exp_at`` average it replaced."""
+    calls = ladder_run["cond_exp"]
+    assert len(calls) > 1000
+    for args, result in calls:
+        assert result == reference_cond_exp(*args) and exact_rv(result)
+    samples = [
+        (space, [field], profile, start)
+        for (space, fields, profile, start, _), _, _ in ladder_run["certify"]
+        for field in fields
+    ]
+    assert len(samples) > 1000
+    for args in samples:
+        [(values, got)] = on_path_value(*args)
+        assert [(values, got)] == reference_on_path_value(*args) and exact_rv(got)
