@@ -24,12 +24,10 @@ from .classic import dynkin_hitting_pair, dynkin_value, snell
 from .errors import TheoremViolation
 from .nash2 import build_coop_family, build_pair_family, build_single_family
 from .payoff import PayoffField
-from .space import FilteredSpace, StoppingTime, rat
+from .space import Atom, FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder3, dense_strategy3
 from .verify import exact_best_response, on_path_value
 from .zerosum import ReactionGameSpec, reaction_game_value
-
-Atom = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)

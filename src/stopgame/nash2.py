@@ -33,7 +33,7 @@ from .classic import joint_inf_pair, node_sweep
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
-from .space import FilteredSpace, StoppingTime, cond_exp, constant_time, first_hit, rat
+from .space import FilteredSpace, _start_indices, cond_exp, constant_time, first_hit, rat
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
 from .verify import (
     NashCertificate,
@@ -92,8 +92,7 @@ def solve_2p_nash(
     """
     eps = rat(eps)
     K = space.grid.terminal_index
-    start_st = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
-    kmin = min(start_st.idx)
+    kmin = min(_start_indices(space, start))
     _, nodes = node_sweep(space, (field_a, field_b), ("sup", "sup"), kmin, _nash_cell)
     terminal = constant_time(space, K)
     bid = space.block_id
@@ -101,41 +100,41 @@ def solve_2p_nash(
     def strategy(seat):
         # the seat stops in the both-stop cell and in its own lone-stop cell
         own = (0, 1 + seat)
-        initial = first_hit(space, start_st, lambda k, w: nodes[k][2][bid[k][w]] in own)
+        initial = first_hit(space, start, lambda k, w: nodes[k][2][bid[k][w]] in own)
         # its reaction to the other seat's stop at k is the survivor's rule;
         # entries before kmin are placeholders that patch_pair overwrites
         react = [terminal] * kmin + [nodes[k][1][1 - seat] for k in range(kmin, K)]
         return StrategyOrder2(initial=initial, react=(*react, terminal))
 
     pair = patch_pair(space, (strategy(0), strategy(1)), kmin)
-    cert = certify_nash(space, (field_a, field_b), list(pair), start_st, eps)
+    cert = certify_nash(space, (field_a, field_b), list(pair), start, eps)
     if cert.passes:
         return Nash2Result(pair, cert, fallback_used=False)
-    return _fallback_search(space, field_a, field_b, start_st, eps, pair, cert)
+    return _fallback_search(space, field_a, field_b, start, kmin, eps, pair, cert)
 
 
-def _fallback_search(space, field_a, field_b, start_st, eps, best_pair, best):
+def _fallback_search(space, field_a, field_b, start, kmin, eps, best_pair, best):
     guards = current_guards()
-    count = count_strategies2(space, start_st)
+    count = count_strategies2(space, start)
     if count * count > guards.enumeration_cap:
         raise DeskScaleExceeded(
             f"{count * count} strategy pairs exceed the enumeration cap"
         )
-    strategies = list(enumerate_strategies2(space, start_st))
+    strategies = list(enumerate_strategies2(space, start))
     fields = (field_a, field_b)
     br_a_vs = []
     br_b_vs = []
     for s in strategies:
-        br_a_vs.append(exact_best_response(space, field_a, [None, s], (0,), "max", start_st))
-        br_b_vs.append(exact_best_response(space, field_b, [s, None], (1,), "max", start_st))
+        br_a_vs.append(exact_best_response(space, field_a, [None, s], (0,), "max", start))
+        br_b_vs.append(exact_best_response(space, field_b, [s, None], (1,), "max", start))
     for i, sa in enumerate(strategies):
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
-            atoms, paths = _conforming(space, fields, [sa, sb], start_st)
+            atoms, paths = _conforming(space, fields, [sa, sb], start)
             cert = _nash_certificate(eps, fields, atoms, (br_a_vs[j], br_b_vs[i]), paths)
             if cert.worst_gap < best.worst_gap:
                 best_pair, best = (sa, sb), cert
-    return Nash2Result(patch_pair(space, best_pair, min(start_st.idx)), best, fallback_used=True)
+    return Nash2Result(patch_pair(space, best_pair, kmin), best, fallback_used=True)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .nash2 import EquilibriumFamily, build_pair_family, stop_now_solutions
 from .payoff import auto_h, eta_reaching
 from .space import (
     RV,
+    Atom,
     FilteredSpace,
     StoppingTime,
     cond_exp,
@@ -43,8 +44,6 @@ from .space import (
 )
 from .strategy import StrategyOrder3, dense_strategy3, resolve2, validate_strategy
 from .verify import NashCertificate, certify_nash
-
-Atom = tuple[int, tuple[int, ...]]
 
 
 def build_overline_families(
@@ -169,7 +168,6 @@ def select_delta(
     eps = rat(eps)
     step = space.grid.min_step
     max_m = max(1, math.ceil(space.grid.span / step))
-    atoms = stopped_atoms(space, theta)
     per_atom: dict[Atom, Fraction] = {}
 
     def atom_ok(members, m) -> bool:
@@ -192,7 +190,7 @@ def select_delta(
                 return False
         return True
 
-    for k, members in atoms:
+    for k, members, _ in stopped_atoms(space, theta):
         chosen = None
         for m in range(max_m, 0, -1):
             if atom_ok(members, m):

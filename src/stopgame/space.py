@@ -10,7 +10,8 @@ numerators per block); floats are rejected so tests can assert with ``==``.
 Times are handled in two forms: a *value* is the rational coordinate of a grid
 point, an *index* is its position in the grid.  Stopping times store indices.
 Every stopping rule of the construction is read by ``first_hit``: per outcome,
-the first index from a start at which a condition holds.
+the first index from a start at which a condition holds.  Every start is read
+by ``stopped_atoms``, which also owns the stopping-time test.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 RV = tuple[Fraction, ...]  # one value per outcome
+Atom = tuple[int, tuple[int, ...]]  # a start atom: (time index, outcome block)
 
 
 def rat(x) -> Fraction:
@@ -244,40 +246,47 @@ def first_hit(space: FilteredSpace, start, hit) -> StoppingTime:
     return StoppingTime(tuple(out))
 
 
-def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
-    """True iff {tau <= t_k} is a union of time-k blocks for every k."""
-    n = space.n_outcomes
-    if len(idx) != n:
-        return False
+def _atoms(space: FilteredSpace, idx: Sequence[int]) -> list | None:
+    """The atoms (k, B, W_B) of ``idx``, or None if it is no stopping time.
+    Only the times ``idx`` takes are read: at each, every block holds all or
+    none of the outcomes stopping there.  On refining partitions that is the
+    same as {tau <= t_k} being a union of time-k blocks at every k."""
     K = space.grid.terminal_index
-    if any(not 0 <= i <= K for i in idx):
-        return False
-    for k in range(K + 1):
-        for block in space.partitions[k]:
-            hits = {idx[w] <= k for w in block}
-            if len(hits) > 1:
-                return False
-    return True
-
-
-def stopped_atoms(space: FilteredSpace, theta: StoppingTime) -> list[tuple[int, tuple[int, ...]]]:
-    """Atoms of the stopped sigma-algebra, as (time index, outcome block) pairs.
-
-    Each atom is the intersection of {theta = t_k} with a time-k block; for a
-    valid stopping time this recovers whole time-k blocks.
-    """
-    atoms: list[tuple[int, tuple[int, ...]]] = []
-    for k in range(len(space.grid)):
-        for block in space.partitions[k]:
-            members = tuple(w for w in block if theta.idx[w] == k)
-            if members:
-                atoms.append((k, members))
+    if len(idx) != space.n_outcomes or any(not 0 <= k <= K for k in idx):
+        return None
+    atoms = []
+    for k in sorted(set(idx)):
+        for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
+            stops = [idx[w] == k for w in block]
+            if all(stops):
+                atoms.append((k, block, w_b))
+            elif any(stops):
+                return None
     return atoms
 
 
-def cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: StoppingTime) -> RV:
-    """Conditional expectation given the information at a stopping time."""
-    if not is_stopping_time(space, theta.idx):
+def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
+    """True iff ``idx`` holds one grid index per outcome and {tau <= t_k} is a
+    union of time-k blocks for every k; the partitions must refine, as the
+    check is the one :func:`stopped_atoms` makes."""
+    return _atoms(space, idx) is not None
+
+
+def stopped_atoms(space: FilteredSpace, start) -> list[tuple[int, tuple[int, ...], int]]:
+    """The one reader of a start's atoms: for a stopping time or a constant
+    grid index, the atoms (k, time-k block B, ``space.block_wnum[k][b]``) of
+    its stopped sigma-algebra in time-then-block order.  The partitions must
+    refine; a start of the wrong length, off the grid, or stopping on part of
+    a block raises ``ValueError("conditioning requires a valid stopping
+    time")``."""
+    atoms = _atoms(space, _start_indices(space, start))
+    if atoms is None:
         raise ValueError("conditioning requires a valid stopping time")
-    atoms = [members for _, members in stopped_atoms(space, theta)]
-    return _block_means(space, x, atoms, [sum(space.wnum[w] for w in m) for m in atoms])
+    return atoms
+
+
+def cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta) -> RV:
+    """Conditional expectation given the information at a stopping time (or
+    a constant grid index)."""
+    _, blocks, w_bs = zip(*stopped_atoms(space, theta))
+    return _block_means(space, x, blocks, w_bs)

@@ -36,16 +36,15 @@ from .errors import GuardExceeded
 from .payoff import PayoffField
 from .space import (
     RV,
+    Atom,
     FilteredSpace,
     StoppingTime,
     _start_indices,
     constant_time,
-    is_stopping_time,
     rat,
+    stopped_atoms,
 )
 from .strategy import StrategyOrder2, committed_index, resolve2, resolve3
-
-Atom = tuple[int, tuple[int, ...]]  # (time index, outcome block)
 
 
 def count_stopping_times(space: FilteredSpace, from_=0) -> int:
@@ -155,9 +154,11 @@ def exact_best_response(
 
     ``strategies[q]`` must be supplied for every fixed seat q; controlled
     entries are ignored.  The value is conditioned on the atoms of the start
-    stopping time.  ``objective`` applies to the field as the controlled
-    seats' common payoff ('max' for a deviating player, 'min' for a punishing
-    coalition).
+    as ``space.stopped_atoms`` reads them (the partitions must refine), and
+    an invalid start raises its one ``ValueError("conditioning requires a
+    valid stopping time")`` before the DP runs.  ``objective`` applies to the
+    field as the controlled seats' common payoff ('max' for a deviating
+    player, 'min' for a punishing coalition).
 
     The DP runs on integers.  A node (k, B) holds its value scaled by
     ``field.den * W_B``, where ``W_B`` (``space.block_wnum``) sums the integer
@@ -173,6 +174,7 @@ def exact_best_response(
     """
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
+    atoms = stopped_atoms(space, start)
     opt = max if objective == "max" else min
     n_seats = field.arity
     K = space.grid.terminal_index
@@ -226,23 +228,15 @@ def exact_best_response(
         memo[key] = best
         return best
 
-    start_idx = _start_indices(space, start)
     scaled: dict[Atom, int] = {}
     values: dict[Atom, Fraction] = {}
     out = [Fraction(0)] * space.n_outcomes
     all_alive = (-1,) * n_seats
-    # only the start's own times hold start atoms (one time for a constant start)
-    for k in sorted({k for k in start_idx if 0 <= k <= K}):
-        for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
-            members = tuple(w for w in block if start_idx[w] == k)
-            if not members:
-                continue
-            if members != block:
-                raise ValueError("start must be a valid stopping time")
-            n = scaled[(k, block)] = solve(k, block, all_alive)
-            v = values[(k, block)] = Fraction(n, den * w_b)
-            for w in block:
-                out[w] = v
+    for k, block, w_b in atoms:
+        n = scaled[(k, block)] = solve(k, block, all_alive)
+        v = values[(k, block)] = Fraction(n, den * w_b)
+        for w in block:
+            out[w] = v
     del solve  # frees the memo now: solve holds itself through its closure
     return BestResponseResult(
         values=values, value_rv=tuple(out), objective=objective, scaled=scaled
@@ -263,17 +257,9 @@ def _conforming(
     B of ``wnum[w] * field.rows[stops(w)][w]``, which is ``field.den * W_B``
     times the conditional expectation at the start.  The profile is resolved
     once for every field."""
-    theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
-    if not is_stopping_time(space, theta.idx):
-        raise ValueError("conditioning requires a valid stopping time")
+    atoms = {(k, block): w_b for k, block, w_b in stopped_atoms(space, start)}
     stops = tuple(zip(*(t.idx for t in resolve_profile(space, strategies))))
     wnum = space.wnum
-    atoms = {
-        (k, block): w_b
-        for k, (part, w_bs) in enumerate(zip(space.partitions, space.block_wnum))
-        for block, w_b in zip(part, w_bs)
-        if theta.idx[block[0]] == k
-    }
     sums = []
     for field in fields:
         rows = field.rows

@@ -6,10 +6,10 @@ node offers both sides {stop, continue}: a lone stopper hands the survivor an
 exact Snell reaction, simultaneous stops settle immediately, and double
 continuation rolls the layer forward; the sweep is ``classic.node_sweep``,
 shared with the cooperative two-stop infimum.  It runs on block-scaled
-integers, which become ``Fraction`` once per layer block and per reported
-gap.  The canonical value takes the pure maximin of every 2x2 node; nodes
-where pure maximin and minimax differ are collected in a gap report rather
-than hidden.  The construction's certified saddle strategies are the
+integers, and only the start layer and the reported gaps become ``Fraction``.
+The canonical value takes the pure maximin of every 2x2 node; nodes where
+pure maximin and minimax differ are collected in a gap report rather than
+hidden.  The construction's certified saddle strategies are the
 coalition's ``("pair", member)`` families.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import node_sweep, unscaled_layers
+from .classic import block_rv, node_sweep
 from .payoff import PayoffField
 from .space import RV, FilteredSpace
 
@@ -62,7 +62,6 @@ class NodeGap:
 @dataclass(frozen=True)
 class ReactionValueResult:
     value_at: RV
-    layers: tuple
     report: tuple[NodeGap, ...]
 
 
@@ -75,7 +74,7 @@ def _maximin(ss, sc, cs, cc):
 
 
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
-    """Backward sweep; returns (layers, report).  The report compares the
+    """Backward sweep; returns (value at c, report).  The report compares the
     sweep's block-scaled integers and converts only the gaps it reports."""
     (layers,), nodes = node_sweep(space, (view,), ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
@@ -86,11 +85,11 @@ def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
             if minimax != layers[k][b]:
                 gap = Fraction(minimax - layers[k][b], view.den * w_b)
                 report.append(NodeGap(k=k, block=block, gap=gap))
-    return unscaled_layers(space, layers, view.den), tuple(report)
+    return block_rv(space, c, layers[c], view.den), tuple(report)
 
 
 def reaction_game_value(spec: ReactionGameSpec, c: int) -> ReactionValueResult:
     """Pure-maximin value at conditioning index c, plus the node-gap report."""
     space = spec.payoff.space
-    layers, report = _node_tables(space, spec.view(c), c)
-    return ReactionValueResult(value_at=tuple(layers[c]), layers=tuple(layers), report=report)
+    value_at, report = _node_tables(space, spec.view(c), c)
+    return ReactionValueResult(value_at=value_at, report=report)

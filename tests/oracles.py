@@ -31,9 +31,7 @@ from stopgame.space import (
     cond_exp,
     cond_exp_at,
     constant_time,
-    is_stopping_time,
     rat,
-    stopped_atoms,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import (
@@ -418,12 +416,52 @@ def reference_cond_exp(space: FilteredSpace, x: Sequence[Fraction], k: int):
     return tuple(averages[ids[w]] for w in range(space.n_outcomes))
 
 
+# The stopping-time test and the stopped atoms as they were before
+# ``space.stopped_atoms`` became the one reader of a start: a scan of every
+# (time, block) pair, with no refinement assumed.  Kept as they were so the
+# library's check and atoms are checked against them with ==, and called by
+# every reference below that reads a start.
+
+
+def reference_is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
+    """True iff {tau <= t_k} is a union of time-k blocks for every k."""
+    n = space.n_outcomes
+    if len(idx) != n:
+        return False
+    K = space.grid.terminal_index
+    if any(not 0 <= i <= K for i in idx):
+        return False
+    for k in range(K + 1):
+        for block in space.partitions[k]:
+            hits = {idx[w] <= k for w in block}
+            if len(hits) > 1:
+                return False
+    return True
+
+
+def reference_stopped_atoms(
+    space: FilteredSpace, theta: StoppingTime
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Atoms of the stopped sigma-algebra, as (time index, outcome block) pairs.
+
+    Each atom is the intersection of {theta = t_k} with a time-k block; for a
+    valid stopping time this recovers whole time-k blocks.
+    """
+    atoms: list[tuple[int, tuple[int, ...]]] = []
+    for k in range(len(space.grid)):
+        for block in space.partitions[k]:
+            members = tuple(w for w in block if theta.idx[w] == k)
+            if members:
+                atoms.append((k, members))
+    return atoms
+
+
 def reference_cond_exp_at(space: FilteredSpace, x: Sequence[Fraction], theta: StoppingTime):
     """Conditional expectation given the information at a stopping time."""
-    if not is_stopping_time(space, theta.idx):
+    if not reference_is_stopping_time(space, theta.idx):
         raise ValueError("conditioning requires a valid stopping time")
     out = [Fraction(0)] * space.n_outcomes
-    for _, members in stopped_atoms(space, theta):
+    for _, members in reference_stopped_atoms(space, theta):
         total = sum(space.weights[w] for w in members)
         avg = sum((space.weights[w] * x[w] for w in members), Fraction(0)) / total
         for w in members:
@@ -856,7 +894,9 @@ def reference_one_field_on_path_value(
     )
     theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
     rv_out = cond_exp_at(space, pay, theta)
-    values = {(k, members): rv_out[members[0]] for k, members in stopped_atoms(space, theta)}
+    values = {
+        (k, members): rv_out[members[0]] for k, members in reference_stopped_atoms(space, theta)
+    }
     return values, rv_out
 
 
@@ -986,12 +1026,12 @@ def reference_validate_strategy(space: FilteredSpace, strat) -> list[str]:
     problems: list[str] = []
 
     def check_reaction(tag: str, s_max: int, st: StoppingTime):
-        if not is_stopping_time(space, st.idx):
+        if not reference_is_stopping_time(space, st.idx):
             problems.append(f"{tag}: reaction is not a stopping time")
         if s_max < K and any(i <= s_max for i in st.idx):
             problems.append(f"{tag}: reaction not strictly after the observation")
 
-    if not is_stopping_time(space, strat.initial.idx):
+    if not reference_is_stopping_time(space, strat.initial.idx):
         problems.append("initial is not a stopping time")
     if isinstance(strat, StrategyOrder2):
         if len(strat.react) != K + 1:
@@ -1032,7 +1072,7 @@ def reference_on_path_value(
     the start, by start atom and as an RV.  The profile is resolved once."""
     times = resolve_profile(space, strategies)
     theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
-    atoms = stopped_atoms(space, theta)
+    atoms = reference_stopped_atoms(space, theta)
     out = []
     for field in fields:
         rv_out = cond_exp_at(space, field.at_stops(times), theta)

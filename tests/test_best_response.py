@@ -29,7 +29,9 @@ from stopgame.space import (
     FilteredSpace,
     StoppingTime,
     _numerators,
+    cond_exp_at,
     make_grid,
+    stopped_atoms,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
 from stopgame.verify import certify_nash, exact_best_response, on_path_value
@@ -246,6 +248,32 @@ def test_certificate_rejects_an_invalid_start_like_reference():
             with pytest.raises(ValueError) as raised:
                 got(*args)
             assert str(raised.value) == str(expected.value)
+
+
+def test_invalid_start_raises_one_text_from_every_reader():
+    """A start that splits a block, lies off the grid or has the wrong length
+    raises the one ``ValueError`` of ``space.stopped_atoms`` from the oracle,
+    the certificate, the conforming value, ``cond_exp_at`` and
+    ``stopped_atoms`` alike.  The oracle used to skip an off-grid index,
+    leaving its outcomes at 0 with no atom, and to read past a short start."""
+    space, fields, profile, _ = next(random_profiles())
+    n, K = space.n_outcomes, space.grid.terminal_index
+    x = tuple(Fraction(w) for w in range(n))
+    readers = (
+        lambda start: exact_best_response(space, fields[0], profile, (0,), "max", start),
+        lambda start: certify_nash(space, fields, profile, start, 1),
+        lambda start: on_path_value(space, fields, profile, start),
+        lambda start: cond_exp_at(space, x, start),
+        lambda start: stopped_atoms(space, start),
+    )
+    splitting = [StoppingTime((0, 1, 1, 1)), StoppingTime((1, 1, 2, 1))]
+    off_grid = [K + 1, -1, StoppingTime((K + 1,) * n), StoppingTime((0, 0, 0, K + 1))]
+    wrong_length = [StoppingTime((0,) * (n - 1)), StoppingTime((0,) * (n + 1))]
+    for start in splitting + off_grid + wrong_length:
+        for read in readers:
+            with pytest.raises(ValueError) as raised:
+                read(start)
+            assert str(raised.value) == "conditioning requires a valid stopping time"
 
 
 def smallest_passing_cap(monkeypatch, oracle, args, kwargs) -> int:

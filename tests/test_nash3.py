@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -606,12 +607,12 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls, snells",
-    [(1004, 4, 6, True, 162, 105, 54), (1000, 3, 5, False, 135, 84, 45)],
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls, snells, checks, block_rvs",
+    [(1004, 4, 6, True, 162, 105, 54, 16, 99), (1000, 3, 5, False, 135, 84, 45, 4, 75)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, snells
+    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, snells, checks, block_rvs
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
@@ -621,7 +622,10 @@ def test_calls_per_solve_on_bench_games(
     multiples and its ``by_index``), while profile assembly reads entries by
     grid index without any ``phi_h``; and ``classic.snell`` runs only for the
     coalition's solo tables, 3 games x 3 free slots x (K+1) start indices, as
-    the node sweep solves its reactions on integers."""
+    the node sweep solves its reactions on integers; ``is_stopping_time``
+    runs only for strategy validation, as certificates read their start
+    through ``stopped_atoms``; and ``classic.block_rv`` converts only the
+    layers read, the zero-sum game's start layer among them."""
     counts = Counter()
 
     def counting(key, real):
@@ -649,9 +653,15 @@ def test_calls_per_solve_on_bench_games(
         monkeypatch.setattr(module, "snell", snell)
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
+    for name, real in (("is_stopping_time", is_stopping_time), ("block_rv", classic.block_rv)):
+        counted = counting(name, real)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("stopgame.") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
     assert resolutions and set(resolutions) == {1}
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
     assert counts["snell"] == snells == 3 * 3 * times
+    assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)

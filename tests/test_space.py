@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from oracles import (
     reference_cond_exp,
     reference_cond_exp_at,
     reference_index_at_or_after,
+    reference_is_stopping_time,
     reference_on_path_value,
+    reference_stopped_atoms,
 )
 from stopgame.space import (
     FilteredSpace,
@@ -137,6 +140,57 @@ def test_is_stopping_time(two_outcome_space):
     assert not is_stopping_time(two_outcome_space, (1, 0))
 
 
+def relabelled_space(rng: random.Random, n: int, n_times: int) -> FilteredSpace:
+    """``random_space`` with its outcomes shuffled and, half the time, its
+    one-block first partition dropped, so that time 0 may already split."""
+    drop = rng.random() < 0.5
+    space = random_space(rng, n, n_times + drop)
+    label = rng.sample(range(n), n)
+    weights = [None] * n
+    for w, v in enumerate(space.weights):
+        weights[label[w]] = v
+    partitions = tuple(
+        tuple(tuple(label[w] for w in block) for block in part)
+        for part in space.partitions[drop:]
+    )
+    relabelled = FilteredSpace(make_grid(range(n_times)), tuple(weights), partitions)
+    assert validate_space(relabelled) == []
+    return relabelled
+
+
+def test_stopping_time_test_and_atoms_match_reference_scan():
+    """On 60 valid spaces (up to 4 outcomes and 4 times), the check that reads
+    only a start's own times answers as the full scan over every (time,
+    block) pair on every index tuple in {-1..K+1}^n and on wrong lengths, and
+    ``stopped_atoms`` gives the scan's atoms with their ``block_wnum``, for a
+    stopping time and for a constant index, or raises its one text."""
+    rng = random.Random(2020)
+    checked = valid = 0
+    for i in range(60):
+        space = relabelled_space(rng, 1 + i % 4, 2 + i % 3)
+        n, K = space.n_outcomes, space.grid.terminal_index
+        wrong = [(0,) * (n - 1), (0,) * (n + 1), (K,) * (n + 1), ()]
+        for idx in [*itertools.product(range(-1, K + 2), repeat=n), *wrong]:
+            want = reference_is_stopping_time(space, idx)
+            assert is_stopping_time(space, idx) == want
+            checked += 1
+            if not want:
+                with pytest.raises(ValueError) as raised:
+                    stopped_atoms(space, StoppingTime(idx))
+                assert str(raised.value) == "conditioning requires a valid stopping time"
+                continue
+            valid += 1
+            got = stopped_atoms(space, StoppingTime(idx))
+            assert [(k, block) for k, block, _ in got] == reference_stopped_atoms(
+                space, StoppingTime(idx)
+            )
+            for k, block, w_b in got:
+                assert w_b == space.block_wnum[k][space.partitions[k].index(block)]
+            if len(set(idx)) == 1:
+                assert stopped_atoms(space, idx[0]) == got
+    assert checked > 10000 and valid > 300
+
+
 def test_first_hit_of_adapted_indicator(branching_space):
     space = branching_space
     rng = random.Random(5)
@@ -207,7 +261,7 @@ def test_cond_exp_at_atom_oracle(branching_space):
     x = (Fraction(6), Fraction(0), Fraction(3))
     got = cond_exp_at(space, x, theta)
     atoms = stopped_atoms(space, theta)
-    for _, members in atoms:
+    for _, members, _ in atoms:
         total = sum(space.weights[w] for w in members)
         avg = sum((space.weights[w] * x[w] for w in members), Fraction(0)) / total
         for w in members:

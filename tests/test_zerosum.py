@@ -133,8 +133,9 @@ def test_reaction_irrelevant_payoff(three_time_space):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_node_tables_match_reference_sweep(seed):
-    """The shared node sweep gives the old maximin layers and node-gap report,
-    on a generated game and on a random field that has node gaps."""
+    """The shared node sweep gives the old maximin value at the start index
+    and node-gap report, on a generated game and on a random field that has
+    node gaps."""
     inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
     frozen, mx, mn = list(itertools.permutations(range(3)))[seed % 6]
     reported = 0
@@ -144,6 +145,6 @@ def test_node_tables_match_reference_sweep(seed):
         for c in range(len(space.grid)):
             res = reaction_game_value(spec, c)
             layers, report = reference_node_tables(space, spec.view(c), c)
-            assert (res.layers, res.report) == (tuple(layers), report)
+            assert (res.value_at, res.report) == (layers[c], report)
             reported += len(report)
     assert reported > 0
