@@ -9,6 +9,7 @@ included when explicitly requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -293,6 +294,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="stopgame",

@@ -3,20 +3,24 @@
 Rationals are serialized as "p/q" strings, so parse(emit(x)) reproduces x and
 reports can be re-verified bit for bit.  On input the accepted grammar is
 exactly ``Fraction(str)``'s (decimals are converted exactly); plain ASCII
-integers and "p/q" strings are read directly as integers.  The adaptedness
-check looks only at partition blocks of two or more outcomes, and an error
-label is formatted only when a value fails.  Payoff tensors are dense nested
-lists indexed by time indices then outcome; profiles are explicit tables so
-that a report's profile can be re-checked without access to solver internals.
+integers and "p/q" strings are split directly into integers, and each
+distinct payoff string is read once per parse, into its field's integer
+``PayoffField.rows``, so parsing builds no payoff ``Fraction``.  The
+adaptedness check compares those integers on partition blocks of two or more
+outcomes.  Payoff tensors are dense nested lists indexed by time indices then
+outcome; profiles are explicit tables so that a report's profile can be
+re-checked without access to solver internals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 
 from .errors import ParseError, ValidationError
 from .payoff import PayoffField, check_adapted
@@ -34,16 +38,24 @@ def _f2s(x: Fraction) -> str:
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")  # ASCII, nonzero denominator
 
 
-def _s2f(x, where: str, *args) -> Fraction:
-    """x read as ``rat`` reads it, an ASCII "p/q" or integer straight as ints.
-    The error label ``where.format(*args)`` is formatted only on failure."""
+def _ratio(x, where: str, *args) -> tuple[int, int]:
+    """x read as ``rat`` reads it, as its reduced (numerator, denominator); an
+    ASCII "p/q" or integer is split into ints with no ``Fraction``.  The
+    error label ``where.format(*args)`` is formatted only on failure."""
     try:
         if type(x) is str and (m := _RATIO.fullmatch(x)):
-            p, q = m.groups()
-            return Fraction(int(p), int(q)) if q else Fraction(int(p))
-        return rat(x)
+            p, q = int(m[1]), int(m[2] or 1)
+            g = math.gcd(p, q)
+            return p // g, q // g
+        value = rat(x)
+        return value.numerator, value.denominator
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{where.format(*args)}: not a rational: {x!r}") from exc
+
+
+def _s2f(x, where: str, *args) -> Fraction:
+    """x read as ``rat`` reads it (see ``_ratio``)."""
+    return Fraction(*_ratio(x, where, *args))
 
 
 def _int(x, where: str) -> int:
@@ -126,29 +138,12 @@ def parse_game(text: str) -> GameDoc:
         n_players = _int(obj["players"], "players")
         if n_players not in (2, 3):
             raise ValidationError(f"players must be 2 or 3, got {n_players}")
-        K = grid.terminal_index
         n = space.n_outcomes
-
-        def read_tensor(node, player):
-            values = {}
-
-            def rec(prefix: tuple, sub):
-                if len(prefix) == n_players:
-                    if not isinstance(sub, list) or len(sub) != n:
-                        raise ParseError(
-                            f"payoff[{player}] at times {prefix}: need one value per outcome"
-                        )
-                    values[prefix] = tuple([_s2f(v, "payoff[{}]{}", player, prefix) for v in sub])
-                    return
-                if not isinstance(sub, list) or len(sub) != K + 1:
-                    raise ParseError(f"payoff[{player}] missing entries under times {prefix}")
-                for k, child in enumerate(sub):
-                    rec(prefix + (k,), child)
-
-            rec((), node)
-            return PayoffField(space, n_players, values)
-
-        fields = tuple(read_tensor(node, p) for p, node in enumerate(obj["payoffs"]))
+        ratios: dict[str, tuple[int, int]] = {}  # each distinct payoff string, read once
+        fields = tuple(
+            _read_payoffs(space, node, p, n_players, ratios)
+            for p, node in enumerate(obj["payoffs"])
+        )
         if len(fields) != n_players:
             raise ParseError("need one payoff tensor per player")
         for p, f in enumerate(fields):
@@ -176,6 +171,48 @@ def parse_game(text: str) -> GameDoc:
         if h is not None and h <= 0:
             raise ValidationError("h must be positive")
         return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
+
+
+def _read_payoffs(
+    space: FilteredSpace, node, player: int, arity: int, ratios: dict
+) -> PayoffField:
+    """One payoff tensor as a field born from its integer rows: its ``den``
+    is the lcm of its values' reduced denominators, and each distinct value
+    is scaled to it once."""
+    leaves: list = []
+    _walk(node, (), (len(space.grid),) * arity + (space.n_outcomes,), player, ratios, leaves)
+    values = set(chain.from_iterable(leaves))
+    # a JSON integer, the only value but a string that ``rat`` accepts, is p/1
+    reduced = {v: ratios[v] if type(v) is str else (v, 1) for v in values}
+    den = math.lcm(*(q for _, q in reduced.values()))
+    scaled = {v: p * (den // q) for v, (p, q) in reduced.items()}
+    # n numerators at a time make each tuple's row, in tuple order
+    rows = zip(*[map(scaled.__getitem__, chain.from_iterable(leaves))] * space.n_outcomes)
+    tuples = product(range(len(space.grid)), repeat=arity)
+    return PayoffField.from_rows(space, arity, dict(zip(tuples, rows)), den)
+
+
+def _walk(node, prefix: tuple, sizes: tuple, player: int, ratios: dict, leaves: list) -> None:
+    """Depth first, in tuple order, so the first error in that order is the
+    one raised: check that a tensor node is a list of ``sizes[len(prefix)]``
+    entries, then walk its children, or read a leaf's values and append the
+    leaf.  A string is read once per parse into ``ratios`` as its reduced
+    (p, q); only strings are keys, since ``True == 1 == 1.0`` would share one."""
+    inner = len(prefix) + 1 < len(sizes)
+    if not isinstance(node, list) or len(node) != sizes[len(prefix)]:
+        if inner:
+            raise ParseError(f"payoff[{player}] missing entries under times {prefix}")
+        raise ParseError(f"payoff[{player}] at times {prefix}: need one value per outcome")
+    if inner:
+        for k, child in enumerate(node):
+            _walk(child, prefix + (k,), sizes, player, ratios, leaves)
+        return
+    for v in node:
+        if type(v) is not str or v not in ratios:
+            pq = _ratio(v, "payoff[{}]{}", player, prefix)
+            if type(v) is str:
+                ratios[v] = pq
+    leaves.append(node)
 
 
 def strategy_to_obj(space: FilteredSpace, strat) -> dict:

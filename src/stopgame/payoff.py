@@ -8,23 +8,21 @@ with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
 between the last interior time and the terminal time.
 
-``PayoffField`` is the one reader of its tensor: ``at_stops`` reads the payoff
-at one stop per slot (a stopping time or a grid index), ``process`` reads the
-layers over one slot with the others held at a time, and ``pin`` builds a
-real sub-field only for solvers that work on one.  ``rows`` is the one
-integer form of the tensor: each tuple's values as numerators on ``den``,
-converted the first time the tuple is read and shared by every integer
-kernel (the modulus walk, the node sweep and the best-response oracle); a
-``pin`` slice reads its rows from its parent's table.  One modulus serves
-every seat: a walk over pairs of time tuples, on integer ticks, compares each
-tuple's joint row of all seats' payoff numerators on one common denominator,
-and converts to ``Fraction`` once per distinct displacement.
-Each tuple visits only the later tuples within a radius, which is the whole
-grid for ``estimate_modulus``.  Choosing h and rechecking eta(h) read only a
-few entries, so ``auto_h`` and ``eta_reaching`` walk no pair when each row
-coordinate's whole range (max - min over the tuples) stays below eps, and
-otherwise only the pairs within a radius no larger than the largest
-candidate h.
+A field is stored as its integer table ``rows`` (each tuple's values as
+numerators on ``den``, read by every integer kernel) or as its ``Fraction``
+``values`` (read by ``at``, ``at_stops``, ``process``, ``as_layers``,
+equality and reports), and builds the other form when first read.  A parsed
+game file is born as rows, so a verify builds no payoff ``Fraction``.
+``pin`` and ``negated`` derive rows from rows and values from values.  One
+modulus serves every seat: a walk over pairs of time tuples, on integer
+ticks, compares each tuple's joint row of all seats' payoff numerators on
+one common denominator, and converts to ``Fraction`` once per distinct
+displacement.  Each tuple visits only the later tuples within a radius, which
+is the whole grid for ``estimate_modulus``.  Choosing h and rechecking
+eta(h) read only a few entries, so ``auto_h`` and ``eta_reaching`` build the
+joint rows once, walk no pair when each row coordinate's whole range
+(max - min over the tuples) stays below eps, and otherwise only the pairs
+within a radius no larger than the largest candidate h.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
-from typing import Callable, Sequence
+from operator import itemgetter, neg, sub
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import NoValidH
 from .space import RV, FilteredSpace, TimeGrid, _numerators, _start_indices, rat
@@ -45,28 +43,35 @@ from .space import RV, FilteredSpace, TimeGrid, _numerators, _start_indices, rat
 MODULUS_SLACK = Fraction(1, 10**9)
 
 
-class _Rows(dict):
-    """Lazy ks -> numerators of ``values[ks]`` on ``den``; it holds no field."""
-
-    __slots__ = ("values", "den")
-
-    def __init__(self, values: dict, den: int):
-        super().__init__()
-        self.values, self.den = values, den
-
-    def __missing__(self, ks: tuple[int, ...]) -> tuple[int, ...]:
-        row = self[ks] = _numerators(self.values[ks], self.den)
-        return row
-
-
 @dataclass(frozen=True)
 class PayoffField:
     """Dense payoff tensor values[(k_1,..,k_N)] -> RV over a filtered space.
-    Its integer form, ``den`` and ``rows``, takes no part in equality."""
+    Fields are equal exactly when their values are.  A field born from rows
+    builds ``values``, a dataclass field all the same, when it is first read;
+    ``den`` and ``rows``, the integer form, take no part in equality."""
 
     space: FilteredSpace
     arity: int
     values: dict[tuple[int, ...], RV]
+
+    @classmethod
+    def from_rows(
+        cls, space: FilteredSpace, arity: int, rows: dict, den: int, values=None
+    ) -> "PayoffField":
+        """A field stored as ``rows``, numerators on ``den``.  Its ``values``
+        are built when first read: by calling ``values``, or else from the
+        rows with one ``Fraction`` per distinct numerator."""
+        field = cls.__new__(cls)
+        field.__dict__.update(space=space, arity=arity, rows=rows, den=den, _values=values)
+        return field
+
+    def __getattr__(self, name: str):
+        # reached only for ``values`` of a field born from rows, on first read
+        if name != "values" or "_values" not in self.__dict__:
+            raise AttributeError(name)
+        make = self.__dict__.pop("_values")
+        values = self.__dict__["values"] = make() if make else _fractions(self.rows, self.den)
+        return values
 
     def at(self, ks: tuple[int, ...]) -> RV:
         return self.values[ks]
@@ -97,40 +102,38 @@ class PayoffField:
 
     @cached_property
     def rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """rows[ks]: the slice at ks as numerators on ``den``, converted when
-        first read (the oracle reads only a few)."""
-        return _Rows(self.values, self.den)
+        """rows[ks]: the slice at ks as numerators on ``den``.  A field built
+        from values makes them for every tuple in one pass, when first read."""
+        return {ks: _numerators(layer, self.den) for ks, layer in self.values.items()}
 
-    def _carrying(self, arity: int, values: dict, rows) -> "PayoffField":
-        """A field on this space that takes this field's ``den`` and the
-        given row table instead of computing its own."""
-        field = PayoffField(self.space, arity, values)
-        object.__setattr__(field, "den", self.den)
-        object.__setattr__(field, "rows", rows)
-        return field
+    def derived(self, arity: int, derive: Callable[[dict], dict]) -> "PayoffField":
+        """A field on this ``den`` whose rows are ``derive(self.rows)``; read
+        as ``Fraction`` values, they are ``derive(self.values)``, so a value
+        is converted once however many fields derive from it."""
+        return PayoffField.from_rows(
+            self.space, arity, derive(self.rows), self.den, lambda: derive(self.values)
+        )
 
     def pin(self, slot: int, k: int) -> "PayoffField":
         """Freeze one time slot at index k, producing an arity-1 lower field.
 
         The slice indexes the remaining tuples directly, in lexicographic
-        order, and reads its rows from this field's table, so each value is
-        converted once however often it is pinned.  The result is adapted
-        only on tuples whose maximum is >= k; callers must stay in that
-        region (solvers conditioned at or after k do).
+        order.  The result is adapted only on tuples whose maximum is >= k;
+        callers must stay in that region (solvers conditioned at or after k
+        do).
         """
         if not 0 <= slot < self.arity:
             raise ValueError(f"slot {slot} out of range for arity {self.arity}")
         indices = range(len(self.space.grid))
         ranges = [indices] * self.arity
         ranges[slot] = (k,)
-        # fixing one slot keeps the lexicographic order of the others
-        subs = list(itertools.product(indices, repeat=self.arity - 1))
-        full = list(itertools.product(*ranges))
-        return self._carrying(
-            self.arity - 1,
-            dict(zip(subs, map(self.values.__getitem__, full))),
-            dict(zip(subs, map(self.rows.__getitem__, full))),
-        )
+
+        def sliced(table: dict) -> dict:
+            # fixing one slot keeps the lexicographic order of the others
+            subs = itertools.product(indices, repeat=self.arity - 1)
+            return dict(zip(subs, map(table.__getitem__, itertools.product(*ranges))))
+
+        return self.derived(self.arity - 1, sliced)
 
     def as_layers(self) -> list[RV]:
         """Arity-1 field as a per-time list (a raw process, maybe partial)."""
@@ -139,8 +142,15 @@ class PayoffField:
         return [self.values[(k,)] for k in range(len(self.space.grid))]
 
     def negated(self) -> "PayoffField":
-        vals = {ks: tuple(-v for v in layer) for ks, layer in self.values.items()}
-        return self._carrying(self.arity, vals, _Rows(vals, self.den))
+        return self.derived(
+            self.arity, lambda table: {ks: tuple(map(neg, x)) for ks, x in table.items()}
+        )
+
+
+def _fractions(rows: dict, den: int) -> dict[tuple[int, ...], RV]:
+    """``rows`` as ``Fraction`` tuples, one ``Fraction`` per distinct numerator."""
+    frac = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows.values()))}
+    return {ks: tuple(map(frac.__getitem__, row)) for ks, row in rows.items()}
 
 
 def payoff_from_function(
@@ -155,12 +165,16 @@ def payoff_from_function(
 
 
 def check_adapted(field: PayoffField) -> list[tuple[int, ...]]:
-    """Sorted time tuples whose slice is not constant on max-time blocks; only
-    blocks of two or more outcomes are compared, by ``==`` with their first value."""
-    multi = [[b for b in part if len(b) > 1] for part in field.space.partitions]
+    """Sorted time tuples whose slice is not constant on max-time blocks.
+    Only blocks of two or more outcomes are compared, on the integer rows:
+    each later outcome of a block against its first, at once per tuple."""
+    getters = []
+    for part in field.space.partitions:
+        pairs = [(w, b[0]) for b in part for w in b[1:]]
+        getters.append(pairs and [itemgetter(*col) for col in zip(*pairs)])
     return sorted(
-        ks for ks, layer in field.values.items()
-        if any(layer[w] != layer[b[0]] for b in multi[max(ks)] for w in b[1:])
+        ks for ks, row in field.rows.items()
+        if (pair := getters[max(ks)]) and pair[0](row) != pair[1](row)
     )
 
 
@@ -187,25 +201,27 @@ class Modulus:
         return eta
 
 
-def _pair_changes(
-    *fields: PayoffField, radius=None, beyond=0
-) -> dict[Fraction, Fraction]:
-    """Worst payoff change, over all fields, at each total time displacement
-    over distinct tuple pairs whose displacement is at most ``radius`` (the
-    whole grid when None) and above ``beyond``.
+class _Joint(NamedTuple):  # built by ``_joint_rows``
+    fields: tuple[PayoffField, ...]
+    rows: dict[tuple[int, ...], tuple[int, ...]]
+    den: int
 
-    The fields must share one space and one tuple set.  The pair walk is pure
-    ``int``: grid points become integer ticks on their common denominator, so
-    a pair's displacement is a sum of per-slot tick distances.  Each tuple's
-    row joins every field's payoff numerators on one common denominator, the
-    lcm of the fields' ``den``, so a pair's change is a max of numerator
-    differences over the joint row.  Each tuple visits only the later tuples
+
+def _pair_changes(joint: _Joint, radius=None, beyond=0) -> dict[Fraction, Fraction]:
+    """Worst payoff change, over all the joint fields, at each total time
+    displacement over distinct tuple pairs whose displacement is at most
+    ``radius`` (the whole grid when None) and above ``beyond``.
+
+    The pair walk is pure ``int``: grid points become integer ticks on their
+    common denominator, so a pair's displacement is a sum of per-slot tick
+    distances, and a pair's change is a max of numerator differences over
+    the joint row (``_joint_rows``).  Each tuple visits only the later tuples
     in reach, found slot by slot by bisecting the sorted ticks with the reach
     left over.  Only the worst change per displacement is converted back to
     ``Fraction``.
     """
-    space, rows, den = _joint_rows(fields)
-    arity = fields[0].arity
+    fields, rows, den = joint
+    space, arity = fields[0].space, fields[0].arity
     radius = arity * space.grid.span if radius is None else radius
     ticks, tick_den = _ticks(space.grid)
     reach = math.floor(rat(radius) * tick_den)
@@ -255,20 +271,19 @@ def _ticks(grid: TimeGrid) -> tuple[tuple[int, ...], int]:
     return _numerators(grid.points, tick_den), tick_den
 
 
-def _joint_rows(fields) -> tuple[FilteredSpace, dict[tuple[int, ...], list[int]], int]:
-    """The shared space, each tuple's joint row of all fields' numerators (in
-    sorted tuple order) and their common denominator: each field's ``rows``
-    entry scaled up to it."""
+def _joint_rows(fields: Sequence[PayoffField]) -> _Joint:
+    """The fields' joint rows: each field's ``rows`` entry scaled up to the
+    lcm of their ``den``.  The fields must share one space and one tuple set."""
     if not fields:
         raise ValueError("the modulus needs at least one field")
-    space, layers = fields[0].space, fields[0].values
+    space, tuples = fields[0].space, fields[0].rows.keys()
     for f in fields[1:]:
-        if f.space != space or f.values.keys() != layers.keys():
+        if f.space != space or f.rows.keys() != tuples:
             raise ValueError("fields of one modulus must share a space and a tuple set")
     den = math.lcm(*(f.den for f in fields))
     scaled = [(f.rows, den // f.den) for f in fields]
-    rows = {ks: [n * s for t, s in scaled for n in t[ks]] for ks in sorted(layers)}
-    return space, rows, den
+    rows = {ks: tuple(n * s for t, s in scaled for n in t[ks]) for ks in sorted(tuples)}
+    return _Joint(tuple(fields), rows, den)
 
 
 def _staircase(worst: dict[Fraction, Fraction]) -> Modulus:
@@ -296,7 +311,7 @@ def estimate_modulus(*fields: PayoffField) -> Modulus:
     strict inequalities at displacement > 0 (equal tuples are trivially
     unchanged).
     """
-    return _staircase(_pair_changes(*fields))
+    return _staircase(_pair_changes(_joint_rows(fields)))
 
 
 def modulus_max(mods: Sequence[Modulus]) -> Modulus:
@@ -328,13 +343,12 @@ def select_h(mod: Modulus, eps, grid: TimeGrid) -> Fraction:
     return m * step
 
 
-def _below(fields: Sequence[PayoffField], eps: Fraction) -> bool:
+def _below(joint: _Joint, eps: Fraction) -> bool:
     """Whole-range shortcut, in O(tuples): True when no modulus entry can
     reach eps.  The largest change over distinct tuple pairs is, per
     joint-row coordinate (field, outcome), max - min over the tuples."""
-    _, rows, den = _joint_rows(fields)
-    widest = max(max(col) - min(col) for col in zip(*rows.values()))
-    return Fraction(widest, den) + MODULUS_SLACK < eps
+    widest = max(max(col) - min(col) for col in zip(*joint.rows.values()))
+    return Fraction(widest, joint.den) + MODULUS_SLACK < eps
 
 
 def _covers_most_pairs(grid: TimeGrid, arity: int, radius) -> bool:
@@ -369,7 +383,8 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
     radius that would cover most pairs is widened to ``top`` at once.
     """
     eps = rat(eps)
-    if _below(fields, eps):
+    joint = _joint_rows(fields)
+    if _below(joint, eps):
         return select_h(Modulus(()), eps, grid)
     step = grid.min_step
     top = grid.span // step * step
@@ -378,7 +393,7 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
     while True:
         if _covers_most_pairs(grid, fields[0].arity, radius):
             radius = top
-        worst.update(_pair_changes(*fields, radius=radius, beyond=inner))
+        worst.update(_pair_changes(joint, radius=radius, beyond=inner))
         mod = _staircase(worst)
         if radius == top or mod.eval(radius) >= eps:
             return select_h(mod, eps, grid)
@@ -390,7 +405,8 @@ def eta_reaching(fields: Sequence[PayoffField], eps, r) -> Fraction | None:
     None; walks only the pairs within r, and none when the whole-range
     shortcut holds."""
     eps = rat(eps)
-    if _below(fields, eps):
+    joint = _joint_rows(fields)
+    if _below(joint, eps):
         return None
-    eta = _staircase(_pair_changes(*fields, radius=r)).eval(r)
+    eta = _staircase(_pair_changes(joint, radius=r)).eval(r)
     return eta if eta >= eps else None

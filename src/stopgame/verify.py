@@ -13,9 +13,9 @@ The program runs on integers: each node's value is scaled by the payoff
 field's common denominator times the integer weight of the node's block, so a
 continuation is a plain sum of its children and no node divides.  The payoff
 numerators are the field's own ``PayoffField.rows`` table, which the modulus
-walk and the solvers' node sweep read too, so a solve converts each payoff
-once.  The solvers' 2x2 node sweep (``classic.node_sweep``) uses the same
-scaling.
+walk and the solvers' node sweep (``classic.node_sweep``, on the same
+scaling) read too; a parsed field is born as that table, so a verify builds
+no payoff ``Fraction``.
 
 A certificate stays on that scale throughout: the best response, the
 conforming profile's value (one integer sum per start atom over the same
@@ -167,10 +167,9 @@ def exact_best_response(
     ``field.den``; a continuation is the plain sum of the children's scaled
     values; and ``max``/``min`` pick the same option as on the unscaled
     values, since all options at a node share the positive factor.  The
-    numerators come from ``field.rows``, which converts a tuple only when it
-    is first read and keeps it for every later reader of the field, and each
-    start atom's value is converted to ``Fraction`` once; ``scaled`` keeps the
-    integer.
+    numerators come from ``field.rows``, a parsed field's stored form, and
+    each start atom's value is converted to ``Fraction`` once; ``scaled``
+    keeps the integer.
     """
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")

@@ -44,12 +44,7 @@ class ReactionGameSpec:
         # pin() removed the frozen slot; the rest keep their relative order
         if self.max_slot < self.min_slot:
             return pinned
-        rows = pinned.rows
-        return pinned._carrying(
-            2,
-            {(a, b): pinned.at((b, a)) for (b, a) in pinned.values},
-            {(a, b): rows[(b, a)] for (b, a) in pinned.values},
-        )
+        return pinned.derived(2, lambda table: {(a, b): x for (b, a), x in table.items()})
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck
 from stopgame import coalition, nash2, nash3, verify
 from stopgame import space as space_module
 from stopgame.classic import snell
+from stopgame.gamefile import parse_game
 from stopgame.generator import generate_instance
 from stopgame.nash3 import solve_three_player
 from stopgame.payoff import payoff_from_function
@@ -92,6 +93,31 @@ def branching_space() -> FilteredSpace:
             ((0,), (1,), (2,)),
         ),
     )
+
+
+def assert_parses_as_reference(text: str) -> None:
+    """``parse_game`` raises what ``reference_parse_game`` raises, with the
+    same text, or gives a document equal to the reference's whose fields
+    have the reference's ``den`` and every ``rows`` entry, in the same order."""
+    from oracles import reference_parse_game
+
+    got, want = (_parsed(read, text) for read in (parse_game, reference_parse_game))
+    if got[0] == "raise" or want[0] == "raise":
+        assert got == want
+        return
+    doc, ref = got[1], want[1]
+    for field, ref_field in zip(doc.fields, ref.fields, strict=True):
+        assert field.den == ref_field.den
+        assert list(field.rows.items()) == list(ref_field.rows.items())
+    assert doc == ref
+
+
+def _parsed(read, text):
+    """("ok", document) or ("raise", exception type, message) of one parser."""
+    try:
+        return ("ok", read(text))
+    except Exception as exc:  # the type and text are compared, whatever they are
+        return ("raise", type(exc), str(exc))
 
 
 def random_space(rng: random.Random, n_outcomes: int, n_times: int) -> FilteredSpace:

@@ -9,6 +9,7 @@ other way around.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,9 +21,11 @@ from stopgame.errors import (
     NoValidH,
     ParseError,
     TheoremViolation,
+    ValidationError,
 )
+from stopgame.gamefile import GameDoc, _int, _malformed
 from stopgame.nash2 import Nash2Result
-from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _pair_changes
+from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _joint_rows, _pair_changes
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -31,7 +34,9 @@ from stopgame.space import (
     cond_exp,
     cond_exp_at,
     constant_time,
+    is_stopping_time,
     rat,
+    validate_space,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
 from stopgame.verify import (
@@ -338,7 +343,7 @@ def certifies_field(mod: Modulus, field: PayoffField) -> bool:
     every pair, since the bound at a displacement is one strict inequality.
     """
     return all(
-        worst < mod.eval(delta) for delta, worst in _pair_changes(field).items()
+        worst < mod.eval(delta) for delta, worst in _pair_changes(_joint_rows([field])).items()
     )
 
 
@@ -365,6 +370,88 @@ def reference_check_adapted(field: PayoffField) -> list[tuple[int, ...]]:
                 bad.append(ks)
                 break
     return bad
+
+
+# The game-file parser that reading payoffs straight into integer rows
+# replaced, kept as it was (with the plain readers above) so the two are
+# checked against each other: it builds every payoff as a ``Fraction`` and
+# gives fields born from their values.
+
+
+def reference_parse_game(text: str) -> GameDoc:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    with _malformed("game"):
+        for key in ("grid", "outcomes", "partitions", "players", "payoffs", "epsilon"):
+            if key not in obj:
+                raise ParseError(f"missing field {key!r}")
+        grid = TimeGrid(tuple(reference_s2f(p, "grid") for p in obj["grid"]))
+        weights = tuple(reference_s2f(o["weight"], "outcomes.weight") for o in obj["outcomes"])
+        partitions = tuple(
+            tuple(tuple(_int(w, "partitions") for w in block) for block in part)
+            for part in obj["partitions"]
+        )
+        space = FilteredSpace(grid=grid, weights=weights, partitions=partitions)
+        problems = validate_space(space)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        n_players = _int(obj["players"], "players")
+        if n_players not in (2, 3):
+            raise ValidationError(f"players must be 2 or 3, got {n_players}")
+        K = grid.terminal_index
+        n = space.n_outcomes
+
+        def read_tensor(node, player):
+            values = {}
+
+            def rec(prefix: tuple, sub):
+                if len(prefix) == n_players:
+                    if not isinstance(sub, list) or len(sub) != n:
+                        raise ParseError(
+                            f"payoff[{player}] at times {prefix}: need one value per outcome"
+                        )
+                    values[prefix] = tuple(
+                        reference_s2f(v, f"payoff[{player}]{prefix}") for v in sub
+                    )
+                    return
+                if not isinstance(sub, list) or len(sub) != K + 1:
+                    raise ParseError(f"payoff[{player}] missing entries under times {prefix}")
+                for k, child in enumerate(sub):
+                    rec(prefix + (k,), child)
+
+            rec((), node)
+            return PayoffField(space, n_players, values)
+
+        fields = tuple(read_tensor(node, p) for p, node in enumerate(obj["payoffs"]))
+        if len(fields) != n_players:
+            raise ParseError("need one payoff tensor per player")
+        for p, f in enumerate(fields):
+            bad = reference_check_adapted(f)
+            if bad:
+                raise ValidationError(
+                    f"payoff[{p}] not settled at the latest stop for times {bad[0]}"
+                )
+        start = obj.get("start")
+        if start is None:
+            theta = StoppingTime((0,) * n)
+        else:
+            vals = [reference_s2f(v, "start") for v in start]
+            try:
+                idx = tuple(grid.index(v) for v in vals)
+            except ValueError as exc:
+                raise ValidationError(f"start: {exc}") from exc
+            if not is_stopping_time(space, idx):
+                raise ValidationError("start is not a stopping time")
+            theta = StoppingTime(idx)
+        epsilon = reference_s2f(obj["epsilon"], "epsilon")
+        if epsilon <= 0:
+            raise ValidationError("epsilon must be positive")
+        h = reference_s2f(obj["h"], "h") if "h" in obj else None
+        if h is not None and h <= 0:
+            raise ValidationError("h must be positive")
+        return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
 
 
 # The step-by-step window-width search that the closed form in

@@ -240,9 +240,9 @@ def pair_walks(monkeypatch):
     walks = []
     real = payoff._pair_changes
 
-    def counting(*fields, radius=None, beyond=0):
-        walks.append((len(fields), radius, beyond))
-        return real(*fields, radius=radius, beyond=beyond)
+    def counting(joint, radius=None, beyond=0):
+        walks.append((len(joint.fields), radius, beyond))
+        return real(joint, radius=radius, beyond=beyond)
 
     monkeypatch.setattr(payoff, "_pair_changes", counting)
     return walks

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SETTINGS
+from conftest import SETTINGS, assert_parses_as_reference
 from oracles import reference_s2f
 from stopgame.cli import main
 from stopgame.errors import ParseError, ValidationError
@@ -23,7 +25,7 @@ from stopgame.gamefile import (
 from stopgame.generator import generate_instance
 from stopgame.space import constant_time
 from stopgame.strategy import lift_constant3, lift_obstinate2
-from stopgame.verify import resolve_profile
+from stopgame.verify import certify_nash, resolve_profile
 
 
 def make_doc(seed=31, **kw):
@@ -582,3 +584,84 @@ def test_profile_error_texts_unchanged():
         with pytest.raises(ParseError) as err:
             profile_from_obj(space, _edited(profile, ("strategies", *path), bad))
         assert str(err.value) == message
+
+
+def _gen(tmp_path, seed, players, outcomes, times):
+    path = tmp_path / f"g{seed}-{players}-{outcomes}x{times}.json"
+    assert main(["gen", "--seed", str(seed), "--players", str(players), "--outcomes",
+                 str(outcomes), "--times", str(times), "--out", str(path)]) == 0
+    return path
+
+
+def test_parse_matches_reference_on_golden_bench_and_large_games(tmp_path):
+    """The 8 golden games, games of the bench sizes (3-player 4x6 and 3x7,
+    2-player 6x10 and 8x12) and the 3x20 game parse to the reference's
+    fields under ==, with its den and rows."""
+    from test_golden import GOLDEN
+
+    games = [case[:4] for case in GOLDEN]
+    games += [(1000 + i, 3, 4, 6) for i in range(3)] + [(1004, 3, 3, 7)]
+    games += [(1000 + i, 2, 6, 10) for i in range(3)] + [(1004, 2, 8, 12)]
+    games.append((3, 3, 3, 20))
+    for seed, players, outcomes, times in games:
+        assert_parses_as_reference(_gen(tmp_path, seed, players, outcomes, times).read_text())
+
+
+@pytest.mark.parametrize("later", [1.0, True])
+@pytest.mark.parametrize("first", [1, "1"])
+def test_equal_json_values_are_read_one_by_one(tmp_path, capsys, first, later):
+    """``True == 1 == 1.0``: a payoff read once per distinct string must not
+    let a float or a boolean after an equal integer or string pass as it."""
+    game = json.loads(emit_game(make_doc()))
+    game = _edited(game, ("payoffs", 0, 0, 0, 0, 0), first)
+    game = _edited(game, ("payoffs", 0, 0, 0, 1, 0), later)
+    text = json.dumps(game)
+    message = f"payoff[0](0, 0, 1): not a rational: {later!r}"
+    assert_parses_as_reference(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_game(text)
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["solve", "--game", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_parse_error_order_matches_reference():
+    """Two faults in one tensor: the one first in depth-first order is
+    raised, whether it is a bad value or a node of the wrong shape."""
+    base = json.loads(emit_game(make_doc()))
+    faults = [
+        (("payoffs", 1, 0, 2, 3, 1), "x"),
+        (("payoffs", 1, 0, 3), ["1"]),
+        (("payoffs", 1, 1), "x"),
+        (("payoffs", 1, 0, 1, 2), []),
+        (("payoffs", 1, 0, 0, 0, 0), None),
+    ]
+    for (path_a, a), (path_b, b) in itertools.permutations(faults, 2):
+        assert_parses_as_reference(json.dumps(_edited(_edited(base, path_a, a), path_b, b)))
+
+
+@pytest.mark.parametrize("players", [2, 3])
+def test_verify_path_builds_no_payoff_fraction(tmp_path, players):
+    """Parsing and certifying a solve's profile read only the fields'
+    integer rows: no field of the document builds its ``Fraction`` values."""
+    game, report = _gen(tmp_path, 5, players, 3, 5), tmp_path / "r.json"
+    assert main(["solve", "--game", str(game), "--out", str(report)]) == 0
+    doc = parse_game(game.read_text())
+    profile = profile_from_obj(doc.space, json.loads(report.read_text()))
+    cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
+    assert cert.passes
+    assert not any("values" in vars(f) for f in doc.fields)
+
+
+def test_field_from_values_has_the_parsed_rows():
+    """A field built with ``PayoffField(space, arity, values)`` gets the den
+    and rows of the same field parsed from its game file."""
+    for seed, players in ((31, 3), (8, 2)):
+        doc = make_doc(seed, n_outcomes=3, n_times=5, n_players=players)
+        parsed = parse_game(emit_game(doc))
+        for field, built in zip(parsed.fields, doc.fields, strict=True):
+            assert "rows" not in vars(built)  # built from values; its rows come below
+            assert (built.den, built.rows) == (field.den, field.rows)
+            assert built == field

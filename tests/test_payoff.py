@@ -46,6 +46,11 @@ from stopgame.space import (
 )
 
 
+def _walk(*fields, radius=None, beyond=0):
+    """The modulus pair walk over the fields' joint rows."""
+    return _pair_changes(payoff._joint_rows(fields), radius=radius, beyond=beyond)
+
+
 def test_time_only_payoff_is_adapted(three_time_space):
     field = payoff_from_function(three_time_space, 2, lambda ks, w: ks[0] + ks[1])
     assert check_adapted(field) == []
@@ -456,7 +461,7 @@ def _assert_auto_h_matches_reference(fields, eps, ref=None):
         assert auto_h(fields, eps, grid) == h
     for r in {h or step, step}:
         eta = ref.eval(r)
-        assert payoff._staircase(_pair_changes(*fields, radius=r)).eval(r) == eta
+        assert payoff._staircase(_walk(*fields, radius=r)).eval(r) == eta
         assert eta_reaching(fields, eps, r) == (eta if eta >= eps else None)
     return h
 
@@ -479,24 +484,24 @@ def test_bounded_pair_walk_is_the_reference_cut_to_its_radius():
     rng = random.Random(61)
     for field in _hand_built_fields():
         full = _reference_worst(field)
-        assert _pair_changes(field) == full
+        assert _walk(field) == full
         ref = reference_estimate_modulus(field)
         cuts = sorted({Fraction(0), *full, *(d + Fraction(1, 97) for d in full)})
         for radius in {cuts[0], cuts[-1], *rng.sample(cuts, min(5, len(cuts)))}:
-            assert payoff._staircase(_pair_changes(field, radius=radius)).table == tuple(
+            assert payoff._staircase(_walk(field, radius=radius)).table == tuple(
                 (d, v) for d, v in ref.table if d <= radius
             )
             beyond = rng.choice([c for c in cuts if c <= radius])
-            assert _pair_changes(field, radius=radius, beyond=beyond) == {
+            assert _walk(field, radius=radius, beyond=beyond) == {
                 d: c for d, c in full.items() if beyond < d <= radius
             }
     space = _hand_built_space()
     f2 = payoff_from_function(space, 2, lambda ks, w: Fraction(ks[0] - 2 * ks[1] + w, 3))
     partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks[0] != 2})
     full = _reference_worst(partial)
-    assert _pair_changes(partial) == full
+    assert _walk(partial) == full
     for radius in (Fraction(1, 3), 1, 3, 6):
-        assert _pair_changes(partial, radius=radius) == {
+        assert _walk(partial, radius=radius) == {
             d: c for d, c in full.items() if d <= radius
         }
 
@@ -514,7 +519,7 @@ def test_every_generated_game_takes_the_whole_range_shortcut():
         for i, (n, t) in enumerate([(3, 5), (3, 5), (3, 5), (3, 5), (4, 6)] * 3)
     ]
     for inst in games:
-        assert payoff._below(inst.fields, inst.epsilon)
+        assert payoff._below(payoff._joint_rows(inst.fields), inst.epsilon)
         h = _assert_auto_h_matches_reference(inst.fields, inst.epsilon)
         assert h == inst.space.grid.span
 
@@ -534,7 +539,8 @@ def test_auto_h_matches_reference_on_an_epsilon_sweep(outcomes, times, seed, eps
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times, n_players=3)
     ref = estimate_modulus(*inst.fields)
     eps_all = [Fraction(1, den) for den in epsilons]
-    assert sum(not payoff._below(inst.fields, eps) for eps in eps_all) == bounded
+    joint = payoff._joint_rows(inst.fields)
+    assert sum(not payoff._below(joint, eps) for eps in eps_all) == bounded
     for eps in eps_all:
         h = _assert_auto_h_matches_reference(inst.fields, eps, ref)
         # the eta(h) recheck after a failed construction at an auto h never
@@ -553,9 +559,9 @@ def _record_walks(monkeypatch):
     walks = []
     real = payoff._pair_changes
 
-    def counting(*fields, radius=None, beyond=0):
-        walks.append((radius, beyond, _top(fields[0].space.grid)))
-        return real(*fields, radius=radius, beyond=beyond)
+    def counting(joint, radius=None, beyond=0):
+        walks.append((radius, beyond, _top(joint.fields[0].space.grid)))
+        return real(joint, radius=radius, beyond=beyond)
 
     monkeypatch.setattr(payoff, "_pair_changes", counting)
     return walks

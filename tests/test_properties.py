@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SETTINGS
+from conftest import SETTINGS, assert_parses_as_reference
 from stopgame.cli import main
 from stopgame.gamefile import parse_game
 from stopgame.payoff import estimate_modulus
@@ -173,3 +173,12 @@ def test_mutated_documents_map_to_exit_codes(base_documents, data, players, targ
         if code == 1:
             report = json.loads(out.read_text())
             assert Fraction(report["max_gap"]) > Fraction(report["bound"])
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(data=st.data(), players=st.sampled_from((2, 3)))
+def test_mutated_games_parse_as_the_reference(base_documents, data, players):
+    """A mutated game document parses to the reference parser's fields, den
+    and rows, or fails with its error type and text."""
+    game_obj = json.loads(json.dumps(base_documents[players][0]))
+    assert_parses_as_reference(json.dumps(_mutate(data, game_obj)))
