@@ -25,7 +25,9 @@ from typing import Sequence
 from .config import current_guards
 from .errors import GuardExceeded, OrderViolation
 from .payoff import PayoffField
-from .space import RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, first_hit, rat
+from .space import (
+    RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, fill_blocks, first_hit, rat
+)
 
 Layers = list  # list[RV | None], one entry per grid index
 
@@ -173,12 +175,8 @@ def _reaction(space: FilteredSpace, rows, slot: int, k: int, opt) -> StoppingTim
 def block_rv(space: FilteredSpace, k: int, nums: Sequence[int], den: int) -> RV:
     """The RV equal to ``nums[B] / (den * W_B)`` on each block B of
     partitions[k]: a :func:`node_sweep` layer or cell back on ``Fraction``."""
-    out: list = [None] * space.n_outcomes
-    for block, w_b, n in zip(space.partitions[k], space.block_wnum[k], nums):
-        v = Fraction(n, den * w_b)
-        for w in block:
-            out[w] = v
-    return tuple(out)
+    values = [Fraction(n, den * w_b) for n, w_b in zip(nums, space.block_wnum[k])]
+    return fill_blocks(space, space.partitions[k], values)
 
 
 def _first_min(*cells):

@@ -31,13 +31,14 @@ def current_guards() -> Guards:
     raw = os.environ.get(ENV_OVERRIDE, "").strip()
     if not raw:
         return Guards()
-    if raw.isdigit():
+    # ASCII digits only: ``str.isdigit`` also takes ``²``, which ``int`` rejects
+    if raw.isascii() and raw.isdigit():
         return Guards(enumeration_cap=int(raw), dp_state_cap=int(raw))
     caps = {}
     for part in raw.split(","):
         key, _, val = part.partition("=")
         field = _OVERRIDE_KEYS.get(key.strip().lower())
-        if field is None or not val.strip().isdigit():
+        if field is None or not (val.isascii() and val.strip().isdigit()):
             raise ValidationError(f"{ENV_OVERRIDE}={raw!r}: expected N or enum=N,dp=M")
         caps[field] = int(val)
     return Guards(**caps)

@@ -8,12 +8,13 @@ with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
 between the last interior time and the terminal time.
 
-A field is stored as its integer table ``rows`` (each tuple's values as
-numerators on ``den``, read by every integer kernel) or as its ``Fraction``
-``values`` (read by ``at``, ``at_stops``, ``process``, ``as_layers``,
-equality and reports), and builds the other form when first read.  A parsed
-game file is born as rows, so a verify builds no payoff ``Fraction``.
-``pin`` and ``negated`` derive rows from rows and values from values.  One
+A field has one stored form, its integer table ``rows``: each tuple's values
+as numerators on ``den``, read by every integer kernel.  Its ``Fraction``
+``values`` are a one-way view of the rows, built when first read (by ``at``,
+``at_stops``, ``process``, ``as_layers``, equality and reports), so a parsed
+game file, born as rows, is verified without a payoff ``Fraction``.  A field
+built from values converts them to rows once and keeps them as its view.
+``pin``, ``negated`` and the zero-sum view build rows from rows.  One
 modulus serves every seat: a walk over pairs of time tuples, on integer
 ticks, compares each tuple's joint row of all seats' payoff numerators on
 one common denominator, and converts to ``Fraction`` once per distinct
@@ -43,35 +44,47 @@ from .space import RV, FilteredSpace, TimeGrid, _numerators, _start_indices, rat
 MODULUS_SLACK = Fraction(1, 10**9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PayoffField:
-    """Dense payoff tensor values[(k_1,..,k_N)] -> RV over a filtered space.
-    Fields are equal exactly when their values are.  A field born from rows
-    builds ``values``, a dataclass field all the same, when it is first read;
-    ``den`` and ``rows``, the integer form, take no part in equality."""
+    """Dense payoff tensor over a filtered space, stored as integer rows:
+    rows[(k_1,..,k_N)] holds the slice's values as numerators on ``den``.
+
+    Fields are equal exactly when their ``values`` are: a ``pin`` or
+    ``negated`` result carries its parent's ``den``, a multiple of its own
+    lcm, so equal fields may differ in ``den`` and ``rows``.
+    """
 
     space: FilteredSpace
     arity: int
-    values: dict[tuple[int, ...], RV]
+    rows: dict[tuple[int, ...], tuple[int, ...]]
+    den: int
+
+    def __init__(self, space: FilteredSpace, arity: int, values: dict[tuple[int, ...], RV]):
+        """A field from its ``Fraction`` values, converted once to rows on the
+        lcm of their denominators; ``values`` is kept as the field's view."""
+        den = math.lcm(*(v.denominator for layer in values.values() for v in layer))
+        rows = {ks: _numerators(layer, den) for ks, layer in values.items()}
+        self.__dict__.update(space=space, arity=arity, rows=rows, den=den, values=values)
 
     @classmethod
-    def from_rows(
-        cls, space: FilteredSpace, arity: int, rows: dict, den: int, values=None
-    ) -> "PayoffField":
-        """A field stored as ``rows``, numerators on ``den``.  Its ``values``
-        are built when first read: by calling ``values``, or else from the
-        rows with one ``Fraction`` per distinct numerator."""
+    def from_rows(cls, space: FilteredSpace, arity: int, rows: dict, den: int) -> "PayoffField":
+        """A field stored as ``rows``, numerators on ``den``."""
         field = cls.__new__(cls)
-        field.__dict__.update(space=space, arity=arity, rows=rows, den=den, _values=values)
+        field.__dict__.update(space=space, arity=arity, rows=rows, den=den)
         return field
 
-    def __getattr__(self, name: str):
-        # reached only for ``values`` of a field born from rows, on first read
-        if name != "values" or "_values" not in self.__dict__:
-            raise AttributeError(name)
-        make = self.__dict__.pop("_values")
-        values = self.__dict__["values"] = make() if make else _fractions(self.rows, self.den)
-        return values
+    @cached_property
+    def values(self) -> dict[tuple[int, ...], RV]:
+        """values[ks]: the slice at ks as ``Fraction`` values, built from the
+        rows when first read, one ``Fraction`` per distinct numerator."""
+        rows, den = self.rows, self.den
+        frac = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows.values()))}
+        return {ks: tuple(map(frac.__getitem__, row)) for ks, row in rows.items()}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.arity, self.values) == (other.space, other.arity, other.values)
 
     def at(self, ks: tuple[int, ...]) -> RV:
         return self.values[ks]
@@ -90,32 +103,9 @@ class PayoffField:
         head, tail = (k,) * slot, (k,) * (self.arity - slot - 1)
         return [self.values[head + (j,) + tail] for j in range(len(self.space.grid))]
 
-    @cached_property
-    def den(self) -> int:
-        """Common denominator of the values: the lcm of their denominators.
-
-        Integer kernels read values as numerators on this denominator.  A
-        ``pin`` or ``negated`` result carries its parent's ``den``, a multiple
-        of its own lcm, so it never rescans its values.
-        """
-        return math.lcm(*(v.denominator for layer in self.values.values() for v in layer))
-
-    @cached_property
-    def rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """rows[ks]: the slice at ks as numerators on ``den``.  A field built
-        from values makes them for every tuple in one pass, when first read."""
-        return {ks: _numerators(layer, self.den) for ks, layer in self.values.items()}
-
-    def derived(self, arity: int, derive: Callable[[dict], dict]) -> "PayoffField":
-        """A field on this ``den`` whose rows are ``derive(self.rows)``; read
-        as ``Fraction`` values, they are ``derive(self.values)``, so a value
-        is converted once however many fields derive from it."""
-        return PayoffField.from_rows(
-            self.space, arity, derive(self.rows), self.den, lambda: derive(self.values)
-        )
-
     def pin(self, slot: int, k: int) -> "PayoffField":
-        """Freeze one time slot at index k, producing an arity-1 lower field.
+        """Freeze one time slot at index k, producing an arity-1 lower field
+        on this field's ``den``.
 
         The slice indexes the remaining tuples directly, in lexicographic
         order.  The result is adapted only on tuples whose maximum is >= k;
@@ -127,13 +117,10 @@ class PayoffField:
         indices = range(len(self.space.grid))
         ranges = [indices] * self.arity
         ranges[slot] = (k,)
-
-        def sliced(table: dict) -> dict:
-            # fixing one slot keeps the lexicographic order of the others
-            subs = itertools.product(indices, repeat=self.arity - 1)
-            return dict(zip(subs, map(table.__getitem__, itertools.product(*ranges))))
-
-        return self.derived(self.arity - 1, sliced)
+        # fixing one slot keeps the lexicographic order of the others
+        subs = itertools.product(indices, repeat=self.arity - 1)
+        rows = dict(zip(subs, map(self.rows.__getitem__, itertools.product(*ranges))))
+        return PayoffField.from_rows(self.space, self.arity - 1, rows, self.den)
 
     def as_layers(self) -> list[RV]:
         """Arity-1 field as a per-time list (a raw process, maybe partial)."""
@@ -142,15 +129,8 @@ class PayoffField:
         return [self.values[(k,)] for k in range(len(self.space.grid))]
 
     def negated(self) -> "PayoffField":
-        return self.derived(
-            self.arity, lambda table: {ks: tuple(map(neg, x)) for ks, x in table.items()}
-        )
-
-
-def _fractions(rows: dict, den: int) -> dict[tuple[int, ...], RV]:
-    """``rows`` as ``Fraction`` tuples, one ``Fraction`` per distinct numerator."""
-    frac = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows.values()))}
-    return {ks: tuple(map(frac.__getitem__, row)) for ks, row in rows.items()}
+        rows = {ks: tuple(map(neg, x)) for ks, x in self.rows.items()}
+        return PayoffField.from_rows(self.space, self.arity, rows, self.den)
 
 
 def payoff_from_function(

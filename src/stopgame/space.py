@@ -136,14 +136,7 @@ class FilteredSpace:
     @cached_property
     def block_id(self) -> tuple[tuple[int, ...], ...]:
         """block_id[k][omega] -> position of omega's block in partitions[k]."""
-        out = []
-        for part in self.partitions:
-            ids = [0] * self.n_outcomes
-            for b, block in enumerate(part):
-                for w in block:
-                    ids[w] = b
-            out.append(tuple(ids))
-        return tuple(out)
+        return tuple(fill_blocks(self, part, range(len(part))) for part in self.partitions)
 
     @cached_property
     def wnum(self) -> tuple[int, ...]:
@@ -186,22 +179,30 @@ def expectation(space: FilteredSpace, x: Sequence[Fraction]) -> Fraction:
     return sum((w * v for w, v in zip(space.weights, x)), Fraction(0))
 
 
+def fill_blocks(space: FilteredSpace, blocks: Iterable, values: Iterable) -> tuple:
+    """Per outcome, the value paired with its block (an RV when the values
+    are ``Fraction``); the blocks must cover the outcomes."""
+    out: list = [None] * space.n_outcomes
+    for block, v in zip(blocks, values):
+        for w in block:
+            out[w] = v
+    return tuple(out)
+
+
 def _block_means(space: FilteredSpace, x: Sequence[Fraction], blocks, block_wnums) -> RV:
     """Per outcome, the weighted average of ``x`` over its block in ``blocks``:
     ``Fraction(S, d * W_B)`` for a block B, with d the lcm of the denominators
     of x on B, S the integer sum of ``wnum[w] * x[w] * d`` over B and W_B (the
     entry of ``block_wnums``) the sum of ``wnum`` over B."""
     wnum = space.wnum
-    out: list = [None] * space.n_outcomes
+    means = []
     for block, w_b in zip(blocks, block_wnums):
         d = math.lcm(*[x[w].denominator for w in block])
         s = 0
         for w in block:
             s += wnum[w] * x[w].numerator * (d // x[w].denominator)
-        avg = Fraction(s, d * w_b)
-        for w in block:
-            out[w] = avg
-    return tuple(out)
+        means.append(Fraction(s, d * w_b))
+    return fill_blocks(space, blocks, means)
 
 
 def cond_exp(space: FilteredSpace, x: Sequence[Fraction], k: int) -> RV:

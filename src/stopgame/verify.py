@@ -41,6 +41,7 @@ from .space import (
     StoppingTime,
     _start_indices,
     constant_time,
+    fill_blocks,
     rat,
     stopped_atoms,
 )
@@ -227,18 +228,15 @@ def exact_best_response(
         memo[key] = best
         return best
 
-    scaled: dict[Atom, int] = {}
-    values: dict[Atom, Fraction] = {}
-    out = [Fraction(0)] * space.n_outcomes
     all_alive = (-1,) * n_seats
-    for k, block, w_b in atoms:
-        n = scaled[(k, block)] = solve(k, block, all_alive)
-        v = values[(k, block)] = Fraction(n, den * w_b)
-        for w in block:
-            out[w] = v
+    scaled = {(k, block): solve(k, block, all_alive) for k, block, _ in atoms}
     del solve  # frees the memo now: solve holds itself through its closure
+    values = {(k, block): Fraction(scaled[(k, block)], den * w_b) for k, block, w_b in atoms}
     return BestResponseResult(
-        values=values, value_rv=tuple(out), objective=objective, scaled=scaled
+        values=values,
+        value_rv=fill_blocks(space, (block for _, block in values), values.values()),
+        objective=objective,
+        scaled=scaled,
     )
 
 
@@ -277,11 +275,7 @@ def on_path_value(
     out = []
     for field, path in zip(fields, sums):
         values = {atom: Fraction(n, field.den * atoms[atom]) for atom, n in path.items()}
-        rv_out: list = [None] * space.n_outcomes
-        for (_, block), v in values.items():
-            for w in block:
-                rv_out[w] = v
-        out.append((values, tuple(rv_out)))
+        out.append((values, fill_blocks(space, (block for _, block in values), values.values())))
     return out
 
 

@@ -44,7 +44,8 @@ class ReactionGameSpec:
         # pin() removed the frozen slot; the rest keep their relative order
         if self.max_slot < self.min_slot:
             return pinned
-        return pinned.derived(2, lambda table: {(a, b): x for (b, a), x in table.items()})
+        rows = {(a, b): x for (b, a), x in pinned.rows.items()}
+        return PayoffField.from_rows(pinned.space, 2, rows, pinned.den)
 
 
 @dataclass(frozen=True)

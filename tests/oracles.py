@@ -260,13 +260,11 @@ def reference_node_sweep(space: FilteredSpace, fields, directions, kmin: int, ch
 def reference_pin(field: PayoffField, slot: int, k: int) -> PayoffField:
     if not 0 <= slot < field.arity:
         raise ValueError(f"slot {slot} out of range for arity {field.arity}")
-    vals: dict = {}
+    rows: dict = {}
     for ks, layer in field.values.items():
         if ks[slot] == k:
-            vals[ks[:slot] + ks[slot + 1 :]] = layer
-    pinned = PayoffField(field.space, field.arity - 1, vals)
-    object.__setattr__(pinned, "den", field.den)
-    return pinned
+            rows[ks[:slot] + ks[slot + 1 :]] = tuple(int(v * field.den) for v in layer)
+    return PayoffField.from_rows(field.space, field.arity - 1, rows, field.den)
 
 
 def every_multiple(space: FilteredSpace, h, targets=None) -> list[Fraction]:

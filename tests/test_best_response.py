@@ -189,7 +189,7 @@ def test_oracle_matches_reference_on_pinned_fields():
                 assert same_result(
                     exact_best_response(*case), reference_exact_best_response(*case)
                 )
-    # den is no dataclass field: a rebuilt field with the same values is equal
+    # equality is on values: a rebuilt field with the same values is equal
     # and computes its own, smaller or equal, denominator
     pinned = field3.pin(0, 1)
     rebuilt = PayoffField(space, 2, dict(pinned.values))

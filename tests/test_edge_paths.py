@@ -167,9 +167,10 @@ def test_phi_h_indexes_strictly_later_windows():
 def test_cli_malformed_guard_override_exits_2(tmp_path, monkeypatch, capsys):
     game = tmp_path / "g.json"
     assert cli_main(["gen", "--seed", "2", "--players", "2", "--out", str(game)]) == 0
-    monkeypatch.setenv(ENV_OVERRIDE, "enum=abc")
-    assert cli_main(["solve", "--game", str(game), "--out", str(tmp_path / "r.json")]) == 2
-    assert ENV_OVERRIDE in capsys.readouterr().err
+    for raw in ("enum=abc", "²", "enum=²,dp=5"):  # ``²`` is a digit to ``str.isdigit``
+        monkeypatch.setenv(ENV_OVERRIDE, raw)
+        assert cli_main(["solve", "--game", str(game), "--out", str(tmp_path / "r.json")]) == 2
+        assert ENV_OVERRIDE in capsys.readouterr().err
 
 
 def test_cli_broken_premise_exits_2_with_eta_line(tmp_path, capsys):

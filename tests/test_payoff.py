@@ -208,6 +208,21 @@ def test_pin_matches_reference_scan(seed):
         inst.fields[0].pin(3, 0)
 
 
+def test_pinned_field_equals_a_field_of_its_values_on_another_den(three_time_space):
+    """Equality is on values: a pin carries its parent's den, while a field
+    built from the pin's values takes the lcm of their own denominators."""
+    field = payoff_from_function(
+        three_time_space, 2, lambda ks, w: Fraction(ks[0] + w, 1 + 2 * ks[0])
+    )
+    pinned = field.pin(0, 0)
+    rebuilt = PayoffField(three_time_space, 1, pinned.values)
+    assert (pinned.den, rebuilt.den) == (15, 1)
+    assert pinned.rows != rebuilt.rows
+    assert pinned == rebuilt and rebuilt == pinned
+    assert pinned.negated() == rebuilt.negated()
+    assert pinned != field.pin(0, 1)
+
+
 def _hand_built_space():
     return FilteredSpace(
         grid=make_grid([0, "1/3", "1/2", "7/5", 3]),
