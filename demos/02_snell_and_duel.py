@@ -34,7 +34,7 @@ field = payoff_from_function(
     lambda ks, w: ks[0] + 2 * ks[1] + (1 if w else -1) * (1 if max(ks) >= 1 else 0),
 )
 pair = joint_inf_pair(space, field, 0)
-print("\ncooperative infimum at 0:", pair.value[0])
+print("\ncooperative infimum at 0:", pair.value)
 print("one optimal committed pair:", pair.rho.idx, pair.tau.idx)
 
 # the duel: the classic two-point fixture where waiting caps at the upper

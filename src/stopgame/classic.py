@@ -2,14 +2,15 @@
 
 Everything here is exact backward induction on the finite grid:
 
-* Snell envelopes with earliest-optimizer rules, for one controlled stop.
+* Snell envelopes with earliest-optimizer rules, for one controlled stop:
+  ``snell`` on ``Fraction`` layers, and ``_snell_sweep``, the one a solve runs.
 * The cooperative two-stop problem (both stops minimize one payoff), whose
   value coincides with the infimum over committed stopping-time pairs.  It
   runs on ``node_sweep``, the one backward induction over 2x2 stop/continue
   nodes, which the zero-sum reaction game in ``zerosum`` and the nonzero-sum
   game in ``nash2`` share; each game only chooses the cell played per node.
   The sweep runs on the fields' integer ``rows``, scaled per block as in the
-  best-response oracle; only the layers a caller reports become ``Fraction``.
+  best-response oracle; only the values a caller reports become ``Fraction``.
 * The stopping duel where a maximizer collects the lower process at her stop
   and a minimizer the upper process at his, ties paying the maximizer's side,
   plus the epsilon-hitting times that form an exact epsilon-saddle.
@@ -20,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import current_guards
 from .errors import GuardExceeded, OrderViolation
 from .payoff import PayoffField
 from .space import (
-    RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, fill_blocks, first_hit, rat
+    RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, fill_blocks, first_hit, rat,
+    stopped_atoms,
 )
 
 Layers = list  # list[RV | None], one entry per grid index
@@ -72,9 +74,24 @@ def snell(
     return SnellResult(value=tuple(value), rule=rule, direction=direction)
 
 
+class SoloStop(NamedTuple):
+    """One slot's optimum from k, the others pinned at k: value at k, rule."""
+
+    value: RV
+    rule: StoppingTime
+    direction: str
+
+
+def solo_stop(space, field: PayoffField, slot: int, k: int, direction: str) -> SoloStop:
+    """The Snell optimum from k of one slot, every other slot pinned at k."""
+    head, tail = (k,) * slot, (k,) * (field.arity - slot - 1)
+    value, rule = _snell_sweep(space, field.rows, lambda j: (*head, j, *tail), k, direction)
+    return SoloStop(block_rv(space, k, value, field.den), rule, direction)
+
+
 @dataclass(frozen=True)
 class JointStopResult:
-    """Cooperative two-stop infimum: value layers and one optimal committed pair."""
+    """Cooperative two-stop infimum at its start and one optimal committed pair."""
 
     value: tuple
     rho: StoppingTime
@@ -94,12 +111,12 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     on, and ``nodes[k] = (cells, rules, choice)`` for k from K-1 down to
     kmin.  ``rules[i]`` is the survivor's earliest optimal stop from k+1 on
     its own field ``(fields[-1], fields[0])[i]``, in ``directions[i]``, once
-    slot i stopped at k.  ``cells`` holds four lists per field, one number
-    per block: both stop (``W_B * N(k, k)``, N the numerator), slot 0 alone
-    and slot 1 alone (the sum over B of ``wnum[w] * N`` at the stop pair,
-    the survivor at its rule) and both continue (the sum of the children's
-    values).  ``choice[B]`` is ``choose(*cells)`` at B, the index of the
-    played cell.  All cells of one field at B share the factor
+    slot i stopped at k (``_snell_sweep``).  ``cells`` holds four lists per
+    field, one number per block: both stop (``W_B * N(k, k)``, N the
+    numerator), slot 0 alone and slot 1 alone (``PayoffField.stop_sums`` at
+    the stop pair, the survivor at its rule) and both continue (the sum of
+    the children's values).  ``choice[B]`` is ``choose(*cells)`` at B, the
+    index of the played cell.  All cells of one field at B share the factor
     ``den * W_B > 0``, so ``choose`` picks as on the unscaled values as long
     as it never compares cells of two different fields.
 
@@ -109,22 +126,18 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     pinned slice is adapted from its pin index on, where its sweeps start.
     """
     K = space.grid.terminal_index
-    wnum = space.wnum
-    rows = [f.rows for f in fields]
-    survivors = (rows[-1], rows[0])
-    opts = tuple({"sup": max, "inf": min}[d] for d in directions)
-    values = [[None] * K + [_block_stops(space, r, (K, K))] for r in rows]
+    values = [[None] * K + [_block_stops(space, f.rows, (K, K))] for f in fields]
     nodes: list = [None] * (K + 1)
     for k in range(K - 1, kmin - 1, -1):
-        rules = tuple(_reaction(space, survivors[i], 1 - i, k, opts[i]) for i in (0, 1))
-        lone_stops = ([(k, r) for r in rules[0].idx], [(r, k) for r in rules[1].idx])
+        rules = (
+            _snell_sweep(space, fields[-1].rows, lambda j: (k, j), k + 1, directions[0])[1],
+            _snell_sweep(space, fields[0].rows, lambda j: (j, k), k + 1, directions[1])[1],
+        )
         cells: list = []
-        for r, layers in zip(rows, values):
-            cells.append(_block_stops(space, r, (k, k)))
-            for stops in lone_stops:
-                cells.append(
-                    [sum(wnum[w] * r[stops[w]][w] for w in block) for block in space.partitions[k]]
-                )
+        for f, layers in zip(fields, values):
+            cells.append(_block_stops(space, f.rows, (k, k)))
+            for stops in ((k, rules[0]), (rules[1], k)):
+                cells.append(f.stop_sums(stops, space.partitions[k]))
             cells.append(_children_sums(space, layers[k + 1], k))
         choice = tuple(map(choose, *cells))
         for j, layers in enumerate(values):
@@ -133,7 +146,7 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     return values, nodes
 
 
-def _block_stops(space: FilteredSpace, rows, ks: tuple[int, int]) -> list[int]:
+def _block_stops(space: FilteredSpace, rows, ks: tuple[int, ...]) -> list[int]:
     """``W_B * N`` per block B at index max(ks), N the numerator of the slice
     at ks on B; raises ValueError when the slice is not constant on a block."""
     k = max(ks)
@@ -158,18 +171,19 @@ def _children_sums(space: FilteredSpace, upper: Sequence[int], k: int) -> list[i
     return out
 
 
-def _reaction(space: FilteredSpace, rows, slot: int, k: int, opt) -> StoppingTime:
-    """The earliest optimal stop from k+1 of the survivor in ``slot`` of a
-    two-slot field, the other slot stopped at k: the rule of a Snell envelope
-    on block-scaled integers, stopping where the value equals the payoff."""
+def _snell_sweep(space: FilteredSpace, rows, at, start: int, direction: str):
+    """The one integer Snell envelope: stopping at index j >= start pays the
+    slice ``rows[at(j)]``, whose latest time is j.  Returns the value at start
+    on :func:`node_sweep`'s scale and the earliest optimal rule from start."""
+    opt = max if direction == "sup" else min
     K = space.grid.terminal_index
     stops: Layers = [None] * (K + 1)  # per block, whether the rule stops there
-    for j in range(K, k, -1):
-        stop = _block_stops(space, rows, (k, j) if slot else (j, k))
+    for j in range(K, start - 1, -1):
+        stop = _block_stops(space, rows, at(j))
         value = stop if j == K else list(map(opt, stop, _children_sums(space, value, j)))
         stops[j] = list(map(eq, value, stop))
     bid = space.block_id
-    return first_hit(space, k + 1, lambda j, w: stops[j][bid[j][w]])
+    return value, first_hit(space, start, lambda j, w: stops[j][bid[j][w]])
 
 
 def block_rv(space: FilteredSpace, k: int, nums: Sequence[int], den: int) -> RV:
@@ -186,10 +200,10 @@ def _first_min(*cells):
 def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     """Backward sweep for the cooperative two-stop infimum.
 
-    Returns (open layers, nodes) where ``open[k]`` is the infimum over pairs
-    of stops >= k, one ``Fraction`` per outcome, and ``nodes[k]`` is the
-    :func:`node_sweep` node at k, whose rules are the survivor's infimum once
-    the other side stopped at k and whose choice is the first minimal cell.
+    Returns (layers, nodes) where ``layers[k]`` is the infimum over pairs of
+    stops >= k on :func:`node_sweep`'s scale, and ``nodes[k]`` is the sweep's
+    node at k, whose rules are the survivor's infimum once the other side
+    stopped at k and whose choice is the first minimal cell.
     """
     if field2.arity != 2:
         raise ValueError("cooperative solver needs a two-slot field")
@@ -198,12 +212,7 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     if n_states > current_guards().dp_state_cap:
         raise GuardExceeded(f"joint stop DP needs {n_states} states")
     (layers,), nodes = node_sweep(space, (field2,), ("inf", "inf"), kmin, _first_min)
-    return unscaled_layers(space, layers, field2.den), nodes
-
-
-def unscaled_layers(space: FilteredSpace, layers: Layers, den: int) -> Layers:
-    """A :func:`node_sweep` value list back on ``Fraction``, None where unset."""
-    return [None if x is None else block_rv(space, k, x, den) for k, x in enumerate(layers)]
+    return layers, nodes
 
 
 def joint_inf_pair(
@@ -211,13 +220,13 @@ def joint_inf_pair(
 ) -> JointStopResult:
     """Exact infimum over committed stopping-time pairs, with one optimizer.
 
-    The forward trace follows each node's choice, which prefers stopping
-    both sides, then the first slot, then the second, so constants return
-    the earliest pair.
+    The value is converted once per start atom.  The forward trace follows
+    each node's choice, which prefers stopping both sides, then the first
+    slot, then the second, so constants return the earliest pair.
     """
-    open_layers, nodes = joint_inf_value(space, field2, min(_start_indices(space, from_)))
+    atoms = stopped_atoms(space, from_)
+    layers, nodes = joint_inf_value(space, field2, atoms[0][0])
     K = space.grid.terminal_index
-
     bid = space.block_id
 
     def stops(w: int, k: int) -> tuple[int, int]:
@@ -228,7 +237,9 @@ def joint_inf_pair(
 
     first = first_hit(space, from_, lambda k, w: nodes[k][2][bid[k][w]] < 3)
     rho, tau = zip(*(stops(w, k) for w, k in enumerate(first.idx)))
-    return JointStopResult(value=tuple(open_layers), rho=StoppingTime(rho), tau=StoppingTime(tau))
+    at_start = [(b, Fraction(layers[k][bid[k][b[0]]], field2.den * w_b)) for k, b, w_b in atoms]
+    value = fill_blocks(space, *zip(*at_start))
+    return JointStopResult(value=value, rho=StoppingTime(rho), tau=StoppingTime(tau))
 
 
 def dynkin_value(

@@ -6,7 +6,8 @@ stopping immediately (the coalition then cooperatively minimizes), and the
 best value the leader can defend once a coalition member stops first (a
 zero-sum reaction game).  Their stopping duel produces a value process and
 epsilon-hitting times; window-indexed families then turn the hitting times
-into full reactive strategies for all three seats.
+into full reactive strategies for all three seats.  Every process is an
+integer sweep of the payoff's rows (``classic.solo_stop`` for a double pin).
 
 The ordering facts this construction rests on are grid theorems, so any
 violation aborts as an implementation bug rather than a tolerance issue:
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import dynkin_hitting_pair, dynkin_value, snell
+from .classic import dynkin_hitting_pair, dynkin_value, solo_stop
 from .errors import TheoremViolation
 from .nash2 import build_coop_family, build_pair_family, build_single_family
 from .payoff import PayoffField
@@ -71,7 +72,7 @@ def build_components(
     cj, ck = sorted(s for s in range(3) if s != L)
     K = space.grid.terminal_index
 
-    leader_stop = [stop_now[k].value[k] for k in range(K + 1)]
+    leader_stop = [res.value for res in stop_now]
 
     after_stop: dict[int, list] = {}
     node_reports = []
@@ -94,11 +95,8 @@ def build_components(
     solo = {}
     for free in (L, cj, ck):
         direction = "sup" if free == L else "inf"
-        solo[free] = tuple(
-            snell(space, payoff.process(free, k), direction, k)
-            for k in range(K + 1)
-        )
-    pinned = {free: [sol[k].value[k] for k in range(K + 1)] for free, sol in solo.items()}
+        solo[free] = tuple(solo_stop(space, payoff, free, k, direction) for k in range(K + 1))
+    pinned = {free: [sol.value for sol in sols] for free, sols in solo.items()}
 
     _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L)
 
@@ -121,9 +119,7 @@ def build_components(
         "coop": build_coop_family(space, payoff, L, stop_now, h, eps),
         ("pair", cj): build_pair_family(space, zero_sum_fields(ck), cj, h, eps),
         ("pair", ck): build_pair_family(space, zero_sum_fields(cj), ck, h, eps),
-        ("single", L): build_single_family(space, payoff, L, solo[L], h, eps),
-        ("single", cj): build_single_family(space, payoff, cj, solo[cj], h, eps),
-        ("single", ck): build_single_family(space, payoff, ck, solo[ck], h, eps),
+        **{("single", q): build_single_family(space, payoff, q, solo[q], h, eps) for q in solo},
     }
     return CoalitionComponents(
         space=space,

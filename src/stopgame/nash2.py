@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import joint_inf_pair, node_sweep
+from .classic import block_rv, joint_inf_pair, node_sweep
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
-from .space import FilteredSpace, _start_indices, cond_exp, constant_time, first_hit, rat
+from .space import FilteredSpace, _start_indices, constant_time, first_hit, rat
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
 from .verify import (
     NashCertificate,
@@ -184,7 +184,7 @@ def family_multiples(space: FilteredSpace, h, targets=None) -> list[Fraction]:
 
 def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
     """Per index k, the other two slots' cooperative minimum from k with the
-    seat's slot pinned to k; ``[k].value[k]`` is the seat's stop-now value."""
+    seat's slot pinned to k; ``[k].value`` is the seat's stop-now value."""
     K = space.grid.terminal_index
     return tuple(joint_inf_pair(space, field3.pin(seat, k), k) for k in range(K + 1))
 
@@ -292,8 +292,7 @@ def build_coop_family(
 
     def gap_at(payload, k):
         stops = [payload[q].initial if q in payload else k for q in range(3)]
-        attained = cond_exp(space, field3.at_stops(stops), k)
-        return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
+        return _shortfall(space, field3, stops, k, stop_now[k].value, "inf")
 
     return _window_family(space, "coop_pair", h, eps, solve_at, gap_at)
 
@@ -308,21 +307,23 @@ def build_single_family(
 ) -> EquilibriumFamily:
     """Single optimal stops for a payoff with both other slots pinned.
 
-    ``solo[k]`` is the Snell solution from k of ``field3.process(free_slot, k)``.
+    ``solo[k]`` is ``classic.solo_stop(space, field3, free_slot, k, direction)``.
     Window certification compares the anchored rule's value with the Snell
     optimum at each window time, within eps.  Payloads are {free_slot: rule}.
     """
-    direction = solo[-1].direction
 
     def solve_at(anchor):
         return {free_slot: solo[anchor].rule}, None
 
     def gap_at(payload, k):
         stops = [payload.get(q, k) for q in range(3)]
-        attained = cond_exp(space, field3.at_stops(stops), k)
-        opt = solo[k].value[k]
-        if direction == "inf":
-            return max(a - o for a, o in zip(attained, opt))
-        return max(o - a for a, o in zip(attained, opt))
+        return _shortfall(space, field3, stops, k, solo[k].value, solo[k].direction)
 
     return _window_family(space, "single", h, eps, solve_at, gap_at)
+
+
+def _shortfall(space, field3, stops, k, opt, direction) -> Fraction:
+    """How far the payoff at ``stops``, averaged at time k, falls short of ``opt``."""
+    attained = block_rv(space, k, field3.stop_sums(stops, space.partitions[k]), field3.den)
+    sign = 1 if direction == "inf" else -1
+    return max(sign * (a - o) for a, o in zip(attained, opt))

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import dynkin_value
+from .classic import block_rv, dynkin_value
 from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
 from .nash2 import EquilibriumFamily, build_pair_family, stop_now_solutions
@@ -36,7 +36,6 @@ from .space import (
     Atom,
     FilteredSpace,
     StoppingTime,
-    cond_exp,
     constant_time,
     first_hit,
     rat,
@@ -97,14 +96,14 @@ def build_player_processes(
     field = fields[seat]
     others = sorted(q for q in range(3) if q != seat)
 
-    stop_exact = [stop_now[k].value[k] for k in range(K + 1)]
+    stop_exact = [res.value for res in stop_now]
 
     def family_layers(s: int) -> list[RV]:
         # E_k of the field with seat s stopped at k and the survivors at their pair
         return [
-            cond_exp(space, field.at_stops((*pair[:s], k, *pair[s:])), k)
-            for k, pair in enumerate(after_stop[s])
-        ] + [field.at((K, K, K))]
+            block_rv(space, k, field.stop_sums((*pair[:s], k, *pair[s:]), blocks), field.den)
+            for k, (pair, blocks) in enumerate(zip([*after_stop[s], (K, K)], space.partitions))
+        ]
 
     stop_family = family_layers(seat)
     rival = {q: tuple(family_layers(q)) for q in others}

@@ -9,11 +9,12 @@ callers that intend genuine never-stop behavior should keep the field constant
 between the last interior time and the terminal time.
 
 A field has one stored form, its integer table ``rows``: each tuple's values
-as numerators on ``den``, read by every integer kernel.  Its ``Fraction``
-``values`` are a one-way view of the rows, built when first read (by ``at``,
-``at_stops``, ``process``, ``as_layers``, equality and reports), so a parsed
-game file, born as rows, is verified without a payoff ``Fraction``.  A field
-built from values converts them to rows once and keeps them as its view.
+as numerators on ``den``, read by every integer kernel and by ``stop_sums``,
+the payoff at a stop profile summed per block.  Its ``Fraction`` ``values``
+are a one-way view built when first read (by ``at``, ``as_layers``, equality
+and reports), so a parsed game file, born as rows, is verified and solved
+without a payoff ``Fraction``.  A field built from values converts them to
+rows once and keeps them as its view.
 ``pin``, ``negated`` and the zero-sum view build rows from rows.  One
 modulus serves every seat: a walk over pairs of time tuples, on integer
 ticks, compares each tuple's joint row of all seats' payoff numerators on
@@ -92,16 +93,13 @@ class PayoffField:
     def value_at(self, ks: tuple[int, ...], omega: int) -> Fraction:
         return self.values[ks][omega]
 
-    def at_stops(self, stops: Sequence) -> RV:
-        """The payoff at one stop per slot, each a ``StoppingTime`` or a grid
-        index: outcome w reads the slice at the stops' indices at w."""
-        columns = [_start_indices(self.space, s) for s in stops]
-        return tuple(self.values[ks][w] for w, ks in enumerate(zip(*columns)))
-
-    def process(self, slot: int, k: int) -> list[RV]:
-        """The layers over one slot's grid index, every other slot at k."""
-        head, tail = (k,) * slot, (k,) * (self.arity - slot - 1)
-        return [self.values[head + (j,) + tail] for j in range(len(self.space.grid))]
+    def stop_sums(self, stops: Sequence, blocks) -> list[int]:
+        """Per block B, the sum over w in B of ``wnum[w]`` times the numerator
+        at w of the slice at one stop per slot (a ``StoppingTime`` or a grid
+        index): the payoff's mean on B at the stops, scaled by ``den * W_B``."""
+        wnum, rows = self.space.wnum, self.rows
+        at = list(zip(*(_start_indices(self.space, s) for s in stops)))
+        return [sum(wnum[w] * rows[at[w]][w] for w in block) for block in blocks]
 
     def pin(self, slot: int, k: int) -> "PayoffField":
         """Freeze one time slot at index k, producing an arity-1 lower field

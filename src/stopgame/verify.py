@@ -250,20 +250,14 @@ def _conforming(
     space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
 ) -> tuple[dict[Atom, int], list[dict[Atom, int]]]:
     """The conforming profile's payoff at each start atom on the oracle's
-    scale: ``W_B`` by start atom (k, B), and per field, by atom, the sum over
-    B of ``wnum[w] * field.rows[stops(w)][w]``, which is ``field.den * W_B``
-    times the conditional expectation at the start.  The profile is resolved
-    once for every field."""
+    scale: ``W_B`` by start atom (k, B), and per field, by atom, its
+    ``PayoffField.stop_sums`` at the profile's stops, which is
+    ``field.den * W_B`` times the conditional expectation at the start.  The
+    profile is resolved once for every field."""
     atoms = {(k, block): w_b for k, block, w_b in stopped_atoms(space, start)}
-    stops = tuple(zip(*(t.idx for t in resolve_profile(space, strategies))))
-    wnum = space.wnum
-    sums = []
-    for field in fields:
-        rows = field.rows
-        sums.append(
-            {atom: sum(wnum[w] * rows[stops[w]][w] for w in atom[1]) for atom in atoms}
-        )
-    return atoms, sums
+    stops = resolve_profile(space, strategies)
+    blocks = [block for _, block in atoms]
+    return atoms, [dict(zip(atoms, field.stop_sums(stops, blocks))) for field in fields]
 
 
 def on_path_value(

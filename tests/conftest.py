@@ -9,11 +9,11 @@ from hypothesis import HealthCheck
 
 from stopgame import coalition, nash2, nash3, verify
 from stopgame import space as space_module
-from stopgame.classic import snell
+from stopgame.classic import SoloStop, snell
 from stopgame.gamefile import parse_game
 from stopgame.generator import generate_instance
 from stopgame.nash3 import solve_three_player
-from stopgame.payoff import payoff_from_function
+from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import FilteredSpace, TimeGrid, cond_exp, constant_time, make_grid
 
 # hypothesis settings of the property tests: derandomized, so every run of
@@ -151,11 +151,16 @@ def random_rv(rng: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 
 
 
 def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str) -> tuple:
-    """The per-index Snell tuple ``build_single_family`` reads its rules from."""
-    return tuple(
-        snell(space, field3.process(free_slot, k), direction, k)
-        for k in range(len(space.grid))
-    )
+    """The per-index entries ``build_single_family`` reads, as
+    ``classic.solo_stop`` gives them, read off the ``Fraction`` Snell sweep of
+    each process with the other slots pinned at k."""
+    from oracles import reference_process
+
+    out = []
+    for k in range(len(space.grid)):
+        res = snell(space, reference_process(field3, free_slot, k), direction, k)
+        out.append(SoloStop(res.value[k], res.rule, direction))
+    return tuple(out)
 
 
 def random_adapted_field(seed):
@@ -183,10 +188,11 @@ def ladder_run() -> dict:
     """Calls made while solving the ladder, with their results:
     ``"oracle"`` and ``"certify"`` hold (args, kwargs, result) per
     ``exact_best_response`` and ``certify_nash`` call,
-    ``"pair"`` holds (args, result) per ``solve_2p_nash`` call, and
+    ``"pair"`` holds (args, result) per ``solve_2p_nash`` call,
     ``"cond_exp"`` holds (args, result) per call, with the input RV copied to
-    a tuple."""
-    calls = {"oracle": [], "certify": [], "pair": [], "cond_exp": []}
+    a tuple, and ``"stop_sums"`` holds ((field, stops, blocks), result) per
+    ``PayoffField.stop_sums`` call, with the stops and blocks as tuples."""
+    calls = {"oracle": [], "certify": [], "pair": [], "cond_exp": [], "stop_sums": []}
     real_pair = nash2.solve_2p_nash
 
     def recording(key, real):
@@ -203,6 +209,13 @@ def ladder_run() -> dict:
         return result
 
     real_average = space_module.cond_exp
+    real_sums = PayoffField.stop_sums
+
+    def recording_sums(field, stops, blocks):
+        stops, blocks = tuple(stops), tuple(blocks)
+        result = real_sums(field, stops, blocks)
+        calls["stop_sums"].append(((field, stops, blocks), result))
+        return result
 
     def recording_average(space, x, at):
         result = real_average(space, x, at)
@@ -218,6 +231,7 @@ def ladder_run() -> dict:
             for module in modules:
                 mp.setattr(module, name, record)
         mp.setattr(nash2, "solve_2p_nash", recording_pair)
+        mp.setattr(PayoffField, "stop_sums", recording_sums)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "stopgame" and (
                 getattr(module, "cond_exp", None) is real_average

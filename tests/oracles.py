@@ -240,7 +240,7 @@ def reference_node_sweep(space: FilteredSpace, fields, directions, kmin: int, ch
     nodes: list = [None] * (K + 1)
     for k in range(K - 1, kmin - 1, -1):
         reactions = tuple(
-            snell(space, f.process(1 - i, k), directions[i], k + 1)
+            snell(space, reference_process(f, 1 - i, k), directions[i], k + 1)
             for i, f in enumerate((fields[-1], fields[0]))
         )
         lone_stops = ((k, reactions[0].rule), (reactions[1].rule, k))
@@ -248,7 +248,7 @@ def reference_node_sweep(space: FilteredSpace, fields, directions, kmin: int, ch
         for f, layers in zip(fields, values):
             cells.append(f.at((k, k)))
             for stops in lone_stops:
-                cells.append(cond_exp(space, f.at_stops(stops), k))
+                cells.append(cond_exp(space, reference_at_stops(f, stops), k))
             cells.append(cond_exp(space, layers[k + 1], k))
         choice = tuple(map(choose, *cells))
         for j, layers in enumerate(values):
@@ -948,7 +948,22 @@ def reference_dynkin_convention_gap(
 # cells of ``classic.node_sweep``, ``verify.on_path_value`` for one field,
 # ``nash3._family_value``, the coop and single window gaps of ``nash2`` and
 # its ``_double_pin``.  Kept as they were so the two readers are checked
-# against them with ==.
+# against them with ==.  The two readers themselves, which the integer
+# ``PayoffField.stop_sums`` and ``classic.solo_stop`` replaced in the solve,
+# are kept below as they were, as functions of the field.
+
+
+def reference_at_stops(field: PayoffField, stops: Sequence) -> tuple:
+    """The payoff at one stop per slot, each a ``StoppingTime`` or a grid
+    index: outcome w reads the slice at the stops' indices at w."""
+    columns = [_start_indices(field.space, s) for s in stops]
+    return tuple(field.values[ks][w] for w, ks in enumerate(zip(*columns)))
+
+
+def reference_process(field: PayoffField, slot: int, k: int) -> list:
+    """The layers over one slot's grid index, every other slot at k."""
+    head, tail = (k,) * slot, (k,) * (field.arity - slot - 1)
+    return [field.values[head + (j,) + tail] for j in range(len(field.space.grid))]
 
 
 def reference_double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
@@ -1010,7 +1025,7 @@ def reference_coop_gap(space, field3, frozen_slot, stop_now, payload, k):
         view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
     )
     attained = cond_exp(space, pay, k)
-    return max(a - o for a, o in zip(attained, stop_now[k].value[k]))
+    return max(a - o for a, o in zip(attained, stop_now[k].value))
 
 
 def reference_single_gap(space, field3, free_slot, solo, payload, k):
@@ -1022,7 +1037,7 @@ def reference_single_gap(space, field3, free_slot, solo, payload, k):
         tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
         k,
     )
-    opt = solo[k].value[k]
+    opt = solo[k].value
     if direction == "inf":
         return max(a - o for a, o in zip(attained, opt))
     return max(o - a for a, o in zip(attained, opt))
@@ -1160,7 +1175,7 @@ def reference_on_path_value(
     atoms = reference_stopped_atoms(space, theta)
     out = []
     for field in fields:
-        rv_out = cond_exp_at(space, field.at_stops(times), theta)
+        rv_out = cond_exp_at(space, reference_at_stops(field, times), theta)
         out.append(({(k, members): rv_out[members[0]] for k, members in atoms}, rv_out))
     return out
 

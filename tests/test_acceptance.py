@@ -123,7 +123,7 @@ def test_criterion_3_cooperative_reduction():
         field = inst.fields[0]
         res = joint_inf_pair(space, field, 0)
         brute = brute_joint_inf(space, field, 0)
-        assert res.value[0] == brute
+        assert res.value == brute
         # the same infimum over obstinate-lifted strategy pairs
         best = None
         for rho in enumerate_stopping_times(space, 0):
@@ -135,7 +135,7 @@ def test_criterion_3_cooperative_reduction():
                 best = val if best is None else tuple(
                     min(x, y) for x, y in zip(best, val)
                 )
-        assert best == res.value[0]
+        assert best == res.value
         checked += 1
     assert checked >= 20
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_adapted_field, random_rv, random_space
+from conftest import random_adapted_field, random_rv, random_space, solo_solutions
 from oracles import (
     brute_dynkin_maximin,
     brute_joint_inf,
@@ -30,6 +30,7 @@ from stopgame.classic import (
     joint_inf_pair,
     node_sweep,
     snell,
+    solo_stop,
 )
 from stopgame.errors import OrderViolation
 from stopgame.generator import generate_instance
@@ -37,6 +38,7 @@ from stopgame.nash2 import _nash_cell
 from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
+    _start_indices,
     cond_exp,
     constant_time,
     expectation,
@@ -109,7 +111,7 @@ def test_joint_inf_constant(three_time_space):
     space = three_time_space
     field = payoff_from_function(space, 2, lambda ks, w: 4)
     res = joint_inf_pair(space, field, 0)
-    assert res.value[0] == rv_const(space, 4)
+    assert res.value == rv_const(space, 4)
     assert res.rho.idx == (0, 0)
     assert res.tau.idx == (0, 0)
 
@@ -120,7 +122,7 @@ def test_joint_inf_monotone_sum(three_time_space):
     res = joint_inf_pair(space, field, 1)
     assert res.rho.idx == (1, 1)
     assert res.tau.idx == (1, 1)
-    assert res.value[1] == rv_const(space, 2)
+    assert res.value == rv_const(space, 2)
 
 
 def test_joint_inf_equals_enumeration():
@@ -133,7 +135,7 @@ def test_joint_inf_equals_enumeration():
         )
         res = joint_inf_pair(space, field, 0)
         brute = brute_joint_inf(space, field, 0)
-        assert res.value[0] == brute
+        assert res.value == brute
         # returned pair attains it
         attained = pair_payoff(space, field, res.rho, res.tau, 0)
         assert attained == brute
@@ -147,7 +149,7 @@ def test_joint_inf_monotone_in_payoff(three_time_space):
     f2 = payoff_from_function(space, 2, lambda ks, w: base[max(ks)][w] + 1)
     v1 = joint_inf_pair(space, f1, 0).value
     v2 = joint_inf_pair(space, f2, 0).value
-    assert all(a <= b for a, b in zip(v1[0], v2[0]))
+    assert all(a <= b for a, b in zip(v1, v2))
 
 
 D1_LOWER = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))]
@@ -289,7 +291,9 @@ def test_solve_duel_bundles_saddle(two_outcome_space):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_joint_inf_matches_reference_sweep(seed):
-    """The shared node sweep gives the old sweep's layers and traced pair."""
+    """The shared node sweep gives the old sweep's value at the start and
+    traced pair; every layer is compared in
+    ``test_node_sweep_matches_reference_sweep``."""
     inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
     space = inst.space
     K = space.grid.terminal_index
@@ -300,7 +304,9 @@ def test_joint_inf_matches_reference_sweep(seed):
     starts += [rho, tau]  # stopping-time starts
     for from_ in starts:
         res = joint_inf_pair(space, field2, from_)
-        assert (res.value, res.rho, res.tau) == reference_joint_inf_pair(space, field2, from_)
+        layers, *pair = reference_joint_inf_pair(space, field2, from_)
+        at_start = tuple(layers[k][w] for w, k in enumerate(_start_indices(space, from_)))
+        assert (res.value, res.rho, res.tau) == (at_start, *pair)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -404,6 +410,21 @@ def test_node_sweep_rejects_a_slice_not_adapted():
         # a sweep from index 1 reads no slice with a time 0
         joint_inf_pair(space, field, 1)
     joint_inf_pair(space, PayoffField(space, 2, adapted), 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solo_stop_equals_snell_of_the_double_pin(seed):
+    """The integer solo optimum of each slot from each index k, the other
+    slots pinned at k, equals the ``Fraction`` Snell sweep of that process
+    at k under ==, its value at k and its rule, in both directions, on
+    random adapted three-slot fields."""
+    field = random_adapted_field(seed)
+    space = field.space
+    for free in range(3):
+        for direction in ("sup", "inf"):
+            want = solo_solutions(space, field, free, direction)
+            got = tuple(solo_stop(space, field, free, k, direction) for k in range(len(space.grid)))
+            assert got == want
 
 
 def scan_starts(space, rng):

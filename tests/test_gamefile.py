@@ -23,6 +23,7 @@ from stopgame.gamefile import (
     profile_to_obj,
 )
 from stopgame.generator import generate_instance
+from stopgame.nash3 import solve_three_player
 from stopgame.space import constant_time
 from stopgame.strategy import lift_constant3, lift_obstinate2
 from stopgame.verify import certify_nash, resolve_profile
@@ -653,6 +654,23 @@ def test_verify_path_builds_no_payoff_fraction(tmp_path, players):
     cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
     assert cert.passes
     assert not any("values" in vars(f) for f in doc.fields)
+
+
+def test_solve_path_builds_no_payoff_fraction(tmp_path):
+    """A three-player solve reads its payoffs only as integer rows: solving
+    the golden three-player games and two bench-size games (4x6 at the
+    minimal grid step, 3x5 at auto h) builds no parsed field's ``Fraction``
+    values."""
+    from test_golden import GOLDEN
+
+    games = [case for case in GOLDEN if case[1] == 3]
+    games += [(1004, 3, 4, 6, True), (1000, 3, 3, 5, False)]
+    for seed, players, outcomes, times, min_step_h in games:
+        doc = parse_game(_gen(tmp_path, seed, players, outcomes, times).read_text())
+        h = doc.space.grid.min_step if min_step_h else doc.h
+        sol = solve_three_player(doc.space, doc.fields, doc.theta, doc.epsilon, h)
+        assert sol.certificate.passes
+        assert not any("values" in vars(f) for f in doc.fields)
 
 
 def test_field_from_values_has_the_parsed_rows():

@@ -52,7 +52,7 @@ def test_coordination_reaches_joint_optimum(three_time_space):
     res = solve_2p_nash(space, field, field, 0, "1/10")
     assert res.gap <= Fraction(1, 10)
     joint_sup = joint_inf_pair(space, field.negated(), 0)
-    best = tuple(-v for v in joint_sup.value[0])
+    best = tuple(-v for v in joint_sup.value)
     [(path, _)] = on_path_value(space, [field], list(res.strategies), 0)
     ((_, atom_val),) = path.items()
     assert best[0] - atom_val <= Fraction(1, 10)
@@ -332,17 +332,17 @@ def test_later_start_matches_reference_patched(three_time_space):
 
 def test_reactions_solved_only_from_the_start(monkeypatch):
     """Anchored at K no reaction is solved; from k, one per seat and per
-    observation in [k, K), each by the sweep's rule kernel."""
+    observation in [k, K), each by the integer Snell sweep."""
     inst = generate_instance(3, n_outcomes=3, n_times=5, n_players=2)
     K = inst.space.grid.terminal_index
     calls = []
-    real = classic._reaction
+    real = classic._snell_sweep
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classic, "_reaction", counting)
+    monkeypatch.setattr(classic, "_snell_sweep", counting)
     for k in range(K + 1):
         calls.clear()
         solve_2p_nash(inst.space, *inst.fields, k, inst.epsilon)

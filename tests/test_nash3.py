@@ -19,10 +19,10 @@ from oracles import (
     reference_partition_ABC,
     reference_single_gap,
 )
-from stopgame.classic import joint_inf_value
+from stopgame.classic import block_rv, joint_inf_value, solo_stop
 from stopgame.errors import NoValidDelta
 from stopgame.generator import generate_instance
-from stopgame import classic, coalition, nash2, nash3, verify
+from stopgame import classic, nash2, nash3, verify
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
@@ -464,26 +464,44 @@ def test_standalone_coalition_value_tracks_duel_value():
                 assert comp.value[k][w] <= pp.value[k][w] + eps
 
 
-@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
-@pytest.mark.parametrize("seed", range(60, 64))
-def test_shared_solutions_equal_direct_sweeps(seed, min_step_h):
+@pytest.mark.parametrize(
+    "seed, outcomes, times, min_step_h",
+    [
+        pytest.param(seed, 2 + seed % 2, 3 + seed % 2, m, id=f"{seed}-{'minh' if m else 'autoh'}")
+        for seed in range(60, 64)
+        for m in (False, True)
+    ]
+    + [
+        pytest.param(1004, 4, 6, True, id="1004-minh"),
+        pytest.param(1000, 3, 5, False, id="1000-autoh"),
+    ],
+)
+def test_shared_solutions_equal_direct_sweeps(seed, outcomes, times, min_step_h):
     """The stop-now values and pinned single optima that one solve shares
-    between its player processes and coalition games equal a fresh sweep."""
-    inst = generate_instance(seed, n_outcomes=2 + seed % 2, n_times=3 + seed % 2)
+    between its player processes and coalition games equal a fresh sweep,
+    and the integer solo tables (``classic.solo_stop``) equal the ``Fraction``
+    Snell sweep of each double-pinned process under ==, its value at k and
+    its rule, for every free slot and every k; on small games and the two
+    bench games."""
+    inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     space = inst.space
     h = space.grid.min_step if min_step_h else None
     ctx = solve_three_player(space, inst.fields, eps=inst.epsilon, h=h).context
     K = space.grid.terminal_index
     for s in range(3):
         field = inst.fields[s]
-        stop_now = tuple(joint_inf_value(space, field.pin(s, k), k)[0][k] for k in range(K + 1))
+        stop_now = tuple(
+            block_rv(space, k, joint_inf_value(space, field.pin(s, k), k)[0][k], field.den)
+            for k in range(K + 1)
+        )
         comp = ctx.saddles[s][0]
         assert ctx.players[s].stop_exact == stop_now
         assert comp.leader_stop_value == stop_now
         for free in range(3):
             direction = "sup" if free == s else "inf"
             solo = solo_solutions(space, field, free, direction)
-            assert comp.pinned_solo[free] == tuple(sol.value[k] for k, sol in enumerate(solo))
+            assert tuple(solo_stop(space, field, free, k, direction) for k in range(K + 1)) == solo
+            assert comp.pinned_solo[free] == tuple(sol.value for sol in solo)
 
 
 @pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
@@ -607,12 +625,12 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls, snells, checks, block_rvs",
-    [(1004, 4, 6, True, 162, 105, 54, 16, 99), (1000, 3, 5, False, 135, 84, 45, 4, 75)],
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs",
+    [(1004, 4, 6, True, 162, 105, 16, 264), (1000, 3, 5, False, 135, 84, 4, 180)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, snells, checks, block_rvs
+    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
@@ -620,12 +638,13 @@ def test_calls_per_solve_on_bench_games(
     coalition game negates its payoff once; and each of the 21 families maps
     every interior grid time through ``phi_h`` once (the targets feed both its
     multiples and its ``by_index``), while profile assembly reads entries by
-    grid index without any ``phi_h``; and ``classic.snell`` runs only for the
-    coalition's solo tables, 3 games x 3 free slots x (K+1) start indices, as
-    the node sweep solves its reactions on integers; ``is_stopping_time``
-    runs only for strategy validation, as certificates read their start
-    through ``stopped_atoms``; and ``classic.block_rv`` converts only the
-    layers read, the zero-sum game's start layer among them."""
+    grid index without any ``phi_h``; ``classic.snell`` never runs, as the
+    node sweep's reactions and the coalition's solo tables run on the one
+    integer Snell sweep; ``is_stopping_time`` runs only for strategy
+    validation, as certificates read their start through ``stopped_atoms``;
+    and ``classic.block_rv`` converts only what is read at one index: the
+    zero-sum game's start layer, each solo optimum, each after-stop family
+    layer and each window gap."""
     counts = Counter()
 
     def counting(key, real):
@@ -648,9 +667,7 @@ def test_calls_per_solve_on_bench_games(
     for module in (nash2, nash3):
         monkeypatch.setattr(module, "certify_nash", certify)
     monkeypatch.setattr(nash2, "phi_h", counting("phi_h", nash2.phi_h))
-    snell = counting("snell", classic.snell)
-    for module in (classic, coalition):
-        monkeypatch.setattr(module, "snell", snell)
+    monkeypatch.setattr(classic, "snell", counting("snell", classic.snell))
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
     for name, real in (("is_stopping_time", is_stopping_time), ("block_rv", classic.block_rv)):
@@ -663,5 +680,5 @@ def test_calls_per_solve_on_bench_games(
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
     assert resolutions and set(resolutions) == {1}
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
-    assert counts["snell"] == snells == 3 * 3 * times
+    assert counts["snell"] == 0
     assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)

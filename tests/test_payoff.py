@@ -11,6 +11,7 @@ import pytest
 from conftest import random_rv, random_space
 from oracles import (
     certifies_field,
+    reference_at_stops,
     reference_certifies_field,
     reference_check_adapted,
     reference_double_pin,
@@ -18,8 +19,10 @@ from oracles import (
     reference_family_value,
     reference_pair_changes,
     reference_pin,
+    reference_process,
     reference_select_h,
 )
+from stopgame.classic import block_rv
 from stopgame.errors import NoValidH
 from stopgame.generator import generate_instance
 from stopgame import payoff
@@ -42,8 +45,12 @@ from stopgame.space import (
     TimeGrid,
     _numerators,
     cond_exp,
+    cond_exp_at,
+    fill_blocks,
     make_grid,
+    stopped_atoms,
 )
+from stopgame.verify import enumerate_stopping_times
 
 
 def _walk(*fields, radius=None, beyond=0):
@@ -711,10 +718,15 @@ def test_check_adapted_matches_reference_with_planted_violations():
 
 @pytest.mark.parametrize("arity", (1, 2, 3))
 def test_readers_match_the_reads_they_replaced(arity):
-    """``at_stops`` equals the per-outcome read at stops that mix stopping
-    times and grid indices, and ``process`` equals the slice that pinning
-    every other slot at k leaves (``_double_pin`` for three slots)."""
+    """``stop_sums`` at stops that mix stopping times and grid indices,
+    scaled back to ``Fraction``, equals the reference ``at_stops`` averaged
+    with ``cond_exp`` on every partition's blocks and with ``cond_exp_at``
+    on the atoms of random starts, whose times mix; and the reference
+    ``process`` equals the slice that pinning every other slot at k leaves
+    (``_double_pin`` for three slots).  The fields are random and not
+    adapted."""
     rng = random.Random(700 + arity)
+    mixed = 0
     for _ in range(25):
         space = random_space(rng, rng.randint(1, 4), rng.randint(2, 4))
         K, n = space.grid.terminal_index, space.n_outcomes
@@ -730,18 +742,30 @@ def test_readers_match_the_reads_they_replaced(arity):
             return StoppingTime(tuple(rng.randint(0, K) for _ in range(n)))
 
         stops = [random_stop() for _ in range(arity)]
-        columns = [s.idx if isinstance(s, StoppingTime) else (s,) * n for s in stops]
-        assert field.at_stops(stops) == tuple(
-            field.value_at(tuple(c[w] for c in columns), w) for w in range(n)
-        )
+        at_stops = reference_at_stops(field, stops)
+        for k, part in enumerate(space.partitions):
+            got = block_rv(space, k, field.stop_sums(stops, part), field.den)
+            assert got == cond_exp(space, at_stops, k)
+        starts = list(enumerate_stopping_times(space))
+        for theta in rng.sample(starts, min(3, len(starts))):
+            atoms = stopped_atoms(space, theta)
+            mixed += len({k for k, _, _ in atoms}) > 1
+            sums = field.stop_sums(stops, [block for _, block, _ in atoms])
+            got = fill_blocks(
+                space,
+                (block for _, block, _ in atoms),
+                (Fraction(s, field.den * w_b) for s, (_, _, w_b) in zip(sums, atoms)),
+            )
+            assert got == cond_exp_at(space, at_stops, theta)
         for slot in range(arity):
             for k in range(K + 1):
                 sliced = field
                 for other in sorted((s for s in range(arity) if s != slot), reverse=True):
                     sliced = sliced.pin(other, k)
-                assert field.process(slot, k) == sliced.as_layers()
+                assert reference_process(field, slot, k) == sliced.as_layers()
                 if arity == 3:
-                    assert field.process(slot, k) == reference_double_pin(field, slot, k).as_layers()
+                    want = reference_double_pin(field, slot, k).as_layers()
+                    assert reference_process(field, slot, k) == want
         if arity == 3:
             for seat in range(3):
                 free = [q for q in range(3) if q != seat]
@@ -749,5 +773,7 @@ def test_readers_match_the_reads_they_replaced(arity):
                 pair = tuple(
                     StoppingTime(tuple(rng.randint(0, K) for _ in range(n))) for _ in free
                 )
-                got = cond_exp(space, field.at_stops((*pair[:seat], k, *pair[seat:])), k)
+                sums = field.stop_sums((*pair[:seat], k, *pair[seat:]), space.partitions[k])
+                got = block_rv(space, k, sums, field.den)
                 assert got == reference_family_value(space, field, seat, k, pair, free)
+    assert mixed > 10

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import DENOMINATORS, SETTINGS, random_rv, random_space
 from oracles import (
+    reference_at_stops,
     reference_cond_exp,
     reference_cond_exp_at,
     reference_index_at_or_after,
@@ -336,13 +337,26 @@ def test_cond_exp_matches_reference(data, space):
 
 
 def test_cond_exp_matches_reference_on_ladder(ladder_run):
-    """Every conditional expectation taken while solving the ladder, and the
-    conforming value of every certificate made there, one field at a time,
-    against the ``cond_exp_at`` average it replaced."""
+    """Every conditional expectation taken while solving the ladder; every
+    payoff mean read there by ``PayoffField.stop_sums``, scaled back to
+    ``Fraction`` per block, against the reference ``at_stops`` averaged by
+    the reference ``cond_exp``; and the conforming value of every
+    certificate made there, one field at a time, against the ``cond_exp_at``
+    average it replaced."""
     calls = ladder_run["cond_exp"]
-    assert len(calls) > 1000
+    assert len(calls) >= 270  # the duels' values; payoff means go through stop_sums
     for args, result in calls:
         assert result == reference_cond_exp(*args) and exact_rv(result)
+    sums = ladder_run["stop_sums"]
+    assert len(sums) > 1000
+    for (field, stops, blocks), result in sums:
+        space = field.space
+        at_stops = reference_at_stops(field, stops)
+        assert len(result) == len(blocks)
+        for block, n in zip(blocks, result):
+            k = next(k for k, part in enumerate(space.partitions) if block in part)
+            mean = Fraction(n, field.den * sum(space.wnum[w] for w in block))
+            assert mean == reference_cond_exp(space, at_stops, k)[block[0]]
     samples = [
         (space, [field], profile, start)
         for (space, fields, profile, start, _), _, _ in ladder_run["certify"]
