@@ -8,7 +8,8 @@ distinct payoff string is read once per parse, into its field's integer
 ``PayoffField.rows``, so parsing builds no payoff ``Fraction``.  The
 adaptedness check compares those integers on partition blocks of two or more
 outcomes.  Payoff tensors are dense nested lists indexed by time indices then
-outcome; profiles are explicit tables so that a report's profile can be
+outcome, written from the same integer rows with one string per distinct
+numerator; profiles are explicit tables so that a report's profile can be
 re-checked without access to solver internals.
 """
 
@@ -32,7 +33,13 @@ SCHEMA = "stopgame-game-v1"
 
 def _f2s(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms: "p/q", or "p" when it is an integer."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}" if q != g else str(p // g)
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")  # ASCII, nonzero denominator
@@ -91,9 +98,12 @@ def emit_game(doc: GameDoc) -> str:
     K = space.grid.terminal_index
 
     def tensor(field: PayoffField):
+        rows, den = field.rows, field.den
+        text = {n: _ratio_text(n, den) for n in set(chain.from_iterable(rows.values()))}
+
         def rec(prefix):
             if len(prefix) == field.arity:
-                return [_f2s(v) for v in field.at(tuple(prefix))]
+                return [text[n] for n in rows[tuple(prefix)]]
             return [rec(prefix + [k]) for k in range(K + 1)]
 
         return rec([])

@@ -26,6 +26,7 @@ only how to solve at the anchor and how to measure the gap at a window time.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,19 +170,6 @@ def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
     return entry
 
 
-def family_multiples(space: FilteredSpace, h, targets=None) -> list[Fraction]:
-    """The distinct multiples of h that phi_h maps an interior grid time to
-    (``targets``, one per interior index, when the caller has them).
-
-    These are exactly the entries a lookup lands on; every other multiple
-    would be built and certified for nothing, and there are about span/h of
-    them when h is below a grid gap.
-    """
-    if targets is None:
-        targets = [phi_h(t, h) for t in space.grid.points[:-1]]
-    return sorted(set(targets))
-
-
 def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
     """Per index k, the other two slots' cooperative minimum from k with the
     seat's slot pinned to k; ``[k].value`` is the seat's stop-now value."""
@@ -194,20 +182,23 @@ _TOL_MULT = {"nonzero_sum_pair": 11, "coop_pair": 5, "single": 1}
 
 
 def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
-    """One entry per g in ``family_multiples``: ``solve_at(anchor)`` gives the
-    payload (seat -> play) at the first grid index at or after g, with its gap
-    at the anchor when the solve already measured it (else None), and
-    ``gap_at(payload, k)`` must stay within the kind's multiple of eps at
-    every grid index k of the window [g-h, g]."""
+    """One entry per distinct g = phi_h(t) over the interior grid times t:
+    ``solve_at(anchor)`` gives the payload (seat -> play) at the first grid
+    index at or after g, with its gap at the anchor when the solve already
+    measured it (else None), and ``gap_at(payload, k)`` must stay within the
+    kind's multiple of eps at every grid index k of the window [g-h, g].  No
+    other multiple of h is built: no lookup lands on one, and there are about
+    span/h of them when h is below a grid gap."""
     h, eps = rat(h), rat(eps)
     tolerance = _TOL_MULT[kind] * eps
-    targets = [phi_h(t, h) for t in space.grid.points[:-1]]
+    points = space.grid.points
+    targets = [phi_h(t, h) for t in points[:-1]]
     entries: dict[Fraction, FamilyEntry] = {}
-    for g in family_multiples(space, h, targets):
+    for g in sorted(set(targets)):
         anchor = space.grid.index_at_or_after(g)
         payload, anchor_gap = solve_at(anchor)
         achieved = Fraction(0)
-        window = tuple(k for k, p in enumerate(space.grid.points) if g - h <= p <= g)
+        window = tuple(range(bisect_left(points, g - h), bisect_right(points, g)))
         for k in window:
             gap = anchor_gap if k == anchor and anchor_gap is not None else gap_at(payload, k)
             achieved = max(achieved, gap)

@@ -163,9 +163,13 @@ def select_delta(
     eps,
 ) -> DeltaMap:
     """Largest per-atom multiple of the minimal step keeping all three
-    committed-stop processes and duel values stable across the delay window."""
+    committed-stop processes and duel values stable across the delay window.
+    A multiple m reaches the test only through each end index, the first grid
+    index at or after t_mu + m * step for an exit time t_mu on the atom, which
+    is at most j exactly while m <= (t_j - t_mu) // step: the largest passing
+    m is ``max_m`` or one of those floors, so only these are tried."""
     eps = rat(eps)
-    step = space.grid.min_step
+    step, points = space.grid.min_step, space.grid.points
     max_m = max(1, math.ceil(space.grid.span / step))
     per_atom: dict[Atom, Fraction] = {}
 
@@ -190,11 +194,10 @@ def select_delta(
         return True
 
     for k, members, _ in stopped_atoms(space, theta):
-        chosen = None
-        for m in range(max_m, 0, -1):
-            if atom_ok(members, m):
-                chosen = m * step
-                break
+        exits = {pp.exit_time.idx[w] for pp in players.values() for w in members}
+        floors = {(t - points[mu]) // step for mu in exits for t in points[mu + 1 :]}
+        tried = sorted({max_m, *(m for m in floors if m < max_m)}, reverse=True)
+        chosen = next((m * step for m in tried if atom_ok(members, m)), None)
         if chosen is None:
             raise NoValidDelta(
                 f"no stable delay of at least one step on atom {(k, members)}"

@@ -8,18 +8,18 @@ with the terminal point's coordinate acting as the surrogate for infinity;
 callers that intend genuine never-stop behavior should keep the field constant
 between the last interior time and the terminal time.
 
-A field has one stored form, its integer table ``rows``: each tuple's values
-as numerators on ``den``, read by every integer kernel and by ``stop_sums``,
-the payoff at a stop profile summed per block.  Its ``Fraction`` ``values``
-are a one-way view built when first read (by ``at``, ``as_layers``, equality
-and reports), so a parsed game file, born as rows, is verified and solved
-without a payoff ``Fraction``.  A field built from values converts them to
-rows once and keeps them as its view.
-``pin``, ``negated`` and the zero-sum view build rows from rows.  One
-modulus serves every seat: a walk over pairs of time tuples, on integer
-ticks, compares each tuple's joint row of all seats' payoff numerators on
-one common denominator, and converts to ``Fraction`` once per distinct
-displacement.  Each tuple visits only the later tuples within a radius, which
+A field has one form and no cached state, its integer table ``rows``: each
+tuple's values as numerators on ``den``, read by every integer kernel, by
+``stop_sums`` (the payoff at a stop profile summed per block), by equality
+(numerators cross-multiplied by the other field's ``den``) and by the game
+file writer.  ``at`` converts one slice to ``Fraction`` values on each call
+and keeps nothing, so a parsed game file, born as rows, is verified and
+solved without a payoff ``Fraction``.  A field built from values converts
+them to rows once.  ``pin``, ``negated`` and the zero-sum view build rows
+from rows.  One modulus serves every seat: a walk over pairs of time tuples,
+on integer ticks, compares each tuple's joint row of all seats' payoff
+numerators on one common denominator, and converts to ``Fraction`` once per
+distinct displacement.  Each tuple visits only the later tuples within a radius, which
 is the whole grid for ``estimate_modulus``.  Choosing h and rechecking
 eta(h) read only a few entries, so ``auto_h`` and ``eta_reaching`` build the
 joint rows once, walk no pair when each row coordinate's whole range
@@ -34,7 +34,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,9 +49,9 @@ class PayoffField:
     """Dense payoff tensor over a filtered space, stored as integer rows:
     rows[(k_1,..,k_N)] holds the slice's values as numerators on ``den``.
 
-    Fields are equal exactly when their ``values`` are: a ``pin`` or
-    ``negated`` result carries its parent's ``den``, a multiple of its own
-    lcm, so equal fields may differ in ``den`` and ``rows``.
+    Fields are equal exactly when their values are: a ``pin`` or ``negated``
+    result carries its parent's ``den``, a multiple of its own lcm, so equal
+    fields may differ in ``den`` and ``rows``.
     """
 
     space: FilteredSpace
@@ -62,10 +61,10 @@ class PayoffField:
 
     def __init__(self, space: FilteredSpace, arity: int, values: dict[tuple[int, ...], RV]):
         """A field from its ``Fraction`` values, converted once to rows on the
-        lcm of their denominators; ``values`` is kept as the field's view."""
+        lcm of their denominators."""
         den = math.lcm(*(v.denominator for layer in values.values() for v in layer))
         rows = {ks: _numerators(layer, den) for ks, layer in values.items()}
-        self.__dict__.update(space=space, arity=arity, rows=rows, den=den, values=values)
+        self.__dict__.update(space=space, arity=arity, rows=rows, den=den)
 
     @classmethod
     def from_rows(cls, space: FilteredSpace, arity: int, rows: dict, den: int) -> "PayoffField":
@@ -74,24 +73,21 @@ class PayoffField:
         field.__dict__.update(space=space, arity=arity, rows=rows, den=den)
         return field
 
-    @cached_property
-    def values(self) -> dict[tuple[int, ...], RV]:
-        """values[ks]: the slice at ks as ``Fraction`` values, built from the
-        rows when first read, one ``Fraction`` per distinct numerator."""
-        rows, den = self.rows, self.den
-        frac = {n: Fraction(n, den) for n in set(itertools.chain.from_iterable(rows.values()))}
-        return {ks: tuple(map(frac.__getitem__, row)) for ks, row in rows.items()}
-
     def __eq__(self, other) -> bool:
+        """Equal values: the same space, arity and tuples, and numerators
+        equal once each is multiplied by the other field's ``den``."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.space, self.arity, self.values) == (other.space, other.arity, other.values)
+        mine, theirs = self.rows, other.rows
+        if (self.space, self.arity, mine.keys()) != (other.space, other.arity, theirs.keys()):
+            return False
+        a, b = other.den, self.den
+        return all([n * a for n in mine[ks]] == [n * b for n in row] for ks, row in theirs.items())
 
     def at(self, ks: tuple[int, ...]) -> RV:
-        return self.values[ks]
-
-    def value_at(self, ks: tuple[int, ...], omega: int) -> Fraction:
-        return self.values[ks][omega]
+        """The slice at ks as ``Fraction`` values, converted on each call."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.rows[ks])
 
     def stop_sums(self, stops: Sequence, blocks) -> list[int]:
         """Per block B, the sum over w in B of ``wnum[w]`` times the numerator
@@ -119,12 +115,6 @@ class PayoffField:
         subs = itertools.product(indices, repeat=self.arity - 1)
         rows = dict(zip(subs, map(self.rows.__getitem__, itertools.product(*ranges))))
         return PayoffField.from_rows(self.space, self.arity - 1, rows, self.den)
-
-    def as_layers(self) -> list[RV]:
-        """Arity-1 field as a per-time list (a raw process, maybe partial)."""
-        if self.arity != 1:
-            raise ValueError("only an arity-1 field is a process")
-        return [self.values[(k,)] for k in range(len(self.space.grid))]
 
     def negated(self) -> "PayoffField":
         rows = {ks: tuple(map(neg, x)) for ks, x in self.rows.items()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from stopgame.config import current_guards
 from stopgame.errors import (
     DeskScaleExceeded,
     GuardExceeded,
+    NoValidDelta,
     NoValidH,
     ParseError,
     TheoremViolation,
@@ -25,6 +27,7 @@ from stopgame.errors import (
 )
 from stopgame.gamefile import GameDoc, _int, _malformed
 from stopgame.nash2 import Nash2Result
+from stopgame.nash3 import DeltaMap
 from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _joint_rows, _pair_changes
 from stopgame.space import (
     FilteredSpace,
@@ -36,6 +39,7 @@ from stopgame.space import (
     constant_time,
     is_stopping_time,
     rat,
+    stopped_atoms,
     validate_space,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
@@ -50,6 +54,20 @@ from stopgame.verify import (
     resolve_profile,
 )
 from stopgame.zerosum import NodeGap
+
+
+# Payoff reads for the references below.  A field's one stored form is its
+# integer rows, so each value is converted where it is read.
+
+
+def value_at(field: PayoffField, ks: tuple[int, ...], w: int) -> Fraction:
+    """The payoff at time tuple ks and outcome w."""
+    return Fraction(field.rows[ks][w], field.den)
+
+
+def as_layers(field: PayoffField) -> list:
+    """An arity-1 field as a per-time list of ``Fraction`` slices."""
+    return [field.at((k,)) for k in range(len(field.space.grid))]
 
 
 def closed_form_resolve2(
@@ -104,7 +122,7 @@ def pair_payoff(
     theta,
 ) -> tuple[Fraction, ...]:
     pay = tuple(
-        field2.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
+        value_at(field2, (rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
     )
     if not isinstance(theta, StoppingTime):
         theta = constant_time(space, int(theta))
@@ -168,8 +186,8 @@ def reference_joint_inf_pair(space: FilteredSpace, field2: PayoffField, from_=0)
     inner: list = [None] * (K + 1)
     open_layers[K] = field2.at((K, K))
     for k in range(K - 1, kmin - 1, -1):
-        after_a = snell(space, field2.pin(0, k).as_layers(), "inf", k + 1)
-        after_b = snell(space, field2.pin(1, k).as_layers(), "inf", k + 1)
+        after_a = snell(space, as_layers(field2.pin(0, k)), "inf", k + 1)
+        after_b = snell(space, as_layers(field2.pin(1, k)), "inf", k + 1)
         inner[k] = (after_a, after_b)
         both = field2.at((k, k))
         a_only = cond_exp(space, after_a.value[k + 1], k)
@@ -184,7 +202,7 @@ def reference_joint_inf_pair(space: FilteredSpace, field2: PayoffField, from_=0)
         while k < K:
             after_a, after_b = inner[k]
             v = open_layers[k][w]
-            if field2.value_at((k, k), w) == v:
+            if value_at(field2, (k, k), w) == v:
                 rho[w] = tau[w] = k
                 break
             if cond_exp(space, after_a.value[k + 1], k)[w] == v:
@@ -208,8 +226,8 @@ def reference_node_tables(space: FilteredSpace, view: PayoffField, c: int):
     layers[K] = view.at((K, K))
     report: list[NodeGap] = []
     for k in range(K - 1, c - 1, -1):
-        min_react = snell(space, view.pin(0, k).as_layers(), "inf", k + 1)
-        max_react = snell(space, view.pin(1, k).as_layers(), "sup", k + 1)
+        min_react = snell(space, as_layers(view.pin(0, k)), "inf", k + 1)
+        max_react = snell(space, as_layers(view.pin(1, k)), "sup", k + 1)
         ss = view.at((k, k))
         sc = cond_exp(space, min_react.value[k + 1], k)
         cs = cond_exp(space, max_react.value[k + 1], k)
@@ -261,15 +279,15 @@ def reference_pin(field: PayoffField, slot: int, k: int) -> PayoffField:
     if not 0 <= slot < field.arity:
         raise ValueError(f"slot {slot} out of range for arity {field.arity}")
     rows: dict = {}
-    for ks, layer in field.values.items():
+    for ks in field.rows:
         if ks[slot] == k:
-            rows[ks[:slot] + ks[slot + 1 :]] = tuple(int(v * field.den) for v in layer)
+            rows[ks[:slot] + ks[slot + 1 :]] = tuple(int(v * field.den) for v in field.at(ks))
     return PayoffField.from_rows(field.space, field.arity - 1, rows, field.den)
 
 
-def every_multiple(space: FilteredSpace, h, targets=None) -> list[Fraction]:
-    """Every positive multiple of h up to phi_h of the last interior grid time
-    (a stand-in for ``nash2.family_multiples``, whose lookup targets it ignores)."""
+def every_multiple(space: FilteredSpace, h) -> list[Fraction]:
+    """Every positive multiple of h up to phi_h of the last interior grid time:
+    the entries a family would hold if it built one per multiple."""
     top = phi_h(space.grid.points[-2], h)
     out = []
     m = 1
@@ -287,14 +305,14 @@ def every_multiple(space: FilteredSpace, h, targets=None) -> list[Fraction]:
 def reference_pair_changes(field: PayoffField):
     """(total time displacement, max payoff change) for each distinct tuple pair."""
     grid = field.space.grid
-    tuples = sorted(field.values)
-    for i, ks in enumerate(tuples):
-        for ks2 in tuples[i + 1 :]:
+    slices = [(ks, field.at(ks)) for ks in sorted(field.rows)]
+    for i, (ks, layer) in enumerate(slices):
+        for ks2, layer2 in slices[i + 1 :]:
             delta = sum(
                 (abs(grid.points[a] - grid.points[b]) for a, b in zip(ks, ks2)),
                 Fraction(0),
             )
-            diff = max(abs(x - y) for x, y in zip(field.values[ks], field.values[ks2]))
+            diff = max(abs(x - y) for x, y in zip(layer, layer2))
             yield delta, diff
 
 
@@ -330,7 +348,7 @@ def affine(field: PayoffField, a, b) -> PayoffField:
     return PayoffField(
         field.space,
         field.arity,
-        {ks: tuple(a * v + b for v in layer) for ks, layer in field.values.items()},
+        {ks: tuple(a * v + b for v in field.at(ks)) for ks in field.rows},
     )
 
 
@@ -361,8 +379,8 @@ def reference_check_adapted(field: PayoffField) -> list[tuple[int, ...]]:
     """Time tuples whose outcome slice is not constant on max-time blocks."""
     space = field.space
     bad: list[tuple[int, ...]] = []
-    for ks, layer in sorted(field.values.items()):
-        k_max = max(ks)
+    for ks in sorted(field.rows):
+        layer, k_max = field.at(ks), max(ks)
         for block in space.partitions[k_max]:
             if len({layer[w] for w in block}) > 1:
                 bad.append(ks)
@@ -605,7 +623,7 @@ def reference_exact_best_response(
         total = sum(space.weights[w] for w in block)
         acc = Fraction(0)
         for w in block:
-            acc += space.weights[w] * field.value_at(times, w)
+            acc += space.weights[w] * value_at(field, times, w)
         return acc / total
 
     def solve(k: int, block: tuple[int, ...], status: tuple) -> Fraction:
@@ -683,7 +701,7 @@ def reference_own_reactions(space, field, other_slot):
     K = space.grid.terminal_index
     react = []
     for s in range(K):
-        react.append(snell(space, field.pin(other_slot, s).as_layers(), "sup", s + 1))
+        react.append(snell(space, as_layers(field.pin(other_slot, s)), "sup", s + 1))
     return react
 
 
@@ -723,7 +741,7 @@ def reference_solve_2p_nash(
         sc_a = cond_exp(
             space,
             tuple(
-                field_a.value_at((k, rb.rule.idx[w]), w)
+                value_at(field_a, (k, rb.rule.idx[w]), w)
                 for w in range(space.n_outcomes)
             ),
             k,
@@ -734,7 +752,7 @@ def reference_solve_2p_nash(
         cs_b = cond_exp(
             space,
             tuple(
-                field_b.value_at((ra.rule.idx[w], k), w)
+                value_at(field_b, (ra.rule.idx[w], k), w)
                 for w in range(space.n_outcomes)
             ),
             k,
@@ -957,13 +975,13 @@ def reference_at_stops(field: PayoffField, stops: Sequence) -> tuple:
     """The payoff at one stop per slot, each a ``StoppingTime`` or a grid
     index: outcome w reads the slice at the stops' indices at w."""
     columns = [_start_indices(field.space, s) for s in stops]
-    return tuple(field.values[ks][w] for w, ks in enumerate(zip(*columns)))
+    return tuple(value_at(field, ks, w) for w, ks in enumerate(zip(*columns)))
 
 
 def reference_process(field: PayoffField, slot: int, k: int) -> list:
     """The layers over one slot's grid index, every other slot at k."""
     head, tail = (k,) * slot, (k,) * (field.arity - slot - 1)
-    return [field.values[head + (j,) + tail] for j in range(len(field.space.grid))]
+    return [field.at(head + (j,) + tail) for j in range(len(field.space.grid))]
 
 
 def reference_double_pin(field3: PayoffField, free_slot: int, c: int) -> PayoffField:
@@ -978,7 +996,7 @@ def reference_lone_stop_cells(space: FilteredSpace, f: PayoffField, k: int, reac
         [(r, k) for r in reactions[1].rule.idx],
     )
     return [
-        cond_exp(space, [f.values[p][w] for w, p in enumerate(pairs)], k)
+        cond_exp(space, [value_at(f, p, w) for w, p in enumerate(pairs)], k)
         for pairs in lone_stops
     ]
 
@@ -989,7 +1007,7 @@ def reference_one_field_on_path_value(
     """Expected payoff of the conforming profile, conditioned at the start."""
     times = resolve_profile(space, strategies)
     pay = tuple(
-        field.value_at(tuple(t.idx[w] for t in times), w)
+        value_at(field, tuple(t.idx[w] for t in times), w)
         for w in range(space.n_outcomes)
     )
     theta = start if isinstance(start, StoppingTime) else constant_time(space, int(start))
@@ -1008,7 +1026,7 @@ def reference_family_value(space, field, seat, k, pair, free_slots):
         ks[seat] = k
         ks[free_slots[0]] = pair[0].idx[w]
         ks[free_slots[1]] = pair[1].idx[w]
-        vals.append(field.value_at(tuple(ks), w))
+        vals.append(value_at(field, tuple(ks), w))
     return cond_exp(space, tuple(vals), k)
 
 
@@ -1022,7 +1040,7 @@ def reference_coop_gap(space, field3, frozen_slot, stop_now, payload, k):
     rho, tau = payload[:2]
     view = field3.pin(frozen_slot, k)
     pay = tuple(
-        view.value_at((rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
+        value_at(view, (rho.idx[w], tau.idx[w]), w) for w in range(space.n_outcomes)
     )
     attained = cond_exp(space, pay, k)
     return max(a - o for a, o in zip(attained, stop_now[k].value))
@@ -1031,7 +1049,7 @@ def reference_coop_gap(space, field3, frozen_slot, stop_now, payload, k):
 def reference_single_gap(space, field3, free_slot, solo, payload, k):
     direction = solo[-1].direction
     (rule,) = payload
-    layers = reference_double_pin(field3, free_slot, k).as_layers()
+    layers = as_layers(reference_double_pin(field3, free_slot, k))
     attained = cond_exp(
         space,
         tuple(layers[rule.idx[w]][w] for w in range(space.n_outcomes)),
@@ -1113,6 +1131,56 @@ def reference_index_at_or_after(grid: TimeGrid, t) -> int:
         if p >= t:
             return k
     return grid.terminal_index
+
+
+# The settle-delay search as it was before ``nash3.select_delta`` tried only
+# the multiples where an end index moves: every multiple of the minimal step,
+# one at a time down from the largest.  Kept as it was so the two are checked
+# against each other with ==.
+
+
+def reference_select_delta(space: FilteredSpace, players, theta, eps) -> DeltaMap:
+    eps = rat(eps)
+    step = space.grid.min_step
+    max_m = max(1, math.ceil(space.grid.span / step))
+    per_atom: dict = {}
+
+    def atom_ok(members, m) -> bool:
+        dur = m * step
+        total = sum(space.weights[w] for w in members)
+        for pp in players.values():
+            sup_acc = Fraction(0)
+            v_acc = Fraction(0)
+            for w in members:
+                mu_k = pp.exit_time.idx[w]
+                mu_val = space.grid.points[mu_k]
+                end_k = space.grid.index_at_or_after(mu_val + dur)
+                worst = max(
+                    abs(pp.stop_family[k][w] - pp.stop_family[mu_k][w])
+                    for k in range(mu_k, end_k + 1)
+                )
+                sup_acc += space.weights[w] * worst
+                v_acc += space.weights[w] * abs(pp.value[end_k][w] - pp.value[mu_k][w])
+            if not (sup_acc / total < eps and v_acc / total < eps):
+                return False
+        return True
+
+    for k, members, _ in stopped_atoms(space, theta):
+        chosen = None
+        for m in range(max_m, 0, -1):
+            if atom_ok(members, m):
+                chosen = m * step
+                break
+        if chosen is None:
+            raise NoValidDelta(
+                f"no stable delay of at least one step on atom {(k, members)}"
+            )
+        per_atom[(k, members)] = chosen
+    duration = [Fraction(0)] * space.n_outcomes
+    for (k, members), dur in per_atom.items():
+        for w in members:
+            duration[w] = dur
+    return DeltaMap(per_atom=per_atom, duration=tuple(duration))
 
 
 # The strategy validation as it was before ``strategy.validate_strategy``

@@ -28,7 +28,6 @@ from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
-    _numerators,
     cond_exp_at,
     make_grid,
     stopped_atoms,
@@ -179,9 +178,8 @@ def test_oracle_matches_reference_on_pinned_fields():
         for k in range(len(space.grid)):
             pinned = field3.pin(slot, k)
             assert pinned.den == field3.den
-            for ks, layer in pinned.values.items():
-                row = _numerators(layer, pinned.den)
-                assert tuple(Fraction(n, pinned.den) for n in row) == layer
+            for ks, row in pinned.rows.items():
+                assert pinned.at(ks) == tuple(Fraction(n, pinned.den) for n in row)
             strategies = [random_strategy(rng, space, 2, q) for q in range(2)]
             for controlled, objective in (((0,), "max"), ((1,), "min")):
                 fixed = [None if q in controlled else s for q, s in enumerate(strategies)]
@@ -192,7 +190,7 @@ def test_oracle_matches_reference_on_pinned_fields():
     # equality is on values: a rebuilt field with the same values is equal
     # and computes its own, smaller or equal, denominator
     pinned = field3.pin(0, 1)
-    rebuilt = PayoffField(space, 2, dict(pinned.values))
+    rebuilt = PayoffField(space, 2, {ks: pinned.at(ks) for ks in pinned.rows})
     assert rebuilt == pinned
     assert pinned.den % rebuilt.den == 0
 

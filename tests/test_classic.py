@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_adapted_field, random_rv, random_space, solo_solutions
 from oracles import (
+    as_layers,
     brute_dynkin_maximin,
     brute_joint_inf,
     duel_payoff_rv,
@@ -329,7 +330,7 @@ def test_node_sweep_cells_match_per_outcome_reads(seed):
             cells, rules, _ = nodes[k]
             reactions = []
             for i, f in enumerate((fields[-1], fields[0])):
-                reactions.append(snell(space, f.pin(i, k).as_layers(), directions[i], k + 1))
+                reactions.append(snell(space, as_layers(f.pin(i, k)), directions[i], k + 1))
                 assert rules[i] == reactions[i].rule
             for j, f in enumerate(fields):
                 lone = [block_rv(space, k, cell, f.den) for cell in cells[4 * j + 1 : 4 * j + 3]]

@@ -23,7 +23,7 @@ from stopgame.gamefile import (
     profile_to_obj,
 )
 from stopgame.generator import generate_instance
-from stopgame.nash3 import solve_three_player
+from stopgame.payoff import PayoffField
 from stopgame.space import constant_time
 from stopgame.strategy import lift_constant3, lift_obstinate2
 from stopgame.verify import certify_nash, resolve_profile
@@ -643,34 +643,50 @@ def test_parse_error_order_matches_reference():
         assert_parses_as_reference(json.dumps(_edited(_edited(base, path_a, a), path_b, b)))
 
 
+def _count_at(monkeypatch) -> list:
+    """Record every call of ``PayoffField.at``, the one ``Fraction`` reader
+    of a field."""
+    calls, at = [], PayoffField.at
+    monkeypatch.setattr(PayoffField, "at", lambda field, ks: calls.append(ks) or at(field, ks))
+    return calls
+
+
 @pytest.mark.parametrize("players", [2, 3])
-def test_verify_path_builds_no_payoff_fraction(tmp_path, players):
-    """Parsing and certifying a solve's profile read only the fields'
-    integer rows: no field of the document builds its ``Fraction`` values."""
+def test_verify_path_builds_no_payoff_fraction(tmp_path, monkeypatch, players):
+    """Solving, parsing and certifying a solve's profile read only the
+    fields' integer rows: no field's ``Fraction`` reader is called."""
+    calls = _count_at(monkeypatch)
     game, report = _gen(tmp_path, 5, players, 3, 5), tmp_path / "r.json"
     assert main(["solve", "--game", str(game), "--out", str(report)]) == 0
     doc = parse_game(game.read_text())
     profile = profile_from_obj(doc.space, json.loads(report.read_text()))
     cert = certify_nash(doc.space, doc.fields, profile, doc.theta, doc.epsilon)
     assert cert.passes
-    assert not any("values" in vars(f) for f in doc.fields)
+    assert calls == []
+    doc.fields[0].at((0,) * players)
+    assert len(calls) == 1  # the counter is live
 
 
-def test_solve_path_builds_no_payoff_fraction(tmp_path):
-    """A three-player solve reads its payoffs only as integer rows: solving
-    the golden three-player games and two bench-size games (4x6 at the
-    minimal grid step, 3x5 at auto h) builds no parsed field's ``Fraction``
-    values."""
+def test_solve_path_builds_no_payoff_fraction(tmp_path, monkeypatch):
+    """A three-player solve reads its payoffs only as integer rows: parsing,
+    solving and verifying the golden three-player games and two bench-size
+    games (4x6 at the minimal grid step, 3x5 at auto h) never call a
+    field's ``Fraction`` reader."""
     from test_golden import GOLDEN
 
+    calls = _count_at(monkeypatch)
     games = [case for case in GOLDEN if case[1] == 3]
     games += [(1004, 3, 4, 6, True), (1000, 3, 3, 5, False)]
     for seed, players, outcomes, times, min_step_h in games:
-        doc = parse_game(_gen(tmp_path, seed, players, outcomes, times).read_text())
-        h = doc.space.grid.min_step if min_step_h else doc.h
-        sol = solve_three_player(doc.space, doc.fields, doc.theta, doc.epsilon, h)
-        assert sol.certificate.passes
-        assert not any("values" in vars(f) for f in doc.fields)
+        game, report = _gen(tmp_path, seed, players, outcomes, times), tmp_path / "r.json"
+        doc = parse_game(game.read_text())
+        h = ["--h", str(doc.space.grid.min_step)] if min_step_h else []
+        assert main(["solve", "--game", str(game), *h, "--out", str(report)]) == 0
+        verify = ["verify", "--game", str(game), "--profile", str(report)]
+        assert main([*verify, "--out", str(tmp_path / "v.json")]) == 0
+    assert calls == []
+    doc.fields[0].at((0, 0, 0))
+    assert len(calls) == 1  # the counter is live
 
 
 def test_field_from_values_has_the_parsed_rows():

@@ -19,8 +19,8 @@ def test_instances_are_valid():
 def test_payoffs_in_unit_interval():
     inst = generate_instance(5, n_outcomes=3)
     for f in inst.fields:
-        for layer in f.values.values():
-            assert all(0 <= v <= 1 for v in layer)
+        for ks in f.rows:
+            assert all(0 <= v <= 1 for v in f.at(ks))
 
 
 def test_target_modulus_holds():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_rv, solo_solutions
 from oracles import every_multiple, reference_solve_2p_nash
-from stopgame import classic, nash2
+from stopgame import classic
 from stopgame.cli import main
 from stopgame.classic import joint_inf_pair
 from stopgame.errors import NonGridResult
@@ -18,7 +18,6 @@ from stopgame.nash2 import (
     build_coop_family,
     build_single_family,
     family_lookup,
-    family_multiples,
     solve_2p_nash,
     stop_now_solutions,
 )
@@ -78,8 +77,13 @@ def test_random_games_certify(three_time_space):
 
 
 def test_family_multiples(three_time_space):
-    assert family_multiples(three_time_space, 1) == [1, 2]
-    assert family_multiples(three_time_space, 2) == [2]
+    """On a uniform grid at h no finer than its step, a family holds an entry
+    at every multiple of h up to the last lookup target."""
+    space = three_time_space
+    fields = tuple(payoff_from_function(space, 3, lambda ks, w: c) for c in (1, 2))
+    for h, want in ((1, [1, 2]), (2, [2])):
+        family = build_pair_family(space, fields, 0, h, "1/10")
+        assert list(family.entries) == every_multiple(space, h) == want
 
 
 def uneven_space() -> FilteredSpace:
@@ -91,16 +95,17 @@ def uneven_space() -> FilteredSpace:
     )
 
 
-def test_families_skip_windows_without_grid_times(monkeypatch):
+def test_families_skip_windows_without_grid_times():
     """With h below the grid gaps every entry's window holds a grid time and
-    every interior grid time finds its entry; the families equal the ones
-    built at every multiple of h, cut to the multiples a lookup lands on."""
+    every interior grid time finds its entry; the families hold only the
+    multiples of h a lookup lands on, each with the window [g-h, g] and the
+    anchor at or after g."""
     space = uneven_space()
     h, eps = Fraction(1, 4), Fraction(1, 2)
+    points = space.grid.points
     # phi_h of 0, 1/10, 1, 5/2; the grid times 1 and 5/2 are multiples of h
     # too, but no lookup lands on them
     targets = [h, 5 * h, 11 * h]
-    assert family_multiples(space, h) == targets
     rng = random.Random(149)
     base = {k: cond_exp(space, random_rv(rng, 2, lo=0, hi=2), k) for k in range(5)}
 
@@ -113,21 +118,20 @@ def test_families_skip_windows_without_grid_times(monkeypatch):
     stop_now = stop_now_solutions(space, field, 0)
     solo = solo_solutions(space, field, 1, "sup")
 
-    def families():
-        return (
-            build_pair_family(space, (mk(1), mk(-1)), 0, h, eps),
-            build_coop_family(space, field, 0, stop_now, h, eps),
-            build_single_family(space, field, 1, solo, h, eps),
-        )
-
-    built = families()
-    monkeypatch.setattr(nash2, "family_multiples", every_multiple)
-    for fam, full in zip(built, families()):
-        assert all(entry.window for entry in fam.entries.values())
-        for k, t in enumerate(space.grid.points[:-1]):
+    built = (
+        build_pair_family(space, (mk(1), mk(-1)), 0, h, eps),
+        build_coop_family(space, field, 0, stop_now, h, eps),
+        build_single_family(space, field, 1, solo, h, eps),
+    )
+    assert set(targets) < set(every_multiple(space, h))
+    for fam in built:
+        assert list(fam.entries) == targets
+        for g, entry in fam.entries.items():
+            assert entry.window
+            assert entry.window == tuple(k for k, p in enumerate(points) if g - h <= p <= g)
+            assert entry.anchor == space.grid.index_at_or_after(g)
+        for k, t in enumerate(points[:-1]):
             assert k in family_lookup(fam, t).window
-        assert len(full.entries) > len(fam.entries)
-        assert fam.entries == {g: full.entries[g] for g in targets}
 
 
 def test_cli_solve_at_tiny_h_finishes(tmp_path):

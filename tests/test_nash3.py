@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import solo_solutions
+from conftest import random_space, solo_solutions
 from oracles import (
     reference_coop_gap,
     reference_exit_time,
@@ -17,10 +18,11 @@ from oracles import (
     reference_one_field_on_path_value,
     reference_pair_component,
     reference_partition_ABC,
+    reference_select_delta,
     reference_single_gap,
 )
 from stopgame.classic import block_rv, joint_inf_value, solo_stop
-from stopgame.errors import NoValidDelta
+from stopgame.errors import NoValidDelta, StopGameError, WindowCertificationFailed
 from stopgame.generator import generate_instance
 from stopgame import classic, nash2, nash3, verify
 from stopgame.nash2 import family_lookup
@@ -41,6 +43,7 @@ from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
+    TimeGrid,
     cond_exp,
     constant_time,
     is_stopping_time,
@@ -321,6 +324,128 @@ def test_select_delta_per_atom_measurable():
     assert len(durations) == 2  # jumpy branch forces a shorter delay
     shifted = shift_time(space, pp.exit_time, delta.duration)
     assert is_stopping_time(space, shifted.idx)
+
+
+def long_span_game(last):
+    """Grid (0, 1/1000, 2/1000, last), two outcomes split after time 0;
+    U_i = sum_j c_ij [t_j = last] + (w/50) [max t >= 1/1000], with c_ij
+    integers in [-9, 9] over 100."""
+    space = FilteredSpace(
+        grid=make_grid([0, "1/1000", "2/1000", last]),
+        weights=(Fraction(1, 2), Fraction(1, 2)),
+        partitions=(((0, 1),), ((0,), (1,)), ((0,), (1,)), ((0,), (1,))),
+    )
+    rng = random.Random(4)
+    c = [[Fraction(rng.randint(-9, 9), 100) for _ in range(3)] for _ in range(3)]
+    K = space.grid.terminal_index
+
+    def mk(i):
+        return payoff_from_function(
+            space,
+            3,
+            lambda ks, w: sum(c[i][j] for j, k in enumerate(ks) if k == K)
+            + (Fraction(w, 50) if max(ks) >= 1 else 0),
+        )
+
+    return space, [mk(i) for i in range(3)]
+
+
+def test_select_delta_matches_reference_scan(monkeypatch):
+    """The delay tried only where an end index moves equals the scan over
+    every multiple of the step under ==, on its delay map or its
+    ``NoValidDelta`` text: on generated games at auto and minimal-step h, the
+    long-span game on a short span, and random processes on uneven grids.
+    Some answers are below the longest delay the space allows, and some are
+    errors."""
+    seen, select = [], nash3.select_delta
+
+    def answer(fn, *args):
+        try:
+            return fn(*args)
+        except NoValidDelta as exc:
+            return str(exc)
+
+    def compare(space, *args):
+        got = answer(select, space, *args)
+        assert got == answer(reference_select_delta, space, *args)
+        step = space.grid.min_step
+        seen.append((got, max(1, math.ceil(space.grid.span / step)) * step))
+        if isinstance(got, str):
+            raise NoValidDelta(got)
+        return got
+
+    monkeypatch.setattr(nash3, "select_delta", compare)
+    for seed in range(60, 70):
+        inst = generate_instance(seed, n_outcomes=2 + seed % 2, n_times=3 + seed % 2)
+        for h in (None, inst.space.grid.min_step):
+            try:
+                solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h)
+            except StopGameError:
+                pass
+    space, fields = long_span_game(1)
+    with pytest.raises(WindowCertificationFailed):
+        solve_three_player(space, fields, eps="1/20", h="1/1000")
+    rng = random.Random(71)
+    for _ in range(60):
+        n, times = rng.randint(2, 3), rng.randint(3, 6)
+        cuts = sorted(rng.sample(range(1, 40), times - 1))
+        space = dataclasses.replace(
+            random_space(rng, n, times),
+            grid=TimeGrid((Fraction(0), *(Fraction(c, 12) for c in cuts))),
+        )
+
+        def layers():  # per outcome, a walk of jumps 0, 1/40 or 3/40
+            walks = [
+                list(itertools.accumulate(rng.choice((0, 0, 0, 1, 3)) for _ in range(times)))
+                for _ in range(n)
+            ]
+            return tuple(tuple(Fraction(x, 40) for x in layer) for layer in zip(*walks))
+
+        players = {
+            s: dataclasses.replace(
+                fake_processes(space, layers(), tuple(rng.randrange(times) for _ in range(n))),
+                seat=s,
+                stop_family=layers(),
+            )
+            for s in range(3)
+        }
+        theta = constant_time(space, rng.randrange(times - 1))
+        try:
+            nash3.select_delta(space, players, theta, Fraction(1, 20))
+        except NoValidDelta:
+            pass
+    errors = sum(isinstance(got, str) for got, _ in seen)
+    below = sum(
+        not isinstance(got, str) and min(got.per_atom.values()) < longest for got, longest in seen
+    )
+    assert errors and below
+
+
+def test_select_delta_on_a_long_span_grid(monkeypatch):
+    """On the grid (0, 1/1000, 2/1000, 100) at h = 1/1000 the delay reads a
+    few end indices, not one per multiple of the step (200004 reads when
+    every multiple was tried); the solve then fails its windows, as that h
+    breaks the premise."""
+    inside, reads = [], []
+    index_at_or_after, select = TimeGrid.index_at_or_after, nash3.select_delta
+
+    def counted_index(grid, t):
+        reads.extend(inside)
+        return index_at_or_after(grid, t)
+
+    def counted_select(*args):
+        inside.append(1)
+        try:
+            return select(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TimeGrid, "index_at_or_after", counted_index)
+    monkeypatch.setattr(nash3, "select_delta", counted_select)
+    space, fields = long_span_game(100)
+    with pytest.raises(WindowCertificationFailed):
+        solve_three_player(space, fields, eps="1/20", h="1/1000")
+    assert 0 < len(reads) <= 48
 
 
 def test_on_path_identity():

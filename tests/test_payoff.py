@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_rv, random_space
 from oracles import (
+    as_layers,
     certifies_field,
     reference_at_stops,
     reference_certifies_field,
@@ -21,6 +22,7 @@ from oracles import (
     reference_pin,
     reference_process,
     reference_select_h,
+    value_at,
 )
 from stopgame.classic import block_rv
 from stopgame.errors import NoValidH
@@ -43,7 +45,6 @@ from stopgame.space import (
     FilteredSpace,
     StoppingTime,
     TimeGrid,
-    _numerators,
     cond_exp,
     cond_exp_at,
     fill_blocks,
@@ -129,7 +130,7 @@ def test_modulus_max_dominates_pointwise_max():
     m1, m2 = estimate_modulus(f1), estimate_modulus(f2)
     merged = modulus_max([m1, m2])
     fmax = payoff_from_function(
-        space, 2, lambda ks, w: max(f1.value_at(ks, w), f2.value_at(ks, w))
+        space, 2, lambda ks, w: max(value_at(f1, ks, w), value_at(f2, ks, w))
     )
     mod_of_max = estimate_modulus(fmax)
     for delta, eta in mod_of_max.table:
@@ -174,21 +175,21 @@ def test_pin_reduces_arity(three_time_space):
     field = payoff_from_function(three_time_space, 3, lambda ks, w: ks[0] * 9 + ks[1] * 3 + ks[2])
     pinned = field.pin(1, 2)
     assert pinned.arity == 2
-    assert pinned.value_at((1, 0), 0) == 1 * 9 + 2 * 3 + 0
+    assert pinned.at((1, 0))[0] == 1 * 9 + 2 * 3 + 0
 
 
 def assert_same_slice(got: PayoffField, ref: PayoffField):
-    """Equal values in the same key order on the same den, and rows that are
-    the values' numerators on it; the readers of ``values`` agree too."""
+    """Equal fields with the same rows, in the same key order, on the same
+    den; the readers of the rows agree too."""
     assert got == ref
-    assert list(got.values) == list(ref.values)
-    assert got.den == ref.den
-    assert dict(got.rows) == {ks: _numerators(v, got.den) for ks, v in got.values.items()}
+    assert (list(got.rows.items()), got.den) == (list(ref.rows.items()), ref.den)
     if got.arity:  # an arity-0 slice has no latest stop to check at
         assert check_adapted(got) == check_adapted(ref)
     assert payoff._joint_rows([got]) == payoff._joint_rows([ref])
     neg, ref_neg = got.negated(), ref.negated()
-    assert (neg, list(neg.values), neg.den) == (ref_neg, list(ref_neg.values), ref_neg.den)
+    assert (neg, list(neg.rows.items()), neg.den) == (
+        ref_neg, list(ref_neg.rows.items()), ref_neg.den
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -201,7 +202,7 @@ def test_pin_matches_reference_scan(seed):
     for field in inst.fields:
         negated = field.negated()
         assert negated.den == field.den == math.lcm(
-            *(v.denominator for layer in negated.values.values() for v in layer)
+            *(v.denominator for ks in negated.rows for v in negated.at(ks))
         )
         for f in (field, negated):
             for slot, k in itertools.product(range(3), range(K + 1)):
@@ -222,12 +223,32 @@ def test_pinned_field_equals_a_field_of_its_values_on_another_den(three_time_spa
         three_time_space, 2, lambda ks, w: Fraction(ks[0] + w, 1 + 2 * ks[0])
     )
     pinned = field.pin(0, 0)
-    rebuilt = PayoffField(three_time_space, 1, pinned.values)
+    rebuilt = PayoffField(three_time_space, 1, {ks: pinned.at(ks) for ks in pinned.rows})
     assert (pinned.den, rebuilt.den) == (15, 1)
     assert pinned.rows != rebuilt.rows
     assert pinned == rebuilt and rebuilt == pinned
     assert pinned.negated() == rebuilt.negated()
     assert pinned != field.pin(0, 1)
+    # equality on integers agrees with comparing the ``Fraction`` slices
+    # that ``at`` reads, across fields on different dens
+    bumped = [
+        PayoffField.from_rows(
+            pinned.space, 1, {**pinned.rows, ks: (*row[:w], row[w] + 1, *row[w + 1 :])}, pinned.den
+        )
+        for ks, row in pinned.rows.items()
+        for w in range(len(row))
+    ]
+    partial = PayoffField.from_rows(pinned.space, 1, {(0,): pinned.rows[(0,)]}, pinned.den)
+    fields = [pinned, rebuilt, pinned.negated(), rebuilt.negated(), field.pin(0, 1), partial]
+    fields += bumped
+    for a, b in itertools.product(fields, repeat=2):
+        same = (a.space, a.arity, a.rows.keys()) == (b.space, b.arity, b.rows.keys()) and all(
+            a.at(ks) == b.at(ks) for ks in a.rows
+        )
+        assert (a == b) is same
+    # one numerator changed makes the field unequal to both of its forms
+    for f in bumped:
+        assert f != pinned and f != rebuilt and rebuilt != f
 
 
 def _hand_built_space():
@@ -375,13 +396,13 @@ def test_joint_modulus_rejects_mismatched_fields():
     space = _hand_built_space()
     f2 = payoff_from_function(space, 2, lambda ks, w: ks[0] - ks[1])
     f1 = payoff_from_function(space, 1, lambda ks, w: ks[0])
-    partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks != (4, 4)})
+    partial = PayoffField(space, 2, {ks: f2.at(ks) for ks in f2.rows if ks != (4, 4)})
     other_space = FilteredSpace(
         grid=make_grid([0, "1/3", "1/2", "7/5", 4]),
         weights=space.weights,
         partitions=space.partitions,
     )
-    moved = PayoffField(other_space, 2, f2.values)
+    moved = PayoffField(other_space, 2, {ks: f2.at(ks) for ks in f2.rows})
     for pair in ((f2, f1), (f2, partial), (partial, f2), (f2, moved)):
         with pytest.raises(ValueError):
             estimate_modulus(*pair)
@@ -519,7 +540,7 @@ def test_bounded_pair_walk_is_the_reference_cut_to_its_radius():
             }
     space = _hand_built_space()
     f2 = payoff_from_function(space, 2, lambda ks, w: Fraction(ks[0] - 2 * ks[1] + w, 3))
-    partial = PayoffField(space, 2, {ks: v for ks, v in f2.values.items() if ks[0] != 2})
+    partial = PayoffField(space, 2, {ks: f2.at(ks) for ks in f2.rows if ks[0] != 2})
     full = _reference_worst(partial)
     assert _walk(partial) == full
     for radius in (Fraction(1, 3), 1, 3, 6):
@@ -762,9 +783,9 @@ def test_readers_match_the_reads_they_replaced(arity):
                 sliced = field
                 for other in sorted((s for s in range(arity) if s != slot), reverse=True):
                     sliced = sliced.pin(other, k)
-                assert reference_process(field, slot, k) == sliced.as_layers()
+                assert reference_process(field, slot, k) == as_layers(sliced)
                 if arity == 3:
-                    want = reference_double_pin(field, slot, k).as_layers()
+                    want = as_layers(reference_double_pin(field, slot, k))
                     assert reference_process(field, slot, k) == want
         if arity == 3:
             for seat in range(3):

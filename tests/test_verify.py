@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, random_space
-from oracles import affine
+from oracles import affine, value_at
 from stopgame.errors import GuardExceeded
 from stopgame.payoff import payoff_from_function
 from stopgame.space import (
@@ -108,7 +108,7 @@ def test_best_response_equals_strategy_enumeration(three_time_space):
         for mine in strategies:
             r_me, r_other = resolve_profile(space, [mine, other])
             pay = tuple(
-                field.value_at((r_me.idx[w], r_other.idx[w]), w) for w in range(2)
+                value_at(field, (r_me.idx[w], r_other.idx[w]), w) for w in range(2)
             )
             val = expectation(space, pay)
             best = val if best is None else max(best, val)
@@ -195,7 +195,7 @@ def test_three_player_br_equals_strategy_enumeration(three_time_space):
         for mine in deviations:
             times = resolve3(space, mine, fixed1, fixed2)
             pay = tuple(
-                field.value_at(tuple(t.idx[w] for t in times), w) for w in range(2)
+                value_at(field, tuple(t.idx[w] for t in times), w) for w in range(2)
             )
             val = expectation(space, pay)
             best = val if best is None else max(best, val)
@@ -222,7 +222,7 @@ def test_coalition_br_equals_joint_enumeration(three_time_space):
         for s2 in pools[2]:
             times = resolve3(space, fixed0, s1, s2)
             pay = tuple(
-                field.value_at(tuple(t.idx[w] for t in times), w) for w in range(2)
+                value_at(field, tuple(t.idx[w] for t in times), w) for w in range(2)
             )
             val = expectation(space, pay)
             best = val if best is None else min(best, val)
