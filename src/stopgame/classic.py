@@ -114,11 +114,13 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     slot i stopped at k (``_snell_sweep``).  ``cells`` holds four lists per
     field, one number per block: both stop (``W_B * N(k, k)``, N the
     numerator), slot 0 alone and slot 1 alone (``PayoffField.stop_sums`` at
-    the stop pair, the survivor at its rule) and both continue (the sum of
-    the children's values).  ``choice[B]`` is ``choose(*cells)`` at B, the
-    index of the played cell.  All cells of one field at B share the factor
-    ``den * W_B > 0``, so ``choose`` picks as on the unscaled values as long
-    as it never compares cells of two different fields.
+    the stop pair, the survivor at its rule; on the survivor's own field,
+    the children sums of its Snell value at k+1, the same number) and both
+    continue (the sum of the children's values).  ``choice[B]`` is
+    ``choose(*cells)`` at B, the index of the played cell.  All cells of one
+    field at B share the factor ``den * W_B > 0``, so ``choose`` picks as on
+    the unscaled values as long as it never compares cells of two different
+    fields.
 
     Precondition: the both-stop slices and the survivors' payoff slices are
     read once per block, so each must be constant on the blocks at its latest
@@ -128,16 +130,20 @@ def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
     K = space.grid.terminal_index
     values = [[None] * K + [_block_stops(space, f.rows, (K, K))] for f in fields]
     nodes: list = [None] * (K + 1)
+    own = (len(fields) - 1, 0)  # the field each survivor's sweep runs on
     for k in range(K - 1, kmin - 1, -1):
-        rules = (
-            _snell_sweep(space, fields[-1].rows, lambda j: (k, j), k + 1, directions[0])[1],
-            _snell_sweep(space, fields[0].rows, lambda j: (j, k), k + 1, directions[1])[1],
+        sweeps = (
+            _snell_sweep(space, fields[-1].rows, lambda j: (k, j), k + 1, directions[0]),
+            _snell_sweep(space, fields[0].rows, lambda j: (j, k), k + 1, directions[1]),
         )
+        rules = (sweeps[0][1], sweeps[1][1])
+        lone = [_children_sums(space, value, k) for value, _ in sweeps]
+        part = space.partitions[k]
         cells: list = []
-        for f, layers in zip(fields, values):
+        for i, (f, layers) in enumerate(zip(fields, values)):
             cells.append(_block_stops(space, f.rows, (k, k)))
-            for stops in ((k, rules[0]), (rules[1], k)):
-                cells.append(f.stop_sums(stops, space.partitions[k]))
+            for slot, stops in enumerate(((k, rules[0]), (rules[1], k))):
+                cells.append(lone[slot] if i == own[slot] else f.stop_sums(stops, part))
             cells.append(_children_sums(space, layers[k + 1], k))
         choice = tuple(map(choose, *cells))
         for j, layers in enumerate(values):

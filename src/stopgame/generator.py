@@ -6,6 +6,11 @@ refinement step moves the payoff by at most half the slope budget times the
 step length.  The result is adapted by construction and Lipschitz in the
 total time displacement with constant at most the requested slope, so the
 continuity assumption holds with eta(delta) = slope * delta before slack.
+Each field is built as integer rows on one denominator: every term is
+tabulated once as numerators on a common denominator D, an entry is a sum of
+table entries clamped to [0, D] on integers, and the rows are divided by
+their gcd with D, so ``den`` is the lcm of the values' reduced denominators.
+No payoff entry is ever a ``Fraction``.
 
 The grid is uniform with a step small enough that a window width exists for
 the default tolerance; the last point is the never-stop stand-in.
@@ -13,12 +18,14 @@ the default tolerance; the last point is the never-stop stand-in.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .payoff import PayoffField, payoff_from_function
-from .space import FilteredSpace, TimeGrid, cond_exp, rat
+from .payoff import PayoffField
+from .space import FilteredSpace, TimeGrid, _numerators, cond_exp, rat
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ def random_payoff(
     n = space.n_outcomes
     K = space.grid.terminal_index
     info = tuple(Fraction(rng.randint(0, 64), 64) for _ in range(n))
-    mart = {k: cond_exp(space, info, k) for k in range(K + 1)}
+    mart = [cond_exp(space, info, k) for k in range(K + 1)]
     jump = max(
         (abs(mart[k + 1][w] - mart[k][w]) for k in range(K) for w in range(n)),
         default=Fraction(0),
@@ -74,18 +81,21 @@ def random_payoff(
     gamma = min(Fraction(1), half * space.grid.min_step / jump) if jump else Fraction(1)
     slopes = [Fraction(rng.randint(-100, 100), 100) * half for _ in range(arity)]
     base = Fraction(rng.randint(35, 65), 100)
-    anchor = mart[0][0]
-    pts = space.grid.points
-
-    def clamp01(v: Fraction) -> Fraction:
-        return min(max(v, Fraction(0)), Fraction(1))
-
-    def fn(ks, w):
-        v = base + sum(s * pts[k] for s, k in zip(slopes, ks))
-        v += gamma * (mart[max(ks)][w] - anchor)
-        return clamp01(v)
-
-    return payoff_from_function(space, arity, fn)
+    # base + sum_i slopes[i] * t_i + gamma * (mart at max ks - mart[0][0]),
+    # each term a table of numerators on one common denominator D
+    terms = [[base], *([s * t for t in space.grid.points] for s in slopes)]
+    moves = [[gamma * (m - mart[0][0]) for m in layer] for layer in mart]
+    D = math.lcm(*(v.denominator for t in (*terms, *moves) for v in t))
+    M = [_numerators(t, D) for t in moves]
+    tuples = itertools.product(range(K + 1), repeat=arity)
+    sums = map(sum, itertools.product(*(_numerators(t, D) for t in terms)))
+    rows = {ks: tuple(min(max(v + m, 0), D) for m in M[max(ks)]) for ks, v in zip(tuples, sums)}
+    # den is the lcm of the values' reduced denominators, as PayoffField(values) picks
+    g = math.gcd(D, *itertools.chain.from_iterable(rows.values()))
+    if g > 1:
+        for ks, row in rows.items():
+            rows[ks] = tuple(v // g for v in row)
+    return PayoffField.from_rows(space, arity, rows, D // g)
 
 
 def generate_instance(

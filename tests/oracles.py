@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,7 +29,9 @@ from stopgame.errors import (
 from stopgame.gamefile import GameDoc, _int, _malformed
 from stopgame.nash2 import Nash2Result
 from stopgame.nash3 import DeltaMap
-from stopgame.payoff import MODULUS_SLACK, Modulus, PayoffField, _joint_rows, _pair_changes
+from stopgame.payoff import (
+    MODULUS_SLACK, Modulus, PayoffField, _joint_rows, _pair_changes, payoff_from_function,
+)
 from stopgame.space import (
     FilteredSpace,
     StoppingTime,
@@ -1284,3 +1287,37 @@ def reference_nash_certificate(eps, best_response, on_path) -> NashCertificate:
         worst_gap=worst,
         passes=worst <= bound,
     )
+
+
+# ``generator.random_payoff`` as it was before it built integer rows: every
+# entry a ``Fraction``, materialized by ``payoff_from_function``.  Kept so the
+# integer generator is checked against it with == on rows and den.
+
+
+def reference_random_payoff(
+    space: FilteredSpace, rng: random.Random, slope: Fraction, arity: int = 3
+) -> PayoffField:
+    n = space.n_outcomes
+    K = space.grid.terminal_index
+    info = tuple(Fraction(rng.randint(0, 64), 64) for _ in range(n))
+    mart = {k: cond_exp(space, info, k) for k in range(K + 1)}
+    jump = max(
+        (abs(mart[k + 1][w] - mart[k][w]) for k in range(K) for w in range(n)),
+        default=Fraction(0),
+    )
+    half = slope * Fraction(9, 20)  # strictly inside the per-part budget
+    gamma = min(Fraction(1), half * space.grid.min_step / jump) if jump else Fraction(1)
+    slopes = [Fraction(rng.randint(-100, 100), 100) * half for _ in range(arity)]
+    base = Fraction(rng.randint(35, 65), 100)
+    anchor = mart[0][0]
+    pts = space.grid.points
+
+    def clamp01(v: Fraction) -> Fraction:
+        return min(max(v, Fraction(0)), Fraction(1))
+
+    def fn(ks, w):
+        v = base + sum(s * pts[k] for s, k in zip(slopes, ks))
+        v += gamma * (mart[max(ks)][w] - anchor)
+        return clamp01(v)
+
+    return payoff_from_function(space, arity, fn)

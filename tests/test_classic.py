@@ -337,6 +337,31 @@ def test_node_sweep_cells_match_per_outcome_reads(seed):
                 assert lone == reference_lone_stop_cells(space, f, k, reactions)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_node_sweep_reads_lone_stops_from_the_survivor_sweep(seed, monkeypatch):
+    """A lone-stop cell on the survivor's own field is its Snell value at k+1,
+    so one shared field takes no ``stop_sums`` call, and one field per slot
+    takes one per node for each slot, on the other field."""
+    inst = generate_instance(seed, n_outcomes=2 + seed % 3, n_times=4 + seed % 2)
+    K = inst.space.grid.terminal_index
+    pairs = [f.pin(seed % 3, 0) for f in inst.fields]
+    real, calls = PayoffField.stop_sums, []
+
+    def counting(field, stops, blocks):
+        calls.append(field)
+        return real(field, stops, blocks)
+
+    monkeypatch.setattr(PayoffField, "stop_sums", counting)
+    for fields, directions, choose, per_node in (
+        ((pairs[0],), ("inf", "inf"), _first_min, []),
+        (tuple(pairs[1:]), ("sup", "sup"), _nash_cell, [pairs[1], pairs[2]]),
+    ):
+        calls.clear()
+        node_sweep(inst.space, fields, directions, 0, choose)
+        assert len(calls) == len(per_node) * K
+        assert all(f is g for f, g in zip(calls, per_node * K))
+
+
 def sweep_cases(seed):
     """Pairs of two-slot fields, each with the first index a sweep of them
     may start at: a generated three-player game pinned at c, a generated
