@@ -2,15 +2,16 @@
 
 Rationals are serialized as "p/q" strings, so parse(emit(x)) reproduces x and
 reports can be re-verified bit for bit.  On input the accepted grammar is
-exactly ``Fraction(str)``'s (decimals are converted exactly); plain ASCII
-integers and "p/q" strings are split directly into integers, and each
-distinct payoff string is read once per parse, into its field's integer
-``PayoffField.rows``, so parsing builds no payoff ``Fraction``.  The
-adaptedness check compares those integers on partition blocks of two or more
-outcomes.  Payoff tensors are dense nested lists indexed by time indices then
-outcome, written from the same integer rows with one string per distinct
-numerator; profiles are explicit tables so that a report's profile can be
-re-checked without access to solver internals.
+exactly ``Fraction(str)``'s (decimals are converted exactly).  Each payoff
+tensor is read in bulk into its field's integer ``PayoffField.rows``, with no
+``Fraction``: its distinct ASCII integer and "p/q" strings are converted
+together and scaled to the lcm L of their written denominators, and one
+g = gcd(L, every numerator) gives den = L // g; any other value is read alone
+through ``rat``.  Payoff tensors are dense nested lists indexed by time
+indices then outcome, written as text from the same integer rows; profiles
+are explicit tables, their times written and read through the grid's
+canonical texts, so that a report's profile can be re-checked without access
+to solver internals.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, mul
 
 from .errors import ParseError, ValidationError
 from .payoff import PayoffField, check_adapted
@@ -42,27 +45,18 @@ def _ratio_text(p: int, q: int) -> str:
     return f"{p // g}/{q // g}" if q != g else str(p // g)
 
 
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")  # ASCII, nonzero denominator
-
-
-def _ratio(x, where: str, *args) -> tuple[int, int]:
-    """x read as ``rat`` reads it, as its reduced (numerator, denominator); an
-    ASCII "p/q" or integer is split into ints with no ``Fraction``.  The
-    error label ``where.format(*args)`` is formatted only on failure."""
-    try:
-        if type(x) is str and (m := _RATIO.fullmatch(x)):
-            p, q = int(m[1]), int(m[2] or 1)
-            g = math.gcd(p, q)
-            return p // g, q // g
-        value = rat(x)
-        return value.numerator, value.denominator
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where.format(*args)}: not a rational: {x!r}") from exc
+def _time_texts(grid: TimeGrid) -> list[str]:
+    """The canonical text of each grid time, by index."""
+    return [_f2s(p) for p in grid.points]
 
 
 def _s2f(x, where: str, *args) -> Fraction:
-    """x read as ``rat`` reads it (see ``_ratio``)."""
-    return Fraction(*_ratio(x, where, *args))
+    """x read as ``rat`` reads it; the error label ``where.format(*args)`` is
+    formatted only on failure."""
+    try:
+        return rat(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where.format(*args)}: not a rational: {x!r}") from exc
 
 
 def _int(x, where: str) -> int:
@@ -92,38 +86,50 @@ class GameDoc:
     h: Fraction | None
 
 
+def _block(items: list[str], depth: int) -> str:
+    """A JSON list of rendered items, laid out as ``json.dumps(indent=1)``
+    lays out a list at nesting depth ``depth``."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _tensor_text(field: PayoffField, depth: int) -> str:
+    """A field's payoff tensor as ``json.dumps(indent=1)`` writes it at
+    nesting depth ``depth``, each distinct numerator's text quoted once."""
+    rows, den, size = field.rows, field.den, len(field.space.grid)
+    nums = set(chain.from_iterable(rows.values()))
+    quoted = {n: encode_basestring_ascii(_ratio_text(n, den)) for n in nums}
+    level = depth + field.arity
+    items = [
+        _block(list(map(quoted.__getitem__, rows[ks])), level)
+        for ks in product(range(size), repeat=field.arity)
+    ]
+    while level > depth:
+        level -= 1
+        items = [_block(items[i : i + size], level) for i in range(0, len(items), size)]
+    return items[0]
+
+
 def emit_game(doc: GameDoc) -> str:
     space = doc.space
-    n_players = len(doc.fields)
-    K = space.grid.terminal_index
-
-    def tensor(field: PayoffField):
-        rows, den = field.rows, field.den
-        text = {n: _ratio_text(n, den) for n in set(chain.from_iterable(rows.values()))}
-
-        def rec(prefix):
-            if len(prefix) == field.arity:
-                return [text[n] for n in rows[tuple(prefix)]]
-            return [rec(prefix + [k]) for k in range(K + 1)]
-
-        return rec([])
-
+    times = _time_texts(space.grid)
     obj = {
         "schema": SCHEMA,
-        "grid": [_f2s(p) for p in space.grid.points],
+        "grid": times,
         "outcomes": [
             {"label": f"w{w}", "weight": _f2s(space.weights[w])}
             for w in range(space.n_outcomes)
         ],
         "partitions": [[list(block) for block in part] for part in space.partitions],
-        "players": n_players,
-        "payoffs": [tensor(f) for f in doc.fields],
-        "start": [_f2s(space.grid.points[i]) for i in doc.theta.idx],
+        "players": len(doc.fields),
+        "payoffs": "<payoffs>",  # spliced in below as text
+        "start": [times[i] for i in doc.theta.idx],
         "epsilon": _f2s(doc.epsilon),
     }
     if doc.h is not None:
         obj["h"] = _f2s(doc.h)
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    payoffs = _block([_tensor_text(f, 2) for f in doc.fields], 1)
+    return json.dumps(obj, sort_keys=True, indent=1).replace('"<payoffs>"', payoffs, 1) + "\n"
 
 
 def parse_game(text: str) -> GameDoc:
@@ -149,10 +155,8 @@ def parse_game(text: str) -> GameDoc:
         if n_players not in (2, 3):
             raise ValidationError(f"players must be 2 or 3, got {n_players}")
         n = space.n_outcomes
-        ratios: dict[str, tuple[int, int]] = {}  # each distinct payoff string, read once
         fields = tuple(
-            _read_payoffs(space, node, p, n_players, ratios)
-            for p, node in enumerate(obj["payoffs"])
+            _read_payoffs(space, node, p, n_players) for p, node in enumerate(obj["payoffs"])
         )
         if len(fields) != n_players:
             raise ParseError("need one payoff tensor per player")
@@ -183,31 +187,67 @@ def parse_game(text: str) -> GameDoc:
         return GameDoc(space=space, fields=fields, theta=theta, epsilon=epsilon, h=h)
 
 
-def _read_payoffs(
-    space: FilteredSpace, node, player: int, arity: int, ratios: dict
-) -> PayoffField:
-    """One payoff tensor as a field born from its integer rows: its ``den``
-    is the lcm of its values' reduced denominators, and each distinct value
-    is scaled to it once."""
+def _read_payoffs(space: FilteredSpace, node, player: int, arity: int) -> PayoffField:
+    """One payoff tensor as a field born from its integer rows.  The shape
+    is checked first and then the values are read, but a bad value that
+    comes before a bad node in tuple order is still the error raised."""
+    n = space.n_outcomes
+    tuples = list(product(range(len(space.grid)), repeat=arity))
     leaves: list = []
-    _walk(node, (), (len(space.grid),) * arity + (space.n_outcomes,), player, ratios, leaves)
-    values = set(chain.from_iterable(leaves))
-    # a JSON integer, the only value but a string that ``rat`` accepts, is p/1
-    reduced = {v: ratios[v] if type(v) is str else (v, 1) for v in values}
-    den = math.lcm(*(q for _, q in reduced.values()))
-    scaled = {v: p * (den // q) for v, (p, q) in reduced.items()}
+    try:
+        _walk(node, (), (len(space.grid),) * arity + (n,), player, leaves)
+    except ParseError:
+        _read_values(leaves, player, tuples, n)  # the leaves before the bad node
+        raise
+    scaled, den = _read_values(leaves, player, tuples, n)
     # n numerators at a time make each tuple's row, in tuple order
-    rows = zip(*[map(scaled.__getitem__, chain.from_iterable(leaves))] * space.n_outcomes)
-    tuples = product(range(len(space.grid)), repeat=arity)
+    rows = zip(*[map(scaled.__getitem__, chain.from_iterable(leaves))] * n)
     return PayoffField.from_rows(space, arity, dict(zip(tuples, rows)), den)
 
 
-def _walk(node, prefix: tuple, sizes: tuple, player: int, ratios: dict, leaves: list) -> None:
-    """Depth first, in tuple order, so the first error in that order is the
-    one raised: check that a tensor node is a list of ``sizes[len(prefix)]``
-    entries, then walk its children, or read a leaf's values and append the
-    leaf.  A string is read once per parse into ``ratios`` as its reduced
-    (p, q); only strings are keys, since ``True == 1 == 1.0`` would share one."""
+_RATIO = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII, nonzero denominator
+
+
+def _read_values(leaves: list, player: int, tuples: list, n: int) -> tuple[dict, int]:
+    """({value: numerator}, den) for the values of ``leaves``, the tensor's
+    first leaves in tuple order, read in bulk as the module docstring says.
+    Every value outside ``_RATIO``'s grammar is read alone, in tuple order,
+    so the first bad one is raised; only strings are read once, since
+    ``True == 1``."""
+    flat = list(chain.from_iterable(leaves))
+    try:
+        distinct = set(flat)
+    except TypeError:  # a list or dict among the values
+        distinct = flat
+    keys = list(filter(_RATIO.fullmatch, [v for v in distinct if type(v) is str]))
+    parts = list(map(str.partition, keys, repeat("/")))  # (p, "/", q), or (p, "", "")
+    try:
+        nums = list(map(int, map(itemgetter(0), parts)))
+        dens = [int(q or 1) for _, _, q in parts]
+    except ValueError:  # past ``int``'s digit limit: every value is read alone
+        keys, nums, dens = [], [], []
+    if len(keys) < len(distinct):
+        seen = set(keys)
+        for i, v in enumerate(flat):
+            if type(v) is not str or v not in seen:
+                x = _s2f(v, "payoff[{}]{}", player, tuples[i // n])
+                seen.add(v)
+                keys.append(v)
+                nums.append(x.numerator)
+                dens.append(x.denominator)
+    L = math.lcm(*set(dens))
+    factor = {q: L // q for q in set(dens)}
+    scaled = list(map(mul, nums, map(factor.__getitem__, dens)))
+    g = math.gcd(L, *scaled)
+    if g > 1:
+        scaled = [s // g for s in scaled]
+    return dict(zip(keys, scaled)), L // g
+
+
+def _walk(node, prefix: tuple, sizes: tuple, player: int, leaves: list) -> None:
+    """Depth first, in tuple order: check that a tensor node is a list of
+    ``sizes[len(prefix)]`` entries, then walk its children, or append it as
+    a leaf."""
     inner = len(prefix) + 1 < len(sizes)
     if not isinstance(node, list) or len(node) != sizes[len(prefix)]:
         if inner:
@@ -215,21 +255,16 @@ def _walk(node, prefix: tuple, sizes: tuple, player: int, ratios: dict, leaves: 
         raise ParseError(f"payoff[{player}] at times {prefix}: need one value per outcome")
     if inner:
         for k, child in enumerate(node):
-            _walk(child, prefix + (k,), sizes, player, ratios, leaves)
+            _walk(child, prefix + (k,), sizes, player, leaves)
         return
-    for v in node:
-        if type(v) is not str or v not in ratios:
-            pq = _ratio(v, "payoff[{}]{}", player, prefix)
-            if type(v) is str:
-                ratios[v] = pq
     leaves.append(node)
 
 
 def strategy_to_obj(space: FilteredSpace, strat) -> dict:
-    pts = space.grid.points
+    times = _time_texts(space.grid)
 
     def st_vals(st: StoppingTime):
-        return [_f2s(pts[i]) for i in st.idx]
+        return [times[i] for i in st.idx]
 
     if isinstance(strat, StrategyOrder2):
         return {
@@ -255,23 +290,19 @@ def strategy_to_obj(space: FilteredSpace, strat) -> dict:
 def strategy_from_obj(space: FilteredSpace, obj: dict):
     grid = space.grid
     K = grid.terminal_index
-    # time string -> grid index; only strings, so a bool never matches a
-    # key, and only lookups that succeeded, so every error is raised afresh
-    indices: dict[str, int] = {}
-
-    def time_index(v, where, args) -> int:
-        if isinstance(v, str) and v in indices:
-            return indices[v]
-        k = grid.index(_s2f(v, where, *args))
-        if isinstance(v, str):
-            indices[v] = k
-        return k
+    # the canonical text of each grid time -> its index; only strings are
+    # keys, so a bool or a number never matches one
+    indices = {t: k for k, t in enumerate(_time_texts(grid))}
 
     def read_st(vals, where, *args):
         if len(vals) != space.n_outcomes:
             raise ParseError(f"{where.format(*args)}: need one time per outcome")
         try:
-            return StoppingTime(tuple([time_index(v, where, args) for v in vals]))
+            try:
+                idx = tuple(map(indices.__getitem__, vals))
+            except (KeyError, TypeError):  # a time not written canonically: read each
+                idx = tuple([grid.index(_s2f(v, where, *args)) for v in vals])
+            return StoppingTime(idx)
         except ValueError as exc:
             raise ParseError(f"{where.format(*args)}: {exc}") from exc
 
@@ -289,12 +320,17 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
         for q, table in obj["react_one"].items():
             if len(table) != K + 1:
                 raise ParseError("react_one tables must cover every observation time")
-            react_one[int(q)] = tuple(
+            seat = int(q)
+            if seat in react_one:
+                raise ParseError(f"react_one[{q}]: a second key for seat {seat}")
+            react_one[seat] = tuple(
                 read_st(r, "react_one[{}][{}]", q, s) for s, r in enumerate(table)
             )
         react_two = {}
         for key, vals in obj["react_two"].items():
             a, b = (int(x) for x in key.split(","))
+            if (a, b) in react_two:
+                raise ParseError(f"react_two[{key}]: a second key for observation pair {(a, b)}")
             react_two[(a, b)] = read_st(vals, "react_two[{}]", key)
         want = {(a, b) for a in range(K + 1) for b in range(K + 1)}
         if set(react_two) != want:
@@ -326,11 +362,12 @@ def profile_from_obj(space: FilteredSpace, obj: dict):
 
 
 def atoms_obj(space: FilteredSpace, values: dict) -> list:
+    times = _time_texts(space.grid)
     out = []
     for (k, members), v in sorted(values.items()):
         out.append(
             {
-                "time": _f2s(space.grid.points[k]),
+                "time": times[k],
                 "outcomes": list(members),
                 "value": _f2s(v),
             }

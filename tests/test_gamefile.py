@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -447,6 +449,16 @@ INVALID_PROFILES = [
         2, lambda r, three: r["profile"]["strategies"].__setitem__(0, _strategy(three)),
         id="order-3-in-2-player",
     ),
+    # a second key for one observation pair or one seat, read by int() per part
+    pytest.param(
+        3, lambda r, _: _strategy(r)["react_two"].__setitem__(
+            "00,1", _strategy(r)["react_two"]["0,1"]
+        ), id="duplicate-react-two-key",
+    ),
+    pytest.param(
+        3, lambda r, _: _strategy(r)["react_one"].__setitem__("01", _strategy(r)["react_one"]["1"]),
+        id="duplicate-react-one-key",
+    ),
 ]
 
 
@@ -698,3 +710,135 @@ def test_field_from_values_has_the_parsed_rows():
         for field, built in zip(parsed.fields, doc.fields, strict=True):
             assert (built.den, built.rows) == (field.den, field.rows)
             assert built == field
+
+
+def test_duplicate_reaction_keys_are_rejected():
+    """Two keys naming one observation pair or one seat are an input error
+    naming the later key; a key written otherwise but given once still reads."""
+    space = make_doc().space
+    base = profile_to_obj(space, [lift_constant3(space, s, 1) for s in range(3)])
+    for table, key, twin, message in (
+        ("react_two", "0,1", "00,1", "react_two[00,1]: a second key for observation pair (0, 1)"),
+        ("react_one", "1", "01", "react_one[01]: a second key for seat 1"),
+    ):
+        doubled = json.loads(json.dumps(base))
+        entries = doubled["strategies"][0][table]
+        entries[twin] = entries[key]
+        with pytest.raises(ParseError) as err:
+            profile_from_obj(space, doubled)
+        assert str(err.value) == message
+        renamed = json.loads(json.dumps(base))
+        entries = renamed["strategies"][0][table]
+        entries[twin] = entries.pop(key)
+        assert profile_from_obj(space, renamed) == profile_from_obj(space, base)
+
+
+@pytest.mark.parametrize("x", PINNED_VALUES, ids=range(len(PINNED_VALUES)))
+def test_pinned_values_as_payoffs_parse_as_the_reference(x):
+    """Each pinned string, put among payoffs in the bulk grammar (first in
+    its tensor, or inside one), reads as the reference parser reads it."""
+    game = json.loads(emit_game(make_doc()))
+    for path in (("payoffs", 0, 0, 0, 0, 0), ("payoffs", 1, 2, 1, 3, 1)):
+        assert_parses_as_reference(json.dumps(_edited(game, path, x)))
+
+
+@pytest.mark.parametrize("seed, players, outcomes, times", [
+    (31, 3, 3, 4), (8, 2, 1, 3), (5, 2, 4, 2), (9, 3, 1, 2),
+])
+def test_emitted_game_is_the_plain_encoders_text(seed, players, outcomes, times):
+    """The payoff tensors written as text lay out as ``json.dumps(indent=1)``
+    lays out the whole document, with and without an ``h``."""
+    doc = make_doc(seed, n_players=players, n_outcomes=outcomes, n_times=times)
+    for d in (doc, dataclasses.replace(doc, h=Fraction(1, 7))):
+        text = emit_game(d)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
+def _twice(text: str) -> str:
+    """The same rational as "2p/2q", twice its numerator over twice its denominator."""
+    x = Fraction(text)
+    return f"{2 * x.numerator}/{2 * x.denominator}"
+
+
+def _equal_payoff(text: str, i: int):
+    """Payoff ``text`` (canonical) written otherwise: every third value a JSON
+    integer where it is whole, every third from the next a decimal where its
+    denominator has no prime but 2 and 5, and "2p/2q" for the rest."""
+    x = Fraction(text)
+    decimal = str(Decimal(x.numerator) / x.denominator)
+    if i % 3 == 0 and x.denominator == 1:
+        return x.numerator
+    if i % 3 == 1 and Fraction(decimal) == x:
+        return decimal
+    return _twice(text)
+
+
+def _rewritten(node, rewrite):
+    """A JSON value with every string in its lists and dict values rewritten."""
+    if isinstance(node, list):
+        return [_rewritten(child, rewrite) for child in node]
+    if isinstance(node, dict):
+        return {key: _rewritten(child, rewrite) for key, child in node.items()}
+    return rewrite(node) if isinstance(node, str) else node
+
+
+def _leaves(node):
+    """The innermost lists of a nested list, in order."""
+    if node and isinstance(node[0], list):
+        for child in node:
+            yield from _leaves(child)
+    else:
+        yield node
+
+
+@pytest.mark.parametrize("seed, players, outcomes, times, epsilon, min_step_h", [
+    (1000, 3, 4, 6, "1/20", True),
+    (1000, 2, 6, 10, "1/20", False),
+    # a grid step so long that the clamp binds, so some payoffs are whole
+    (11, 3, 3, 5, "10", False),
+])
+def test_noncanonical_payoffs_and_times_read_as_the_canonical(
+    tmp_path, seed, players, outcomes, times, epsilon, min_step_h
+):
+    """A game whose every payoff is written as an equal non-canonical value
+    parses to the same den and rows and gives the same solve and verify
+    reports, byte for byte; a profile whose every time is written as "2p/2q"
+    reads to the same strategies and verifies the same."""
+    game = tmp_path / "game.json"
+    assert main(["gen", "--seed", str(seed), "--players", str(players), "--outcomes",
+                 str(outcomes), "--times", str(times), "--epsilon", epsilon,
+                 "--out", str(game)]) == 0
+    obj = json.loads(game.read_text())
+    whole = any(v in ("0", "1") for v in itertools.chain.from_iterable(_leaves(obj["payoffs"])))
+    count = itertools.count()
+    obj["payoffs"] = _rewritten(obj["payoffs"], lambda v: _equal_payoff(v, next(count)))
+    flat = list(itertools.chain.from_iterable(_leaves(obj["payoffs"])))
+    assert whole == (epsilon == "10") == any(type(v) is int for v in flat)
+    assert any("." in v for v in flat if type(v) is str)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(obj))
+
+    doc, same = parse_game(game.read_text()), parse_game(other.read_text())
+    for field, twin in zip(doc.fields, same.fields, strict=True):
+        assert (twin.den, list(twin.rows.items())) == (field.den, list(field.rows.items()))
+    h = ["--h", str(doc.space.grid.min_step)] if min_step_h else []
+    out = {}
+    for name, path in (("canonical", game), ("other", other)):
+        report = tmp_path / f"{name}-report.json"
+        assert main(["solve", "--game", str(path), *h, "--out", str(report)]) == 0
+        verify = tmp_path / f"{name}-verify.json"
+        assert main(["verify", "--game", str(path), "--profile", str(report),
+                     "--out", str(verify)]) == 0
+        out[name] = (report.read_bytes(), verify.read_bytes())
+    assert out["other"] == out["canonical"]
+
+    report = json.loads(out["canonical"][0])
+    twice = dict(report, profile=_rewritten(report["profile"], _twice))
+    assert twice != report
+    assert profile_from_obj(doc.space, twice) == profile_from_obj(doc.space, report)
+    profile, verify = tmp_path / "twice.json", tmp_path / "twice-verify.json"
+    profile.write_text(json.dumps(twice))
+    assert main(["verify", "--game", str(game), "--profile", str(profile),
+                 "--out", str(verify)]) == 0
+    assert verify.read_bytes() == out["canonical"][1]
+

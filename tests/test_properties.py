@@ -115,7 +115,14 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (i,))
 
 
-REPLACEMENTS = (None, True, "abc", "0", "-1", "1/3", "1/0", 0, 7, -1, 1.5, [], {})
+REPLACEMENTS = (
+    None, True, "abc", "0", "-1", "1/3", "1/0", 0, 7, -1, 1.5, [], {},
+    # the edge of the payoff reader's bulk grammar, ASCII -?[0-9]+(/[0-9]*[1-9][0-9]*)?:
+    # strings just outside it, which ``int`` or ``Fraction`` may still accept,
+    # and equal values written otherwise than canonically
+    "1/-2", "1//2", "1/2/3", "+1", " 1", "1_0", "\u0661", "0.5", "1e-3", "2/4", "-0",
+    "007/010", "1\n2", "-", "",
+)
 
 
 def _mutate(data, doc):
