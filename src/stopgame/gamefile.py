@@ -306,6 +306,15 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
         except ValueError as exc:
             raise ParseError(f"{where.format(*args)}: {exc}") from exc
 
+    def key_ints(table, key, n, want):
+        parts = key.split(",")
+        try:
+            if len(parts) == n:
+                return tuple(map(int, parts))
+        except ValueError:
+            pass
+        raise ParseError(f"{table} key {key!r}: expected {want}")
+
     order = _int(obj.get("order", 0), "order")
     if order == 2:
         react = obj.get("react", [])
@@ -320,7 +329,7 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
         for q, table in obj["react_one"].items():
             if len(table) != K + 1:
                 raise ParseError("react_one tables must cover every observation time")
-            seat = int(q)
+            (seat,) = key_ints("react_one", q, 1, "a seat index")
             if seat in react_one:
                 raise ParseError(f"react_one[{q}]: a second key for seat {seat}")
             react_one[seat] = tuple(
@@ -328,7 +337,7 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
             )
         react_two = {}
         for key, vals in obj["react_two"].items():
-            a, b = (int(x) for x in key.split(","))
+            a, b = key_ints("react_two", key, 2, 'two grid indices "a,b"')
             if (a, b) in react_two:
                 raise ParseError(f"react_two[{key}]: a second key for observation pair {(a, b)}")
             react_two[(a, b)] = read_st(vals, "react_two[{}]", key)

@@ -17,6 +17,7 @@ by ``stopped_atoms``, which also owns the stopping-time test.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,6 +145,15 @@ class FilteredSpace:
         return _numerators(self.weights, math.lcm(*(w.denominator for w in self.weights)))
 
     @cached_property
+    def children(self) -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+        """children[k][B] -> the blocks of partitions[k+1] whose first outcome
+        lies in block B of partitions[k], in partition order (k < terminal)."""
+        return tuple(
+            {block: tuple(c for c in finer if c[0] in block) for block in part}
+            for part, finer in zip(self.partitions, self.partitions[1:])
+        )
+
+    @cached_property
     def block_wnum(self) -> tuple[tuple[int, ...], ...]:
         """block_wnum[k][b] -> sum of ``wnum`` over block b of partitions[k]."""
         return tuple(
@@ -217,7 +227,8 @@ class StoppingTime:
     idx: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "idx", tuple(int(i) for i in self.idx))
+        # operator.index takes ints only: a float, Fraction or str raises TypeError
+        object.__setattr__(self, "idx", tuple(map(operator.index, self.idx)))
 
     def values(self, grid: TimeGrid) -> RV:
         return tuple(grid.points[i] for i in self.idx)

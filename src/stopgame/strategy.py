@@ -3,12 +3,12 @@
 A strategy is an initial stopping time plus reaction maps: after observing
 another player stop, the owner switches to a new stopping time that must be
 strictly later than the observed stop.  This module owns that reaction rule.
-``committed_index`` reads the stop a strategy is committed to after the
-stops it has observed.  The one resolver built on it runs the profile forward
-in time: at each round the earliest committed players stop, survivors
-recommit, and the loop repeats (at most N-1 rounds).  ``resolve2`` and
-``resolve3`` are that resolver, and the best-response oracle in ``verify``
-reads the fixed seats' commitments through ``committed_index`` too.
+``committed_time`` reads the stopping time a strategy is committed to after
+the stops it has observed (``committed_index``: at one outcome).  The one
+resolver built on it runs the profile forward in time: at each round the
+earliest committed players stop, survivors recommit, and the loop repeats (at
+most N-1 rounds).  ``resolve2`` and ``resolve3`` are that resolver, and the
+best-response oracle in ``verify`` reads commitments through it too.
 
 Reaction tables are stored densely per observation grid index.  Observations
 at the terminal point never require a real reaction (nothing is later), so
@@ -106,20 +106,25 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
     return problems
 
 
-def committed_index(strat, stops: dict[int, int], w: int) -> int:
-    """Stop index ``strat`` is committed to at outcome w once the other seats
-    have stopped at ``stops`` (seat -> index): its initial stop while nobody
-    has, otherwise the reaction entry for what it observed."""
+def committed_time(strat, stops: dict[int, int]) -> StoppingTime:
+    """Stopping time ``strat`` is committed to once the other seats have
+    stopped at ``stops`` (seat -> index): its initial stop while nobody has,
+    otherwise the reaction entry for what it observed."""
     if not stops:
-        return strat.initial.idx[w]
+        return strat.initial
     if isinstance(strat, StrategyOrder2):
         (s,) = stops.values()
-        return strat.react[s].idx[w]
+        return strat.react[s]
     if len(stops) == 1:
         ((q, s),) = stops.items()
-        return strat.react_one[q][s].idx[w]
+        return strat.react_one[q][s]
     lo, hi = strat.others()
-    return strat.react_two[(stops[lo], stops[hi])].idx[w]
+    return strat.react_two[(stops[lo], stops[hi])]
+
+
+def committed_index(strat, stops: dict[int, int], w: int) -> int:
+    """``committed_time`` at outcome w."""
+    return committed_time(strat, stops).idx[w]
 
 
 def _resolve(space: FilteredSpace, strats) -> tuple[StoppingTime, ...]:

@@ -15,7 +15,9 @@ continuation is a plain sum of its children and no node divides.  The payoff
 numerators are the field's own ``PayoffField.rows`` table, which the modulus
 walk and the solvers' node sweep (``classic.node_sweep``, on the same
 scaling) read too; a parsed field is born as that table, so a verify builds
-no payoff ``Fraction``.
+no payoff ``Fraction``.  Each live fixed seat's commitment (``committed_time``)
+and the controlled seats' stop sets are read once per status (who stopped
+when) and call; a block's children come from ``FilteredSpace.children``.
 
 A certificate stays on that scale throughout: the best response, the
 conforming profile's value (one integer sum per start atom over the same
@@ -45,7 +47,7 @@ from .space import (
     rat,
     stopped_atoms,
 )
-from .strategy import StrategyOrder2, committed_index, resolve2, resolve3
+from .strategy import StrategyOrder2, committed_time, resolve2, resolve3
 
 
 def count_stopping_times(space: FilteredSpace, from_=0) -> int:
@@ -182,11 +184,22 @@ def exact_best_response(
     wnum = space.wnum
     den = field.den
     rows = field.rows
+    fixed = [q for q in range(n_seats) if q not in controlled]
     memo: dict[tuple, int] = {}
+    plans: dict[tuple, tuple] = {}
 
     def stop_value(block: tuple[int, ...], times: tuple[int, ...]) -> int:
         row = rows[times]
         return sum(wnum[w] * row[w] for w in block)
+
+    def plan(status: tuple) -> tuple:
+        """Each live fixed seat's committed stop indices, and the stop sets."""
+        stops = {q: s for q, s in enumerate(status) if s >= 0}
+        commits = [(q, committed_time(strategies[q], stops).idx) for q in fixed if status[q] < 0]
+        free = [q for q in controlled if status[q] < 0]
+        stop_sets = [c for r in range(len(free) + 1) for c in itertools.combinations(free, r)]
+        plans[status] = commits, stop_sets
+        return commits, stop_sets
 
     def solve(k: int, block: tuple[int, ...], status: tuple) -> int:
         key = (k, block, status)
@@ -194,37 +207,29 @@ def exact_best_response(
             return memo[key]
         if len(memo) > cap:
             raise GuardExceeded(f"best-response DP exceeded {cap} states")
-        w0 = block[0]
         if k == K:
             val = stop_value(block, tuple(K if s < 0 else s for s in status))
             memo[key] = val
             return val
-        stops = {q: s for q, s in enumerate(status) if s >= 0}
-        fixed_now = [
-            q
-            for q in range(n_seats)
-            if q not in controlled
-            and q not in stops
-            and committed_index(strategies[q], stops, w0) == k
-        ]
-        free = [q for q in controlled if status[q] < 0]
-        children = [child for child in space.partitions[k + 1] if child[0] in block]
+        commits, stop_sets = plans.get(status) or plan(status)
+        now = list(status)
+        for q, idx in commits:
+            if idx[block[0]] == k:  # fires at the block's first outcome
+                now[q] = k
+        kids = space.children[k][block]
         best: int | None = None
-        for r in range(len(free) + 1):
-            for stop_set in itertools.combinations(free, r):
-                nxt = list(status)
-                for q in fixed_now:
-                    nxt[q] = k
-                for q in stop_set:
-                    nxt[q] = k
-                nxt_t = tuple(nxt)
-                if -1 not in nxt_t:  # every seat has stopped
-                    val = stop_value(block, nxt_t)
-                else:
-                    val = 0
-                    for child in children:
-                        val += solve(k + 1, child, nxt_t)
-                best = val if best is None else opt(best, val)
+        for stop_set in stop_sets:
+            nxt = now.copy()
+            for q in stop_set:
+                nxt[q] = k
+            nxt_t = tuple(nxt)
+            if -1 not in nxt_t:  # every seat has stopped
+                val = stop_value(block, nxt_t)
+            else:
+                val = 0
+                for child in kids:
+                    val += solve(k + 1, child, nxt_t)
+            best = val if best is None else opt(best, val)
         memo[key] = best
         return best
 

@@ -15,8 +15,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DENOMINATORS, random_space
+from conftest import DENOMINATORS, SETTINGS, random_space
 from oracles import (
     reference_certify_nash,
     reference_exact_best_response,
@@ -193,6 +195,67 @@ def test_oracle_matches_reference_on_pinned_fields():
     rebuilt = PayoffField(space, 2, {ks: pinned.at(ks) for ks in pinned.rows})
     assert rebuilt == pinned
     assert pinned.den % rebuilt.den == 0
+
+
+def unchecked_strategy(rng, space: FilteredSpace, n_seats: int, seat: int, initial):
+    """A strategy outside the strategy rules: every reaction is a random
+    stopping time from index 0, so it may lie at or before its observation."""
+    K = space.grid.terminal_index
+
+    def table():
+        return tuple(random_stopping_time(rng, space, 0) for _ in range(K + 1))
+
+    if n_seats == 2:
+        return StrategyOrder2(initial=initial, react=table())
+    lo, hi = sorted(q for q in range(3) if q != seat)
+    return StrategyOrder3(
+        seat=seat,
+        initial=initial,
+        react_one={lo: table(), hi: table()},
+        react_two={(a, b): random_stopping_time(rng, space, 0)
+                   for a in range(K + 1) for b in range(K + 1)},
+    )
+
+
+@st.composite
+def unchecked_cases(draw):
+    """(space, field, strategies, controlled, objective, start) on a small
+    random space, with any seating, objective and start, and fixed
+    strategies never passed through ``validate_strategy``: an initial stop
+    may lie before the start, a reaction at or before its observation, and
+    two fixed seats may share their initial stop."""
+    rng = draw(st.randoms(use_true_random=False))
+    space = random_space(rng, draw(st.integers(2, 5)), draw(st.integers(3, 5)))
+    K = space.grid.terminal_index
+    arity = draw(st.sampled_from((2, 3)))
+    seatings = [(), *((q,) for q in range(arity))]
+    if arity == 3:
+        seatings += [(0, 1), (0, 2), (1, 2)]
+    controlled = draw(st.sampled_from(seatings))
+    shared = random_stopping_time(rng, space, 0)
+    share = draw(st.booleans())
+    strategies = [
+        None if q in controlled else unchecked_strategy(
+            rng, space, arity, q, shared if share else random_stopping_time(rng, space, 0)
+        )
+        for q in range(arity)
+    ]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, K))
+    else:
+        start = random_stopping_time(rng, space, 0)
+    objective = draw(st.sampled_from(("max", "min")))
+    return space, mixed_field(rng, space, arity), strategies, controlled, objective, start
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(case=unchecked_cases())
+def test_oracle_matches_reference_on_unchecked_strategies(case):
+    """The DP reads each live fixed seat's commitment once per observed-stop
+    status; on strategies the solvers never build it still gives the
+    reference's values."""
+    got, want = exact_best_response(*case), reference_exact_best_response(*case)
+    assert (got.values, got.value_rv) == (want.values, want.value_rv)
 
 
 def random_profiles():

@@ -241,6 +241,16 @@ def _set_seat(obj, v):
     obj["profile"]["strategies"][0]["seat"] = v
 
 
+def _rename_react_one_key(obj, v):
+    table = obj["profile"]["strategies"][0]["react_one"]
+    table[v] = table.pop("1")
+
+
+def _rename_react_two_key(obj, v):
+    table = obj["profile"]["strategies"][0]["react_two"]
+    table[v] = table.pop("0,1")
+
+
 @pytest.mark.parametrize("players, role, edit, value, message", [
     (2, "game", _set_players, 2.5, "players: need a JSON integer, got 2.5"),
     (2, "game", _set_players, 2.0, "players: need a JSON integer, got 2.0"),
@@ -252,15 +262,25 @@ def _set_seat(obj, v):
     (2, "profile", _set_order, "2", "order: need a JSON integer, got '2'"),
     (3, "profile", _set_seat, 0.0, "seat: need a JSON integer, got 0.0"),
     (3, "profile", _set_seat, False, "seat: need a JSON integer, got False"),
+    (3, "profile", _rename_react_two_key, "0,1,2",
+     "react_two key '0,1,2': expected two grid indices \"a,b\""),
+    (3, "profile", _rename_react_two_key, "0",
+     "react_two key '0': expected two grid indices \"a,b\""),
+    (3, "profile", _rename_react_two_key, "x,1",
+     "react_two key 'x,1': expected two grid indices \"a,b\""),
+    (3, "profile", _rename_react_one_key, "x", "react_one key 'x': expected a seat index"),
 ], ids=["players-float", "players-integral-float", "players-string", "players-bool",
         "partition-floats", "partition-string", "order-float", "order-string",
-        "seat-float", "seat-bool"])
+        "seat-float", "seat-bool", "react-two-key-three-indices", "react-two-key-one-index",
+        "react-two-key-word", "react-one-key-word"])
 def test_cli_non_integer_counts_and_indices_exit_2(
     tmp_path, capsys, players, role, edit, value, message
 ):
     """Player counts, partition outcome indices, strategy orders and seats
     must be JSON integers: a float, string or boolean is an input error (2)
-    naming the field, never truncated or coerced."""
+    naming the field, never truncated or coerced.  A reaction key that is
+    not one seat index ("q") or two grid indices ("a,b") is an input error
+    naming its table and the key."""
     game, rep = tmp_path / "g.json", tmp_path / "r.json"
     assert main(["gen", "--seed", "5", "--players", str(players), "--outcomes", "2",
                  "--times", "3", "--out", str(game)]) == 0

@@ -750,12 +750,13 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs",
-    [(1004, 4, 6, True, 162, 105, 16, 264), (1000, 3, 5, False, 135, 84, 4, 180)],
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits",
+    [(1004, 4, 6, True, 162, 105, 16, 264, 264), (1000, 3, 5, False, 135, 84, 4, 180, 200)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs
+    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs,
+    commits,
 ):
     """On two bench games: every ``certify_nash`` resolves its profile once
     for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
@@ -769,7 +770,9 @@ def test_calls_per_solve_on_bench_games(
     validation, as certificates read their start through ``stopped_atoms``;
     and ``classic.block_rv`` converts only what is read at one index: the
     zero-sum game's start layer, each solo optimum, each after-stop family
-    layer and each window gap."""
+    layer and each window gap; and the best-response oracle reads each live
+    fixed seat's commitment (``committed_time``) once per observed-stop
+    status of a call, not once per DP node."""
     counts = Counter()
 
     def counting(key, real):
@@ -793,6 +796,7 @@ def test_calls_per_solve_on_bench_games(
         monkeypatch.setattr(module, "certify_nash", certify)
     monkeypatch.setattr(nash2, "phi_h", counting("phi_h", nash2.phi_h))
     monkeypatch.setattr(classic, "snell", counting("snell", classic.snell))
+    monkeypatch.setattr(verify, "committed_time", counting("commits", verify.committed_time))
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
     for name, real in (("is_stopping_time", is_stopping_time), ("block_rv", classic.block_rv)):
@@ -807,3 +811,4 @@ def test_calls_per_solve_on_bench_games(
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
     assert counts["snell"] == 0
     assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)
+    assert counts["commits"] == commits

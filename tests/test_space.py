@@ -42,6 +42,17 @@ def test_rat_rejects_floats():
     assert rat("0.25") == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "idx", [(1.9, 0), (Fraction(3, 2), "2"), (0, "1"), (Fraction(2), 0), (2.0,)],
+    ids=["float", "fraction-and-str", "str", "integral-fraction", "integral-float"],
+)
+def test_stopping_time_rejects_non_integer_indices(idx):
+    """A stopping time's indices are ints: a float, ``Fraction`` or str is a
+    ``TypeError``, never truncated or parsed."""
+    with pytest.raises(TypeError):
+        StoppingTime(idx)
+
+
 def test_grid_invariants():
     with pytest.raises(ValueError):
         make_grid([0])
@@ -322,6 +333,20 @@ def drawn_stopping_time(draw, space: FilteredSpace) -> StoppingTime:
 
 def exact_rv(got) -> bool:
     return all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(space=spaces())
+def test_children_are_the_finer_blocks_inside_each_block(space):
+    """``children[k][B]``: the blocks of partitions[k+1] whose first outcome
+    lies in B, in partition order, for every block B below the terminal index."""
+    K = space.grid.terminal_index
+    assert len(space.children) == K
+    for k in range(K):
+        assert space.children[k] == {
+            block: tuple(c for c in space.partitions[k + 1] if c[0] in block)
+            for block in space.partitions[k]
+        }
 
 
 @settings(max_examples=200, **SETTINGS)
