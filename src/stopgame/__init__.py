@@ -74,6 +74,7 @@ from .space import (
     first_hit,
     is_stopping_time,
     make_grid,
+    phi_h,
     rat,
     validate_space,
 )
@@ -83,7 +84,6 @@ from .strategy import (
     lift_constant3,
     lift_obstinate2,
     patch_pair,
-    phi_h,
     resolve2,
     resolve3,
     validate_strategy,

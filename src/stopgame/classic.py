@@ -75,27 +75,31 @@ def snell(
 
 
 class SoloStop(NamedTuple):
-    """One slot's optimum from k, the others pinned at k: value at k, rule."""
+    """One slot's optimum from k, the others pinned at k: value at k, rule,
+    and the value per block of partitions[k] on ``field.den * W_B``."""
 
     value: RV
     rule: StoppingTime
     direction: str
+    scaled: tuple[int, ...]
 
 
 def solo_stop(space, field: PayoffField, slot: int, k: int, direction: str) -> SoloStop:
     """The Snell optimum from k of one slot, every other slot pinned at k."""
     head, tail = (k,) * slot, (k,) * (field.arity - slot - 1)
     value, rule = _snell_sweep(space, field.rows, lambda j: (*head, j, *tail), k, direction)
-    return SoloStop(block_rv(space, k, value, field.den), rule, direction)
+    return SoloStop(block_rv(space, k, value, field.den), rule, direction, tuple(value))
 
 
 @dataclass(frozen=True)
 class JointStopResult:
-    """Cooperative two-stop infimum at its start and one optimal committed pair."""
+    """Cooperative two-stop infimum at its start, per start atom also on
+    ``field2.den * W_B`` (``scaled``), and one optimal committed pair."""
 
     value: tuple
     rho: StoppingTime
     tau: StoppingTime
+    scaled: tuple[int, ...]
 
 
 def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
@@ -243,9 +247,10 @@ def joint_inf_pair(
 
     first = first_hit(space, from_, lambda k, w: nodes[k][2][bid[k][w]] < 3)
     rho, tau = zip(*(stops(w, k) for w, k in enumerate(first.idx)))
-    at_start = [(b, Fraction(layers[k][bid[k][b[0]]], field2.den * w_b)) for k, b, w_b in atoms]
-    value = fill_blocks(space, *zip(*at_start))
-    return JointStopResult(value=value, rho=StoppingTime(rho), tau=StoppingTime(tau))
+    scaled = tuple(layers[k][bid[k][b[0]]] for k, b, _ in atoms)
+    at_start = [Fraction(n, field2.den * w_b) for n, (_, _, w_b) in zip(scaled, atoms)]
+    value = fill_blocks(space, (b for _, b, _ in atoms), at_start)
+    return JointStopResult(value, StoppingTime(rho), StoppingTime(tau), scaled)
 
 
 def dynkin_value(

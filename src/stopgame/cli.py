@@ -66,10 +66,7 @@ def _read(path: str) -> str:
 
 
 def _layer_obj(layers):
-    out = []
-    for layer in layers:
-        out.append(None if layer is None else [_f2s(v) for v in layer])
-    return out
+    return [None if layer is None else [_f2s(v) for v in layer] for layer in layers]
 
 
 def cmd_gen(args) -> int:
@@ -81,13 +78,7 @@ def cmd_gen(args) -> int:
         epsilon=args.epsilon,
         n_players=args.players,
     )
-    doc = GameDoc(
-        space=inst.space,
-        fields=inst.fields,
-        theta=constant_time(inst.space, 0),
-        epsilon=inst.epsilon,
-        h=None,
-    )
+    doc = GameDoc(inst.space, inst.fields, constant_time(inst.space, 0), inst.epsilon, None)
     _write(args.out, emit_game(doc))
     return 0
 
@@ -108,6 +99,10 @@ def _gap_section(space, cert) -> list:
     return per_player
 
 
+# the PlayerProcesses layers a three-player solve report prints, per seat
+_PROCESS_LAYERS = ("stop_exact", "stop_family", "rival_floor", "value")
+
+
 def _report(kind: str, players: int, eps, bound, worst, **rest) -> dict:
     """A report: its head, the measured worst gap against its bound, and the
     kind's own sections."""
@@ -125,11 +120,7 @@ def cmd_solve(args) -> int:
         res = solve_2p_nash(space, doc.fields[0], doc.fields[1], doc.theta, eps)
         cert = res.certificate
         report = _report(
-            "solve",
-            2,
-            eps,
-            cert.bound,
-            cert.worst_gap,
+            "solve", 2, eps, cert.bound, cert.worst_gap,
             fallback_used=res.fallback_used,
             profile=profile_to_obj(space, list(res.strategies)),
             per_player=_gap_section(space, cert),
@@ -146,13 +137,12 @@ def cmd_solve(args) -> int:
             raise
         cert = sol.certificate
         ctx = sol.context
-        node_gaps = []
-        for s in range(3):
-            comp = ctx.saddles[s][0]
-            for ng in comp.node_reports:
-                node_gaps.append(
-                    {"leader": s, "k": ng.k, "block": list(ng.block), "gap": _f2s(ng.gap)}
-                )
+        players = [ctx.players[s] for s in range(3)]
+        node_gaps = [
+            {"leader": s, "k": ng.k, "block": list(ng.block), "gap": _f2s(ng.gap)}
+            for s in range(3)
+            for ng in ctx.saddles[s][0].node_reports
+        ]
         window = {
             f"after_stop_{s}": {
                 _f2s(g): _f2s(e.achieved) for g, e in sorted(ctx.overline[s].entries.items())
@@ -160,40 +150,19 @@ def cmd_solve(args) -> int:
             for s in range(3)
         }
         convention = [
-            _f2s(
-                dynkin_convention_gap(
-                    space,
-                    ctx.players[s].value,
-                    ctx.players[s].stop_exact,
-                    ctx.players[s].rival_floor,
-                    doc.theta,
-                )
-            )
-            for s in range(3)
+            _f2s(dynkin_convention_gap(space, p.value, p.stop_exact, p.rival_floor, doc.theta))
+            for p in players
         ]
         report = _report(
-            "solve",
-            3,
-            eps,
-            cert.bound,
-            cert.worst_gap,
+            "solve", 3, eps, cert.bound, cert.worst_gap,
             h=_f2s(ctx.h),
             profile=profile_to_obj(space, sol.profile),
             per_player=_gap_section(space, cert),
-            exit_times=[
-                [_f2s(space.grid.points[i]) for i in ctx.players[s].exit_time.idx]
-                for s in range(3)
-            ],
+            exit_times=[[_f2s(space.grid.points[i]) for i in p.exit_time.idx] for p in players],
             delta=atoms_obj(space, ctx.delta.per_atom),
             events={name: list(ctx.events[s]) for s, name in enumerate(("A", "B", "C"))},
             processes=[
-                {
-                    "stop_exact": _layer_obj(ctx.players[s].stop_exact),
-                    "stop_family": _layer_obj(ctx.players[s].stop_family),
-                    "rival_floor": _layer_obj(ctx.players[s].rival_floor),
-                    "value": _layer_obj(ctx.players[s].value),
-                }
-                for s in range(3)
+                {name: _layer_obj(getattr(p, name)) for name in _PROCESS_LAYERS} for p in players
             ],
             flags={
                 "node_gaps": node_gaps,

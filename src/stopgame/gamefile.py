@@ -66,6 +66,14 @@ def _int(x, where: str) -> int:
     return x
 
 
+def _object(x, what: str) -> dict:
+    """``x`` when it is a JSON object; any other JSON value is an input error."""
+    if type(x) is not dict:
+        kind = "null" if x is None else type(x).__name__
+        raise ParseError(f"{what}: expected a JSON object, got {kind}")
+    return x
+
+
 @contextmanager
 def _malformed(what: str):
     """Report a missing key or a value of the wrong shape as a ParseError."""
@@ -137,6 +145,7 @@ def parse_game(text: str) -> GameDoc:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    _object(obj, "game")
     with _malformed("game"):
         for key in ("grid", "outcomes", "partitions", "players", "payoffs", "epsilon"):
             if key not in obj:
@@ -354,34 +363,26 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
 
 
 def profile_to_obj(space: FilteredSpace, profile) -> dict:
-    return {
-        "players": len(profile),
-        "strategies": [strategy_to_obj(space, s) for s in profile],
-    }
+    return {"players": len(profile), "strategies": [strategy_to_obj(space, s) for s in profile]}
 
 
 def profile_from_obj(space: FilteredSpace, obj: dict):
     with _malformed("profile"):
-        if "profile" in obj:  # accept a whole solve output
-            obj = obj["profile"]
+        if "profile" in _object(obj, "profile"):  # accept a whole solve output
+            obj = _object(obj["profile"], "profile")
         strategies = obj.get("strategies")
         if not isinstance(strategies, list):
             raise ParseError("profile needs a 'strategies' list")
-        return [strategy_from_obj(space, s) for s in strategies]
+        return [strategy_from_obj(space, _object(s, f"profile: strategy {i}"))
+                for i, s in enumerate(strategies)]
 
 
 def atoms_obj(space: FilteredSpace, values: dict) -> list:
     times = _time_texts(space.grid)
-    out = []
-    for (k, members), v in sorted(values.items()):
-        out.append(
-            {
-                "time": times[k],
-                "outcomes": list(members),
-                "value": _f2s(v),
-            }
-        )
-    return out
+    return [
+        {"time": times[k], "outcomes": list(members), "value": _f2s(v)}
+        for (k, members), v in sorted(values.items())
+    ]
 
 
 def dump_report(obj: dict) -> str:

@@ -26,24 +26,23 @@ only how to solve at the anchor and how to measure the gap at a window time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classic import block_rv, joint_inf_pair, node_sweep
+from .classic import joint_inf_pair, node_sweep
 from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
-from .space import FilteredSpace, _start_indices, constant_time, first_hit, rat
-from .strategy import StrategyOrder2, lift_obstinate2, patch_pair, phi_h
+from .space import FilteredSpace, _start_indices, constant_time, first_hit, phi_h, rat
+from .strategy import StrategyOrder2, lift_obstinate2, patch_pair
 from .verify import (
+    _BY_RATIO,
     NashCertificate,
-    _conforming,
-    _nash_certificate,
     certify_nash,
     count_strategies2,
     enumerate_strategies2,
     exact_best_response,
+    worst_gap,
 )
 
 
@@ -92,6 +91,20 @@ def solve_2p_nash(
     kmin, which redirects earlier observations to the kmin behavior.
     """
     eps = rat(eps)
+    fields = (field_a, field_b)
+    pair = _candidate(space, field_a, field_b, start)
+    cert = certify_nash(space, fields, list(pair), start, eps)
+    if cert.passes:
+        return Nash2Result(pair, cert, fallback_used=False)
+    best = _fallback_search(space, fields, start, pair, cert.worst_gap)
+    if best is not pair:
+        cert = certify_nash(space, fields, list(best), start, eps)
+    kmin = min(_start_indices(space, start))
+    return Nash2Result(patch_pair(space, best, kmin), cert, fallback_used=True)
+
+
+def _candidate(space, field_a, field_b, start) -> tuple[StrategyOrder2, StrategyOrder2]:
+    """:func:`solve_2p_nash`'s node-sweep pair, patched at kmin, uncertified."""
     K = space.grid.terminal_index
     kmin = min(_start_indices(space, start))
     _, nodes = node_sweep(space, (field_a, field_b), ("sup", "sup"), kmin, _nash_cell)
@@ -107,14 +120,11 @@ def solve_2p_nash(
         react = [terminal] * kmin + [nodes[k][1][1 - seat] for k in range(kmin, K)]
         return StrategyOrder2(initial=initial, react=(*react, terminal))
 
-    pair = patch_pair(space, (strategy(0), strategy(1)), kmin)
-    cert = certify_nash(space, (field_a, field_b), list(pair), start, eps)
-    if cert.passes:
-        return Nash2Result(pair, cert, fallback_used=False)
-    return _fallback_search(space, field_a, field_b, start, kmin, eps, pair, cert)
+    return patch_pair(space, (strategy(0), strategy(1)), kmin)
 
 
-def _fallback_search(space, field_a, field_b, start, kmin, eps, best_pair, best):
+def _fallback_search(space, fields, start, best_pair, best_gap):
+    """The enumerated pair with the least worst gap; ``best_pair`` wins ties."""
     guards = current_guards()
     count = count_strategies2(space, start)
     if count * count > guards.enumeration_cap:
@@ -122,20 +132,18 @@ def _fallback_search(space, field_a, field_b, start, kmin, eps, best_pair, best)
             f"{count * count} strategy pairs exceed the enumeration cap"
         )
     strategies = list(enumerate_strategies2(space, start))
-    fields = (field_a, field_b)
-    br_a_vs = []
-    br_b_vs = []
-    for s in strategies:
-        br_a_vs.append(exact_best_response(space, field_a, [None, s], (0,), "max", start))
-        br_b_vs.append(exact_best_response(space, field_b, [s, None], (1,), "max", start))
+    field_a, field_b = fields
+    br_a_vs = [exact_best_response(space, field_a, [None, s], (0,), "max", start).scaled
+               for s in strategies]
+    br_b_vs = [exact_best_response(space, field_b, [s, None], (1,), "max", start).scaled
+               for s in strategies]
     for i, sa in enumerate(strategies):
         for j, sb in enumerate(strategies):
             # a seat's best response depends only on the other seat's strategy
-            atoms, paths = _conforming(space, fields, [sa, sb], start)
-            cert = _nash_certificate(eps, fields, atoms, (br_a_vs[j], br_b_vs[i]), paths)
-            if cert.worst_gap < best.worst_gap:
-                best_pair, best = (sa, sb), cert
-    return Nash2Result(patch_pair(space, best_pair, kmin), best, fallback_used=True)
+            gap = worst_gap(space, fields, [sa, sb], start, (br_a_vs[j], br_b_vs[i]))
+            if gap < best_gap:
+                best_pair, best_gap = (sa, sb), gap
+    return best_pair
 
 
 @dataclass(frozen=True)
@@ -182,23 +190,20 @@ _TOL_MULT = {"nonzero_sum_pair": 11, "coop_pair": 5, "single": 1}
 
 
 def _window_family(space, kind, h, eps, solve_at, gap_at) -> EquilibriumFamily:
-    """One entry per distinct g = phi_h(t) over the interior grid times t:
-    ``solve_at(anchor)`` gives the payload (seat -> play) at the first grid
-    index at or after g, with its gap at the anchor when the solve already
-    measured it (else None), and ``gap_at(payload, k)`` must stay within the
-    kind's multiple of eps at every grid index k of the window [g-h, g].  No
-    other multiple of h is built: no lookup lands on one, and there are about
-    span/h of them when h is below a grid gap."""
+    """One entry per distinct g = phi_h(t) over the interior grid times t
+    (``space.windows(h)``): ``solve_at(anchor)`` gives the payload (seat ->
+    play) at the first grid index at or after g, with its gap at the anchor
+    when the solve already measured it (else None), and ``gap_at(payload,
+    k)`` must stay within the kind's multiple of eps at every grid index k of
+    the window [g-h, g].  No other multiple of h is built: no lookup lands on
+    one, and there are about span/h of them when h is below a grid gap."""
     h, eps = rat(h), rat(eps)
     tolerance = _TOL_MULT[kind] * eps
-    points = space.grid.points
-    targets = [phi_h(t, h) for t in points[:-1]]
+    targets, windows = space.windows(h)
     entries: dict[Fraction, FamilyEntry] = {}
-    for g in sorted(set(targets)):
-        anchor = space.grid.index_at_or_after(g)
+    for g, (anchor, window) in windows.items():
         payload, anchor_gap = solve_at(anchor)
         achieved = Fraction(0)
-        window = tuple(range(bisect_left(points, g - h), bisect_right(points, g)))
         for k in window:
             gap = anchor_gap if k == anchor and anchor_gap is not None else gap_at(payload, k)
             achieved = max(achieved, gap)
@@ -234,11 +239,11 @@ def build_pair_family(
     """Equilibrium pairs for the two free slots, one entry per h-multiple.
 
     ``fields3[0]`` is the payoff of the owner of the lower free slot.  Entries
-    are solved at their anchor (``solve_2p_nash`` patches them so that early
-    observations redirect to anchor behavior), then certified at 11*eps over
-    the whole window by exact best response.  The solve's own certificate is
-    the gap at the anchor; every other window time is certified afresh.
-    Payloads map each free seat to its strategy.
+    are solved at their anchor (``solve_2p_nash``'s candidate, patched so
+    that early observations redirect to anchor behavior), then certified at
+    11*eps over the whole window by exact best response.  A candidate over
+    eps at its anchor goes on to the full ``solve_2p_nash``.  Payloads map
+    each free seat to its strategy.
     """
     free = tuple(q for q in range(3) if q != frozen_slot)
     pinned: dict[int, tuple[PayoffField, PayoffField]] = {}
@@ -250,11 +255,16 @@ def build_pair_family(
         return pinned[k]
 
     def solve_at(anchor):
-        res = solve_2p_nash(space, *views(anchor), anchor, eps)
-        return dict(zip(free, res.strategies)), res.gap
+        payload = dict(zip(free, _candidate(space, *views(anchor), anchor)))
+        gap = gap_at(payload, anchor)
+        if gap > rat(eps):  # the full solve: its fallback search, or its error
+            res = solve_2p_nash(space, *views(anchor), anchor, eps)
+            payload, gap = dict(zip(free, res.strategies)), res.gap
+        return payload, gap
 
     def gap_at(payload, k):
-        return certify_nash(space, views(k), list(payload.values()), k, eps).worst_gap
+        # no report prints a window's per-atom gaps
+        return worst_gap(space, views(k), list(payload.values()), k)
 
     return _window_family(space, "nonzero_sum_pair", h, eps, solve_at, gap_at)
 
@@ -283,7 +293,7 @@ def build_coop_family(
 
     def gap_at(payload, k):
         stops = [payload[q].initial if q in payload else k for q in range(3)]
-        return _shortfall(space, field3, stops, k, stop_now[k].value, "inf")
+        return _shortfall(space, field3, stops, k, stop_now[k].scaled, "inf")
 
     return _window_family(space, "coop_pair", h, eps, solve_at, gap_at)
 
@@ -308,13 +318,16 @@ def build_single_family(
 
     def gap_at(payload, k):
         stops = [payload.get(q, k) for q in range(3)]
-        return _shortfall(space, field3, stops, k, solo[k].value, solo[k].direction)
+        return _shortfall(space, field3, stops, k, solo[k].scaled, solo[k].direction)
 
     return _window_family(space, "single", h, eps, solve_at, gap_at)
 
 
 def _shortfall(space, field3, stops, k, opt, direction) -> Fraction:
-    """How far the payoff at ``stops``, averaged at time k, falls short of ``opt``."""
-    attained = block_rv(space, k, field3.stop_sums(stops, space.partitions[k]), field3.den)
+    """How far the payoff at ``stops``, averaged at time k, falls short of the
+    optimum: per block B of partitions[k], ``opt[B]`` and the payoff's
+    ``stop_sums`` numerator are both on ``field3.den * W_B``."""
     sign = 1 if direction == "inf" else -1
-    return max(sign * (a - o) for a, o in zip(attained, opt))
+    den, attained = field3.den, field3.stop_sums(stops, space.partitions[k])
+    gaps = [(sign * (a - o), den * w_b) for a, o, w_b in zip(attained, opt, space.block_wnum[k])]
+    return Fraction(*max(gaps, key=_BY_RATIO))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -95,6 +95,14 @@ class TimeGrid:
         return min(bisect_left(self.points, rat(t)), self.terminal_index)
 
 
+def phi_h(t, h) -> Fraction:
+    """Next strictly-later multiple of h: (floor(t/h) + 1) * h."""
+    t, h = rat(t), rat(h)
+    if h <= 0:
+        raise ValueError("h must be positive")
+    return (math.floor(t / h) + 1) * h
+
+
 def make_grid(points: Iterable) -> TimeGrid:
     return TimeGrid(tuple(rat(p) for p in points))
 
@@ -160,6 +168,21 @@ class FilteredSpace:
             tuple(sum(self.wnum[w] for w in block) for block in part)
             for part in self.partitions
         )
+
+    def windows(self, h: Fraction) -> tuple[tuple[Fraction, ...], dict]:
+        """The window schedule at width h, worked out once per space and h:
+        per interior grid index k its target phi_h(t_k), and per distinct
+        target g in increasing order g -> (anchor, window), the first index at
+        or after g and the indices of the grid times in [g-h, g]."""
+        tables = self.__dict__.setdefault("_windows", {})  # dies with the space
+        if h not in tables:
+            points = self.grid.points
+            targets = tuple(phi_h(t, h) for t in points[:-1])
+            spans = {g: (bisect_left(points, g - h), bisect_right(points, g)) for g in targets}
+            tables[h] = targets, {
+                g: (self.grid.index_at_or_after(g), tuple(range(*spans[g]))) for g in sorted(spans)
+            }
+        return tables[h]
 
 
 def validate_space(space: FilteredSpace) -> list[str]:

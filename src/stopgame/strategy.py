@@ -18,9 +18,7 @@ entries at the terminal index and asks the reaction rules for the rest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .space import (
@@ -214,14 +212,6 @@ def lift_constant3(space: FilteredSpace, seat: int, k: int) -> StrategyOrder3:
     return dense_strategy3(
         space, seat, constant_time(space, k), lambda q, s: never, lambda a, b: never
     )
-
-
-def phi_h(t, h) -> Fraction:
-    """Next strictly-later multiple of h: (floor(t/h) + 1) * h."""
-    t, h = rat(t), rat(h)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return (math.floor(t / h) + 1) * h
 
 
 def patch_pair(

@@ -19,11 +19,11 @@ no payoff ``Fraction``.  Each live fixed seat's commitment (``committed_time``)
 and the controlled seats' stop sets are read once per status (who stopped
 when) and call; a block's children come from ``FilteredSpace.children``.
 
-A certificate stays on that scale throughout: the best response, the
-conforming profile's value (one integer sum per start atom over the same
-rows) and their difference, the gap, are all integers on ``den * W_B``, and
-each becomes a ``Fraction`` once, so the results are the same exact
-rationals a ``Fraction`` program would give.
+Gaps are measured on that scale, in one place (``_measure_gaps``): the best
+response, the conforming value and their difference are integers on ``den *
+W_B``, and the worst gap is a maximum by cross-multiplication (``_BY_RATIO``)
+made a ``Fraction`` once.  Only ``certify_nash``, the certificate a report
+prints or a caller reads, converts each per-atom entry, once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterator, Sequence
 
 from .config import current_guards
@@ -174,6 +175,20 @@ def exact_best_response(
     each start atom's value is converted to ``Fraction`` once; ``scaled``
     keeps the integer.
     """
+    atoms, scaled = _best_response(space, field, strategies, controlled, objective, start)
+    den = field.den
+    values = {(k, block): Fraction(scaled[(k, block)], den * w_b) for k, block, w_b in atoms}
+    return BestResponseResult(
+        values=values,
+        value_rv=fill_blocks(space, (block for _, block in values), values.values()),
+        objective=objective,
+        scaled=scaled,
+    )
+
+
+def _best_response(space, field, strategies, controlled, objective, start) -> tuple:
+    """:func:`exact_best_response`'s integer DP: the start atoms (k, B, W_B)
+    and, by atom (k, B), the optimal value scaled by ``field.den * W_B``."""
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
     atoms = stopped_atoms(space, start)
@@ -182,7 +197,6 @@ def exact_best_response(
     K = space.grid.terminal_index
     cap = current_guards().dp_state_cap
     wnum = space.wnum
-    den = field.den
     rows = field.rows
     fixed = [q for q in range(n_seats) if q not in controlled]
     memo: dict[tuple, int] = {}
@@ -236,13 +250,7 @@ def exact_best_response(
     all_alive = (-1,) * n_seats
     scaled = {(k, block): solve(k, block, all_alive) for k, block, _ in atoms}
     del solve  # frees the memo now: solve holds itself through its closure
-    values = {(k, block): Fraction(scaled[(k, block)], den * w_b) for k, block, w_b in atoms}
-    return BestResponseResult(
-        values=values,
-        value_rv=fill_blocks(space, (block for _, block in values), values.values()),
-        objective=objective,
-        scaled=scaled,
-    )
+    return atoms, scaled
 
 
 def resolve_profile(space: FilteredSpace, strategies: Sequence):
@@ -295,7 +303,9 @@ def certify_nash(
     """Exact per-atom deviation gaps for every player against the Nash bound.
 
     Seat s maximizes ``fields[s]`` against the others' fixed strategies.  The
-    bound is 13*eps for three players and eps for two.
+    bound is 13*eps for three players and eps for two.  The worst gap is
+    :func:`_measure_gaps`'s; this adds the per-atom ``Fraction`` maps, each
+    entry its integer on ``fields[s].den * W_B`` converted once.
     """
     best = [
         exact_best_response(
@@ -303,24 +313,14 @@ def certify_nash(
         )
         for seat, field in enumerate(fields)
     ]
-    atoms, paths = _conforming(space, fields, profile, theta)
-    return _nash_certificate(eps, fields, atoms, best, paths)
-
-
-def _nash_certificate(eps, fields, atoms, best, paths) -> NashCertificate:
-    """Certificate from per-seat best responses (``BestResponseResult``) and
-    conforming numerators by atom, both on ``fields[s].den * atoms[atom]``:
-    each gap is an integer difference, converted once."""
-    eps = rat(eps)
-    bound = (13 if len(best) == 3 else 1) * eps
+    atoms, paths, worst = _measure_gaps(space, fields, profile, theta, [br.scaled for br in best])
     on_path, gaps = [], []
     for field, br, path in zip(fields, best, paths):
-        den = field.den
-        on_path.append({atom: Fraction(n, den * atoms[atom]) for atom, n in path.items()})
-        gaps.append(
-            {atom: Fraction(n - path[atom], den * atoms[atom]) for atom, n in br.scaled.items()}
-        )
-    worst = max([Fraction(0), *(g for per_seat in gaps for g in per_seat.values())])
+        scale = {atom: field.den * w_b for atom, w_b in atoms.items()}
+        on_path.append({atom: Fraction(n, scale[atom]) for atom, n in path.items()})
+        gaps.append({atom: Fraction(n - path[atom], scale[atom]) for atom, n in br.scaled.items()})
+    eps = rat(eps)
+    bound = (13 if len(fields) == 3 else 1) * eps
     return NashCertificate(
         eps=eps,
         bound=bound,
@@ -330,6 +330,33 @@ def _nash_certificate(eps, fields, atoms, best, paths) -> NashCertificate:
         worst_gap=worst,
         passes=worst <= bound,
     )
+
+
+# orders (n, q) pairs, q > 0, as the ratios n / q by cross-multiplication
+_BY_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _measure_gaps(space, fields, profile, theta, best) -> tuple:
+    """The one place Nash gaps are measured: per seat and start atom, the
+    best-response numerator ``best[s][atom]`` minus the conforming one, both
+    on ``fields[s].den * W_B``.  Returns ``_conforming``'s atoms and
+    numerators, and the worst gap: the maximum taken by cross-multiplication,
+    floored at 0 and converted once."""
+    atoms, paths = _conforming(space, fields, profile, theta)
+    gaps = [(n - path[a], f.den * atoms[a]) for f, br, path in zip(fields, best, paths)
+            for a, n in br.items()]
+    return atoms, paths, Fraction(*max([(0, 1), *gaps], key=_BY_RATIO))
+
+
+def worst_gap(space, fields, profile, theta, best=None) -> Fraction:
+    """:func:`certify_nash`'s ``worst_gap`` without the per-atom maps; ``best``
+    gives each seat's best-response numerators (``BestResponseResult.scaled``)
+    when they are already known."""
+    if best is None:
+        best = [
+            _best_response(space, f, profile, (s,), "max", theta)[1] for s, f in enumerate(fields)
+        ]
+    return _measure_gaps(space, fields, profile, theta, best)[2]
 
 
 def nash_gap(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck
 
-from stopgame import coalition, nash2, nash3, verify
+from stopgame import nash2, verify
 from stopgame import space as space_module
 from stopgame.classic import SoloStop, snell
 from stopgame.gamefile import parse_game
@@ -153,13 +153,20 @@ def random_rv(rng: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 
 def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str) -> tuple:
     """The per-index entries ``build_single_family`` reads, as
     ``classic.solo_stop`` gives them, read off the ``Fraction`` Snell sweep of
-    each process with the other slots pinned at k."""
+    each process with the other slots pinned at k; the value at k per block,
+    times ``field3.den * W_B``, must be an integer."""
     from oracles import reference_process
 
     out = []
     for k in range(len(space.grid)):
         res = snell(space, reference_process(field3, free_slot, k), direction, k)
-        out.append(SoloStop(res.value[k], res.rule, direction))
+        value = res.value[k]
+        scaled = [
+            value[block[0]] * field3.den * w_b
+            for block, w_b in zip(space.partitions[k], space.block_wnum[k])
+        ]
+        assert all(x.denominator == 1 for x in scaled)
+        out.append(SoloStop(value, res.rule, direction, tuple(map(int, scaled))))
     return tuple(out)
 
 
@@ -186,27 +193,26 @@ LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
 @pytest.fixture(scope="session")
 def ladder_run() -> dict:
     """Calls made while solving the ladder, with their results:
-    ``"oracle"`` and ``"certify"`` hold (args, kwargs, result) per
-    ``exact_best_response`` and ``certify_nash`` call,
-    ``"pair"`` holds (args, result) per ``solve_2p_nash`` call,
-    ``"cond_exp"`` holds (args, result) per call, with the input RV copied to
-    a tuple, and ``"stop_sums"`` holds ((field, stops, blocks), result) per
-    ``PayoffField.stop_sums`` call, with the stops and blocks as tuples."""
-    calls = {"oracle": [], "certify": [], "pair": [], "cond_exp": [], "stop_sums": []}
-    real_pair = nash2.solve_2p_nash
+    ``"oracle"`` holds (args, kwargs, result) per call of the best-response
+    DP (``verify._best_response``, under ``exact_best_response`` and every
+    gap measurement), ``"certify"`` the same per gap measurement
+    (``verify._measure_gaps``: under the final certificates, the pair
+    families' anchors and window times), ``"pair"`` holds (args, result) per pair
+    candidate (``nash2._candidate``, solved at each pair-family anchor),
+    ``"shortfall"`` the same per coop and single window gap
+    (``nash2._shortfall``), ``"cond_exp"`` holds (args, result) per call,
+    with the input RV copied to a tuple, and ``"stop_sums"`` holds ((field,
+    stops, blocks), result) per ``PayoffField.stop_sums`` call, with the
+    stops and blocks as tuples."""
+    calls = {key: [] for key in ("oracle", "certify", "pair", "shortfall", "cond_exp", "stop_sums")}
 
-    def recording(key, real):
+    def recording(key, real, with_kwargs=True):
         def record(*args, **kwargs):
             result = real(*args, **kwargs)
-            calls[key].append((args, kwargs, result))
+            calls[key].append((args, kwargs, result) if with_kwargs else (args, result))
             return result
 
         return record
-
-    def recording_pair(*args):
-        result = real_pair(*args)
-        calls["pair"].append((args, result))
-        return result
 
     real_average = space_module.cond_exp
     real_sums = PayoffField.stop_sums
@@ -223,14 +229,10 @@ def ladder_run() -> dict:
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        for key, name, modules in (
-            ("oracle", "exact_best_response", (verify, nash2, coalition)),
-            ("certify", "certify_nash", (verify, nash2, nash3)),
-        ):
-            record = recording(key, getattr(verify, name))
-            for module in modules:
-                mp.setattr(module, name, record)
-        mp.setattr(nash2, "solve_2p_nash", recording_pair)
+        for key, name in (("oracle", "_best_response"), ("certify", "_measure_gaps")):
+            mp.setattr(verify, name, recording(key, getattr(verify, name)))
+        for key, name in (("pair", "_candidate"), ("shortfall", "_shortfall")):
+            mp.setattr(nash2, name, recording(key, getattr(nash2, name), with_kwargs=False))
         mp.setattr(PayoffField, "stop_sums", recording_sums)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "stopgame" and (

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from stopgame.classic import dynkin_value, snell
+from stopgame.classic import block_rv, dynkin_value, snell
 from stopgame.config import current_guards
 from stopgame.errors import (
     DeskScaleExceeded,
@@ -26,7 +26,7 @@ from stopgame.errors import (
     TheoremViolation,
     ValidationError,
 )
-from stopgame.gamefile import GameDoc, _int, _malformed
+from stopgame.gamefile import GameDoc, _int, _malformed, _object
 from stopgame.nash2 import Nash2Result
 from stopgame.nash3 import DeltaMap
 from stopgame.payoff import (
@@ -41,11 +41,12 @@ from stopgame.space import (
     cond_exp_at,
     constant_time,
     is_stopping_time,
+    phi_h,
     rat,
     stopped_atoms,
     validate_space,
 )
-from stopgame.strategy import StrategyOrder2, StrategyOrder3, phi_h
+from stopgame.strategy import StrategyOrder2, StrategyOrder3
 from stopgame.verify import (
     BestResponseResult,
     NashCertificate,
@@ -402,6 +403,7 @@ def reference_parse_game(text: str) -> GameDoc:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    _object(obj, "game")  # a document that is no JSON object: the parser's own text
     with _malformed("game"):
         for key in ("grid", "outcomes", "partitions", "players", "payoffs", "epsilon"):
             if key not in obj:
@@ -1062,6 +1064,19 @@ def reference_single_gap(space, field3, free_slot, solo, payload, k):
     if direction == "inf":
         return max(a - o for a, o in zip(attained, opt))
     return max(o - a for a, o in zip(attained, opt))
+
+
+# ``nash2._shortfall`` as it was before the window gaps were measured on
+# integers: the attained payoff and the optimum as ``Fraction`` RVs, and the
+# gap a ``Fraction`` maximum over outcomes.  Kept so the integer gap is
+# checked against it with ==.
+
+
+def reference_shortfall(space, field3, stops, k, opt, direction) -> Fraction:
+    """How far the payoff at ``stops``, averaged at time k, falls short of ``opt``."""
+    attained = block_rv(space, k, field3.stop_sums(stops, space.partitions[k]), field3.den)
+    sign = 1 if direction == "inf" else -1
+    return max(sign * (a - o) for a, o in zip(attained, opt))
 
 
 # The hand-written forward scans that ``space.first_hit`` replaced (the

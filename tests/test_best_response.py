@@ -35,7 +35,12 @@ from stopgame.space import (
     stopped_atoms,
 )
 from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
-from stopgame.verify import certify_nash, exact_best_response, on_path_value
+from stopgame.verify import (
+    certify_nash,
+    exact_best_response,
+    on_path_value,
+    worst_gap,
+)
 
 
 def same_result(got, want) -> bool:
@@ -52,10 +57,21 @@ def ladder_calls(ladder_run):
     return ladder_run["oracle"]
 
 
+def as_values(field: PayoffField, result) -> dict:
+    """The DP core's (atoms, scaled) result as values by start atom."""
+    atoms, scaled = result
+    assert list(scaled) == [(k, block) for k, block, _ in atoms]
+    return {(k, block): Fraction(scaled[(k, block)], field.den * w_b) for k, block, w_b in atoms}
+
+
 def test_oracle_matches_reference_on_ladder(ladder_calls):
+    """Every DP run of the ladder's solves, the gap measurements' included:
+    its integers, and the public oracle's values on the same call."""
     assert len(ladder_calls) > 1000
     for args, kwargs, result in ladder_calls:
-        assert same_result(result, reference_exact_best_response(*args, **kwargs))
+        want = reference_exact_best_response(*args, **kwargs)
+        assert as_values(args[1], result) == want.values
+        assert same_result(exact_best_response(*args, **kwargs), want)
 
 
 CERTIFICATE_FIELDS = (
@@ -71,13 +87,16 @@ def assert_same_certificate(got, want):
 
 
 def test_certificate_matches_reference_on_ladder(ladder_run):
-    """Every certificate computed while solving the ladder against the
-    ``Fraction`` certificate (``test_space`` checks ``on_path_value`` on the
-    same calls)."""
+    """Every gap measurement made while solving the ladder, at both h: its
+    worst gap, and the certificate of its profile, against the ``Fraction``
+    certificate (``test_space`` checks ``on_path_value`` on the same
+    calls)."""
     calls = ladder_run["certify"]
     assert len(calls) > 100
-    for args, kwargs, result in calls:
-        assert_same_certificate(result, reference_certify_nash(*args, **kwargs))
+    for (space, fields, profile, start, _), _, (_, _, worst) in calls:
+        want = reference_certify_nash(space, fields, profile, start, 1)
+        assert type(worst) is Fraction and worst == want.worst_gap
+        assert_same_certificate(certify_nash(space, fields, profile, start, 1), want)
 
 
 def random_stopping_time(rng, space: FilteredSpace, first: int) -> StoppingTime:
@@ -256,6 +275,37 @@ def test_oracle_matches_reference_on_unchecked_strategies(case):
     reference's values."""
     got, want = exact_best_response(*case), reference_exact_best_response(*case)
     assert (got.values, got.value_rv) == (want.values, want.value_rv)
+
+
+@st.composite
+def unchecked_profiles(draw):
+    """(space, fields, profile, start) on a small random space: 2 or 3
+    seats, strategies never passed through ``validate_strategy`` (two seats
+    may share their initial stop) and a constant or random start."""
+    rng = draw(st.randoms(use_true_random=False))
+    space = random_space(rng, draw(st.integers(2, 5)), draw(st.integers(3, 5)))
+    K = space.grid.terminal_index
+    n_seats = draw(st.sampled_from((2, 3)))
+    shared = random_stopping_time(rng, space, 0)
+    profile = [
+        unchecked_strategy(
+            rng, space, n_seats, q, shared if draw(st.booleans()) else random_stopping_time(rng, space, 0)
+        )
+        for q in range(n_seats)
+    ]
+    start = draw(st.integers(0, K)) if draw(st.booleans()) else random_stopping_time(rng, space, 0)
+    fields = [mixed_field(rng, space, n_seats) for _ in range(n_seats)]
+    return space, fields, profile, start
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(case=unchecked_profiles())
+def test_measured_worst_gap_matches_reference(case):
+    """The integer gap measurement's worst gap, a cross-multiplied maximum
+    floored at 0, is the ``Fraction`` certificate's worst gap."""
+    worst = worst_gap(*case)
+    assert type(worst) is Fraction
+    assert worst == reference_certify_nash(*case, eps=1).worst_gap
 
 
 def random_profiles():

@@ -45,6 +45,7 @@ from stopgame.space import (
     expectation,
     is_stopping_time,
     make_grid,
+    stopped_atoms,
 )
 from stopgame.verify import enumerate_stopping_times
 from stopgame.zerosum import _maximin
@@ -308,6 +309,10 @@ def test_joint_inf_matches_reference_sweep(seed):
         layers, *pair = reference_joint_inf_pair(space, field2, from_)
         at_start = tuple(layers[k][w] for w, k in enumerate(_start_indices(space, from_)))
         assert (res.value, res.rho, res.tau) == (at_start, *pair)
+        atoms = stopped_atoms(space, from_)
+        assert len(res.scaled) == len(atoms)
+        for n, (_, block, w_b) in zip(res.scaled, atoms):
+            assert type(n) is int and Fraction(n, field2.den * w_b) == at_start[block[0]]
 
 
 @pytest.mark.parametrize("seed", range(6))

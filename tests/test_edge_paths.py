@@ -19,11 +19,15 @@ from stopgame.errors import (
     WindowCertificationFailed,
 )
 from stopgame.generator import generate_instance
-from stopgame.nash2 import build_single_family, solve_2p_nash, stop_now_solutions
+from stopgame.nash2 import (
+    build_coop_family,
+    build_single_family,
+    solve_2p_nash,
+    stop_now_solutions,
+)
 from stopgame.nash3 import solve_three_player
 from stopgame.payoff import payoff_from_function
-from stopgame.space import FilteredSpace, cond_exp, constant_time, make_grid
-from stopgame.strategy import phi_h
+from stopgame.space import FilteredSpace, cond_exp, constant_time, make_grid, phi_h
 from stopgame.zerosum import ReactionGameSpec, reaction_game_value
 
 
@@ -110,7 +114,32 @@ def test_window_certification_failure_surfaced(three_time_space):
     solo = solo_solutions(space, field, 0, "sup")
     with pytest.raises(WindowCertificationFailed) as info:
         build_single_family(space, field, 0, solo, 1, Fraction(1, 2))
-    assert info.value.g is not None
+    err = info.value
+    assert str(err) == "single entry at 2 reached gap 10/11 > 1*eps at grid index 1"
+    assert (err.g, err.at, err.kind) == (2, 1, "single")
+    assert (err.achieved, err.bound) == (Fraction(10, 11), Fraction(1, 2))
+
+
+def test_coop_window_certification_failure_surfaced():
+    """A coop entry whose committed pair misses the cooperative infimum at an
+    earlier window time by more than 5*eps fails, naming the entry, the
+    window time and the measured gap."""
+    space = FilteredSpace(
+        grid=make_grid([0, 1, 2]),
+        weights=(Fraction(1, 3), Fraction(2, 3)),
+        partitions=(((0, 1),), ((0,), (1,)), ((0,), (1,))),
+    )
+    rng = random.Random(1)
+    base = {k: cond_exp(space, random_rv(rng, 2, lo=0, hi=2), k) for k in range(3)}
+    field = payoff_from_function(
+        space, 3, lambda ks, w: base[max(ks)][w] + Fraction(ks[1] - ks[2], 7)
+    )
+    with pytest.raises(WindowCertificationFailed) as info:
+        build_coop_family(space, field, 0, stop_now_solutions(space, field, 0), 1, Fraction(1, 20))
+    err = info.value
+    assert str(err) == "coop entry at 2 reached gap 3/2 > 5*eps at grid index 1"
+    assert (err.g, err.at, err.kind) == (2, 1, "coop_pair")
+    assert (err.achieved, err.bound) == (Fraction(3, 2), Fraction(1, 4))
 
 
 def test_golden_two_player_certificate():

@@ -297,6 +297,49 @@ def test_cli_non_integer_counts_and_indices_exit_2(
     assert message in err
 
 
+NON_OBJECT_DOCUMENTS = [
+    pytest.param("game", "[]", "game: expected a JSON object, got list", id="game-list"),
+    pytest.param("game", '"x"', "game: expected a JSON object, got str", id="game-string"),
+    pytest.param("game", "null", "game: expected a JSON object, got null", id="game-null"),
+    pytest.param("game", "3", "game: expected a JSON object, got int", id="game-int"),
+    pytest.param("profile", "[]", "profile: expected a JSON object, got list", id="profile-list"),
+    pytest.param(
+        "profile", "null", "profile: expected a JSON object, got null", id="profile-null"
+    ),
+    pytest.param(
+        "profile", '{"profile": [1]}', "profile: expected a JSON object, got list",
+        id="report-profile-list",
+    ),
+    pytest.param(
+        "profile", '{"strategies": [1, 2, 3]}',
+        "profile: strategy 0: expected a JSON object, got int", id="strategy-int",
+    ),
+    pytest.param(
+        "profile", '{"profile": {"strategies": ["a"]}}',
+        "profile: strategy 0: expected a JSON object, got str", id="report-strategy-string",
+    ),
+]
+
+
+@pytest.mark.parametrize("role, text, message", NON_OBJECT_DOCUMENTS)
+def test_cli_non_object_documents_exit_2(tmp_path, capsys, role, text, message):
+    """A game, profile or strategy that is valid JSON but not a JSON object
+    is an input error (2) saying what was expected and what came, not a
+    Python error text."""
+    game, rep = tmp_path / "g.json", tmp_path / "r.json"
+    assert main(["gen", "--seed", "5", "--players", "2", "--outcomes", "2", "--times", "3",
+                 "--out", str(game)]) == 0
+    assert main(["solve", "--game", str(game), "--out", str(rep)]) == 0
+    {"game": game, "profile": rep}[role].write_text(text)
+    capsys.readouterr()
+    argv = ["verify", "--game", str(game), "--profile", str(rep), "--out", str(tmp_path / "v.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    if role == "game":
+        assert main(["solve", "--game", str(game), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_cli_report_renders(tmp_path, capsys):
     game = tmp_path / "game.json"
     rep = tmp_path / "report.json"

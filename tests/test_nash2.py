@@ -7,11 +7,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rv, solo_solutions
-from oracles import every_multiple, reference_solve_2p_nash
-from stopgame import classic
+from oracles import (
+    every_multiple,
+    reference_certify_nash,
+    reference_shortfall,
+    reference_solve_2p_nash,
+)
+from stopgame import classic, nash2
 from stopgame.cli import main
-from stopgame.classic import joint_inf_pair
-from stopgame.errors import NonGridResult
+from stopgame.classic import block_rv, joint_inf_pair
+from stopgame.config import ENV_OVERRIDE
+from stopgame.errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from stopgame.generator import generate_instance
 from stopgame.nash2 import (
     build_pair_family,
@@ -227,25 +233,50 @@ def test_single_family_tracks_snell(three_time_space):
 
 
 def test_pair_family_solves_match_reference_patched_on_ladder(ladder_run):
-    """Every pair-family solve of the ladder's three-player games returns the
-    old solver's pair patched at its anchor, with the same certificate."""
+    """Every pair-family anchor candidate of the ladder's three-player games
+    is the old solver's pair patched at its anchor: solved with eps at the
+    candidate's own measured gap, the old solver certifies its pair without
+    a fallback, with that gap, and ``solve_2p_nash`` returns the candidate
+    with the old solver's certificate."""
     pair_calls = ladder_run["pair"]
     assert len(pair_calls) > 100
-    for args, result in pair_calls:
-        space, _, _, anchor, _ = args
-        ref = reference_solve_2p_nash(*args)
-        assert result.strategies == patch_pair(space, ref.strategies, anchor)
-        assert result.certificate == ref.certificate  # worst_gap included
-        assert result.fallback_used == ref.fallback_used
+    for (space, fa, fb, anchor), pair in pair_calls:
+        gap = reference_certify_nash(space, (fa, fb), list(pair), anchor, 1).worst_gap
+        ref = reference_solve_2p_nash(space, fa, fb, anchor, gap)
+        assert not ref.fallback_used and ref.certificate.worst_gap == gap
+        assert pair == patch_pair(space, ref.strategies, anchor)
+        res = solve_2p_nash(space, fa, fb, anchor, gap)
+        assert (res.strategies, res.certificate, res.fallback_used) == (pair, ref.certificate, False)
 
 
 def test_pair_anchor_gap_is_a_fresh_certificate_on_ladder(ladder_run):
-    """``build_pair_family`` takes each anchor's gap from the solve's own
-    certificate; it equals a fresh ``certify_nash`` of the returned pair."""
-    for (space, fa, fb, anchor, eps), result in ladder_run["pair"]:
-        fresh = certify_nash(space, (fa, fb), list(result.strategies), anchor, eps)
-        assert result.gap == fresh.worst_gap
-        assert result.certificate == fresh
+    """``build_pair_family`` takes each anchor's gap from the measurement of
+    its candidate; it equals the worst gap of a fresh ``certify_nash`` of
+    the candidate, and so of ``solve_2p_nash``'s certificate."""
+    pair_calls = ladder_run["pair"]
+    measured = {
+        (id(args[1][0]), id(args[1][1]), args[3], *args[2]): result[2]
+        for args, _, result in ladder_run["certify"]
+        if len(args[1]) == 2
+    }
+    for (space, fa, fb, anchor), pair in pair_calls:
+        fresh = certify_nash(space, (fa, fb), list(pair), anchor, 1)
+        assert measured[(id(fa), id(fb), anchor, *pair)] == fresh.worst_gap
+
+
+def test_window_shortfalls_match_reference_on_ladder(ladder_run):
+    """Every coop and single window gap of the ladder's solves, at both h,
+    measured on integers against the optimum's numerators, equals the
+    ``Fraction`` shortfall against the optimum's values (``test_classic``
+    checks the numerators of ``solo_stop`` and ``joint_inf_pair`` against
+    their values)."""
+    calls = ladder_run["shortfall"]
+    assert len(calls) > 100
+    assert {args[-1] for args, _ in calls} == {"inf", "sup"}
+    for (space, field3, stops, k, opt, direction), gap in calls:
+        values = block_rv(space, k, opt, field3.den)
+        assert type(gap) is Fraction
+        assert gap == reference_shortfall(space, field3, stops, k, values, direction)
 
 
 def test_pair_anchor_gap_is_a_fresh_certificate_after_fallback(three_time_space):
@@ -271,6 +302,73 @@ def test_pair_anchor_gap_is_a_fresh_certificate_after_fallback(three_time_space)
         raw = reference_solve_2p_nash(*args).strategies
         changed_fallbacks += res.fallback_used and res.strategies != raw
     assert changed_fallbacks > 0
+
+
+def family_outcome(build):
+    """What ``build()`` returns, or its error's type, text and window fields."""
+    try:
+        return build()
+    except (DeskScaleExceeded, WindowCertificationFailed) as exc:
+        fields = [getattr(exc, a, None) for a in ("g", "at", "kind", "achieved", "bound")]
+        return type(exc), str(exc), fields
+
+
+def full_solve_pair_family(space, fields3, frozen, h, eps):
+    """``build_pair_family`` with every anchor solved by the full
+    ``solve_2p_nash`` (certificate, then fallback search)."""
+    free, tolerance = [q for q in range(3) if q != frozen], 11 * eps
+    entries = {}
+    for g, (anchor, window) in space.windows(h)[1].items():
+        res = solve_2p_nash(space, *(f.pin(frozen, anchor) for f in fields3), anchor, eps)
+        achieved = Fraction(0)
+        for k in window:
+            views = [f.pin(frozen, k) for f in fields3]
+            gap = certify_nash(space, views, list(res.strategies), k, eps).worst_gap
+            achieved = max(achieved, res.gap if k == anchor else gap)
+            if achieved > tolerance:
+                raise WindowCertificationFailed(
+                    f"pair entry at {g} reached gap {achieved} > 11*eps at grid index {k}",
+                    g=g, at=k, kind="nonzero_sum_pair", achieved=achieved, bound=tolerance,
+                )
+        entries[g] = dict(zip(free, res.strategies)), achieved
+    return entries
+
+
+@pytest.mark.parametrize("guard", ("", "enum=1,dp=10000000"))
+def test_pair_family_anchor_candidate_over_eps_takes_the_full_solve(
+    three_time_space, monkeypatch, guard
+):
+    """A pair-family anchor whose node-sweep candidate misses eps gets the
+    full ``solve_2p_nash``: the same payload and gap, or the same
+    ``WindowCertificationFailed``, or, past the enumeration cap, the same
+    ``DeskScaleExceeded``."""
+    space = three_time_space
+    monkeypatch.setenv(ENV_OVERRIDE, guard)
+    full_solves = []
+    real_solve = nash2.solve_2p_nash
+    monkeypatch.setattr(nash2, "solve_2p_nash", lambda *a: full_solves.append(a) or real_solve(*a))
+    kinds = set()
+    for eps in (Fraction(1, 8), Fraction(1, 4)):
+        for seed in range(12):
+            rng = random.Random(seed)
+            tables = [
+                {(a, b, w): rng.randint(0, 3) for a in range(3) for b in range(3) for w in range(2)}
+                for _ in range(2)
+            ]
+            fields3 = tuple(
+                payoff_from_function(space, 3, lambda ks, w, t=t: t[(ks[1], ks[2], w)])
+                for t in tables
+            )
+            before = len(full_solves)
+            got = family_outcome(lambda: {
+                g: (e.payload, e.achieved)
+                for g, e in build_pair_family(space, fields3, 0, 1, eps).entries.items()
+            })
+            want = family_outcome(lambda: full_solve_pair_family(space, fields3, 0, 1, eps))
+            assert got == want
+            if len(full_solves) > before:
+                kinds.add(got[0] if isinstance(got, tuple) else "entries")
+    assert kinds == ({DeskScaleExceeded} if guard else {"entries", WindowCertificationFailed})
 
 
 def test_pair_family_entries_match_fresh_window_certificates():

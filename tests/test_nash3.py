@@ -25,6 +25,7 @@ from stopgame.classic import block_rv, joint_inf_value, solo_stop
 from stopgame.errors import NoValidDelta, StopGameError, WindowCertificationFailed
 from stopgame.generator import generate_instance
 from stopgame import classic, nash2, nash3, verify
+from stopgame import space as space_module
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
     PlayerProcesses,
@@ -750,29 +751,33 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits",
-    [(1004, 4, 6, True, 162, 105, 16, 264, 264), (1000, 3, 5, False, 135, 84, 4, 180, 200)],
+    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits, "
+    "certificates",
+    [(1004, 4, 6, True, 162, 5, 16, 144, 264, 1), (1000, 3, 5, False, 135, 4, 4, 120, 200, 1)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
     monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs,
-    commits,
+    commits, certificates,
 ):
-    """On two bench games: every ``certify_nash`` resolves its profile once
-    for all seats; ``pin`` runs only for solver sub-fields (pair-family views,
-    each index pinned once per family, stop-now sweeps, zero-sum views); each
-    coalition game negates its payoff once; and each of the 21 families maps
-    every interior grid time through ``phi_h`` once (the targets feed both its
-    multiples and its ``by_index``), while profile assembly reads entries by
-    grid index without any ``phi_h``; ``classic.snell`` never runs, as the
-    node sweep's reactions and the coalition's solo tables run on the one
-    integer Snell sweep; ``is_stopping_time`` runs only for strategy
-    validation, as certificates read their start through ``stopped_atoms``;
-    and ``classic.block_rv`` converts only what is read at one index: the
-    zero-sum game's start layer, each solo optimum, each after-stop family
-    layer and each window gap; and the best-response oracle reads each live
-    fixed seat's commitment (``committed_time``) once per observed-stop
-    status of a call, not once per DP node."""
+    """On two bench games: every gap measurement (``verify._measure_gaps``:
+    the pair families' anchors and window times, and the final certificate)
+    resolves its profile once for all seats, and only the final certificate
+    builds per-atom ``Fraction`` maps (``certify_nash``); ``pin``
+    runs only for solver sub-fields (pair-family views, each index pinned
+    once per family, stop-now sweeps, zero-sum views); each coalition game
+    negates its payoff once; the 21 families share one window schedule, so
+    ``phi_h`` maps each interior grid time once per solve, and profile
+    assembly reads entries by grid index without any ``phi_h``;
+    ``classic.snell`` never runs, as the node sweep's reactions and the
+    coalition's solo tables run on the one integer Snell sweep;
+    ``is_stopping_time`` runs only for strategy validation, as certificates
+    read their start through ``stopped_atoms``; ``classic.block_rv``
+    converts only what is read at one index: the zero-sum game's start
+    layer, each solo optimum and each after-stop family layer, while window
+    gaps stay integers; and the best-response oracle reads each live fixed
+    seat's commitment (``committed_time``) once per observed-stop status of
+    a call, not once per DP node."""
     counts = Counter()
 
     def counting(key, real):
@@ -782,33 +787,39 @@ def test_calls_per_solve_on_bench_games(
 
         return call
 
-    real_certify = verify.certify_nash
+    real_measure = verify._measure_gaps
     resolutions = []
 
-    def certify(*args, **kwargs):
+    def measure(*args, **kwargs):
         before = counts["resolve"]
-        cert = real_certify(*args, **kwargs)
+        measured = real_measure(*args, **kwargs)
         resolutions.append(counts["resolve"] - before)
-        return cert
+        return measured
 
     monkeypatch.setattr(verify, "resolve_profile", counting("resolve", verify.resolve_profile))
+    monkeypatch.setattr(verify, "_measure_gaps", measure)
     for module in (nash2, nash3):
-        monkeypatch.setattr(module, "certify_nash", certify)
-    monkeypatch.setattr(nash2, "phi_h", counting("phi_h", nash2.phi_h))
+        monkeypatch.setattr(module, "certify_nash", counting("certificates", verify.certify_nash))
     monkeypatch.setattr(classic, "snell", counting("snell", classic.snell))
     monkeypatch.setattr(verify, "committed_time", counting("commits", verify.committed_time))
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
-    for name, real in (("is_stopping_time", is_stopping_time), ("block_rv", classic.block_rv)):
+    for name, real in (
+        ("is_stopping_time", is_stopping_time),
+        ("block_rv", classic.block_rv),
+        ("phi_h", space_module.phi_h),
+    ):
         counted = counting(name, real)
         for key, module in list(sys.modules.items()):
             if key.startswith("stopgame.") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
+    assert nash2.phi_h is space_module.phi_h  # family_lookup's calls are counted too
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
-    assert resolutions and set(resolutions) == {1}
+    assert len(resolutions) > 40 and set(resolutions) == {1}
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
     assert counts["snell"] == 0
     assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)
     assert counts["commits"] == commits
+    assert counts["certificates"] == certificates

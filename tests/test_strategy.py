@@ -14,7 +14,7 @@ from oracles import (
     reference_resolve3,
     reference_validate_strategy,
 )
-from stopgame.space import StoppingTime, constant_time, is_stopping_time
+from stopgame.space import StoppingTime, constant_time, is_stopping_time, phi_h
 from stopgame.strategy import (
     StrategyOrder2,
     StrategyOrder3,
@@ -23,7 +23,6 @@ from stopgame.strategy import (
     lift_constant3,
     lift_obstinate2,
     patch_pair,
-    phi_h,
     resolve2,
     resolve3,
     validate_strategy,
