@@ -4,14 +4,16 @@ Rationals are serialized as "p/q" strings, so parse(emit(x)) reproduces x and
 reports can be re-verified bit for bit.  On input the accepted grammar is
 exactly ``Fraction(str)``'s (decimals are converted exactly).  Each payoff
 tensor is read in bulk into its field's integer ``PayoffField.rows``, with no
-``Fraction``: its distinct ASCII integer and "p/q" strings are converted
-together and scaled to the lcm L of their written denominators, and one
-g = gcd(L, every numerator) gives den = L // g; any other value is read alone
-through ``rat``.  Payoff tensors are dense nested lists indexed by time
-indices then outcome, written as text from the same integer rows; profiles
-are explicit tables, their times written and read through the grid's
-canonical texts, so that a report's profile can be re-checked without access
-to solver internals.
+``Fraction``: its shape is checked a level at a time, its distinct ASCII
+integer and "p/q" strings are checked together (one ``str.translate``, then
+``int`` per numerator and per distinct denominator text) and scaled to the
+lcm L of their written denominators, and one g = gcd(L, every numerator)
+gives den = L // g; any other value is read alone through ``rat``.  Payoff
+tensors are dense nested lists indexed by time indices then outcome, written
+as text from the same integer rows; profiles are explicit tables, their times
+written and read through the grid's canonical texts, each distinct row once
+per profile, so that a report's profile can be re-checked without access to
+solver internals.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import ParseError, ValidationError
 from .payoff import PayoffField, check_adapted
@@ -202,39 +204,59 @@ def _read_payoffs(space: FilteredSpace, node, player: int, arity: int) -> Payoff
     comes before a bad node in tuple order is still the error raised."""
     n = space.n_outcomes
     tuples = list(product(range(len(space.grid)), repeat=arity))
-    leaves: list = []
-    try:
-        _walk(node, (), (len(space.grid),) * arity + (n,), player, leaves)
-    except ParseError:
-        _read_values(leaves, player, tuples, n)  # the leaves before the bad node
-        raise
-    scaled, den = _read_values(leaves, player, tuples, n)
+    sizes, level = (len(space.grid),) * arity + (n,), [node]
+    for size in sizes:  # a level at a time; past a bad node, _walk finds the first
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            leaves: list = []
+            try:
+                _walk(node, (), sizes, player, leaves)
+            except ParseError:  # read the values before the bad node first
+                _read_values(list(chain.from_iterable(leaves)), player, tuples, n)
+                raise
+        level = list(chain.from_iterable(level))
+    scaled, den = _read_values(level, player, tuples, n)
     # n numerators at a time make each tuple's row, in tuple order
-    rows = zip(*[map(scaled.__getitem__, chain.from_iterable(leaves))] * n)
+    rows = zip(*[map(scaled.__getitem__, level)] * n)
     return PayoffField.from_rows(space, arity, dict(zip(tuples, rows)), den)
 
 
 _RATIO = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII, nonzero denominator
+_RATIO_CHARS = dict.fromkeys(map(ord, "0123456789/-"))  # what ``str.translate`` drops
 
 
-def _read_values(leaves: list, player: int, tuples: list, n: int) -> tuple[dict, int]:
-    """({value: numerator}, den) for the values of ``leaves``, the tensor's
-    first leaves in tuple order, read in bulk as the module docstring says.
-    Every value outside ``_RATIO``'s grammar is read alone, in tuple order,
-    so the first bad one is raised; only strings are read once, since
-    ``True == 1``."""
-    flat = list(chain.from_iterable(leaves))
+def _ratios(keys: list) -> tuple[list, list]:
+    """The numerators and denominators of ``keys`` if all are strings in
+    ``_RATIO``'s grammar (characters in [0-9/-], ``int`` texts, a "/" only
+    before an ``int`` > 0, read once per text), else TypeError or ValueError."""
+    joined = "".join(keys)
+    if joined.translate(_RATIO_CHARS):
+        raise ValueError("a character outside [0-9/-]")
+    ps, _, qs = zip(*map(str.partition, keys, repeat("/")))
+    nums = list(map(int, ps))
+    den_of = {q: int(q or 1) for q in set(qs)}
+    if min(den_of.values()) < 1 or joined.count("/") != len(qs) - qs.count(""):
+        raise ValueError("a denominator not positive, or missing after a '/'")
+    return nums, list(map(den_of.__getitem__, qs))
+
+
+def _read_values(flat: list, player: int, tuples: list, n: int) -> tuple[dict, int]:
+    """({value: numerator}, den) for ``flat``, the tensor's first values in
+    tuple order (n per tuple), read in bulk as the module docstring says.  A
+    value outside ``_ratios``' grammar is read alone, in tuple order, so the
+    first bad one is raised; only strings are read once, since ``True == 1``."""
     try:
         distinct = set(flat)
     except TypeError:  # a list or dict among the values
         distinct = flat
-    keys = list(filter(_RATIO.fullmatch, [v for v in distinct if type(v) is str]))
-    parts = list(map(str.partition, keys, repeat("/")))  # (p, "/", q), or (p, "", "")
+    keys = list(distinct)
     try:
-        nums = list(map(int, map(itemgetter(0), parts)))
-        dens = [int(q or 1) for _, _, q in parts]
-    except ValueError:  # past ``int``'s digit limit: every value is read alone
-        keys, nums, dens = [], [], []
+        nums, dens = _ratios(keys)
+    except (TypeError, ValueError):
+        keys = list(filter(_RATIO.fullmatch, [v for v in distinct if type(v) is str]))
+        try:
+            nums, dens = _ratios(keys)
+        except ValueError:  # no such string, or past ``int``'s digit limit
+            keys, nums, dens = [], [], []
     if len(keys) < len(distinct):
         seen = set(keys)
         for i, v in enumerate(flat):
@@ -296,7 +318,7 @@ def strategy_to_obj(space: FilteredSpace, strat) -> dict:
     }
 
 
-def strategy_from_obj(space: FilteredSpace, obj: dict):
+def strategy_from_obj(space: FilteredSpace, obj: dict, rows: dict):
     grid = space.grid
     K = grid.terminal_index
     # the canonical text of each grid time -> its index; only strings are
@@ -306,12 +328,14 @@ def strategy_from_obj(space: FilteredSpace, obj: dict):
     def read_st(vals, where, *args):
         if len(vals) != space.n_outcomes:
             raise ParseError(f"{where.format(*args)}: need one time per outcome")
+        key = tuple(vals)
         try:
             try:
-                idx = tuple(map(indices.__getitem__, vals))
+                if key not in rows:  # TypeError for a list or dict among the times
+                    rows[key] = StoppingTime(tuple(map(indices.__getitem__, key)))
+                return rows[key]
             except (KeyError, TypeError):  # a time not written canonically: read each
-                idx = tuple([grid.index(_s2f(v, where, *args)) for v in vals])
-            return StoppingTime(idx)
+                return StoppingTime(tuple([grid.index(_s2f(v, where, *args)) for v in key]))
         except ValueError as exc:
             raise ParseError(f"{where.format(*args)}: {exc}") from exc
 
@@ -373,7 +397,8 @@ def profile_from_obj(space: FilteredSpace, obj: dict):
         strategies = obj.get("strategies")
         if not isinstance(strategies, list):
             raise ParseError("profile needs a 'strategies' list")
-        return [strategy_from_obj(space, _object(s, f"profile: strategy {i}"))
+        rows: dict = {}  # the stopping time of each canonical row read, by tuple
+        return [strategy_from_obj(space, _object(s, f"profile: strategy {i}"), rows)
                 for i, s in enumerate(strategies)]
 
 

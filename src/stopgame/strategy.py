@@ -75,7 +75,7 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
     def check_reaction(tag: str, s_max: int, st: StoppingTime):
         if not stopping(st.idx):
             problems.append(f"{tag}: reaction is not a stopping time")
-        if s_max < K and any(i <= s_max for i in st.idx):
+        if s_max < K and min(st.idx, default=K) <= s_max:
             problems.append(f"{tag}: reaction not strictly after the observation")
 
     if not stopping(strat.initial.idx):

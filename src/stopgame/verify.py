@@ -186,12 +186,13 @@ def exact_best_response(
     )
 
 
-def _best_response(space, field, strategies, controlled, objective, start) -> tuple:
+def _best_response(space, field, strategies, controlled, objective, start, atoms=None) -> tuple:
     """:func:`exact_best_response`'s integer DP: the start atoms (k, B, W_B)
-    and, by atom (k, B), the optimal value scaled by ``field.den * W_B``."""
+    and, by atom (k, B), the optimal value scaled by ``field.den * W_B``.
+    ``atoms`` is ``stopped_atoms(space, start)`` when the caller has read it."""
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
-    atoms = stopped_atoms(space, start)
+    atoms = atoms or stopped_atoms(space, start)
     opt = max if objective == "max" else min
     n_seats = field.arity
     K = space.grid.terminal_index
@@ -260,14 +261,14 @@ def resolve_profile(space: FilteredSpace, strategies: Sequence):
 
 
 def _conforming(
-    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, start
+    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, atoms: list
 ) -> tuple[dict[Atom, int], list[dict[Atom, int]]]:
-    """The conforming profile's payoff at each start atom on the oracle's
-    scale: ``W_B`` by start atom (k, B), and per field, by atom, its
-    ``PayoffField.stop_sums`` at the profile's stops, which is
-    ``field.den * W_B`` times the conditional expectation at the start.  The
-    profile is resolved once for every field."""
-    atoms = {(k, block): w_b for k, block, w_b in stopped_atoms(space, start)}
+    """The conforming profile's payoff at each start atom (``atoms``, as
+    ``stopped_atoms`` reads them) on the oracle's scale: ``W_B`` by atom (k,
+    B), and per field, by atom, its ``PayoffField.stop_sums`` at the
+    profile's stops, which is ``field.den * W_B`` times the conditional
+    expectation at the start.  The profile is resolved once for every field."""
+    atoms = {(k, block): w_b for k, block, w_b in atoms}
     stops = resolve_profile(space, strategies)
     blocks = [block for _, block in atoms]
     return atoms, [dict(zip(atoms, field.stop_sums(stops, blocks))) for field in fields]
@@ -278,7 +279,7 @@ def on_path_value(
 ) -> list[tuple[dict[Atom, Fraction], RV]]:
     """Per field, the expected payoff of the conforming profile conditioned at
     the start, by start atom and as an RV.  The profile is resolved once."""
-    atoms, sums = _conforming(space, fields, strategies, start)
+    atoms, sums = _conforming(space, fields, strategies, stopped_atoms(space, start))
     out = []
     for field, path in zip(fields, sums):
         values = {atom: Fraction(n, field.den * atoms[atom]) for atom, n in path.items()}
@@ -307,18 +308,16 @@ def certify_nash(
     :func:`_measure_gaps`'s; this adds the per-atom ``Fraction`` maps, each
     entry its integer on ``fields[s].den * W_B`` converted once.
     """
-    best = [
-        exact_best_response(
-            space, field, profile, controlled=(seat,), objective="max", start=theta
-        )
-        for seat, field in enumerate(fields)
-    ]
-    atoms, paths, worst = _measure_gaps(space, fields, profile, theta, [br.scaled for br in best])
-    on_path, gaps = [], []
-    for field, br, path in zip(fields, best, paths):
-        scale = {atom: field.den * w_b for atom, w_b in atoms.items()}
+    atoms = stopped_atoms(space, theta)
+    best = [_best_response(space, field, profile, (seat,), "max", theta, atoms=atoms)[1]
+            for seat, field in enumerate(fields)]
+    w_bs, paths, worst = _measure_gaps(space, fields, profile, theta, best, atoms=atoms)
+    on_path, values, gaps = [], [], []
+    for field, scaled, path in zip(fields, best, paths):
+        scale = {atom: field.den * w_b for atom, w_b in w_bs.items()}
         on_path.append({atom: Fraction(n, scale[atom]) for atom, n in path.items()})
-        gaps.append({atom: Fraction(n - path[atom], scale[atom]) for atom, n in br.scaled.items()})
+        values.append({atom: Fraction(n, scale[atom]) for atom, n in scaled.items()})
+        gaps.append({atom: Fraction(n - path[atom], scale[atom]) for atom, n in scaled.items()})
     eps = rat(eps)
     bound = (13 if len(fields) == 3 else 1) * eps
     return NashCertificate(
@@ -326,7 +325,7 @@ def certify_nash(
         bound=bound,
         per_player_gaps=tuple(gaps),
         on_path=tuple(on_path),
-        best_response=tuple(br.values for br in best),
+        best_response=tuple(values),
         worst_gap=worst,
         passes=worst <= bound,
     )
@@ -336,13 +335,14 @@ def certify_nash(
 _BY_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _measure_gaps(space, fields, profile, theta, best) -> tuple:
+def _measure_gaps(space, fields, profile, theta, best, atoms=None) -> tuple:
     """The one place Nash gaps are measured: per seat and start atom, the
     best-response numerator ``best[s][atom]`` minus the conforming one, both
     on ``fields[s].den * W_B``.  Returns ``_conforming``'s atoms and
     numerators, and the worst gap: the maximum taken by cross-multiplication,
-    floored at 0 and converted once."""
-    atoms, paths = _conforming(space, fields, profile, theta)
+    floored at 0 and converted once.  ``atoms`` is ``stopped_atoms(space,
+    theta)`` when the caller has read it."""
+    atoms, paths = _conforming(space, fields, profile, atoms or stopped_atoms(space, theta))
     gaps = [(n - path[a], f.den * atoms[a]) for f, br, path in zip(fields, best, paths)
             for a, n in br.items()]
     return atoms, paths, Fraction(*max([(0, 1), *gaps], key=_BY_RATIO))
@@ -351,12 +351,12 @@ def _measure_gaps(space, fields, profile, theta, best) -> tuple:
 def worst_gap(space, fields, profile, theta, best=None) -> Fraction:
     """:func:`certify_nash`'s ``worst_gap`` without the per-atom maps; ``best``
     gives each seat's best-response numerators (``BestResponseResult.scaled``)
-    when they are already known."""
+    when they are already known.  The start's atoms are read once."""
+    atoms = stopped_atoms(space, theta)
     if best is None:
-        best = [
-            _best_response(space, f, profile, (s,), "max", theta)[1] for s, f in enumerate(fields)
-        ]
-    return _measure_gaps(space, fields, profile, theta, best)[2]
+        best = [_best_response(space, f, profile, (s,), "max", theta, atoms=atoms)[1]
+                for s, f in enumerate(fields)]
+    return _measure_gaps(space, fields, profile, theta, best, atoms=atoms)[2]
 
 
 def nash_gap(

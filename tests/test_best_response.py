@@ -23,7 +23,9 @@ from oracles import (
     reference_certify_nash,
     reference_exact_best_response,
     reference_on_path_value,
+    reference_validate_strategy,
 )
+from stopgame import verify
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import GuardExceeded
 from stopgame.payoff import PayoffField, payoff_from_function
@@ -53,8 +55,11 @@ def same_result(got, want) -> bool:
 
 @pytest.fixture(scope="module")
 def ladder_calls(ladder_run):
-    """Every oracle call, with its result, made while solving the ladder."""
-    return ladder_run["oracle"]
+    """Every oracle call, with its result, made while solving the ladder, as
+    the public oracle takes it: without the start atoms a gap measurement
+    passes (``test_gap_measurement_reads_its_start_atoms_once`` checks them)."""
+    return [(args, {k: v for k, v in kwargs.items() if k != "atoms"}, result)
+            for args, kwargs, result in ladder_run["oracle"]]
 
 
 def as_values(field: PayoffField, result) -> dict:
@@ -72,6 +77,27 @@ def test_oracle_matches_reference_on_ladder(ladder_calls):
         want = reference_exact_best_response(*args, **kwargs)
         assert as_values(args[1], result) == want.values
         assert same_result(exact_best_response(*args, **kwargs), want)
+
+
+def test_gap_measurement_reads_its_start_atoms_once(ladder_run, monkeypatch):
+    """Every DP run of a gap measurement on the ladder was given the atoms
+    of its start, and ``certify_nash`` and ``worst_gap`` read them once for
+    every seat's DP run and the conforming value."""
+    given = [(args, kwargs["atoms"], result[0])
+             for args, kwargs, result in ladder_run["oracle"] if "atoms" in kwargs]
+    assert len(given) > 1000
+    for args, atoms, used in given:
+        assert used is atoms and atoms == stopped_atoms(args[0], args[5])
+    reads = []
+    monkeypatch.setattr(verify, "stopped_atoms", lambda *a: reads.append(a) or stopped_atoms(*a))
+    space, fields, profile, start, _ = next(
+        args for args, _, _ in ladder_run["certify"] if len(args[1]) == 3
+    )
+    certify_nash(space, fields, profile, start, 1)
+    assert reads == [(space, start)]
+    reads.clear()
+    worst_gap(space, fields, profile, start)
+    assert reads == [(space, start)]
 
 
 CERTIFICATE_FIELDS = (
@@ -272,9 +298,12 @@ def unchecked_cases(draw):
 def test_oracle_matches_reference_on_unchecked_strategies(case):
     """The DP reads each live fixed seat's commitment once per observed-stop
     status; on strategies the solvers never build it still gives the
-    reference's values."""
+    reference's values, and ``validate_strategy`` its problem lists."""
     got, want = exact_best_response(*case), reference_exact_best_response(*case)
     assert (got.values, got.value_rv) == (want.values, want.value_rv)
+    space, strategies = case[0], case[2]
+    for strat in filter(None, strategies):
+        assert validate_strategy(space, strat) == reference_validate_strategy(space, strat)
 
 
 @st.composite

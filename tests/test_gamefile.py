@@ -564,6 +564,8 @@ PINNED_VALUES = (
     "1 /2", "1/ 2", "1/-2", "+1/2", " 1/2 ", "1_0/3", "١/٢", "1/0", "-0/5", "01/02",
     "1.5", "1e3", "1" * 5000, "1/" + "3" * 5000, "-7", "0", "-12/18", "0/00", "1/2\n",
     "", "-", "/", "1/", "/2", "--1/2", "1//2", "²/3", "nan", "inf",
+    # at the edge of the bulk reader's character check, [0-9/-]
+    ",", "1,2", "1/2,3", "2/-0", "-/2", "0/-3", "1-2",
 )
 
 
@@ -794,6 +796,36 @@ def test_duplicate_reaction_keys_are_rejected():
         entries = renamed["strategies"][0][table]
         entries[twin] = entries.pop(key)
         assert profile_from_obj(space, renamed) == profile_from_obj(space, base)
+
+
+def test_repeated_profile_rows_read_as_each_row_alone(tmp_path):
+    """A bench report's profile with one row repeated under many keys, one
+    repeat written with a non-canonical time, reads as each row read alone,
+    and a canonical repeat is the stopping time read first; a bad time at a
+    later key keeps its error text."""
+    game, report = _gen(tmp_path, 1000, 3, 4, 6), tmp_path / "r.json"
+    doc = parse_game(game.read_text())
+    h = ["--h", str(doc.space.grid.min_step)]
+    assert main(["solve", "--game", str(game), *h, "--out", str(report)]) == 0
+    obj = json.loads(report.read_text())
+    base = profile_from_obj(doc.space, obj)
+    table = obj["profile"]["strategies"][1]["react_two"]
+    keys = list(table)
+    assert keys[3:5] == ["0,3", "0,4"]
+    row = table["0,3"]
+    for key in keys[4:20]:
+        table[key] = list(row)
+    table[keys[9]] = [_twice(row[0]), *row[1:]]  # "2p/2q" for a time p/q other than 0
+    react_two = dict(base[1].react_two)
+    for key in keys[4:20]:
+        react_two[tuple(map(int, key.split(",")))] = base[1].react_two[(0, 3)]
+    got = profile_from_obj(doc.space, obj)
+    assert got == [base[0], dataclasses.replace(base[1], react_two=react_two), base[2]]
+    assert got[1].react_two[(0, 4)] is got[1].react_two[(0, 3)]
+    table[keys[30]] = [True, *row[1:]]
+    with pytest.raises(ParseError) as err:
+        profile_from_obj(doc.space, obj)
+    assert str(err.value) == "react_two[5,0]: not a rational: True"
 
 
 @pytest.mark.parametrize("x", PINNED_VALUES, ids=range(len(PINNED_VALUES)))

@@ -122,6 +122,8 @@ REPLACEMENTS = (
     # and equal values written otherwise than canonically
     "1/-2", "1//2", "1/2/3", "+1", " 1", "1_0", "\u0661", "0.5", "1e-3", "2/4", "-0",
     "007/010", "1\n2", "-", "",
+    # at the edge of its character check, [0-9/-]
+    ",", "1,2", "1/2,3", "2/-0", "-/2", "0/-3", "1-2",
 )
 
 
