@@ -38,6 +38,7 @@ from .gamefile import (
     profile_from_obj,
     profile_to_obj,
     _f2s,
+    _time_texts,
 )
 from .generator import generate_instance
 from .nash2 import solve_2p_nash
@@ -84,14 +85,15 @@ def cmd_gen(args) -> int:
 
 
 def _gap_section(space, cert) -> list:
+    times = _time_texts(space.grid)
     per_player = []
     for g, br, path in zip(cert.per_player_gaps, cert.best_response, cert.on_path):
         mg = max(g.values(), default=Fraction(0))
         per_player.append(
             {
-                "best_response": atoms_obj(space, br),
-                "on_path": atoms_obj(space, path),
-                "gap": atoms_obj(space, g),
+                "best_response": atoms_obj(times, br),
+                "on_path": atoms_obj(times, path),
+                "gap": atoms_obj(times, g),
                 "max_gap": _f2s(mg),
                 "passes": mg <= cert.bound,
             }
@@ -159,7 +161,7 @@ def cmd_solve(args) -> int:
             profile=profile_to_obj(space, sol.profile),
             per_player=_gap_section(space, cert),
             exit_times=[[_f2s(space.grid.points[i]) for i in p.exit_time.idx] for p in players],
-            delta=atoms_obj(space, ctx.delta.per_atom),
+            delta=atoms_obj(_time_texts(space.grid), ctx.delta.per_atom),
             events={name: list(ctx.events[s]) for s, name in enumerate(("A", "B", "C"))},
             processes=[
                 {name: _layer_obj(getattr(p, name)) for name in _PROCESS_LAYERS} for p in players

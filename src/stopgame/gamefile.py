@@ -2,25 +2,25 @@
 
 Rationals are serialized as "p/q" strings, so parse(emit(x)) reproduces x and
 reports can be re-verified bit for bit.  On input the accepted grammar is
-exactly ``Fraction(str)``'s (decimals are converted exactly).  Each payoff
-tensor is read in bulk into its field's integer ``PayoffField.rows``, with no
-``Fraction``: its shape is checked a level at a time, its distinct ASCII
-integer and "p/q" strings are checked together (one ``str.translate``, then
-``int`` per numerator and per distinct denominator text) and scaled to the
-lcm L of their written denominators, and one g = gcd(L, every numerator)
-gives den = L // g; any other value is read alone through ``rat``.  Payoff
-tensors are dense nested lists indexed by time indices then outcome, written
-as text from the same integer rows; profiles are explicit tables, their times
-written and read through the grid's canonical texts, each distinct row once
-per profile, so that a report's profile can be re-checked without access to
-solver internals.
+exactly ``Fraction(str)``'s (decimals are converted exactly).  A payoff tensor
+is read into its field's integer ``PayoffField.rows`` on one of two paths: in
+bulk, with no ``Fraction``, when its shape checks a level at a time and its
+distinct values are all ASCII integer and "p/q" strings (one
+``str.translate``, then ``int`` per numerator and per distinct denominator
+text); else depth first through ``rat`` (a string once), raising the first
+bad node or value in tuple order.  Then one lcm L of the denominators and one
+g = gcd(L, every numerator) give den = L // g.  Payoff tensors are dense
+nested lists indexed by time indices then outcome, written as text from the
+same integer rows; profiles are explicit tables, their times written and read
+through the grid's canonical texts, built once per document, and each
+distinct row read once per profile, so that a report's profile can be
+re-checked without access to solver internals.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,35 +199,42 @@ def parse_game(text: str) -> GameDoc:
 
 
 def _read_payoffs(space: FilteredSpace, node, player: int, arity: int) -> PayoffField:
-    """One payoff tensor as a field born from its integer rows.  The shape
-    is checked first and then the values are read, but a bad value that
-    comes before a bad node in tuple order is still the error raised."""
+    """One payoff tensor as a field born from its integer rows, read as the
+    module docstring says: in bulk (``_ratios``), or by ``_walk``, which
+    raises the first bad node or value in tuple order."""
     n = space.n_outcomes
-    tuples = list(product(range(len(space.grid)), repeat=arity))
     sizes, level = (len(space.grid),) * arity + (n,), [node]
-    for size in sizes:  # a level at a time; past a bad node, _walk finds the first
-        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            leaves: list = []
-            try:
-                _walk(node, (), sizes, player, leaves)
-            except ParseError:  # read the values before the bad node first
-                _read_values(list(chain.from_iterable(leaves)), player, tuples, n)
-                raise
-        level = list(chain.from_iterable(level))
-    scaled, den = _read_values(level, player, tuples, n)
+    try:
+        for size in sizes:
+            if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+                raise ValueError("a node that is no list of the right size")
+            level = list(chain.from_iterable(level))
+        keys = list(set(level))  # TypeError for a list or dict among the values
+        nums, dens = _ratios(keys)
+    except (TypeError, ValueError):
+        level, read = [], {}
+        _walk(node, (), sizes, player, level, read)
+        keys = list(read)
+        nums, dens = [x.numerator for x in read.values()], [x.denominator for x in read.values()]
+    L = math.lcm(*set(dens))
+    factor = {q: L // q for q in set(dens)}
+    scaled = list(map(mul, nums, map(factor.__getitem__, dens)))
+    g = math.gcd(L, *scaled)
+    numerator = dict(zip(keys, [s // g for s in scaled] if g > 1 else scaled))
     # n numerators at a time make each tuple's row, in tuple order
-    rows = zip(*[map(scaled.__getitem__, level)] * n)
-    return PayoffField.from_rows(space, arity, dict(zip(tuples, rows)), den)
+    rows = zip(*[map(numerator.__getitem__, level)] * n)
+    tuples = product(range(len(space.grid)), repeat=arity)
+    return PayoffField.from_rows(space, arity, dict(zip(tuples, rows)), L // g)
 
 
-_RATIO = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII, nonzero denominator
 _RATIO_CHARS = dict.fromkeys(map(ord, "0123456789/-"))  # what ``str.translate`` drops
 
 
 def _ratios(keys: list) -> tuple[list, list]:
-    """The numerators and denominators of ``keys`` if all are strings in
-    ``_RATIO``'s grammar (characters in [0-9/-], ``int`` texts, a "/" only
-    before an ``int`` > 0, read once per text), else TypeError or ValueError."""
+    """The numerators and denominators of ``keys`` if all are strings
+    -?[0-9]+(/0*[1-9][0-9]*)? (characters in [0-9/-], ``int`` texts, a "/"
+    only before an ``int`` > 0, read once per text), else TypeError or
+    ValueError."""
     joined = "".join(keys)
     if joined.translate(_RATIO_CHARS):
         raise ValueError("a character outside [0-9/-]")
@@ -239,46 +246,11 @@ def _ratios(keys: list) -> tuple[list, list]:
     return nums, list(map(den_of.__getitem__, qs))
 
 
-def _read_values(flat: list, player: int, tuples: list, n: int) -> tuple[dict, int]:
-    """({value: numerator}, den) for ``flat``, the tensor's first values in
-    tuple order (n per tuple), read in bulk as the module docstring says.  A
-    value outside ``_ratios``' grammar is read alone, in tuple order, so the
-    first bad one is raised; only strings are read once, since ``True == 1``."""
-    try:
-        distinct = set(flat)
-    except TypeError:  # a list or dict among the values
-        distinct = flat
-    keys = list(distinct)
-    try:
-        nums, dens = _ratios(keys)
-    except (TypeError, ValueError):
-        keys = list(filter(_RATIO.fullmatch, [v for v in distinct if type(v) is str]))
-        try:
-            nums, dens = _ratios(keys)
-        except ValueError:  # no such string, or past ``int``'s digit limit
-            keys, nums, dens = [], [], []
-    if len(keys) < len(distinct):
-        seen = set(keys)
-        for i, v in enumerate(flat):
-            if type(v) is not str or v not in seen:
-                x = _s2f(v, "payoff[{}]{}", player, tuples[i // n])
-                seen.add(v)
-                keys.append(v)
-                nums.append(x.numerator)
-                dens.append(x.denominator)
-    L = math.lcm(*set(dens))
-    factor = {q: L // q for q in set(dens)}
-    scaled = list(map(mul, nums, map(factor.__getitem__, dens)))
-    g = math.gcd(L, *scaled)
-    if g > 1:
-        scaled = [s // g for s in scaled]
-    return dict(zip(keys, scaled)), L // g
-
-
-def _walk(node, prefix: tuple, sizes: tuple, player: int, leaves: list) -> None:
+def _walk(node, prefix: tuple, sizes: tuple, player: int, values: list, read: dict) -> None:
     """Depth first, in tuple order: check that a tensor node is a list of
-    ``sizes[len(prefix)]`` entries, then walk its children, or append it as
-    a leaf."""
+    ``sizes[len(prefix)]`` entries, then walk its children, or append its
+    values to ``values``, each read by ``_s2f`` into ``read``: a string
+    once, any other value each time, since ``True == 1``."""
     inner = len(prefix) + 1 < len(sizes)
     if not isinstance(node, list) or len(node) != sizes[len(prefix)]:
         if inner:
@@ -286,14 +258,15 @@ def _walk(node, prefix: tuple, sizes: tuple, player: int, leaves: list) -> None:
         raise ParseError(f"payoff[{player}] at times {prefix}: need one value per outcome")
     if inner:
         for k, child in enumerate(node):
-            _walk(child, prefix + (k,), sizes, player, leaves)
+            _walk(child, prefix + (k,), sizes, player, values, read)
         return
-    leaves.append(node)
+    for v in node:
+        if type(v) is not str or v not in read:
+            read[v] = _s2f(v, "payoff[{}]{}", player, prefix)
+    values.extend(node)
 
 
-def strategy_to_obj(space: FilteredSpace, strat) -> dict:
-    times = _time_texts(space.grid)
-
+def strategy_to_obj(times: list[str], strat) -> dict:
     def st_vals(st: StoppingTime):
         return [times[i] for i in st.idx]
 
@@ -318,12 +291,10 @@ def strategy_to_obj(space: FilteredSpace, strat) -> dict:
     }
 
 
-def strategy_from_obj(space: FilteredSpace, obj: dict, rows: dict):
+def strategy_from_obj(space: FilteredSpace, obj: dict, rows: dict, indices: dict):
+    """``indices``: grid time text -> index; ``rows``: each canonical row read."""
     grid = space.grid
     K = grid.terminal_index
-    # the canonical text of each grid time -> its index; only strings are
-    # keys, so a bool or a number never matches one
-    indices = {t: k for k, t in enumerate(_time_texts(grid))}
 
     def read_st(vals, where, *args):
         if len(vals) != space.n_outcomes:
@@ -387,7 +358,8 @@ def strategy_from_obj(space: FilteredSpace, obj: dict, rows: dict):
 
 
 def profile_to_obj(space: FilteredSpace, profile) -> dict:
-    return {"players": len(profile), "strategies": [strategy_to_obj(space, s) for s in profile]}
+    times = _time_texts(space.grid)
+    return {"players": len(profile), "strategies": [strategy_to_obj(times, s) for s in profile]}
 
 
 def profile_from_obj(space: FilteredSpace, obj: dict):
@@ -398,12 +370,13 @@ def profile_from_obj(space: FilteredSpace, obj: dict):
         if not isinstance(strategies, list):
             raise ParseError("profile needs a 'strategies' list")
         rows: dict = {}  # the stopping time of each canonical row read, by tuple
-        return [strategy_from_obj(space, _object(s, f"profile: strategy {i}"), rows)
+        # only strings are keys, so a bool or a number never matches a time
+        indices = {t: k for k, t in enumerate(_time_texts(space.grid))}
+        return [strategy_from_obj(space, _object(s, f"profile: strategy {i}"), rows, indices)
                 for i, s in enumerate(strategies)]
 
 
-def atoms_obj(space: FilteredSpace, values: dict) -> list:
-    times = _time_texts(space.grid)
+def atoms_obj(times: list[str], values: dict) -> list:
     return [
         {"time": times[k], "outcomes": list(members), "value": _f2s(v)}
         for (k, members), v in sorted(values.items())

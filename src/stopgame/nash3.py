@@ -339,25 +339,25 @@ def solve_three_player(
     """Full pipeline: window width, families, processes, profile, certificate.
 
     The ordering facts and the settle delay the construction relies on hold
-    while eta(h) < eps.  When one fails, eta(h) is evaluated: if the given h
-    and eps break that premise, the failure is an input error
-    (``PremiseViolation``); if they keep it, the ``TheoremViolation`` or
-    ``NoValidDelta`` propagates unchanged.  h and eta(h) read only the
-    modulus entries they need (``auto_h``, ``eta_reaching``): none when no
-    payoff moves by eps over the whole range of time tuples, else those of
-    the tuple pairs within a small radius.  A passing solve at a given h
-    computes no modulus.
+    while eta(h) < eps, which ``auto_h``'s h keeps.  When one fails at a
+    given h, eta(h) is evaluated: if h and eps break that premise, the
+    failure is an input error (``PremiseViolation``); else the
+    ``TheoremViolation`` or ``NoValidDelta`` propagates unchanged.  h and
+    eta(h) read only the modulus entries they need (``auto_h``,
+    ``eta_reaching``): none when no payoff moves by eps over the whole range
+    of time tuples, else those of the tuple pairs within a small radius.  A
+    passing solve at a given h computes no modulus.
     """
     eps = rat(eps)
     if theta is None:
         theta = constant_time(space, 0)
-    if h is None:
-        h = auto_h(fields, eps, space.grid)
+    given = h is not None
+    h = h if given else auto_h(fields, eps, space.grid)
     try:
         ctx = build_context(space, fields, theta, eps, h)
         profile = assemble_profile(ctx)
     except (TheoremViolation, NoValidDelta) as exc:
-        eta = eta_reaching(fields, eps, h)
+        eta = eta_reaching(fields, eps, h) if given else None
         if eta is not None:
             raise PremiseViolation(
                 f"eta(h) = {eta} >= epsilon = {eps} at h = {h}; "

@@ -72,11 +72,12 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
             measurable[idx] = is_stopping_time(space, idx)
         return measurable[idx]
 
-    def check_reaction(tag: str, s_max: int, st: StoppingTime):
+    def check_reaction(s_max: int, st: StoppingTime, tag: str, *args):
+        """The entry's tag ``tag.format(*args)`` is formatted only on a problem."""
         if not stopping(st.idx):
-            problems.append(f"{tag}: reaction is not a stopping time")
+            problems.append(f"{tag.format(*args)}: reaction is not a stopping time")
         if s_max < K and min(st.idx, default=K) <= s_max:
-            problems.append(f"{tag}: reaction not strictly after the observation")
+            problems.append(f"{tag.format(*args)}: reaction not strictly after the observation")
 
     if not stopping(strat.initial.idx):
         problems.append("initial is not a stopping time")
@@ -84,7 +85,7 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
         if len(strat.react) != K + 1:
             problems.append("reaction table must cover every observation time")
         for s, st in enumerate(strat.react):
-            check_reaction(f"react[{s}]", s, st)
+            check_reaction(s, st, "react[{}]", s)
     elif isinstance(strat, StrategyOrder3):
         lo, hi = strat.others()
         if set(strat.react_one) != {lo, hi}:
@@ -93,9 +94,9 @@ def validate_strategy(space: FilteredSpace, strat) -> list[str]:
             if len(table) != K + 1:
                 problems.append(f"react_one[{q}] must cover every observation time")
             for s, st in enumerate(table):
-                check_reaction(f"react_one[{q}][{s}]", s, st)
+                check_reaction(s, st, "react_one[{}][{}]", q, s)
         for (s1, s2), st in strat.react_two.items():
-            check_reaction(f"react_two[{(s1, s2)}]", max(s1, s2), st)
+            check_reaction(max(s1, s2), st, "react_two[{}]", (s1, s2))
         want = {(a, b) for a in range(K + 1) for b in range(K + 1)}
         if set(strat.react_two) != want:
             problems.append("react_two must cover every observation pair")

@@ -153,6 +153,7 @@ def exact_best_response(
     controlled: tuple[int, ...],
     objective: str,
     start,
+    atoms=None,
 ) -> BestResponseResult:
     """Optimal value for the controlled seats against fixed opponents.
 
@@ -173,9 +174,13 @@ def exact_best_response(
     values, since all options at a node share the positive factor.  The
     numerators come from ``field.rows``, a parsed field's stored form, and
     each start atom's value is converted to ``Fraction`` once; ``scaled``
-    keeps the integer.
+    keeps the integer.  ``atoms`` is ``stopped_atoms(space, start)`` when
+    the caller has read it.
     """
-    atoms, scaled = _best_response(space, field, strategies, controlled, objective, start)
+    if objective not in ("max", "min"):
+        raise ValueError("objective must be 'max' or 'min'")
+    atoms, scaled = _best_response(space, field, strategies, controlled, objective, start,
+                                   atoms=atoms or stopped_atoms(space, start))
     den = field.den
     values = {(k, block): Fraction(scaled[(k, block)], den * w_b) for k, block, w_b in atoms}
     return BestResponseResult(
@@ -186,13 +191,10 @@ def exact_best_response(
     )
 
 
-def _best_response(space, field, strategies, controlled, objective, start, atoms=None) -> tuple:
-    """:func:`exact_best_response`'s integer DP: the start atoms (k, B, W_B)
-    and, by atom (k, B), the optimal value scaled by ``field.den * W_B``.
-    ``atoms`` is ``stopped_atoms(space, start)`` when the caller has read it."""
-    if objective not in ("max", "min"):
-        raise ValueError("objective must be 'max' or 'min'")
-    atoms = atoms or stopped_atoms(space, start)
+def _best_response(space, field, strategies, controlled, objective, start, *, atoms) -> tuple:
+    """:func:`exact_best_response`'s integer DP: the start atoms (k, B, W_B),
+    ``stopped_atoms(space, start)``, and, by atom (k, B), the optimal value
+    scaled by ``field.den * W_B``."""
     opt = max if objective == "max" else min
     n_seats = field.arity
     K = space.grid.terminal_index
@@ -305,18 +307,19 @@ def certify_nash(
 
     Seat s maximizes ``fields[s]`` against the others' fixed strategies.  The
     bound is 13*eps for three players and eps for two.  The worst gap is
-    :func:`_measure_gaps`'s; this adds the per-atom ``Fraction`` maps, each
-    entry its integer on ``fields[s].den * W_B`` converted once.
+    :func:`_measure_gaps`'s and the best responses :func:`exact_best_response`'s;
+    this adds the other per-atom ``Fraction`` maps, each entry its integer on
+    ``fields[s].den * W_B`` converted once.
     """
     atoms = stopped_atoms(space, theta)
-    best = [_best_response(space, field, profile, (seat,), "max", theta, atoms=atoms)[1]
-            for seat, field in enumerate(fields)]
+    brs = [exact_best_response(space, field, profile, (seat,), "max", theta, atoms=atoms)
+           for seat, field in enumerate(fields)]
+    best = [br.scaled for br in brs]
     w_bs, paths, worst = _measure_gaps(space, fields, profile, theta, best, atoms=atoms)
-    on_path, values, gaps = [], [], []
+    on_path, gaps = [], []
     for field, scaled, path in zip(fields, best, paths):
         scale = {atom: field.den * w_b for atom, w_b in w_bs.items()}
         on_path.append({atom: Fraction(n, scale[atom]) for atom, n in path.items()})
-        values.append({atom: Fraction(n, scale[atom]) for atom, n in scaled.items()})
         gaps.append({atom: Fraction(n - path[atom], scale[atom]) for atom, n in scaled.items()})
     eps = rat(eps)
     bound = (13 if len(fields) == 3 else 1) * eps
@@ -325,7 +328,7 @@ def certify_nash(
         bound=bound,
         per_player_gaps=tuple(gaps),
         on_path=tuple(on_path),
-        best_response=tuple(values),
+        best_response=tuple(br.values for br in brs),
         worst_gap=worst,
         passes=worst <= bound,
     )

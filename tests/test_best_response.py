@@ -100,6 +100,22 @@ def test_gap_measurement_reads_its_start_atoms_once(ladder_run, monkeypatch):
     assert reads == [(space, start)]
 
 
+def test_certificate_runs_each_seat_through_the_public_oracle(ladder_run, monkeypatch):
+    """``certify_nash`` calls the module's ``exact_best_response``, the name
+    the bench tracer wraps, once per seat, and its best-response maps are
+    those calls' values, not converted a second time."""
+    calls = []
+    real = verify.exact_best_response
+    monkeypatch.setattr(verify, "exact_best_response",
+                        lambda *a, **kw: calls.append(real(*a, **kw)) or calls[-1])
+    space, fields, profile, start, _ = next(
+        args for args, _, _ in ladder_run["certify"] if len(args[1]) == 3
+    )
+    cert = certify_nash(space, fields, profile, start, 1)
+    assert len(calls) == len(fields) == 3
+    assert all(got is br.values for got, br in zip(cert.best_response, calls))
+
+
 CERTIFICATE_FIELDS = (
     "eps", "bound", "per_player_gaps", "on_path", "best_response", "worst_gap", "passes"
 )

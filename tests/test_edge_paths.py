@@ -15,6 +15,7 @@ from stopgame.config import ENV_OVERRIDE, current_guards
 from stopgame.errors import (
     DeskScaleExceeded,
     NoValidDelta,
+    NoValidH,
     TheoremViolation,
     WindowCertificationFailed,
 )
@@ -305,8 +306,8 @@ def test_auto_h_solve_of_a_generated_game_walks_no_tuple_pairs(pair_walks, monke
 def test_auto_h_below_the_whole_range_walks_growing_radii(pair_walks, monkeypatch):
     """At eps = 1/150 the whole-range shortcut fails: the joint walks cover
     the displacements up to 1, 2 and 4 minimal steps, each only beyond the
-    last, and stop at the first that reaches eps.  The eta(h) recheck after
-    a failure walks the pairs within h."""
+    last, and stop at the first that reaches eps.  A failure at that h walks
+    no more pairs: auto h keeps eta(h) < eps, so eta(h) is not rechecked."""
     inst = generate_instance(seed=1, n_outcomes=3, n_times=5, n_players=3)
     eps, step = Fraction(1, 150), inst.space.grid.min_step
     sol = solve_three_player(inst.space, inst.fields, None, eps)
@@ -317,7 +318,27 @@ def test_auto_h_below_the_whole_range_walks_growing_radii(pair_walks, monkeypatc
     _plant_theorem_violation(monkeypatch)
     with pytest.raises(TheoremViolation, match="planted"):
         solve_three_player(inst.space, inst.fields, None, eps)
-    assert pair_walks[3:] == [(3, 2 * step, 0)]
+    assert pair_walks[3:] == []
+
+
+def test_auto_h_keeps_eta_below_eps():
+    """The premise a failed solve at a given h rechecks holds at every h
+    ``auto_h`` picks: ``eta_reaching`` finds eta(h) < eps, on generated
+    games at three shapes and six eps, half of them past the whole-range
+    shortcut."""
+    picks = past_shortcut = 0
+    for outcomes, times in ((3, 5), (2, 6), (3, 7)):
+        for seed in range(8):
+            inst = generate_instance(seed=seed, n_outcomes=outcomes, n_times=times, n_players=3)
+            for eps in [Fraction(1, d) for d in (20, 50, 100, 200, 500, 1000)]:
+                try:
+                    h = payoff.auto_h(inst.fields, eps, inst.space.grid)
+                except NoValidH:
+                    continue
+                picks += 1
+                past_shortcut += not payoff._below(payoff._joint_rows(inst.fields), eps)
+                assert payoff.eta_reaching(inst.fields, eps, h) is None
+    assert (picks, past_shortcut) == (96, 48)
 
 
 def test_auto_h_3x12_solve_makes_no_unbounded_walk(pair_walks):

@@ -720,6 +720,42 @@ def test_parse_error_order_matches_reference():
         assert_parses_as_reference(json.dumps(_edited(_edited(base, path_a, a), path_b, b)))
 
 
+# payoffs outside the bulk grammar that Fraction reads: JSON integers, signs,
+# spaces, decimals and exponents
+EXACT_ONLY = (1, -3, 10**30, "+1/2", " 1/2", "1/2 ", "0.5", "-0.25", "1e0")
+
+
+def test_exact_path_matches_reference_on_mixed_tensors():
+    """Bulk-readable tensors given values only the exact path reads, one at
+    a time and all at once, parse as the reference parser does; with a bad
+    value and a bad node added, the first in tuple order is raised, either
+    way round.  Every spot has a time at which the outcomes are apart, so
+    any value there is settled."""
+    base = json.loads(emit_game(make_doc()))
+    spots = [("payoffs", 1, i % 4, 1 + i % 3, 3, i % 2) for i in range(len(EXACT_ONLY))]
+    mixed = base
+    for path, x in zip(spots, EXACT_ONLY):
+        assert_parses_as_reference(json.dumps(_edited(base, path, x)))
+        mixed = _edited(mixed, path, x)
+    doc = parse_game(json.dumps(mixed))
+    read = [doc.fields[1].at(path[2:5])[path[5]] for path in spots]
+    assert read == [Fraction(x) for x in EXACT_ONLY]
+    assert_parses_as_reference(json.dumps(mixed))
+    for faults, message in (
+        ([(("payoffs", 1, 1, 0, 2, 1), 0.5), (("payoffs", 1, 2, 1), ["1"])],
+         "payoff[1](1, 0, 2): not a rational: 0.5"),
+        ([(("payoffs", 1, 0, 3), "x"), (("payoffs", 1, 1, 0, 2, 1), "x")],
+         "payoff[1] missing entries under times (0, 3)"),
+    ):
+        game = mixed
+        for path, bad in faults:
+            game = _edited(game, path, bad)
+        assert_parses_as_reference(json.dumps(game))
+        with pytest.raises(ParseError) as err:
+            parse_game(json.dumps(game))
+        assert str(err.value) == message
+
+
 def _count_at(monkeypatch) -> list:
     """Record every call of ``PayoffField.at``, the one ``Fraction`` reader
     of a field."""
