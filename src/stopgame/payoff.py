@@ -319,10 +319,13 @@ def _below(joint: _Joint, eps: Fraction) -> bool:
     return Fraction(widest, joint.den) + MODULUS_SLACK < eps
 
 
-def _covers_most_pairs(grid: TimeGrid, arity: int, radius) -> bool:
+def _pairs_within(grid: TimeGrid, arity: int, radius) -> tuple:
     """Whether more than half of the ordered pairs of index tuples lie within
-    ``radius``: the count convolves the per-slot tick distances over the
-    slots, dropping sums past the radius."""
+    ``radius``, and the least displacement above it that a pair has
+    (``math.inf`` if none).  The count convolves the per-slot tick distances
+    over the slots, dropping sums past the radius; a least displacement past
+    it is such a sum over all slots but one plus the least distance crossing
+    the radius in the last."""
     ticks, tick_den = _ticks(grid)
     reach = math.floor(radius * tick_den)
     dists = sorted(abs(a - b) for a in ticks for b in ticks)
@@ -334,7 +337,9 @@ def _covers_most_pairs(grid: TimeGrid, arity: int, radius) -> bool:
                 nxt[s + d] = nxt.get(s + d, 0) + n
         sums = nxt
     within = sum(n * bisect_right(dists, reach - s) for s, n in sums.items())
-    return 2 * within > len(dists) ** arity
+    ahead = min((s + dists[i] for s in sums if (i := bisect_right(dists, reach - s)) < len(dists)),
+                default=math.inf)
+    return 2 * within > len(dists) ** arity, ahead if ahead == math.inf else Fraction(ahead, tick_den)
 
 
 def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
@@ -347,7 +352,8 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
     walked within a radius that starts at the minimal step and doubles until
     an entry reaches eps or the radius reaches ``top``, the largest candidate
     h: a d* past ``top`` leaves h at ``top``, so no pair beyond it is walked.
-    Each walk adds only the displacements beyond the last radius, and a
+    Each walk adds only the displacements beyond the last radius; a doubling
+    that would add none jumps to the next displacement some pair has, and a
     radius that would cover most pairs is widened to ``top`` at once.
     """
     eps = rat(eps)
@@ -359,13 +365,14 @@ def auto_h(fields: Sequence[PayoffField], eps, grid: TimeGrid) -> Fraction:
     worst: dict[Fraction, Fraction] = {}
     inner, radius = Fraction(0), step
     while True:
-        if _covers_most_pairs(grid, fields[0].arity, radius):
+        most, ahead = _pairs_within(grid, fields[0].arity, radius)
+        if most:
             radius = top
         worst.update(_pair_changes(joint, radius=radius, beyond=inner))
         mod = _staircase(worst)
         if radius == top or mod.eval(radius) >= eps:
             return select_h(mod, eps, grid)
-        inner, radius = radius, min(2 * radius, top)
+        inner, radius = radius, min(max(2 * radius, ahead), top)
 
 
 def eta_reaching(fields: Sequence[PayoffField], eps, r) -> Fraction | None:

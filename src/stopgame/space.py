@@ -302,9 +302,12 @@ def _atoms(space: FilteredSpace, idx: Sequence[int]) -> list | None:
 
 def is_stopping_time(space: FilteredSpace, idx: Sequence[int]) -> bool:
     """True iff ``idx`` holds one grid index per outcome and {tau <= t_k} is a
-    union of time-k blocks for every k; the partitions must refine, as the
-    check is the one :func:`stopped_atoms` makes."""
-    return _atoms(space, idx) is not None
+    union of time-k blocks for every k (the check :func:`stopped_atoms` makes,
+    so the partitions must refine); answers are kept with the space."""
+    known = space.__dict__.setdefault("_stopping", {})  # dies with the space
+    if (idx := tuple(idx)) not in known:
+        known[idx] = _atoms(space, idx) is not None
+    return known[idx]
 
 
 def stopped_atoms(space: FilteredSpace, start) -> list[tuple[int, tuple[int, ...], int]]:

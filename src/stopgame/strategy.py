@@ -4,11 +4,11 @@ A strategy is an initial stopping time plus reaction maps: after observing
 another player stop, the owner switches to a new stopping time that must be
 strictly later than the observed stop.  This module owns that reaction rule.
 ``committed_time`` reads the stopping time a strategy is committed to after
-the stops it has observed (``committed_index``: at one outcome).  The one
-resolver built on it runs the profile forward in time: at each round the
-earliest committed players stop, survivors recommit, and the loop repeats (at
-most N-1 rounds).  ``resolve2`` and ``resolve3`` are that resolver, and the
-best-response oracle in ``verify`` reads commitments through it too.
+the stops it has observed.  One playout, ``play_forward``, runs seats forward
+from a floor index: at each round the earliest committed seats stop,
+survivors recommit, and the loop repeats (at most N-1 rounds).  The resolver
+(``resolve2``, ``resolve3``) is that playout from index 0, and the
+best-response oracle in ``verify`` plays its forced tails out with it.
 
 Reaction tables are stored densely per observation grid index.  Observations
 at the terminal point never require a real reaction (nothing is later), so
@@ -60,26 +60,20 @@ class StrategyOrder3:
 def validate_strategy(space: FilteredSpace, strat) -> list[str]:
     """Diagnostics for the strictly-later and measurability requirements.
 
-    Each distinct index tuple is checked for measurability once per call;
+    Measurability is ``is_stopping_time``'s, kept per space and index tuple;
     the strictly-later check depends on the observation, so it runs per entry.
     """
     K = space.grid.terminal_index
     problems: list[str] = []
-    measurable: dict[tuple[int, ...], bool] = {}
-
-    def stopping(idx: tuple[int, ...]) -> bool:
-        if idx not in measurable:
-            measurable[idx] = is_stopping_time(space, idx)
-        return measurable[idx]
 
     def check_reaction(s_max: int, st: StoppingTime, tag: str, *args):
         """The entry's tag ``tag.format(*args)`` is formatted only on a problem."""
-        if not stopping(st.idx):
+        if not is_stopping_time(space, st.idx):
             problems.append(f"{tag.format(*args)}: reaction is not a stopping time")
         if s_max < K and min(st.idx, default=K) <= s_max:
             problems.append(f"{tag.format(*args)}: reaction not strictly after the observation")
 
-    if not stopping(strat.initial.idx):
+    if not is_stopping_time(space, strat.initial.idx):
         problems.append("initial is not a stopping time")
     if isinstance(strat, StrategyOrder2):
         if len(strat.react) != K + 1:
@@ -121,32 +115,49 @@ def committed_time(strat, stops: dict[int, int]) -> StoppingTime:
     return strat.react_two[(stops[lo], stops[hi])]
 
 
-def committed_index(strat, stops: dict[int, int], w: int) -> int:
-    """``committed_time`` at outcome w."""
-    return committed_time(strat, stops).idx[w]
+def play_forward(commits, status: tuple, floor: int, outcomes, K: int) -> list | None:
+    """Per outcome w, the stop indices once the live seats of ``status`` (-1
+    while live) play on in chronological rounds from index ``floor``: the
+    seats whose ``idx[w]`` is least at or after the floor stop there together,
+    and the next round starts one index later.  ``commits(status)`` lists each
+    live seat's (seat, idx), or is None to give up (then so is the result).
+    A commitment before the floor never fires; a seat live at the end reads K."""
+    ends = []
+    for w in outcomes:
+        now, j = status, floor
+        while j < K and -1 in now:
+            live = commits(now)
+            if live is None:
+                return None
+            m, first = K, []
+            for q, idx in live:
+                if j <= idx[w] < m:
+                    m, first = idx[w], [q]
+                elif idx[w] == m:
+                    first.append(q)
+            if m == K:
+                break
+            now, j = tuple(m if q in first else s for q, s in enumerate(now)), m + 1
+        ends.append(tuple(K if s < 0 else s for s in now) if -1 in now else now)
+    return ends
 
 
 def _resolve(space: FilteredSpace, strats) -> tuple[StoppingTime, ...]:
-    """Actual stop times via chronological rounds, outcome by outcome: the
-    earliest committed seats stop and every later seat recommits to
-    ``committed_index`` of the stops seen so far; a seat left alone stops
-    at its commitment."""
-    result = [list(s.initial.idx) for s in strats]  # commitments, then stops
-    for w in range(space.n_outcomes):
-        stops: dict[int, int] = {}
-        alive = range(len(strats))
-        while len(alive) > 1:
-            m = min([result[p][w] for p in alive])
-            later = []
-            for p in alive:
-                if result[p][w] == m:
-                    stops[p] = m
-                else:
-                    later.append(p)
-            for p in later:
-                result[p][w] = committed_index(strats[p], stops, w)
-            alive = later
-    return tuple(StoppingTime(tuple(r)) for r in result)
+    """Actual stop times, outcome by outcome: ``play_forward`` from index 0,
+    each status's commitments read once.  On strategies whose reactions are
+    strictly after their observation no commitment lies before its floor."""
+    plans: dict[tuple, list] = {}
+
+    def commits(status: tuple) -> list:
+        if status not in plans:
+            stops = {q: s for q, s in enumerate(status) if s >= 0}
+            plans[status] = [(q, committed_time(strats[q], stops).idx)
+                             for q, s in enumerate(status) if s < 0]
+        return plans[status]
+
+    ends = play_forward(commits, (-1,) * len(strats), 0, range(space.n_outcomes),
+                        space.grid.terminal_index)
+    return tuple(StoppingTime(times) for times in zip(*ends))
 
 
 def resolve2(

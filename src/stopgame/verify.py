@@ -17,7 +17,9 @@ walk and the solvers' node sweep (``classic.node_sweep``, on the same
 scaling) read too; a parsed field is born as that table, so a verify builds
 no payoff ``Fraction``.  Each live fixed seat's commitment (``committed_time``)
 and the controlled seats' stop sets are read once per status (who stopped
-when) and call; a block's children come from ``FilteredSpace.children``.
+when) and call; a block's children come from ``FilteredSpace.children``.  Once
+no controlled seat is free, the fixed seats are played out, not memoized
+(``strategy.play_forward``): ``dp_state_cap`` counts states with a free one.
 
 Gaps are measured on that scale, in one place (``_measure_gaps``): the best
 response, the conforming value and their difference are integers on ``den *
@@ -45,10 +47,11 @@ from .space import (
     _start_indices,
     constant_time,
     fill_blocks,
+    is_stopping_time,
     rat,
     stopped_atoms,
 )
-from .strategy import StrategyOrder2, committed_time, resolve2, resolve3
+from .strategy import StrategyOrder2, committed_time, play_forward, resolve2, resolve3
 
 
 def count_stopping_times(space: FilteredSpace, from_=0) -> int:
@@ -194,7 +197,15 @@ def exact_best_response(
 def _best_response(space, field, strategies, controlled, objective, start, *, atoms) -> tuple:
     """:func:`exact_best_response`'s integer DP: the start atoms (k, B, W_B),
     ``stopped_atoms(space, start)``, and, by atom (k, B), the optimal value
-    scaled by ``field.den * W_B``."""
+    scaled by ``field.den * W_B``.
+
+    A stop choice at (k, B) that leaves no controlled seat free is played out,
+    not memoized: each outcome w of B adds ``wnum[w] * rows[stops][w]`` at the
+    stops ``strategy.play_forward`` reaches from k + 1.  That reads a
+    commitment at w, the DP at the block's first outcome: the same on a
+    stopping time, so a status with a commitment that is not one is recursed
+    into.  With one controlled seat, the DP is thus an optimal-stopping sweep
+    of the stop-now tail values."""
     opt = max if objective == "max" else min
     n_seats = field.arity
     K = space.grid.terminal_index
@@ -210,13 +221,18 @@ def _best_response(space, field, strategies, controlled, objective, start, *, at
         return sum(wnum[w] * row[w] for w in block)
 
     def plan(status: tuple) -> tuple:
-        """Each live fixed seat's committed stop indices, and the stop sets."""
+        """Live fixed seats' commitments, stop sets, and for a playout the
+        commitments again if all are stopping times (else None)."""
         stops = {q: s for q, s in enumerate(status) if s >= 0}
         commits = [(q, committed_time(strategies[q], stops).idx) for q in fixed if status[q] < 0]
         free = [q for q in controlled if status[q] < 0]
         stop_sets = [c for r in range(len(free) + 1) for c in itertools.combinations(free, r)]
-        plans[status] = commits, stop_sets
-        return commits, stop_sets
+        tail = commits if all(is_stopping_time(space, idx) for _, idx in commits) else None
+        plans[status] = entry = commits, stop_sets, tail
+        return entry
+
+    def playable(status: tuple) -> list | None:
+        return (plans.get(status) or plan(status))[2]
 
     def solve(k: int, block: tuple[int, ...], status: tuple) -> int:
         key = (k, block, status)
@@ -228,12 +244,13 @@ def _best_response(space, field, strategies, controlled, objective, start, *, at
             val = stop_value(block, tuple(K if s < 0 else s for s in status))
             memo[key] = val
             return val
-        commits, stop_sets = plans.get(status) or plan(status)
+        commits, stop_sets, _ = plans.get(status) or plan(status)
         now = list(status)
         for q, idx in commits:
             if idx[block[0]] == k:  # fires at the block's first outcome
                 now[q] = k
         kids = space.children[k][block]
+        forced = stop_sets[-1]  # every free controlled seat stops
         best: int | None = None
         for stop_set in stop_sets:
             nxt = now.copy()
@@ -242,6 +259,8 @@ def _best_response(space, field, strategies, controlled, objective, start, *, at
             nxt_t = tuple(nxt)
             if -1 not in nxt_t:  # every seat has stopped
                 val = stop_value(block, nxt_t)
+            elif stop_set is forced and (ends := play_forward(playable, nxt_t, k + 1, block, K)):
+                val = sum(wnum[w] * rows[times][w] for w, times in zip(block, ends))
             else:
                 val = 0
                 for child in kids:

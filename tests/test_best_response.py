@@ -5,13 +5,15 @@ code they replaced.
 ``reference_on_path_value`` in ``oracles.py`` are the former oracle,
 certificate and conforming value, kept verbatim.  Values are compared with
 ``==`` on exact rationals, and the DP state count is compared through the
-guard: both programs must trip ``GuardExceeded`` below the same cap and pass
-at it.
+guard: the DP keeps the reference's states with a free controlled seat (it
+plays forced tails out), and must trip ``GuardExceeded`` below the cap the
+reference would need for those and pass at it.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,10 +35,17 @@ from stopgame.space import (
     FilteredSpace,
     StoppingTime,
     cond_exp_at,
+    constant_time,
+    is_stopping_time,
     make_grid,
     stopped_atoms,
 )
-from stopgame.strategy import StrategyOrder2, StrategyOrder3, validate_strategy
+from stopgame.strategy import (
+    StrategyOrder2,
+    StrategyOrder3,
+    dense_strategy3,
+    validate_strategy,
+)
 from stopgame.verify import (
     certify_nash,
     exact_best_response,
@@ -230,6 +239,80 @@ def test_oracle_matches_reference_on_hand_built_fields():
         assert same_result(
             exact_best_response(*case), reference_exact_best_response(*case)
         )
+
+
+def seven_time_space() -> FilteredSpace:
+    """Four outcomes on grid times 0..6: pairs revealed at 1, one pair split
+    at 3, singletons from 4 on."""
+    return FilteredSpace(
+        grid=make_grid(range(7)),
+        weights=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 42)),
+        partitions=(((0, 1, 2, 3),),)
+        + (((0, 1), (2, 3)),) * 2
+        + (((0,), (1,), (2, 3)),)
+        + (((0,), (1,), (2,), (3,)),) * 3,
+    )
+
+
+def order2(space, initial: StoppingTime, react) -> StrategyOrder2:
+    K = space.grid.terminal_index
+    return StrategyOrder2(initial=initial, react=tuple(react(s) for s in range(K + 1)))
+
+
+def test_forced_tails_match_reference(monkeypatch):
+    """Once no controlled seat is free the DP plays the fixed seats out
+    (``strategy.play_forward``) instead of recursing.  Each case is checked
+    with == against the reference and shows in the playouts it records: with
+    no controlled seat, a fixed seat's initial stop at index 2 before a
+    start at 3 never fires, and neither does a reaction at or before its
+    observation, so the seat reads K; two fixed seats fire in successive
+    rounds or at one index; and a reaction that is not a stopping time is
+    not played out (the playout gives up and the DP recurses, reading it at
+    each block's first outcome)."""
+    played = []  # each outcome's final stops, or None for a playout given up
+    real = verify.play_forward
+
+    def record(*args):
+        ends = real(*args)
+        played.extend([None] if ends is None else ends)
+        return ends
+
+    monkeypatch.setattr(verify, "play_forward", record)
+    space = seven_time_space()
+    K = space.grid.terminal_index
+    rng = random.Random(31)
+
+    def at(k):
+        return constant_time(space, min(k, K))
+
+    def check(strategies, starts, want_played, controlled=(0,)):
+        field = mixed_field(rng, space, len(strategies))
+        played.clear()
+        for objective in ("max", "min"):
+            for start in starts:
+                case = (space, field, strategies, controlled, objective, start)
+                assert same_result(exact_best_response(*case), reference_exact_best_response(*case))
+        assert want_played <= set(played)
+
+    early_initial = [order2(space, at(2), lambda s: at(K)), order2(space, at(5), lambda s: at(K))]
+    check(early_initial, [3], {(K, 5)}, controlled=())
+    early_reaction = order2(space, at(K), lambda s: at(max(s - 1, 0)))
+    check([None, early_reaction], [0, 1], {(1, K), (2, K)})
+    successive = [
+        None,
+        dense_strategy3(space, 1, at(K), lambda o, s: at(s + 1), lambda a, b: at(max(a, b) + 1)),
+        dense_strategy3(space, 2, at(K), lambda o, s: at(s + 3), lambda a, b: at(max(a, b) + 1)),
+    ]
+    check(successive, [0, 1], {(1, 2, 3), (2, 3, 4), (3, 4, 5)})
+    together = [
+        None,
+        *(dense_strategy3(space, q, at(K), lambda o, s: at(s + 2), lambda a, b: at(max(a, b) + 1))
+          for q in (1, 2)),
+    ]
+    check(together, [0, 1], {(1, 3, 3), (2, 4, 4), (4, K, K)})
+    split = StoppingTime((2, 3, K, K))  # splits block (0, 1) at index 2
+    assert not is_stopping_time(space, split.idx)
+    check([None, order2(space, at(K), lambda s: split if s < 2 else at(K))], [0], {None})
 
 
 def test_oracle_matches_reference_on_pinned_fields():
@@ -453,8 +536,39 @@ def smallest_passing_cap(monkeypatch, oracle, args, kwargs) -> int:
     return lo
 
 
+def reference_replayed_cap(args, kwargs, kept) -> int:
+    """The smallest ``dp`` cap the reference DP would pass under if its memo
+    held only the states whose status ``kept`` accepts: its ``solve`` calls
+    and returns are replayed through ``sys.setprofile``, and the guard reads
+    the number of kept states completed whenever a new one is entered."""
+    code = next(c for c in reference_exact_best_response.__code__.co_consts
+                if getattr(c, "co_name", None) == "solve")
+    done, peak = set(), 0
+
+    def watch(frame, event, _):
+        nonlocal peak
+        if frame.f_code is not code or not kept(frame.f_locals["status"]):
+            return
+        key = frame.f_locals["k"], frame.f_locals["block"], frame.f_locals["status"]
+        if event == "call" and key not in done:
+            peak = max(peak, len(done))
+        elif event == "return":
+            done.add(key)
+
+    sys.setprofile(watch)
+    try:
+        reference_exact_best_response(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return peak
+
+
 def test_guard_trips_at_the_same_cap_as_reference(ladder_calls, monkeypatch):
-    """Equal smallest passing caps mean equal DP state counts."""
+    """The DP keeps only the reference's states with a free controlled seat
+    (a forced tail is played out, not memoized): its smallest passing cap is
+    the one the reference would need if its memo held only those.  The
+    replay is checked on the reference itself, whose own cap counts every
+    state; on three-player fields that cap is larger."""
     picked = {}
     for args, kwargs, result in ladder_calls:
         field = args[1]
@@ -462,12 +576,17 @@ def test_guard_trips_at_the_same_cap_as_reference(ladder_calls, monkeypatch):
         objective = kwargs.get("objective", args[4] if len(args) > 4 else None)
         picked.setdefault((field.arity, controlled, objective), (args, kwargs))
     assert len(picked) >= 3
-    for args, kwargs in picked.values():
+    for (arity, controlled, _), (args, kwargs) in picked.items():
         cap = smallest_passing_cap(monkeypatch, exact_best_response, args, kwargs)
         assert cap > 0
-        for oracle in (exact_best_response, reference_exact_best_response):
-            monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap}")
-            oracle(*args, **kwargs)
-            monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap - 1}")
-            with pytest.raises(GuardExceeded):
-                oracle(*args, **kwargs)
+        monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap}")
+        exact_best_response(*args, **kwargs)
+        monkeypatch.setenv(ENV_OVERRIDE, f"dp={cap - 1}")
+        with pytest.raises(GuardExceeded):
+            exact_best_response(*args, **kwargs)
+        full = smallest_passing_cap(monkeypatch, reference_exact_best_response, args, kwargs)
+        monkeypatch.delenv(ENV_OVERRIDE)
+        assert full == reference_replayed_cap(args, kwargs, lambda status: True)
+        free = reference_replayed_cap(args, kwargs, lambda st: any(st[q] < 0 for q in controlled))
+        assert cap == free
+        assert cap < full if arity == 3 else cap <= full

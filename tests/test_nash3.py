@@ -753,7 +753,7 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 @pytest.mark.parametrize(
     "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits, "
     "certificates",
-    [(1004, 4, 6, True, 162, 5, 16, 144, 264, 1), (1000, 3, 5, False, 135, 4, 4, 120, 200, 1)],
+    [(1004, 4, 6, True, 162, 5, 411, 144, 264, 1), (1000, 3, 5, False, 135, 4, 308, 120, 200, 1)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
@@ -771,8 +771,10 @@ def test_calls_per_solve_on_bench_games(
     assembly reads entries by grid index without any ``phi_h``;
     ``classic.snell`` never runs, as the node sweep's reactions and the
     coalition's solo tables run on the one integer Snell sweep;
-    ``is_stopping_time`` runs only for strategy validation, as certificates
-    read their start through ``stopped_atoms``; ``classic.block_rv``
+    ``is_stopping_time`` runs only for strategy validation (once per entry
+    of the three strategies) and for the oracle's check that a forced tail
+    may be played out (once per commitment it reads), as certificates read
+    their start through ``stopped_atoms``; ``classic.block_rv``
     converts only what is read at one index: the zero-sum game's start
     layer, each solo optimum and each after-stop family layer, while window
     gaps stay integers; and the best-response oracle reads each live fixed

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -654,9 +655,12 @@ def test_auto_h_matches_reference_on_staircase_grids(monkeypatch):
 
 def test_auto_h_matches_reference_on_a_clustered_grid(monkeypatch):
     """Six grid times within 1/200 and a terminal time 1000, three slots:
-    payoffs move little inside the cluster, so the walks double up to ``top``
-    (where the radius covers most pairs) and find the first entry reaching
-    eps just below it, never walking the pairs past ``top``."""
+    payoffs move little inside the cluster, so the walks double while the
+    cluster adds displacements (up to 15 minimal steps), then jump straight
+    to the least displacement that reaches the terminal time, 1000 - 5/1000,
+    where they find the first entry reaching eps, never walking the pairs
+    past ``top``.  Doubling walked 21 radii here, 15 of them adding no
+    displacement."""
     grid = make_grid([*(Fraction(i, 1000) for i in range(6)), 1000])
     space = FilteredSpace(
         grid=grid, weights=(Fraction(1, 2), Fraction(1, 2)), partitions=(((0,), (1,)),) * 7
@@ -672,7 +676,7 @@ def test_auto_h_matches_reference_on_a_clustered_grid(monkeypatch):
         for _ in range(2)
     ]
     top = _top(grid)
-    assert payoff._covers_most_pairs(grid, 3, top)
+    assert payoff._pairs_within(grid, 3, top)[0]
     ref = estimate_modulus(*fields)
     walks = _record_walks(monkeypatch)
     for eps in (Fraction(1, 50), Fraction(1, 20), Fraction(1, 1000)):
@@ -681,9 +685,37 @@ def test_auto_h_matches_reference_on_a_clustered_grid(monkeypatch):
         assert all(radius is not None and radius <= top for radius, _, _ in walks)
         if eps > Fraction(1, 1000):
             assert grid.min_step < h < top
-            assert any(radius == top and beyond > 0 for radius, beyond, _ in walks)
+            step = grid.min_step
+            radii = [step, 2 * step, 4 * step, 8 * step, 16 * step, 1000 - 5 * step]
+            assert [r for r, _, _ in walks[:6]] == radii  # then eta_reaching's walks
+            assert all(beyond == 0 for _, beyond, _ in walks[6:])
         else:
             assert h is None
+
+
+def test_pairs_within_matches_every_pair():
+    """``_pairs_within`` against every ordered pair of index tuples, on
+    uniform, clustered and random grids at arity 1 to 3: whether more than
+    half the pairs lie within the radius, and the least displacement above
+    it, which a doubling of ``auto_h``'s radius that adds none jumps to."""
+    rng = random.Random(71)
+    grids = [make_grid(range(5)), make_grid([*(Fraction(i, 1000) for i in range(4)), 10])]
+    for _ in range(6):
+        grids.append(make_grid(sorted({Fraction(rng.randint(0, 40), rng.choice((1, 3, 7)))
+                                       for _ in range(6)})))
+    for grid in grids:
+        for arity in (1, 2, 3):
+            scale = math.lcm(*(t.denominator for t in grid.points))
+            ticks = [int(t * scale) for t in grid.points]
+            tuples = list(itertools.product(ticks, repeat=arity))
+            pairs = Counter(sum(abs(a - b) for a, b in zip(s, t)) for s in tuples for t in tuples)
+            deltas = [Fraction(d, scale) for d in sorted(pairs)]
+            picks = [*deltas[:4], *rng.sample(deltas, min(8, len(deltas))), deltas[-1]]
+            for radius in [*picks, *(d + Fraction(1, 1001) for d in picks)]:
+                within = sum(n for d, n in pairs.items() if d <= radius * scale)
+                ahead = next((d for d in deltas if d > radius), math.inf)
+                most = 2 * within > len(tuples) ** 2
+                assert payoff._pairs_within(grid, arity, radius) == (most, ahead)
 
 
 def _adapted_values(rng, space, arity):

@@ -18,7 +18,7 @@ from stopgame.space import StoppingTime, constant_time, is_stopping_time, phi_h
 from stopgame.strategy import (
     StrategyOrder2,
     StrategyOrder3,
-    committed_index,
+    committed_time,
     dense_strategy3,
     lift_constant3,
     lift_obstinate2,
@@ -348,9 +348,10 @@ def test_patch_pair_redirects_early_observations(three_time_space):
     assert hat.react[1] is star.react[1]
 
 
-def assert_committed_index_matches_reference(space, strategies):
-    """``committed_index`` against the oracle's old lookup, for every seat and
-    every status of the others (-1 while a seat has not stopped)."""
+def assert_committed_time_matches_reference(space, strategies):
+    """``committed_time`` at each outcome against the oracle's old lookup,
+    for every seat and every status of the others (-1 while a seat has not
+    stopped)."""
     K = space.grid.terminal_index
     for seat, strat in enumerate(strategies):
         others = [q for q in range(len(strategies)) if q != seat]
@@ -360,7 +361,7 @@ def assert_committed_index_matches_reference(space, strategies):
                 status[q] = s
             stops = {q: s for q, s in zip(others, seen) if s >= 0}
             for w in range(space.n_outcomes):
-                assert committed_index(strat, stops, w) == (
+                assert committed_time(strat, stops).idx[w] == (
                     reference_oracle_committed_index(strat, seat, tuple(status), w)
                 )
 
@@ -372,7 +373,7 @@ def test_resolve2_matches_reference_on_every_pair(three_time_space):
         for b in strategies:
             assert resolve2(space, a, b) == reference_resolve2(space, a, b)
     for a, b in zip(strategies, strategies[::-1]):
-        assert_committed_index_matches_reference(space, (a, b))
+        assert_committed_time_matches_reference(space, (a, b))
 
 
 def test_resolve3_matches_reference_on_random_triples(branching_space):
@@ -399,7 +400,7 @@ def test_resolve3_matches_reference_on_random_triples(branching_space):
     for _ in range(200):
         triple = tuple(draw(seat) for seat in range(3))
         assert resolve3(space, *triple) == reference_resolve3(space, *triple)
-        assert_committed_index_matches_reference(space, triple)
+        assert_committed_time_matches_reference(space, triple)
 
 
 def test_resolve3_keeps_its_seat_check(three_time_space):
@@ -422,7 +423,7 @@ def test_resolution_matches_reference_on_solved_profiles(ladder_run):
             assert resolve2(space, *strategies) == reference_resolve2(space, *strategies)
         else:
             assert resolve3(space, *strategies) == reference_resolve3(space, *strategies)
-        assert_committed_index_matches_reference(space, strategies)
+        assert_committed_time_matches_reference(space, strategies)
     assert len(seen) > 12
 
 
