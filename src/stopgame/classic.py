@@ -23,8 +23,7 @@ from fractions import Fraction
 from operator import eq
 from typing import NamedTuple, Sequence
 
-from .config import current_guards
-from .errors import GuardExceeded, OrderViolation
+from .errors import OrderViolation
 from .payoff import PayoffField
 from .space import (
     RV, FilteredSpace, StoppingTime, _start_indices, cond_exp, fill_blocks, first_hit, rat,
@@ -213,14 +212,11 @@ def joint_inf_value(space: FilteredSpace, field2: PayoffField, kmin: int = 0):
     Returns (layers, nodes) where ``layers[k]`` is the infimum over pairs of
     stops >= k on :func:`node_sweep`'s scale, and ``nodes[k]`` is the sweep's
     node at k, whose rules are the survivor's infimum once the other side
-    stopped at k and whose choice is the first minimal cell.
+    stopped at k and whose choice is the first minimal cell.  Its layers are
+    no larger than the view, so no state cap applies.
     """
     if field2.arity != 2:
         raise ValueError("cooperative solver needs a two-slot field")
-    K = space.grid.terminal_index
-    n_states = (K + 1) * (K + 1) * space.n_outcomes
-    if n_states > current_guards().dp_state_cap:
-        raise GuardExceeded(f"joint stop DP needs {n_states} states")
     (layers,), nodes = node_sweep(space, (field2,), ("inf", "inf"), kmin, _first_min)
     return layers, nodes
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .classic import dynkin_hitting_pair, dynkin_value, solo_stop
 from .errors import TheoremViolation
-from .nash2 import build_coop_family, build_pair_family, build_single_family
+from .nash2 import AfterStopTable, build_coop_family, build_pair_family, build_single_family
 from .payoff import PayoffField
 from .space import Atom, FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder3, dense_strategy3
@@ -60,11 +60,14 @@ def build_components(
     eps,
     h,
     stop_now: tuple,
+    table: AfterStopTable | None = None,
 ) -> CoalitionComponents:
     """All processes, hitting times and families of the coalition game.
 
-    ``stop_now`` is ``nash2.stop_now_solutions(space, payoff, max_player)``.
+    ``stop_now`` is ``nash2.stop_now_solutions(space, payoff, max_player)``;
+    ``table`` is the solve's after-stop table (a fresh one when None).
     """
+    table = table or AfterStopTable()
     if payoff.arity != 3:
         raise ValueError("coalition games need a three-slot payoff")
     eps, h = rat(eps), rat(h)
@@ -82,7 +85,7 @@ def build_components(
         )
         vals = []
         for k in range(K + 1):
-            res = reaction_game_value(spec, k)
+            res = reaction_game_value(spec, k, table)
             vals.append(res.value_at)
             node_reports.extend(res.report)
         after_stop[member] = vals
@@ -109,7 +112,7 @@ def build_components(
         for w in range(space.n_outcomes)
     )
 
-    negated = payoff.negated()
+    negated = table.negated(payoff)
 
     def zero_sum_fields(opponent):
         # in seat order: the leader maximizes the payoff, the surviving member minimizes it
@@ -117,8 +120,8 @@ def build_components(
 
     families = {
         "coop": build_coop_family(space, payoff, L, stop_now, h, eps),
-        ("pair", cj): build_pair_family(space, zero_sum_fields(ck), cj, h, eps),
-        ("pair", ck): build_pair_family(space, zero_sum_fields(cj), ck, h, eps),
+        ("pair", cj): build_pair_family(space, zero_sum_fields(ck), cj, h, eps, table),
+        ("pair", ck): build_pair_family(space, zero_sum_fields(cj), ck, h, eps, table),
         **{("single", q): build_single_family(space, payoff, q, solo[q], h, eps) for q in solo},
     }
     return CoalitionComponents(

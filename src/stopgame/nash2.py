@@ -22,6 +22,7 @@ tolerances are 11*eps for equilibrium pairs, 5*eps for cooperative minimizer
 pairs, and eps for single optimizers, fixed per family kind, with the achieved
 gap recorded alongside.  The three builders share one skeleton: each supplies
 only how to solve at the anchor and how to measure the gap at a window time.
+A three-player solve shares one ``AfterStopTable`` between all its builders.
 """
 
 from __future__ import annotations
@@ -34,14 +35,17 @@ from .config import current_guards
 from .errors import DeskScaleExceeded, NonGridResult, WindowCertificationFailed
 from .payoff import PayoffField
 from .space import FilteredSpace, _start_indices, constant_time, first_hit, phi_h, rat
+from .space import stopped_atoms
 from .strategy import StrategyOrder2, lift_obstinate2, patch_pair
 from .verify import (
     _BY_RATIO,
     NashCertificate,
+    _best_response,
     certify_nash,
     count_strategies2,
     enumerate_strategies2,
     exact_best_response,
+    resolve_profile,
     worst_gap,
 )
 
@@ -178,11 +182,63 @@ def family_lookup(family: EquilibriumFamily, t) -> FamilyEntry:
     return entry
 
 
-def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int) -> tuple:
+class AfterStopTable:
+    """One solve's views (``pin``, ``negated``), interned pair strategies,
+    best-response numerators and pair resolutions, each built once.  Keys are
+    ids of objects the table holds, so no id is reused while it lives; a
+    strategy is hashed by value once, when it is interned."""
+
+    def __init__(self):
+        self._held: dict = {}  # id -> every field and interned strategy met
+        self._built: dict = {}  # tagged key -> what it names
+
+    def _once(self, key, build):
+        return self._built[key] if key in self._built else self._built.setdefault(key, build())
+
+    def _id(self, obj) -> int:
+        return id(self._held.setdefault(id(obj), obj))
+
+    def pin(self, field: PayoffField, slot: int, k: int, swap: bool = False) -> PayoffField:
+        """``field.pin(slot, k)``, with its two slots exchanged if ``swap``."""
+        def build():
+            if not swap:
+                return field.pin(slot, k)
+            view = self.pin(field, slot, k)
+            rows = {(a, b): x for (b, a), x in view.rows.items()}
+            return PayoffField.from_rows(view.space, 2, rows, view.den)
+        return self._once(("pin", self._id(field), slot, k, swap), build)
+
+    def negated(self, field: PayoffField) -> PayoffField:
+        return self._once(("negated", self._id(field)), field.negated)
+
+    def intern(self, strategy: StrategyOrder2) -> StrategyOrder2:
+        """The first strategy equal to this one that the table met."""
+        if self._held.get(id(strategy)) is not strategy:
+            strategy = self._once(("strategy", strategy), lambda: strategy)
+            self._id(strategy)
+        return strategy
+
+    def best_response(self, field, slot: int, k: int, seat: int, pair) -> dict:
+        """Seat's best-response numerators from k on ``field`` pinned at (slot, k)."""
+        view, other = self.pin(field, slot, k), self.intern(pair[1 - seat])
+        return self._once(("best", id(view), seat, k, id(other)), lambda: _best_response(
+            view.space, view, pair, (seat,), "max", k, atoms=stopped_atoms(view.space, k))[1])
+
+    def pair_gap(self, fields, slot: int, k: int, pair) -> Fraction:
+        """``verify.worst_gap`` of a pair from k on the fields pinned at (slot, k)."""
+        pair = [self.intern(s) for s in pair]
+        best = [self.best_response(f, slot, k, seat, pair) for seat, f in enumerate(fields)]
+        views = [self.pin(f, slot, k) for f in fields]
+        space = views[0].space
+        stops = self._once(("stops", *map(id, pair)), lambda: resolve_profile(space, pair))
+        return worst_gap(space, views, pair, k, best, stops)
+
+
+def stop_now_solutions(space: FilteredSpace, field3: PayoffField, seat: int, table=None) -> tuple:
     """Per index k, the other two slots' cooperative minimum from k with the
     seat's slot pinned to k; ``[k].value`` is the seat's stop-now value."""
-    K = space.grid.terminal_index
-    return tuple(joint_inf_pair(space, field3.pin(seat, k), k) for k in range(K + 1))
+    pin = (table or AfterStopTable()).pin
+    return tuple(joint_inf_pair(space, pin(field3, seat, k), k) for k in range(len(space.grid)))
 
 
 _ENTRY_LABEL = {"nonzero_sum_pair": "pair", "coop_pair": "coop", "single": "single"}
@@ -235,6 +291,7 @@ def build_pair_family(
     frozen_slot: int,
     h,
     eps,
+    table: AfterStopTable | None = None,
 ) -> EquilibriumFamily:
     """Equilibrium pairs for the two free slots, one entry per h-multiple.
 
@@ -243,28 +300,24 @@ def build_pair_family(
     that early observations redirect to anchor behavior), then certified at
     11*eps over the whole window by exact best response.  A candidate over
     eps at its anchor goes on to the full ``solve_2p_nash``.  Payloads map
-    each free seat to its strategy.
+    each free seat to its strategy, interned in ``table`` (a fresh one when
+    None) with the views and window measurements.
     """
+    table = table or AfterStopTable()
     free = tuple(q for q in range(3) if q != frozen_slot)
-    pinned: dict[int, tuple[PayoffField, PayoffField]] = {}
-
-    def views(k):
-        # consecutive windows share grid indices: pin each index once
-        if k not in pinned:
-            pinned[k] = tuple(f.pin(frozen_slot, k) for f in fields3)
-        return pinned[k]
 
     def solve_at(anchor):
-        payload = dict(zip(free, _candidate(space, *views(anchor), anchor)))
+        views = [table.pin(f, frozen_slot, anchor) for f in fields3]
+        payload = dict(zip(free, map(table.intern, _candidate(space, *views, anchor))))
         gap = gap_at(payload, anchor)
         if gap > rat(eps):  # the full solve: its fallback search, or its error
-            res = solve_2p_nash(space, *views(anchor), anchor, eps)
-            payload, gap = dict(zip(free, res.strategies)), res.gap
+            res = solve_2p_nash(space, *views, anchor, eps)
+            payload, gap = dict(zip(free, map(table.intern, res.strategies))), res.gap
         return payload, gap
 
     def gap_at(payload, k):
         # no report prints a window's per-atom gaps
-        return worst_gap(space, views(k), list(payload.values()), k)
+        return table.pair_gap(fields3, frozen_slot, k, list(payload.values()))
 
     return _window_family(space, "nonzero_sum_pair", h, eps, solve_at, gap_at)
 

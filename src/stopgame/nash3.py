@@ -16,8 +16,8 @@ game), or the after-stop families (everywhere else).  The final claim, a
 13*eps equilibrium, is never asserted: it is measured by the exact
 best-response oracle per start atom.
 
-Each seat's stop-now solutions are computed once per solve and shared by
-its duel and its coalition game.
+Each seat's stop-now solutions, and every after-stop view and pair measurement
+(``nash2.AfterStopTable``), are built once per solve and shared by their readers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .classic import block_rv, dynkin_value
 from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
-from .nash2 import EquilibriumFamily, build_pair_family, stop_now_solutions
+from .nash2 import AfterStopTable, EquilibriumFamily, build_pair_family, stop_now_solutions
 from .payoff import auto_h, eta_reaching
 from .space import (
     RV,
@@ -46,7 +46,7 @@ from .verify import NashCertificate, certify_nash
 
 
 def build_overline_families(
-    space: FilteredSpace, fields, h, eps
+    space: FilteredSpace, fields, h, eps, table: AfterStopTable | None = None
 ) -> dict[int, EquilibriumFamily]:
     """After-stop equilibrium family per stopped seat.
 
@@ -54,7 +54,7 @@ def build_overline_families(
     seat's slot pinned to the conditioning time.
     """
     return {
-        s: build_pair_family(space, tuple(fields[q] for q in range(3) if q != s), s, h, eps)
+        s: build_pair_family(space, tuple(fields[q] for q in range(3) if q != s), s, h, eps, table)
         for s in range(3)
     }
 
@@ -243,9 +243,10 @@ class AssemblyContext:
 
 def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     eps, h = rat(eps), rat(h)
-    overline = build_overline_families(space, fields, h, eps)
+    table = AfterStopTable()  # this solve's after-stop views and measurements
+    overline = build_overline_families(space, fields, h, eps, table)
     after_stop = resolve_overline(space, overline)
-    stop_now = {s: stop_now_solutions(space, fields[s], s) for s in range(3)}
+    stop_now = {s: stop_now_solutions(space, fields[s], s, table) for s in range(3)}
     players = {
         seat: build_player_processes(space, fields, seat, theta, eps, after_stop, stop_now[seat])
         for seat in range(3)
@@ -257,7 +258,7 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     }
     saddles = {}
     for s in range(3):
-        comp = build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s])
+        comp = build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s], table)
         trio = assemble_saddle(comp)
         by_seat = {comp.leader: trio[0], comp.coalition[0]: trio[1], comp.coalition[1]: trio[2]}
         saddles[s] = (comp, by_seat)

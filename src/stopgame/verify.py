@@ -282,15 +282,15 @@ def resolve_profile(space: FilteredSpace, strategies: Sequence):
 
 
 def _conforming(
-    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, atoms: list
+    space: FilteredSpace, fields: Sequence[PayoffField], strategies: Sequence, atoms: list, stops
 ) -> tuple[dict[Atom, int], list[dict[Atom, int]]]:
     """The conforming profile's payoff at each start atom (``atoms``, as
     ``stopped_atoms`` reads them) on the oracle's scale: ``W_B`` by atom (k,
     B), and per field, by atom, its ``PayoffField.stop_sums`` at the
     profile's stops, which is ``field.den * W_B`` times the conditional
-    expectation at the start.  The profile is resolved once for every field."""
+    expectation at the start.  The profile is resolved once, if not given."""
     atoms = {(k, block): w_b for k, block, w_b in atoms}
-    stops = resolve_profile(space, strategies)
+    stops = stops or resolve_profile(space, strategies)
     blocks = [block for _, block in atoms]
     return atoms, [dict(zip(atoms, field.stop_sums(stops, blocks))) for field in fields]
 
@@ -300,7 +300,7 @@ def on_path_value(
 ) -> list[tuple[dict[Atom, Fraction], RV]]:
     """Per field, the expected payoff of the conforming profile conditioned at
     the start, by start atom and as an RV.  The profile is resolved once."""
-    atoms, sums = _conforming(space, fields, strategies, stopped_atoms(space, start))
+    atoms, sums = _conforming(space, fields, strategies, stopped_atoms(space, start), None)
     out = []
     for field, path in zip(fields, sums):
         values = {atom: Fraction(n, field.den * atoms[atom]) for atom, n in path.items()}
@@ -357,28 +357,28 @@ def certify_nash(
 _BY_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _measure_gaps(space, fields, profile, theta, best, atoms=None) -> tuple:
+def _measure_gaps(space, fields, profile, theta, best, atoms=None, stops=None) -> tuple:
     """The one place Nash gaps are measured: per seat and start atom, the
     best-response numerator ``best[s][atom]`` minus the conforming one, both
     on ``fields[s].den * W_B``.  Returns ``_conforming``'s atoms and
     numerators, and the worst gap: the maximum taken by cross-multiplication,
     floored at 0 and converted once.  ``atoms`` is ``stopped_atoms(space,
-    theta)`` when the caller has read it."""
-    atoms, paths = _conforming(space, fields, profile, atoms or stopped_atoms(space, theta))
+    theta)`` and ``stops`` the profile's resolution when the caller has them."""
+    atoms, paths = _conforming(space, fields, profile, atoms or stopped_atoms(space, theta), stops)
     gaps = [(n - path[a], f.den * atoms[a]) for f, br, path in zip(fields, best, paths)
             for a, n in br.items()]
     return atoms, paths, Fraction(*max([(0, 1), *gaps], key=_BY_RATIO))
 
 
-def worst_gap(space, fields, profile, theta, best=None) -> Fraction:
+def worst_gap(space, fields, profile, theta, best=None, stops=None) -> Fraction:
     """:func:`certify_nash`'s ``worst_gap`` without the per-atom maps; ``best``
     gives each seat's best-response numerators (``BestResponseResult.scaled``)
-    when they are already known.  The start's atoms are read once."""
+    and ``stops`` the profile's resolution when known; atoms are read once."""
     atoms = stopped_atoms(space, theta)
     if best is None:
         best = [_best_response(space, f, profile, (s,), "max", theta, atoms=atoms)[1]
                 for s, f in enumerate(fields)]
-    return _measure_gaps(space, fields, profile, theta, best, atoms=atoms)[2]
+    return _measure_gaps(space, fields, profile, theta, best, atoms=atoms, stops=stops)[2]
 
 
 def nash_gap(

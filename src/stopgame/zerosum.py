@@ -10,7 +10,7 @@ integers, and only the start layer and the reported gaps become ``Fraction``.
 The canonical value takes the pure maximin of every 2x2 node; nodes where
 pure maximin and minimax differ are collected in a gap report rather than
 hidden.  The construction's certified saddle strategies are the
-coalition's ``("pair", member)`` families.
+coalition's ``("pair", member)`` families; views come from ``nash2.AfterStopTable``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classic import block_rv, node_sweep
+from .nash2 import AfterStopTable
 from .payoff import PayoffField
 from .space import RV, FilteredSpace
 
@@ -38,14 +39,11 @@ class ReactionGameSpec:
         if self.payoff.arity != 3:
             raise ValueError("reaction games need a three-slot payoff")
 
-    def view(self, c: int) -> PayoffField:
+    def view(self, c: int, table: AfterStopTable | None = None) -> PayoffField:
         """Two-slot field (maximizer slot first) with the frozen slot at c."""
-        pinned = self.payoff.pin(self.frozen_slot, c)
-        # pin() removed the frozen slot; the rest keep their relative order
-        if self.max_slot < self.min_slot:
-            return pinned
-        rows = {(a, b): x for (b, a), x in pinned.rows.items()}
-        return PayoffField.from_rows(pinned.space, 2, rows, pinned.den)
+        # pin() removes the frozen slot; the rest keep their relative order
+        swap = self.max_slot > self.min_slot
+        return (table or AfterStopTable()).pin(self.payoff, self.frozen_slot, c, swap)
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,7 @@ def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
     return block_rv(space, c, layers[c], view.den), tuple(report)
 
 
-def reaction_game_value(spec: ReactionGameSpec, c: int) -> ReactionValueResult:
+def reaction_game_value(spec: ReactionGameSpec, c: int, table=None) -> ReactionValueResult:
     """Pure-maximin value at conditioning index c, plus the node-gap report."""
-    space = spec.payoff.space
-    value_at, report = _node_tables(space, spec.view(c), c)
+    value_at, report = _node_tables(spec.payoff.space, spec.view(c, table), c)
     return ReactionValueResult(value_at=value_at, report=report)

@@ -194,8 +194,9 @@ LADDER = [(3, 5, 1), (3, 5, 2), (3, 5, 3), (4, 6, 1000), (4, 6, 8), (3, 7, 7)]
 def ladder_run() -> dict:
     """Calls made while solving the ladder, with their results:
     ``"oracle"`` holds (args, kwargs, result) per call of the best-response
-    DP (``verify._best_response``, under ``exact_best_response`` and every
-    gap measurement), ``"certify"`` the same per gap measurement
+    DP (``verify._best_response``, under ``exact_best_response`` and
+    ``nash2.AfterStopTable``, which runs each pair-family DP once per
+    solve), ``"certify"`` the same per gap measurement
     (``verify._measure_gaps``: under the final certificates, the pair
     families' anchors and window times), ``"pair"`` holds (args, result) per pair
     candidate (``nash2._candidate``, solved at each pair-family anchor),
@@ -230,7 +231,11 @@ def ladder_run() -> dict:
 
     with pytest.MonkeyPatch.context() as mp:
         for key, name in (("oracle", "_best_response"), ("certify", "_measure_gaps")):
-            mp.setattr(verify, name, recording(key, getattr(verify, name)))
+            real = getattr(verify, name)
+            recorded = recording(key, real)
+            for module_name, module in list(sys.modules.items()):  # verify and nash2
+                if module_name.startswith("stopgame") and getattr(module, name, None) is real:
+                    mp.setattr(module, name, recorded)
         for key, name in (("pair", "_candidate"), ("shortfall", "_shortfall")):
             mp.setattr(nash2, name, recording(key, getattr(nash2, name), with_kwargs=False))
         mp.setattr(PayoffField, "stop_sums", recording_sums)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -27,9 +28,11 @@ from stopgame.nash2 import (
     solve_2p_nash,
     stop_now_solutions,
 )
-from stopgame.payoff import payoff_from_function
-from stopgame.space import FilteredSpace, StoppingTime, cond_exp, make_grid
-from stopgame.strategy import patch_pair, validate_strategy
+from stopgame.payoff import PayoffField, payoff_from_function
+from stopgame.space import (
+    FilteredSpace, StoppingTime, cond_exp, constant_time, make_grid, stopped_atoms,
+)
+from stopgame.strategy import StrategyOrder2, patch_pair, validate_strategy
 from stopgame.verify import certify_nash, on_path_value
 
 
@@ -490,3 +493,50 @@ def test_node_choice_sets_initial_stops(cells_a, cells_b, eps, initial):
     ref = reference_solve_2p_nash(space, *fields, 0, eps)
     assert res.strategies == ref.strategies
     assert res.certificate == ref.certificate
+
+
+def test_after_stop_table_keys_on_identity(monkeypatch):
+    """``AfterStopTable`` keys on the identity of objects it holds.  A view
+    whose every outside reference is gone is still the one the table returns
+    for its (field, slot, k), with the same best-response numerators and no
+    new DP run, after many fresh fields and strategies came and went (each
+    answered from its own values, never from a dropped object's reused id,
+    also as an opponent that was never interned before);
+    an equal but distinct strategy maps to the interned one; a field equal
+    to a held one but not the same object gets a view and a DP run of its
+    own."""
+    inst = generate_instance(1004, n_outcomes=4, n_times=6)
+    space, fields = inst.space, inst.fields
+    K, k = space.grid.terminal_index, 2
+    runs = []
+    real = nash2._best_response
+    # records the view of each DP run; the strategies it was given stay unheld
+    monkeypatch.setattr(nash2, "_best_response", lambda *a, **kw: runs.append(a[1]) or real(*a, **kw))
+    table = nash2.AfterStopTable()
+    pair = [table.intern(s) for s in nash2._candidate(
+        space, table.pin(fields[0], 1, k), table.pin(fields[2], 1, k), k)]
+    view_id = id(table.pin(fields[0], 1, k))
+    best = table.best_response(fields[0], 1, k, 0, pair)
+    atoms, view_of_first = stopped_atoms(space, k), fields[0].pin(1, k)
+    for i in range(100):
+        rows = {ks: tuple(n + i for n in row) for ks, row in fields[0].rows.items()}
+        fresh = PayoffField.from_rows(space, 3, rows, fields[0].den)
+        assert table.pin(fresh, 1, k).rows == fresh.pin(1, k).rows
+        assert table.best_response(fresh, 1, k, 0, pair) == real(
+            space, fresh.pin(1, k), pair, (0,), "max", k, atoms=atoms)[1]
+        del rows, fresh
+    for i in range(100):  # opponents the table has not met, each dropped after use
+        react = tuple(constant_time(space, K if i >> j & 1 else min(j + 1, K)) for j in range(K + 1))
+        other = [None, StrategyOrder2(initial=constant_time(space, i % (K + 1)), react=react)]
+        assert table.best_response(fields[0], 1, k, 0, other) == real(
+            space, view_of_first, other, (0,), "max", k, atoms=atoms)[1]
+        del react, other
+    view = table.pin(fields[0], 1, k)
+    assert id(view) == view_id and view.rows == fields[0].pin(1, k).rows
+    before = len(runs)
+    assert table.best_response(fields[0], 1, k, 0, pair) is best and len(runs) == before
+    copy = dataclasses.replace(pair[1])
+    assert copy is not pair[1] and table.intern(copy) is pair[1]
+    twin = PayoffField.from_rows(space, 3, dict(fields[0].rows), fields[0].den)
+    assert twin == fields[0] and table.pin(twin, 1, k) is not view
+    assert table.best_response(twin, 1, k, 0, pair) == best and len(runs) == before + 1

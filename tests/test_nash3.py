@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -9,8 +10,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_space, solo_solutions
+from conftest import SETTINGS, random_rv, random_space, solo_solutions
 from oracles import (
     reference_coop_gap,
     reference_exit_time,
@@ -22,9 +25,10 @@ from oracles import (
     reference_single_gap,
 )
 from stopgame.classic import block_rv, joint_inf_value, solo_stop
+from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import NoValidDelta, StopGameError, WindowCertificationFailed
 from stopgame.generator import generate_instance
-from stopgame import classic, nash2, nash3, verify
+from stopgame import classic, coalition, nash2, nash3, verify
 from stopgame import space as space_module
 from stopgame.nash2 import family_lookup
 from stopgame.nash3 import (
@@ -633,24 +637,28 @@ def test_shared_solutions_equal_direct_sweeps(seed, outcomes, times, min_step_h)
 @pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
 def test_after_stop_entries_resolved_once_per_solve(monkeypatch, min_step_h):
     """One solve resolves each after-stop entry that some interior time looks
-    up exactly once, not once per seat and time (4x6 bench game, seed 1004)."""
+    up exactly once, not once per seat and time (4x6 bench game, seed 1004).
+    Entries of different families may hold the same interned pair, so each
+    call is matched to its entry's payload by identity and in order."""
     inst = generate_instance(1004, n_outcomes=4, n_times=6)
     space = inst.space
     calls = []
 
     def counting_resolve2(space, a, b):
-        calls.append((id(a), id(b)))
+        calls.append((a, b))
         return resolve2(space, a, b)
 
     monkeypatch.setattr(nash3, "resolve2", counting_resolve2)
     h = space.grid.min_step if min_step_h else None
     ctx = solve_three_player(space, inst.fields, eps=inst.epsilon, h=h).context
     looked_up = {
-        (s, family_lookup(family, t).g)
+        (s, family_lookup(family, t).g): family_lookup(family, t)
         for s, family in ctx.overline.items()
         for t in space.grid.points[:-1]
     }
-    assert len(calls) == len(set(calls)) == len(looked_up)
+    assert len(calls) == len(looked_up)
+    for call, entry in zip(calls, looked_up.values()):
+        assert all(x is y for x, y in zip(call, entry.payload.values(), strict=True))
     # h = span: one entry per family; minimal step: one per interior time
     assert len(calls) == (3 * (len(space.grid) - 1) if min_step_h else 3)
 
@@ -752,34 +760,38 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 @pytest.mark.parametrize(
     "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits, "
-    "certificates",
-    [(1004, 4, 6, True, 162, 5, 411, 144, 264, 1), (1000, 3, 5, False, 135, 4, 308, 120, 200, 1)],
+    "certificates, resolutions, dp_runs",
+    [(1004, 4, 6, True, 90, 5, 335, 144, 188, 1, 10, 127),
+     (1000, 3, 5, False, 75, 4, 248, 120, 140, 1, 2, 63)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
     monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs,
-    commits, certificates,
+    commits, certificates, resolutions, dp_runs,
 ):
-    """On two bench games: every gap measurement (``verify._measure_gaps``:
+    """On two bench games: the gap measurements (``verify._measure_gaps``:
     the pair families' anchors and window times, and the final certificate)
-    resolves its profile once for all seats, and only the final certificate
-    builds per-atom ``Fraction`` maps (``certify_nash``); ``pin``
-    runs only for solver sub-fields (pair-family views, each index pinned
-    once per family, stop-now sweeps, zero-sum views); each coalition game
-    negates its payoff once; the 21 families share one window schedule, so
-    ``phi_h`` maps each interior grid time once per solve, and profile
-    assembly reads entries by grid index without any ``phi_h``;
-    ``classic.snell`` never runs, as the node sweep's reactions and the
-    coalition's solo tables run on the one integer Snell sweep;
-    ``is_stopping_time`` runs only for strategy validation (once per entry
-    of the three strategies) and for the oracle's check that a forced tail
-    may be played out (once per commitment it reads), as certificates read
-    their start through ``stopped_atoms``; ``classic.block_rv``
-    converts only what is read at one index: the zero-sum game's start
-    layer, each solo optimum and each after-stop family layer, while window
-    gaps stay integers; and the best-response oracle reads each live fixed
-    seat's commitment (``committed_time``) once per observed-stop status of
-    a call, not once per DP node."""
+    resolve each interned pair once per solve, and the final profile once;
+    the best-response DP runs once per after-stop view, seat, start and
+    interned opponent (``nash2.AfterStopTable``), plus once per seat for the
+    final certificate; only the final certificate builds per-atom
+    ``Fraction`` maps (``certify_nash``); ``pin`` runs only for solver
+    sub-fields, once per distinct view of the solve (pair-family views, which
+    an overline family and a coalition pair family freezing the same seat
+    share, stop-now sweeps, zero-sum views); each coalition game negates its
+    payoff once; the 21 families share one window schedule, so ``phi_h``
+    maps each interior grid time once per solve, and profile assembly reads
+    entries by grid index without any ``phi_h``; ``classic.snell`` never
+    runs, as the node sweep's reactions and the coalition's solo tables run
+    on the one integer Snell sweep; ``is_stopping_time`` runs only for
+    strategy validation (once per entry of the three strategies) and for the
+    oracle's check that a forced tail may be played out (once per commitment
+    it reads), as certificates read their start through ``stopped_atoms``;
+    ``classic.block_rv`` converts only what is read at one index: the
+    zero-sum game's start layer, each solo optimum and each after-stop family
+    layer, while window gaps stay integers; and the best-response oracle
+    reads each live fixed seat's commitment (``committed_time``) once per
+    observed-stop status of a DP run, not once per DP node."""
     counts = Counter()
 
     def counting(key, real):
@@ -789,17 +801,6 @@ def test_calls_per_solve_on_bench_games(
 
         return call
 
-    real_measure = verify._measure_gaps
-    resolutions = []
-
-    def measure(*args, **kwargs):
-        before = counts["resolve"]
-        measured = real_measure(*args, **kwargs)
-        resolutions.append(counts["resolve"] - before)
-        return measured
-
-    monkeypatch.setattr(verify, "resolve_profile", counting("resolve", verify.resolve_profile))
-    monkeypatch.setattr(verify, "_measure_gaps", measure)
     for module in (nash2, nash3):
         monkeypatch.setattr(module, "certify_nash", counting("certificates", verify.certify_nash))
     monkeypatch.setattr(classic, "snell", counting("snell", classic.snell))
@@ -810,6 +811,9 @@ def test_calls_per_solve_on_bench_games(
         ("is_stopping_time", is_stopping_time),
         ("block_rv", classic.block_rv),
         ("phi_h", space_module.phi_h),
+        ("resolve_profile", verify.resolve_profile),
+        ("_best_response", verify._best_response),
+        ("_measure_gaps", verify._measure_gaps),
     ):
         counted = counting(name, real)
         for key, module in list(sys.modules.items()):
@@ -819,9 +823,116 @@ def test_calls_per_solve_on_bench_games(
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
-    assert len(resolutions) > 40 and set(resolutions) == {1}
+    assert counts["_measure_gaps"] > 40 and counts["resolve_profile"] == resolutions
+    assert counts["_best_response"] == dp_runs
     assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
     assert counts["snell"] == 0
     assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)
     assert counts["commits"] == commits
     assert counts["certificates"] == certificates
+
+
+# every builder a three-player solve hands its after-stop table to, by the
+# module namespace the solve calls it through
+AFTER_STOP_BUILDERS = (
+    (nash3, "build_overline_families"),
+    (nash3, "build_pair_family"),
+    (nash3, "stop_now_solutions"),
+    (nash3, "build_components"),
+    (coalition, "build_pair_family"),
+    (coalition, "reaction_game_value"),
+)
+
+
+def solved(space, fields, eps, h):
+    """The solve, or its error as (type, message)."""
+    try:
+        return solve_three_player(space, fields, eps=eps, h=h)
+    except StopGameError as exc:
+        return type(exc), str(exc)
+
+
+def solved_with_fresh_tables(space, fields, eps, h):
+    """``solved`` with a fresh after-stop table on every builder call, and
+    the number of tables made."""
+    made = []
+
+    def fresh(real):
+        signature = inspect.signature(real)
+
+        def call(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.arguments["table"] = nash2.AfterStopTable()
+            made.append(bound.arguments["table"])
+            return real(*bound.args, **bound.kwargs)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in AFTER_STOP_BUILDERS:
+            mp.setattr(module, name, fresh(getattr(module, name)))
+        return solved(space, fields, eps, h), len(made)
+
+
+def assert_shared_table_changes_nothing(space, fields, eps, h):
+    """The solve with its one after-stop table and with a fresh table per
+    builder call give ``==`` families (entries, anchors, payloads, achieved
+    gaps, ``by_index``), coalition components, profile and certificate, or
+    the same error."""
+    shared = solved(space, fields, eps, h)
+    fresh, made = solved_with_fresh_tables(space, fields, eps, h)
+    if isinstance(shared, tuple):
+        assert fresh == shared and made
+        return
+    assert not isinstance(fresh, tuple), fresh
+    assert made > 9
+    for s in range(3):
+        assert fresh.context.overline[s] == shared.context.overline[s]
+        assert fresh.context.saddles[s][0].families == shared.context.saddles[s][0].families
+    assert fresh.context == shared.context
+    assert fresh.profile == shared.profile
+    assert fresh.certificate == shared.certificate
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+def test_shared_after_stop_table_matches_fresh_tables(min_step_h):
+    """The two bench games of ``test_calls_per_solve_on_bench_games`` and gen
+    seeds 0-5 at 3x5, 4x6 and 3x7, at auto h and at the minimal step."""
+    games = [(1004, 4, 6), (1000, 3, 5)]
+    games += [(seed, o, t) for o, t in ((3, 5), (4, 6), (3, 7)) for seed in range(6)]
+    for seed, outcomes, times in games:
+        inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
+        h = inst.space.grid.min_step if min_step_h else None
+        assert_shared_table_changes_nothing(inst.space, inst.fields, inst.epsilon, h)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(
+    seed=st.integers(0, 10**6),
+    outcomes=st.integers(2, 3),
+    times=st.integers(3, 4),
+    eps=st.sampled_from(("1/4", "2", "10")),
+)
+def test_shared_after_stop_table_matches_fresh_tables_on_small_games(seed, outcomes, times, eps):
+    """Random adapted three-player games with 2-3 outcomes and 3-4 times,
+    at the minimal step; some raise (an eps below the payoffs' moves), and
+    then both solves raise the same error.  The enumeration cap keeps the
+    two-player fallback search to the smallest games (it raises
+    ``DeskScaleExceeded`` on the others, in both solves alike)."""
+    rng = random.Random(seed)
+    space = random_space(rng, outcomes, times)
+
+    def adapted_field():
+        slices = {}
+
+        def fn(ks, w):
+            if ks not in slices:
+                slices[ks] = cond_exp(space, random_rv(rng, outcomes), max(ks))
+            return slices[ks][w]
+
+        return payoff_from_function(space, 3, fn)
+
+    fields = [adapted_field() for _ in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(ENV_OVERRIDE, "enum=2000")
+        assert_shared_table_changes_nothing(space, fields, eps, space.grid.min_step)
