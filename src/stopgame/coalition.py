@@ -8,6 +8,7 @@ zero-sum reaction game).  Their stopping duel produces a value process and
 epsilon-hitting times; window-indexed families then turn the hitting times
 into full reactive strategies for all three seats.  Every process is an
 integer sweep of the payoff's rows (``classic.solo_stop`` for a double pin).
+Each family is built, and certified, on its first read (``LazyFamilies``).
 
 The ordering facts this construction rests on are grid theorems, so any
 violation aborts as an implementation bug rather than a tolerance issue:
@@ -18,8 +19,10 @@ optimum against a simultaneous coalition stop.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .classic import dynkin_hitting_pair, dynkin_value, solo_stop
 from .errors import TheoremViolation
@@ -29,6 +32,25 @@ from .space import Atom, FilteredSpace, StoppingTime, rat
 from .strategy import StrategyOrder3, dense_strategy3
 from .verify import exact_best_response, on_path_value
 from .zerosum import ReactionGameSpec, reaction_game_value
+
+
+class LazyFamilies(Mapping):
+    """Family by key, built and window-certified on its first read (a failed
+    build raises again on each read); iterating, ``len`` and ``==`` read all."""
+
+    def __init__(self, builders: dict):
+        self._builders, self._built = builders, {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            self._built[key] = self._builders[key]()
+        return self._built[key]
+
+    def __iter__(self):
+        return iter({key: self[key] for key in self._builders})
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 @dataclass(frozen=True)
@@ -48,7 +70,7 @@ class CoalitionComponents:
     leader_hit: StoppingTime
     coalition_hit: StoppingTime
     designate: tuple  # True where the first coalition seat is the designated stopper
-    families: dict
+    families: LazyFamilies  # "coop", ("pair", member), ("single", seat)
     node_reports: tuple
 
 
@@ -62,7 +84,7 @@ def build_components(
     stop_now: tuple,
     table: AfterStopTable | None = None,
 ) -> CoalitionComponents:
-    """All processes, hitting times and families of the coalition game.
+    """All processes, hitting times and (lazily built) families of the coalition game.
 
     ``stop_now`` is ``nash2.stop_now_solutions(space, payoff, max_player)``;
     ``table`` is the solve's after-stop table (a fresh one when None).
@@ -112,18 +134,18 @@ def build_components(
         for w in range(space.n_outcomes)
     )
 
-    negated = table.negated(payoff)
-
-    def zero_sum_fields(opponent):
+    def pair_family(member, opponent):
         # in seat order: the leader maximizes the payoff, the surviving member minimizes it
-        return tuple(payoff if q == L else negated for q in sorted((L, opponent)))
+        fields = tuple(payoff if q == L else table.negated(payoff) for q in sorted((L, opponent)))
+        return build_pair_family(space, fields, member, h, eps, table)
 
-    families = {
-        "coop": build_coop_family(space, payoff, L, stop_now, h, eps),
-        ("pair", cj): build_pair_family(space, zero_sum_fields(ck), cj, h, eps, table),
-        ("pair", ck): build_pair_family(space, zero_sum_fields(cj), ck, h, eps, table),
-        **{("single", q): build_single_family(space, payoff, q, solo[q], h, eps) for q in solo},
-    }
+    families = LazyFamilies({
+        "coop": partial(build_coop_family, space, payoff, L, stop_now, h, eps),
+        ("pair", cj): partial(pair_family, cj, ck),
+        ("pair", ck): partial(pair_family, ck, cj),
+        **{("single", q): partial(build_single_family, space, payoff, q, solo[q], h, eps)
+           for q in solo},
+    })
     return CoalitionComponents(
         space=space,
         payoff=payoff,

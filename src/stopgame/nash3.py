@@ -18,6 +18,8 @@ best-response oracle per start atom.
 
 Each seat's stop-now solutions, and every after-stop view and pair measurement
 (``nash2.AfterStopTable``), are built once per solve and shared by their readers.
+Coalition families are built on first read: a solve certifies the six of each first
+stopper's saddle and, per other seat, its single family in the game it punishes.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ class AssemblyContext:
     first_exit: tuple  # per outcome, the designated first stopper
     events: tuple  # partition_ABC(first_exit): one bool tuple per seat
     overline: dict
-    saddles: dict  # designated seat -> (components, strategies keyed by seat)
+    saddles: dict  # seat -> (components, saddle strategies by seat, None if never first)
     shifted_exit: dict  # seat -> exit time pushed by the settle delay
 
 
@@ -259,9 +261,10 @@ def build_context(space, fields, theta, eps, h) -> AssemblyContext:
     saddles = {}
     for s in range(3):
         comp = build_components(space, fields[s], s, shifted[s], eps, h, stop_now[s], table)
-        trio = assemble_saddle(comp)
-        by_seat = {comp.leader: trio[0], comp.coalition[0]: trio[1], comp.coalition[1]: trio[2]}
-        saddles[s] = (comp, by_seat)
+        saddles[s] = (comp, None)
+        if s in first_exit:
+            dict(comp.families)  # build and certify all six families, in key order
+            saddles[s] = (comp, dict(zip((comp.leader, *comp.coalition), assemble_saddle(comp))))
     return AssemblyContext(
         space=space,
         fields=tuple(fields),

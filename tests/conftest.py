@@ -204,7 +204,9 @@ def ladder_run() -> dict:
     (``nash2._shortfall``), ``"cond_exp"`` holds (args, result) per call,
     with the input RV copied to a tuple, and ``"stop_sums"`` holds ((field,
     stops, blocks), result) per ``PayoffField.stop_sums`` call, with the
-    stops and blocks as tuples."""
+    stops and blocks as tuples.  After each solve every coalition family is
+    read, so the families the solve itself never reads are built and
+    recorded too."""
     calls = {key: [] for key in ("oracle", "certify", "pair", "shortfall", "cond_exp", "stop_sums")}
 
     def recording(key, real, with_kwargs=True):
@@ -252,4 +254,6 @@ def ladder_run() -> dict:
             for h in (None, inst.space.grid.min_step):
                 sol = solve_three_player(inst.space, inst.fields, theta, inst.epsilon, h)
                 assert sol.certificate.passes
+                for comp, _ in sol.context.saddles.values():
+                    dict(comp.families)  # the families the solve never read, built here
     return calls

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
+import json
 import math
 import random
 import sys
@@ -25,8 +26,10 @@ from oracles import (
     reference_single_gap,
 )
 from stopgame.classic import block_rv, joint_inf_value, solo_stop
+from stopgame.cli import main as cli_main
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import NoValidDelta, StopGameError, WindowCertificationFailed
+from stopgame.gamefile import GameDoc, emit_game
 from stopgame.generator import generate_instance
 from stopgame import classic, coalition, nash2, nash3, verify
 from stopgame import space as space_module
@@ -53,6 +56,7 @@ from stopgame.space import (
     constant_time,
     is_stopping_time,
     make_grid,
+    rat,
 )
 from stopgame.strategy import lift_constant3, resolve2
 from stopgame.verify import enumerate_stopping_times, on_path_value, resolve_profile
@@ -388,8 +392,7 @@ def test_select_delta_matches_reference_scan(monkeypatch):
             except StopGameError:
                 pass
     space, fields = long_span_game(1)
-    with pytest.raises(WindowCertificationFailed):
-        solve_three_player(space, fields, eps="1/20", h="1/1000")
+    assert_passes_but_single_family_fails(solve_three_player(space, fields, eps="1/20", h="1/1000"))
     rng = random.Random(71)
     for _ in range(60):
         n, times = rng.randint(2, 3), rng.randint(3, 6)
@@ -426,11 +429,26 @@ def test_select_delta_matches_reference_scan(monkeypatch):
     assert errors and below
 
 
+LONG_SPAN_FAILURE = "single entry at 3/1000 reached gap 9/100 > 1*eps at grid index 2"
+
+
+def assert_passes_but_single_family_fails(sol):
+    """At h = 1/1000 the long-span game breaks the premise, yet seat 0 exits
+    first on both outcomes, so no family the profile reads fails and the
+    certificate passes with gap 0; seat 2's ``("single", 2)`` family, which
+    only seat 2's own saddle reads, fails its window when it is read."""
+    assert sol.context.first_exit == (0, 0)
+    assert sol.certificate.passes and sol.certificate.worst_gap == 0
+    with pytest.raises(WindowCertificationFailed) as failure:
+        sol.context.saddles[2][0].families[("single", 2)]
+    assert str(failure.value) == LONG_SPAN_FAILURE
+
+
 def test_select_delta_on_a_long_span_grid(monkeypatch):
     """On the grid (0, 1/1000, 2/1000, 100) at h = 1/1000 the delay reads a
     few end indices, not one per multiple of the step (200004 reads when
-    every multiple was tried); the solve then fails its windows, as that h
-    breaks the premise."""
+    every multiple was tried); the solve then passes, and only a family it
+    never reads fails its windows, as that h breaks the premise."""
     inside, reads = [], []
     index_at_or_after, select = TimeGrid.index_at_or_after, nash3.select_delta
 
@@ -448,9 +466,9 @@ def test_select_delta_on_a_long_span_grid(monkeypatch):
     monkeypatch.setattr(TimeGrid, "index_at_or_after", counted_index)
     monkeypatch.setattr(nash3, "select_delta", counted_select)
     space, fields = long_span_game(100)
-    with pytest.raises(WindowCertificationFailed):
-        solve_three_player(space, fields, eps="1/20", h="1/1000")
+    sol = solve_three_player(space, fields, eps="1/20", h="1/1000")
     assert 0 < len(reads) <= 48
+    assert_passes_but_single_family_fails(sol)
 
 
 def test_on_path_identity():
@@ -759,15 +777,15 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 
 @pytest.mark.parametrize(
-    "seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs, commits, "
-    "certificates, resolutions, dp_runs",
-    [(1004, 4, 6, True, 90, 5, 335, 144, 188, 1, 10, 127),
-     (1000, 3, 5, False, 75, 4, 248, 120, 140, 1, 2, 63)],
+    "seed, outcomes, times, min_step_h, families, pins, phi_h_calls, checks, block_rvs, "
+    "commits, certificates, resolutions, dp_runs, gap_measures",
+    [(1004, 4, 6, True, 11, 66, 5, 283, 144, 136, 1, 10, 87, 51),
+     (1000, 3, 5, False, 11, 55, 4, 208, 120, 100, 1, 2, 43, 26)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
-    monkeypatch, seed, outcomes, times, min_step_h, pins, phi_h_calls, checks, block_rvs,
-    commits, certificates, resolutions, dp_runs,
+    monkeypatch, seed, outcomes, times, min_step_h, families, pins, phi_h_calls, checks,
+    block_rvs, commits, certificates, resolutions, dp_runs, gap_measures,
 ):
     """On two bench games: the gap measurements (``verify._measure_gaps``:
     the pair families' anchors and window times, and the final certificate)
@@ -778,10 +796,13 @@ def test_calls_per_solve_on_bench_games(
     ``Fraction`` maps (``certify_nash``); ``pin`` runs only for solver
     sub-fields, once per distinct view of the solve (pair-family views, which
     an overline family and a coalition pair family freezing the same seat
-    share, stop-now sweeps, zero-sum views); each coalition game negates its
-    payoff once; the 21 families share one window schedule, so ``phi_h``
-    maps each interior grid time once per solve, and profile assembly reads
-    entries by grid index without any ``phi_h``; ``classic.snell`` never
+    share, stop-now sweeps, zero-sum views); a solve builds 11 of its 21
+    families (the three after-stop families, the six of the first stopper's
+    coalition game and, per other seat, its single family in the game of the
+    seat it punishes), so only that coalition game negates its payoff, once; all families share one
+    window schedule, so ``phi_h`` maps each interior grid time once per
+    solve, and profile assembly reads entries by grid index without any
+    ``phi_h``; ``classic.snell`` never
     runs, as the node sweep's reactions and the coalition's solo tables run
     on the one integer Snell sweep; ``is_stopping_time`` runs only for
     strategy validation (once per entry of the three strategies) and for the
@@ -804,6 +825,7 @@ def test_calls_per_solve_on_bench_games(
     for module in (nash2, nash3):
         monkeypatch.setattr(module, "certify_nash", counting("certificates", verify.certify_nash))
     monkeypatch.setattr(classic, "snell", counting("snell", classic.snell))
+    monkeypatch.setattr(nash2, "_window_family", counting("_window_family", nash2._window_family))
     monkeypatch.setattr(verify, "committed_time", counting("commits", verify.committed_time))
     for name in ("pin", "negated"):
         monkeypatch.setattr(PayoffField, name, counting(name, getattr(PayoffField, name)))
@@ -823,9 +845,10 @@ def test_calls_per_solve_on_bench_games(
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
     assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
-    assert counts["_measure_gaps"] > 40 and counts["resolve_profile"] == resolutions
+    assert counts["_window_family"] == families
+    assert counts["_measure_gaps"] == gap_measures and counts["resolve_profile"] == resolutions
     assert counts["_best_response"] == dp_runs
-    assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 3, phi_h_calls)
+    assert (counts["pin"], counts["negated"], counts["phi_h"]) == (pins, 1, phi_h_calls)
     assert counts["snell"] == 0
     assert (counts["is_stopping_time"], counts["block_rv"]) == (checks, block_rvs)
     assert counts["commits"] == commits
@@ -845,9 +868,13 @@ AFTER_STOP_BUILDERS = (
 
 
 def solved(space, fields, eps, h):
-    """The solve, or its error as (type, message)."""
+    """The solve with every coalition family read, so all 21 families are
+    built, or its error as (type, message)."""
     try:
-        return solve_three_player(space, fields, eps=eps, h=h)
+        sol = solve_three_player(space, fields, eps=eps, h=h)
+        for comp, _ in sol.context.saddles.values():
+            dict(comp.families)
+        return sol
     except StopGameError as exc:
         return type(exc), str(exc)
 
@@ -936,3 +963,130 @@ def test_shared_after_stop_table_matches_fresh_tables_on_small_games(seed, outco
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv(ENV_OVERRIDE, "enum=2000")
         assert_shared_table_changes_nothing(space, fields, eps, space.grid.min_step)
+
+
+def split_urgency_fields(space, urgencies):
+    """``urgency_fields`` with seat i's urgency ``urgencies[i][w]`` on outcome
+    w; it scales the seat's own time, which is 0 until index 1 reveals the
+    outcome, so each field stays adapted."""
+    pts = space.grid.points
+
+    def mk(i):
+        def fn(ks, w):
+            others = sum(pts[k] for j, k in enumerate(ks) if j != i)
+            return Fraction(1, 2) + urgencies[i][w] * pts[ks[i]] - Fraction(1, 5) * others
+
+        return payoff_from_function(space, 3, fn)
+
+    return [mk(i) for i in range(3)]
+
+
+def eagerly(build_components):
+    """``build_components`` that reads, so builds and certifies, all six
+    families of each coalition game right after building it."""
+
+    def call(*args, **kwargs):
+        comp = build_components(*args, **kwargs)
+        dict(comp.families)
+        return comp
+
+    return call
+
+
+def solve_and_cli_report(space, fields, eps, h, game, out):
+    """The library solve, or its error as (type, message), and the CLI
+    solve's exit code and report bytes, on the game file ``game``."""
+    try:
+        sol = solve_three_player(space, fields, eps=eps, h=h)
+    except StopGameError as exc:
+        sol = type(exc), str(exc)
+    out.unlink(missing_ok=True)
+    code = cli_main(["solve", "--game", str(game), "--out", str(out),
+                     *(["--h", str(h)] if h is not None else [])])
+    return sol, code, out.read_bytes()
+
+
+def assert_lazy_matches_eager(space, fields, eps, h, tmp_path):
+    """The solve that builds each coalition family on its first read against
+    the solve that builds all 18 as each coalition game is built: ``==``
+    profiles, certificates, contexts and CLI report bytes, or the same error;
+    or the eager solve fails the windows of a family the lazy solve never
+    read, and reading that family (the first to fail, in build order) raises
+    the same text.  Returns which of the three it was, and the lazy solve."""
+    eps = rat(eps)
+    game, out = tmp_path / "game.json", tmp_path / "report.json"
+    game.write_text(emit_game(GameDoc(space, tuple(fields), constant_time(space, 0), eps, None)))
+    lazy, lazy_code, lazy_report = solve_and_cli_report(space, fields, eps, h, game, out)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash3, "build_components", eagerly(nash3.build_components))
+        eager, eager_code, eager_report = solve_and_cli_report(space, fields, eps, h, game, out)
+    if isinstance(eager, tuple) and not isinstance(lazy, tuple):
+        assert eager[0] is WindowCertificationFailed and eager_code == 1
+        assert lazy_code == (0 if lazy.certificate.passes else 1)
+        assert json.loads(lazy_report)["passes"] is lazy.certificate.passes
+        failures = []
+        for comp, _ in lazy.context.saddles.values():
+            for key in ("coop", *(("pair", q) for q in comp.coalition),
+                        *(("single", q) for q in (comp.leader, *comp.coalition))):
+                try:
+                    comp.families[key]
+                except WindowCertificationFailed as exc:
+                    failures.append(str(exc))
+        assert failures and failures[0] == eager[1]
+        return "unread failure", lazy
+    assert (lazy_code, lazy_report) == (eager_code, eager_report)
+    if isinstance(eager, tuple):
+        assert lazy == eager
+        return "error", lazy
+    assert lazy.profile == eager.profile
+    assert lazy.certificate == eager.certificate
+    assert lazy.context == eager.context  # reads every lazy family
+    return "solved", lazy
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+def test_lazy_families_match_eager_families(min_step_h, tmp_path):
+    """Gen seeds 0-5 at 3x5, 4x6 and 3x7, the long-span game (whose eager
+    solve fails the windows of a family the lazy solve never reads) and two
+    games whose first stopper differs between the outcomes, at auto h and at
+    the minimal step."""
+    games = [
+        (inst.space, inst.fields, inst.epsilon)
+        for inst in (
+            generate_instance(seed, n_outcomes=o, n_times=t)
+            for o, t in ((3, 5), (4, 6), (3, 7))
+            for seed in range(6)
+        )
+    ]
+    games.append((*long_span_game(1), "1/20"))
+    nine, one = Fraction(9, 10), Fraction(1, 10)
+    space = urgency_space()
+    for urgencies in [(nine, nine), (nine, one), (one, nine)], [(nine, nine)] * 2 + [(nine, one)]:
+        games.append((space, split_urgency_fields(space, urgencies), "1/8"))
+    seen, split = Counter(), 0
+    for space, fields, eps in games:
+        h = space.grid.min_step if min_step_h else None
+        kind, lazy = assert_lazy_matches_eager(space, fields, eps, h, tmp_path)
+        seen[kind] += 1
+        split += kind == "solved" and len(set(lazy.context.first_exit)) > 1
+    assert (seen["solved"], seen["unread failure"], split) == (20, 1, 2)
+
+
+def test_cli_solves_the_long_span_game_past_an_unread_family(tmp_path, capsys):
+    """At h = 1/1000 the long-span game's ``("single", 2)`` family of seat
+    2's coalition game fails its windows, but no profile reads it (seat 0
+    exits first on both outcomes): ``solve`` exits 0 with a passing report,
+    and ``verify`` of that report exits 0 with the same gaps."""
+    space, fields = long_span_game(1)
+    game, report, checked = (tmp_path / name for name in ("game.json", "r.json", "v.json"))
+    doc = GameDoc(space, tuple(fields), constant_time(space, 0), Fraction(1, 20), None)
+    game.write_text(emit_game(doc))
+    assert cli_main(["solve", "--game", str(game), "--h", "1/1000", "--out", str(report)]) == 0
+    solve = json.loads(report.read_text())
+    assert (solve["passes"], solve["max_gap"], solve["h"]) == (True, "0", "1/1000")
+    assert cli_main(["verify", "--game", str(game), "--profile", str(report),
+                     "--out", str(checked)]) == 0
+    verify = json.loads(checked.read_text())
+    assert verify["passes"] is True
+    assert (verify["max_gap"], verify["per_player"]) == (solve["max_gap"], solve["per_player"])
+    assert capsys.readouterr().err == ""
