@@ -13,15 +13,22 @@ Everything here is exact backward induction on the finite grid:
   best-response oracle; only the values a caller reports become ``Fraction``.
 * The stopping duel where a maximizer collects the lower process at her stop
   and a minimizer the upper process at his, ties paying the maximizer's side,
-  plus the epsilon-hitting times that form an exact epsilon-saddle.
+  plus the epsilon-hitting times that form an exact epsilon-saddle.  Its one
+  recursion, ``_duel``, runs on ``BlockLayers``: a process held as one
+  integer per block, on the node sweep's scale.  A solve's processes are born
+  in that form and stay in it; ``Fraction`` layers given to the public duel
+  functions are lifted onto it once.  A layer becomes ``Fraction`` values
+  only where it is read.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import OrderViolation
 from .payoff import PayoffField
@@ -74,31 +81,47 @@ def snell(
 
 
 class SoloStop(NamedTuple):
-    """One slot's optimum from k, the others pinned at k: value at k, rule,
-    and the value per block of partitions[k] on ``field.den * W_B``."""
+    """One slot's optimum from k, the others pinned at k: its rule, and its
+    value per block of partitions[k] on ``den * W_B`` (``scaled``), which
+    ``value`` converts to an RV on each read."""
 
-    value: RV
     rule: StoppingTime
     direction: str
     scaled: tuple[int, ...]
+    space: FilteredSpace
+    k: int
+    den: int
+
+    @property
+    def value(self) -> RV:
+        return block_rv(self.space, self.k, self.scaled, self.den)
 
 
 def solo_stop(space, field: PayoffField, slot: int, k: int, direction: str) -> SoloStop:
     """The Snell optimum from k of one slot, every other slot pinned at k."""
     head, tail = (k,) * slot, (k,) * (field.arity - slot - 1)
     value, rule = _snell_sweep(space, field.rows, lambda j: (*head, j, *tail), k, direction)
-    return SoloStop(block_rv(space, k, value, field.den), rule, direction, tuple(value))
+    return SoloStop(rule, direction, tuple(value), space, k, field.den)
 
 
 @dataclass(frozen=True)
 class JointStopResult:
-    """Cooperative two-stop infimum at its start, per start atom also on
-    ``field2.den * W_B`` (``scaled``), and one optimal committed pair."""
+    """One optimal committed pair of the cooperative two-stop problem, and
+    its infimum per atom of the start (``atoms``, ``stopped_atoms``' order)
+    on ``den * W_B`` (``scaled``), which ``value`` converts to an RV on each
+    read."""
 
-    value: tuple
     rho: StoppingTime
     tau: StoppingTime
     scaled: tuple[int, ...]
+    space: FilteredSpace
+    atoms: tuple
+    den: int
+
+    @property
+    def value(self) -> RV:
+        values = [Fraction(n, self.den * w_b) for n, (_, _, w_b) in zip(self.scaled, self.atoms)]
+        return fill_blocks(self.space, (block for _, block, _ in self.atoms), values)
 
 
 def node_sweep(space: FilteredSpace, fields, directions, kmin: int, choose):
@@ -202,6 +225,89 @@ def block_rv(space: FilteredSpace, k: int, nums: Sequence[int], den: int) -> RV:
     return fill_blocks(space, space.partitions[k], values)
 
 
+class BlockLayers(Sequence):
+    """A process held as integers: ``nums[k]`` holds one integer per block B
+    of partitions[k], the value on B times ``scale * W_B`` (None at an index
+    the process does not reach).  ``layers[k]`` converts layer k to a
+    ``Fraction`` RV on each read and keeps nothing, as ``PayoffField.at``
+    does.  Equal values compare equal: another ``BlockLayers`` by
+    cross-multiplying the scales, a tuple of RVs layer by layer."""
+
+    __slots__ = ("space", "nums", "scale")
+    __hash__ = None  # equal to tuples that hash otherwise
+
+    def __init__(self, space: FilteredSpace, nums, scale: int):
+        self.space, self.nums, self.scale = space, tuple(nums), scale
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        k = range(len(self))[k]
+        row = self.nums[k]
+        return None if row is None else block_rv(self.space, k, row, self.scale)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        if not isinstance(other, BlockLayers):
+            return NotImplemented
+        a, b = other.scale, self.scale
+        return self.space == other.space and len(self) == len(other) and all(
+            x is None if y is None else y is not None and [n * a for n in x] == [n * b for n in y]
+            for x, y in zip(self.nums, other.nums)
+        )
+
+    def __repr__(self) -> str:
+        return f"BlockLayers({tuple(self)!r})"
+
+
+def sweep_layers(space: FilteredSpace, layers, den: int, eps: Fraction) -> BlockLayers:
+    """Layers on ``den * W_B`` (a node sweep's scale, one per grid index) as
+    a process on ``eps.denominator * den``, where eps on block B is the
+    integer ``eps.numerator * den * W_B``."""
+    q = eps.denominator
+    return BlockLayers(space, [[q * n for n in layer] for layer in layers], q * den)
+
+
+def _lift(space: FilteredSpace, layers: Sequence, kmin: int) -> BlockLayers:
+    """``Fraction`` layers from kmin on (earlier ones are dropped) as a
+    process on the lcm of their denominators; a layer that varies on a
+    block of partitions[k] raises ValueError."""
+    scale = math.lcm(*(v.denominator for x in layers[kmin:] if x is not None for v in x))
+    nums: list = [None] * kmin
+    for k in range(kmin, len(layers)):
+        x = layers[k]
+        if x is None:
+            nums.append(None)
+            continue
+        row = []
+        for block, w_b in zip(space.partitions[k], space.block_wnum[k]):
+            v = x[block[0]]
+            if any(x[w] != v for w in block):
+                raise ValueError(f"layer {k} varies on block {block}")
+            row.append(v.numerator * (scale // v.denominator) * w_b)
+        nums.append(row)
+    return BlockLayers(space, nums, scale)
+
+
+def _on_one_scale(space: FilteredSpace, kmin: int, *processes, unit: int = 1):
+    """The processes' integer layers on one scale, a multiple of ``unit``,
+    and that scale: a ``BlockLayers`` is read as it is (rescaled only when
+    the scales differ), ``Fraction`` layers are lifted once from kmin on."""
+    held = [p if isinstance(p, BlockLayers) else _lift(space, p, kmin) for p in processes]
+    scale = math.lcm(unit, *(p.scale for p in held))
+    return [
+        p.nums if p.scale == scale else _times(p.nums, scale // p.scale) for p in held
+    ], scale
+
+
+def _times(nums, factor: int) -> list:
+    return [None if row is None else [factor * n for n in row] for row in nums]
+
+
 def _first_min(*cells):
     return cells.index(min(cells))
 
@@ -226,7 +332,7 @@ def joint_inf_pair(
 ) -> JointStopResult:
     """Exact infimum over committed stopping-time pairs, with one optimizer.
 
-    The value is converted once per start atom.  The forward trace follows
+    The value stays on integers per start atom (``scaled``).  The forward trace follows
     each node's choice, which prefers stopping both sides, then the first
     slot, then the second, so constants return the earliest pair.
     """
@@ -244,9 +350,37 @@ def joint_inf_pair(
     first = first_hit(space, from_, lambda k, w: nodes[k][2][bid[k][w]] < 3)
     rho, tau = zip(*(stops(w, k) for w, k in enumerate(first.idx)))
     scaled = tuple(layers[k][bid[k][b[0]]] for k, b, _ in atoms)
-    at_start = [Fraction(n, field2.den * w_b) for n, (_, _, w_b) in zip(scaled, atoms)]
-    value = fill_blocks(space, (b for _, b, _ in atoms), at_start)
-    return JointStopResult(value, StoppingTime(rho), StoppingTime(tau), scaled)
+    return JointStopResult(
+        StoppingTime(rho), StoppingTime(tau), scaled, space, tuple(atoms), field2.den
+    )
+
+
+def _duel(space: FilteredSpace, lower, upper, start, scale: int) -> list:
+    """The one stopping-duel recursion, on integer layers of one ``scale``
+    (``BlockLayers.nums``): value_K = lower_K and, per block, value_k =
+    max(lower_k, min(upper_k, children sums of value_{k+1})) down to the
+    earliest start index.  Raises OrderViolation at the first (index,
+    outcome) reachable from the start (k >= start[w]) where lower > upper."""
+    kmin = min(start)
+    K = space.grid.terminal_index
+    for k in range(kmin, K + 1):
+        bad = {b for b, (x, y) in enumerate(zip(lower[k], upper[k])) if x > y}
+        if not bad:
+            continue
+        for w in range(space.n_outcomes):
+            b = space.block_id[k][w]
+            if k >= start[w] and b in bad:
+                den = scale * space.block_wnum[k][b]
+                raise OrderViolation(
+                    f"lower exceeds upper at index {k}, outcome {w}: "
+                    f"{Fraction(lower[k][b], den)} > {Fraction(upper[k][b], den)}"
+                )
+    value: Layers = [None] * (K + 1)
+    value[K] = list(lower[K])
+    for k in range(K - 1, kmin - 1, -1):
+        cont = _children_sums(space, value[k + 1], k)
+        value[k] = [max(x, min(y, c)) for x, y, c in zip(lower[k], upper[k], cont)]
+    return value
 
 
 def dynkin_value(
@@ -254,35 +388,18 @@ def dynkin_value(
     lower: Sequence,
     upper: Sequence,
     from_=0,
-) -> tuple:
+) -> BlockLayers:
     """Value layers of the stopping duel between ``lower`` and ``upper``.
 
     The maximizer collects lower at her stop when she is not strictly later,
     the minimizer collects upper otherwise; at the horizon the maximizer is
-    forced to stop.  Requires lower <= upper on the reachable region.
+    forced to stop.  Requires lower <= upper on the reachable region.  The
+    processes are ``BlockLayers`` or adapted ``Fraction`` layers (None below
+    the earliest start index); the value is ``BlockLayers``, None there.
     """
     start = _start_indices(space, from_)
-    kmin = min(start)
-    K = space.grid.terminal_index
-    for k in range(kmin, K + 1):
-        for w in range(space.n_outcomes):
-            if k >= start[w] and lower[k][w] > upper[k][w]:
-                raise OrderViolation(
-                    f"lower exceeds upper at index {k}, outcome {w}: "
-                    f"{lower[k][w]} > {upper[k][w]}"
-                )
-    value: Layers = [None] * (K + 1)
-    value[K] = tuple(lower[K])
-    for k in range(K - 1, kmin - 1, -1):
-        cont = cond_exp(space, value[k + 1], k)
-        value[k] = tuple(
-            max(x, min(y, c)) for x, y, c in zip(lower[k], upper[k], cont)
-        )
-    return tuple(value)
-
-
-def _negated(layers: Sequence) -> tuple:
-    return tuple(None if x is None else tuple(-v for v in x) for x in layers)
+    (lo, hi), scale = _on_one_scale(space, min(start), lower, upper)
+    return BlockLayers(space, _duel(space, lo, hi, start, scale), scale)
 
 
 def dynkin_convention_gap(
@@ -295,14 +412,34 @@ def dynkin_convention_gap(
     is the maximizer of ``-upper`` against ``-lower``.
     """
     start = _start_indices(space, from_)
-    alt = _negated(dynkin_value(space, _negated(upper), _negated(lower), from_))
-    K = space.grid.terminal_index
-    gap = Fraction(0)
-    for k in range(min(start), K + 1):
-        for w in range(space.n_outcomes):
-            if k >= start[w]:
-                gap = max(gap, abs(value[k][w] - alt[k][w]))
-    return gap
+    (main, lo, hi), scale = _on_one_scale(space, min(start), value, lower, upper)
+    mirror = _duel(space, _times(hi, -1), _times(lo, -1), start, scale)  # the alt duel, negated
+    gap = (0, 1)
+    for k in range(min(start), space.grid.terminal_index + 1):
+        for b, (block, w_b) in enumerate(zip(space.partitions[k], space.block_wnum[k])):
+            if any(k >= start[w] for w in block):
+                d = abs(main[k][b] + mirror[k][b])
+                if d * gap[1] > gap[0] * scale * w_b:
+                    gap = (d, scale * w_b)
+    return Fraction(*gap)
+
+
+def first_within(space: FilteredSpace, a: Sequence, b: Sequence, eps, start) -> StoppingTime:
+    """Per outcome, the first index k from the start (a stopping time or a
+    constant grid index) with a[k] <= b[k] + eps, or the terminal index when
+    no earlier k has it; ``a`` and ``b`` as in :func:`dynkin_value`."""
+    eps = rat(eps)
+    (x, y), scale = _on_one_scale(
+        space, min(_start_indices(space, start)), a, b, unit=eps.denominator
+    )
+    e = eps.numerator * (scale // eps.denominator)  # eps on block B is e * W_B
+    bid, wnum = space.block_id, space.block_wnum
+
+    def hit(k, w):
+        i = bid[k][w]
+        return x[k][i] <= y[k][i] + e * wnum[k][i]
+
+    return first_hit(space, start, hit)
 
 
 def dynkin_hitting_pair(
@@ -321,10 +458,7 @@ def dynkin_hitting_pair(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    return (
-        first_hit(space, mu, lambda k, w: value[k][w] <= lower[k][w] + eps),
-        first_hit(space, mu, lambda k, w: value[k][w] >= upper[k][w] - eps),
-    )
+    return first_within(space, value, lower, eps, mu), first_within(space, upper, value, eps, mu)
 
 
 def duel_payoff(

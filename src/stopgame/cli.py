@@ -38,12 +38,13 @@ from .gamefile import (
     profile_from_obj,
     profile_to_obj,
     _f2s,
+    _ratio_text,
     _time_texts,
 )
 from .generator import generate_instance
 from .nash2 import solve_2p_nash
 from .nash3 import solve_three_player
-from .space import constant_time, rat
+from .space import constant_time, fill_blocks, rat
 from .strategy import StrategyOrder2, StrategyOrder3, validate_strategy
 from .verify import certify_nash
 
@@ -66,8 +67,17 @@ def _read(path: str) -> str:
             raise ParseError(f"{path}: {exc}") from exc
 
 
-def _layer_obj(layers):
-    return [None if layer is None else [_f2s(v) for v in layer] for layer in layers]
+def _layer_obj(space, layers):
+    """A process's layers as report text, each value written from its
+    integer (``classic.BlockLayers``); None for an index it does not reach."""
+    out = []
+    for row, blocks, w_bs in zip(layers.nums, space.partitions, space.block_wnum):
+        if row is None:
+            out.append(None)
+            continue
+        texts = [_ratio_text(n, layers.scale * w_b) for n, w_b in zip(row, w_bs)]
+        out.append(list(fill_blocks(space, blocks, texts)))
+    return out
 
 
 def cmd_gen(args) -> int:
@@ -164,7 +174,8 @@ def cmd_solve(args) -> int:
             delta=atoms_obj(_time_texts(space.grid), ctx.delta.per_atom),
             events={name: list(ctx.events[s]) for s, name in enumerate(("A", "B", "C"))},
             processes=[
-                {name: _layer_obj(getattr(p, name)) for name in _PROCESS_LAYERS} for p in players
+                {name: _layer_obj(space, getattr(p, name)) for name in _PROCESS_LAYERS}
+                for p in players
             ],
             flags={
                 "node_gaps": node_gaps,

@@ -7,8 +7,12 @@ best value the leader can defend once a coalition member stops first (a
 zero-sum reaction game).  Their stopping duel produces a value process and
 epsilon-hitting times; window-indexed families then turn the hitting times
 into full reactive strategies for all three seats.  Every process is an
-integer sweep of the payoff's rows (``classic.solo_stop`` for a double pin).
-Each family is built, and certified, on its first read (``LazyFamilies``).
+integer sweep of the payoff's rows (``classic.solo_stop`` for a double pin),
+kept as ``classic.BlockLayers`` on ``eps.denominator * payoff.den * W_B``, so
+that eps is an integer per block: the ordering checks, the duel, its hitting
+times and the designated stopper compare integers, and a value becomes
+``Fraction`` only where it is read.  Each family is built, and certified, on
+its first read (``LazyFamilies``).
 
 The ordering facts this construction rests on are grid theorems, so any
 violation aborts as an implementation bug rather than a tolerance issue:
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .classic import dynkin_hitting_pair, dynkin_value, solo_stop
+from .classic import BlockLayers, dynkin_hitting_pair, dynkin_value, solo_stop, sweep_layers
 from .errors import TheoremViolation
 from .nash2 import AfterStopTable, build_coop_family, build_pair_family, build_single_family
 from .payoff import PayoffField
@@ -62,11 +66,12 @@ class CoalitionComponents:
     eps: Fraction
     h: Fraction
     mu: StoppingTime
-    leader_stop_value: tuple  # value of the leader stopping now, coalition minimizing
+    # the processes are BlockLayers, converted to Fraction layers on read
+    leader_stop_value: BlockLayers  # value of the leader stopping now, coalition minimizing
     after_stop_value: dict  # seat -> value once that coalition member stopped
-    coalition_floor: tuple  # min over the two after-stop values
+    coalition_floor: BlockLayers  # min over the two after-stop values
     pinned_solo: dict  # free slot -> optimum with both other slots pinned
-    value: tuple  # duel value between leader_stop_value and coalition_floor
+    value: BlockLayers  # duel value between leader_stop_value and coalition_floor
     leader_hit: StoppingTime
     coalition_hit: StoppingTime
     designate: tuple  # True where the first coalition seat is the designated stopper
@@ -97,31 +102,36 @@ def build_components(
     cj, ck = sorted(s for s in range(3) if s != L)
     K = space.grid.terminal_index
 
-    leader_stop = [res.value for res in stop_now]
+    e = eps.numerator * payoff.den  # eps on block B of partitions[k] is e * W_B
+    leader_stop = sweep_layers(space, (res.scaled for res in stop_now), payoff.den, eps)
 
-    after_stop: dict[int, list] = {}
+    after_stop: dict[int, BlockLayers] = {}
     node_reports = []
     for member, opponent in ((cj, ck), (ck, cj)):
         spec = ReactionGameSpec(
             payoff=payoff, frozen_slot=member, max_slot=L, min_slot=opponent
         )
-        vals = []
+        layers = []
         for k in range(K + 1):
             res = reaction_game_value(spec, k, table)
-            vals.append(res.value_at)
+            layers.append(res.scaled)
             node_reports.extend(res.report)
-        after_stop[member] = vals
+        after_stop[member] = sweep_layers(space, layers, payoff.den, eps)
 
-    floor = [
-        tuple(min(a, b) for a, b in zip(after_stop[cj][k], after_stop[ck][k]))
-        for k in range(K + 1)
-    ]
+    floor = BlockLayers(
+        space,
+        [list(map(min, a, b)) for a, b in zip(after_stop[cj].nums, after_stop[ck].nums)],
+        leader_stop.scale,
+    )
 
     solo = {}
     for free in (L, cj, ck):
         direction = "sup" if free == L else "inf"
         solo[free] = tuple(solo_stop(space, payoff, free, k, direction) for k in range(K + 1))
-    pinned = {free: [sol.value for sol in sols] for free, sols in solo.items()}
+    pinned = {
+        free: sweep_layers(space, (sol.scaled for sol in sols), payoff.den, eps)
+        for free, sols in solo.items()
+    }
 
     _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L)
 
@@ -129,10 +139,10 @@ def build_components(
     leader_hit, coalition_hit = dynkin_hitting_pair(
         space, value, leader_stop, floor, eps, mu
     )
-    designate = tuple(
-        value[coalition_hit.idx[w]][w] >= after_stop[cj][coalition_hit.idx[w]][w] - eps
-        for w in range(space.n_outcomes)
-    )
+    designate = []
+    for w, k in enumerate(coalition_hit.idx):
+        b = space.block_id[k][w]
+        designate.append(value.nums[k][b] >= after_stop[cj].nums[k][b] - e * space.block_wnum[k][b])
 
     def pair_family(member, opponent):
         # in seat order: the leader maximizes the payoff, the surviving member minimizes it
@@ -154,32 +164,34 @@ def build_components(
         eps=eps,
         h=h,
         mu=mu,
-        leader_stop_value=tuple(leader_stop),
-        after_stop_value={k: tuple(v) for k, v in after_stop.items()},
-        coalition_floor=tuple(floor),
-        pinned_solo={k: tuple(v) for k, v in pinned.items()},
+        leader_stop_value=leader_stop,
+        after_stop_value=after_stop,
+        coalition_floor=floor,
+        pinned_solo=pinned,
         value=value,
         leader_hit=leader_hit,
         coalition_hit=coalition_hit,
-        designate=designate,
+        designate=tuple(designate),
         families=families,
         node_reports=tuple(node_reports),
     )
 
 
 def _check_orderings(space, leader_stop, after_stop, pinned, cj, ck, L):
-    """Grid theorems; a failure is a bug, never a tolerance issue."""
+    """Grid theorems, compared on the processes' integers (one scale); a
+    failure is a bug, never a tolerance issue."""
     K = space.grid.terminal_index
     for k in range(K + 1):
-        for w in range(space.n_outcomes):
-            x = leader_stop[k][w]
+        for w, b in enumerate(space.block_id[k]):
+            x = leader_stop.nums[k][b]
             for member, partner in ((cj, ck), (ck, cj)):
-                z, y = pinned[partner][k][w], after_stop[member][k][w]
+                z, y = pinned[partner].nums[k][b], after_stop[member].nums[k][b]
                 if not (x <= z <= y):
+                    x, z, y = (p[k][w] for p in (leader_stop, pinned[partner], after_stop[member]))
                     raise TheoremViolation(
                         f"stop-now sandwich failed at k={k}, w={w}: {x} <= {z} <= {y}"
                     )
-            if not (pinned[L][k][w] >= max(after_stop[cj][k][w], after_stop[ck][k][w])):
+            if pinned[L].nums[k][b] < max(after_stop[q].nums[k][b] for q in (cj, ck)):
                 raise TheoremViolation(
                     f"leader double-pin optimum below reaction value at k={k}, w={w}"
                 )

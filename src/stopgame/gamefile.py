@@ -36,9 +36,11 @@ from .strategy import StrategyOrder2, StrategyOrder3
 SCHEMA = "stopgame-game-v1"
 
 
-def _f2s(x: Fraction) -> str:
-    x = Fraction(x)
-    return _ratio_text(x.numerator, x.denominator)
+def _f2s(x: Fraction | int) -> str:
+    """A ``Fraction`` or ``int`` as "p/q", or "p" when it is an integer; a
+    ``Fraction`` is already in lowest terms, so it is read, not rebuilt."""
+    p, q = x.numerator, x.denominator
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def _ratio_text(p: int, q: int) -> str:

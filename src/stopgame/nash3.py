@@ -16,8 +16,13 @@ game), or the after-stop families (everywhere else).  The final claim, a
 13*eps equilibrium, is never asserted: it is measured by the exact
 best-response oracle per start atom.
 
-Each seat's stop-now solutions, and every after-stop view and pair measurement
-(``nash2.AfterStopTable``), are built once per solve and shared by their readers.
+Each seat's processes are ``classic.BlockLayers`` on ``eps.denominator *
+den * W_B`` (den its payoff's), built from the integer sweeps and kept on
+them: the rival floor adds eps as an integer, and the order checks, the duel,
+the exit time and the settle delay compare integers; a layer becomes
+``Fraction`` only where it is read.  Each seat's stop-now solutions, and every
+after-stop view and pair measurement (``nash2.AfterStopTable``), are built
+once per solve and shared by their readers.
 Coalition families are built on first read: a solve certifies the six of each first
 stopper's saddle and, per other seat, its single family in the game it punishes.
 """
@@ -27,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .classic import block_rv, dynkin_value
+from .classic import BlockLayers, dynkin_value, first_within, sweep_layers
 from .coalition import assemble_saddle, build_components
 from .errors import NoValidDelta, PremiseViolation, TheoremViolation
 from .nash2 import AfterStopTable, EquilibriumFamily, build_pair_family, stop_now_solutions
@@ -39,7 +45,6 @@ from .space import (
     FilteredSpace,
     StoppingTime,
     constant_time,
-    first_hit,
     rat,
     stopped_atoms,
 )
@@ -74,12 +79,15 @@ def resolve_overline(space: FilteredSpace, overline: dict[int, EquilibriumFamily
 
 @dataclass(frozen=True)
 class PlayerProcesses:
+    """A seat's processes: ``BlockLayers`` from ``build_player_processes``
+    (read as ``Fraction`` layers), or any ``Fraction`` layers."""
+
     seat: int
-    stop_exact: tuple  # stopping now against the cooperative minimum
-    stop_family: tuple  # stopping now against the after-stop equilibrium pair
+    stop_exact: BlockLayers  # stopping now against the cooperative minimum
+    stop_family: BlockLayers  # stopping now against the after-stop equilibrium pair
     rival: dict  # other seat -> value of that rival stopping now
-    rival_floor: tuple  # min over rivals, plus the assembly margin eps
-    value: tuple  # duel value between stop_exact and rival_floor
+    rival_floor: BlockLayers  # min over rivals, plus the assembly margin eps
+    value: BlockLayers  # duel value between stop_exact and rival_floor
     exit_time: StoppingTime
 
 
@@ -97,31 +105,32 @@ def build_player_processes(
     K = space.grid.terminal_index
     field = fields[seat]
     others = sorted(q for q in range(3) if q != seat)
+    e = eps.numerator * field.den  # eps on block B of partitions[k] is e * W_B
 
-    stop_exact = [res.value for res in stop_now]
+    stop_exact = sweep_layers(space, (res.scaled for res in stop_now), field.den, eps)
 
-    def family_layers(s: int) -> list[RV]:
+    def family_layers(s: int) -> BlockLayers:
         # E_k of the field with seat s stopped at k and the survivors at their pair
-        return [
-            block_rv(space, k, field.stop_sums((*pair[:s], k, *pair[s:]), blocks), field.den)
+        return sweep_layers(space, (
+            field.stop_sums((*pair[:s], k, *pair[s:]), blocks)
             for k, (pair, blocks) in enumerate(zip([*after_stop[s], (K, K)], space.partitions))
-        ]
+        ), field.den, eps)
 
     stop_family = family_layers(seat)
-    rival = {q: tuple(family_layers(q)) for q in others}
-    rival_floor = [
-        tuple(min(rival[others[0]][k][w], rival[others[1]][k][w]) + eps
-              for w in range(space.n_outcomes))
-        for k in range(K + 1)
-    ]
+    rival = {q: family_layers(q) for q in others}
+    rival_floor = BlockLayers(space, [
+        [min(a, b) + e * w_b for a, b, w_b in zip(x, y, space.block_wnum[k])]
+        for k, (x, y) in enumerate(zip(rival[others[0]].nums, rival[others[1]].nums))
+    ], stop_exact.scale)
 
     for k in range(K + 1):
-        for w in range(space.n_outcomes):
-            if stop_exact[k][w] > stop_family[k][w]:
+        x, family, floor = stop_exact.nums[k], stop_family.nums[k], rival_floor.nums[k]
+        for w, b in enumerate(space.block_id[k]):
+            if x[b] > family[b]:
                 raise TheoremViolation(
                     f"exact stop value above family stop value at k={k}, w={w}"
                 )
-            if stop_exact[k][w] > rival_floor[k][w]:
+            if x[b] > floor[b]:
                 raise TheoremViolation(
                     f"stop value above rival floor at k={k}, w={w} for seat {seat}: "
                     f"{stop_exact[k][w]} > {rival_floor[k][w]}"
@@ -129,13 +138,13 @@ def build_player_processes(
 
     value = dynkin_value(space, stop_exact, rival_floor, theta)
     # the last index always hits: value[K] = stop_exact[K] <= stop_family[K]
-    exit_time = first_hit(space, theta, lambda k, w: value[k][w] <= stop_family[k][w] + eps)
+    exit_time = first_within(space, value, stop_family, eps, theta)
     return PlayerProcesses(
         seat=seat,
-        stop_exact=tuple(stop_exact),
-        stop_family=tuple(stop_family),
+        stop_exact=stop_exact,
+        stop_family=stop_family,
         rival=rival,
-        rival_floor=tuple(rival_floor),
+        rival_floor=rival_floor,
         value=value,
         exit_time=exit_time,
     )
@@ -169,29 +178,33 @@ def select_delta(
     A multiple m reaches the test only through each end index, the first grid
     index at or after t_mu + m * step for an exit time t_mu on the atom, which
     is at most j exactly while m <= (t_j - t_mu) // step: the largest passing
-    m is ``max_m`` or one of those floors, so only these are tried."""
+    m is ``max_m`` or one of those floors, so only these are tried.  The test
+    runs on integers: each process per outcome on one denominator
+    (``_per_outcome``), the weights as ``space.wnum``."""
     eps = rat(eps)
     step, points = space.grid.min_step, space.grid.points
     max_m = max(1, math.ceil(space.grid.span / step))
+    wnum, q = space.wnum, eps.denominator
     per_atom: dict[Atom, Fraction] = {}
+    processes = [
+        (pp.exit_time.idx, _per_outcome(space, pp.stop_family), _per_outcome(space, pp.value))
+        for pp in players.values()
+    ]
 
-    def atom_ok(members, m) -> bool:
+    def atom_ok(members, exits, m) -> bool:
         dur = m * step
-        total = sum(space.weights[w] for w in members)
-        for pp in players.values():
-            sup_acc = Fraction(0)
-            v_acc = Fraction(0)
+        end = {mu: space.grid.index_at_or_after(points[mu] + dur) for mu in exits}
+        bound = eps.numerator * sum(wnum[w] for w in members)
+        for exit_idx, (family, family_den), (value, value_den) in processes:
+            sup_acc = v_acc = 0
             for w in members:
-                mu_k = pp.exit_time.idx[w]
-                mu_val = space.grid.points[mu_k]
-                end_k = space.grid.index_at_or_after(mu_val + dur)
-                worst = max(
-                    abs(pp.stop_family[k][w] - pp.stop_family[mu_k][w])
-                    for k in range(mu_k, end_k + 1)
-                )
-                sup_acc += space.weights[w] * worst
-                v_acc += space.weights[w] * abs(pp.value[end_k][w] - pp.value[mu_k][w])
-            if not (sup_acc / total < eps and v_acc / total < eps):
+                mu_k = exit_idx[w]
+                end_k, at_mu = end[mu_k], family[mu_k][w]
+                worst = max(abs(family[k][w] - at_mu) for k in range(mu_k, end_k + 1))
+                sup_acc += wnum[w] * worst
+                v_acc += wnum[w] * abs(value[end_k][w] - value[mu_k][w])
+            # each weighted mean, on its process's denominator, below eps
+            if not (q * sup_acc < bound * family_den and q * v_acc < bound * value_den):
                 return False
         return True
 
@@ -199,7 +212,7 @@ def select_delta(
         exits = {pp.exit_time.idx[w] for pp in players.values() for w in members}
         floors = {(t - points[mu]) // step for mu in exits for t in points[mu + 1 :]}
         tried = sorted({max_m, *(m for m in floors if m < max_m)}, reverse=True)
-        chosen = next((m * step for m in tried if atom_ok(members, m)), None)
+        chosen = next((m * step for m in tried if atom_ok(members, exits, m)), None)
         if chosen is None:
             raise NoValidDelta(
                 f"no stable delay of at least one step on atom {(k, members)}"
@@ -210,6 +223,23 @@ def select_delta(
         for w in members:
             duration[w] = dur
     return DeltaMap(per_atom=per_atom, duration=tuple(duration))
+
+
+def _per_outcome(space: FilteredSpace, layers) -> tuple[list, int]:
+    """A process as one integer per outcome and index on one denominator,
+    and that denominator: ``BlockLayers`` on ``scale`` times the lcm of the
+    block weights, other ``Fraction`` layers on the lcm of their
+    denominators (None layers stay None)."""
+    if isinstance(layers, BlockLayers):
+        lcm = math.lcm(*chain.from_iterable(space.block_wnum))
+        rows = [
+            None if row is None else [row[b] * (lcm // w_b[b]) for b in bid]
+            for row, bid, w_b in zip(layers.nums, space.block_id, space.block_wnum)
+        ]
+        return rows, layers.scale * lcm
+    den = math.lcm(*(v.denominator for x in layers if x is not None for v in x))
+    return [None if x is None else [v.numerator * (den // v.denominator) for v in x]
+            for x in layers], den
 
 
 def first_exit_seats(space: FilteredSpace, mu_by_seat) -> tuple[int, ...]:

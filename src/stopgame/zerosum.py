@@ -6,7 +6,8 @@ node offers both sides {stop, continue}: a lone stopper hands the survivor an
 exact Snell reaction, simultaneous stops settle immediately, and double
 continuation rolls the layer forward; the sweep is ``classic.node_sweep``,
 shared with the cooperative two-stop infimum.  It runs on block-scaled
-integers, and only the start layer and the reported gaps become ``Fraction``.
+integers; the start layer stays on them (``ReactionValueResult.scaled``), and
+only the reported gaps become ``Fraction``.
 The canonical value takes the pure maximin of every 2x2 node; nodes where
 pure maximin and minimax differ are collected in a gap report rather than
 hidden.  The construction's certified saddle strategies are the
@@ -55,8 +56,19 @@ class NodeGap:
 
 @dataclass(frozen=True)
 class ReactionValueResult:
-    value_at: RV
+    """The value at c per block of partitions[c] on ``den * W_B``
+    (``scaled``), which ``value_at`` converts to an RV on each read, and the
+    node-gap report."""
+
+    scaled: tuple[int, ...]
     report: tuple[NodeGap, ...]
+    space: FilteredSpace
+    c: int
+    den: int
+
+    @property
+    def value_at(self) -> RV:
+        return block_rv(self.space, self.c, self.scaled, self.den)
 
 
 def _maximin(ss, sc, cs, cc):
@@ -68,8 +80,9 @@ def _maximin(ss, sc, cs, cc):
 
 
 def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
-    """Backward sweep; returns (value at c, report).  The report compares the
-    sweep's block-scaled integers and converts only the gaps it reports."""
+    """Backward sweep; returns (value at c on the sweep's scale, report).  The
+    report compares the sweep's block-scaled integers and converts only the
+    gaps it reports."""
     (layers,), nodes = node_sweep(space, (view,), ("inf", "sup"), c, _maximin)
     report: list[NodeGap] = []
     for k in range(space.grid.terminal_index - 1, c - 1, -1):
@@ -79,10 +92,11 @@ def _node_tables(space: FilteredSpace, view: PayoffField, c: int):
             if minimax != layers[k][b]:
                 gap = Fraction(minimax - layers[k][b], view.den * w_b)
                 report.append(NodeGap(k=k, block=block, gap=gap))
-    return block_rv(space, c, layers[c], view.den), tuple(report)
+    return tuple(layers[c]), tuple(report)
 
 
 def reaction_game_value(spec: ReactionGameSpec, c: int, table=None) -> ReactionValueResult:
     """Pure-maximin value at conditioning index c, plus the node-gap report."""
-    value_at, report = _node_tables(spec.payoff.space, spec.view(c, table), c)
-    return ReactionValueResult(value_at=value_at, report=report)
+    space, view = spec.payoff.space, spec.view(c, table)
+    scaled, report = _node_tables(space, view, c)
+    return ReactionValueResult(scaled, report, space, c, view.den)

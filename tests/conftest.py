@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck
+from hypothesis import strategies as st
 
-from stopgame import nash2, verify
+from stopgame import classic, coalition, nash2, nash3, verify
 from stopgame import space as space_module
 from stopgame.classic import SoloStop, snell
 from stopgame.gamefile import parse_game
 from stopgame.generator import generate_instance
 from stopgame.nash3 import solve_three_player
 from stopgame.payoff import PayoffField, payoff_from_function
-from stopgame.space import FilteredSpace, TimeGrid, cond_exp, constant_time, make_grid
+from stopgame.space import (
+    FilteredSpace, StoppingTime, TimeGrid, cond_exp, constant_time, make_grid, validate_space,
+)
 
 # hypothesis settings of the property tests: derandomized, so every run of
 # the suite draws the same examples (for a given hypothesis version)
@@ -146,6 +149,44 @@ def random_space(rng: random.Random, n_outcomes: int, n_times: int) -> FilteredS
     )
 
 
+@st.composite
+def spaces(draw) -> FilteredSpace:
+    """A valid space: weights on mixed denominators, and refining partitions
+    of shuffled outcomes with singleton and multi-outcome blocks."""
+    n = draw(st.integers(1, 6))
+    n_times = draw(st.integers(2, 5))
+    raw = [
+        Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(DENOMINATORS)))
+        for _ in range(n)
+    ]
+    weights = tuple(r / sum(raw) for r in raw)
+    parts = [[tuple(draw(st.permutations(range(n))))]]
+    for _ in range(n_times - 2):
+        finer = []
+        for block in parts[-1]:
+            cuts = draw(st.sets(st.integers(1, len(block) - 1))) if len(block) > 1 else ()
+            edges = [0, *sorted(cuts), len(block)]
+            finer += [block[a:b] for a, b in zip(edges, edges[1:])]
+        parts.append(finer)
+    parts.append([(w,) for w in range(n)])
+    space = FilteredSpace(
+        grid=make_grid(range(n_times)), weights=weights, partitions=tuple(parts)
+    )
+    assert validate_space(space) == []
+    return space
+
+
+def drawn_stopping_time(draw, space: FilteredSpace) -> StoppingTime:
+    K = space.grid.terminal_index
+    idx = [None] * space.n_outcomes
+    for k in range(K + 1):
+        for block in space.partitions[k]:
+            if idx[block[0]] is None and (k == K or draw(st.booleans())):
+                for w in block:
+                    idx[w] = k
+    return StoppingTime(tuple(idx))
+
+
 def random_rv(rng: random.Random, n: int, lo: int = -4, hi: int = 4, den: int = 4):
     return tuple(Fraction(rng.randint(lo * den, hi * den), den) for _ in range(n))
 
@@ -154,7 +195,8 @@ def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str)
     """The per-index entries ``build_single_family`` reads, as
     ``classic.solo_stop`` gives them, read off the ``Fraction`` Snell sweep of
     each process with the other slots pinned at k; the value at k per block,
-    times ``field3.den * W_B``, must be an integer."""
+    times ``field3.den * W_B``, must be an integer, and the entry's ``value``,
+    converted back from those integers, must be the Snell value at k."""
     from oracles import reference_process
 
     out = []
@@ -166,7 +208,8 @@ def solo_solutions(space: FilteredSpace, field3, free_slot: int, direction: str)
             for block, w_b in zip(space.partitions[k], space.block_wnum[k])
         ]
         assert all(x.denominator == 1 for x in scaled)
-        out.append(SoloStop(value, res.rule, direction, tuple(map(int, scaled))))
+        out.append(SoloStop(res.rule, direction, tuple(map(int, scaled)), space, k, field3.den))
+        assert out[-1].value == value
     return tuple(out)
 
 
@@ -202,12 +245,15 @@ def ladder_run() -> dict:
     candidate (``nash2._candidate``, solved at each pair-family anchor),
     ``"shortfall"`` the same per coop and single window gap
     (``nash2._shortfall``), ``"cond_exp"`` holds (args, result) per call,
-    with the input RV copied to a tuple, and ``"stop_sums"`` holds ((field,
+    with the input RV copied to a tuple, ``"stop_sums"`` holds ((field,
     stops, blocks), result) per ``PayoffField.stop_sums`` call, with the
-    stops and blocks as tuples.  After each solve every coalition family is
+    stops and blocks as tuples, and ``"duel"`` holds (args, result) per
+    ``classic.dynkin_value`` call (the integer duels of the coalition games
+    and the player processes).  After each solve every coalition family is
     read, so the families the solve itself never reads are built and
     recorded too."""
-    calls = {key: [] for key in ("oracle", "certify", "pair", "shortfall", "cond_exp", "stop_sums")}
+    keys = ("oracle", "certify", "pair", "shortfall", "cond_exp", "stop_sums", "duel")
+    calls = {key: [] for key in keys}
 
     def recording(key, real, with_kwargs=True):
         def record(*args, **kwargs):
@@ -240,6 +286,8 @@ def ladder_run() -> dict:
                     mp.setattr(module, name, recorded)
         for key, name in (("pair", "_candidate"), ("shortfall", "_shortfall")):
             mp.setattr(nash2, name, recording(key, getattr(nash2, name), with_kwargs=False))
+        for module in (coalition, nash3):
+            mp.setattr(module, "dynkin_value", recording("duel", classic.dynkin_value, False))
         mp.setattr(PayoffField, "stop_sums", recording_sums)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "stopgame" and (

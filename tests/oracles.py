@@ -15,13 +15,14 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from stopgame.classic import block_rv, dynkin_value, snell
+from stopgame.classic import block_rv, snell
 from stopgame.config import current_guards
 from stopgame.errors import (
     DeskScaleExceeded,
     GuardExceeded,
     NoValidDelta,
     NoValidH,
+    OrderViolation,
     ParseError,
     TheoremViolation,
     ValidationError,
@@ -928,9 +929,38 @@ def reference_oracle_committed_index(strat, seat: int, status: tuple, w: int) ->
     return reference_react3(strat, observed, w)
 
 
-# The hand-written tie-pays-the-minimizer duel that the mirrored
-# ``dynkin_value`` call in ``classic.dynkin_convention_gap`` replaced, and the
-# gap as it was computed from it, kept so the two are checked with ==.
+# The stopping duel as it was before it ran on integer block layers: per
+# outcome, on ``Fraction`` layers, with the reference conditional expectation;
+# the hand-written tie-pays-the-minimizer duel that the mirrored duel in
+# ``classic.dynkin_convention_gap`` replaced; and the gap as it was computed
+# from the two.  None of them calls a library duel; they are kept so the
+# integer duel is checked against them with ==.
+
+
+def reference_dynkin_value(
+    space: FilteredSpace, lower: Sequence, upper: Sequence, from_=0
+) -> tuple:
+    """Value layers of the duel (ties pay the maximizer's side, lower), None
+    below the earliest start index; OrderViolation where lower > upper at a
+    reachable (index, outcome)."""
+    start = _start_indices(space, from_)
+    kmin = min(start)
+    K = space.grid.terminal_index
+    for k in range(kmin, K + 1):
+        for w in range(space.n_outcomes):
+            if k >= start[w] and lower[k][w] > upper[k][w]:
+                raise OrderViolation(
+                    f"lower exceeds upper at index {k}, outcome {w}: "
+                    f"{lower[k][w]} > {upper[k][w]}"
+                )
+    value: list = [None] * (K + 1)
+    value[K] = tuple(lower[K])
+    for k in range(K - 1, kmin - 1, -1):
+        cont = reference_cond_exp(space, value[k + 1], k)
+        value[k] = tuple(
+            max(x, min(y, c)) for x, y, c in zip(lower[k], upper[k], cont)
+        )
+    return tuple(value)
 
 
 def reference_dynkin_value_alt(
@@ -943,7 +973,7 @@ def reference_dynkin_value_alt(
     value: list = [None] * (K + 1)
     value[K] = tuple(upper[K])
     for k in range(K - 1, kmin - 1, -1):
-        cont = cond_exp(space, value[k + 1], k)
+        cont = reference_cond_exp(space, value[k + 1], k)
         value[k] = tuple(
             min(y, max(x, c)) for x, y, c in zip(lower[k], upper[k], cont)
         )
@@ -955,7 +985,7 @@ def reference_dynkin_convention_gap(
 ) -> Fraction:
     """Largest reachable difference between the two tie conventions."""
     start = _start_indices(space, from_)
-    main = dynkin_value(space, lower, upper, from_)
+    main = reference_dynkin_value(space, lower, upper, from_)
     alt = reference_dynkin_value_alt(space, lower, upper, from_)
     K = space.grid.terminal_index
     gap = Fraction(0)

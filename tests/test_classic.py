@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_adapted_field, random_rv, random_space, solo_solutions
+from conftest import (
+    SETTINGS, random_adapted_field, random_rv, random_space, solo_solutions, spaces,
+)
 from oracles import (
     as_layers,
     brute_dynkin_maximin,
@@ -16,6 +21,8 @@ from oracles import (
     pair_payoff,
     reference_dynkin_convention_gap,
     reference_dynkin_hitting_pair,
+    reference_dynkin_value,
+    reference_exit_time,
     reference_joint_inf_pair,
     reference_lone_stop_cells,
     reference_node_sweep,
@@ -28,6 +35,7 @@ from stopgame.classic import (
     dynkin_convention_gap,
     dynkin_hitting_pair,
     dynkin_value,
+    first_within,
     joint_inf_pair,
     node_sweep,
     snell,
@@ -39,10 +47,12 @@ from stopgame.nash2 import _nash_cell
 from stopgame.payoff import PayoffField, payoff_from_function
 from stopgame.space import (
     FilteredSpace,
+    StoppingTime,
     _start_indices,
     cond_exp,
     constant_time,
     expectation,
+    fill_blocks,
     is_stopping_time,
     make_grid,
     stopped_atoms,
@@ -508,3 +518,62 @@ def test_dynkin_hitting_pair_matches_reference_scan(seed):
             assert got == reference_dynkin_hitting_pair(space, value, lo, hi, eps, mu)
         if start == K:
             assert got == (mu, mu)
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4)))
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(data=st.data(), space=spaces())
+def test_integer_duel_matches_reference_duel(data, space):
+    """The integer duel against the per-outcome ``Fraction`` references under
+    ==, on random adapted layers from stopping-time starts (layers before
+    the earliest start index are None half the time): its value, both
+    hitting times, the exit time (``first_within`` of the value against a
+    committed-stop layer that is at least lower at the horizon) and the
+    convention gap.  Upper is lower plus a gap that is sometimes negative,
+    and a reachable lower > upper raises the reference's OrderViolation
+    text."""
+    K = space.grid.terminal_index
+
+    def adapted(entries):
+        return [
+            fill_blocks(space, part, [data.draw(entries) for _ in part])
+            for part in space.partitions
+        ]
+
+    def plus(x, y):
+        return [tuple(map(operator.add, a, b)) for a, b in zip(x, y)]
+
+    lower = adapted(small_rationals)
+    gaps = (0, 0, 1, Fraction(1, 2), 3, *[-1] * (data.draw(st.integers(0, 3)) == 0))
+    upper = plus(lower, adapted(st.sampled_from(gaps)))
+    # a stopping time: one index at or after k0 per block of partitions[k0]
+    k0 = data.draw(st.integers(0, K))
+    stops = [data.draw(st.integers(k0, K)) for _ in space.partitions[k0]]
+    start = StoppingTime(fill_blocks(space, space.partitions[k0], stops))
+    eps = data.draw(st.builds(Fraction, st.integers(1, 6), st.sampled_from((1, 2, 4, 12))))
+    if data.draw(st.booleans()):
+        kmin = min(start.idx)
+        lower, upper = ([None] * kmin + x[kmin:] for x in (lower, upper))
+
+    def answer(fn, *args):
+        try:
+            return fn(*args)
+        except OrderViolation as exc:
+            return str(exc)
+
+    want = answer(reference_dynkin_value, space, lower, upper, start)
+    value = answer(dynkin_value, space, lower, upper, start)
+    if isinstance(want, str):
+        assert value == want
+        return
+    assert tuple(value) == want
+    pair = dynkin_hitting_pair(space, value, lower, upper, eps, start)
+    assert pair == reference_dynkin_hitting_pair(space, want, lower, upper, eps, start)
+    family = adapted(small_rationals)
+    family[K] = tuple(map(max, family[K], lower[K]))  # value[K] = lower[K]: the exit hits at K
+    exit_time = first_within(space, value, family, eps, start)
+    assert exit_time == reference_exit_time(space, want, family, start, eps)
+    gap = dynkin_convention_gap(space, value, lower, upper, start)
+    assert gap == reference_dynkin_convention_gap(space, lower, upper, start)

@@ -17,15 +17,20 @@ from hypothesis import strategies as st
 from conftest import SETTINGS, random_rv, random_space, solo_solutions
 from oracles import (
     reference_coop_gap,
+    reference_dynkin_hitting_pair,
+    reference_dynkin_value,
     reference_exit_time,
     reference_family_value,
+    reference_joint_inf_pair,
+    reference_node_tables,
     reference_one_field_on_path_value,
     reference_pair_component,
     reference_partition_ABC,
+    reference_process,
     reference_select_delta,
     reference_single_gap,
 )
-from stopgame.classic import block_rv, joint_inf_value, solo_stop
+from stopgame.classic import block_rv, joint_inf_value, snell, solo_stop
 from stopgame.cli import main as cli_main
 from stopgame.config import ENV_OVERRIDE
 from stopgame.errors import NoValidDelta, StopGameError, WindowCertificationFailed
@@ -60,6 +65,7 @@ from stopgame.space import (
 )
 from stopgame.strategy import lift_constant3, resolve2
 from stopgame.verify import enumerate_stopping_times, on_path_value, resolve_profile
+from stopgame.zerosum import ReactionGameSpec
 
 
 def urgency_space():
@@ -652,6 +658,100 @@ def test_shared_solutions_equal_direct_sweeps(seed, outcomes, times, min_step_h)
             assert comp.pinned_solo[free] == tuple(sol.value for sol in solo)
 
 
+def reference_processes(space, fields, ctx):
+    """Each seat's ``PlayerProcesses`` and the processes, times and
+    designated stoppers of its ``CoalitionComponents``, assembled per outcome
+    on ``Fraction`` from the references and the solve's after-stop pairs:
+    stop-now values from the reference cooperative sweep, after-stop family
+    layers from per-outcome payoff reads, rival floors and the designate
+    test with ``Fraction`` eps, reaction values from the reference node
+    tables, pinned optima from the ``Fraction`` Snell sweep, and the duels,
+    hitting times, exit times and settle delay from the reference duel and
+    scans."""
+    eps, theta, K = ctx.eps, ctx.theta, space.grid.terminal_index
+    after_stop = resolve_overline(space, ctx.overline)
+
+    def family_layers(seat, s):
+        free = sorted(q for q in range(3) if q != s)
+        return tuple(
+            reference_family_value(space, fields[seat], s, k, pair, free)
+            for k, pair in enumerate(after_stop[s])
+        ) + (fields[seat].at((K, K, K)),)
+
+    def lowest(*processes, plus=0):
+        return tuple(tuple(min(x) + plus for x in zip(*layers)) for layers in zip(*processes))
+
+    stop_now = {
+        s: tuple(reference_joint_inf_pair(space, fields[s].pin(s, k), k)[0][k] for k in range(K + 1))
+        for s in range(3)
+    }
+    players = {}
+    for s in range(3):
+        rival = {q: family_layers(s, q) for q in range(3) if q != s}
+        floor = lowest(*rival.values(), plus=eps)
+        value = reference_dynkin_value(space, stop_now[s], floor, theta)
+        family = family_layers(s, s)
+        players[s] = PlayerProcesses(
+            seat=s, stop_exact=stop_now[s], stop_family=family, rival=rival, rival_floor=floor,
+            value=value, exit_time=reference_exit_time(space, value, family, theta, eps),
+        )
+    delta = reference_select_delta(space, players, theta, eps)
+    coalitions = {}
+    for s in range(3):
+        cj, ck = (q for q in range(3) if q != s)
+        mu = shift_time(space, players[s].exit_time, delta.duration)
+        after = {
+            member: tuple(
+                reference_node_tables(space, ReactionGameSpec(fields[s], member, s, other).view(k), k)[0][k]
+                for k in range(K + 1)
+            )
+            for member, other in ((cj, ck), (ck, cj))
+        }
+        floor = lowest(after[cj], after[ck])
+        value = reference_dynkin_value(space, stop_now[s], floor, mu)
+        hits = reference_dynkin_hitting_pair(space, value, stop_now[s], floor, eps, mu)
+        coalitions[s] = dict(
+            mu=mu,
+            leader_stop_value=stop_now[s],
+            after_stop_value=after,
+            coalition_floor=floor,
+            pinned_solo={
+                free: tuple(
+                    snell(space, reference_process(fields[s], free, k), direction, k).value[k]
+                    for k in range(K + 1)
+                )
+                for free, direction in ((s, "sup"), (cj, "inf"), (ck, "inf"))
+            },
+            value=value,
+            leader_hit=hits[0],
+            coalition_hit=hits[1],
+            designate=tuple(value[k][w] >= after[cj][k][w] - eps for w, k in enumerate(hits[1].idx)),
+        )
+    return players, delta, coalitions
+
+
+@pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
+@pytest.mark.parametrize("outcomes, times", ((3, 5), (4, 6), (3, 7)), ids=("3x5", "4x6", "3x7"))
+def test_processes_match_reference_assembly(outcomes, times, min_step_h):
+    """Every ``Fraction`` attribute of each seat's ``PlayerProcesses`` and
+    ``CoalitionComponents``, which a solve keeps as integer block layers and
+    converts on read, equals under == the one ``reference_processes``
+    assembles, as do the settle delay and the shifted exits, on gen seeds
+    0-5."""
+    for seed in range(6):
+        inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
+        space, fields = inst.space, inst.fields
+        h = space.grid.min_step if min_step_h else None
+        ctx = solve_three_player(space, fields, eps=inst.epsilon, h=h).context
+        players, delta, coalitions = reference_processes(space, fields, ctx)
+        assert ctx.players == players
+        assert ctx.delta == delta
+        for s, want in coalitions.items():
+            comp = ctx.saddles[s][0]
+            assert ctx.shifted_exit[s] == want["mu"]
+            assert {name: getattr(comp, name) for name in want} == want
+
+
 @pytest.mark.parametrize("min_step_h", (False, True), ids=("autoh", "minh"))
 def test_after_stop_entries_resolved_once_per_solve(monkeypatch, min_step_h):
     """One solve resolves each after-stop entry that some interior time looks
@@ -778,14 +878,14 @@ def test_family_entries_answer_by_index_and_seat(seed, outcomes, times, min_step
 
 @pytest.mark.parametrize(
     "seed, outcomes, times, min_step_h, families, pins, phi_h_calls, checks, block_rvs, "
-    "commits, certificates, resolutions, dp_runs, gap_measures",
-    [(1004, 4, 6, True, 11, 66, 5, 283, 144, 136, 1, 10, 87, 51),
-     (1000, 3, 5, False, 11, 55, 4, 208, 120, 100, 1, 2, 43, 26)],
+    "commits, certificates, resolutions, dp_runs, gap_measures, fractions",
+    [(1004, 4, 6, True, 11, 66, 5, 283, 0, 136, 1, 10, 87, 51, 331),
+     (1000, 3, 5, False, 11, 55, 4, 208, 0, 100, 1, 2, 43, 26, 205)],
     ids=("4x6-minh", "3x5-autoh"),
 )
 def test_calls_per_solve_on_bench_games(
     monkeypatch, seed, outcomes, times, min_step_h, families, pins, phi_h_calls, checks,
-    block_rvs, commits, certificates, resolutions, dp_runs, gap_measures,
+    block_rvs, commits, certificates, resolutions, dp_runs, gap_measures, fractions,
 ):
     """On two bench games: the gap measurements (``verify._measure_gaps``:
     the pair families' anchors and window times, and the final certificate)
@@ -808,11 +908,15 @@ def test_calls_per_solve_on_bench_games(
     strategy validation (once per entry of the three strategies) and for the
     oracle's check that a forced tail may be played out (once per commitment
     it reads), as certificates read their start through ``stopped_atoms``;
-    ``classic.block_rv`` converts only what is read at one index: the
-    zero-sum game's start layer, each solo optimum and each after-stop family
-    layer, while window gaps stay integers; and the best-response oracle
-    reads each live fixed seat's commitment (``committed_time``) once per
-    observed-stop status of a DP run, not once per DP node."""
+    ``classic.block_rv`` never runs, as every process (stop-now values,
+    reaction games, solo optima, after-stop family layers, rival floors and
+    duels) stays on integers and the solve reads none as ``Fraction``; the
+    solve builds ``fractions`` ``Fraction`` objects, counted by wrapping
+    ``Fraction.__new__`` (exactly where every ``Fraction`` is built through
+    it, as up to Python 3.11; at most that many where arithmetic builds its
+    results without it); and the best-response oracle reads each live fixed
+    seat's commitment (``committed_time``) once per observed-stop status of a
+    DP run, not once per DP node."""
     counts = Counter()
 
     def counting(key, real):
@@ -844,7 +948,20 @@ def test_calls_per_solve_on_bench_games(
     assert nash2.phi_h is space_module.phi_h  # family_lookup's calls are counted too
     inst = generate_instance(seed, n_outcomes=outcomes, n_times=times)
     h = inst.space.grid.min_step if min_step_h else None
-    assert solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h).certificate.passes
+    built = Fraction.__new__
+
+    def counted_fraction(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return built(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counted_fraction))
+        sol = solve_three_player(inst.space, inst.fields, eps=inst.epsilon, h=h)
+    assert sol.certificate.passes
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+: arithmetic skips __new__
+        assert counts["Fraction"] <= fractions
+    else:
+        assert counts["Fraction"] == fractions
     assert counts["_window_family"] == families
     assert counts["_measure_gaps"] == gap_measures and counts["resolve_profile"] == resolutions
     assert counts["_best_response"] == dp_runs

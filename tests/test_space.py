@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DENOMINATORS, SETTINGS, random_rv, random_space
+from conftest import (
+    DENOMINATORS, SETTINGS, drawn_stopping_time, random_rv, random_space, spaces,
+)
 from oracles import (
     reference_at_stops,
     reference_cond_exp,
     reference_cond_exp_at,
+    reference_dynkin_value,
     reference_index_at_or_after,
     reference_is_stopping_time,
     reference_on_path_value,
@@ -293,44 +296,6 @@ entries = st.one_of(
 )
 
 
-@st.composite
-def spaces(draw) -> FilteredSpace:
-    """A valid space: weights on mixed denominators, and refining partitions
-    of shuffled outcomes with singleton and multi-outcome blocks."""
-    n = draw(st.integers(1, 6))
-    n_times = draw(st.integers(2, 5))
-    raw = [
-        Fraction(draw(st.integers(1, 10**6)), draw(st.sampled_from(DENOMINATORS)))
-        for _ in range(n)
-    ]
-    weights = tuple(r / sum(raw) for r in raw)
-    parts = [[tuple(draw(st.permutations(range(n))))]]
-    for _ in range(n_times - 2):
-        finer = []
-        for block in parts[-1]:
-            cuts = draw(st.sets(st.integers(1, len(block) - 1))) if len(block) > 1 else ()
-            edges = [0, *sorted(cuts), len(block)]
-            finer += [block[a:b] for a, b in zip(edges, edges[1:])]
-        parts.append(finer)
-    parts.append([(w,) for w in range(n)])
-    space = FilteredSpace(
-        grid=make_grid(range(n_times)), weights=weights, partitions=tuple(parts)
-    )
-    assert validate_space(space) == []
-    return space
-
-
-def drawn_stopping_time(draw, space: FilteredSpace) -> StoppingTime:
-    K = space.grid.terminal_index
-    idx = [None] * space.n_outcomes
-    for k in range(K + 1):
-        for block in space.partitions[k]:
-            if idx[block[0]] is None and (k == K or draw(st.booleans())):
-                for w in block:
-                    idx[w] = k
-    return StoppingTime(tuple(idx))
-
-
 def exact_rv(got) -> bool:
     return all(type(v) is Fraction for v in got)
 
@@ -362,16 +327,23 @@ def test_cond_exp_matches_reference(data, space):
 
 
 def test_cond_exp_matches_reference_on_ladder(ladder_run):
-    """Every conditional expectation taken while solving the ladder; every
-    payoff mean read there by ``PayoffField.stop_sums``, scaled back to
+    """Every conditional expectation taken while generating and solving the
+    ladder; every integer duel of the solves, each value layer below the
+    horizon read back as ``Fraction``, against the reference duel, whose
+    backward step averages with the reference ``cond_exp``; every payoff
+    mean read there by ``PayoffField.stop_sums``, scaled back to
     ``Fraction`` per block, against the reference ``at_stops`` averaged by
     the reference ``cond_exp``; and the conforming value of every
     certificate made there, one field at a time, against the ``cond_exp_at``
     average it replaced."""
-    calls = ladder_run["cond_exp"]
-    assert len(calls) >= 270  # the duels' values; payoff means go through stop_sums
-    for args, result in calls:
+    for args, result in ladder_run["cond_exp"]:
         assert result == reference_cond_exp(*args) and exact_rv(result)
+    samples = 0  # one per block value of a duel's backward step: a block average
+    for (space, lower, upper, start), value in ladder_run["duel"]:
+        want = reference_dynkin_value(space, lower, upper, start)
+        assert tuple(value) == want and all(x is None or exact_rv(x) for x in value)
+        samples += sum(map(len, space.partitions[min(start.idx) : -1]))
+    assert samples >= 270
     sums = ladder_run["stop_sums"]
     assert len(sums) > 1000
     for (field, stops, blocks), result in sums:
